@@ -793,8 +793,8 @@ pub fn multiplicative_circulant(n: usize, m: usize) -> MachineSpec {
     noc(format!("synth-circulant-{n}"), n, links, node_of)
 }
 
-/// The NoC-scale ladder: committed as descriptions and tracked by the
-/// `scale_inference` bench, but deliberately *not* part of
+/// The NoC-scale ladder: committed as descriptions and measured by
+/// `mctbench`'s mesh workloads, but deliberately *not* part of
 /// [`all_synthetic`] — only the smallest two are compiled into the
 /// shipped registry.
 pub fn all_mesh_scale() -> Vec<MachineSpec> {

@@ -399,7 +399,7 @@ fn socket_comp_index(comps: &[Vec<usize>], comp: &[usize]) -> usize {
 /// vs multi-hop connections.
 fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>, McTopError> {
     let lat = |i: usize, j: usize| s_lat[i * n_sockets + j];
-    let mut direct = vec![false; n_sockets * n_sockets];
+    let mut direct: Vec<Vec<usize>> = vec![Vec::new(); n_sockets];
     for i in 0..n_sockets {
         for j in (i + 1)..n_sockets {
             let v = lat(i, j);
@@ -407,20 +407,33 @@ fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>,
             // strictly smaller latency.
             let multi = (0..n_sockets).any(|k| k != i && k != j && lat(i, k) < v && lat(k, j) < v);
             if !multi {
-                direct[i * n_sockets + j] = true;
-                direct[j * n_sockets + i] = true;
+                direct[i].push(j);
+                direct[j].push(i);
             }
         }
     }
-    // Hops: BFS over direct edges.
-    let mut links = Vec::new();
+    // Hops: one BFS over the direct edges per source socket.
+    let mut links = Vec::with_capacity(n_sockets * n_sockets.saturating_sub(1) / 2);
+    let mut dist = vec![usize::MAX; n_sockets];
+    let mut queue = std::collections::VecDeque::with_capacity(n_sockets);
     for i in 0..n_sockets {
-        for j in (i + 1)..n_sockets {
-            let hops = if direct[i * n_sockets + j] {
-                1
-            } else {
-                bfs_hops(&direct, n_sockets, i, j)?
-            };
+        dist.fill(usize::MAX);
+        dist[i] = 0;
+        queue.push_back(i);
+        while let Some(s) = queue.pop_front() {
+            for &t in &direct[s] {
+                if dist[t] == usize::MAX {
+                    dist[t] = dist[s] + 1;
+                    queue.push_back(t);
+                }
+            }
+        }
+        for (j, &hops) in dist.iter().enumerate().skip(i + 1) {
+            if hops == usize::MAX {
+                return Err(McTopError::IrregularTopology(
+                    "multi-hop socket pair unreachable over direct links".into(),
+                ));
+            }
             links.push(InterconnectLink {
                 a: i,
                 b: j,
@@ -431,26 +444,6 @@ fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>,
         }
     }
     Ok(links)
-}
-
-fn bfs_hops(direct: &[bool], n: usize, src: usize, dst: usize) -> Result<usize, McTopError> {
-    let mut dist = vec![usize::MAX; n];
-    dist[src] = 0;
-    let mut queue = std::collections::VecDeque::from([src]);
-    while let Some(s) = queue.pop_front() {
-        for t in 0..n {
-            if direct[s * n + t] && dist[t] == usize::MAX {
-                dist[t] = dist[s] + 1;
-                queue.push_back(t);
-            }
-        }
-    }
-    if dist[dst] == usize::MAX {
-        return Err(McTopError::IrregularTopology(
-            "multi-hop socket pair unreachable over direct links".into(),
-        ));
-    }
-    Ok(dist[dst])
 }
 
 #[cfg(test)]
@@ -491,6 +484,21 @@ mod tests {
         let links = infer_links(&m, n).unwrap();
         assert!(links.iter().all(|l| l.hops == 1));
         assert_eq!(links.len(), 6);
+    }
+
+    #[test]
+    fn infer_links_rejects_a_socket_no_direct_link_reaches() {
+        // Only an asymmetric table can strand a socket: 0-2 is the one
+        // direct pair, and socket 1 looks multi-hop from both.
+        let m = vec![
+            0, 10, 2, //
+            1, 0, 5, //
+            2, 3, 0,
+        ];
+        assert!(matches!(
+            infer_links(&m, 3),
+            Err(McTopError::IrregularTopology(_))
+        ));
     }
 
     #[test]

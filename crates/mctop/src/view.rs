@@ -260,7 +260,7 @@ struct DenseStore {
     lat: OnceLock<Vec<u32>>,
     /// S×S interconnect hops (0 on the diagonal, `usize::MAX` unknown).
     hops: OnceLock<Vec<usize>>,
-    /// S×S memory bandwidth: cross-socket off the diagonal, local on it.
+    /// S×S cross-socket memory bandwidth (`None` on the diagonal).
     bw: OnceLock<Vec<Option<f64>>>,
     /// S rows: the other sockets sorted by latency (ties by id).
     neighbors: OnceLock<Vec<Vec<usize>>>,
@@ -331,9 +331,6 @@ impl DenseStore {
         self.bw.get_or_init(|| {
             let n = self.n;
             let mut m: Vec<Option<f64>> = vec![None; n * n];
-            for i in 0..n {
-                m[i * n + i] = topo.sockets[i].local_bandwidth();
-            }
             for l in Self::visible_links(topo, n) {
                 m[l.a * n + l.b] = l.bandwidth;
                 m[l.b * n + l.a] = l.bandwidth;
@@ -415,8 +412,6 @@ struct SparseStore {
     /// Fallback bandwidth index when the arena is not sorted: visible
     /// link indices ordered by `(a, b)`.
     link_index: Vec<u32>,
-    /// Per-socket local memory bandwidth (the dense diagonal).
-    local_bw: Vec<Option<f64>>,
     /// LRU of recent BFS hop rows.
     rows: Mutex<RowCache>,
     /// Proximity-sorted neighbor rows, pinned once queried (the row is
@@ -436,7 +431,6 @@ impl Clone for SparseStore {
             exceptions: self.exceptions.clone(),
             links_sorted: self.links_sorted,
             link_index: self.link_index.clone(),
-            local_bw: self.local_bw.clone(),
             // The clone starts with a cold row cache (derived state).
             rows: Mutex::new(RowCache::default()),
             neighbor_rows: self.neighbor_rows.clone(),
@@ -551,7 +545,6 @@ impl SparseStore {
                 (l.a, l.b)
             });
         }
-        let local_bw = (0..n).map(|s| topo.sockets[s].local_bandwidth()).collect();
         SparseStore {
             n,
             intra,
@@ -561,7 +554,6 @@ impl SparseStore {
             exceptions,
             links_sorted,
             link_index,
-            local_bw,
             rows: Mutex::new(RowCache::default()),
             neighbor_rows: (0..n).map(|_| OnceLock::new()).collect(),
         }
@@ -669,8 +661,7 @@ impl SparseStore {
             + self.adj.len() * size_of::<u32>()
             + self.level_lat.len() * size_of::<Option<u32>>()
             + self.exceptions.len() * size_of::<(u32, u32, u32, u32)>()
-            + self.link_index.len() * size_of::<u32>()
-            + self.local_bw.len() * size_of::<Option<f64>>();
+            + self.link_index.len() * size_of::<u32>();
         total += self
             .rows
             .lock()
@@ -731,20 +722,8 @@ impl DistanceStore {
 
     fn cross_bw(&self, topo: &Mctop, a: usize, b: usize) -> Option<f64> {
         match self {
-            DistanceStore::Dense(d) => {
-                if a == b {
-                    return None;
-                }
-                d.bw(topo)[a * d.n + b]
-            }
+            DistanceStore::Dense(d) => d.bw(topo)[a * d.n + b],
             DistanceStore::Sparse(s) => s.cross_bw(topo, a, b),
-        }
-    }
-
-    fn local_bw(&self, topo: &Mctop, socket: usize) -> Option<f64> {
-        match self {
-            DistanceStore::Dense(d) => d.bw(topo)[socket * d.n + socket],
-            DistanceStore::Sparse(s) => s.local_bw[socket],
         }
     }
 
@@ -962,7 +941,7 @@ impl TopoView {
     /// A socket's bandwidth to its local node, if measured.
     pub fn local_bandwidth(&self, socket: usize) -> Option<f64> {
         assert!(socket < self.n_sockets);
-        self.store.local_bw(&self.topo, socket)
+        self.topo.sockets[socket].local_bandwidth()
     }
 
     /// The distinct socket pair with minimum latency.
@@ -1198,6 +1177,10 @@ mod tests {
         let v = TopoView::build(&t).unwrap();
         assert_eq!(v.backend(), ViewBackend::Dense);
         let fresh = v.resident_bytes();
+        // The diagonal comes from the model, not from an S×S matrix.
+        assert_eq!(v.local_bandwidth(0), t.sockets[0].local_bandwidth());
+        assert_eq!(v.min_bandwidth_of(&[0, 47]), t.min_bandwidth_of(&[0, 47]));
+        assert_eq!(v.resident_bytes(), fresh);
         let _ = v.socket_latency(0, 1);
         let after_lat = v.resident_bytes();
         assert!(after_lat > fresh, "latency matrix materialized on demand");
