@@ -12,7 +12,8 @@ use serde::{
     DeError,
     Deserialize,
     Serialize,
-    Value, //
+    Value,
+    Writer, //
 };
 
 /// A direct link between two sockets.
@@ -66,12 +67,12 @@ impl PartialEq for Interconnect {
 }
 
 impl Serialize for Interconnect {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("sockets".to_string(), self.sockets.to_value()),
-            ("overhead".to_string(), self.overhead.to_value()),
-            ("links".to_string(), self.links.to_value()),
-        ])
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("sockets", &self.sockets);
+            w.field("overhead", &self.overhead);
+            w.field("links", &self.links);
+        });
     }
 }
 

@@ -33,7 +33,8 @@ use std::path::Path;
 
 use serde::{
     Deserialize,
-    Serialize, //
+    Serialize,
+    Writer, //
 };
 
 use crate::alg::probe::ProbeConfig;
@@ -100,11 +101,29 @@ impl Provenance {
     }
 }
 
-#[derive(Serialize, Deserialize)]
+/// The file envelope as it is read.
+#[derive(Deserialize)]
 struct DescFile {
     version: u32,
     provenance: Provenance,
     topology: Mctop,
+}
+
+/// The file envelope as it is written: borrowed, so saving copies
+/// nothing.
+struct DescFileRef<'a> {
+    provenance: &'a Provenance,
+    topology: &'a Mctop,
+}
+
+impl Serialize for DescFileRef<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("version", &VERSION);
+            w.field("provenance", self.provenance);
+            w.field("topology", self.topology);
+        });
+    }
 }
 
 /// The probe configuration of the canonical regeneration path: few
@@ -206,12 +225,21 @@ pub fn canonical_string_jobs(spec: &mcsim::MachineSpec, jobs: usize) -> Result<S
 /// Serializes a topology and its provenance header to a description
 /// string.
 pub fn to_string(topo: &Mctop, prov: &Provenance) -> Result<String, McTopError> {
-    serde_json::to_string_pretty(&DescFile {
-        version: VERSION,
-        provenance: prov.clone(),
-        topology: topo.clone(),
-    })
-    .map_err(|e| McTopError::InvalidDescription(e.to_string()))
+    let file = DescFileRef {
+        provenance: prov,
+        topology: topo,
+    };
+    Ok(serde::to_json(&file, true, text_size_estimate(topo)))
+}
+
+/// Bytes to reserve for the text of `topo`: within a factor of two of
+/// the real size, so the buffer grows at most once.
+fn text_size_estimate(topo: &Mctop) -> usize {
+    let (n, s) = (topo.num_hwcs(), topo.num_sockets());
+    4096 + 12 * n * n
+        + 128 * (n + topo.links.len())
+        + 256 * topo.groups.len()
+        + 64 * s * topo.nodes.len()
 }
 
 /// Parses and validates a description string.
@@ -397,6 +425,29 @@ mod tests {
         v["topology"]["lat_table"][1] = serde_json::json!(9999);
         let res = from_str(&v.to_string());
         assert!(matches!(res, Err(McTopError::IrregularTopology(_))));
+    }
+
+    #[test]
+    fn to_string_grows_its_buffer_at_most_once_on_every_committed_file() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../descs");
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let (topo, prov) = load_full(&path).unwrap();
+            let (len, reserved) = (
+                to_string(&topo, &prov).unwrap().len(),
+                text_size_estimate(&topo),
+            );
+            // A full buffer at least doubles, so one growth covers twice
+            // the reservation; nor is the reservation twice too large.
+            assert!(
+                len <= 2 * reserved && reserved <= 2 * len,
+                "{}: {len} bytes, {reserved} reserved",
+                path.display()
+            );
+            files += 1;
+        }
+        assert_eq!(files, 16);
     }
 
     #[test]

@@ -144,68 +144,53 @@ fn variants(stream: TokenStream) -> Vec<Variant> {
         .collect()
 }
 
+/// `__w.object(..)` writing `fields`, each value expression produced by
+/// `access` (already a reference).
+fn write_fields(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let entries: String = fields
+        .iter()
+        .map(|f| format!("__w.field(\"{f}\", {});", access(f)))
+        .collect();
+    format!("__w.object(|__w| {{ {entries} }})")
+}
+
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let code = match parse_shape(input) {
+    let (name, body) = match parse_shape(input) {
         Shape::Struct(name, fields) => {
-            let pushes: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "__m.push((\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f})));"
-                    )
-                })
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         let mut __m: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                         {pushes}\n\
-                         ::serde::Value::Object(__m)\n\
-                     }}\n\
-                 }}"
-            )
+            let body = write_fields(&fields, |f| format!("&self.{f}"));
+            (name, body)
         }
         Shape::Enum(name, vars) => {
             let arms: String = vars
                 .iter()
                 .map(|v| match v {
-                    Variant::Unit(v) => format!(
-                        "{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),"
-                    ),
-                    Variant::Tuple(v) => format!(
-                        "{name}::{v}(__f0) => ::serde::Value::Object(vec![(\"{v}\".to_string(), ::serde::Serialize::to_value(__f0))]),"
-                    ),
+                    Variant::Unit(v) => {
+                        format!("{name}::{v} => ::serde::Serialize::write_json(\"{v}\", __w),")
+                    }
+                    Variant::Tuple(v) => {
+                        let tagged = write_fields(std::slice::from_ref(v), |_| "__f0".into());
+                        format!("{name}::{v}(__f0) => {tagged},")
+                    }
                     Variant::Struct(v, fields) => {
-                        let pushes: String = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "__inner.push((\"{f}\".to_string(), ::serde::Serialize::to_value({f})));"
-                                )
-                            })
-                            .collect();
                         let bind = fields.join(", ");
+                        let inner = write_fields(fields, |f| f.to_string());
                         format!(
-                            "{name}::{v} {{ {bind} }} => {{\n\
-                                 let mut __inner: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                                 {pushes}\n\
-                                 ::serde::Value::Object(vec![(\"{v}\".to_string(), ::serde::Value::Object(__inner))])\n\
-                             }},"
+                            "{name}::{v} {{ {bind} }} => __w.object(|__w| {{ __w.key(\"{v}\"); {inner} }}),"
                         )
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {arms} }}\n\
-                     }}\n\
-                 }}"
-            )
+            (name, format!("match self {{ {arms} }}"))
         }
     };
-    code.parse().expect("generated Serialize impl parses")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn write_json(&self, __w: &mut ::serde::Writer) {{ {body} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("generated Serialize impl parses")
 }
 
 #[proc_macro_derive(Deserialize)]

@@ -1,12 +1,15 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
-//! [`to_string_pretty`], [`from_str`], an indexable [`Value`], and the
-//! [`json!`] macro (single-expression form).
+//! [`to_string_pretty`], [`to_string`], [`from_str`], an indexable
+//! [`Value`], and the [`json!`] macro (single-expression form). The
+//! text writer lives in the `serde` shim, next to the `Serialize` trait
+//! that drives it; the parser here builds the `Value` tree that
+//! `Deserialize` reads.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 pub use serde::Value as InnerValue;
-use serde::{DeError, Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Writer};
 
 /// JSON (de)serialization error.
 #[derive(Debug)]
@@ -96,13 +99,13 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_value(f, &self.0, None, 0)
+        f.write_str(&serde::to_json(self, false, 0))
     }
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> InnerValue {
-        self.0.clone()
+    fn write_json(&self, w: &mut Writer) {
+        self.0.write_json(w);
     }
 }
 
@@ -112,9 +115,9 @@ impl Deserialize for Value {
     }
 }
 
-/// Serializes a value into the JSON [`Value`] tree.
+/// Builds the JSON [`Value`] tree of a value, by parsing its text.
 pub fn to_value<T: Serialize>(t: &T) -> Value {
-    Value(t.to_value())
+    from_str(&serde::to_json(t, false, 0)).expect("serialized JSON parses")
 }
 
 /// Builds a [`Value`] from any serializable expression.
@@ -130,21 +133,12 @@ macro_rules! json {
 
 /// Serializes `t` as pretty-printed JSON.
 pub fn to_string_pretty<T: Serialize>(t: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    use fmt::Write as _;
-    struct Disp<'a>(&'a InnerValue);
-    impl fmt::Display for Disp<'_> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write_value(f, self.0, Some(2), 0)
-        }
-    }
-    write!(out, "{}", Disp(&t.to_value())).map_err(|e| Error::new(e.to_string()))?;
-    Ok(out)
+    Ok(serde::to_json(t, true, 0))
 }
 
 /// Serializes `t` as compact JSON.
 pub fn to_string<T: Serialize>(t: &T) -> Result<String, Error> {
-    Ok(to_value(t).to_string())
+    Ok(serde::to_json(t, false, 0))
 }
 
 /// Parses JSON text and deserializes it into `T`.
@@ -152,6 +146,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         s: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -162,82 +157,15 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     Ok(T::from_value(&v)?)
 }
 
-fn write_value(
-    f: &mut fmt::Formatter<'_>,
-    v: &InnerValue,
-    indent: Option<usize>,
-    depth: usize,
-) -> fmt::Result {
-    let (nl, pad, pad_in) = match indent {
-        Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-        None => ("", String::new(), String::new()),
-    };
-    let colon = if indent.is_some() { ": " } else { ":" };
-    match v {
-        InnerValue::Null => f.write_str("null"),
-        InnerValue::Bool(b) => write!(f, "{b}"),
-        InnerValue::U64(n) => write!(f, "{n}"),
-        InnerValue::I64(n) => write!(f, "{n}"),
-        InnerValue::F64(x) => {
-            if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                write!(f, "{:.1}", x)
-            } else {
-                write!(f, "{x}")
-            }
-        }
-        InnerValue::Str(s) => write_string(f, s),
-        InnerValue::Array(items) => {
-            if items.is_empty() {
-                return f.write_str("[]");
-            }
-            f.write_str("[")?;
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(",")?;
-                }
-                write!(f, "{nl}{pad_in}")?;
-                write_value(f, item, indent, depth + 1)?;
-            }
-            write!(f, "{nl}{pad}]")
-        }
-        InnerValue::Object(entries) => {
-            if entries.is_empty() {
-                return f.write_str("{}");
-            }
-            f.write_str("{")?;
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(",")?;
-                }
-                write!(f, "{nl}{pad_in}")?;
-                write_string(f, k)?;
-                f.write_str(colon)?;
-                write_value(f, item, indent, depth + 1)?;
-            }
-            write!(f, "{nl}{pad}}}")
-        }
-    }
-}
-
-fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
+/// Containers nested deeper than this are refused (the deepest
+/// committed description nests 6), so hostile input cannot exhaust the
+/// stack.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -287,57 +215,79 @@ impl<'a> Parser<'a> {
                 Ok(InnerValue::Bool(false))
             }
             Some(b'"') => Ok(InnerValue::Str(self.string()?)),
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(Error::new(format!("unexpected byte {}", self.i))),
+        }
+    }
+
+    /// Parses the container at the cursor with `body`, one level
+    /// deeper; bounds the nesting.
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<InnerValue, Error>,
+    ) -> Result<InnerValue, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            )));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<InnerValue, Error> {
+        self.i += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.i += 1;
+            return Ok(InnerValue::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.i += 1,
+                Some(b']') => {
                     self.i += 1;
                     return Ok(InnerValue::Array(items));
                 }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(InnerValue::Array(items));
-                        }
-                        _ => return Err(Error::new(format!("bad array at byte {}", self.i))),
-                    }
-                }
+                _ => return Err(Error::new(format!("bad array at byte {}", self.i))),
             }
-            Some(b'{') => {
-                self.i += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    fn object(&mut self) -> Result<InnerValue, Error> {
+        self.i += 1;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.i += 1;
+            return Ok(InnerValue::Object(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            entries.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.i += 1,
+                Some(b'}') => {
                     self.i += 1;
                     return Ok(InnerValue::Object(entries));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let val = self.value()?;
-                    entries.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(InnerValue::Object(entries));
-                        }
-                        _ => return Err(Error::new(format!("bad object at byte {}", self.i))),
-                    }
-                }
+                _ => return Err(Error::new(format!("bad object at byte {}", self.i))),
             }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(Error::new(format!("unexpected byte {}", self.i))),
         }
     }
 
@@ -366,12 +316,14 @@ impl<'a> Parser<'a> {
                                 .s
                                 .get(self.i + 1..self.i + 5)
                                 .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("bad \\u escape"))?;
+                            // Exactly four hex digits (`from_str_radix`
+                            // would take a sign).
+                            let code = hex
+                                .iter()
+                                .try_fold(0u32, |code, &h| {
+                                    Some(code * 16 + (h as char).to_digit(16)?)
+                                })
+                                .ok_or_else(|| Error::new("bad \\u escape"))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| Error::new("bad \\u code point"))?,
@@ -427,8 +379,9 @@ impl<'a> Parser<'a> {
                 return Ok(InnerValue::I64(n));
             }
         }
-        text.parse::<f64>()
-            .map(InnerValue::F64)
-            .map_err(|_| Error::new(format!("invalid number {text:?}")))
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(InnerValue::F64(x)),
+            _ => Err(Error::new(format!("invalid number {text:?}"))),
+        }
     }
 }

@@ -73,3 +73,147 @@ fn loading_rejects_tampered_hierarchies() {
     v["topology"]["sockets"][0]["hwcs"][0] = serde_json::json!(99);
     assert!(mctop::desc::from_str(&v.to_string()).is_err());
 }
+
+/// The three envelope entries of a committed description, as
+/// (compact) text.
+fn envelope_parts() -> [(&'static str, String); 3] {
+    let text = mctop::registry::shipped_source("synth-nosmt").unwrap();
+    let v: serde_json::Value = serde_json::from_str(text).unwrap();
+    [
+        ("version", v["version"].to_string()),
+        ("provenance", v["provenance"].to_string()),
+        ("topology", v["topology"].to_string()),
+    ]
+}
+
+fn envelope(entries: &[(&str, &str)]) -> String {
+    let entries: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", entries.join(", "))
+}
+
+fn invalid(text: &str) -> String {
+    match mctop::desc::from_str_full(text).unwrap_err() {
+        mctop::McTopError::InvalidDescription(msg) => msg,
+        other => panic!("expected InvalidDescription, got {other}"),
+    }
+}
+
+#[test]
+fn envelope_keys_load_in_any_order() {
+    let parts = envelope_parts();
+    let text = mctop::registry::shipped_source("synth-nosmt").unwrap();
+    let expected = mctop::desc::from_str_full(text).unwrap();
+    for order in [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ] {
+        let entries = order.map(|i| (parts[i].0, parts[i].1.as_str()));
+        let loaded = mctop::desc::from_str_full(&envelope(&entries)).unwrap();
+        assert_eq!(loaded, expected, "{order:?}");
+    }
+}
+
+#[test]
+fn envelope_gates_come_before_payload_errors_in_any_order() {
+    let [(_, version), (_, prov), (_, topo)] = envelope_parts();
+    let bad_topo = topo.replacen("\"smt\":1", "\"smt\":\"one\"", 1);
+    let bad_prov = prov.replacen("\"enriched\":true", "\"enriched\":1", 1);
+    // A v1-shaped file fails on its version even when `version` is
+    // written last and the payload before it would not deserialize.
+    for entries in [
+        vec![("topology", "{\"name\": \"ivy\"}"), ("version", "1")],
+        vec![
+            ("topology", bad_topo.as_str()),
+            ("provenance", bad_prov.as_str()),
+            ("version", "1"),
+        ],
+    ] {
+        let msg = invalid(&envelope(&entries));
+        assert!(msg.contains("unsupported description version 1"), "{msg}");
+    }
+    // Then the missing header, then the payloads in envelope order.
+    for entries in [
+        vec![("version", "2"), ("topology", bad_topo.as_str())],
+        vec![("topology", bad_topo.as_str()), ("version", "2")],
+    ] {
+        let msg = invalid(&envelope(&entries));
+        assert!(msg.contains("missing provenance header"), "{msg}");
+    }
+    for entries in [
+        [
+            ("version", &version),
+            ("provenance", &bad_prov),
+            ("topology", &bad_topo),
+        ],
+        [
+            ("topology", &bad_topo),
+            ("provenance", &bad_prov),
+            ("version", &version),
+        ],
+        [
+            ("provenance", &bad_prov),
+            ("version", &version),
+            ("topology", &bad_topo),
+        ],
+    ] {
+        let entries = entries.map(|(k, v)| (k, v.as_str()));
+        let msg = invalid(&envelope(&entries));
+        assert!(
+            msg.contains("field `provenance`: field `enriched`: "),
+            "{msg}"
+        );
+    }
+    let msg = invalid(&envelope(&[
+        ("topology", &bad_topo),
+        ("provenance", &prov),
+        ("version", "2"),
+    ]));
+    assert!(msg.contains("field `topology`: field `smt`: "), "{msg}");
+    let msg = invalid(&envelope(&[("provenance", &prov), ("topology", &topo)]));
+    assert!(msg.contains("missing field `version`"), "{msg}");
+    let msg = invalid(&envelope(&[("version", "2"), ("provenance", &prov)]));
+    assert!(msg.contains("missing field `topology`"), "{msg}");
+}
+
+#[test]
+fn first_duplicate_wins_and_unknown_keys_are_skipped() {
+    let [(_, version), (_, prov), (_, topo)] = envelope_parts();
+    let text = mctop::registry::shipped_source("synth-nosmt").unwrap();
+    let expected = mctop::desc::from_str_full(text).unwrap();
+    // In the envelope: later duplicates are ignored whatever they hold,
+    // as long as they are JSON.
+    let dup = envelope(&[
+        ("comment", "[1, {\"x\": null}]"),
+        ("version", &version),
+        ("version", "1"),
+        ("provenance", &prov),
+        ("provenance", "7"),
+        ("topology", &topo),
+        ("topology", "{\"name\": \"other\"}"),
+        ("trailer", "\"x\""),
+    ]);
+    assert_eq!(mctop::desc::from_str_full(&dup).unwrap(), expected);
+    // In a derived struct: `smt` twice, and a key `Mctop` never had.
+    let edited = topo.replacen(
+        "\"smt\":1,",
+        "\"smt\":1, \"smt\":7, \"colour\": {\"r\": [0]},",
+        1,
+    );
+    assert_ne!(edited, topo);
+    let text = envelope(&[
+        ("version", &version),
+        ("provenance", &prov),
+        ("topology", &edited),
+    ]);
+    assert_eq!(mctop::desc::from_str_full(&text).unwrap(), expected);
+    // A duplicate that is not JSON is still a syntax error.
+    let broken = envelope(&[("version", "2"), ("version", "{")]);
+    assert!(mctop::desc::from_str_full(&broken).is_err());
+}

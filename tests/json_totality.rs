@@ -1,0 +1,208 @@
+//! Totality battery for the two entry points that read outside bytes
+//! as JSON text — `mctop::desc::from_str_full` and
+//! `serde_json::from_str` — in the manner of `wire_proptest.rs`:
+//! truncations, byte mutations, hostile nesting, numbers, escapes and
+//! encodings give an `Err`, or a value that writes back to text the
+//! reader accepts as the same value; never a panic, never an abort, in
+//! time linear in the input.
+
+use std::path::PathBuf;
+use std::time::{
+    Duration,
+    Instant, //
+};
+
+use mctop::desc;
+use rand::rngs::SmallRng;
+use rand::{
+    Rng,
+    SeedableRng, //
+};
+use serde_json::Value;
+
+fn committed(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("descs")
+        .join(desc::default_filename(name));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Both readers on `text`: whatever they accept must survive a write
+/// and a second read unchanged.
+fn read_both(text: &str) -> (bool, bool) {
+    let tree = serde_json::from_str::<Value>(text);
+    if let Ok(v) = &tree {
+        let again = serde_json::to_string(v).unwrap();
+        assert_eq!(serde_json::from_str::<Value>(&again).ok().as_ref(), Some(v));
+    }
+    let loaded = desc::from_str_full(text);
+    if let Ok((topo, prov)) = &loaded {
+        let again = desc::to_string(topo, prov).unwrap();
+        let (topo2, prov2) = desc::from_str_full(&again).unwrap();
+        assert_eq!((&topo2, &prov2), (topo, prov));
+    }
+    (tree.is_ok(), loaded.is_ok())
+}
+
+/// A struct read by the derived reader, with one more entry in front
+/// of its own (an unknown key is parsed, then ignored).
+fn link_with(entry: &str) -> Result<mcsim::Link, serde_json::Error> {
+    serde_json::from_str(&format!(
+        "{{{entry}, \"a\": 0, \"b\": 1, \"wire\": 9, \"bandwidth\": 1.5}}"
+    ))
+}
+
+#[test]
+fn every_truncation_of_a_description_is_an_error() {
+    let text = committed("synth-nosmt");
+    assert_eq!(read_both(&text), (true, true));
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        assert_eq!(read_both(&text[..cut]), (false, false), "cut at {cut}");
+    }
+}
+
+#[test]
+fn single_byte_mutations_never_panic() {
+    let text = committed("synth-nosmt");
+    let mut rng = SmallRng::seed_from_u64(17);
+    let (mut not_utf8, mut rejected, mut accepted) = (0, 0, 0);
+    for _ in 0..4000 {
+        let mut bytes = text.clone().into_bytes();
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] = rng.gen_range(0..=u8::MAX);
+        // `desc::load` reads files with `read_to_string`: bytes that are
+        // not UTF-8 never reach the parser (see `invalid_utf8_*` below).
+        match String::from_utf8(bytes) {
+            Err(_) => not_utf8 += 1,
+            Ok(mutated) if read_both(&mutated).1 => accepted += 1,
+            Ok(_) => rejected += 1,
+        }
+    }
+    // The sample reaches all three outcomes (a digit changed into
+    // another digit of a field that validation does not pin still loads).
+    assert!(
+        not_utf8 > 0 && rejected > 0 && accepted > 0,
+        "{not_utf8} {rejected} {accepted}"
+    );
+}
+
+#[test]
+fn invalid_utf8_inside_and_outside_strings_is_an_io_error() {
+    let text = committed("synth-nosmt");
+    let in_string = text.find("synth-nosmt").unwrap();
+    let outside = text.find(':').unwrap() + 1;
+    for (at, tag) in [(in_string, "in"), (outside, "out")] {
+        let mut bytes = text.clone().into_bytes();
+        bytes[at] = 0xFF;
+        let path = std::env::temp_dir().join(format!("json-totality-{tag}.mct.json"));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = desc::load(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(err, mctop::McTopError::Io(_)), "{tag}: {err}");
+    }
+}
+
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    for unit in ["[", "{\"a\":", "[{\"a\":"] {
+        let deep = unit.repeat(200_000);
+        assert!(serde_json::from_str::<Value>(&deep).is_err(), "{unit}");
+        assert!(desc::from_str(&deep).is_err(), "{unit}");
+        // The same nest under a key the envelope ignores.
+        let skipped = format!("{{\"version\": 2, \"junk\": {deep}");
+        assert!(desc::from_str(&skipped).is_err(), "{unit}");
+        assert!(serde_json::from_str::<Vec<u32>>(&deep).is_err(), "{unit}");
+    }
+    // The cap is 128 containers: far above any description (6).
+    let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(serde_json::from_str::<Value>(&nest(128)).is_ok());
+    assert!(serde_json::from_str::<Value>(&nest(129)).is_err());
+    // ... counted the same way under a key the struct ignores.
+    assert!(link_with(&format!("\"junk\": {}", nest(127))).is_ok());
+    assert!(link_with(&format!("\"junk\": {}", nest(128))).is_err());
+}
+
+#[test]
+fn hostile_numbers_are_errors_or_finite() {
+    let huge = "1".repeat(400);
+    for bad in [huge.as_str(), "-", "1e999", "-1e999", "1.2.3", "--1", "+1"] {
+        assert!(serde_json::from_str::<Value>(bad).is_err(), "{bad}");
+        assert!(serde_json::from_str::<u32>(bad).is_err(), "{bad}");
+        assert!(serde_json::from_str::<f64>(bad).is_err(), "{bad}");
+    }
+    // A long fraction and an underflowing exponent are finite floats.
+    let long = format!("0.{}", "3".repeat(400));
+    assert_eq!(serde_json::from_str::<f64>(&long).unwrap(), 1.0 / 3.0);
+    assert_eq!(serde_json::from_str::<f64>("1e-999").unwrap(), 0.0);
+    // An integer field takes an integer in range, or a float that is
+    // one; it never saturates.
+    let err = serde_json::from_str::<Vec<u32>>("[1e30, 4294967296.0]").unwrap_err();
+    assert!(err.to_string().contains("out of range for u32"), "{err}");
+    for bad in ["4294967296", "4294967296.0", "-1", "-1.0", "1.5", "1e30"] {
+        assert!(serde_json::from_str::<u32>(bad).is_err(), "{bad}");
+    }
+    assert_eq!(
+        serde_json::from_str::<u32>("4294967295.0").unwrap(),
+        u32::MAX
+    );
+    assert_eq!(serde_json::from_str::<i8>("-128").unwrap(), i8::MIN);
+    assert!(serde_json::from_str::<u64>("18446744073709551616.0").is_err());
+    assert_eq!(
+        serde_json::from_str::<i64>("-9223372036854775808").unwrap(),
+        i64::MIN
+    );
+    // In a struct, the error names the field.
+    let text = committed("synth-nosmt").replacen("\"smt\": 1", "\"smt\": 1e30", 1);
+    match desc::from_str(&text).unwrap_err() {
+        mctop::McTopError::InvalidDescription(msg) => {
+            assert!(msg.contains("field `topology`: field `smt`: "), "{msg}")
+        }
+        other => panic!("{other}"),
+    }
+}
+
+#[test]
+fn bad_escapes_are_errors() {
+    for bad in [
+        r#""\u""#,
+        r#""\u12""#,
+        r#""\ud800""#,
+        r#""\uZZZZ""#,
+        r#""\u+123""#,
+        r#""\u00é""#,
+        r#""\x41""#,
+        r#""\"#,
+        r#""abc"#,
+    ] {
+        assert!(serde_json::from_str::<Value>(bad).is_err(), "{bad}");
+        assert!(serde_json::from_str::<String>(bad).is_err(), "{bad}");
+        // As an unknown key's value, and as a key.
+        assert!(link_with(&format!("\"junk\": {bad}")).is_err(), "{bad}");
+        assert!(link_with(&format!("{bad}: 1")).is_err(), "{bad}");
+    }
+    assert!(link_with(r#""j\u0041\n": "\u0041\n""#).is_ok());
+    let ok = serde_json::from_str::<String>(r#""aé\n\/\"""#).unwrap();
+    assert_eq!(ok, "a\u{e9}\n/\"");
+}
+
+#[test]
+fn parse_time_is_near_linear_in_bytes() {
+    let (small, large) = (committed("synth-mesh-64"), committed("synth-mesh-256"));
+    let min_of_3 = |text: &str| -> Duration {
+        (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                desc::from_str_full(text).unwrap();
+                serde_json::from_str::<Value>(text).unwrap();
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let bytes = large.len() as f64 / small.len() as f64;
+    let time = min_of_3(&large).as_secs_f64() / min_of_3(&small).as_secs_f64();
+    assert!(
+        time < 3.0 * bytes,
+        "{bytes:.1}x the bytes took {time:.1}x the time"
+    );
+}
