@@ -1,6 +1,6 @@
 //! Real-thread lock throughput (the host-execution path of Fig. 8):
 //! each algorithm with and without the educated backoff. Contenders
-//! run on a placement-pinned worker pool (CON_HWC over the shipped ivy
+//! run on a placement-pinned executor (CON_HWC over the shipped ivy
 //! description), so the benchmark honors the placement it is given.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -8,8 +8,7 @@ use mctop_locks::backoff::BackoffCfg;
 use mctop_locks::harness::{run, HarnessCfg};
 use mctop_locks::LockAlgo;
 use mctop_place::{PlaceOpts, Placement, Policy};
-use mctop_runtime::WorkerPool;
-use std::sync::Arc;
+use mctop_runtime::Executor;
 use std::time::Duration;
 
 fn bench_locks(c: &mut Criterion) {
@@ -22,11 +21,9 @@ fn bench_locks(c: &mut Criterion) {
         .map(|p| p.get())
         .unwrap_or(2)
         .min(view.num_hwcs());
-    let place = Arc::new(
-        Placement::with_view(&view, Policy::ConHwc, PlaceOpts::threads(threads))
-            .expect("CON_HWC placement"),
-    );
-    let pool = WorkerPool::new(place);
+    let place = Placement::with_view(&view, Policy::ConHwc, PlaceOpts::threads(threads))
+        .expect("CON_HWC placement");
+    let exec = Executor::new(&view, &place);
     let cfg = HarnessCfg {
         cs_work: 1000,
         noncs_work: 600,
@@ -34,12 +31,12 @@ fn bench_locks(c: &mut Criterion) {
     };
     for algo in LockAlgo::ALL {
         g.bench_function(format!("{}/pause", algo.name()), |b| {
-            b.iter(|| run(&pool, algo, BackoffCfg::none(), &cfg).ops)
+            b.iter(|| run(&exec, algo, BackoffCfg::none(), &cfg).ops)
         });
         g.bench_function(format!("{}/educated", algo.name()), |b| {
             b.iter(|| {
                 run(
-                    &pool,
+                    &exec,
                     algo,
                     BackoffCfg {
                         quantum_cycles: 300,

@@ -70,7 +70,7 @@ fn fig6() {
     let spec = mcsim::presets::ivy();
     let mut prober = mctop::backend::SimProber::new(&spec, 42);
     let cfg = mctop::ProbeConfig::fast();
-    let inference = mctop::alg::run_full(&mut prober, &cfg).expect("inference");
+    let inference = mctop::alg::run_full(&mut prober, &cfg, 1).expect("inference");
 
     println!("-- step 1: latency table (corner, cycles) --");
     let n = inference.raw_table.n();
@@ -151,13 +151,13 @@ fn fig9() {
     for threads_label in ["16 threads", "full machine"] {
         println!("-- {threads_label} --");
         for spec in mcsim::presets::all_paper_platforms() {
-            let topo = enriched_topology(&spec);
+            let view = mctop_bench::enriched_view(&spec);
             let threads = if threads_label == "16 threads" {
                 16
             } else {
                 spec.total_hwcs()
             };
-            let col = fig9_column(&spec, &topo, threads, &cfg);
+            let col = fig9_column(&spec, &view, threads, &cfg);
             let cells: Vec<String> = col
                 .iter()
                 .map(|(algo, t)| {

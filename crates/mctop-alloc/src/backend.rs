@@ -1,7 +1,6 @@
 //! The two realizations of an [`AllocPlan`]: modeled costs through the
-//! simulator's memory oracle, and real first-touch buffers through a
-//! pinned worker pool — whose `run_each` now dispatches to the
-//! persistent `mctop-runtime` executor, so repeated provisioning
+//! simulator's memory oracle, and real first-touch buffers through
+//! the persistent `mctop-runtime` executor — repeated provisioning
 //! re-uses the same pinned workers instead of spawning scoped threads
 //! per call.
 
@@ -11,7 +10,7 @@ use mcsim::{
     MachineSpec,
     MemoryOracle, //
 };
-use mctop_runtime::WorkerPool;
+use mctop_runtime::Executor;
 
 use crate::plan::{
     AllocPlan,
@@ -161,15 +160,15 @@ impl HostArena {
 /// every stripe by its planned node without `mbind`/`libnuma`; on any
 /// other host it degrades to plain allocation.
 #[derive(Debug)]
-pub struct HostBackend<'p> {
-    pool: &'p WorkerPool,
+pub struct HostBackend<'e> {
+    exec: &'e Executor,
 }
 
-impl<'p> HostBackend<'p> {
-    /// A host backend over a pool built from the *same placement* the
-    /// plan was resolved from (worker indices must agree).
-    pub fn new(pool: &'p WorkerPool) -> Self {
-        HostBackend { pool }
+impl<'e> HostBackend<'e> {
+    /// A host backend over an executor armed on the *same placement*
+    /// the plan was resolved from (worker indices must agree).
+    pub fn new(exec: &'e Executor) -> Self {
+        HostBackend { exec }
     }
 }
 
@@ -182,9 +181,9 @@ impl MemoryBackend for HostBackend<'_> {
 
     fn provision(&mut self, plan: &AllocPlan) -> Result<Vec<HostArena>, AllocError> {
         let n = plan.arenas.len();
-        if self.pool.len() != n {
+        if self.exec.len() != n {
             return Err(AllocError::PoolMismatch {
-                pool: self.pool.len(),
+                pool: self.exec.len(),
                 plan: n,
             });
         }
@@ -204,7 +203,7 @@ impl MemoryBackend for HostBackend<'_> {
                 jobs[stripe.touch_worker].push(window);
             }
         }
-        self.pool.run_each(jobs, |_ctx, windows| {
+        self.exec.run_each(jobs, |_ctx, windows| {
             for window in windows {
                 // SAFETY: zero-filling the whole window initializes
                 // every byte; this write is the first touch of each
@@ -243,6 +242,7 @@ mod tests {
         Placement,
         Policy, //
     };
+    use mctop_runtime::ExecCfg;
     use std::sync::Arc;
 
     fn setup(name: &str, threads: usize) -> (MachineSpec, Arc<mctop::TopoView>, Arc<Placement>) {
@@ -252,6 +252,11 @@ mod tests {
             Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(threads)).unwrap(),
         );
         (spec, view, place)
+    }
+
+    fn executor(view: &mctop::TopoView, place: &Placement, workers: Option<usize>) -> Executor {
+        let os_pin = false; // the simulated contexts need not exist on the host
+        Executor::with_cfg(Some(view), place, ExecCfg { workers, os_pin })
     }
 
     fn small_cfg() -> AllocCfg {
@@ -300,10 +305,10 @@ mod tests {
     #[test]
     fn host_backend_provisions_zeroed_striped_buffers() {
         let (_, view, place) = setup("synth-small", 4);
-        let pool = WorkerPool::new(Arc::clone(&place)).without_os_pinning();
+        let exec = executor(&view, &place, None);
         let plan =
             AllocPlan::resolve(&view, &place, &AllocPolicy::Interleave, &small_cfg()).unwrap();
-        let arenas = HostBackend::new(&pool).provision(&plan).unwrap();
+        let arenas = HostBackend::new(&exec).provision(&plan).unwrap();
         assert_eq!(arenas.len(), 4);
         for (i, arena) in arenas.iter().enumerate() {
             assert_eq!(arena.worker, i);
@@ -317,11 +322,11 @@ mod tests {
     #[test]
     fn host_arenas_are_usable_per_worker() {
         let (_, view, place) = setup("synth-small", 4);
-        let pool = WorkerPool::new(Arc::clone(&place)).without_os_pinning();
+        let exec = executor(&view, &place, None);
         let plan = AllocPlan::resolve(&view, &place, &AllocPolicy::Local, &small_cfg()).unwrap();
-        let arenas = HostBackend::new(&pool).provision(&plan).unwrap();
+        let arenas = HostBackend::new(&exec).provision(&plan).unwrap();
         // Workers fill their own arenas through `run_each`.
-        let sums: Vec<u64> = pool
+        let sums: Vec<u64> = exec
             .run_each(arenas, |ctx, mut arena| {
                 for b in arena.as_mut_slice() {
                     *b = ctx.id as u8 + 1;
@@ -338,10 +343,10 @@ mod tests {
     #[test]
     fn host_backend_rejects_mismatched_pool() {
         let (_, view, place) = setup("synth-small", 4);
-        let pool = WorkerPool::with_workers(Arc::clone(&place), 2).without_os_pinning();
+        let exec = executor(&view, &place, Some(2));
         let plan = AllocPlan::resolve(&view, &place, &AllocPolicy::Local, &small_cfg()).unwrap();
         assert_eq!(
-            HostBackend::new(&pool).provision(&plan).err(),
+            HostBackend::new(&exec).provision(&plan).err(),
             Some(AllocError::PoolMismatch { pool: 2, plan: 4 })
         );
     }

@@ -17,7 +17,7 @@
 //!   harness use;
 //! - [`HostBackend`] provisions real buffers on the machine running the
 //!   process: each stripe is zero-initialized (*first-touched*) by a
-//!   pinned [`mctop_runtime::WorkerPool`] worker sitting on the
+//!   pinned [`mctop_runtime::Executor`] worker sitting on the
 //!   stripe's node, so on a NUMA host with first-touch page placement
 //!   the pages land on the planned nodes without `mbind`.
 //!

@@ -60,15 +60,15 @@ USAGE:
     mct show <desc> [--format text|dot|summary] [--stats]
     mct query [--remote SOCKET] <desc> <query> [args...]
     mct diff <a> <b>
-    mct regen-descs [--dir DIR] [--check] [--jobs N]
+    mct regen-descs [--dir DIR] [--check]
     mct serve --socket PATH [--descs DIR] [--pin MACHINE] [--workers N]
               [--os-pin]
 
-Collection is deterministic in the worker count: --jobs only changes
-wall-clock time (disjoint context pairs are measured concurrently),
-never a single output byte. --adaptive measures every pair with a cheap
-pilot pass and spends the full repetitions only on pairs near latency
-cluster boundaries.
+Collection is deterministic in the worker count: `infer --jobs` only
+changes wall-clock time (disjoint context pairs are measured
+concurrently), never a single output byte. --adaptive measures every
+pair with a cheap pilot pass and spends the full repetitions only on
+pairs near latency cluster boundaries.
 
 A <desc> is a machine name from `mct list` (resolved against the
 shipped description library) or a path to a *.mct.json file.
@@ -181,24 +181,6 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-/// Pulls `--jobs N` out of `args` and resolves the worker count for
-/// parallel collection: explicit value, or the machine's parallelism
-/// capped at 8 (the schedule has at most ⌊N/2⌋ disjoint pairs per
-/// round and returns diminish well before that).
-fn take_jobs(args: &mut Vec<String>) -> Result<usize, CliError> {
-    let jobs = take_flag(args, "--jobs")?
-        .map(|s| parse::<usize>(&s, "jobs"))
-        .transpose()?;
-    if jobs == Some(0) {
-        return Err(CliError::Usage("--jobs must be at least 1".into()));
-    }
-    Ok(jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get().min(8))
-            .unwrap_or(1)
-    }))
-}
-
 fn cmd_infer(args: &[String]) -> Result<(), CliError> {
     let mut args = args.to_vec();
     let seed = take_flag(&mut args, "--seed")?
@@ -207,7 +189,13 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
     let reps = take_flag(&mut args, "--reps")?
         .map(|s| parse::<usize>(&s, "reps"))
         .transpose()?;
-    let jobs = take_jobs(&mut args)?;
+    // Worker count for parallel collection: explicit, or the machine's
+    // parallelism capped at 8 (the schedule has at most ⌊N/2⌋ disjoint
+    // pairs per round and returns diminish well before that).
+    let jobs = match take_flag(&mut args, "--jobs")? {
+        Some(s) => parse::<usize>(&s, "jobs")?,
+        None => std::thread::available_parallelism().map_or(1, |p| p.get().min(8)),
+    };
     let out = take_flag(&mut args, "--out")?.map(PathBuf::from);
     let no_enrich = take_switch(&mut args, "--no-enrich");
     let adaptive = take_switch(&mut args, "--adaptive");
@@ -215,6 +203,9 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
     let to_stdout = take_switch(&mut args, "--stdout");
     if reps == Some(0) {
         return Err(CliError::Usage("--reps must be at least 1".into()));
+    }
+    if jobs == 0 {
+        return Err(CliError::Usage("--jobs must be at least 1".into()));
     }
     if to_stdout && out.is_some() {
         return Err(CliError::Usage(
@@ -230,61 +221,45 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
         ))
     })?;
 
-    // The worker count never changes a byte of output (the determinism
-    // contract of `collect_parallel`), so it does not affect which
-    // pipeline runs below and is not recorded in the provenance.
-
-    // With no overrides this is exactly the canonical pipeline behind
-    // `descs/` — reuse it so `mct infer <machine>` can never diverge
-    // from `mct regen-descs` output (only the generator string differs).
-    let (topo, prov) = if seed.is_none() && reps.is_none() && !no_enrich && !adaptive && !exhaustive
-    {
-        desc::canonical_jobs(&spec, jobs)?
-    } else {
-        // Noiseless by default (deterministic); --seed switches to the
-        // noisy backend, which also needs the full repetition count.
-        // Either way start from the machine's canonical config so
-        // mesh-scale presets keep their pruned collection plan and
-        // cluster thresholds.
-        let mut cfg = match seed {
-            Some(_) => mctop::ProbeConfig {
-                reps: mctop::ProbeConfig::fast().reps,
-                ..desc::canonical_probe_config_for(&spec)
-            },
-            None => desc::canonical_probe_config_for(&spec),
-        };
-        if let Some(reps) = reps {
-            cfg.reps = reps;
-        }
-        if adaptive {
-            cfg.adaptive = Some(mctop::AdaptiveCfg::default());
-        }
-        if exhaustive {
-            // Opt out of the pruned plan: probe every context pair.
-            // Reconstruction is exact, so on the synthetic models this
-            // only changes the pair count, never a byte of the output.
-            cfg.pairs = mctop::PairSelection::Exhaustive;
-        }
-        let mut topo = match seed {
-            Some(seed) => {
-                let mut prober = mctop::backend::SimProber::new(&spec, seed);
-                mctop::infer_jobs(&mut prober, &cfg, jobs)?
-            }
-            None => {
-                let mut prober = mctop::backend::SimProber::noiseless(&spec);
-                mctop::infer_jobs(&mut prober, &cfg, jobs)?
-            }
-        };
-        if !no_enrich {
-            let mut mem = mctop::enrich::SimEnricher::new(&spec);
-            let mut pow = mctop::enrich::SimEnricher::new(&spec);
-            mctop::enrich::enrich_all(&mut topo, &mut mem, &mut pow)?;
-            topo.freq_ghz = Some(spec.freq_ghz);
-        }
-        let prov = desc::Provenance::new(&spec.name, &cfg, seed, !no_enrich);
-        (topo, prov)
+    // Noiseless by default (deterministic); --seed switches to the
+    // noisy backend, which also needs the full repetition count.
+    // Either way start from the machine's canonical config so
+    // mesh-scale presets keep their pruned collection plan and cluster
+    // thresholds — and so that with no overrides this is exactly the
+    // pipeline of `desc::canonical` behind `descs/` (only the
+    // generator string differs).
+    let mut cfg = desc::canonical_probe_config_for(&spec);
+    if seed.is_some() {
+        cfg.reps = mctop::ProbeConfig::fast().reps;
+    }
+    if let Some(reps) = reps {
+        cfg.reps = reps;
+    }
+    if adaptive {
+        cfg.adaptive = Some(mctop::AdaptiveCfg::default());
+    }
+    if exhaustive {
+        // Opt out of the pruned plan: probe every context pair.
+        // Reconstruction is exact, so on the synthetic models this
+        // only changes the pair count, never a byte of the output.
+        cfg.pairs = mctop::PairSelection::Exhaustive;
+    }
+    let mut prober = match seed {
+        Some(seed) => mctop::backend::SimProber::new(&spec, seed),
+        None => mctop::backend::SimProber::noiseless(&spec),
     };
-    let prov = prov.with_generator("mct infer");
+    // The worker count never changes a byte of output (the determinism
+    // contract of `collect_parallel`), so it is not recorded in the
+    // provenance.
+    let mut topo = mctop::alg::run_full(&mut prober, &cfg, jobs)?.topology;
+    if !no_enrich {
+        let mut mem = mctop::enrich::SimEnricher::new(&spec);
+        let mut pow = mctop::enrich::SimEnricher::new(&spec);
+        mctop::enrich::enrich_all(&mut topo, &mut mem, &mut pow)?;
+        topo.freq_ghz = Some(spec.freq_ghz);
+    }
+    let prov =
+        desc::Provenance::new(&spec.name, &cfg, seed, !no_enrich).with_generator("mct infer");
 
     if to_stdout {
         println!("{}", desc::to_string(&topo, &prov)?);
@@ -441,7 +416,6 @@ fn cmd_regen(args: &[String]) -> Result<(), CliError> {
     let mut args = args.to_vec();
     let dir = PathBuf::from(take_flag(&mut args, "--dir")?.unwrap_or_else(|| "descs".into()));
     let check = take_switch(&mut args, "--check");
-    let jobs = take_jobs(&mut args)?;
     if !args.is_empty() {
         return Err(CliError::Usage(format!(
             "unexpected regen-descs argument `{}`",
@@ -459,7 +433,7 @@ fn cmd_regen(args: &[String]) -> Result<(), CliError> {
         std::fs::create_dir_all(&dir).map_err(|e| CliError::Failed(e.to_string()))?;
     }
     for spec in &specs {
-        let text = desc::canonical_string_jobs(spec, jobs)?;
+        let text = desc::canonical_string(spec)?;
         let path = dir.join(desc::default_filename(&spec.name));
         if check {
             match std::fs::read_to_string(&path) {

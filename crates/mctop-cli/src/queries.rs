@@ -29,9 +29,10 @@ use mctopd::eval::{
 use mctop_runtime::{
     metrics,
     steal::steal_classes_with_view,
-    steal_queues_with_view,
+    steal_queues_with_order,
     ExecCfg,
     Executor,
+    StealOrder,
     StealPool, //
 };
 
@@ -115,14 +116,14 @@ fn query_metrics(view: &TopoView) -> Result<(), CliError> {
     // simulated model (a plain *.mct.json file has no prober to run).
     if let Some(spec) = mcsim::presets::by_name(&view.name) {
         let mut prober = mctop::backend::SimProber::noiseless(&spec);
-        let inf = mctop::alg::run_full(&mut prober, &mctop::ProbeConfig::fast())?;
+        let inf = mctop::alg::run_full(&mut prober, &mctop::ProbeConfig::fast(), 1)?;
         handle.record_probe_stats(&inf.stats);
         let mut prober = mctop::backend::SimProber::noiseless(&spec);
         let cfg = mctop::ProbeConfig {
             adaptive: Some(mctop::AdaptiveCfg::default()),
             ..mctop::ProbeConfig::fast()
         };
-        let inf = mctop::alg::run_full(&mut prober, &cfg)?;
+        let inf = mctop::alg::run_full(&mut prober, &cfg, 1)?;
         handle.record_probe_stats(&inf.stats);
     }
 
@@ -152,7 +153,8 @@ fn query_metrics(view: &TopoView) -> Result<(), CliError> {
     // the min-latency victim order, so each steal is classified by the
     // machine's actual socket distances.
     let hwcs: Vec<usize> = place.order().to_vec();
-    let mut queues: Vec<StealPool<u64>> = steal_queues_with_view(view, &hwcs);
+    let mut queues: Vec<StealPool<u64>> =
+        steal_queues_with_order(StealOrder::with_view(view, &hwcs));
     let classes = steal_classes_with_view(view, &hwcs);
     for (queue, row) in queues.iter_mut().zip(classes) {
         queue.attach_metrics(Arc::clone(handle), row);

@@ -6,7 +6,7 @@
 //! backs off proportionally to the thread's distance in the ticket
 //! queue (Section 7.1).
 
-use mctop::Mctop;
+use mctop::TopoView;
 
 /// Backoff configuration for a lock instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,23 +23,9 @@ impl BackoffCfg {
     }
 
     /// The educated quantum for an execution involving the given
-    /// hardware contexts: their maximum pairwise communication latency.
-    pub fn from_mctop(topo: &Mctop, hwcs: &[usize]) -> Self {
-        BackoffCfg {
-            quantum_cycles: topo.max_latency_between(hwcs),
-        }
-    }
-
-    /// Quantum for an execution spanning the whole machine.
-    pub fn from_mctop_all(topo: &Mctop) -> Self {
-        BackoffCfg {
-            quantum_cycles: topo.max_latency(),
-        }
-    }
-
-    /// The educated quantum from a prebuilt topology view (what
-    /// placement-backed lock deployments already hold).
-    pub fn from_view(view: &mctop::view::TopoView, hwcs: &[usize]) -> Self {
+    /// hardware contexts: their maximum pairwise communication latency
+    /// (`view.max_latency()` when it spans the whole machine).
+    pub fn from_view(view: &TopoView, hwcs: &[usize]) -> Self {
         BackoffCfg {
             quantum_cycles: view.max_latency_between(hwcs),
         }
@@ -68,27 +54,29 @@ impl BackoffCfg {
 mod tests {
     use super::*;
 
-    fn topo() -> Mctop {
+    fn view() -> TopoView {
         let spec = mcsim::presets::ivy();
         let mut p = mctop::backend::SimProber::noiseless(&spec);
         let cfg = mctop::ProbeConfig {
             reps: 3,
             ..mctop::ProbeConfig::fast()
         };
-        mctop::infer(&mut p, &cfg).unwrap()
+        TopoView::from(mctop::infer(&mut p, &cfg).unwrap())
     }
 
     #[test]
     fn quantum_is_max_latency_of_participants() {
-        let t = topo();
+        let v = view();
         // Same-socket threads: intra-socket latency.
-        let same = BackoffCfg::from_mctop(&t, &[0, 1, 2]);
+        let same = BackoffCfg::from_view(&v, &[0, 1, 2]);
         assert_eq!(same.quantum_cycles, 112);
         // Cross-socket threads: cross-socket latency.
-        let cross = BackoffCfg::from_mctop(&t, &[0, 1, 10]);
+        let cross = BackoffCfg::from_view(&v, &[0, 1, 10]);
         assert_eq!(cross.quantum_cycles, 308);
         // Whole machine.
-        assert_eq!(BackoffCfg::from_mctop_all(&t).quantum_cycles, 308);
+        let all: Vec<usize> = (0..v.num_hwcs()).collect();
+        assert_eq!(BackoffCfg::from_view(&v, &all).quantum_cycles, 308);
+        assert_eq!(v.max_latency(), 308);
     }
 
     #[test]

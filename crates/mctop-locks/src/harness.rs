@@ -3,11 +3,11 @@
 //! 1000 cycles of work in the critical section, release, and pause
 //! between iterations).
 //!
-//! Contenders run on a [`mctop_runtime::WorkerPool`] — i.e. on the
-//! persistent executor's placement-pinned workers — so the benchmark
-//! actually honors the placement it is given instead of spawning bare
-//! unpinned threads. Only the stop-flag timer is a plain thread (it
-//! sleeps; it never contends).
+//! Contenders run on a [`mctop_runtime::Executor`]'s persistent
+//! placement-pinned workers, so the benchmark actually honors the
+//! placement it is given instead of spawning bare unpinned threads.
+//! Only the stop-flag timer is a plain thread (it sleeps; it never
+//! contends).
 
 use std::sync::atomic::{
     AtomicBool,
@@ -17,7 +17,7 @@ use std::sync::atomic::{
 use std::sync::Arc;
 use std::time::Duration;
 
-use mctop_runtime::WorkerPool;
+use mctop_runtime::Executor;
 
 use crate::backoff::BackoffCfg;
 use crate::raw::{
@@ -27,7 +27,7 @@ use crate::raw::{
 };
 
 /// Harness configuration. The number of competing threads is the
-/// worker count of the pool passed to [`run`].
+/// worker count of the executor passed to [`run`].
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessCfg {
     /// Critical-section work: iterations of a dependent arithmetic
@@ -52,7 +52,7 @@ impl Default for HarnessCfg {
 /// Result of one run.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessResult {
-    /// Competing threads (the pool's worker count).
+    /// Competing threads (the executor's worker count).
     pub threads: usize,
     /// Total completed critical sections.
     pub ops: u64,
@@ -70,10 +70,10 @@ fn work(units: u64) -> u64 {
 }
 
 /// Runs the throughput experiment for one lock configuration: every
-/// pool worker — pinned per the pool's placement — contends for the
+/// worker — pinned per the executor's placement — contends for the
 /// lock until the duration elapses.
 pub fn run(
-    pool: &WorkerPool,
+    exec: &Executor,
     algo: LockAlgo,
     backoff: BackoffCfg,
     cfg: &HarnessCfg,
@@ -92,7 +92,7 @@ pub fn run(
             stop.store(true, Ordering::Relaxed);
         })
     };
-    let per_worker: Vec<u64> = pool.run(|_ctx| {
+    let per_worker: Vec<u64> = exec.run(|_ctx| {
         let mut local = 0u64;
         while !stop.load(Ordering::Relaxed) {
             with_lock(&*lock, || {
@@ -115,7 +115,7 @@ pub fn run(
         algo.name()
     );
     HarnessResult {
-        threads: pool.len(),
+        threads: exec.len(),
         ops: total,
         ops_per_sec: total as f64 / cfg.duration.as_secs_f64(),
     }
@@ -124,13 +124,13 @@ pub fn run(
 /// Runs the with/without-backoff comparison (one Fig. 8 bar pair) on
 /// the host.
 pub fn compare(
-    pool: &WorkerPool,
+    exec: &Executor,
     algo: LockAlgo,
     quantum_cycles: u32,
     cfg: &HarnessCfg,
 ) -> (HarnessResult, HarnessResult) {
-    let base = run(pool, algo, BackoffCfg::none(), cfg);
-    let educated = run(pool, algo, BackoffCfg { quantum_cycles }, cfg);
+    let base = run(exec, algo, BackoffCfg::none(), cfg);
+    let educated = run(exec, algo, BackoffCfg { quantum_cycles }, cfg);
     (base, educated)
 }
 
@@ -142,29 +142,34 @@ mod tests {
         Placement,
         Policy, //
     };
+    use mctop_runtime::ExecCfg;
 
-    fn pool(threads: usize) -> WorkerPool {
+    fn executor(threads: usize) -> Executor {
         let spec = mcsim::presets::synthetic_small();
         let mut p = mctop::backend::SimProber::noiseless(&spec);
         let cfg = mctop::ProbeConfig {
             reps: 3,
             ..mctop::ProbeConfig::fast()
         };
-        let topo = mctop::infer(&mut p, &cfg).unwrap();
+        let view = mctop::TopoView::from(mctop::infer(&mut p, &cfg).unwrap());
         let place =
-            Arc::new(Placement::new(&topo, Policy::RrCore, PlaceOpts::threads(threads)).unwrap());
-        WorkerPool::new(place).without_os_pinning()
+            Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(threads)).unwrap();
+        let cfg = ExecCfg {
+            workers: None,
+            os_pin: false,
+        };
+        Executor::with_cfg(Some(&view), &place, cfg)
     }
 
     #[test]
     fn all_algorithms_make_progress() {
-        let pool = pool(2);
+        let exec = executor(2);
         let cfg = HarnessCfg {
             duration: Duration::from_millis(120),
             ..HarnessCfg::default()
         };
         for algo in LockAlgo::ALL {
-            let r = run(&pool, algo, BackoffCfg::none(), &cfg);
+            let r = run(&exec, algo, BackoffCfg::none(), &cfg);
             assert_eq!(r.threads, 2);
             assert!(r.ops > 100, "{}: only {} ops", algo.name(), r.ops);
         }
@@ -172,14 +177,14 @@ mod tests {
 
     #[test]
     fn backoff_variants_also_progress() {
-        let pool = pool(2);
+        let exec = executor(2);
         let cfg = HarnessCfg {
             duration: Duration::from_millis(120),
             ..HarnessCfg::default()
         };
         for algo in LockAlgo::ALL {
             let r = run(
-                &pool,
+                &exec,
                 algo,
                 BackoffCfg {
                     quantum_cycles: 300,
@@ -192,12 +197,12 @@ mod tests {
 
     #[test]
     fn compare_returns_both_sides() {
-        let pool = pool(2);
+        let exec = executor(2);
         let cfg = HarnessCfg {
             duration: Duration::from_millis(80),
             ..HarnessCfg::default()
         };
-        let (base, educated) = compare(&pool, LockAlgo::Ticket, 300, &cfg);
+        let (base, educated) = compare(&exec, LockAlgo::Ticket, 300, &cfg);
         assert!(base.ops_per_sec > 0.0);
         assert!(educated.ops_per_sec > 0.0);
     }

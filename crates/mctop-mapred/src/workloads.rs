@@ -197,8 +197,8 @@ mod tests {
             reps: 3,
             ..mctop::ProbeConfig::fast()
         };
-        let topo = mctop::infer(&mut p, &cfg).unwrap();
-        Placement::new(&topo, Policy::ConCore, PlaceOpts::threads(n)).unwrap()
+        let view = mctop::TopoView::from(mctop::infer(&mut p, &cfg).unwrap());
+        Placement::with_view(&view, Policy::ConCore, PlaceOpts::threads(n)).unwrap()
     }
 
     #[test]

@@ -20,7 +20,10 @@ use std::sync::atomic::{
 };
 use std::sync::Arc;
 
-use mctop::Mctop;
+use mctop::{
+    Mctop,
+    TopoView, //
+};
 use mctop_place::{
     PlaceError,
     PlaceOpts,
@@ -92,7 +95,7 @@ impl OmpRuntime {
     /// A runtime over a topology with the given team size.
     pub fn new(topo: Arc<Mctop>, threads: usize) -> Self {
         let threads = threads.clamp(1, topo.num_hwcs());
-        let pool = PlacePool::new(topo, PlaceOpts::threads(threads));
+        let pool = PlacePool::with_view(TopoView::new(topo), PlaceOpts::threads(threads));
         let placement = pool.select(Policy::None).expect("NONE always places");
         let exec = Executor::with_cfg(
             Some(pool.view()),

@@ -2,8 +2,8 @@
 //!
 //! Reproduction of the thread-placement library of Section 6 of
 //! *Abstracting Multi-Core Topologies with MCTOP* (EuroSys '17):
-//! twelve high-level placement policies (Table 2) computed over an
-//! inferred [`mctop::Mctop`] topology, per-placement statistics
+//! twelve high-level placement policies (Table 2) computed over the
+//! [`mctop::TopoView`] of an inferred topology, per-placement statistics
 //! (the Fig. 7 printout), a pin/unpin interface, and a placement *pool*
 //! that supports switching policies at runtime.
 //!
@@ -16,7 +16,8 @@
 //! # let mut prober = mctop::backend::SimProber::noiseless(&spec);
 //! # let cfg = mctop::ProbeConfig { reps: 3, ..mctop::ProbeConfig::fast() };
 //! # let topo = mctop::infer(&mut prober, &cfg).unwrap();
-//! let place = Placement::new(&topo, Policy::ConHwc, PlaceOpts::threads(30)).unwrap();
+//! let view = mctop::TopoView::from(topo);
+//! let place = Placement::with_view(&view, Policy::ConHwc, PlaceOpts::threads(30)).unwrap();
 //! assert_eq!(place.order().len(), 30);
 //! // CON_HWC packs socket 0 (20 contexts) before socket 1 (Fig. 7).
 //! let pin = place.pin().unwrap();

@@ -9,7 +9,6 @@ use std::sync::atomic::{
     AtomicBool,
     Ordering, //
 };
-use std::sync::Arc;
 
 use mctop::view::TopoView;
 use mctop::Mctop;
@@ -147,15 +146,7 @@ pub struct PlaceStats {
 }
 
 impl Placement {
-    /// Computes a placement over `topo`, building a throwaway
-    /// [`TopoView`] first. When placing repeatedly over one topology
-    /// (pools, phase switching), build the view once and use
-    /// [`Placement::with_view`].
-    pub fn new(topo: &Mctop, policy: Policy, opts: PlaceOpts) -> Result<Placement, PlaceError> {
-        Self::with_view(&TopoView::new(Arc::new(topo.clone())), policy, opts)
-    }
-
-    /// Computes a placement over a prebuilt topology view.
+    /// Computes a placement over a topology view.
     pub fn with_view(
         view: &TopoView,
         policy: Policy,
@@ -576,7 +567,7 @@ mod tests {
     };
     use mctop::ProbeConfig;
 
-    fn topo(spec: &mcsim::MachineSpec) -> Mctop {
+    fn topo(spec: &mcsim::MachineSpec) -> TopoView {
         let mut p = SimProber::noiseless(spec);
         let cfg = ProbeConfig {
             reps: 3,
@@ -586,13 +577,13 @@ mod tests {
         let mut e = SimEnricher::new(spec);
         let mut pw = SimEnricher::new(spec);
         enrich_all(&mut t, &mut e, &mut pw).unwrap();
-        t
+        TopoView::from(t)
     }
 
     #[test]
     fn fig7_con_hwc_on_ivy() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::ConHwc, PlaceOpts::threads(30)).unwrap();
+        let p = Placement::with_view(&t, Policy::ConHwc, PlaceOpts::threads(30)).unwrap();
         let s = p.stats();
         // Fig. 7 exactly: 15 cores, contexts 0 20 1 21 2 22 ..., two
         // sockets with 20/10 contexts and 10/5 cores, max latency 308,
@@ -618,7 +609,7 @@ mod tests {
     #[test]
     fn con_core_uses_unique_cores_first() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::ConCore, PlaceOpts::threads(20)).unwrap();
+        let p = Placement::with_view(&t, Policy::ConCore, PlaceOpts::threads(20)).unwrap();
         // 20 threads on 20 distinct cores (both sockets), no SMT
         // doubling.
         let mut cores: Vec<usize> = p.order().iter().map(|&h| t.hwcs[h].core).collect();
@@ -630,7 +621,7 @@ mod tests {
     #[test]
     fn con_core_hwc_fills_socket_before_next() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::ConCoreHwc, PlaceOpts::threads(25)).unwrap();
+        let p = Placement::with_view(&t, Policy::ConCoreHwc, PlaceOpts::threads(25)).unwrap();
         // First 20 contexts on one socket (10 unique cores then their
         // siblings), then 5 on the next.
         let first_socket = t.socket_of(p.order()[0]);
@@ -654,7 +645,7 @@ mod tests {
             Policy::BalanceCoreHwc,
             Policy::BalanceCore,
         ] {
-            let p = Placement::new(&t, policy, PlaceOpts::threads(10)).unwrap();
+            let p = Placement::with_view(&t, policy, PlaceOpts::threads(10)).unwrap();
             let s = p.stats();
             assert_eq!(s.hwc_per_socket, vec![5, 5], "{policy}");
         }
@@ -663,13 +654,13 @@ mod tests {
     #[test]
     fn rr_alternates_sockets() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::RrCore, PlaceOpts::threads(6)).unwrap();
+        let p = Placement::with_view(&t, Policy::RrCore, PlaceOpts::threads(6)).unwrap();
         let sockets: Vec<usize> = p.order().iter().map(|&h| t.socket_of(h)).collect();
         assert_eq!(sockets[0], sockets[2]);
         assert_eq!(sockets[1], sockets[3]);
         assert_ne!(sockets[0], sockets[1]);
         // RR_CORE uses unique cores for the first #cores threads.
-        let p_full = Placement::new(&t, Policy::RrCore, PlaceOpts::threads(20)).unwrap();
+        let p_full = Placement::with_view(&t, Policy::RrCore, PlaceOpts::threads(20)).unwrap();
         let mut cores: Vec<usize> = p_full.order().iter().map(|&h| t.hwcs[h].core).collect();
         cores.sort_unstable();
         cores.dedup();
@@ -679,7 +670,7 @@ mod tests {
     #[test]
     fn rr_hwc_hands_out_smt_siblings_together() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::RrHwc, PlaceOpts::threads(4)).unwrap();
+        let p = Placement::with_view(&t, Policy::RrHwc, PlaceOpts::threads(4)).unwrap();
         // Compact per-socket order: first two contexts from a socket
         // share a core... but round-robin interleaves sockets, so slots
         // 0 and 2 share a core.
@@ -691,7 +682,7 @@ mod tests {
     #[test]
     fn power_policy_packs_smt_and_one_socket() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::Power, PlaceOpts::threads(20)).unwrap();
+        let p = Placement::with_view(&t, Policy::Power, PlaceOpts::threads(20)).unwrap();
         // Minimal power: use both contexts of each core and stay on one
         // socket (waking a second socket costs DRAM power).
         let s = p.stats();
@@ -709,15 +700,15 @@ mod tests {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        let t = mctop::infer(&mut pr, &cfg).unwrap(); // Not enriched.
-        let err = Placement::new(&t, Policy::Power, PlaceOpts::default()).unwrap_err();
+        let t = TopoView::from(mctop::infer(&mut pr, &cfg).unwrap()); // Not enriched.
+        let err = Placement::with_view(&t, Policy::Power, PlaceOpts::default()).unwrap_err();
         assert_eq!(err, PlaceError::PowerUnavailable);
     }
 
     #[test]
     fn rr_scale_caps_threads_at_saturation() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::RrScale, PlaceOpts::default()).unwrap();
+        let p = Placement::with_view(&t, Policy::RrScale, PlaceOpts::default()).unwrap();
         // Ivy: 24.3 GB/s local, 6.1 GB/s per core -> 4 threads per
         // socket.
         let s = p.stats();
@@ -729,9 +720,9 @@ mod tests {
         // Section 6: "In non-SMT multi-cores, CON_HWC, CON_CORE_HWC, and
         // CON_CORE policies are equivalent."
         let t = topo(&mcsim::presets::no_smt_small());
-        let a = Placement::new(&t, Policy::ConHwc, PlaceOpts::default()).unwrap();
-        let b = Placement::new(&t, Policy::ConCoreHwc, PlaceOpts::default()).unwrap();
-        let c = Placement::new(&t, Policy::ConCore, PlaceOpts::default()).unwrap();
+        let a = Placement::with_view(&t, Policy::ConHwc, PlaceOpts::default()).unwrap();
+        let b = Placement::with_view(&t, Policy::ConCoreHwc, PlaceOpts::default()).unwrap();
+        let c = Placement::with_view(&t, Policy::ConCore, PlaceOpts::default()).unwrap();
         assert_eq!(a.order(), b.order());
         assert_eq!(b.order(), c.order());
     }
@@ -739,7 +730,7 @@ mod tests {
     #[test]
     fn too_many_threads_rejected() {
         let t = topo(&mcsim::presets::synthetic_small());
-        let err = Placement::new(&t, Policy::ConHwc, PlaceOpts::threads(1000)).unwrap_err();
+        let err = Placement::with_view(&t, Policy::ConHwc, PlaceOpts::threads(1000)).unwrap_err();
         assert!(matches!(
             err,
             PlaceError::TooManyThreads { available: 16, .. }
@@ -749,14 +740,15 @@ mod tests {
     #[test]
     fn socket_restriction() {
         let t = topo(&mcsim::presets::ivy());
-        let p = Placement::new(&t, Policy::RrCore, PlaceOpts::threads_on_sockets(10, 1)).unwrap();
+        let p =
+            Placement::with_view(&t, Policy::RrCore, PlaceOpts::threads_on_sockets(10, 1)).unwrap();
         assert_eq!(p.stats().sockets.len(), 1);
     }
 
     #[test]
     fn pin_unpin_cycle() {
         let t = topo(&mcsim::presets::synthetic_small());
-        let p = Placement::new(&t, Policy::ConHwc, PlaceOpts::threads(2)).unwrap();
+        let p = Placement::with_view(&t, Policy::ConHwc, PlaceOpts::threads(2)).unwrap();
         let h1 = p.pin().unwrap();
         let h2 = p.pin().unwrap();
         assert!(p.pin().is_none());
@@ -770,10 +762,10 @@ mod tests {
     #[test]
     fn sequential_is_os_order() {
         let t = topo(&mcsim::presets::synthetic_small());
-        let p = Placement::new(&t, Policy::Sequential, PlaceOpts::threads(5)).unwrap();
+        let p = Placement::with_view(&t, Policy::Sequential, PlaceOpts::threads(5)).unwrap();
         assert_eq!(p.order(), &[0, 1, 2, 3, 4]);
         assert!(p.pins());
-        let none = Placement::new(&t, Policy::None, PlaceOpts::threads(5)).unwrap();
+        let none = Placement::with_view(&t, Policy::None, PlaceOpts::threads(5)).unwrap();
         assert!(!none.pins());
     }
 }

@@ -32,12 +32,7 @@ pub struct PlacePool {
 }
 
 impl PlacePool {
-    /// A pool over `topo` with shared placement options.
-    pub fn new(topo: Arc<Mctop>, opts: PlaceOpts) -> Self {
-        Self::with_view(TopoView::new(topo), opts)
-    }
-
-    /// A pool over a prebuilt topology view.
+    /// A pool over a topology view with shared placement options.
     pub fn with_view(view: TopoView, opts: PlaceOpts) -> Self {
         PlacePool {
             view,
@@ -96,19 +91,19 @@ mod tests {
     use mctop::backend::SimProber;
     use mctop::ProbeConfig;
 
-    fn topo() -> Arc<Mctop> {
+    fn view() -> TopoView {
         let spec = mcsim::presets::synthetic_small();
         let mut p = SimProber::noiseless(&spec);
         let cfg = ProbeConfig {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        Arc::new(mctop::infer(&mut p, &cfg).unwrap())
+        TopoView::from(mctop::infer(&mut p, &cfg).unwrap())
     }
 
     #[test]
     fn lazily_builds_and_caches() {
-        let pool = PlacePool::new(topo(), PlaceOpts::threads(8));
+        let pool = PlacePool::with_view(view(), PlaceOpts::threads(8));
         assert!(pool.cached_policies().is_empty());
         let a = pool.get(Policy::ConHwc).unwrap();
         let b = pool.get(Policy::ConHwc).unwrap();
@@ -118,7 +113,7 @@ mod tests {
 
     #[test]
     fn select_switches_current() {
-        let pool = PlacePool::new(topo(), PlaceOpts::threads(4));
+        let pool = PlacePool::with_view(view(), PlaceOpts::threads(4));
         assert_eq!(pool.current_policy(), Policy::None);
         pool.select(Policy::RrCore).unwrap();
         assert_eq!(pool.current_policy(), Policy::RrCore);
@@ -129,7 +124,7 @@ mod tests {
 
     #[test]
     fn failing_policy_does_not_switch() {
-        let pool = PlacePool::new(topo(), PlaceOpts::threads(4));
+        let pool = PlacePool::with_view(view(), PlaceOpts::threads(4));
         pool.select(Policy::Sequential).unwrap();
         // POWER fails on an unenriched topology.
         assert!(pool.select(Policy::Power).is_err());
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn pool_is_shareable_across_threads() {
-        let pool = Arc::new(PlacePool::new(topo(), PlaceOpts::threads(8)));
+        let pool = Arc::new(PlacePool::with_view(view(), PlaceOpts::threads(8)));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let pool = Arc::clone(&pool);

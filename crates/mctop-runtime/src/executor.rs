@@ -72,7 +72,6 @@ use crate::metrics::{
 use crate::steal::{
     steal_classes_with_view,
     steal_queues_with_order,
-    steal_queues_with_view,
     StealOrder,
     StealPool, //
 };
@@ -669,10 +668,10 @@ impl Executor {
             })
             .collect();
 
-        let mut queues: Vec<StealPool<Task>> = match view {
-            Some(v) => steal_queues_with_view(v, &hwcs),
-            None => steal_queues_with_order(StealOrder::sequential(n)),
-        };
+        let mut queues: Vec<StealPool<Task>> = steal_queues_with_order(match view {
+            Some(v) => StealOrder::with_view(v, &hwcs),
+            None => StealOrder::sequential(n),
+        });
         // Victim distance classes for the steal histogram: derived from
         // the view's socket map when we have one, otherwise every steal
         // lands in the `unclassified` bucket.
@@ -1045,6 +1044,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one input per worker")]
+    fn run_each_rejects_wrong_input_count() {
+        let (exec, _v) = executor(2, Policy::ConHwc);
+        let _ = exec.run_each(vec![1u8], |_, _| ());
+    }
+
+    #[test]
     fn join_runs_both_sides() {
         let (exec, _v) = executor(2, Policy::RrCore);
         let (a, b) = exec.join(|| 1 + 1, || "two");
@@ -1082,6 +1088,10 @@ mod tests {
         );
         let hwcs = exec.run(|ctx| ctx.hwc());
         assert_eq!(hwcs, expected);
+        // The executor reads slot data without claiming, so the
+        // placement's pin/unpin slots stay free for other users.
+        let h = placement.pin().unwrap();
+        placement.unpin(h);
     }
 
     #[test]
@@ -1152,6 +1162,22 @@ mod tests {
         assert_eq!(done.into_inner(), 9);
         // And the executor survives for the next scope.
         assert_eq!(exec.run(|c| c.id), vec![0, 1]);
+    }
+
+    #[test]
+    fn worker_subset_takes_the_first_slots() {
+        let v = view();
+        let placement = Placement::with_view(&v, Policy::ConHwc, PlaceOpts::threads(4)).unwrap();
+        let exec = Executor::with_cfg(
+            None,
+            &placement,
+            ExecCfg {
+                workers: Some(2),
+                os_pin: false,
+            },
+        );
+        assert_eq!(exec.len(), 2);
+        assert_eq!(exec.run(|c| c.hwc()), placement.order()[..2].to_vec());
     }
 
     #[test]

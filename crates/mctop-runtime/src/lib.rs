@@ -10,10 +10,8 @@
 //!   deques, idle workers stealing in the min-latency victim order,
 //!   a `scope`/`join` API plus targeted per-worker dispatch, and
 //!   graceful shutdown/re-arm on placement change. Every parallel
-//!   workload in this workspace runs on it;
-//! - [`pool::WorkerPool`]: the `run`/`run_each` facade over the
-//!   executor (kept for the per-worker arena hand-off API of
-//!   `mctop-alloc`);
+//!   workload in this workspace runs on it (`run`/`run_each` hand
+//!   one task, or one owned input, to each pinned worker);
 //! - [`barrier::SpinBarrier`]: the spin-based barrier the paper's
 //!   measurement threads use (no blocking, keeps DVFS at max);
 //! - [`steal`]: topology-aware work stealing (Section 5): idle workers
@@ -33,7 +31,6 @@ pub mod barrier;
 pub mod executor;
 pub mod host;
 pub mod metrics;
-pub mod pool;
 pub mod steal;
 pub mod sync;
 
@@ -52,11 +49,8 @@ pub use metrics::{
     ServerSnapshot,
     StealClass, //
 };
-pub use pool::WorkerPool;
 pub use steal::{
-    steal_queues,
     steal_queues_with_order,
-    steal_queues_with_view,
     StealOrder,
     StealPool, //
 };

@@ -713,8 +713,7 @@ pub struct AllocSnapshot {
 /// A point-in-time copy of every bucket group, as returned by
 /// [`Metrics::snapshot`]. Serializes to the stable JSON schema
 /// documented in `docs/OBSERVABILITY.md` (also emitted by `mct query
-/// <desc> metrics` and the `BENCH_executor.json` /
-/// `BENCH_throughput.json` artifacts).
+/// <desc> metrics` and the daemon's metrics response).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Executor traffic.

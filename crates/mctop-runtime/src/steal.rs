@@ -4,8 +4,8 @@
 //! of worker threads that are the closest in terms of latency. If
 //! unsuccessful, continue with the contexts that are the next closest."
 //! [`StealOrder`] computes those victim orders from MCTOP;
-//! [`steal_queues`] builds a deque-per-worker set of handles — each
-//! handle is moved into its worker thread — that follow them.
+//! [`steal_queues_with_order`] builds a deque-per-worker set of handles
+//! — each handle is moved into its worker thread — that follow them.
 
 use std::sync::Arc;
 
@@ -19,7 +19,6 @@ use crate::sync::deque::{
     Worker as Deque, //
 };
 use mctop::view::TopoView;
-use mctop::Mctop;
 
 use crate::metrics::{
     Metrics,
@@ -36,14 +35,17 @@ impl StealOrder {
     /// Computes victim orders for workers occupying the given hardware
     /// contexts: for worker `i`, other workers sorted by
     /// `latency(hwc_i, hwc_j)` ascending (ties toward lower worker id).
-    pub fn compute(topo: &Mctop, hwcs: &[usize]) -> Self {
-        Self::orders_from(|a, b| topo.get_latency(a, b), hwcs)
-    }
-
-    /// Like [`StealOrder::compute`], over a prebuilt topology view
-    /// (what placement-backed pools already hold).
     pub fn with_view(view: &TopoView, hwcs: &[usize]) -> Self {
-        Self::orders_from(|a, b| view.get_latency(a, b), hwcs)
+        let orders = hwcs
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let mut victims: Vec<usize> = (0..hwcs.len()).filter(|&j| j != i).collect();
+                victims.sort_by_key(|&j| (view.get_latency(a, hwcs[j]), j));
+                victims
+            })
+            .collect();
+        StealOrder { orders }
     }
 
     /// A victim order that ignores the topology: every worker tries
@@ -55,19 +57,6 @@ impl StealOrder {
                 .map(|i| (0..n).filter(|&j| j != i).collect())
                 .collect(),
         }
-    }
-
-    fn orders_from(latency: impl Fn(usize, usize) -> u32, hwcs: &[usize]) -> Self {
-        let orders = hwcs
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| {
-                let mut victims: Vec<usize> = (0..hwcs.len()).filter(|&j| j != i).collect();
-                victims.sort_by_key(|&j| (latency(a, hwcs[j]), j));
-                victims
-            })
-            .collect();
-        StealOrder { orders }
     }
 
     /// Victim order (worker indices) for worker `i`.
@@ -216,17 +205,6 @@ impl<T> StealPool<T> {
     }
 }
 
-/// Builds one [`StealPool`] handle per worker, with victim orders from
-/// the topology.
-pub fn steal_queues<T>(topo: &Mctop, hwcs: &[usize]) -> Vec<StealPool<T>> {
-    steal_queues_with_order(StealOrder::compute(topo, hwcs))
-}
-
-/// Like [`steal_queues`], over a prebuilt topology view.
-pub fn steal_queues_with_view<T>(view: &TopoView, hwcs: &[usize]) -> Vec<StealPool<T>> {
-    steal_queues_with_order(StealOrder::with_view(view, hwcs))
-}
-
 /// Builds one [`StealPool`] handle per worker from an explicit victim
 /// order (one per worker in `order`).
 pub fn steal_queues_with_order<T>(order: StealOrder) -> Vec<StealPool<T>> {
@@ -251,22 +229,22 @@ pub fn steal_queues_with_order<T>(order: StealOrder) -> Vec<StealPool<T>> {
 mod tests {
     use super::*;
 
-    fn topo() -> Mctop {
+    fn view() -> TopoView {
         let spec = mcsim::presets::synthetic_small();
         let mut p = mctop::backend::SimProber::noiseless(&spec);
         let cfg = mctop::ProbeConfig {
             reps: 3,
             ..mctop::ProbeConfig::fast()
         };
-        mctop::infer(&mut p, &cfg).unwrap()
+        TopoView::from(mctop::infer(&mut p, &cfg).unwrap())
     }
 
     #[test]
     fn victims_sorted_by_latency() {
-        let t = topo();
+        let t = view();
         // Workers on: ctx 0 (socket 0 core 0), ctx 8 (SMT sibling of 0),
         // ctx 1 (socket 0 core 1), ctx 4 (socket 1).
-        let order = StealOrder::compute(&t, &[0, 8, 1, 4]);
+        let order = StealOrder::with_view(&t, &[0, 8, 1, 4]);
         // Worker 0's closest victim is its SMT sibling, then the
         // same-socket core, then the remote socket.
         assert_eq!(order.victims(0), &[1, 2, 3]);
@@ -276,22 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn view_based_queues_share_the_naive_victim_orders() {
-        let t = topo();
-        let workers = [0usize, 8, 1, 4];
-        let naive = StealOrder::compute(&t, &workers);
-        let view = TopoView::new(std::sync::Arc::new(t));
-        assert_eq!(StealOrder::with_view(&view, &workers), naive);
-        let queues: Vec<StealPool<u8>> = steal_queues_with_view(&view, &workers);
-        queues[1].push(9);
-        // Worker 0 steals from its SMT sibling (worker 1) first.
-        assert_eq!(queues[0].next(), Some((9, Source::Stolen(1))));
-    }
-
-    #[test]
     fn local_work_first_then_closest_victim() {
-        let t = topo();
-        let queues: Vec<StealPool<u32>> = steal_queues(&t, &[0, 8, 4]);
+        let t = view();
+        let queues: Vec<StealPool<u32>> =
+            steal_queues_with_order(StealOrder::with_view(&t, &[0, 8, 4]));
         queues[0].push(1);
         queues[1].push(2);
         queues[2].push(3);
@@ -306,9 +272,10 @@ mod tests {
 
     #[test]
     fn all_items_consumed_exactly_once_concurrently() {
-        let t = topo();
+        let t = view();
         let workers = vec![0usize, 8, 1, 9, 4, 12];
-        let mut queues: Vec<StealPool<usize>> = steal_queues(&t, &workers);
+        let mut queues: Vec<StealPool<usize>> =
+            steal_queues_with_order(StealOrder::with_view(&t, &workers));
         const ITEMS: usize = 3000;
         // All work starts on worker 0: everyone else must steal.
         for i in 0..ITEMS {
@@ -330,8 +297,9 @@ mod tests {
 
     #[test]
     fn steal_sources_reported() {
-        let t = topo();
-        let queues: Vec<StealPool<u8>> = steal_queues(&t, &[0, 1]);
+        let t = view();
+        let queues: Vec<StealPool<u8>> =
+            steal_queues_with_order(StealOrder::with_view(&t, &[0, 1]));
         queues[1].push(7);
         let (v, src) = queues[0].next().unwrap();
         assert_eq!(v, 7);

@@ -2,9 +2,9 @@
 //!
 //! Every atomic, mutex, condvar, thread spawn, and work queue used by
 //! the executor substrate ([`crate::executor`], [`crate::steal`],
-//! [`crate::barrier`], [`crate::pool`]) is imported from *this* module
-//! instead of `std::sync` / `crossbeam_deque` directly. The module has
-//! two personalities:
+//! [`crate::barrier`]) is imported from *this* module instead of
+//! `std::sync` / `crossbeam_deque` directly. The module has two
+//! personalities:
 //!
 //! - **Default build** (no `model-check` feature): every name here is a
 //!   plain re-export of the `std` / `crossbeam_deque` original. The
@@ -78,7 +78,6 @@ pub use std::sync::{
     Condvar,
     Mutex,
     MutexGuard,
-    OnceLock,
     WaitTimeoutResult, //
 };
 
@@ -87,7 +86,6 @@ pub use model::shim::{
     Condvar,
     Mutex,
     MutexGuard,
-    OnceLock,
     WaitTimeoutResult, //
 };
 

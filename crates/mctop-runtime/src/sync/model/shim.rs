@@ -22,7 +22,6 @@
 //! the calling thread instead of burning schedules re-running a spin
 //! iteration that cannot make progress.
 
-use std::cell::UnsafeCell;
 use std::io;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -358,57 +357,6 @@ impl Condvar {
         } else {
             self.std.notify_all();
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// OnceLock
-// ---------------------------------------------------------------------
-
-/// A tracked `OnceLock`: initialization races are resolved through a
-/// tracked [`Mutex`], so a model thread losing the race blocks in the
-/// model instead of in the OS parking lot (which would wedge the
-/// explorer's token).
-#[derive(Debug, Default)]
-pub struct OnceLock<T> {
-    init: Mutex<bool>,
-    value: UnsafeCell<Option<T>>,
-}
-
-unsafe impl<T: Send> Send for OnceLock<T> {}
-unsafe impl<T: Send + Sync> Sync for OnceLock<T> {}
-
-impl<T> OnceLock<T> {
-    /// Creates an empty `OnceLock`.
-    pub const fn new() -> Self {
-        OnceLock {
-            init: Mutex::new(false),
-            value: UnsafeCell::new(None),
-        }
-    }
-
-    /// Returns the value if initialized.
-    pub fn get(&self) -> Option<&T> {
-        let g = self.init.lock().unwrap_or_else(|e| e.into_inner());
-        if *g {
-            drop(g);
-            // Initialized exactly once and never written again.
-            unsafe { (*self.value.get()).as_ref() }
-        } else {
-            None
-        }
-    }
-
-    /// Returns the value, initializing it with `f` if empty.
-    pub fn get_or_init<F: FnOnce() -> T>(&self, f: F) -> &T {
-        let mut g = self.init.lock().unwrap_or_else(|e| e.into_inner());
-        if !*g {
-            let v = f();
-            unsafe { *self.value.get() = Some(v) };
-            *g = true;
-        }
-        drop(g);
-        unsafe { (*self.value.get()).as_ref().expect("initialized above") }
     }
 }
 

@@ -39,12 +39,8 @@ pub mod tree;
 
 pub use parallel::{
     baseline_sort,
-    mctop_sort,
     mctop_sort_kernel_on,
     mctop_sort_on,
-    mctop_sort_sse,
     mctop_sort_sse_on,
-    mctop_sort_sse_with_view,
-    mctop_sort_with_view,
     SortScratch, //
 };

@@ -12,7 +12,6 @@
 
 use mcsim::MachineSpec;
 use mctop::view::TopoView;
-use mctop::Mctop;
 use mctop_alloc::AllocPolicy;
 
 use crate::tree::MergeTree;
@@ -125,22 +124,8 @@ impl SortTime {
     }
 }
 
-/// Predicts one bar of Fig. 9 from a bare topology (builds a throwaway
-/// [`TopoView`]; use [`predict_with_view`] when predicting several bars
-/// over the same machine).
-pub fn predict(
-    spec: &MachineSpec,
-    topo: &Mctop,
-    algo: SortAlgo,
-    n_threads: usize,
-    cfg: &SortModelCfg,
-) -> SortTime {
-    let view = TopoView::new(std::sync::Arc::new(topo.clone()));
-    predict_with_view(spec, &view, algo, n_threads, cfg)
-}
-
-/// Predicts one bar of Fig. 9 over a prebuilt topology view, with the
-/// merge buffers on every thread's local node (the paper's placement).
+/// Predicts one bar of Fig. 9, with the merge buffers on every
+/// thread's local node (the paper's placement).
 pub fn predict_with_view(
     spec: &MachineSpec,
     topo: &TopoView,
@@ -284,18 +269,17 @@ pub fn predict_alloc(
 /// has no 128-bit integer SIMD) for one platform and thread count.
 pub fn fig9_column(
     spec: &MachineSpec,
-    topo: &Mctop,
+    view: &TopoView,
     n_threads: usize,
     cfg: &SortModelCfg,
 ) -> Vec<(SortAlgo, SortTime)> {
-    let view = TopoView::new(std::sync::Arc::new(topo.clone()));
     let mut algos = vec![SortAlgo::Gnu, SortAlgo::Mctop];
     if spec.name != "sparc" {
         algos.push(SortAlgo::MctopSse);
     }
     algos
         .into_iter()
-        .map(|a| (a, predict_with_view(spec, &view, a, n_threads, cfg)))
+        .map(|a| (a, predict_with_view(spec, view, a, n_threads, cfg)))
         .collect()
 }
 
@@ -307,7 +291,7 @@ mod tests {
         SimEnricher, //
     };
 
-    fn enriched(spec: &MachineSpec) -> Mctop {
+    fn enriched(spec: &MachineSpec) -> TopoView {
         let mut p = mctop::backend::SimProber::noiseless(spec);
         let pc = mctop::ProbeConfig {
             reps: 3,
@@ -317,7 +301,7 @@ mod tests {
         let mut e = SimEnricher::new(spec);
         let mut pw = SimEnricher::new(spec);
         enrich_all(&mut t, &mut e, &mut pw).unwrap();
-        t
+        TopoView::from(t)
     }
 
     #[test]
@@ -329,8 +313,8 @@ mod tests {
         for spec in mcsim::presets::all_paper_platforms() {
             let topo = enriched(&spec);
             for threads in [16usize, spec.total_hwcs()] {
-                let gnu = predict(&spec, &topo, SortAlgo::Gnu, threads, &cfg);
-                let mc = predict(&spec, &topo, SortAlgo::Mctop, threads, &cfg);
+                let gnu = predict_with_view(&spec, &topo, SortAlgo::Gnu, threads, &cfg);
+                let mc = predict_with_view(&spec, &topo, SortAlgo::Mctop, threads, &cfg);
                 assert!(
                     mc.total() < gnu.total(),
                     "{} t={threads}: mctop {:.2}s vs gnu {:.2}s",
@@ -355,8 +339,8 @@ mod tests {
                 continue;
             }
             let topo = enriched(&spec);
-            let mc = predict(&spec, &topo, SortAlgo::Mctop, 16, &cfg);
-            let sse = predict(&spec, &topo, SortAlgo::MctopSse, 16, &cfg);
+            let mc = predict_with_view(&spec, &topo, SortAlgo::Mctop, 16, &cfg);
+            let sse = predict_with_view(&spec, &topo, SortAlgo::MctopSse, 16, &cfg);
             assert!(sse.total() <= mc.total() + 1e-9, "{}", spec.name);
         }
     }
@@ -380,8 +364,8 @@ mod tests {
         let cfg = SortModelCfg::default();
         for spec in [mcsim::presets::westmere(), mcsim::presets::sparc()] {
             let topo = enriched(&spec);
-            let t16 = predict(&spec, &topo, SortAlgo::Mctop, 16, &cfg);
-            let tfull = predict(&spec, &topo, SortAlgo::Mctop, spec.total_hwcs(), &cfg);
+            let t16 = predict_with_view(&spec, &topo, SortAlgo::Mctop, 16, &cfg);
+            let tfull = predict_with_view(&spec, &topo, SortAlgo::Mctop, spec.total_hwcs(), &cfg);
             assert!(tfull.total() < t16.total(), "{}", spec.name);
         }
     }
@@ -393,8 +377,7 @@ mod tests {
         // only get slower, while the CPU-bound first phase is unmoved.
         let cfg = SortModelCfg::default();
         for spec in [mcsim::presets::ivy(), mcsim::presets::westmere()] {
-            let topo = enriched(&spec);
-            let view = TopoView::build(&topo).unwrap();
+            let view = enriched(&spec);
             let base = predict_with_view(&spec, &view, SortAlgo::Mctop, 16, &cfg);
             let local = predict_alloc(&spec, &view, SortAlgo::Mctop, 16, &cfg, &AllocPolicy::Local)
                 .unwrap();
@@ -419,8 +402,7 @@ mod tests {
         }
         // An unevaluable policy is an error, never priced like LOCAL.
         let spec = mcsim::presets::ivy();
-        let topo = enriched(&spec);
-        let view = TopoView::build(&topo).unwrap();
+        let view = enriched(&spec);
         let bad = predict_alloc(
             &spec,
             &view,
@@ -445,8 +427,8 @@ mod tests {
         // The calibrated sse prediction stays ordered on a real column.
         let spec = mcsim::presets::ivy();
         let topo = enriched(&spec);
-        let mc = predict(&spec, &topo, SortAlgo::Mctop, 16, &cfg);
-        let sse = predict(&spec, &topo, SortAlgo::MctopSse, 16, &cfg);
+        let mc = predict_with_view(&spec, &topo, SortAlgo::Mctop, 16, &cfg);
+        let sse = predict_with_view(&spec, &topo, SortAlgo::MctopSse, 16, &cfg);
         assert!(sse.total() <= mc.total() + 1e-9);
     }
 
@@ -463,7 +445,7 @@ mod tests {
             (SortAlgo::Mctop, 2.02),
             (SortAlgo::MctopSse, 1.84),
         ] {
-            let t = predict(&spec, &topo, algo, 16, &cfg).total();
+            let t = predict_with_view(&spec, &topo, algo, 16, &cfg).total();
             let err = (t - paper).abs() / paper;
             assert!(err < 0.35, "{}: {t:.2}s vs paper {paper}s", algo.name());
         }

@@ -4,13 +4,14 @@
 //! per-platform performance claims of Fig. 9 come from
 //! [`crate::model`] over the simulated machines.
 //!
-//! Every phase of `mctop_sort` executes on the persistent
+//! Every phase of `mctop_sort` executes on a caller-owned persistent
 //! [`mctop_runtime::Executor`]: chunk quicksorts, per-socket merge
 //! rounds, and the cross-socket tree merges are all submitted as
 //! tasks to placement-pinned workers instead of spawning fresh
-//! scoped threads per phase. The repeated-sort path is
-//! [`mctop_sort_on`], which reuses a caller-owned executor; the
-//! convenience entry points arm a transient one per call.
+//! scoped threads per phase. The caller arms the team the way Fig. 7
+//! does — `mctop_place::Placement::with_view` with the RR policy (to
+//! benefit from the large LLC of every socket), then
+//! [`Executor::new`] — and sorts on it as often as it likes.
 //!
 //! Determinism: chunk boundaries, socket assignment and every
 //! merge-path split depend only on the data, the worker count and the
@@ -19,19 +20,9 @@
 //! schedules.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use mctop::view::TopoView;
-use mctop::Mctop;
-use mctop_place::{
-    PlaceOpts,
-    Placement,
-    Policy, //
-};
-use mctop_runtime::{
-    ExecCfg,
-    Executor, //
-};
+use mctop_runtime::Executor;
 
 use crate::merge::{
     merge_into,
@@ -104,63 +95,14 @@ impl SortScratch {
     }
 }
 
-/// Sorts `data` with the topology-aware mergesort of Section 7.2:
-/// chunks are quicksorted in parallel (threads spread with the RR
-/// policy to benefit from every socket's LLC), per-socket runs are
-/// merged cooperatively inside each socket, and the per-socket runs are
-/// merged along the bandwidth-maximizing cross-socket tree, rooted at
-/// socket `dest`.
-pub fn mctop_sort(data: &mut Vec<u32>, topo: &Mctop, n_threads: usize, dest: usize) {
-    if data.len() < 2 {
-        return;
-    }
-    let view = TopoView::new(Arc::new(topo.clone()));
-    sort_impl(data, &view, n_threads, dest, Kernel::Scalar);
-}
-
-/// `mctop_sort` with the bitonic (SIMD-style) merge kernel for the
-/// cross-socket merges.
-pub fn mctop_sort_sse(data: &mut Vec<u32>, topo: &Mctop, n_threads: usize, dest: usize) {
-    if data.len() < 2 {
-        return;
-    }
-    let view = TopoView::new(Arc::new(topo.clone()));
-    sort_impl(
-        data,
-        &view,
-        n_threads,
-        dest,
-        Kernel::Vector(crate::simd::auto()),
-    );
-}
-
-/// [`mctop_sort`] over a prebuilt topology view — no per-call topology
-/// clone or view construction (a transient executor is still armed;
-/// the fully persistent path is [`mctop_sort_on`]).
-pub fn mctop_sort_with_view(data: &mut Vec<u32>, view: &TopoView, n_threads: usize, dest: usize) {
-    sort_impl(data, view, n_threads, dest, Kernel::Scalar);
-}
-
-/// [`mctop_sort_sse`] over a prebuilt topology view.
-pub fn mctop_sort_sse_with_view(
-    data: &mut Vec<u32>,
-    view: &TopoView,
-    n_threads: usize,
-    dest: usize,
-) {
-    sort_impl(
-        data,
-        view,
-        n_threads,
-        dest,
-        Kernel::Vector(crate::simd::auto()),
-    );
-}
-
-/// [`mctop_sort`] on a caller-owned persistent executor: the
-/// repeated-sort hot path. Worker count and socket assignment come
-/// from the executor's placement; nothing is spawned or pinned per
-/// call, and `scratch` recycles every merge buffer across calls.
+/// Sorts `data` with the topology-aware mergesort of Section 7.2 on
+/// a caller-owned persistent executor: chunks are quicksorted in
+/// parallel, per-socket runs are merged cooperatively inside each
+/// socket, and the per-socket runs are merged along the
+/// bandwidth-maximizing cross-socket tree, rooted at socket `dest`.
+/// Worker count and socket assignment come from the executor's
+/// placement; nothing is spawned or pinned per call, and `scratch`
+/// recycles every merge buffer across calls.
 pub fn mctop_sort_on(
     exec: &Executor,
     data: &mut Vec<u32>,
@@ -171,8 +113,8 @@ pub fn mctop_sort_on(
     sort_on_impl(data, view, exec, dest, Kernel::Scalar, scratch);
 }
 
-/// [`mctop_sort_sse`] on a caller-owned persistent executor: the
-/// vector merge kernel is resolved once per sort via
+/// [`mctop_sort_on`] with the bitonic (SIMD-style) merge kernel for
+/// the merges: the vector kernel is resolved once per sort via
 /// [`crate::simd::auto`] (runtime feature detection, scalar network
 /// fallback).
 pub fn mctop_sort_sse_on(
@@ -204,19 +146,6 @@ pub fn mctop_sort_kernel_on(
     table: &'static KernelTable,
 ) {
     sort_on_impl(data, view, exec, dest, Kernel::Vector(table), scratch);
-}
-
-fn sort_impl(data: &mut Vec<u32>, view: &TopoView, n_threads: usize, dest: usize, kernel: Kernel) {
-    if data.len() < 2 {
-        return;
-    }
-    let n_threads = n_threads.clamp(1, view.num_hwcs());
-    // Spread threads across sockets (RR policy, as the paper does, "in
-    // order to benefit from the large LLCs of each socket").
-    let placement = Placement::with_view(view, Policy::RrCore, PlaceOpts::threads(n_threads))
-        .expect("RR placement always succeeds");
-    let exec = Executor::with_cfg(Some(view), &placement, ExecCfg::default());
-    sort_on_impl(data, view, &exec, dest, kernel, &mut SortScratch::new());
 }
 
 fn sort_on_impl(
@@ -498,13 +427,18 @@ pub fn baseline_sort(data: &mut Vec<u32>, n_threads: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mctop_place::{
+        PlaceOpts,
+        Placement,
+        Policy, //
+    };
     use rand::rngs::SmallRng;
     use rand::{
         Rng,
         SeedableRng, //
     };
 
-    fn topo() -> Mctop {
+    fn view() -> TopoView {
         let spec = mcsim::presets::synthetic_small();
         let mut p = mctop::backend::SimProber::noiseless(&spec);
         let cfg = mctop::ProbeConfig {
@@ -515,7 +449,14 @@ mod tests {
         let mut e = mctop::enrich::SimEnricher::new(&spec);
         let mut pw = mctop::enrich::SimEnricher::new(&spec);
         mctop::enrich::enrich_all(&mut t, &mut e, &mut pw).unwrap();
-        t
+        TopoView::from(t)
+    }
+
+    /// The Fig. 7 sequence: RR placement, then a pinned team on it.
+    fn team(view: &TopoView, threads: usize) -> Executor {
+        let placement =
+            Placement::with_view(view, Policy::RrCore, PlaceOpts::threads(threads)).unwrap();
+        Executor::new(view, &placement)
     }
 
     fn random(n: usize, seed: u64) -> Vec<u32> {
@@ -529,11 +470,13 @@ mod tests {
 
     #[test]
     fn mctop_sort_sorts() {
-        let t = topo();
+        let view = view();
+        let exec = team(&view, 8);
+        let mut scratch = SortScratch::new();
         for n in [0usize, 1, 100, 100_000, 262_144] {
             let mut v = random(n, 42);
             let sum = checksum(&v);
-            mctop_sort(&mut v, &t, 8, 0);
+            mctop_sort_on(&exec, &mut v, &view, 0, &mut scratch);
             assert_eq!(v.len(), n);
             assert!(v.windows(2).all(|w| w[0] <= w[1]), "n={n}");
             assert_eq!(checksum(&v), sum, "n={n}: elements lost");
@@ -542,11 +485,11 @@ mod tests {
 
     #[test]
     fn mctop_sort_sse_sorts() {
-        let t = topo();
+        let view = view();
         let mut v = random(200_000, 7);
         let mut expected = v.clone();
         expected.sort_unstable();
-        mctop_sort_sse(&mut v, &t, 8, 0);
+        mctop_sort_sse_on(&team(&view, 8), &mut v, &view, 0, &mut SortScratch::new());
         assert_eq!(v, expected);
     }
 
@@ -563,29 +506,29 @@ mod tests {
 
     #[test]
     fn different_destinations_work() {
-        let t = topo();
-        for dest in 0..t.num_sockets() {
+        let view = view();
+        let exec = team(&view, 6);
+        for dest in 0..view.num_sockets() {
             let mut v = random(50_000, dest as u64);
-            mctop_sort(&mut v, &t, 6, dest);
+            mctop_sort_on(&exec, &mut v, &view, dest, &mut SortScratch::new());
             assert!(v.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 
     #[test]
     fn single_thread_degenerate() {
-        let t = topo();
+        let view = view();
         let mut v = random(10_000, 3);
         let mut expected = v.clone();
         expected.sort_unstable();
-        mctop_sort(&mut v, &t, 1, 0);
+        mctop_sort_on(&team(&view, 1), &mut v, &view, 0, &mut SortScratch::new());
         assert_eq!(v, expected);
     }
 
     #[test]
     fn persistent_executor_sorts_repeatedly() {
-        let view = TopoView::new(Arc::new(topo()));
-        let placement = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(6)).unwrap();
-        let exec = Executor::new(&view, &placement);
+        let view = view();
+        let exec = team(&view, 6);
         let mut scratch = SortScratch::new();
         for (round, n) in [10_000usize, 0, 1, 120_000, 4096].into_iter().enumerate() {
             let mut v = random(n, round as u64);
@@ -605,9 +548,8 @@ mod tests {
 
     #[test]
     fn forced_kernels_agree_end_to_end() {
-        let view = TopoView::new(Arc::new(topo()));
-        let placement = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(6)).unwrap();
-        let exec = Executor::new(&view, &placement);
+        let view = view();
+        let exec = team(&view, 6);
         let mut scratch = SortScratch::new();
         let data = random(130_000, 21);
         let mut expected = data.clone();
@@ -617,19 +559,5 @@ mod tests {
             mctop_sort_kernel_on(&exec, &mut v, &view, 0, &mut scratch, table);
             assert_eq!(v, expected, "kernel={}", table.name);
         }
-    }
-
-    #[test]
-    fn executor_and_transient_paths_agree() {
-        let t = topo();
-        let view = TopoView::new(Arc::new(t.clone()));
-        let placement = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(8)).unwrap();
-        let exec = Executor::new(&view, &placement);
-        let data = random(90_000, 11);
-        let mut a = data.clone();
-        mctop_sort(&mut a, &t, 8, 0);
-        let mut b = data.clone();
-        mctop_sort_on(&exec, &mut b, &view, 0, &mut SortScratch::new());
-        assert_eq!(a, b);
     }
 }

@@ -132,9 +132,9 @@ fn detect() -> &'static KernelTable {
 /// Measures one kernel on this host: nanoseconds per element merging
 /// two sorted `elements / 2`-sized runs, best of `reps` passes (the
 /// calibration probe behind
-/// [`crate::model::SortModelCfg::calibrate_kernels`] and the
-/// throughput bench's merge-phase rows). Deterministic inputs — a
-/// fixed LCG stream — so repeated calls measure the same workload.
+/// [`crate::model::SortModelCfg::calibrate_kernels`]). Deterministic
+/// inputs — a fixed LCG stream — so repeated calls measure the same
+/// workload.
 pub fn measure_merge_ns(table: &KernelTable, elements: usize, reps: usize) -> f64 {
     let half = (elements / 2).max(1);
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -197,7 +197,11 @@ mod x86 {
         if a.len() < 4 || b.len() < 4 {
             return merge_into(a, b, out);
         }
-        // Safety: gated on sse4.1 detection by the dispatch contract.
+        // SAFETY: this function is only reachable through `SSE41`,
+        // which `detect`/`detected_vector_tables` hand out only after
+        // `is_x86_feature_detected!("sse4.1")` succeeded; both runs hold
+        // at least 4 elements and `out` has their combined length
+        // (checked above).
         unsafe { merge_sse41_inner(a, b, out) }
     }
 
@@ -207,11 +211,21 @@ mod x86 {
         if a.len() < 8 || b.len() < 8 {
             return merge_into(a, b, out);
         }
-        // Safety: gated on avx2 detection by the dispatch contract.
+        // SAFETY: this function is only reachable through `AVX2`,
+        // which `detect`/`detected_vector_tables` hand out only after
+        // `is_x86_feature_detected!("avx2")` succeeded; both runs hold
+        // at least 8 elements and `out` has their combined length
+        // (checked above).
         unsafe { merge_avx2_inner(a, b, out) }
     }
 
     /// Sorts a bitonic 4-vector (3 compare-exchange stages).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE4.1 (`_mm_min_epu32`, `_mm_blend_epi16`):
+    /// call only from a `#[target_feature(enable = "sse4.1")]` function.
+    /// Register-only — no memory is touched.
     #[inline(always)]
     unsafe fn clean4(v: __m128i) -> __m128i {
         // Stride 2: cx(0,2), cx(1,3).
@@ -223,6 +237,10 @@ mod x86 {
     }
 
     /// Merges two sorted 4-vectors: returns (low half, high half).
+    ///
+    /// # Safety
+    ///
+    /// As for [`clean4`]: the CPU must support SSE4.1; register-only.
     #[inline(always)]
     unsafe fn bitonic_4x4(a: __m128i, b: __m128i) -> (__m128i, __m128i) {
         // Concatenate a with reversed b -> bitonic; the stride-4 stage
@@ -233,6 +251,13 @@ mod x86 {
         (clean4(lo), clean4(hi))
     }
 
+    /// The 4-wide merge loop behind [`merge_sse41`].
+    ///
+    /// # Safety
+    ///
+    /// Needs SSE4.1, `a.len() >= 4`, `b.len() >= 4` (unconditional first
+    /// loads) and `out.len() == a.len() + b.len()`: later loads check
+    /// `i + 4 <= len`; a store at `o` has `o + 8 == i + j <= out.len()`.
     #[target_feature(enable = "sse4.1")]
     unsafe fn merge_sse41_inner(a: &[u32], b: &[u32], out: &mut [u32]) {
         let load = |s: &[u32], at: usize| -> __m128i {
@@ -276,6 +301,12 @@ mod x86 {
     }
 
     /// Sorts a bitonic 8-vector (4 compare-exchange stages).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2: call only from a
+    /// `#[target_feature(enable = "avx2")]` function. Register-only —
+    /// no memory is touched.
     #[inline(always)]
     unsafe fn clean8(v: __m256i) -> __m256i {
         // Stride 4: swap 128-bit halves.
@@ -290,6 +321,10 @@ mod x86 {
     }
 
     /// Merges two sorted 8-vectors: returns (low half, high half).
+    ///
+    /// # Safety
+    ///
+    /// As for [`clean8`]: the CPU must support AVX2; register-only.
     #[inline(always)]
     unsafe fn bitonic_8x8(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
         let rb = _mm256_permutevar8x32_epi32(b, _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
@@ -298,6 +333,13 @@ mod x86 {
         (clean8(lo), clean8(hi))
     }
 
+    /// The 8-wide merge loop behind [`merge_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// Needs AVX2, `a.len() >= 8`, `b.len() >= 8` (unconditional first
+    /// loads) and `out.len() == a.len() + b.len()`: later loads check
+    /// `i + 8 <= len`; a store at `o` has `o + 16 == i + j <= out.len()`.
     #[target_feature(enable = "avx2")]
     unsafe fn merge_avx2_inner(a: &[u32], b: &[u32], out: &mut [u32]) {
         let load = |s: &[u32], at: usize| -> __m256i {

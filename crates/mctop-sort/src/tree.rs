@@ -122,7 +122,7 @@ mod tests {
         let mut e = SimEnricher::new(spec);
         let mut pw = SimEnricher::new(spec);
         enrich_all(&mut t, &mut e, &mut pw).unwrap();
-        TopoView::build(&t).unwrap()
+        TopoView::from(t)
     }
 
     #[test]

@@ -53,46 +53,18 @@ pub struct Inference {
     pub raw_table: table::LatencyTable,
 }
 
-/// Runs all four steps and returns the topology only.
-pub fn run<P: Prober>(prober: &mut P, cfg: &ProbeConfig) -> Result<Mctop, McTopError> {
-    run_full(prober, cfg).map(|inf| inf.topology)
-}
-
-/// [`run`] with the collection phase spread over `jobs` forked probers
-/// (disjoint-pair rounds; byte-identical output for every `jobs`).
-pub fn run_jobs<P: Prober + Send>(
-    prober: &mut P,
-    cfg: &ProbeConfig,
-    jobs: usize,
-) -> Result<Mctop, McTopError> {
-    run_full_jobs(prober, cfg, jobs).map(|inf| inf.topology)
-}
-
 /// Runs all four steps, keeping the intermediate artifacts (raw table,
-/// clusters, statistics). The Fig. 6 harness prints these stages.
-pub fn run_full<P: Prober>(prober: &mut P, cfg: &ProbeConfig) -> Result<Inference, McTopError> {
-    let (raw, stats) = probe::collect(prober, cfg)?;
-    finish_inference(prober, cfg, raw, stats)
-}
-
-/// [`run_full`] with parallel collection (see [`probe::collect_parallel`]).
-pub fn run_full_jobs<P: Prober + Send>(
+/// clusters, statistics; the Fig. 6 harness prints these stages). The
+/// collection phase is spread over `jobs` forked probers measuring
+/// disjoint pairs ([`probe::collect_parallel`]): the output is
+/// byte-identical for every `jobs`, and `jobs <= 1` runs the
+/// sequential loop.
+pub fn run_full<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
     jobs: usize,
 ) -> Result<Inference, McTopError> {
     let (raw, stats) = probe::collect_parallel(prober, cfg, jobs)?;
-    finish_inference(prober, cfg, raw, stats)
-}
-
-/// Steps 2-4 plus validation, shared by the sequential and parallel
-/// entry points.
-fn finish_inference<P: Prober>(
-    prober: &mut P,
-    cfg: &ProbeConfig,
-    raw: table::LatencyTable,
-    stats: probe::ProbeStats,
-) -> Result<Inference, McTopError> {
     // Step 2: clusters + normalized table.
     let clusters = cluster::cluster(&raw.upper_triangle(), &cfg.cluster)?;
     let norm = cluster::normalize(&raw, &clusters);

@@ -49,8 +49,9 @@ use crate::error::McTopError;
 ///
 /// Implementations: [`crate::backend::SimProber`] over a simulated
 /// machine, and [`crate::host::HostProber`] over the real machine the
-/// process runs on (Linux only).
-pub trait Prober {
+/// process runs on (Linux only). Probers are [`Send`]:
+/// [`collect_parallel`] moves forks onto measurement threads.
+pub trait Prober: Send {
     /// Number of schedulable hardware contexts.
     fn num_hwcs(&self) -> usize;
 
@@ -505,7 +506,7 @@ pub fn collect<P: Prober>(
 /// the simulated backend's DVFS factor is saturated by warm-up and
 /// inherited by every fork. Backends whose [`Prober::fork`] returns
 /// `None` (and `jobs <= 1`) fall back to the sequential loop.
-pub fn collect_parallel<P: Prober + Send>(
+pub fn collect_parallel<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
     jobs: usize,
@@ -907,7 +908,7 @@ fn run_phase_inline<P: Prober>(
 /// a context (the measurement-isolation property the schedule exists
 /// for). Worker outputs are merged into schedule order and per-round
 /// worker maxima feed the critical-path accounting.
-fn run_phase_threaded<P: Prober + Send>(
+fn run_phase_threaded<P: Prober>(
     forks: &mut [P],
     cfg: &ProbeConfig,
     rounds: &[Vec<(usize, usize)>],
@@ -1383,18 +1384,27 @@ mod tests {
 
     #[test]
     fn parallel_critical_path_shrinks_with_jobs() {
-        let spec = presets::ivy();
         let cfg = ProbeConfig {
             reps: 9,
             ..ProbeConfig::fast()
         };
-        let (_, seq) = collect(&mut SimProber::noiseless(&spec), &cfg).unwrap();
-        let (_, par) = collect_parallel(&mut SimProber::noiseless(&spec), &cfg, 8).unwrap();
-        assert_eq!(seq.modeled_cycles(), par.modeled_cycles());
-        let speedup = seq.critical_cycles as f64 / par.critical_cycles as f64;
-        // 20 disjoint pairs per round over 8 workers: ceil(20/8) = 3
-        // slots per round vs 20 sequentially — ≥ 4x on the critical path.
-        assert!(speedup >= 4.0, "modeled speedup {speedup}");
+        // Ivy, plus every paper platform with at least 64 contexts.
+        for spec in [
+            presets::ivy(),
+            presets::haswell(),
+            presets::westmere(),
+            presets::sparc(),
+        ] {
+            let (_, seq) = collect(&mut SimProber::noiseless(&spec), &cfg).unwrap();
+            let (_, par) = collect_parallel(&mut SimProber::noiseless(&spec), &cfg, 8).unwrap();
+            assert_eq!(seq.modeled_cycles(), par.modeled_cycles());
+            let speedup = seq.critical_cycles as f64 / par.critical_cycles as f64;
+            // Ivy: 20 disjoint pairs per round over 8 workers is
+            // ceil(20/8) = 3 slots per round vs 20 sequentially; the
+            // larger machines have longer rounds — ≥ 4x on the critical
+            // path everywhere.
+            assert!(speedup >= 4.0, "{}: modeled speedup {speedup}", spec.name);
+        }
     }
 
     #[test]

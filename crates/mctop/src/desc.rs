@@ -129,7 +129,7 @@ impl Serialize for DescFileRef<'_> {
 /// The probe configuration of the canonical regeneration path: few
 /// repetitions (the noiseless oracle returns identical samples, so the
 /// median is exact) with the default acceptance thresholds.
-pub fn canonical_probe_config() -> ProbeConfig {
+fn canonical_probe_config() -> ProbeConfig {
     ProbeConfig {
         reps: 3,
         ..ProbeConfig::fast()
@@ -143,10 +143,10 @@ pub fn canonical_probe_config() -> ProbeConfig {
 /// at or above.
 pub const MESH_SCALE_SOCKETS: usize = 32;
 
-/// The canonical probe configuration *for a machine*: the plain
-/// [`canonical_probe_config`] for cache-coherent boxes, and the
-/// mesh-scale variant for NoC-scale machines ([`MESH_SCALE_SOCKETS`]+
-/// sockets).
+/// The canonical probe configuration *for a machine*: three
+/// repetitions of [`ProbeConfig::fast`] for cache-coherent boxes, and
+/// the mesh-scale variant for NoC-scale machines
+/// ([`MESH_SCALE_SOCKETS`]+ sockets).
 ///
 /// The mesh-scale variant differs in two ways:
 ///
@@ -182,27 +182,13 @@ pub fn canonical_probe_config_for(spec: &mcsim::MachineSpec) -> ProbeConfig {
 
 /// Deterministically infers and enriches the canonical topology of a
 /// simulated machine: the exact content of the committed
-/// `descs/<name>.mct.json`. Noiseless probing, [`canonical_probe_config`],
-/// all enrichment plugins, nominal frequency attached.
+/// `descs/<name>.mct.json`. Noiseless probing,
+/// [`canonical_probe_config_for`], all enrichment plugins, nominal
+/// frequency attached.
 pub fn canonical(spec: &mcsim::MachineSpec) -> Result<(Mctop, Provenance), McTopError> {
-    canonical_jobs(spec, 1)
-}
-
-/// [`canonical`] with the collection phase spread over `jobs` workers.
-///
-/// The collection determinism contract
-/// ([`crate::alg::probe::collect_parallel`]) guarantees the result is
-/// byte-for-byte the same for every `jobs` value, so the worker count
-/// is a pure wall-clock knob: `mct regen-descs` may use all cores and
-/// still reproduce the committed `descs/` files exactly. It is
-/// deliberately *not* recorded in the provenance header.
-pub fn canonical_jobs(
-    spec: &mcsim::MachineSpec,
-    jobs: usize,
-) -> Result<(Mctop, Provenance), McTopError> {
     let cfg = canonical_probe_config_for(spec);
     let mut prober = SimProber::noiseless(spec);
-    let mut topo = crate::alg::run_jobs(&mut prober, &cfg, jobs)?;
+    let mut topo = crate::infer(&mut prober, &cfg)?;
     let mut mem = SimEnricher::new(spec);
     let mut pow = SimEnricher::new(spec);
     enrich_all(&mut topo, &mut mem, &mut pow)?;
@@ -213,12 +199,7 @@ pub fn canonical_jobs(
 
 /// [`canonical`] rendered as description-file text.
 pub fn canonical_string(spec: &mcsim::MachineSpec) -> Result<String, McTopError> {
-    canonical_string_jobs(spec, 1)
-}
-
-/// [`canonical_jobs`] rendered as description-file text.
-pub fn canonical_string_jobs(spec: &mcsim::MachineSpec, jobs: usize) -> Result<String, McTopError> {
-    let (topo, prov) = canonical_jobs(spec, jobs)?;
+    let (topo, prov) = canonical(spec)?;
     to_string(&topo, &prov)
 }
 
@@ -324,7 +305,7 @@ mod tests {
     fn infer_with_header(spec: &mcsim::MachineSpec) -> (Mctop, Provenance) {
         let mut p = SimProber::noiseless(spec);
         let cfg = canonical_probe_config();
-        let topo = crate::alg::run(&mut p, &cfg).unwrap();
+        let topo = crate::infer(&mut p, &cfg).unwrap();
         let prov = Provenance::new(&spec.name, &cfg, None, false);
         (topo, prov)
     }

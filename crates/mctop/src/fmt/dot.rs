@@ -139,7 +139,7 @@ mod tests {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        let mut topo = crate::alg::run(&mut p, &cfg).unwrap();
+        let mut topo = crate::infer(&mut p, &cfg).unwrap();
         let mut e = SimEnricher::new(spec);
         let mut pw = SimEnricher::new(spec);
         enrich_all(&mut topo, &mut e, &mut pw).unwrap();

@@ -90,7 +90,7 @@ mod tests {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        let topo = crate::alg::run(&mut p, &cfg).unwrap();
+        let topo = crate::infer(&mut p, &cfg).unwrap();
         let text = render(&topo);
         assert!(text.contains("synth-small"));
         assert!(text.contains("socket"));

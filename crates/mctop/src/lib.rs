@@ -90,17 +90,5 @@ pub use view::TopoView;
 /// enrich the result with [`enrich`] plugins and persist it with
 /// [`desc::save`].
 pub fn infer<P: Prober>(prober: &mut P, cfg: &ProbeConfig) -> Result<Mctop, McTopError> {
-    alg::run(prober, cfg)
-}
-
-/// [`infer`] with the collection phase spread over `jobs` forked
-/// probers measuring disjoint context pairs concurrently (Section 3.5).
-/// Deterministic: the result is byte-identical to [`infer`] for every
-/// `jobs` value.
-pub fn infer_jobs<P: Prober + Send>(
-    prober: &mut P,
-    cfg: &ProbeConfig,
-    jobs: usize,
-) -> Result<Mctop, McTopError> {
-    alg::run_jobs(prober, cfg, jobs)
+    Ok(alg::run_full(prober, cfg, 1)?.topology)
 }

@@ -103,23 +103,18 @@ mod tests {
         enrich_all,
         SimEnricher, //
     };
-    use crate::model::Mctop;
 
-    fn enriched(spec: &mcsim::MachineSpec) -> Mctop {
+    fn view(spec: &mcsim::MachineSpec) -> TopoView {
         let mut p = SimProber::noiseless(spec);
         let cfg = ProbeConfig {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        let mut t = crate::alg::run(&mut p, &cfg).unwrap();
+        let mut t = crate::infer(&mut p, &cfg).unwrap();
         let mut e = SimEnricher::new(spec);
         let mut pw = SimEnricher::new(spec);
         enrich_all(&mut t, &mut e, &mut pw).unwrap();
-        t
-    }
-
-    fn view(spec: &mcsim::MachineSpec) -> TopoView {
-        TopoView::build(&enriched(spec)).unwrap()
+        TopoView::from(t)
     }
 
     #[test]
@@ -163,7 +158,7 @@ mod tests {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        let bare = TopoView::build(&crate::alg::run(&mut p, &cfg).unwrap()).unwrap();
+        let bare = TopoView::from(crate::infer(&mut p, &cfg).unwrap());
         assert!(two_sockets_max_bandwidth(&bare).is_none());
         let v = view(&spec);
         let (a, b) = two_sockets_max_bandwidth(&v).unwrap();

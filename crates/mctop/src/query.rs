@@ -169,7 +169,7 @@ mod tests {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        crate::alg::run(&mut p, &cfg).unwrap()
+        crate::infer(&mut p, &cfg).unwrap()
     }
 
     #[test]

@@ -860,11 +860,6 @@ impl TopoView {
         }
     }
 
-    /// Builds a view from a borrowed topology (clones it into the view).
-    pub fn build(topo: &Mctop) -> Result<TopoView, McTopError> {
-        Self::try_new(Arc::new(topo.clone()))
-    }
-
     /// Like [`TopoView::new`], but fails on topologies without a socket
     /// level instead of falling back to the intra-socket estimate.
     pub fn try_new(topo: Arc<Mctop>) -> Result<TopoView, McTopError> {
@@ -1082,23 +1077,23 @@ mod tests {
         SimEnricher, //
     };
 
-    fn enriched(spec: &mcsim::MachineSpec) -> Mctop {
+    fn enriched(spec: &mcsim::MachineSpec) -> Arc<Mctop> {
         let mut p = SimProber::noiseless(spec);
         let cfg = ProbeConfig {
             reps: 3,
             ..ProbeConfig::fast()
         };
-        let mut t = crate::alg::run(&mut p, &cfg).unwrap();
+        let mut t = crate::infer(&mut p, &cfg).unwrap();
         let mut e = SimEnricher::new(spec);
         let mut pw = SimEnricher::new(spec);
         enrich_all(&mut t, &mut e, &mut pw).unwrap();
-        t
+        Arc::new(t)
     }
 
     #[test]
     fn view_matches_naive_on_opteron() {
         let t = enriched(&mcsim::presets::opteron());
-        let v = TopoView::build(&t).unwrap();
+        let v = TopoView::new(Arc::clone(&t));
         for a in 0..t.num_sockets() {
             assert_eq!(v.closest_sockets(a), &t.closest_sockets(a)[..]);
             for b in 0..t.num_sockets() {
@@ -1128,7 +1123,7 @@ mod tests {
     #[test]
     fn per_context_tables_match_model() {
         let t = enriched(&mcsim::presets::ivy());
-        let v = TopoView::build(&t).unwrap();
+        let v = TopoView::new(Arc::clone(&t));
         for h in 0..t.num_hwcs() {
             assert_eq!(v.socket_of(h), t.socket_of(h));
             assert_eq!(v.core_of(h), t.hwcs[h].core);
@@ -1144,7 +1139,7 @@ mod tests {
     #[test]
     fn deref_exposes_model_accessors() {
         let t = enriched(&mcsim::presets::single_socket());
-        let v = TopoView::build(&t).unwrap();
+        let v = TopoView::new(Arc::clone(&t));
         assert_eq!(v.num_sockets(), 1);
         assert!(v.closest_sockets(0).is_empty());
         assert_eq!(v.min_latency_socket_pair(), None);
@@ -1153,7 +1148,7 @@ mod tests {
 
     #[test]
     fn missing_socket_level_is_an_error() {
-        let mut t = enriched(&mcsim::presets::single_socket());
+        let mut t = Mctop::clone(&enriched(&mcsim::presets::single_socket()));
         t.levels = t
             .levels
             .iter()
@@ -1161,12 +1156,13 @@ mod tests {
             .copied()
             .collect();
         assert!(t.socket_level_index().is_none());
+        let t = Arc::new(t);
         assert!(matches!(
-            TopoView::build(&t),
+            TopoView::try_new(Arc::clone(&t)),
             Err(McTopError::MissingLevel { .. })
         ));
         // The infallible constructor degrades to the best intra level.
-        let v = TopoView::new(Arc::new(t));
+        let v = TopoView::new(t);
         assert!(v.socket_level().is_none());
         assert!(v.intra_socket_latency() > 0);
     }
@@ -1174,7 +1170,7 @@ mod tests {
     #[test]
     fn dense_matrices_build_lazily() {
         let t = enriched(&mcsim::presets::opteron());
-        let v = TopoView::build(&t).unwrap();
+        let v = TopoView::new(Arc::clone(&t));
         assert_eq!(v.backend(), ViewBackend::Dense);
         let fresh = v.resident_bytes();
         // The diagonal comes from the model, not from an S×S matrix.
@@ -1194,7 +1190,7 @@ mod tests {
     #[test]
     fn sparse_backend_matches_dense_on_small_machines() {
         for spec in [mcsim::presets::opteron(), mcsim::presets::westmere()] {
-            let t = Arc::new(enriched(&spec));
+            let t = enriched(&spec);
             let dense = TopoView::with_backend(Arc::clone(&t), ViewBackend::Dense);
             let sparse = TopoView::with_backend(Arc::clone(&t), ViewBackend::Sparse);
             assert_eq!(sparse.backend(), ViewBackend::Sparse);

@@ -280,9 +280,12 @@ fn oversized_length_prefix_is_cut_off() {
     let mut hello_ok = [0u8; 7];
     raw.read_exact(&mut hello_ok).unwrap();
 
-    // A hostile length prefix: 4 GiB frame incoming, allegedly.
-    raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    raw.write_all(&[0u8; 64]).unwrap();
+    // A hostile length prefix: 4 GiB frame incoming, allegedly. One
+    // write: the daemon hangs up as soon as it has read the prefix, and
+    // a second write would race that close (EPIPE).
+    let mut hostile = u32::MAX.to_le_bytes().to_vec();
+    hostile.extend_from_slice(&[0u8; 64]);
+    raw.write_all(&hostile).unwrap();
     let payload = wire::read_frame(&mut raw).unwrap().unwrap();
     match wire::decode_response(&payload).unwrap() {
         Response::Err { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),

@@ -20,7 +20,7 @@ use mctop_locks::LockAlgo;
 
 fn main() {
     // --- Real execution on this machine --------------------------------
-    // Contenders run on a placement-pinned pool over the shipped ivy
+    // Contenders run on a placement-pinned executor over the shipped ivy
     // description (SEQUENTIAL: slot i -> context i, which maps onto the
     // host CPUs where they exist), not on bare unpinned threads.
     let view = mctop::Registry::shipped()
@@ -30,15 +30,13 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(2)
         .min(view.num_hwcs());
-    let place = std::sync::Arc::new(
-        mctop_place::Placement::with_view(
-            &view,
-            mctop_place::Policy::Sequential,
-            mctop_place::PlaceOpts::threads(threads),
-        )
-        .expect("SEQUENTIAL placement"),
-    );
-    let pool = mctop_runtime::WorkerPool::new(place);
+    let place = mctop_place::Placement::with_view(
+        &view,
+        mctop_place::Policy::Sequential,
+        mctop_place::PlaceOpts::threads(threads),
+    )
+    .expect("SEQUENTIAL placement");
+    let exec = mctop_runtime::Executor::new(&view, &place);
     let cfg = HarnessCfg {
         cs_work: 1000,
         noncs_work: 600,
@@ -46,9 +44,9 @@ fn main() {
     };
     println!("host: {threads} placement-pinned threads, 1000-cycle critical sections");
     for algo in LockAlgo::ALL {
-        let base = run(&pool, algo, BackoffCfg::none(), &cfg);
+        let base = run(&exec, algo, BackoffCfg::none(), &cfg);
         let educated = run(
-            &pool,
+            &exec,
             algo,
             BackoffCfg {
                 quantum_cycles: 300,

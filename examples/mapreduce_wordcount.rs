@@ -23,15 +23,15 @@ use mctop_place::{
 fn main() {
     // Load the topology from the shipped description library instead of
     // re-running inference (Section 2: infer once, load everywhere).
-    let topo = Registry::shipped()
-        .topo("synth-small")
+    let view = Registry::shipped()
+        .view("synth-small")
         .expect("shipped description");
 
     let text = gen_text(20_000, 50, 20_000, 7);
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(2)
-        .min(topo.num_hwcs());
+        .min(view.num_hwcs());
     println!("word count: {} lines, {threads} workers", text.len());
 
     for policy in [
@@ -40,7 +40,8 @@ fn main() {
         Policy::RrCore,
         Policy::BalanceHwc,
     ] {
-        let place = Placement::new(&topo, policy, PlaceOpts::threads(threads)).expect("place");
+        let place =
+            Placement::with_view(&view, policy, PlaceOpts::threads(threads)).expect("place");
         let t = Instant::now();
         let out = run_job(&WordCount, &text, &place, &EngineCfg::default());
         println!(

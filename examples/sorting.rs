@@ -6,6 +6,12 @@
 use std::time::Instant;
 
 use mctop::Registry;
+use mctop_place::{
+    PlaceOpts,
+    Placement,
+    Policy, //
+};
+use mctop_runtime::Executor;
 use rand::rngs::SmallRng;
 use rand::{
     Rng,
@@ -22,7 +28,14 @@ fn main() {
 
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
-        .unwrap_or(2);
+        .unwrap_or(2)
+        .min(view.num_hwcs());
+    // Fig. 7: place the threads (RR, to use every socket's LLC), pin a
+    // team to the placement once, then sort on it as often as needed.
+    let place = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(threads))
+        .expect("RR placement");
+    let exec = Executor::new(&view, &place);
+    let mut scratch = mctop_sort::SortScratch::new();
     let mut rng = SmallRng::seed_from_u64(1);
     let data: Vec<u32> = (0..4 << 20).map(|_| rng.gen()).collect();
     println!(
@@ -38,12 +51,12 @@ fn main() {
 
     let mut b = data.clone();
     let t = Instant::now();
-    mctop_sort::mctop_sort_with_view(&mut b, &view, threads, 0);
+    mctop_sort::mctop_sort_on(&exec, &mut b, &view, 0, &mut scratch);
     println!("  mctop_sort        : {:?}", t.elapsed());
 
     let mut c = data;
     let t = Instant::now();
-    mctop_sort::mctop_sort_sse_with_view(&mut c, &view, threads, 0);
+    mctop_sort::mctop_sort_sse_on(&exec, &mut c, &view, 0, &mut scratch);
     println!("  mctop_sort_sse    : {:?}", t.elapsed());
     assert_eq!(a, b);
     assert_eq!(b, c);
@@ -56,8 +69,8 @@ fn main() {
     println!("\nFig. 9 model (1 GB of integers, 16 threads):");
     let cfg = SortModelCfg::default();
     for spec in mcsim::presets::all_paper_platforms() {
-        let t = registry.topo(&spec.name).expect("shipped description");
-        let col = fig9_column(&spec, &t, 16, &cfg);
+        let v = registry.view(&spec.name).expect("shipped description");
+        let col = fig9_column(&spec, &v, 16, &cfg);
         let cells: Vec<String> = col
             .iter()
             .map(|(a, tt)| format!("{} {:.2}s", a.name(), tt.total()))

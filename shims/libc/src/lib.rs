@@ -48,6 +48,8 @@ mod tests {
 
     #[test]
     fn cpu_set_bit_math() {
+        // SAFETY: `cpu_set_t` is a plain `[u64; 16]` bit mask; all-zero
+        // is a valid value, the empty set.
         let mut set: cpu_set_t = unsafe { std::mem::zeroed() };
         CPU_SET(3, &mut set);
         CPU_SET(130, &mut set);

@@ -3,32 +3,32 @@
 
 use std::sync::Arc;
 
+use mctop::TopoView;
 use mctop_place::{
     PlaceOpts,
     Placement,
     Policy, //
 };
+use mctop_runtime::{
+    ExecCfg,
+    Executor, //
+};
 
-/// The canonical enriched topology of a preset, loaded from the shipped
-/// description library (inference ran once, at `mct regen-descs` time).
-fn enriched(spec: &mcsim::MachineSpec) -> mctop::Mctop {
-    (*mctop::Registry::shipped()
-        .topo(&spec.name)
-        .expect("preset is in the shipped library"))
-    .clone()
+/// The view over the canonical enriched topology of a preset, loaded
+/// from the shipped description library (inference ran once, at
+/// `mct regen-descs` time).
+fn enriched(spec: &mcsim::MachineSpec) -> Arc<TopoView> {
+    mctop::Registry::shipped()
+        .view(&spec.name)
+        .expect("preset is in the shipped library")
 }
 
 #[test]
 fn locks_use_topology_quanta_and_stay_correct() {
-    let topo = enriched(&mcsim::presets::synthetic_small());
+    let view = enriched(&mcsim::presets::synthetic_small());
     // The educated quantum for the whole machine.
-    let backoff = mctop_locks::BackoffCfg::from_mctop_all(&topo);
-    let view = mctop::view::TopoView::new(std::sync::Arc::new(topo.clone()));
-    let hwcs: Vec<usize> = (0..topo.num_hwcs()).collect();
-    assert_eq!(
-        mctop_locks::BackoffCfg::from_view(&view, &hwcs),
-        mctop_locks::BackoffCfg::from_mctop(&topo, &hwcs)
-    );
+    let hwcs: Vec<usize> = (0..view.num_hwcs()).collect();
+    let backoff = mctop_locks::BackoffCfg::from_view(&view, &hwcs);
     assert_eq!(backoff.quantum_cycles, 290);
     for algo in mctop_locks::LockAlgo::ALL {
         let lock = algo.build(backoff);
@@ -58,9 +58,11 @@ fn sort_on_inferred_topology_of_each_small_machine() {
         mcsim::presets::synthetic_small(),
         mcsim::presets::clustered_l2(),
     ] {
-        let topo = enriched(&spec);
+        let view = enriched(&spec);
+        let place = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(6)).unwrap();
+        let exec = Executor::new(&view, &place);
         let mut v = data.clone();
-        mctop_sort::mctop_sort(&mut v, &topo, 6, 1);
+        mctop_sort::mctop_sort_on(&exec, &mut v, &view, 1, &mut mctop_sort::SortScratch::new());
         assert!(v.windows(2).all(|w| w[0] <= w[1]), "{}", spec.name);
         assert_eq!(v.len(), data.len());
     }
@@ -68,10 +70,10 @@ fn sort_on_inferred_topology_of_each_small_machine() {
 
 #[test]
 fn mapreduce_results_independent_of_placement_policy() {
-    let topo = enriched(&mcsim::presets::synthetic_small());
+    let view = enriched(&mcsim::presets::synthetic_small());
     let text = mctop_mapred::workloads::gen_text(800, 25, 500, 3);
     let reference = {
-        let place = Placement::new(&topo, Policy::Sequential, PlaceOpts::threads(2)).unwrap();
+        let place = Placement::with_view(&view, Policy::Sequential, PlaceOpts::threads(2)).unwrap();
         mctop_mapred::engine::run_job(
             &mctop_mapred::workloads::WordCount,
             &text,
@@ -80,7 +82,7 @@ fn mapreduce_results_independent_of_placement_policy() {
         )
     };
     for policy in [Policy::ConHwc, Policy::RrCore, Policy::BalanceCore] {
-        let place = Placement::new(&topo, policy, PlaceOpts::threads(6)).unwrap();
+        let place = Placement::with_view(&view, policy, PlaceOpts::threads(6)).unwrap();
         let out = mctop_mapred::engine::run_job(
             &mctop_mapred::workloads::WordCount,
             &text,
@@ -93,9 +95,9 @@ fn mapreduce_results_independent_of_placement_policy() {
 
 #[test]
 fn omp_kernels_agree_across_policies() {
-    let topo = Arc::new(enriched(&mcsim::presets::synthetic_small()));
+    let view = enriched(&mcsim::presets::synthetic_small());
     let g = mctop_omp::graph::Graph::synthetic(2000, 6, 5);
-    let rt = mctop_omp::OmpRuntime::new(Arc::clone(&topo), 4);
+    let rt = mctop_omp::OmpRuntime::new(Arc::clone(view.topo()), 4);
     rt.set_binding_policy(Policy::ConCoreHwc).unwrap();
     let d1 = mctop_omp::workloads::hop_distance(&rt, &g, 0);
     rt.set_binding_policy(Policy::BalanceHwc).unwrap();
@@ -109,15 +111,13 @@ fn omp_kernels_agree_across_policies() {
 
 #[test]
 fn work_stealing_follows_inferred_latencies() {
-    let topo = enriched(&mcsim::presets::clustered_l2());
+    let view = enriched(&mcsim::presets::clustered_l2());
     // Workers: SMT pair of core 0, its L2-cluster partner core, a
     // far core, a remote socket.
-    let socket0 = topo.socket_get_hwcs(0).to_vec();
-    let remote = topo.socket_get_hwcs(1)[0];
+    let socket0 = view.socket_get_hwcs(0).to_vec();
+    let remote = view.socket_get_hwcs(1)[0];
     let workers = vec![socket0[0], socket0[1], socket0[2], remote];
-    let order = mctop_runtime::StealOrder::compute(&topo, &workers);
-    let view = mctop::view::TopoView::new(std::sync::Arc::new(topo.clone()));
-    assert_eq!(mctop_runtime::StealOrder::with_view(&view, &workers), order);
+    let order = mctop_runtime::StealOrder::with_view(&view, &workers);
     // Closest victim of worker 0 is whatever has the lowest latency —
     // must not be the remote socket.
     assert_ne!(order.victims(0)[0], 3);
@@ -126,11 +126,14 @@ fn work_stealing_follows_inferred_latencies() {
 
 #[test]
 fn runtime_pool_runs_on_placement_of_inferred_topology() {
-    let topo = Arc::new(enriched(&mcsim::presets::no_smt_small()));
-    let place =
-        Arc::new(Placement::new(&topo, Policy::BalanceCore, PlaceOpts::threads(4)).unwrap());
-    let pool = mctop_runtime::WorkerPool::new(place).without_os_pinning();
-    let sockets = pool.run(|ctx| ctx.socket());
+    let view = enriched(&mcsim::presets::no_smt_small());
+    let place = Placement::with_view(&view, Policy::BalanceCore, PlaceOpts::threads(4)).unwrap();
+    let cfg = ExecCfg {
+        workers: None,
+        os_pin: false,
+    };
+    let exec = Executor::with_cfg(Some(&view), &place, cfg);
+    let sockets = exec.run(|ctx| ctx.socket());
     // BALANCE over 2 sockets: two workers each.
     assert_eq!(sockets.iter().filter(|&&s| s == 0).count(), 2);
     assert_eq!(sockets.iter().filter(|&&s| s == 1).count(), 2);

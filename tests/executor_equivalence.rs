@@ -151,11 +151,6 @@ proptest! {
             mctop_sort::mctop_sort_kernel_on(&exec, &mut forced, &view, 0, &mut scratch, table);
             prop_assert_eq!(&forced, &reference, "kernel {} diverged", table.name);
         }
-
-        // The transient-executor convenience path agrees too.
-        let mut with_view = data;
-        mctop_sort::mctop_sort_with_view(&mut with_view, &view, workers, 0);
-        prop_assert_eq!(&with_view, &reference, "with_view path diverged");
     }
 
     /// Executor-backed MapReduce keeps the engine's full ordering

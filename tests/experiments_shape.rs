@@ -30,17 +30,17 @@ fn fig8_ticket_wins_most_on_every_platform() {
 #[test]
 fn fig9_mctop_sort_beats_gnu_everywhere() {
     use mctop_sort::model::{
-        predict,
+        predict_with_view,
         SortAlgo,
         SortModelCfg, //
     };
     let cfg = SortModelCfg::default();
     let mut merge_ratios = Vec::new();
     for spec in mcsim::presets::all_paper_platforms() {
-        let topo = enriched_topology(&spec);
+        let view = mctop_bench::enriched_view(&spec);
         for threads in [16usize, spec.total_hwcs()] {
-            let gnu = predict(&spec, &topo, SortAlgo::Gnu, threads, &cfg);
-            let mc = predict(&spec, &topo, SortAlgo::Mctop, threads, &cfg);
+            let gnu = predict_with_view(&spec, &view, SortAlgo::Gnu, threads, &cfg);
+            let mc = predict_with_view(&spec, &view, SortAlgo::Mctop, threads, &cfg);
             assert!(mc.total() < gnu.total(), "{} {threads}", spec.name);
             merge_ratios.push(gnu.merge_s / mc.merge_s);
         }

@@ -131,15 +131,16 @@ fn placement_works_on_every_platform_and_policy() {
         let mut mem = SimEnricher::new(&spec);
         let mut pow = SimEnricher::new(&spec);
         enrich_all(&mut topo, &mut mem, &mut pow).unwrap();
+        let view = mctop::TopoView::from(topo);
         for policy in Policy::ALL {
-            let res = Placement::new(&topo, policy, PlaceOpts::default());
+            let res = Placement::with_view(&view, policy, PlaceOpts::default());
             match policy {
                 Policy::Power if !spec.power.has_rapl => continue,
                 _ => {}
             }
             let place = res.unwrap_or_else(|e| panic!("{} {}: {e}", spec.name, policy.name()));
             // No duplicate contexts; all in range.
-            let mut seen = vec![false; topo.num_hwcs()];
+            let mut seen = vec![false; view.num_hwcs()];
             for &h in place.order() {
                 assert!(!seen[h], "{} {}: duplicate {h}", spec.name, policy.name());
                 seen[h] = true;

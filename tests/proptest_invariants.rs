@@ -1,6 +1,8 @@
 //! Property-based tests: MCTOP-ALG inverts arbitrary machine shapes,
 //! and placements respect their invariants for arbitrary requests.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use mcsim::machine::IntraLevel;
@@ -17,6 +19,7 @@ use mctop::backend::SimProber;
 use mctop::view::TopoView;
 use mctop::AdaptiveCfg;
 use mctop::McTopError;
+use mctop::Mctop;
 use mctop::ProbeConfig;
 use mctop_place::{
     PlaceOpts,
@@ -185,9 +188,9 @@ proptest! {
     fn placement_invariants(spec in arb_spec(), threads in 1usize..=24, policy_idx in 0usize..12) {
         let mut p = SimProber::noiseless(&spec);
         let cfg = ProbeConfig { reps: 3, ..ProbeConfig::fast() };
-        let topo = mctop::infer(&mut p, &cfg).expect("inference");
+        let topo = TopoView::from(mctop::infer(&mut p, &cfg).expect("inference"));
         let policy = Policy::ALL[policy_idx];
-        let res = Placement::new(&topo, policy, PlaceOpts { n_threads: Some(threads), n_sockets: None });
+        let res = Placement::with_view(&topo, policy, PlaceOpts { n_threads: Some(threads), n_sockets: None });
         match res {
             Ok(place) => {
                 prop_assert_eq!(place.order().len(), threads);
@@ -218,9 +221,9 @@ proptest! {
     fn backoff_quantum_is_max_latency(spec in arb_spec(), pick in prop::collection::vec(any::<u16>(), 2..6)) {
         let mut p = SimProber::noiseless(&spec);
         let cfg = ProbeConfig { reps: 3, ..ProbeConfig::fast() };
-        let topo = mctop::infer(&mut p, &cfg).expect("inference");
+        let topo = TopoView::from(mctop::infer(&mut p, &cfg).expect("inference"));
         let hwcs: Vec<usize> = pick.iter().map(|&x| x as usize % topo.num_hwcs()).collect();
-        let q = mctop_locks::BackoffCfg::from_mctop(&topo, &hwcs).quantum_cycles;
+        let q = mctop_locks::BackoffCfg::from_view(&topo, &hwcs).quantum_cycles;
         let topo_ref = &topo;
         let max = hwcs
             .iter()
@@ -261,8 +264,8 @@ proptest! {
                     mctop::enrich::enrich_all(&mut t, &mut mem, &mut pow).expect("enrichment");
                     t
                 };
-                let view = TopoView::build(&inferred).expect("inferred topologies have a socket level");
-                let topo = &inferred;
+                let view = TopoView::try_new(Arc::new(inferred)).expect("inferred topologies have a socket level");
+                let topo: &Mctop = view.topo();
                 let s = topo.num_sockets();
                 prop_assert_eq!(view.socket_level(), topo.socket_level_index());
                 prop_assert_eq!(view.intra_socket_latency(), topo.intra_socket_latency());
@@ -334,9 +337,11 @@ proptest! {
         let spec = mcsim::presets::synthetic_small();
         let mut p = SimProber::noiseless(&spec);
         let cfg = ProbeConfig { reps: 3, ..ProbeConfig::fast() };
-        let topo = mctop::infer(&mut p, &cfg).expect("inference");
+        let view = TopoView::from(mctop::infer(&mut p, &cfg).expect("inference"));
+        let place = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(threads)).expect("RR placement");
+        let exec = mctop_runtime::Executor::new(&view, &place);
         let mut v = data.clone();
-        mctop_sort::mctop_sort(&mut v, &topo, threads, 0);
+        mctop_sort::mctop_sort_on(&exec, &mut v, &view, 0, &mut mctop_sort::SortScratch::new());
         let mut expected = data;
         expected.sort_unstable();
         prop_assert_eq!(v, expected);
