@@ -189,6 +189,7 @@ pub struct ServerCounters {
     pub(crate) req_reload: AtomicU64,
     pub(crate) req_shutdown: AtomicU64,
     pub(crate) batches: AtomicU64,
+    pub(crate) inline_batches: AtomicU64,
     pub(crate) ok_responses: AtomicU64,
     pub(crate) error_responses: AtomicU64,
     pub(crate) protocol_errors: AtomicU64,
@@ -388,6 +389,12 @@ impl Metrics {
         add(&self.server.batches, 1);
     }
 
+    /// A batch counted by [`Metrics::record_server_batch`] was answered
+    /// on the connection thread: no executor scope, no task.
+    pub fn record_inline_batch(&self) {
+        add(&self.server.inline_batches, 1);
+    }
+
     /// An `Ok` response frame was written.
     pub fn record_ok_response(&self) {
         add(&self.server.ok_responses, 1);
@@ -439,6 +446,7 @@ impl Metrics {
             req_reload: get(&s.req_reload),
             req_shutdown: get(&s.req_shutdown),
             batches: get(&s.batches),
+            inline_batches: get(&s.inline_batches),
             ok_responses: get(&s.ok_responses),
             error_responses: get(&s.error_responses),
             protocol_errors: get(&s.protocol_errors),
@@ -564,6 +572,7 @@ impl Metrics {
             &s.req_reload,
             &s.req_shutdown,
             &s.batches,
+            &s.inline_batches,
             &s.ok_responses,
             &s.error_responses,
             &s.protocol_errors,
@@ -607,8 +616,14 @@ pub struct ServerSnapshot {
     pub req_reload: u64,
     /// `Shutdown` admin requests.
     pub req_shutdown: u64,
-    /// Pipelined batches executed (a batch is >= 1 request).
+    /// Pipelined batches executed (a batch is >= 1 request), on either
+    /// path.
     pub batches: u64,
+    /// Of those, the all-lookup batches answered on the connection
+    /// thread. The rest ran as one executor scope each:
+    /// `batches - inline_batches` equals `executor.scopes` when the
+    /// daemon's executor serves nothing else.
+    pub inline_batches: u64,
     /// `Ok` response frames written.
     pub ok_responses: u64,
     /// Typed error response frames written.
@@ -884,6 +899,8 @@ mod tests {
         m.record_conn_opened();
         m.record_hello_ok();
         m.record_server_batch();
+        m.record_server_batch();
+        m.record_inline_batch();
         for kind in [
             ServerRequestKind::List,
             ServerRequestKind::Query,
@@ -914,6 +931,7 @@ mod tests {
                 + s.req_shutdown
         );
         assert_eq!(s.req_query, 2);
+        assert_eq!((s.batches, s.inline_batches), (2, 1));
         assert_eq!(s.reloads, 1);
         assert_eq!(s.bytes_written, 250);
         // The serving bucket never leaks into the pinned runtime schema.

@@ -14,7 +14,8 @@
 //!   single source of the exact output text, which is what makes the
 //!   byte-identity guarantee hold by construction.
 //! - [`server`]: socket handling, the version handshake, request
-//!   batching onto the persistent [`mctop_runtime::Executor`], and the
+//!   batching (lookups answered where they arrive, everything else on
+//!   the persistent [`mctop_runtime::Executor`]), and the
 //!   graceful-degradation paths (version mismatch, malformed frames,
 //!   client disconnects, reloads, shutdown).
 //!

@@ -6,30 +6,43 @@
 //! - An **accept thread** owns the `UnixListener` and spawns one
 //!   handler thread per connection (I/O threads are cheap; they block
 //!   on `read`).
-//! - Request **execution** happens on the shared persistent
-//!   [`Executor`]: each decoded batch becomes one fork-join scope whose
-//!   tasks run on the placement-pinned worker team. I/O threads only
-//!   frame and copy bytes.
+//! - Request **execution** is decided per decoded batch, from the
+//!   request bytes alone (`execute_batch`). A batch in which *every*
+//!   request is a lookup — a `Query` named in [`eval::LOOKUP_QUERIES`]
+//!   (one number out of the view's tables), or a frame that touches no
+//!   view: `Reload`, `Shutdown`, a misplaced `Hello` — is answered on
+//!   the connection thread, in request order: the answer takes well
+//!   under a microsecond, a hand-over to a parked worker and back
+//!   takes several, and a lookup then never queues behind another
+//!   connection's heavy batch. Any other batch (`Placement`,
+//!   `AllocPlan`, `ListTopologies`, `MetricsSnapshot`, the list- and
+//!   block-valued queries, or a mix) goes whole to the shared
+//!   persistent [`Executor`] as one fork-join scope whose tasks run on
+//!   the placement-pinned worker team, which is what bounds how much
+//!   heavy work runs at once. Both paths call the same `answer`, so
+//!   bodies, error frames and counters do not depend on the path.
 //! - Topology state is the memoizing [`Registry`]: one
-//!   `Arc<TopoView>` per machine, handed to request tasks by clone.
+//!   `Arc<TopoView>` per machine, handed to each request by clone.
 //!   A `Reload` admin request swaps the cache ([`Registry::clear`]);
 //!   requests already holding an `Arc` finish on the old view, new
-//!   requests load fresh — no locks on the read path beyond the
+//!   requests load fresh (a lookup that misses pays the load on its
+//!   connection thread) — no locks on the read path beyond the
 //!   registry's read lock.
 //!
 //! # Degradation contract (verified by `tests/faults.rs`)
 //!
 //! - Protocol-version mismatch: typed error frame, connection closed.
-//! - Malformed frame: best-effort error frame, connection closed;
-//!   shared state untouched.
+//! - Malformed or oversized frame: the valid requests pipelined ahead
+//!   of it are answered, then a best-effort error frame, connection
+//!   closed; shared state untouched.
 //! - Client disconnect mid-request: the request is abandoned, the
 //!   handler exits, the server keeps serving everyone else.
 //! - Second daemon on a live socket: [`ServeError::AlreadyRunning`].
 //!   A *stale* socket file (no listener behind it) is removed and
 //!   rebound.
 //! - Shutdown with clients connected: in-flight batches are answered,
-//!   idle connections closed, every thread joined, socket file
-//!   removed.
+//!   idle connections closed, every thread joined, the loaded views
+//!   released, socket file removed.
 
 use std::io::{
     self,
@@ -306,7 +319,8 @@ impl ServerHandle {
     }
 
     /// Waits until the server has fully stopped: every connection
-    /// handler joined, the executor shut down, the socket file removed.
+    /// handler joined, the executor shut down, the loaded views released,
+    /// the socket file removed.
     pub fn join(mut self) {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
@@ -380,6 +394,12 @@ fn accept_loop(listener: UnixListener, state: Arc<State>) {
         let _ = h.join();
     }
     state.exec.shutdown();
+    // The views go now, freed by this thread, not whenever the caller
+    // drops its `ServerHandle`: a lookup's cold load grows the arena of
+    // the connection thread it ran on, and chunks freed by a long-lived
+    // caller stay in that caller's thread cache and pin those pages for
+    // good. A thread that exits hands its cache back to the arenas.
+    state.registry.clear();
     let _ = std::fs::remove_file(&state.socket_path);
 }
 
@@ -546,25 +566,15 @@ fn next_batch(
 ) -> Result<Option<Vec<Vec<u8>>>, ConnEnd> {
     let mut chunk = [0u8; READ_CHUNK];
     loop {
-        let (frames, err) = wire::drain_frames(acc);
-        if let Some(e) = err {
-            // Oversized length prefix: answer what was valid, then cut.
-            let _ = write_response(
-                state,
-                stream,
-                &err_frame(ErrorCode::MalformedFrame, e.to_string()),
-            );
-            // The valid prefix is dropped here (not executed): framing
-            // is already lost, and a client that overflows the length
-            // field gets no partial service.
-            let _ = frames;
-            return Err(ConnEnd::ProtocolError);
-        }
+        // An oversized length prefix stays at the front of `acc`: the
+        // frames ahead of it are served as a batch first, and the call
+        // after that finds the prefix alone and cuts the connection —
+        // whether it arrived in the blocking read or in the scoop.
+        let (mut frames, err) = wire::drain_frames(acc);
         if !frames.is_empty() {
             // Opportunistic scoop: grab frames that already arrived
             // without blocking, so a pipelined burst runs as one batch.
-            let mut frames = frames;
-            if stream.set_nonblocking(true).is_ok() {
+            if err.is_none() && stream.set_nonblocking(true).is_ok() {
                 loop {
                     match stream.read(&mut chunk) {
                         Ok(0) => break,
@@ -578,17 +588,17 @@ fn next_batch(
                     }
                 }
                 let _ = stream.set_nonblocking(false);
-                let (more, err) = wire::drain_frames(acc);
-                frames.extend(more);
-                if let Some(e) = err {
-                    // Serve the valid batch now; the poisoned tail cuts
-                    // the connection on the next call.
-                    acc.clear();
-                    acc.extend_from_slice(&(u32::MAX).to_le_bytes());
-                    let _ = e;
-                }
+                frames.extend(wire::drain_frames(acc).0);
             }
             return Ok(Some(frames));
+        }
+        if let Some(e) = err {
+            let _ = write_response(
+                state,
+                stream,
+                &err_frame(ErrorCode::MalformedFrame, e.to_string()),
+            );
+            return Err(ConnEnd::ProtocolError);
         }
         if state.shutting_down.load(Ordering::SeqCst) {
             return Ok(None);
@@ -613,13 +623,54 @@ fn next_batch(
     }
 }
 
-/// Runs one batch on the shared executor and returns the responses in
-/// request order, plus whether a `Shutdown` admin request was seen.
+/// Whether `req` is a lookup: an answer of constant, machine-independent
+/// cost that is cheaper to compute than to hand to a worker. The `Query`
+/// half of the list is [`eval::LOOKUP_QUERIES`]; the other frames here
+/// touch no view.
+fn is_lookup(req: &Request) -> bool {
+    match req {
+        Request::Query { query, .. } => eval::is_lookup_query(query),
+        Request::Reload | Request::Shutdown | Request::Hello { .. } => true,
+        Request::ListTopologies
+        | Request::Placement { .. }
+        | Request::AllocPlan { .. }
+        | Request::MetricsSnapshot => false,
+    }
+}
+
+/// Runs one batch and returns the responses in request order, plus
+/// whether a `Shutdown` admin request was seen. An all-lookup batch is
+/// answered here, on the connection thread; any other batch goes whole
+/// to the shared executor.
 fn execute_batch(state: &State, requests: &[Request]) -> (Vec<Response>, bool) {
     if requests.is_empty() {
         return (Vec::new(), false);
     }
     state.metrics.record_server_batch();
+    let responses = if requests.iter().all(is_lookup) {
+        state.metrics.record_inline_batch();
+        answer_inline(requests, |req| answer(state, req))
+    } else {
+        answer_scoped(state, requests)
+    };
+    let saw_shutdown = requests.iter().any(|r| matches!(r, Request::Shutdown));
+    (responses, saw_shutdown)
+}
+
+/// Answers `requests` one after the other on the calling thread. A
+/// panicking request poisons only its own slot, as on the executor.
+fn answer_inline(requests: &[Request], answer: impl Fn(&Request) -> Response) -> Vec<Response> {
+    requests
+        .iter()
+        .map(|req| {
+            catch_unwind(AssertUnwindSafe(|| answer(req)))
+                .unwrap_or_else(|_panic| err_frame(ErrorCode::Internal, "request handler panicked"))
+        })
+        .collect()
+}
+
+/// Answers `requests` as one fork-join scope on the worker team.
+fn answer_scoped(state: &State, requests: &[Request]) -> Vec<Response> {
     let mut slots: Vec<Option<Response>> = Vec::with_capacity(requests.len());
     slots.resize_with(requests.len(), || None);
 
@@ -633,7 +684,7 @@ fn execute_batch(state: &State, requests: &[Request]) -> (Vec<Response>, bool) {
         })
     }));
 
-    let responses: Vec<Response> = match scope_result {
+    match scope_result {
         Ok(Ok(())) => slots
             .into_iter()
             .map(|slot| {
@@ -655,12 +706,10 @@ fn execute_batch(state: &State, requests: &[Request]) -> (Vec<Response>, bool) {
                 slot.unwrap_or_else(|| err_frame(ErrorCode::Internal, "request handler panicked"))
             })
             .collect(),
-    };
-    let saw_shutdown = requests.iter().any(|r| matches!(r, Request::Shutdown));
-    (responses, saw_shutdown)
+    }
 }
 
-/// Answers one request. Runs on an executor worker.
+/// Answers one request, on whichever thread `execute_batch` chose.
 fn answer(state: &State, req: &Request) -> Response {
     let eval_err = |e: EvalError| err_frame(ErrorCode::BadRequest, e.message());
     match req {
@@ -774,5 +823,68 @@ fn answer(state: &State, req: &Request) -> Response {
                 .record_server_request(ServerRequestKind::Shutdown);
             Response::Ok { body: Vec::new() }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn query(name: &str) -> Request {
+        Request::Query {
+            desc: "ivy".into(),
+            query: name.into(),
+            args: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn only_table_queries_and_viewless_frames_are_lookups() {
+        for name in eval::LOOKUP_QUERIES {
+            assert!(is_lookup(&query(name)), "{name}");
+        }
+        assert!(is_lookup(&Request::Reload));
+        assert!(is_lookup(&Request::Shutdown));
+        assert!(is_lookup(&Request::Hello {
+            version: PROTO_VERSION
+        }));
+        for heavy in [
+            query("summary"),
+            Request::ListTopologies,
+            Request::MetricsSnapshot,
+            Request::Placement {
+                desc: "ivy".into(),
+                policy: "RR_CORE".into(),
+                workers: 4,
+            },
+            Request::AllocPlan {
+                desc: "ivy".into(),
+                policy: "local".into(),
+                workers: 4,
+            },
+        ] {
+            assert!(!is_lookup(&heavy), "{heavy:?}");
+        }
+    }
+
+    #[test]
+    fn an_inline_panic_poisons_only_its_own_slot() {
+        let requests = [query("latency"), query("core-of"), query("node-of")];
+        let ok = |tag: &str| Response::Ok {
+            body: tag.as_bytes().to_vec(),
+        };
+        let responses = answer_inline(&requests, |req| match req {
+            Request::Query { query, .. } if query == "core-of" => panic!("injected"),
+            Request::Query { query, .. } => ok(query),
+            other => unreachable!("{other:?}"),
+        });
+        assert_eq!(
+            responses,
+            [
+                ok("latency"),
+                err_frame(ErrorCode::Internal, "request handler panicked"),
+                ok("node-of"),
+            ]
+        );
     }
 }

@@ -17,6 +17,7 @@ use std::sync::atomic::{
     Ordering, //
 };
 
+use mctop::registry::Registry;
 use mctop_client::wire::{
     self,
     Request, //
@@ -28,7 +29,11 @@ use mctop_client::{
     Response,
     PROTO_VERSION, //
 };
+use mctop_runtime::metrics::ExecutorSnapshot;
+use mctop_runtime::ServerSnapshot;
 use mctopd::{
+    eval,
+    DescSource,
     ServeError,
     Server,
     ServerCfg, //
@@ -47,6 +52,53 @@ fn start(tag: &str) -> (mctopd::ServerHandle, PathBuf) {
     let server = Server::bind(ServerCfg::new(sock_path(tag))).unwrap();
     let sock = server.socket_path().to_path_buf();
     (server.start(), sock)
+}
+
+/// The daemon's two counter buckets, read together.
+fn counters(handle: &mctopd::ServerHandle) -> (ServerSnapshot, ExecutorSnapshot) {
+    let metrics = handle.metrics();
+    (metrics.server_snapshot(), metrics.snapshot().executor)
+}
+
+/// A raw connection past the handshake.
+fn raw_conn(sock: &PathBuf) -> UnixStream {
+    let mut raw = UnixStream::connect(sock).unwrap();
+    let hello = wire::encode_request(&Request::Hello {
+        version: PROTO_VERSION,
+    });
+    wire::write_frame(&mut raw, &hello).unwrap();
+    let mut hello_ok = [0u8; 7];
+    raw.read_exact(&mut hello_ok).unwrap();
+    raw
+}
+
+fn query(desc: &str, query: &str, args: &[&str]) -> Request {
+    Request::Query {
+        desc: desc.into(),
+        query: query.into(),
+        args: args.iter().map(|a| a.to_string()).collect(),
+    }
+}
+
+/// Well-formed arguments for lookup `kind` on a machine with at least
+/// two sockets and `k % 16 + 1` contexts.
+fn lookup(desc: &str, kind: &str, k: usize) -> Request {
+    let (a, b) = ((k % 16).to_string(), (k % 7).to_string());
+    match kind {
+        "latency" => query(desc, kind, &[&a, &b]),
+        "socket-latency" => query(desc, kind, &[&(k % 2).to_string(), "1"]),
+        "max-latency" => query(desc, kind, &[]),
+        _ => query(desc, kind, &[&a]),
+    }
+}
+
+/// What `mctopd::eval` answers to a `Query`, as a response frame body.
+fn local_body(registry: &Registry, req: &Request) -> Vec<u8> {
+    let Request::Query { desc, query, args } = req else {
+        panic!("{req:?} is not a query")
+    };
+    let view = registry.view(desc).unwrap();
+    eval::query_text(&view, query, args).unwrap().into_bytes()
 }
 
 /// A healthy request on a fresh connection: the liveness probe every
@@ -106,31 +158,40 @@ fn reload_while_requests_in_flight() {
     // the registry repeatedly. In-flight requests hold their
     // `Arc<TopoView>` across the swap, so every answer stays correct.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let served = std::sync::Arc::new(AtomicUsize::new(0));
     let workers: Vec<_> = (0..8)
         .map(|_| {
             let sock = sock.clone();
             let stop = std::sync::Arc::clone(&stop);
+            let served = std::sync::Arc::clone(&served);
             std::thread::spawn(move || {
                 let mut client = Client::connect(&sock).unwrap();
                 let want = client.query("ivy", "summary", &[]).unwrap();
-                let mut served = 0u32;
                 while !stop.load(Ordering::Relaxed) {
                     let got = client.query("ivy", "summary", &[]).unwrap();
                     assert_eq!(got, want, "answer changed across a reload");
-                    served += 1;
+                    served.fetch_add(1, Ordering::Relaxed);
                 }
-                served
             })
         })
         .collect();
 
+    // A reload is answered in microseconds, so fifty of them can be over
+    // before the first worker has connected: each one waits until the
+    // hammer has got a request through since the last.
     let mut admin = Client::connect(&sock).unwrap();
+    let mut seen = 0;
     for _ in 0..50 {
+        while served.load(Ordering::Relaxed) == seen {
+            std::thread::yield_now();
+        }
+        seen = served.load(Ordering::Relaxed);
         admin.reload().unwrap();
     }
     stop.store(true, Ordering::Relaxed);
-    let total: u32 = workers.into_iter().map(|t| t.join().unwrap()).sum();
-    assert!(total > 0, "workers never got a request through");
+    for t in workers {
+        t.join().unwrap();
+    }
 
     let snap = handle.metrics().server_snapshot();
     assert_eq!(snap.reloads, 50);
@@ -295,4 +356,231 @@ fn oversized_length_prefix_is_cut_off() {
 
     assert_still_serving(&sock);
     handle.stop();
+}
+
+/// The fix for a timing-dependent outcome: valid frames pipelined
+/// ahead of an oversized length prefix are answered even when both
+/// arrive in the daemon's first `read`.
+#[test]
+fn frames_ahead_of_an_oversized_prefix_are_answered() {
+    let (handle, sock) = start("prefix");
+    let mut raw = raw_conn(&sock);
+
+    let req = lookup("ivy", "latency", 20);
+    let mut burst = Vec::new();
+    wire::write_frame(&mut burst, &wire::encode_request(&req)).unwrap();
+    burst.extend_from_slice(&u32::MAX.to_le_bytes());
+    burst.extend_from_slice(&[0u8; 64]);
+    raw.write_all(&burst).unwrap();
+
+    let payload = wire::read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(
+        wire::decode_response(&payload).unwrap(),
+        Response::Ok {
+            body: local_body(&Registry::shipped(), &req)
+        }
+    );
+    let payload = wire::read_frame(&mut raw).unwrap().unwrap();
+    match wire::decode_response(&payload).unwrap() {
+        Response::Err { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    assert!(matches!(wire::read_frame(&mut raw), Ok(None)));
+
+    assert_still_serving(&sock);
+    // The handler counts the violation after it has closed the socket;
+    // stopping the daemon joins it.
+    let metrics = std::sync::Arc::clone(handle.metrics());
+    handle.stop();
+    assert_eq!(metrics.server_snapshot().protocol_errors, 1);
+}
+
+#[test]
+fn single_lookups_are_answered_without_the_executor() {
+    let (handle, sock) = start("inline");
+    let registry = Registry::shipped();
+    let mut client = Client::connect(&sock).unwrap();
+    let (server0, exec0) = counters(&handle);
+
+    let descs = ["ivy", "opteron", "haswell", "westmere", "sparc"];
+    for k in 0..1000 {
+        let kind = eval::LOOKUP_QUERIES[k % eval::LOOKUP_QUERIES.len()];
+        let req = lookup(descs[k % descs.len()], kind, k);
+        assert_eq!(
+            client.roundtrip(&req).unwrap(),
+            Response::Ok {
+                body: local_body(&registry, &req)
+            },
+            "{req:?}"
+        );
+    }
+
+    let (server1, exec1) = counters(&handle);
+    assert_eq!(server1.batches - server0.batches, 1000);
+    assert_eq!(server1.inline_batches - server0.inline_batches, 1000);
+    assert_eq!(exec1.scopes - exec0.scopes, 0);
+    assert_eq!(exec1.tasks - exec0.tasks, 0);
+    assert_eq!(server1.error_responses, 0);
+    handle.stop();
+}
+
+#[test]
+fn one_heavy_request_sends_the_whole_batch_to_the_executor() {
+    let (handle, sock) = start("mixed");
+    let registry = Registry::shipped();
+    let mut client = Client::connect(&sock).unwrap();
+
+    let lookups: Vec<Request> = (0..16)
+        .map(|k| {
+            let kind = eval::LOOKUP_QUERIES[k % eval::LOOKUP_QUERIES.len()];
+            lookup("westmere", kind, k)
+        })
+        .collect();
+    let want: Vec<Response> = lookups
+        .iter()
+        .map(|req| Response::Ok {
+            body: local_body(&registry, req),
+        })
+        .collect();
+
+    // All lookups: answered in request order on the connection thread.
+    let (server0, exec0) = counters(&handle);
+    assert_eq!(client.batch(&lookups).unwrap(), want);
+    let (server1, exec1) = counters(&handle);
+    assert_eq!(exec1.tasks - exec0.tasks, 0);
+    assert_eq!(
+        server1.inline_batches - server0.inline_batches,
+        server1.batches - server0.batches
+    );
+
+    // The same sixteen around one Placement: every request is a task.
+    let mut mixed = lookups.clone();
+    mixed.insert(
+        7,
+        Request::Placement {
+            desc: "westmere".into(),
+            policy: "RR_CORE".into(),
+            workers: 8,
+        },
+    );
+    let mut got = client.batch(&mixed).unwrap();
+    let (server2, exec2) = counters(&handle);
+    assert_eq!(exec2.tasks - exec1.tasks, 17);
+    assert_eq!(server2.inline_batches - server1.inline_batches, 0);
+    let placement = got.remove(7);
+    let view = registry.view("westmere").unwrap();
+    assert_eq!(
+        placement,
+        Response::Ok {
+            body: eval::placement_text(&view, "RR_CORE", 8)
+                .unwrap()
+                .into_bytes()
+        }
+    );
+    assert_eq!(got, want, "a lookup's bytes depend on the path it took");
+
+    // After a mixed run, every batch is accounted for on one path or
+    // the other (this daemon's executor serves nothing else).
+    client.reload().unwrap();
+    client.list_topologies().unwrap();
+    client.query("ivy", "summary", &[]).unwrap();
+    client.metrics_snapshot().unwrap();
+    let (server, exec) = counters(&handle);
+    assert!(server.inline_batches > 0 && server.inline_batches < server.batches);
+    assert_eq!(server.batches - server.inline_batches, exec.scopes);
+    handle.stop();
+}
+
+#[test]
+fn error_frames_are_the_same_bytes_on_both_paths() {
+    let (handle, sock) = start("errors");
+    let mut client = Client::connect(&sock).unwrap();
+    let heavy = Request::Placement {
+        desc: "ivy".into(),
+        policy: "RR_CORE".into(),
+        workers: 4,
+    };
+
+    let cases = [
+        query("ivy", "latency", &["0"]),
+        query("ivy", "latency", &["x", "1"]),
+        query("ivy", "socket-of", &["999999"]),
+        query("no-such-machine", "latency", &["0", "1"]),
+        query("ivy", "metrics", &[]),
+    ];
+    for case in &cases {
+        let alone = client.roundtrip(case).unwrap();
+        let mut scoped = client.batch(&[heavy.clone(), case.clone()]).unwrap();
+        let scoped = scoped.pop().unwrap();
+        assert!(
+            matches!(
+                alone,
+                Response::Err {
+                    code: ErrorCode::BadRequest,
+                    ..
+                }
+            ),
+            "{case:?}: {alone:?}"
+        );
+        assert_eq!(
+            wire::encode_response(&alone),
+            wire::encode_response(&scoped),
+            "{case:?}"
+        );
+    }
+
+    // Four of the five went inline when sent alone (`metrics` is no
+    // lookup); every error frame was counted.
+    let (server, exec) = counters(&handle);
+    assert_eq!(server.inline_batches, 4);
+    assert_eq!(exec.tasks, 2 * cases.len() as u64 + 1);
+    assert_eq!(server.error_responses, 2 * cases.len() as u64);
+    handle.stop();
+}
+
+#[test]
+fn reload_then_lookup_loads_afresh_on_the_connection_thread() {
+    let dir = std::env::temp_dir().join(format!("mctopd-fault-{}-descs", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ivy.mct.json");
+    let text = mctop::registry::shipped_source("ivy").unwrap();
+    std::fs::write(&file, text).unwrap();
+
+    let server = Server::bind(ServerCfg {
+        source: DescSource::Dir(dir.clone()),
+        ..ServerCfg::new(sock_path("fresh"))
+    })
+    .unwrap();
+    let sock = server.socket_path().to_path_buf();
+    let handle = server.start();
+    let mut client = Client::connect(&sock).unwrap();
+
+    let req = lookup("ivy", "latency", 20);
+    let want = Response::Ok {
+        body: local_body(&Registry::shipped(), &req),
+    };
+    assert_eq!(client.roundtrip(&req).unwrap(), want);
+
+    // With the file gone the cached view still answers; after a reload
+    // the lookup has to go back to the source, and says so.
+    std::fs::remove_file(&file).unwrap();
+    assert_eq!(client.roundtrip(&req).unwrap(), want);
+    client.reload().unwrap();
+    assert!(matches!(
+        client.roundtrip(&req).unwrap(),
+        Response::Err {
+            code: ErrorCode::BadRequest,
+            ..
+        }
+    ));
+    std::fs::write(&file, text).unwrap();
+    let burst = client.batch(&[Request::Reload, req.clone()]).unwrap();
+    assert_eq!(burst, [Response::Ok { body: Vec::new() }, want]);
+
+    // Both misses were paid without a worker.
+    let (server, exec) = counters(&handle);
+    assert_eq!(exec.tasks, 0);
+    assert_eq!(server.inline_batches, server.batches);
+    handle.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
