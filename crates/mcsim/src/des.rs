@@ -86,11 +86,6 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
-    /// Schedules `payload` `delay` cycles after the current time.
-    pub fn push_after(&mut self, delay: u64, payload: T) {
-        self.push(self.now + delay, payload);
-    }
-
     /// Pops the earliest event and advances the clock to it.
     pub fn pop(&mut self) -> Option<(u64, T)> {
         let e = self.heap.pop()?;
@@ -142,15 +137,6 @@ mod tests {
         assert_eq!(t, 10);
         q.pop();
         assert_eq!(q.now(), 20);
-    }
-
-    #[test]
-    fn push_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.push(100, "a");
-        q.pop();
-        q.push_after(50, "b");
-        assert_eq!(q.pop(), Some((150, "b")));
     }
 
     #[test]

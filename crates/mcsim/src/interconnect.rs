@@ -227,13 +227,6 @@ impl Interconnect {
         self.route(src, dst).hops as usize
     }
 
-    /// Whether two sockets share a direct link.
-    pub fn directly_connected(&self, a: usize, b: usize) -> bool {
-        self.links
-            .iter()
-            .any(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
-    }
-
     /// Effective bandwidth between two sockets: the weakest link on the
     /// cheapest path, halved per extra hop (the forwarded traffic shares
     /// the intermediate socket's links).

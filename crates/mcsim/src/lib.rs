@@ -20,7 +20,6 @@
 //! exercise corner cases (single socket, shared L2 clusters, shared
 //! memory nodes, scrambled context numbering).
 
-pub mod coherence;
 pub mod des;
 pub mod interconnect;
 pub mod latency;

@@ -354,15 +354,6 @@ impl MachineSpec {
             .unwrap_or_else(|| panic!("node {node} not owned by any socket"))
     }
 
-    /// All hardware contexts of a socket, in OS-id order.
-    pub fn hwcs_of_socket(&self, socket: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = (0..self.total_hwcs())
-            .filter(|&h| self.loc(h).socket == socket)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Converts cycles to seconds at the nominal frequency.
     pub fn cycles_to_secs(&self, cycles: f64) -> f64 {
         cycles / (self.freq_ghz * 1e9)

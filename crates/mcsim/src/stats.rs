@@ -52,37 +52,6 @@ pub fn stdev(values: &[u32]) -> f64 {
     var.sqrt()
 }
 
-/// Geometric mean of positive values.
-pub fn geomean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty());
-    let s: f64 = values.iter().map(|v| v.ln()).sum();
-    (s / values.len() as f64).exp()
-}
-
-/// Empirical CDF sample points `(value, fraction <= value)` of the
-/// input, over its sorted distinct values. This is the curve of
-/// Fig. 6 (2a) from which MCTOP-ALG extracts latency clusters.
-pub fn cdf_points(values: &[u32]) -> Vec<(u32, f64)> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let mut v = values.to_vec();
-    v.sort_unstable();
-    let n = v.len() as f64;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < v.len() {
-        let val = v[i];
-        let mut j = i;
-        while j < v.len() && v[j] == val {
-            j += 1;
-        }
-        out.push((val, j as f64 / n));
-        i = j;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,28 +70,6 @@ mod tests {
         let s = stdev(&[2, 4, 4, 4, 5, 5, 7, 9]);
         assert!((s - 2.0).abs() < 1e-9);
         assert_eq!(stdev(&[1]), 0.0);
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_reaches_one_and_is_monotone() {
-        let pts = cdf_points(&[1, 1, 2, 5, 5, 5]);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        for w in pts.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert_eq!(pts[0], (1, 2.0 / 6.0));
-    }
-
-    #[test]
-    fn cdf_empty() {
-        assert!(cdf_points(&[]).is_empty());
     }
 
     #[test]

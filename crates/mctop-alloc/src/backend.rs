@@ -66,14 +66,6 @@ impl<'m> ModelBackend<'m> {
             oracle: MemoryOracle::noiseless(spec),
         }
     }
-
-    /// Aggregate streaming bandwidth (GB/s) of the whole plan: the sum
-    /// over sockets of what their placed workers extract together.
-    pub fn plan_bandwidth(&mut self, plan: &AllocPlan) -> f64 {
-        self.provision(plan)
-            .map(|arenas| arenas.iter().map(|a| a.share_gbs).sum())
-            .unwrap_or(0.0)
-    }
 }
 
 impl MemoryBackend for ModelBackend<'_> {
@@ -299,7 +291,7 @@ mod tests {
         let a = ModelBackend::new(&spec).provision(&plan).unwrap();
         let b = ModelBackend::new(&spec).provision(&plan).unwrap();
         assert_eq!(a, b);
-        assert!(ModelBackend::new(&spec).plan_bandwidth(&plan) > 0.0);
+        assert!(a.iter().map(|arena| arena.share_gbs).sum::<f64>() > 0.0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! - [`ModelBackend`] charges the plan's costs through
 //!   [`mcsim::MemoryOracle`] — deterministic, noiseless, comparable
-//!   across policies, which is what CI and the `BENCH_alloc.json`
-//!   harness use;
+//!   across policies, which is what the tests and
+//!   `examples/alloc_compare.rs` use;
 //! - [`HostBackend`] provisions real buffers on the machine running the
 //!   process: each stripe is zero-initialized (*first-touched*) by a
 //!   pinned [`mctop_runtime::Executor`] worker sitting on the

@@ -53,30 +53,6 @@ pub fn socket_policy_bandwidth(
     Ok(1.0 / routes.iter().map(|(f, bw)| f / bw).sum::<f64>())
 }
 
-/// Aggregate stream bandwidth (GB/s) the placed contexts can draw from
-/// arenas resolved under `policy`: per used socket, its threads pull at
-/// most `threads × single_core_bw`, capped by
-/// [`socket_policy_bandwidth`]; sockets add up.
-pub fn placement_stream_bandwidth(
-    topo: &Mctop,
-    hwcs: &[usize],
-    policy: &AllocPolicy,
-) -> Result<f64, AllocError> {
-    let mut total = 0.0f64;
-    for socket in topo.sockets_used_by(hwcs) {
-        let threads = hwcs
-            .iter()
-            .filter(|&&h| topo.socket_of(h) == socket)
-            .count() as f64;
-        let one = topo.sockets[socket]
-            .single_core_bw
-            .ok_or(AllocError::BandwidthUnavailable { socket })?;
-        let cap = socket_policy_bandwidth(topo, socket, policy)?;
-        total += (threads * one).min(cap);
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,21 +94,6 @@ mod tests {
             let got = socket_policy_bandwidth(&t, s, &AllocPolicy::BwProportional).unwrap();
             assert!((got - mean).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn placement_bandwidth_caps_per_socket() {
-        let t = topo("ivy");
-        // All 40 contexts: both sockets saturated at local bandwidth.
-        let all: Vec<usize> = (0..t.num_hwcs()).collect();
-        let got = placement_stream_bandwidth(&t, &all, &AllocPolicy::Local).unwrap();
-        let want: f64 = (0..t.num_sockets())
-            .map(|s| t.sockets[s].local_bandwidth().unwrap())
-            .sum();
-        assert!((got - want).abs() < 1e-9);
-        // One thread: limited by the single-core stream bandwidth.
-        let got = placement_stream_bandwidth(&t, &[0], &AllocPolicy::Local).unwrap();
-        assert_eq!(got, t.sockets[t.socket_of(0)].single_core_bw.unwrap());
     }
 
     #[test]

@@ -73,8 +73,8 @@ pairs near latency cluster boundaries.
 A <desc> is a machine name from `mct list` (resolved against the
 shipped description library) or a path to a *.mct.json file.
 
-`mct serve` runs the topology daemon (the `mctopd` binary, in
-process): topologies are loaded once, shared, and served over a
+`mct serve` runs the topology daemon (the `mctopd` library) in the
+foreground: topologies are loaded once, shared, and served over a
 versioned wire protocol on a Unix socket. `mct query --remote SOCKET`
 asks a running daemon instead of loading locally; the answer is
 byte-identical. See docs/SERVING.md for the protocol.

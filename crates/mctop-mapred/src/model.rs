@@ -134,9 +134,13 @@ pub fn exec_time_alloc(
     // threads x single-core bandwidth, capped by what the socket can
     // stream against buffers striped per the allocation policy (LOCAL
     // = the socket's local bandwidth, the legacy ad-hoc node math).
+    let mut threads_on = vec![0usize; topo.num_sockets()];
+    for &h in hwcs {
+        threads_on[topo.socket_of(h)] += 1;
+    }
     let mut bw_supply = 0.0f64;
-    for s in topo.sockets_used_by(hwcs) {
-        let threads = hwcs.iter().filter(|&&h| topo.socket_of(h) == s).count() as f64;
+    for (s, &threads) in threads_on.iter().enumerate().filter(|(_, &t)| t > 0) {
+        let threads = threads as f64;
         let one = topo.sockets[s]
             .single_core_bw
             .unwrap_or(spec.mem.per_core_stream_bw);

@@ -70,17 +70,6 @@ impl MapReduce for Mean {
     }
 }
 
-/// Generates `n` (station, sample) records over `stations` keys.
-pub fn gen_samples(n: usize, stations: u16, seed: u64) -> Vec<(u16, f64)> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let s = rng.gen_range(0..stations);
-            (s, f64::from(s) + rng.gen_range(-1.0..1.0))
-        })
-        .collect()
-}
-
 /// K-Means: one assignment + recentering iteration per engine run
 /// (K = cluster id, V = (point sum, count)).
 pub struct KMeansStep {
@@ -119,24 +108,6 @@ impl MapReduce for KMeansStep {
 
 fn dist2(a: &[f64; 2], b: &[f64; 2]) -> f64 {
     (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2)
-}
-
-/// Generates points around `k` well-separated cluster centers.
-pub fn gen_points(n: usize, k: usize, seed: u64) -> (Vec<[f64; 2]>, Vec<[f64; 2]>) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let centers: Vec<[f64; 2]> = (0..k)
-        .map(|i| [10.0 * i as f64, 10.0 * ((i * 7) % k) as f64])
-        .collect();
-    let points = (0..n)
-        .map(|_| {
-            let c = centers[rng.gen_range(0..k)];
-            [
-                c[0] + rng.gen_range(-1.0..1.0),
-                c[1] + rng.gen_range(-1.0..1.0),
-            ]
-        })
-        .collect();
-    (points, centers)
 }
 
 /// Matrix Multiply: row-blocked C = A x B over the engine (K = row
@@ -199,6 +170,35 @@ mod tests {
         };
         let view = mctop::TopoView::from(mctop::infer(&mut p, &cfg).unwrap());
         Placement::with_view(&view, Policy::ConCore, PlaceOpts::threads(n)).unwrap()
+    }
+
+    /// Generates `n` (station, sample) records over `stations` keys.
+    fn gen_samples(n: usize, stations: u16, seed: u64) -> Vec<(u16, f64)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let s = rng.gen_range(0..stations);
+                (s, f64::from(s) + rng.gen_range(-1.0..1.0))
+            })
+            .collect()
+    }
+
+    /// Generates points around `k` well-separated cluster centers.
+    fn gen_points(n: usize, k: usize, seed: u64) -> (Vec<[f64; 2]>, Vec<[f64; 2]>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let centers: Vec<[f64; 2]> = (0..k)
+            .map(|i| [10.0 * i as f64, 10.0 * ((i * 7) % k) as f64])
+            .collect();
+        let points = (0..n)
+            .map(|_| {
+                let c = centers[rng.gen_range(0..k)];
+                [
+                    c[0] + rng.gen_range(-1.0..1.0),
+                    c[1] + rng.gen_range(-1.0..1.0),
+                ]
+            })
+            .collect();
+        (points, centers)
     }
 
     #[test]

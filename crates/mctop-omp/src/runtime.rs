@@ -116,11 +116,6 @@ impl OmpRuntime {
         }
     }
 
-    /// Team size.
-    pub fn num_threads(&self) -> usize {
-        self.threads
-    }
-
     /// The `omp_set_binding_policy` extension: selects the placement
     /// policy used by subsequent parallel regions. Lock-free (like the
     /// pre-executor runtime), so it is safe to call from anywhere —

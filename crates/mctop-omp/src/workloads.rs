@@ -145,22 +145,6 @@ fn common_neighbors(g: &Graph, a: usize, b: usize) -> u64 {
     count
 }
 
-/// Random degree sampling: estimates the average degree from `samples`
-/// uniformly sampled nodes.
-pub fn rand_degree_sampling(rt: &OmpRuntime, g: &Graph, samples: usize, seed: u64) -> f64 {
-    let n = g.num_nodes();
-    if n == 0 || samples == 0 {
-        return 0.0;
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let picks: Vec<usize> = (0..samples).map(|_| rng.gen_range(0..n)).collect();
-    let sum = AtomicU64::new(0);
-    rt.parallel_for(picks.len(), |i| {
-        sum.fetch_add(g.degree(picks[i]) as u64, Ordering::Relaxed);
-    });
-    sum.into_inner() as f64 / samples as f64
-}
-
 /// The Combination application of Fig. 12: PageRank and Potential
 /// Friends in one program, each parallel region under its own policy
 /// ("With OpenMP, it is impossible to recreate MCTOP MP's placement").
@@ -297,18 +281,6 @@ mod tests {
         let a = potential_friends(&rt, &g, 500, 9);
         let b = potential_friends(&rt, &g, 500, 9);
         assert_eq!(a, b, "deterministic under a fixed seed");
-    }
-
-    #[test]
-    fn rand_degree_sampling_estimates_average() {
-        let rt = rt();
-        let g = Graph::synthetic(2000, 8, 5);
-        let truth = g.num_edges() as f64 / g.num_nodes() as f64;
-        let est = rand_degree_sampling(&rt, &g, 4000, 2);
-        assert!(
-            (est - truth).abs() / truth < 0.15,
-            "est {est} truth {truth}"
-        );
     }
 
     #[test]

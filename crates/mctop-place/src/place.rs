@@ -34,14 +34,6 @@ impl PlaceOpts {
             n_sockets: None,
         }
     }
-
-    /// Place `n` threads on at most `s` sockets.
-    pub fn threads_on_sockets(n: usize, s: usize) -> Self {
-        PlaceOpts {
-            n_threads: Some(n),
-            n_sockets: Some(s),
-        }
-    }
 }
 
 /// Placement construction errors.
@@ -740,8 +732,11 @@ mod tests {
     #[test]
     fn socket_restriction() {
         let t = topo(&mcsim::presets::ivy());
-        let p =
-            Placement::with_view(&t, Policy::RrCore, PlaceOpts::threads_on_sockets(10, 1)).unwrap();
+        let opts = PlaceOpts {
+            n_threads: Some(10),
+            n_sockets: Some(1),
+        };
+        let p = Placement::with_view(&t, Policy::RrCore, opts).unwrap();
         assert_eq!(p.stats().sockets.len(), 1);
     }
 

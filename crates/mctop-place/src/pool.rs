@@ -78,11 +78,6 @@ impl PlacePool {
     pub fn current(&self) -> Result<Arc<Placement>, PlaceError> {
         self.get(self.current_policy())
     }
-
-    /// Policies already materialized in the pool.
-    pub fn cached_policies(&self) -> Vec<Policy> {
-        self.cache.read().keys().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -104,11 +99,9 @@ mod tests {
     #[test]
     fn lazily_builds_and_caches() {
         let pool = PlacePool::with_view(view(), PlaceOpts::threads(8));
-        assert!(pool.cached_policies().is_empty());
         let a = pool.get(Policy::ConHwc).unwrap();
         let b = pool.get(Policy::ConHwc).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(pool.cached_policies(), vec![Policy::ConHwc]);
     }
 
     #[test]

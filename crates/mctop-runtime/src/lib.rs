@@ -12,8 +12,6 @@
 //!   graceful shutdown/re-arm on placement change. Every parallel
 //!   workload in this workspace runs on it (`run`/`run_each` hand
 //!   one task, or one owned input, to each pinned worker);
-//! - [`barrier::SpinBarrier`]: the spin-based barrier the paper's
-//!   measurement threads use (no blocking, keeps DVFS at max);
 //! - [`steal`]: topology-aware work stealing (Section 5): idle workers
 //!   steal from the victim that is closest in communication latency
 //!   first;
@@ -27,14 +25,12 @@
 
 #![deny(missing_docs)]
 
-pub mod barrier;
 pub mod executor;
 pub mod host;
 pub mod metrics;
 pub mod steal;
 pub mod sync;
 
-pub use barrier::SpinBarrier;
 pub use executor::{
     ExecCfg,
     Executor,

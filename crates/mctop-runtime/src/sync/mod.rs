@@ -1,8 +1,8 @@
 //! The cfg-switched synchronization facade of the runtime.
 //!
 //! Every atomic, mutex, condvar, thread spawn, and work queue used by
-//! the executor substrate ([`crate::executor`], [`crate::steal`],
-//! [`crate::barrier`]) is imported from *this* module instead of
+//! the executor substrate ([`crate::executor`], [`crate::steal`]) is
+//! imported from *this* module instead of
 //! `std::sync` / `crossbeam_deque` directly. The module has two
 //! personalities:
 //!

@@ -6,7 +6,7 @@
 //! whose components hold `#contexts / #nodes` contexts is the socket
 //! level; everything above is cross-socket connectivity, for which
 //! direct links are told apart from multi-hop routes by a triangle
-//! criterion (a pair is multi-hop when some intermediate socket reaches
+//! test (a pair is multi-hop when some intermediate socket reaches
 //! both ends with strictly smaller latency).
 
 use std::collections::BTreeSet;

@@ -45,13 +45,6 @@ pub struct Hierarchy {
     pub stopped_at_cluster: Option<usize>,
 }
 
-impl Hierarchy {
-    /// Latency between two top components.
-    pub fn top_latency(&self, a: usize, b: usize) -> u32 {
-        self.top_matrix[a * self.top_comps.len() + b]
-    }
-}
-
 /// Builds the component hierarchy from a normalized table.
 pub fn build(norm: &LatencyTable, clusters: &[LatTriplet]) -> Result<Hierarchy, McTopError> {
     let n = norm.n();

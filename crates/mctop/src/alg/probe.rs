@@ -478,17 +478,7 @@ pub fn collect<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
 ) -> Result<(LatencyTable, ProbeStats), McTopError> {
-    let mut ctx = begin_collection(prober, cfg)?;
-    let (rounds, pruned) = plan_rounds(ctx.n, cfg);
-    let cfg = &effective_cfg(cfg, pruned.is_some());
-    let mut stats = ProbeStats::default();
-    let mut table = run_phases(&mut ctx, cfg, &rounds, &mut stats, |rs, kind, st| {
-        run_phase_inline(prober, cfg, rs, kind, st)
-    })?;
-    if let Some((pairs, pc)) = &pruned {
-        reconstruct_pruned(&mut table, pairs, pc);
-    }
-    Ok((table, stats))
+    collect_parallel(prober, cfg, 1)
 }
 
 /// Collects the full latency table with up to `jobs` forked probers

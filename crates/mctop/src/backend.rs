@@ -54,11 +54,6 @@ impl<'m> SimProber<'m> {
     pub fn spec(&self) -> &MachineSpec {
         self.spec
     }
-
-    /// Raw probes issued so far.
-    pub fn probes_issued(&self) -> u64 {
-        self.oracle.probe_count()
-    }
 }
 
 impl Prober for SimProber<'_> {
@@ -130,6 +125,6 @@ mod tests {
         let mut p = SimProber::noiseless(&spec);
         p.probe(0, 1);
         p.probe(0, 2);
-        assert_eq!(p.probes_issued(), 2);
+        assert_eq!(p.oracle.probe_count(), 2);
     }
 }

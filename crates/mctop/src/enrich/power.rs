@@ -82,7 +82,11 @@ mod tests {
         let mut active = Vec::new();
         for s in 0..2usize {
             let take = if s == 0 { 20 } else { 10 };
-            active.extend(topo.socket_hwcs_compact(s).into_iter().take(take));
+            active.extend(
+                crate::view::naive::socket_hwcs_compact(&topo, s)
+                    .into_iter()
+                    .take(take),
+            );
         }
         let no_dram = p.estimate(&topo, &active, false);
         let with_dram = p.estimate(&topo, &active, true);

@@ -76,15 +76,10 @@ impl HostProber {
     /// its caches), both threads synchronize on a spin barrier, thread
     /// `a` times its own CAS.
     ///
-    /// One attempt, no retry; an empty vector means the measurement
-    /// threads could not be spawned. [`HostProber::measure_pair`] is
-    /// the fault-hardened path the [`Prober`] impl uses.
-    pub fn measure_batch(&self, a: usize, b: usize, rounds: usize) -> Vec<u32> {
-        self.try_measure_batch(a, b, rounds).unwrap_or_default()
-    }
-
-    /// One measurement attempt; a thread-spawn failure (e.g. `EAGAIN`
+    /// One attempt, no retry; a thread-spawn failure (e.g. `EAGAIN`
     /// under pid/memory pressure) is returned instead of panicking.
+    /// [`HostProber::measure_pair`] is the fault-hardened path the
+    /// [`Prober`] impl uses.
     fn try_measure_batch(&self, a: usize, b: usize, rounds: usize) -> std::io::Result<Vec<u32>> {
         let line = Arc::new(AtomicU64::new(0));
         let phase = Arc::new(AtomicU32::new(0));
@@ -166,7 +161,7 @@ impl HostProber {
         Ok(out)
     }
 
-    /// [`HostProber::measure_batch`] with bounded retry: a transient
+    /// One measurement batch with bounded retry: a transient
     /// failure (spawn error, short batch from a died thread) is retried
     /// up to `MAX_BACKEND_RETRIES` times with exponential backoff
     /// (deterministically capped at `BACKOFF_CAP`), each absorbed

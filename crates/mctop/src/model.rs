@@ -11,6 +11,8 @@ use serde::{
     Serialize, //
 };
 
+use crate::view::naive;
+
 /// A latency cluster: minimum, median and maximum of the raw values that
 /// MCTOP-ALG grouped together (Section 3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -329,11 +331,6 @@ impl Mctop {
         self.sockets[self.hwcs[hwc].socket].local_node
     }
 
-    /// Core group ids of a socket (`mctop_socket_get_cores`).
-    pub fn socket_get_cores(&self, socket: usize) -> &[usize] {
-        &self.sockets[socket].cores
-    }
-
     /// Hardware contexts of a socket.
     pub fn socket_get_hwcs(&self, socket: usize) -> &[usize] {
         &self.sockets[socket].hwcs
@@ -353,6 +350,33 @@ impl Mctop {
     pub fn link(&self, a: usize, b: usize) -> Option<&InterconnectLink> {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         self.links.iter().find(|l| l.a == lo && l.b == hi)
+    }
+
+    /// Cross-socket bandwidth between two sockets, if measured.
+    pub fn cross_bandwidth(&self, a: usize, b: usize) -> Option<f64> {
+        self.link(a, b).and_then(|l| l.bandwidth)
+    }
+
+    /// Median intra-socket communication latency (the socket level's
+    /// median; falls back to the highest intra-socket level on
+    /// topologies without a socket level).
+    pub fn intra_socket_latency(&self) -> u32 {
+        naive::intra_socket_latency(self)
+    }
+
+    /// Context-to-context latency between two sockets (via their link
+    /// record; `u32::MAX` if unknown). A scan of the link records:
+    /// [`crate::view::TopoView::socket_latency`] is the indexed form.
+    pub fn socket_latency(&self, a: usize, b: usize) -> u32 {
+        naive::socket_latency(self, a, b)
+    }
+
+    /// Sockets sorted by communication latency from `socket`, closest
+    /// first (excluding `socket` itself), ties toward lower ids. Sorts
+    /// on every call: [`crate::view::TopoView::closest_sockets`] is the
+    /// indexed form.
+    pub fn closest_sockets(&self, socket: usize) -> Vec<usize> {
+        naive::closest_sockets(self, socket)
     }
 
     /// Maximum latency level of the machine.

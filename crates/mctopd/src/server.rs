@@ -44,6 +44,7 @@
 //!   idle connections closed, every thread joined, the loaded views
 //!   released, socket file removed.
 
+use std::collections::HashMap;
 use std::io::{
     self,
     Read,
@@ -182,10 +183,11 @@ struct State {
     exec: Executor,
     metrics: Arc<Metrics>,
     shutting_down: AtomicBool,
-    /// `try_clone` handles of live connections, used to close their
-    /// read sides on shutdown (which unblocks idle handlers without
-    /// cutting off an in-flight response).
-    conns: Mutex<Vec<UnixStream>>,
+    /// `try_clone` handles of live connections by connection id, used
+    /// to close their read sides on shutdown (which unblocks idle
+    /// handlers without cutting off an in-flight response). A handler
+    /// removes its own entry when its connection ends.
+    conns: Mutex<HashMap<u64, UnixStream>>,
     socket_path: PathBuf,
 }
 
@@ -199,8 +201,12 @@ impl State {
         }
         // Unblock `accept` with a throwaway connection.
         let _ = UnixStream::connect(&self.socket_path);
+        self.close_read_sides();
+    }
+
+    fn close_read_sides(&self) {
         let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        for stream in conns.iter() {
+        for stream in conns.values() {
             let _ = stream.shutdown(std::net::Shutdown::Read);
         }
     }
@@ -285,7 +291,7 @@ impl Server {
                 exec,
                 metrics,
                 shutting_down: AtomicBool::new(false),
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(HashMap::new()),
                 socket_path: cfg.socket,
             }),
         })
@@ -355,7 +361,7 @@ impl Drop for ServerHandle {
 
 fn accept_loop(listener: UnixListener, state: Arc<State>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
+    for (id, conn) in (0u64..).zip(listener.incoming()) {
         if state.shutting_down.load(Ordering::SeqCst) {
             break;
         }
@@ -369,27 +375,35 @@ fn accept_loop(listener: UnixListener, state: Arc<State>) {
                 .conns
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .push(clone);
+                .insert(id, clone);
         }
         let state = Arc::clone(&state);
         let handler = std::thread::Builder::new()
             .name("mctopd-conn".into())
             .spawn(move || {
                 serve_conn(&state, stream);
+                state
+                    .conns
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .remove(&id);
                 state.metrics.record_conn_closed();
             })
             .expect("spawn connection handler");
-        handlers.push(handler);
+        // A daemon lives through any number of connections: join the
+        // handlers whose connection has ended, keep the rest.
+        let (ended, mut serving): (Vec<_>, Vec<_>) =
+            handlers.into_iter().partition(JoinHandle::is_finished);
+        for h in ended {
+            let _ = h.join();
+        }
+        serving.push(handler);
+        handlers = serving;
     }
     // Shutdown: the flag is up. Unblock any handler still parked in a
     // blocking read (covers connections accepted after initiate_shutdown
     // walked the registry).
-    {
-        let conns = state.conns.lock().unwrap_or_else(|e| e.into_inner());
-        for stream in conns.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-    }
+    state.close_read_sides();
     for h in handlers {
         let _ = h.join();
     }

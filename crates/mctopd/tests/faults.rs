@@ -252,6 +252,51 @@ fn shutdown_with_clients_connected() {
     drop(admin);
 }
 
+/// Descriptors this process holds open.
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").unwrap().count()
+}
+
+#[test]
+fn closed_connections_release_their_descriptors() {
+    let (handle, sock) = start("fds");
+    let registry = Registry::shipped();
+    let req = lookup("ivy", "latency", 20);
+    let want = Response::Ok {
+        body: local_body(&registry, &req),
+    };
+    let short_connection = || {
+        let mut client = Client::connect(&sock).unwrap();
+        assert_eq!(client.roundtrip(&req).unwrap(), want);
+    };
+    short_connection();
+
+    // One connection per `mct query --remote`: the daemon must give
+    // back what each of them took. The slack covers whatever the other
+    // tests of this binary hold open at the two sampling instants; a
+    // daemon that keeps one descriptor per past connection ends 300 up.
+    let before = open_fds();
+    for _ in 0..300 {
+        short_connection();
+    }
+    let slack = 100;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while open_fds() >= before + slack && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let after = open_fds();
+    assert!(
+        after < before + slack,
+        "{before} descriptors before 300 short connections, {after} after"
+    );
+
+    // Shutdown still finds and unblocks a connection that is open.
+    let idle = Client::connect(&sock).unwrap();
+    handle.stop();
+    assert!(!sock.exists(), "socket file survived shutdown");
+    drop(idle);
+}
+
 #[test]
 fn version_mismatch_gets_typed_error_then_close() {
     let (handle, sock) = start("version");

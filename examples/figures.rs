@@ -1,13 +1,39 @@
 //! Regenerates every table and figure of the MCTOP paper's evaluation.
 //!
-//! Usage: `figures [fig1|fig2|fig3|fig6|fig7|fig8|fig9|fig10|fig11|
-//! fig12|alg-cost|all]` (default `all`). DOT files are written next to
-//! the textual output under `target/figures/`.
+//! Usage: `cargo run --release --example figures -- [fig1|fig2|fig3|
+//! fig6|fig7|fig8|fig9|fig10|fig11|fig12|alg-cost|all]` (default
+//! `all`). DOT files are written next to the textual output under
+//! `target/figures/`.
 
 use std::path::PathBuf;
+use std::sync::{
+    Arc,
+    OnceLock, //
+};
 
 use mcsim::MachineSpec;
-use mctop_bench::enriched_topology;
+use mctop::{
+    Mctop,
+    Registry,
+    TopoView, //
+};
+
+/// One registry for the run: every figure of a machine shares its one
+/// parsed description and index.
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(Registry::shipped)
+}
+
+/// The shipped (noiseless, fully enriched) description of a preset.
+fn enriched_topology(spec: &MachineSpec) -> Arc<Mctop> {
+    registry().topo(&spec.name).expect("shipped description")
+}
+
+/// [`enriched_topology`] behind its query index.
+fn enriched_view(spec: &MachineSpec) -> Arc<TopoView> {
+    registry().view(&spec.name).expect("shipped description")
+}
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -104,7 +130,7 @@ fn fig6() {
 fn fig7() {
     println!("==== fig7: MCTOP-PLACE CON_HWC, 30 threads, Ivy ====");
     let spec = mcsim::presets::ivy();
-    let view = mctop_bench::enriched_view(&spec);
+    let view = enriched_view(&spec);
     let place = mctop_place::Placement::with_view(
         &view,
         mctop_place::Policy::ConHwc,
@@ -151,7 +177,7 @@ fn fig9() {
     for threads_label in ["16 threads", "full machine"] {
         println!("-- {threads_label} --");
         for spec in mcsim::presets::all_paper_platforms() {
-            let view = mctop_bench::enriched_view(&spec);
+            let view = enriched_view(&spec);
             let threads = if threads_label == "16 threads" {
                 16
             } else {

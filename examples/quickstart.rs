@@ -27,7 +27,9 @@ fn main() {
     let mut pow = SimEnricher::new(&spec);
     enrich_all(&mut topo, &mut mem, &mut pow).expect("enrichment");
 
-    // 4. Query the topology (the portable vocabulary of Section 5).
+    // 4. Index the topology and query it (the portable vocabulary of
+    //    Section 5). The view derefs to the model it indexes.
+    let topo = mctop::TopoView::from(topo);
     println!(
         "latency(0, 20)        = {} cycles (SMT siblings)",
         topo.get_latency(0, 20)
@@ -61,7 +63,7 @@ fn main() {
     //    later consumer skips both inference and index construction.
     let registry = mctop::Registry::with_dir(&dir);
     let view = registry.view(&topo.name).expect("registry load");
-    assert_eq!(**view.topo(), topo);
+    assert_eq!(view.topo(), topo.topo());
     let again = registry.view(&topo.name).expect("cached");
     assert!(std::sync::Arc::ptr_eq(&view, &again));
     println!("registry              = same Arc<TopoView> on repeat lookup");

@@ -2,7 +2,17 @@
 //! the experiment harnesses (these are the invariants EXPERIMENTS.md
 //! reports; if one breaks, the reproduction regressed).
 
-use mctop_bench::enriched_topology;
+use std::sync::Arc;
+
+use mctop::{
+    Mctop,
+    Registry, //
+};
+
+/// The shipped (noiseless, fully enriched) description of a preset.
+fn enriched_topology(spec: &mcsim::MachineSpec) -> Arc<Mctop> {
+    Registry::shipped().topo(&spec.name).unwrap()
+}
 
 #[test]
 fn fig8_ticket_wins_most_on_every_platform() {
@@ -37,7 +47,7 @@ fn fig9_mctop_sort_beats_gnu_everywhere() {
     let cfg = SortModelCfg::default();
     let mut merge_ratios = Vec::new();
     for spec in mcsim::presets::all_paper_platforms() {
-        let view = mctop_bench::enriched_view(&spec);
+        let view = Registry::shipped().view(&spec.name).unwrap();
         for threads in [16usize, spec.total_hwcs()] {
             let gnu = predict_with_view(&spec, &view, SortAlgo::Gnu, threads, &cfg);
             let mc = predict_with_view(&spec, &view, SortAlgo::Mctop, threads, &cfg);

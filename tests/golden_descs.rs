@@ -120,6 +120,12 @@ fn every_shipped_description_serves_queries() {
         assert!(view.socket_level().is_some(), "{}", spec.name);
         // Enrichment made it into the artifact.
         assert!(view.topo().caches.is_some(), "{}", spec.name);
+        assert_eq!(
+            view.topo().power.is_some(),
+            spec.power.has_rapl,
+            "{}",
+            spec.name
+        );
         assert_eq!(view.topo().freq_ghz, Some(spec.freq_ghz), "{}", spec.name);
     }
     assert_eq!(specs.len(), shipped.len());

@@ -16,7 +16,10 @@ use mctop::alg::probe::{
     ProbeStats, //
 };
 use mctop::backend::SimProber;
-use mctop::view::TopoView;
+use mctop::view::{
+    naive,
+    TopoView, //
+};
 use mctop::AdaptiveCfg;
 use mctop::McTopError;
 use mctop::Mctop;
@@ -267,34 +270,54 @@ proptest! {
                 let view = TopoView::try_new(Arc::new(inferred)).expect("inferred topologies have a socket level");
                 let topo: &Mctop = view.topo();
                 let s = topo.num_sockets();
-                prop_assert_eq!(view.socket_level(), topo.socket_level_index());
-                prop_assert_eq!(view.intra_socket_latency(), topo.intra_socket_latency());
+                prop_assert_eq!(view.socket_level(), naive::socket_level_index(topo));
+                prop_assert_eq!(view.intra_socket_latency(), naive::intra_socket_latency(topo));
                 for a in 0..s {
-                    prop_assert_eq!(view.closest_sockets(a), &topo.closest_sockets(a)[..]);
+                    prop_assert_eq!(view.closest_sockets(a), &naive::closest_sockets(topo, a)[..]);
                     prop_assert_eq!(
                         view.socket_hwcs_cores_first(a),
-                        &topo.socket_hwcs_cores_first(a)[..]
+                        &naive::socket_hwcs_cores_first(topo, a)[..]
                     );
-                    prop_assert_eq!(view.socket_hwcs_compact(a), &topo.socket_hwcs_compact(a)[..]);
+                    prop_assert_eq!(
+                        view.socket_hwcs_compact(a),
+                        &naive::socket_hwcs_compact(topo, a)[..]
+                    );
                     for b in 0..s {
-                        prop_assert_eq!(view.socket_latency(a, b), topo.socket_latency(a, b));
-                        prop_assert_eq!(view.cross_bandwidth(a, b), topo.cross_bandwidth(a, b));
+                        prop_assert_eq!(view.socket_latency(a, b), naive::socket_latency(topo, a, b));
+                        prop_assert_eq!(
+                            view.cross_bandwidth(a, b),
+                            topo.link(a, b).and_then(|l| l.bandwidth)
+                        );
                     }
                 }
-                prop_assert_eq!(view.min_latency_socket_pair(), topo.min_latency_socket_pair());
-                prop_assert_eq!(view.max_latency_socket_pair(), topo.max_latency_socket_pair());
+                prop_assert_eq!(view.min_latency_socket_pair(), naive::min_latency_socket_pair(topo));
+                prop_assert_eq!(view.max_latency_socket_pair(), naive::max_latency_socket_pair(topo));
                 prop_assert_eq!(
                     view.sockets_by_local_bandwidth(),
-                    &topo.sockets_by_local_bandwidth()[..]
+                    &naive::sockets_by_local_bandwidth(topo)[..]
                 );
                 prop_assert_eq!(
                     view.socket_order_bandwidth_proximity(),
-                    &topo.socket_order_bandwidth_proximity()[..]
+                    &naive::socket_order_bandwidth_proximity(topo)[..]
                 );
+                // The context-set queries have no `naive` form: their
+                // oracles are spelled out here.
                 let hwcs: Vec<usize> = pick.iter().map(|&x| x as usize % topo.num_hwcs()).collect();
-                prop_assert_eq!(view.sockets_used_by(&hwcs), topo.sockets_used_by(&hwcs));
-                prop_assert_eq!(view.min_bandwidth_of(&hwcs), topo.min_bandwidth_of(&hwcs));
-                prop_assert_eq!(view.max_latency_between(&hwcs), topo.max_latency_between(&hwcs));
+                let mut used: Vec<usize> = hwcs.iter().map(|&h| topo.socket_of(h)).collect();
+                used.sort_unstable();
+                used.dedup();
+                let min_bw = used
+                    .iter()
+                    .map(|&s| topo.sockets[s].local_bandwidth())
+                    .try_fold(f64::INFINITY, |m, bw| bw.map(|bw| m.min(bw)));
+                let max_lat = (0..hwcs.len())
+                    .flat_map(|i| (i + 1..hwcs.len()).map(move |j| (i, j)))
+                    .map(|(i, j)| topo.get_latency(hwcs[i], hwcs[j]))
+                    .max()
+                    .unwrap_or(0);
+                prop_assert_eq!(view.sockets_used_by(&hwcs), used);
+                prop_assert_eq!(view.min_bandwidth_of(&hwcs), min_bw);
+                prop_assert_eq!(view.max_latency_between(&hwcs), max_lat);
                 for &h in &hwcs {
                     prop_assert_eq!(view.socket_of(h), topo.socket_of(h));
                     prop_assert_eq!(view.node_of(h), topo.get_local_node(h));
