@@ -2,7 +2,7 @@
 //!
 //! Reproduction of `mctop_sort` (Section 7.2 of the MCTOP paper). The
 //! algorithm takes the same first step as `__gnu_parallel::sort`
-//! (parallel quicksort of per-thread chunks) but merges the sorted runs
+//! (parallel local sort of per-thread chunks) but merges the sorted runs
 //! along a *cross-socket reduction tree* built from the topology
 //! (Section 5): within sockets, all threads of a socket cooperate on the
 //! same merges; across sockets, a binary tree pairs sockets to maximize
@@ -10,7 +10,10 @@
 //! result.
 //!
 //! Modules:
-//! - [`seq`]: the sequential quicksort used for the first phase;
+//! - [`seq`]: the one sequential sort of the first phase, shared by
+//!   `mctop_sort` and the baseline — an introsort with a branch-free
+//!   partition, an equal-run path for repeated keys and recursion
+//!   depth ⌈log₂ n⌉ (O(n log n) on every input);
 //! - [`merge`]: scalar merging plus merge-path splitting for
 //!   cooperative (multi-thread) merges;
 //! - [`bitonic`]: the portable 4-wide bitonic merge network — the

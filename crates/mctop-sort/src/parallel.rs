@@ -504,6 +504,27 @@ mod tests {
         }
     }
 
+    /// Keys the chunk sort used to recurse once per element on (a
+    /// 2 MiB worker stack overflowed) or partition quadratically.
+    #[test]
+    fn skewed_inputs_sort_on_worker_stacks() {
+        let n = 1usize << 18;
+        let view = view();
+        let exec = team(&view, 2);
+        let mut scratch = SortScratch::new();
+        let organ_pipe = (0..n).map(|i| i.min(n - 1 - i) as u32).collect();
+        for data in [vec![7u32; n], organ_pipe] {
+            let mut expected = data.clone();
+            expected.sort_unstable();
+            let mut v = data.clone();
+            mctop_sort_on(&exec, &mut v, &view, 0, &mut scratch);
+            assert_eq!(v, expected);
+            let mut v = data;
+            baseline_sort(&mut v, 2);
+            assert_eq!(v, expected);
+        }
+    }
+
     #[test]
     fn different_destinations_work() {
         let view = view();

@@ -1,21 +1,131 @@
-//! Sequential quicksort: the per-chunk sort of phase one (both
+//! Sequential introsort: the per-chunk sort of phase one (both
 //! `mctop_sort` and the baseline use the same sequential kernel, as in
 //! the paper where "the sequential part is the same on both
 //! algorithms").
+//!
+//! A quicksort with three properties a library kernel needs:
+//!
+//! - *branch-free partition*: the comparison result is added to the
+//!   store index, so random keys cost no mispredicted branch
+//!   (Edelkamp & Weiß, *BlockQuicksort*);
+//! - *duplicate-safe*: a pivot not greater than the pivot to its left
+//!   is a repeated key, so that sub-slice is partitioned by `<=` and the
+//!   whole equal run dropped — `k` distinct keys cost O(n·k) (Peters,
+//!   *pdqsort*);
+//! - *depth-bounded*: recursion takes the smaller side and the loop
+//!   keeps the larger, so the stack is at most ⌈log₂ n⌉ frames deep on
+//!   any input (all-equal and organ-pipe keys used to overflow a 2 MiB
+//!   worker stack or run quadratically), and a budget of 2·⌈log₂ n⌉
+//!   partitions falls back to heapsort, so the work is O(n log n).
 
 /// Insertion-sort cutoff.
 const CUTOFF: usize = 24;
 
-/// Sorts a slice in place with median-of-three quicksort.
+/// Smallest slice whose pivot is a median of three medians of three.
+const NINTHER: usize = 128;
+
+/// Sorts a slice in place (unstable, O(n log n) comparisons, O(log n)
+/// stack; O(n) on non-decreasing and strictly decreasing input).
 pub fn quicksort<T: Ord + Copy>(a: &mut [T]) {
-    if a.len() <= CUTOFF {
-        insertion_sort(a);
+    let n = a.len();
+    if n < 2 {
         return;
     }
-    let p = partition(a);
-    let (lo, hi) = a.split_at_mut(p);
-    quicksort(lo);
-    quicksort(&mut hi[1..]);
+    // The leading run, non-decreasing or strictly decreasing: when it
+    // is the whole slice the sort is a no-op or a reversal.
+    let desc = a[1] < a[0];
+    let run = 2 + a[1..]
+        .windows(2)
+        .take_while(|w| (w[1] < w[0]) == desc)
+        .count();
+    if run == n {
+        if desc {
+            a.reverse();
+        }
+        return;
+    }
+    introsort(a, None, 2 * ceil_log2(n));
+}
+
+fn ceil_log2(n: usize) -> u32 {
+    n.next_power_of_two().trailing_zeros()
+}
+
+/// Sorts `a`, every element of which is `>= pred` when there is one
+/// (the pivot of the partition `a` is the right side of), with at most
+/// `budget` more levels of partitioning before heapsort takes over.
+fn introsort<T: Ord + Copy>(mut a: &mut [T], mut pred: Option<T>, mut budget: u32) {
+    loop {
+        let n = a.len();
+        if n <= CUTOFF {
+            return insertion_sort(a);
+        }
+        if budget == 0 {
+            return heapsort(a);
+        }
+        let p = choose_pivot(a);
+        a.swap(0, p);
+        let pivot = a[0];
+        if pred.is_some_and(|pred| pred >= pivot) {
+            // `pivot` is the smallest key of `a`: everything equal to
+            // it is in its final place once moved to the front.
+            let equal = partition(a, |x| x <= pivot);
+            a = &mut a[equal..];
+            continue;
+        }
+        budget -= 1;
+        let less = partition(&mut a[1..], |x| x < pivot);
+        a.swap(0, less);
+        let (lo, hi) = a.split_at_mut(less);
+        let hi = &mut hi[1..];
+        if lo.len() < hi.len() {
+            introsort(lo, pred, budget);
+            (a, pred) = (hi, Some(pivot));
+        } else {
+            introsort(hi, Some(pivot), budget);
+            a = lo;
+        }
+    }
+}
+
+/// Moves the elements `goes_left` holds for to the front and returns
+/// how many there are. Every element is swapped with the one at the
+/// store index whatever the comparison says; the comparison only
+/// advances that index, so the loop has no data-dependent branch.
+fn partition<T: Copy>(a: &mut [T], goes_left: impl Fn(T) -> bool) -> usize {
+    let mut store = 0;
+    for i in 0..a.len() {
+        a.swap(i, store);
+        store += usize::from(goes_left(a[store]));
+    }
+    store
+}
+
+/// Index of the pivot: the median of three spread samples, of three
+/// such medians from `NINTHER` elements on.
+fn choose_pivot<T: Ord>(a: &[T]) -> usize {
+    let n = a.len();
+    let (lo, mid, hi) = (n / 4, n / 2, n / 4 * 3);
+    if n < NINTHER {
+        return median3(a, lo, mid, hi);
+    }
+    median3(
+        a,
+        median3(a, lo - 1, lo, lo + 1),
+        median3(a, mid - 1, mid, mid + 1),
+        median3(a, hi - 1, hi, hi + 1),
+    )
+}
+
+fn median3<T: Ord>(a: &[T], i: usize, j: usize, k: usize) -> usize {
+    let (i, j) = if a[j] < a[i] { (j, i) } else { (i, j) };
+    if a[k] < a[i] {
+        i
+    } else if a[k] < a[j] {
+        k
+    } else {
+        j
+    }
 }
 
 fn insertion_sort<T: Ord + Copy>(a: &mut [T]) {
@@ -30,31 +140,32 @@ fn insertion_sort<T: Ord + Copy>(a: &mut [T]) {
     }
 }
 
-/// Median-of-three partition; returns the pivot's final index.
-fn partition<T: Ord + Copy>(a: &mut [T]) -> usize {
-    let n = a.len();
-    let mid = n / 2;
-    // Order a[0], a[mid], a[n-1]; use the median as pivot at n-1.
-    if a[mid] < a[0] {
-        a.swap(mid, 0);
+/// In-place heapsort: what a spent partition budget falls back to.
+fn heapsort<T: Ord + Copy>(a: &mut [T]) {
+    for root in (0..a.len() / 2).rev() {
+        sift_down(a, root);
     }
-    if a[n - 1] < a[0] {
-        a.swap(n - 1, 0);
+    for end in (1..a.len()).rev() {
+        a.swap(0, end);
+        sift_down(&mut a[..end], 0);
     }
-    if a[n - 1] < a[mid] {
-        a.swap(n - 1, mid);
-    }
-    a.swap(mid, n - 1);
-    let pivot = a[n - 1];
-    let mut store = 0;
-    for i in 0..n - 1 {
-        if a[i] < pivot {
-            a.swap(i, store);
-            store += 1;
+}
+
+fn sift_down<T: Ord + Copy>(a: &mut [T], mut root: usize) {
+    loop {
+        let mut child = 2 * root + 1;
+        if child >= a.len() {
+            return;
         }
+        if child + 1 < a.len() && a[child] < a[child + 1] {
+            child += 1;
+        }
+        if a[root] >= a[child] {
+            return;
+        }
+        a.swap(root, child);
+        root = child;
     }
-    a.swap(store, n - 1);
-    store
 }
 
 #[cfg(test)]
@@ -65,6 +176,8 @@ mod tests {
         Rng,
         SeedableRng, //
     };
+    use std::cell::Cell;
+    use std::cmp::Ordering;
 
     #[test]
     fn sorts_random_input() {
@@ -106,5 +219,156 @@ mod tests {
         expected.sort_unstable();
         quicksort(&mut v);
         assert_eq!(v, expected);
+    }
+
+    /// A key that counts every comparison it takes part in.
+    #[derive(Clone, Copy)]
+    struct Counted<'a> {
+        key: u32,
+        cmps: &'a Cell<u64>,
+    }
+
+    impl Ord for Counted<'_> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.cmps.set(self.cmps.get() + 1);
+            self.key.cmp(&other.key)
+        }
+    }
+
+    impl PartialOrd for Counted<'_> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl PartialEq for Counted<'_> {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+
+    impl Eq for Counted<'_> {}
+
+    /// Sorts `keys` with `sort` through the counting wrapper, checks
+    /// the result against `sort_unstable` and returns the comparisons.
+    fn count_comparisons(keys: &[u32], sort: impl Fn(&mut [Counted])) -> u64 {
+        let cmps = Cell::new(0);
+        let mut v: Vec<Counted> = keys
+            .iter()
+            .map(|&key| Counted { key, cmps: &cmps })
+            .collect();
+        sort(&mut v);
+        let mut expected = keys.to_vec();
+        expected.sort_unstable();
+        assert!(v.iter().map(|c| c.key).eq(expected));
+        cmps.get()
+    }
+
+    fn organ_pipe(n: usize) -> Vec<u32> {
+        (0..n).map(|i| i.min(n - 1 - i) as u32).collect()
+    }
+
+    /// Musser's median-of-three killer: first/middle/last sampling
+    /// finds the two smallest keys left at every level.
+    fn median_of_three_killer(n: usize) -> Vec<u32> {
+        let k = n / 2;
+        let head = (1..=k).map(|i| if i % 2 == 1 { i } else { k + i - 1 });
+        let tail = (1..=n - k).map(|i| 2 * i);
+        head.chain(tail).map(|x| x as u32).collect()
+    }
+
+    #[test]
+    fn comparisons_are_linearithmic_on_every_family() {
+        type Family = (&'static str, fn(usize, &mut SmallRng) -> Vec<u32>);
+        fn few(n: usize, rng: &mut SmallRng, distinct: u32) -> Vec<u32> {
+            (0..n).map(|_| rng.gen_range(0..distinct)).collect()
+        }
+        // The first three are the O(n) families of the entry scan.
+        let families: [Family; 11] = [
+            ("all-equal", |n, _| vec![7; n]),
+            ("sorted", |n, _| (0..n as u32).collect()),
+            ("reversed", |n, _| (0..n as u32).rev().collect()),
+            ("uniform", |n, rng| (0..n).map(|_| rng.gen()).collect()),
+            ("organ-pipe", |n, _| organ_pipe(n)),
+            ("saw-tooth", |n, _| {
+                (0..n).map(|i| (i % 100) as u32).collect()
+            }),
+            ("2-distinct", |n, rng| few(n, rng, 2)),
+            ("4-distinct", |n, rng| few(n, rng, 4)),
+            ("16-distinct", |n, rng| few(n, rng, 16)),
+            ("median-of-three killer", |n, _| median_of_three_killer(n)),
+            ("killer, reversed", |n, _| {
+                let mut v = median_of_three_killer(n);
+                v.reverse();
+                v
+            }),
+        ];
+        let mut rng = SmallRng::seed_from_u64(3);
+        for (row, (name, make)) in families.iter().enumerate() {
+            for n in [25, 1_000, 1 << 16] {
+                let keys = make(n, &mut rng);
+                let cmps = count_comparisons(&keys, |v| quicksort(v));
+                let bound = if row < 3 {
+                    2 * n as u64
+                } else {
+                    5 * n as u64 * u64::from(ceil_log2(n))
+                };
+                assert!(cmps <= bound, "{name}, n = {n}: {cmps} > {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn spent_budget_falls_back_to_heapsort() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        for n in [25, 1_000, 1 << 16] {
+            let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n as u32 / 2)).collect();
+            let cmps = count_comparisons(&keys, |v| introsort(v, None, 0));
+            let bound = 5 * n as u64 * u64::from(ceil_log2(n));
+            assert!(cmps <= bound, "n = {n}: {cmps} > {bound}");
+            // One level of budget: a partition, then heapsort on both
+            // sides (the right one with a predecessor pivot).
+            count_comparisons(&keys, |v| introsort(v, None, 1));
+        }
+    }
+
+    /// Recursion takes the smaller side, so ⌈log₂ n⌉ frames are the
+    /// most any input can stack: 2^18 keys fit a 32 KiB thread stack.
+    #[test]
+    fn recursion_fits_a_small_stack() {
+        let n = 1usize << 18;
+        let two_distinct: Vec<u32> = (0..n).map(|i| (i % 3 == 0) as u32).collect();
+        for mut v in [organ_pipe(n), two_distinct] {
+            std::thread::Builder::new()
+                .stack_size(32 << 10)
+                .spawn(move || {
+                    quicksort(&mut v);
+                    assert!(v.windows(2).all(|w| w[0] <= w[1]));
+                })
+                .expect("thread spawns")
+                .join()
+                .expect("sort neither panics nor overflows");
+        }
+    }
+
+    /// Slices of at most `CUTOFF` keys never partition: every word over
+    /// a three-letter alphabet up to length 10 (the ties and runs the
+    /// entry scan and the insertion sort can meet), and a seeded sample
+    /// of the longer ones (3^24 words cannot be enumerated).
+    #[test]
+    fn sorts_every_small_slice() {
+        for n in 0..=10u32 {
+            for word in 0..3u32.pow(n) {
+                let keys: Vec<u32> = (0..n).map(|i| word / 3u32.pow(i) % 3).collect();
+                count_comparisons(&keys, |v| quicksort(v));
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(5);
+        for n in 11..=CUTOFF {
+            for _ in 0..2_000 {
+                let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+                count_comparisons(&keys, |v| quicksort(v));
+            }
+        }
     }
 }

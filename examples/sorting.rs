@@ -3,9 +3,15 @@
 //!
 //! Run with `cargo run --release --example sorting`.
 
-use std::time::Instant;
+use std::time::{
+    Duration,
+    Instant, //
+};
 
-use mctop::Registry;
+use mctop::{
+    Registry,
+    TopoView, //
+};
 use mctop_place::{
     PlaceOpts,
     Placement,
@@ -17,6 +23,34 @@ use rand::{
     Rng,
     SeedableRng, //
 };
+
+/// Sorts `data` with the baseline, `mctop_sort` and `mctop_sort_sse`,
+/// checks that the three agree and returns their times in that order.
+fn sort_three_ways(
+    exec: &Executor,
+    view: &TopoView,
+    scratch: &mut mctop_sort::SortScratch,
+    threads: usize,
+    data: &[u32],
+) -> [Duration; 3] {
+    let mut a = data.to_vec();
+    let t = Instant::now();
+    mctop_sort::baseline_sort(&mut a, threads);
+    let baseline = t.elapsed();
+
+    let mut b = data.to_vec();
+    let t = Instant::now();
+    mctop_sort::mctop_sort_on(exec, &mut b, view, 0, scratch);
+    let scalar = t.elapsed();
+
+    let mut c = data.to_vec();
+    let t = Instant::now();
+    mctop_sort::mctop_sort_sse_on(exec, &mut c, view, 0, scratch);
+    let sse = t.elapsed();
+    assert_eq!(a, b);
+    assert_eq!(b, c);
+    [baseline, scalar, sse]
+}
 
 fn main() {
     // --- Real sort on the host ------------------------------------------
@@ -44,22 +78,23 @@ fn main() {
         threads
     );
 
-    let mut a = data.clone();
-    let t = Instant::now();
-    mctop_sort::baseline_sort(&mut a, threads);
-    println!("  gnu-like baseline : {:?}", t.elapsed());
-
-    let mut b = data.clone();
-    let t = Instant::now();
-    mctop_sort::mctop_sort_on(&exec, &mut b, &view, 0, &mut scratch);
-    println!("  mctop_sort        : {:?}", t.elapsed());
-
-    let mut c = data;
-    let t = Instant::now();
-    mctop_sort::mctop_sort_sse_on(&exec, &mut c, &view, 0, &mut scratch);
-    println!("  mctop_sort_sse    : {:?}", t.elapsed());
-    assert_eq!(a, b);
-    assert_eq!(b, c);
+    let [baseline, scalar, sse] = sort_three_ways(&exec, &view, &mut scratch, threads, &data);
+    println!("  gnu-like baseline : {baseline:?}");
+    println!("  mctop_sort        : {scalar:?}");
+    println!("  mctop_sort_sse    : {sse:?}");
+    // Inputs a textbook quicksort chunk sort is quadratic on.
+    let n = data.len();
+    let skewed: [(&str, Vec<u32>); 3] = [
+        ("all-equal", vec![7; n]),
+        ("sorted", (0..n as u32).collect()),
+        ("4-distinct", data.iter().map(|x| x % 4).collect()),
+    ];
+    for (name, data) in &skewed {
+        let [baseline, scalar, sse] = sort_three_ways(&exec, &view, &mut scratch, threads, data);
+        println!(
+            "  {name:<10}: baseline {baseline:?}, mctop_sort {scalar:?}, mctop_sort_sse {sse:?}"
+        );
+    }
 
     // --- Fig. 9 prediction over the paper platforms ----------------------
     use mctop_sort::model::{

@@ -215,3 +215,27 @@ proptest! {
         }
     }
 }
+
+/// The three parallel sorts share one sequential kernel, so they agree
+/// byte for byte on the input that kernel has a path of its own for:
+/// 2^18 keys over four distinct values.
+#[test]
+fn sorts_agree_on_few_distinct_keys() {
+    let view = registry()
+        .view("synth-small")
+        .expect("committed desc loads");
+    let exec = executor(&view, 2, true);
+    let data: Vec<u32> = random_data(1 << 18, 21).iter().map(|x| x % 4).collect();
+    let mut scratch = mctop_sort::SortScratch::new();
+
+    let mut baseline = data.clone();
+    mctop_sort::baseline_sort(&mut baseline, 2);
+    let mut scalar = data.clone();
+    mctop_sort::mctop_sort_on(&exec, &mut scalar, &view, 0, &mut scratch);
+    let mut sse = data;
+    mctop_sort::mctop_sort_sse_on(&exec, &mut sse, &view, 0, &mut scratch);
+
+    assert!(baseline.windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(baseline, scalar);
+    assert_eq!(scalar, sse);
+}

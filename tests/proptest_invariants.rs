@@ -354,19 +354,23 @@ proptest! {
     }
 
     /// Sorting via the topology-aware path is always a sorted
-    /// permutation of the input.
+    /// permutation of the input, on full-range keys and on the same
+    /// keys folded onto `k` distinct values.
     #[test]
-    fn mctop_sort_is_a_sorting_function(data in prop::collection::vec(any::<u32>(), 0..4000), threads in 1usize..=6) {
+    fn mctop_sort_is_a_sorting_function(data in prop::collection::vec(any::<u32>(), 0..4000), threads in 1usize..=6, k in 1u32..=8) {
         let spec = mcsim::presets::synthetic_small();
         let mut p = SimProber::noiseless(&spec);
         let cfg = ProbeConfig { reps: 3, ..ProbeConfig::fast() };
         let view = TopoView::from(mctop::infer(&mut p, &cfg).expect("inference"));
         let place = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(threads)).expect("RR placement");
         let exec = mctop_runtime::Executor::new(&view, &place);
-        let mut v = data.clone();
-        mctop_sort::mctop_sort_on(&exec, &mut v, &view, 0, &mut mctop_sort::SortScratch::new());
-        let mut expected = data;
-        expected.sort_unstable();
-        prop_assert_eq!(v, expected);
+        let few_distinct = data.iter().map(|x| x % k).collect();
+        for data in [data, few_distinct] {
+            let mut v = data.clone();
+            mctop_sort::mctop_sort_on(&exec, &mut v, &view, 0, &mut mctop_sort::SortScratch::new());
+            let mut expected = data;
+            expected.sort_unstable();
+            prop_assert_eq!(v, expected);
+        }
     }
 }
