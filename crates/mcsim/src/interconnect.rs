@@ -11,8 +11,8 @@ use std::sync::OnceLock;
 use serde::{
     DeError,
     Deserialize,
+    Reader,
     Serialize,
-    Value,
     Writer, //
 };
 
@@ -77,11 +77,19 @@ impl Serialize for Interconnect {
 }
 
 impl Deserialize for Interconnect {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let (mut sockets, mut overhead, mut links) = (None, None, None);
+        r.object(|r, key| match key {
+            "sockets" => r.field("sockets", &mut sockets),
+            "overhead" => r.field("overhead", &mut overhead),
+            "links" => r.field("links", &mut links),
+            _ => r.skip().map(drop),
+        })?;
+        let missing = |name| DeError::new(format!("missing field `{name}`"));
         Ok(Interconnect {
-            sockets: serde::__field(v, "sockets")?,
-            overhead: serde::__field(v, "overhead")?,
-            links: serde::__field(v, "links")?,
+            sockets: sockets.ok_or_else(|| missing("sockets"))?,
+            overhead: overhead.ok_or_else(|| missing("overhead"))?,
+            links: links.ok_or_else(|| missing("links"))?,
             routes: OnceLock::new(),
         })
     }

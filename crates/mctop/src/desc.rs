@@ -12,6 +12,13 @@
 //! [`McTopError::InvalidDescription`] — a matching `version` number
 //! alone is not enough to accept a file.
 //!
+//! Both directions are one pass over the text with no value tree in
+//! between: [`to_string`] writes a borrowed envelope into one buffer,
+//! [`from_str_full`] reads version, header and payload straight into
+//! their types, in gate order whatever order the file has them in, and
+//! holds little more than the result while it does (DESIGN.md,
+//! "Description I/O").
+//!
 //! [`canonical`] is the single source of truth for the committed
 //! `descs/` library: a deterministic (noiseless, fixed-config)
 //! inference plus full enrichment. `mct regen-descs`, the shipped
@@ -32,7 +39,9 @@
 use std::path::Path;
 
 use serde::{
+    DeError,
     Deserialize,
+    Reader,
     Serialize,
     Writer, //
 };
@@ -101,12 +110,70 @@ impl Provenance {
     }
 }
 
-/// The file envelope as it is read.
-#[derive(Deserialize)]
-struct DescFile {
-    version: u32,
-    provenance: Provenance,
-    topology: Mctop,
+/// The file envelope as it is read: version-gated, header and payload
+/// each read once, neither yet checked against the other.
+struct Loaded(Mctop, Provenance);
+
+impl Deserialize for Loaded {
+    /// Reads the envelope in the pass that reads its entries, in gate
+    /// order whatever the key order: `provenance` is read in place once
+    /// the version is known to be [`VERSION`], `topology` once the
+    /// header is read. An entry that arrives before the gates ahead of
+    /// it are settled is only checked, and its text (a slice of the
+    /// input, no copy) read after the object closes — so a file of
+    /// another version fails on its version, and a headerless one on
+    /// the missing header, not on whatever field of a payload they
+    /// never promised trips first.
+    fn read_json<'a>(r: &mut Reader<'a>) -> Result<Self, DeError> {
+        let (mut version, mut prov, mut topo) = (None::<u32>, None, None);
+        let (mut prov_text, mut topo_text) = (None::<&'a str>, None::<&'a str>);
+        // The first entry of a name wins, read or kept as text; `field`
+        // drops a later one itself, the last arm the rest.
+        r.object(|r, key| match key {
+            "version" => {
+                r.field("version", &mut version)?;
+                match version {
+                    Some(v) if v != VERSION => Err(DeError::new(format!(
+                        "unsupported description version {v} (expected {VERSION})"
+                    ))),
+                    _ => Ok(()),
+                }
+            }
+            "provenance" if version.is_some() && prov_text.is_none() => {
+                r.field("provenance", &mut prov)
+            }
+            "provenance" if prov_text.is_none() => r.skip().map(|text| prov_text = Some(text)),
+            "topology" if prov.is_some() && topo_text.is_none() => r.field("topology", &mut topo),
+            "topology" if topo_text.is_none() => r.skip().map(|text| topo_text = Some(text)),
+            _ => r.skip().map(drop),
+        })?;
+        if version.is_none() {
+            return Err(DeError::new("missing field `version`"));
+        }
+        let prov = settle("provenance", prov, prov_text)?.ok_or_else(|| {
+            DeError::new(
+                "missing provenance header (a bare topology payload is not a description file)",
+            )
+        })?;
+        let topo = settle("topology", topo, topo_text)?
+            .ok_or_else(|| DeError::new("missing field `topology`"))?;
+        Ok(Loaded(topo, prov))
+    }
+}
+
+/// Envelope entry `name`: as read in place, else read now from the text
+/// kept for it; `None` if the file had no such entry.
+fn settle<T: Deserialize>(
+    name: &str,
+    read: Option<T>,
+    text: Option<&str>,
+) -> Result<Option<T>, DeError> {
+    match (read, text) {
+        (None, Some(text)) => serde::from_json(text)
+            .map(Some)
+            .map_err(|e| DeError::new(format!("field `{name}`: {e}"))),
+        (read, _) => Ok(read),
+    }
 }
 
 /// The file envelope as it is written: borrowed, so saving copies
@@ -231,47 +298,25 @@ pub fn from_str(s: &str) -> Result<Mctop, McTopError> {
 /// Parses and validates a description string, returning the provenance
 /// header alongside the topology.
 pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
-    // Check the envelope before deserializing the payload, so files
-    // from other format versions fail with the version-gate message
-    // (not whatever field the full parse trips over first).
-    let raw: serde_json::Value =
-        serde_json::from_str(s).map_err(|e| McTopError::InvalidDescription(e.to_string()))?;
-    let version = raw
-        .0
-        .get("version")
-        .ok_or_else(|| McTopError::InvalidDescription("missing field `version`".into()))
-        .and_then(|v| {
-            u32::from_value(v).map_err(|e| McTopError::InvalidDescription(e.to_string()))
-        })?;
-    if version != VERSION {
-        return Err(McTopError::InvalidDescription(format!(
-            "unsupported description version {version} (expected {VERSION})"
-        )));
-    }
-    if raw.0.get("provenance").is_none() {
-        return Err(McTopError::InvalidDescription(
-            "missing provenance header (a bare topology payload is not a description file)".into(),
-        ));
-    }
-    let file =
-        DescFile::from_value(&raw.0).map_err(|e| McTopError::InvalidDescription(e.to_string()))?;
+    let Loaded(topo, prov) =
+        serde::from_json(s).map_err(|e| McTopError::InvalidDescription(e.to_string()))?;
     // The header must agree with both the envelope and the payload: a
     // field-for-field compatible topology is still rejected unless its
     // provenance says it was written in this format for this machine.
-    if file.provenance.format_version != file.version {
+    if prov.format_version != VERSION {
         return Err(McTopError::InvalidDescription(format!(
-            "provenance format_version {} disagrees with file version {}",
-            file.provenance.format_version, file.version
+            "provenance format_version {} disagrees with file version {VERSION}",
+            prov.format_version
         )));
     }
-    if file.provenance.machine != file.topology.name {
+    if prov.machine != topo.name {
         return Err(McTopError::InvalidDescription(format!(
             "provenance machine `{}` disagrees with topology name `{}`",
-            file.provenance.machine, file.topology.name
+            prov.machine, topo.name
         )));
     }
-    validate::validate(&file.topology)?;
-    Ok((file.topology, file.provenance))
+    validate::validate(&topo)?;
+    Ok((topo, prov))
 }
 
 /// Writes the description file for a topology.

@@ -37,6 +37,7 @@
 //! assert_eq!(a.num_sockets(), 2);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -170,9 +171,12 @@ impl Registry {
         }
     }
 
-    fn read_source(&self, name: &str) -> Result<String, McTopError> {
+    /// The text of `name`'s description: the compiled-in text itself
+    /// (no copy: `view` calls this under the write lock), or a file's
+    /// contents.
+    fn read_source(&self, name: &str) -> Result<Cow<'static, str>, McTopError> {
         match &self.source {
-            Source::Shipped => shipped_source(name).map(str::to_string).ok_or_else(|| {
+            Source::Shipped => shipped_source(name).map(Cow::Borrowed).ok_or_else(|| {
                 McTopError::InvalidDescription(format!(
                     "no shipped description named `{name}` (known: {})",
                     shipped_names().join(", ")
@@ -180,7 +184,8 @@ impl Registry {
             }),
             Source::Dir(dir) => {
                 let path = dir.join(desc::default_filename(name));
-                std::fs::read_to_string(&path).map_err(McTopError::Io)
+                let text = std::fs::read_to_string(&path).map_err(McTopError::Io)?;
+                Ok(Cow::Owned(text))
             }
         }
     }

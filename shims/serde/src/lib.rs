@@ -1,19 +1,26 @@
 //! Offline shim for the subset of `serde` this workspace uses.
 //!
 //! The build container has no registry access, so instead of the real
-//! serde this crate provides a small JSON data model. Writing streams:
-//! [`Serialize`] appends text to a [`Writer`] and no tree is built.
-//! Reading still goes through the [`Value`] tree: `shims/serde_json`
-//! parses text into a [`Value`] and [`Deserialize`] rebuilds a type from
-//! it. The derive macros are re-exported from the sibling
-//! `serde_derive` shim.
+//! serde this crate provides a small JSON data model. Both directions
+//! stream: [`Serialize`] appends text to a [`Writer`], [`Deserialize`]
+//! takes its value off a [`Reader`] (a cursor over the text, the one
+//! tokenizer of the workspace) in a single pass. A [`Value`] tree is
+//! built only for a caller that asks for a [`Value`]. The derive macros
+//! are re-exported from the sibling `serde_derive` shim.
 //!
 //! The derive emits the externally-tagged enum representation the real
 //! serde would, so description files stay human-readable and stable.
 
+use std::borrow::Cow;
 use std::io::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+// The derives name this crate `::serde`, here too.
+#[cfg(test)]
+extern crate self as serde;
+#[cfg(test)]
+mod tests;
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,22 +88,374 @@ pub trait Serialize {
     fn write_json(&self, w: &mut Writer);
 }
 
-/// Deserialization from the [`Value`] tree.
+/// Deserialization from JSON text.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Reads one value of `Self` at the reader's cursor.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError>;
 }
 
-/// Derive-internal helper: extracts and deserializes an object field.
-pub fn __field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
-    match v {
-        Value::Object(_) => match v.get(name) {
-            Some(f) => T::from_value(f).map_err(|e| DeError::new(format!("field `{name}`: {e}"))),
-            None => Err(DeError::new(format!("missing field `{name}`"))),
-        },
-        _ => Err(DeError::new(format!(
-            "expected an object with field `{name}`"
-        ))),
+/// Reads `s` — one JSON value, whitespace around it — as a `T`.
+pub fn from_json<T: Deserialize>(s: &str) -> Result<T, DeError> {
+    let mut r = Reader::new(s);
+    r.ws();
+    let t = T::read_json(&mut r)?;
+    r.ws();
+    if r.i != s.len() {
+        return Err(r.syntax("trailing characters"));
+    }
+    Ok(t)
+}
+
+/// Containers nested deeper than this are refused (the deepest
+/// committed description nests 6), so hostile input cannot exhaust the
+/// stack.
+const MAX_DEPTH: usize = 128;
+
+/// A number as written: a non-negative integer, a negative one, or
+/// anything else finite.
+enum Number {
+    U(u64),
+    I(i64),
+    F(f64),
+}
+
+/// A cursor over JSON text. Every public method expects the cursor on
+/// the first byte of a value and leaves it just past that value.
+pub struct Reader<'a> {
+    s: &'a str,
+    i: usize,
+    /// Containers open around the cursor.
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(s: &'a str) -> Self {
+        Reader { s, i: 0, depth: 0 }
+    }
+
+    /// Reads an array; `item` reads each element.
+    pub fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), DeError>,
+    ) -> Result<(), DeError> {
+        match self.peek() {
+            Some(b'[') => self.container(b'[', b']', item),
+            _ => Err(self.mismatch("array")),
+        }
+    }
+
+    /// Reads an object; `entry` is given each key with the cursor on
+    /// its value, which it must consume ([`Reader::field`],
+    /// [`Reader::skip`] or a `read_json`).
+    pub fn object(
+        &mut self,
+        mut entry: impl FnMut(&mut Self, &str) -> Result<(), DeError>,
+    ) -> Result<(), DeError> {
+        match self.peek() {
+            Some(b'{') => self.container(b'{', b'}', |r| {
+                let key = r.key(true)?;
+                entry(r, &key)
+            }),
+            _ => Err(self.mismatch("object")),
+        }
+    }
+
+    /// Reads the value of object entry `name` into `slot`. The first
+    /// entry of a name wins: a later one is checked and dropped.
+    pub fn field<T: Deserialize>(
+        &mut self,
+        name: &str,
+        slot: &mut Option<T>,
+    ) -> Result<(), DeError> {
+        if slot.is_some() {
+            return self.skip().map(drop);
+        }
+        let value = T::read_json(self).map_err(|e| DeError::new(format!("field `{name}`: {e}")))?;
+        *slot = Some(value);
+        Ok(())
+    }
+
+    /// Reads an externally tagged variant of enum `ty`: a string
+    /// `"Tag"`, or an object `{"Tag": payload}` of exactly one entry.
+    /// `f` is given the tag and whether a payload follows (the cursor
+    /// is on it); `None` from it means `ty` has no such variant.
+    pub fn variant<T>(
+        &mut self,
+        ty: &str,
+        f: impl FnOnce(&mut Self, &str, bool) -> Result<Option<T>, DeError>,
+    ) -> Result<T, DeError> {
+        let not_one = || DeError::new(format!("expected a {ty} variant"));
+        let (mut f, mut out) = (Some(f), None);
+        let mut read = |r: &mut Self, tag: &str, tagged| {
+            // Taken already: this is a second entry.
+            let f = f.take().ok_or_else(not_one)?;
+            let unknown = || DeError::new(format!("unknown variant {tag} of {ty}"));
+            out = Some(f(r, tag, tagged)?.ok_or_else(unknown)?);
+            Ok(())
+        };
+        match self.peek() {
+            Some(b'"') => {
+                let tag = self.string(true)?;
+                read(self, &tag, false)?;
+            }
+            Some(b'{') => self.container(b'{', b'}', |r| {
+                let tag = r.key(true)?;
+                read(r, &tag, true)
+            })?,
+            _ => drop(self.skip()?),
+        }
+        out.ok_or_else(not_one)
+    }
+
+    /// Checks one value of any kind, building nothing, and returns its
+    /// text.
+    pub fn skip(&mut self) -> Result<&'a str, DeError> {
+        let start = self.i;
+        match self.peek() {
+            Some(b'[') => self.container(b'[', b']', |r| r.skip().map(drop)),
+            Some(b'{') => self.container(b'{', b'}', |r| {
+                r.key(false)?;
+                r.skip().map(drop)
+            }),
+            Some(b'"') => self.string(false).map(drop),
+            Some(b'n') => self.word("null"),
+            Some(b't') => self.word("true"),
+            Some(b'f') => self.word("false"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(|_| ()),
+            _ => Err(self.syntax("expected a value")),
+        }?;
+        Ok(&self.s[start..self.i])
+    }
+
+    /// The one container loop: arrays, objects, [`Reader::skip`] and
+    /// the [`Value`] builder all come through here, so nesting is
+    /// bounded in one place. The cursor is on `open`; `item` reads one
+    /// element (for an object: key, colon and value).
+    fn container(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), DeError>,
+    ) -> Result<(), DeError> {
+        debug_assert_eq!(self.peek(), Some(open));
+        if self.depth == MAX_DEPTH {
+            return Err(self.syntax(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        self.i += 1;
+        self.ws();
+        let result = if self.peek() == Some(close) {
+            self.i += 1;
+            Ok(())
+        } else {
+            loop {
+                if let Err(e) = item(self) {
+                    break Err(e);
+                }
+                self.ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.i += 1;
+                        self.ws();
+                    }
+                    Some(b) if b == close => {
+                        self.i += 1;
+                        break Ok(());
+                    }
+                    _ => break Err(self.syntax(&format!("expected `,` or `{}`", close as char))),
+                }
+            }
+        };
+        self.depth -= 1;
+        result
+    }
+
+    /// An object key and its colon; the cursor ends on the value.
+    fn key(&mut self, keep: bool) -> Result<Cow<'a, str>, DeError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.syntax("expected a string key"));
+        }
+        let key = self.string(keep)?;
+        self.ws();
+        if self.peek() != Some(b':') {
+            return Err(self.syntax("expected `:`"));
+        }
+        self.i += 1;
+        self.ws();
+        Ok(key)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.i).copied()
+    }
+
+    fn ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.i += 1;
+        }
+    }
+
+    fn word(&mut self, w: &str) -> Result<(), DeError> {
+        if !self.s.as_bytes()[self.i..].starts_with(w.as_bytes()) {
+            return Err(self.syntax(&format!("expected `{w}`")));
+        }
+        self.i += w.len();
+        Ok(())
+    }
+
+    /// The string at the cursor (on its opening quote): borrowed from
+    /// the text unless it holds an escape. With `keep` false the string
+    /// is only checked and the result is empty.
+    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, DeError> {
+        self.i += 1;
+        let mut owned: Option<String> = None;
+        // Start of the ordinary bytes not yet copied to `owned`.
+        let mut run = self.i;
+        loop {
+            // Quote and backslash are ASCII, so every cut is on a
+            // character boundary of the (already valid) UTF-8 text.
+            let rest = &self.s.as_bytes()[self.i..];
+            let Some(n) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.i = self.s.len();
+                return Err(self.syntax("unterminated string"));
+            };
+            let plain = &self.s[run..self.i + n];
+            self.i += n + 1;
+            if rest[n] == b'"' {
+                return Ok(match owned {
+                    Some(out) => Cow::Owned(out + plain),
+                    None if keep => Cow::Borrowed(plain),
+                    None => Cow::Borrowed(""),
+                });
+            }
+            let c = self.escape()?;
+            if keep {
+                let out = owned.get_or_insert_with(String::new);
+                out.push_str(plain);
+                out.push(c);
+            }
+            run = self.i;
+        }
+    }
+
+    /// The character of the escape whose backslash was just consumed.
+    fn escape(&mut self) -> Result<char, DeError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                // Exactly four hex digits (`from_str_radix` would take
+                // a sign); a lone surrogate is not a character.
+                let code = self
+                    .s
+                    .as_bytes()
+                    .get(self.i + 1..self.i + 5)
+                    .and_then(|hex| {
+                        hex.iter()
+                            .try_fold(0u32, |code, &h| Some(code * 16 + (h as char).to_digit(16)?))
+                    })
+                    .and_then(char::from_u32)
+                    .ok_or_else(|| self.syntax("bad \\u escape"))?;
+                self.i += 4;
+                code
+            }
+            _ => return Err(self.syntax("bad escape")),
+        };
+        self.i += 1;
+        Ok(c)
+    }
+
+    /// The number at the cursor, in RFC 8259's grammar:
+    /// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`. An integer
+    /// too large for 64 bits reads as a float; a number that is not
+    /// finite is an error.
+    fn number(&mut self) -> Result<Number, DeError> {
+        let start = self.i;
+        if self.peek() == Some(b'-') {
+            self.i += 1;
+        }
+        let int = self.digits()?;
+        if int.len() > 1 && int.starts_with('0') {
+            self.i -= int.len() - 1;
+            return Err(self.syntax("leading zero in a number"));
+        }
+        let mut integer = true;
+        if self.peek() == Some(b'.') {
+            integer = false;
+            self.i += 1;
+            self.digits()?;
+        }
+        if let Some(b'e' | b'E') = self.peek() {
+            integer = false;
+            self.i += 1;
+            if let Some(b'+' | b'-') = self.peek() {
+                self.i += 1;
+            }
+            self.digits()?;
+        }
+        let text = &self.s[start..self.i];
+        if integer {
+            if let Ok(n) = text.parse() {
+                return Ok(Number::U(n));
+            }
+            if let Ok(n) = text.parse() {
+                return Ok(Number::I(n));
+            }
+        }
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Number::F(x)),
+            _ => {
+                self.i = start;
+                Err(self.syntax("number out of range"))
+            }
+        }
+    }
+
+    /// A run of one or more digits.
+    fn digits(&mut self) -> Result<&'a str, DeError> {
+        let start = self.i;
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.i += 1;
+        }
+        if self.i == start {
+            return Err(self.syntax("expected a digit"));
+        }
+        Ok(&self.s[start..self.i])
+    }
+
+    /// A syntax error at the cursor. Line and column (in characters)
+    /// are counted here, on the error path only.
+    fn syntax(&self, what: &str) -> DeError {
+        let before = &self.s[..self.i];
+        let line_start = before.rfind('\n').map_or(0, |n| n + 1);
+        DeError::new(format!(
+            "{what} at line {} column {}",
+            1 + before.bytes().filter(|&b| b == b'\n').count(),
+            1 + before[line_start..].chars().count()
+        ))
+    }
+
+    /// The number at the cursor, for a reader of type `what`.
+    fn typed_number(&mut self, what: &str) -> Result<Number, DeError> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.mismatch(what)),
+        }
+    }
+
+    /// The error for a value that is not a `what`: its own syntax
+    /// error if it is not a value at all.
+    fn mismatch(&mut self, what: &str) -> DeError {
+        match self.skip() {
+            Ok(_) => DeError::new(format!("expected {what}")),
+            Err(e) => e,
+        }
     }
 }
 
@@ -126,7 +485,7 @@ impl Writer {
     /// Writes an object; `f` writes its entries: [`Writer::field`], or
     /// [`Writer::key`] followed by one value.
     pub fn object(&mut self, f: impl FnOnce(&mut Self)) {
-        self.container("{", "}", f);
+        self.nest("{", "}", f);
     }
 
     /// Writes the object entry `name: value`.
@@ -146,7 +505,7 @@ impl Writer {
         self.out.extend_from_slice(text.as_bytes());
     }
 
-    fn container(&mut self, open: &str, close: &str, f: impl FnOnce(&mut Self)) {
+    fn nest(&mut self, open: &str, close: &str, f: impl FnOnce(&mut Self)) {
         self.raw(open);
         self.depth += 1;
         self.empty = true;
@@ -231,12 +590,12 @@ macro_rules! impl_int {
         impl Deserialize for $t {
             /// Accepts an integer in range, or a float whose value is
             /// integral and fits exactly.
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let fits = match *v {
-                    Value::U64(n) => <$t>::try_from(n).ok(),
-                    Value::I64(n) => <$t>::try_from(n).ok(),
-                    Value::F64(x) if (x as i128) as f64 == x => <$t>::try_from(x as i128).ok(),
-                    _ => return Err(DeError::new(concat!("expected ", stringify!($t)))),
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let fits = match r.typed_number(stringify!($t))? {
+                    Number::U(n) => <$t>::try_from(n).ok(),
+                    Number::I(n) => <$t>::try_from(n).ok(),
+                    Number::F(x) if (x as i128) as f64 == x => <$t>::try_from(x as i128).ok(),
+                    Number::F(_) => return Err(DeError::new(concat!("expected ", stringify!($t)))),
                 };
                 fits.ok_or_else(|| DeError::new(concat!("integer out of range for ", stringify!($t))))
             }
@@ -264,13 +623,12 @@ macro_rules! impl_float {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::F64(f) => Ok(*f as $t),
-                    Value::U64(n) => Ok(*n as $t),
-                    Value::I64(n) => Ok(*n as $t),
-                    _ => Err(DeError::new(concat!("expected ", stringify!($t)))),
-                }
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                Ok(match r.typed_number(stringify!($t))? {
+                    Number::F(x) => x as $t,
+                    Number::U(n) => n as $t,
+                    Number::I(n) => n as $t,
+                })
             }
         }
     )*};
@@ -285,10 +643,11 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::new("expected bool")),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        match r.peek() {
+            Some(b't') => r.word("true").map(|()| true),
+            Some(b'f') => r.word("false").map(|()| false),
+            _ => Err(r.mismatch("bool")),
         }
     }
 }
@@ -306,10 +665,10 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(DeError::new("expected string")),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        match r.peek() {
+            Some(b'"') => r.string(true).map(Cow::into_owned),
+            _ => Err(r.mismatch("string")),
         }
     }
 }
@@ -322,7 +681,7 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn write_json(&self, w: &mut Writer) {
-        w.container("[", "]", |w| {
+        w.nest("[", "]", |w| {
             for item in self {
                 w.item();
                 item.write_json(w);
@@ -332,11 +691,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(DeError::new("expected array")),
-        }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut items = Vec::new();
+        r.array(|r| {
+            items.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -350,10 +711,10 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        match r.peek() {
+            Some(b'n') => r.word("null").map(|()| None),
+            _ => T::read_json(r).map(Some),
         }
     }
 }
@@ -378,7 +739,27 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    /// The tree builder: only a caller that asks for a `Value` pays
+    /// for one.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(match r.peek() {
+            Some(b'n') => r.word("null").map(|()| Value::Null)?,
+            Some(b't' | b'f') => Value::Bool(bool::read_json(r)?),
+            Some(b'"') => Value::Str(String::read_json(r)?),
+            Some(b'[') => Value::Array(Vec::read_json(r)?),
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                r.object(|r, key| {
+                    entries.push((key.to_string(), Value::read_json(r)?));
+                    Ok(())
+                })?;
+                Value::Object(entries)
+            }
+            _ => match r.typed_number("a value")? {
+                Number::U(n) => Value::U64(n),
+                Number::I(n) => Value::I64(n),
+                Number::F(x) => Value::F64(x),
+            },
+        })
     }
 }

@@ -1,0 +1,264 @@
+use std::borrow::Cow;
+
+use super::{
+    from_json,
+    to_json,
+    Deserialize,
+    Reader,
+    Serialize,
+    Value, //
+};
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    Unit,
+    Tuple(u64),
+    Struct { a: u32, b: Vec<f64> },
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Record {
+    shapes: Vec<Shape>,
+    name: String,
+    on: bool,
+    maybe: Option<i8>,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Nest {
+    Leaf,
+    Wrap(Vec<Nest>),
+}
+
+fn error<T: Deserialize + std::fmt::Debug>(text: &str) -> String {
+    from_json::<T>(text).unwrap_err().to_string()
+}
+
+#[test]
+fn skip_returns_the_values_text_and_leaves_depth_alone() {
+    for value in [
+        "null",
+        "true",
+        "false",
+        "0",
+        "-12.5e3",
+        r#""""#,
+        r#""a\"bé é""#,
+        "[]",
+        r#"[1, [2], {"k": "v"}]"#,
+        "{ }",
+        r#"{"a": [ ], "b\n": {"c": null}}"#,
+    ] {
+        let text = format!("  {value}  , rest");
+        let mut r = Reader::new(&text);
+        r.ws();
+        assert_eq!(r.skip().unwrap(), value);
+        assert_eq!((r.depth, &text[r.i..]), (0, "  , rest"));
+        // The same value two containers down.
+        let text = format!("[[ {value} ]]");
+        let mut r = Reader::new(&text);
+        r.array(|r| {
+            r.array(|r| {
+                assert_eq!(r.depth, 2);
+                assert_eq!(r.skip()?, value);
+                assert_eq!(r.depth, 2);
+                Ok(())
+            })
+        })
+        .unwrap();
+        assert_eq!((r.depth, r.i), (0, text.len()));
+    }
+    // A value that is not one leaves the depth where it was, too.
+    for bad in ["[1, [2, }", r#"{"a": {"b" 1}}"#, "[[[", r#"["\x"]"#] {
+        let mut r = Reader::new(bad);
+        assert!(r.skip().is_err(), "{bad}");
+        assert_eq!(r.depth, 0, "{bad}");
+    }
+}
+
+#[test]
+fn string_borrows_without_an_escape_and_owns_with_one() {
+    let plain = r#""plain é / text""#;
+    let mut r = Reader::new(plain);
+    assert!(matches!(
+        r.string(true),
+        Ok(Cow::Borrowed("plain é / text"))
+    ));
+    assert_eq!(r.i, plain.len());
+    let escaped = r#""a\nbA é\\""#;
+    let mut r = Reader::new(escaped);
+    match r.string(true) {
+        Ok(Cow::Owned(s)) => assert_eq!(s, "a\nbA é\\"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(r.i, escaped.len());
+    // Only checked: nothing is built, the cursor moves the same.
+    let mut r = Reader::new(escaped);
+    assert!(matches!(r.string(false), Ok(Cow::Borrowed(""))));
+    assert_eq!(r.i, escaped.len());
+}
+
+#[test]
+fn field_keeps_the_first_duplicate_and_still_checks_a_later_one() {
+    let read = from_json::<Record>;
+    let first = r#"{"name": "first", "on": true, "maybe": null, "shapes": [],"#;
+    let record = read(&format!(
+        r#"{first} "name": 7, "on": [{{}}], "other": "x"}}"#
+    ))
+    .unwrap();
+    assert_eq!(record.name, "first");
+    assert!(record.on);
+    let err = read(&format!(r#"{first} "name": [1,}}"#)).unwrap_err();
+    assert!(
+        err.to_string().contains("expected a value at line 1"),
+        "{err}"
+    );
+    // What a field's own read reports carries the field's name.
+    assert_eq!(
+        error::<Record>(r#"{"name": "n", "on": 1}"#),
+        "field `on`: expected bool"
+    );
+    assert_eq!(
+        error::<Record>(r#"{"shapes": [{"Struct": {"a": -1, "b": []}}]}"#),
+        "field `shapes`: field `a`: integer out of range for u32"
+    );
+    assert_eq!(
+        error::<Record>(r#"{"name": "n", "on": true, "shapes": []}"#),
+        "missing field `maybe`"
+    );
+    assert_eq!(error::<Record>("[]"), "expected object");
+}
+
+#[test]
+fn derived_types_round_trip() {
+    let record = Record {
+        shapes: vec![
+            Shape::Unit,
+            Shape::Tuple(u64::MAX),
+            Shape::Struct {
+                a: 7,
+                b: vec![0.5, -3.0, 1e21],
+            },
+        ],
+        name: "q\"uote\\ \n é".to_string(),
+        on: false,
+        maybe: Some(-128),
+    };
+    for pretty in [false, true] {
+        let text = to_json(&record, pretty, 0);
+        assert_eq!(from_json::<Record>(&text).unwrap(), record, "{text}");
+    }
+    assert_eq!(
+        to_json(&record.shapes, false, 0),
+        r#"["Unit",{"Tuple":18446744073709551615},{"Struct":{"a":7,"b":[0.5,-3.0,1000000000000000000000]}}]"#
+    );
+}
+
+#[test]
+fn what_is_not_a_variant_says_so() {
+    for text in [
+        r#"{"Tuple": 1, "Unit": 2}"#,
+        "{}",
+        "7",
+        "[\"Unit\"]",
+        "null",
+    ] {
+        assert_eq!(error::<Shape>(text), "expected a Shape variant", "{text}");
+    }
+    // A tag the enum does not have, or has in the other form.
+    for (text, tag) in [
+        (r#""Nope""#, "Nope"),
+        (r#"{"Nope": 1}"#, "Nope"),
+        (r#""Tuple""#, "Tuple"),
+        (r#"{"Unit": null}"#, "Unit"),
+    ] {
+        assert_eq!(
+            error::<Shape>(text),
+            format!("unknown variant {tag} of Shape"),
+            "{text}"
+        );
+    }
+    assert_eq!(
+        from_json::<Shape>(r#" {"Tuple" : 1 } "#).unwrap(),
+        Shape::Tuple(1)
+    );
+}
+
+#[test]
+fn the_nesting_cap_counts_a_variant_object_as_a_container() {
+    // Each level is two containers: the variant's object and the array.
+    let nest = |levels: usize| {
+        format!(
+            "{}\"Leaf\"{}",
+            "{\"Wrap\":[".repeat(levels),
+            "]}".repeat(levels)
+        )
+    };
+    assert!(from_json::<Nest>(&nest(64)).is_ok());
+    assert!(from_json::<Value>(&nest(64)).is_ok());
+    for text in [nest(65), format!("[{}]", nest(64))] {
+        let err = error::<Vec<Nest>>(&text);
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let err = error::<Value>(&text);
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(Reader::new(&text).skip().is_err());
+    }
+}
+
+#[test]
+fn numbers_follow_rfc_8259() {
+    // Every reader of a number: typed, the tree, the skip scan.
+    let reads = |text: &str| {
+        let all = [
+            from_json::<f64>(text).is_ok(),
+            from_json::<Value>(text).is_ok(),
+            Reader::new(text).skip().is_ok_and(|t| t == text),
+        ];
+        assert!(all.iter().all(|&ok| ok == all[0]), "{text}: {all:?}");
+        all[0]
+    };
+    for good in [
+        "0", "-0", "7", "10", "-10", "0.5", "-0.5", "10.25", "0e0", "1e5", "1E5", "1e+5", "1.5e-5",
+        "-0.0e-0",
+    ] {
+        assert!(reads(good), "{good}");
+    }
+    for bad in [
+        "01", "-007", "00.5", "1.", "1.e5", "-.5", ".5", "1e", "1e+", "-", "+1", "0x10", "1_000",
+        "1.5.5", "1e5.5", "--1", "Infinity", "NaN",
+    ] {
+        assert!(!reads(bad), "{bad}");
+    }
+    assert_eq!(from_json::<u8>("7.0").unwrap(), 7);
+    assert_eq!(from_json::<i64>("-0").unwrap(), 0);
+    assert_eq!(from_json::<Value>("-0").unwrap(), Value::I64(0));
+    assert_eq!(
+        from_json::<Value>("18446744073709551616").unwrap(),
+        Value::F64(2f64.powi(64))
+    );
+}
+
+#[test]
+fn syntax_errors_give_line_and_column() {
+    // On the first line; after a multi-byte character (column 7, byte
+    // 8); on the last line; at the end of the text.
+    for (text, at) in [
+        ("[1, @]", "expected a value at line 1 column 5"),
+        ("[\"é\", @]", "expected a value at line 1 column 7"),
+        (
+            "{\n  \"a\": 1,\n  \"b\": }",
+            "expected a value at line 3 column 8",
+        ),
+        ("[1,\n2", "expected `,` or `]` at line 2 column 2"),
+        ("[1] x", "trailing characters at line 1 column 5"),
+        ("{\n\"é\" 1}", "expected `:` at line 2 column 5"),
+    ] {
+        assert_eq!(error::<Value>(text), at, "{text}");
+    }
+    // A typed reader finds the same error where it expected its type.
+    assert_eq!(
+        error::<Vec<u32>>("[1, @]"),
+        "expected a value at line 1 column 5"
+    );
+    assert_eq!(error::<Vec<u32>>("[1, \"x\"]"), "expected u32");
+}

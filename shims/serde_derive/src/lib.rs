@@ -193,71 +193,68 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("generated Serialize impl parses")
 }
 
+/// An expression reading the object at `__r`'s cursor into `ctor`'s
+/// `fields`: one `Option` slot per field, filled in whatever order the
+/// keys arrive; unknown keys are checked and dropped.
+fn read_fields(ctor: &str, fields: &[String]) -> String {
+    let slots: String = fields
+        .iter()
+        .map(|f| format!("let mut __f_{f} = ::std::option::Option::None;"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .map(|f| format!("\"{f}\" => __r.field(\"{f}\", &mut __f_{f}),"))
+        .collect();
+    let inits: String = fields
+        .iter()
+        .map(|f| {
+            format!("{f}: __f_{f}.ok_or_else(|| ::serde::DeError::new(\"missing field `{f}`\"))?,")
+        })
+        .collect();
+    format!(
+        "{{ {slots}\n\
+            __r.object(|__r, __k| match __k {{ {arms} _ => __r.skip().map(|_| ()) }})?;\n\
+            {ctor} {{ {inits} }} }}"
+    )
+}
+
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let code = match parse_shape(input) {
+    let (name, body) = match parse_shape(input) {
         Shape::Struct(name, fields) => {
-            let inits: String = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::__field(__v, \"{f}\")?,"))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         ::std::result::Result::Ok({name} {{ {inits} }})\n\
-                     }}\n\
-                 }}"
-            )
+            let body = format!("::std::result::Result::Ok({})", read_fields(&name, &fields));
+            (name, body)
         }
         Shape::Enum(name, vars) => {
-            let unit_arms: String = vars
+            let arms: String = vars
                 .iter()
-                .filter_map(|v| match v {
-                    Variant::Unit(v) => Some(format!(
-                        "\"{v}\" => ::std::result::Result::Ok({name}::{v}),"
-                    )),
-                    _ => None,
+                .map(|v| match v {
+                    Variant::Unit(v) => format!("(\"{v}\", false) => {name}::{v},"),
+                    Variant::Tuple(v) => format!(
+                        "(\"{v}\", true) => {name}::{v}(::serde::Deserialize::read_json(__r)?),"
+                    ),
+                    Variant::Struct(v, fields) => format!(
+                        "(\"{v}\", true) => {},",
+                        read_fields(&format!("{name}::{v}"), fields)
+                    ),
                 })
                 .collect();
-            let tagged_arms: String = vars
-                .iter()
-                .filter_map(|v| match v {
-                    Variant::Unit(_) => None,
-                    Variant::Tuple(v) => Some(format!(
-                        "\"{v}\" => ::std::result::Result::Ok({name}::{v}(::serde::Deserialize::from_value(__payload)?)),"
-                    )),
-                    Variant::Struct(v, fields) => {
-                        let inits: String = fields
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::__field(__payload, \"{f}\")?,"))
-                            .collect();
-                        Some(format!(
-                            "\"{v}\" => ::std::result::Result::Ok({name}::{v} {{ {inits} }}),"
-                        ))
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         match __v {{\n\
-                             ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                                 {unit_arms}\n\
-                                 __other => ::std::result::Result::Err(::serde::DeError::new(format!(\"unknown variant {{__other}} of {name}\"))),\n\
-                             }},\n\
-                             ::serde::Value::Object(__m) if __m.len() == 1 => {{\n\
-                                 let (__tag, __payload) = &__m[0];\n\
-                                 match __tag.as_str() {{\n\
-                                     {tagged_arms}\n\
-                                     __other => ::std::result::Result::Err(::serde::DeError::new(format!(\"unknown variant {{__other}} of {name}\"))),\n\
-                                 }}\n\
-                             }}\n\
-                             _ => ::std::result::Result::Err(::serde::DeError::new(\"expected a {name} variant\".to_string())),\n\
-                         }}\n\
-                     }}\n\
-                 }}"
-            )
+            let body = format!(
+                "__r.variant(\"{name}\", |__r, __tag, __tagged| {{\n\
+                     ::std::result::Result::Ok(::std::option::Option::Some(match (__tag, __tagged) {{\n\
+                         {arms}\n\
+                         _ => return ::std::result::Result::Ok(::std::option::Option::None),\n\
+                     }}))\n\
+                 }})"
+            );
+            (name, body)
         }
     };
-    code.parse().expect("generated Deserialize impl parses")
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn read_json(__r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("generated Deserialize impl parses")
 }

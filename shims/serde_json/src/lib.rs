@@ -1,15 +1,15 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
 //! [`to_string_pretty`], [`to_string`], [`from_str`], an indexable
-//! [`Value`], and the [`json!`] macro (single-expression form). The
-//! text writer lives in the `serde` shim, next to the `Serialize` trait
-//! that drives it; the parser here builds the `Value` tree that
-//! `Deserialize` reads.
+//! [`Value`], and the [`json!`] macro (single-expression form). A
+//! facade: the text writer and the text reader both live in the `serde`
+//! shim, next to the `Serialize` and `Deserialize` traits that drive
+//! them, and a [`Value`] is one more type they read and write.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 pub use serde::Value as InnerValue;
-use serde::{DeError, Deserialize, Serialize, Writer};
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
 /// JSON (de)serialization error.
 #[derive(Debug)]
@@ -110,8 +110,8 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &InnerValue) -> Result<Self, DeError> {
-        Ok(Value(v.clone()))
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        InnerValue::read_json(r).map(Value)
     }
 }
 
@@ -141,247 +141,7 @@ pub fn to_string<T: Serialize>(t: &T) -> Result<String, Error> {
     Ok(serde::to_json(t, false, 0))
 }
 
-/// Parses JSON text and deserializes it into `T`.
+/// Reads JSON text as a `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        s: s.as_bytes(),
-        i: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(Error::new("trailing characters after JSON value"));
-    }
-    Ok(T::from_value(&v)?)
-}
-
-/// Containers nested deeper than this are refused (the deepest
-/// committed description nests 6), so hostile input cannot exhaust the
-/// stack.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!(
-                "expected {:?} at byte {}",
-                b as char, self.i
-            )))
-        }
-    }
-
-    fn eat_word(&mut self, w: &str) -> Result<(), Error> {
-        if self.s[self.i..].starts_with(w.as_bytes()) {
-            self.i += w.len();
-            Ok(())
-        } else {
-            Err(Error::new(format!("expected {w:?} at byte {}", self.i)))
-        }
-    }
-
-    fn value(&mut self) -> Result<InnerValue, Error> {
-        match self.peek() {
-            Some(b'n') => {
-                self.eat_word("null")?;
-                Ok(InnerValue::Null)
-            }
-            Some(b't') => {
-                self.eat_word("true")?;
-                Ok(InnerValue::Bool(true))
-            }
-            Some(b'f') => {
-                self.eat_word("false")?;
-                Ok(InnerValue::Bool(false))
-            }
-            Some(b'"') => Ok(InnerValue::Str(self.string()?)),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(Error::new(format!("unexpected byte {}", self.i))),
-        }
-    }
-
-    /// Parses the container at the cursor with `body`, one level
-    /// deeper; bounds the nesting.
-    fn nested(
-        &mut self,
-        body: fn(&mut Self) -> Result<InnerValue, Error>,
-    ) -> Result<InnerValue, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(Error::new(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.i
-            )));
-        }
-        self.depth += 1;
-        let v = body(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn array(&mut self) -> Result<InnerValue, Error> {
-        self.i += 1;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(InnerValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(InnerValue::Array(items));
-                }
-                _ => return Err(Error::new(format!("bad array at byte {}", self.i))),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<InnerValue, Error> {
-        self.i += 1;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(InnerValue::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            entries.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(InnerValue::Object(entries));
-                }
-                _ => return Err(Error::new(format!("bad object at byte {}", self.i))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            // Exactly four hex digits (`from_str_radix`
-                            // would take a sign).
-                            let code = hex
-                                .iter()
-                                .try_fold(0u32, |code, &h| {
-                                    Some(code * 16 + (h as char).to_digit(16)?)
-                                })
-                                .ok_or_else(|| Error::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("bad \\u code point"))?,
-                            );
-                            self.i += 4;
-                        }
-                        _ => return Err(Error::new("bad escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume a maximal run of ordinary bytes in one
-                    // go. Validating UTF-8 per chunk (not per code
-                    // point over the whole remaining input) keeps
-                    // parsing linear — multi-megabyte description
-                    // files hit this path for every string character.
-                    let start = self.i;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.i += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.s[start..self.i])
-                        .map_err(|_| Error::new("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                }
-                None => return Err(Error::new("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<InnerValue, Error> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.i += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.i += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|_| Error::new("invalid number"))?;
-        if !is_float {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(InnerValue::U64(n));
-            }
-            if let Ok(n) = text.parse::<i64>() {
-                return Ok(InnerValue::I64(n));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(x) if x.is_finite() => Ok(InnerValue::F64(x)),
-            _ => Err(Error::new(format!("invalid number {text:?}"))),
-        }
-    }
+    Ok(serde::from_json(s)?)
 }

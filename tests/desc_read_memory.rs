@@ -1,0 +1,75 @@
+//! The description reader's heap use, counted: one
+//! `desc::from_str_full` holds little more than its result, never as
+//! much as the text it reads, and allocates by the container rather
+//! than by the token. (A reader that builds a value tree first peaks at
+//! 11–16 times the result and allocates once per 16 bytes of text.)
+
+use std::alloc::{
+    GlobalAlloc,
+    Layout,
+    System, //
+};
+use std::sync::atomic::{
+    AtomicUsize,
+    Ordering::Relaxed, //
+};
+
+/// The system allocator, counting. `realloc` is the trait's default —
+/// allocate, copy, free — so a growing `Vec` counts at its worst.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
+        PEAK.fetch_max(live, Relaxed);
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: `ptr` came from `alloc` above, that is from `System`,
+        // with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// One test, so nothing else in this process allocates meanwhile.
+#[test]
+fn a_read_holds_little_more_than_its_result() {
+    for name in ["ivy", "synth-mesh-64", "synth-mesh-144", "synth-mesh-256"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("descs")
+            .join(mctop::desc::default_filename(name));
+        let text = std::fs::read_to_string(path).unwrap();
+        let before = LIVE.load(Relaxed);
+        PEAK.store(before, Relaxed);
+        let allocations = ALLOCATIONS.load(Relaxed);
+        let loaded = mctop::desc::from_str_full(&text).unwrap();
+        let peak = PEAK.load(Relaxed) - before;
+        let kept = LIVE.load(Relaxed) - before;
+        let allocations = ALLOCATIONS.load(Relaxed) - allocations;
+        drop(loaded);
+        println!(
+            "{name}: text {} peak {peak} kept {kept} allocations {allocations}",
+            text.len()
+        );
+        assert!(2 * peak <= 3 * kept, "{name}: peak {peak}, kept {kept}");
+        assert!(peak <= text.len(), "{name}: peak {peak} of {}", text.len());
+        assert!(
+            allocations <= text.len() / 256,
+            "{name}: {allocations} allocations for {} bytes",
+            text.len()
+        );
+    }
+}
