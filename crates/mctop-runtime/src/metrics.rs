@@ -195,6 +195,7 @@ pub struct ServerCounters {
     pub(crate) protocol_errors: AtomicU64,
     pub(crate) disconnects_mid_request: AtomicU64,
     pub(crate) reloads: AtomicU64,
+    pub(crate) reload_views_dropped: AtomicU64,
     pub(crate) bytes_read: AtomicU64,
     pub(crate) bytes_written: AtomicU64,
 }
@@ -417,6 +418,12 @@ impl Metrics {
         add(&self.server.disconnects_mid_request, 1);
     }
 
+    /// A `Reload` dropped `n` cached views (what `Registry::reload`
+    /// returned): the ones whose description had changed.
+    pub fn record_reload_views_dropped(&self, n: u64) {
+        add(&self.server.reload_views_dropped, n);
+    }
+
     /// Frame bytes read from clients (payload + length prefixes).
     pub fn record_bytes_read(&self, n: u64) {
         add(&self.server.bytes_read, n);
@@ -452,6 +459,7 @@ impl Metrics {
             protocol_errors: get(&s.protocol_errors),
             disconnects_mid_request: get(&s.disconnects_mid_request),
             reloads: get(&s.reloads),
+            reload_views_dropped: get(&s.reload_views_dropped),
             bytes_read: get(&s.bytes_read),
             bytes_written: get(&s.bytes_written),
         }
@@ -578,6 +586,7 @@ impl Metrics {
             &s.protocol_errors,
             &s.disconnects_mid_request,
             &s.reloads,
+            &s.reload_views_dropped,
             &s.bytes_read,
             &s.bytes_written,
         ] {
@@ -635,6 +644,10 @@ pub struct ServerSnapshot {
     pub disconnects_mid_request: u64,
     /// Topology-cache reloads performed.
     pub reloads: u64,
+    /// Cached views those reloads dropped because their description
+    /// had changed (or could no longer be read); every other view was
+    /// kept. 0 against a non-zero `reloads` means nothing was re-parsed.
+    pub reload_views_dropped: u64,
     /// Frame bytes read from clients.
     pub bytes_read: u64,
     /// Frame bytes written to clients.
@@ -913,6 +926,8 @@ mod tests {
         ] {
             m.record_server_request(kind);
         }
+        m.record_reload_views_dropped(0);
+        m.record_reload_views_dropped(3);
         m.record_ok_response();
         m.record_error_response();
         m.record_bytes_read(100);
@@ -932,7 +947,7 @@ mod tests {
         );
         assert_eq!(s.req_query, 2);
         assert_eq!((s.batches, s.inline_batches), (2, 1));
-        assert_eq!(s.reloads, 1);
+        assert_eq!((s.reloads, s.reload_views_dropped), (1, 3));
         assert_eq!(s.bytes_written, 250);
         // The serving bucket never leaks into the pinned runtime schema.
         assert_eq!(m.snapshot(), MetricsSnapshot::default());

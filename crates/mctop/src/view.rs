@@ -652,7 +652,9 @@ impl SparseStore {
     fn closest(&self, a: usize) -> &[usize] {
         self.neighbor_rows[a].get_or_init(|| {
             let mut others: Vec<usize> = (0..self.n).filter(|&b| b != a).collect();
-            others.sort_by_key(|&b| (self.latency(a, b), b));
+            // Cached: a key is a lock, a row-cache scan and usually a
+            // BFS; derive each once, not once per comparison.
+            others.sort_by_cached_key(|&b| (self.latency(a, b), b));
             others
         })
     }

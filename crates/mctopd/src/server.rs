@@ -23,11 +23,14 @@
 //!   bodies, error frames and counters do not depend on the path.
 //! - Topology state is the memoizing [`Registry`]: one
 //!   `Arc<TopoView>` per machine, handed to each request by clone.
-//!   A `Reload` admin request swaps the cache ([`Registry::clear`]);
-//!   requests already holding an `Arc` finish on the old view, new
-//!   requests load fresh (a lookup that misses pays the load on its
-//!   connection thread) — no locks on the read path beyond the
-//!   registry's read lock.
+//!   A `Reload` admin request revalidates the cache
+//!   ([`Registry::reload`]): a machine whose description is unchanged
+//!   keeps its `Arc` and every index built behind it, one whose file
+//!   changed is dropped. Requests already holding an `Arc` finish on
+//!   the old view, the next request for a dropped machine loads it
+//!   afresh (a lookup that misses pays the load on its connection
+//!   thread) — no locks on the read path beyond the registry's read
+//!   lock.
 //!
 //! # Degradation contract (verified by `tests/faults.rs`)
 //!
@@ -828,7 +831,8 @@ fn answer(state: &State, req: &Request) -> Response {
             state
                 .metrics
                 .record_server_request(ServerRequestKind::Reload);
-            state.registry.clear();
+            let dropped = state.registry.reload();
+            state.metrics.record_reload_views_dropped(dropped as u64);
             Response::Ok { body: Vec::new() }
         }
         Request::Shutdown => {

@@ -629,3 +629,61 @@ fn reload_then_lookup_loads_afresh_on_the_connection_thread() {
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn reload_drops_only_the_machine_whose_file_changed() {
+    let dir = std::env::temp_dir().join(format!("mctopd-fault-{}-two", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(mctop::desc::default_filename(name));
+    for name in ["ivy", "westmere"] {
+        let text = mctop::registry::shipped_source(name).unwrap();
+        std::fs::write(file(name), text).unwrap();
+    }
+
+    let server = Server::bind(ServerCfg {
+        source: DescSource::Dir(dir.clone()),
+        ..ServerCfg::new(sock_path("two"))
+    })
+    .unwrap();
+    let sock = server.socket_path().to_path_buf();
+    let handle = server.start();
+    let mut client = Client::connect(&sock).unwrap();
+
+    let shipped = Registry::shipped();
+    let untouched = lookup("westmere", "latency", 20);
+    let rewritten = query("ivy", "latency", &["0", "20"]);
+    let want = Response::Ok {
+        body: local_body(&shipped, &untouched),
+    };
+    assert_eq!(client.roundtrip(&untouched).unwrap(), want);
+    let before = Response::Ok {
+        body: local_body(&shipped, &rewritten),
+    };
+    assert_eq!(client.roundtrip(&rewritten).unwrap(), before);
+
+    // `ivy` measured again: one SMT pair a cycle slower.
+    let (mut topo, prov) = mctop::desc::load_full(&file("ivy")).unwrap();
+    let n = topo.num_hwcs();
+    topo.lat_table[20] += 1;
+    topo.lat_table[20 * n] += 1;
+    let slower = topo.get_latency(0, 20);
+    mctop::desc::save(&topo, &prov, &file("ivy")).unwrap();
+    client.reload().unwrap();
+    let (server, exec) = counters(&handle);
+    assert_eq!((server.reloads, server.reload_views_dropped), (1, 1));
+
+    // `westmere` was kept, not re-read: its file can go now and it
+    // still answers, the same bytes and still without a worker.
+    std::fs::remove_file(file("westmere")).unwrap();
+    assert_eq!(client.roundtrip(&untouched).unwrap(), want);
+    assert_eq!(counters(&handle).1.tasks, exec.tasks);
+    // `ivy` answers from the new file.
+    let after = Response::Ok {
+        body: format!("{slower}\n").into_bytes(),
+    };
+    assert_ne!(after, before);
+    assert_eq!(client.roundtrip(&rewritten).unwrap(), after);
+
+    handle.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
