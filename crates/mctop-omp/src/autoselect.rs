@@ -49,17 +49,10 @@ where
 mod tests {
     use super::*;
     use crate::graph::Graph;
-    use std::sync::Arc;
 
     #[test]
     fn selects_some_candidate_and_applies_it() {
-        let spec = mcsim::presets::synthetic_small();
-        let mut p = mctop::backend::SimProber::noiseless(&spec);
-        let cfg = mctop::ProbeConfig {
-            reps: 3,
-            ..mctop::ProbeConfig::fast()
-        };
-        let rt = OmpRuntime::new(Arc::new(mctop::infer(&mut p, &cfg).unwrap()), 4);
+        let rt = OmpRuntime::new(crate::runtime::tests::view(), 4);
         let g = Graph::synthetic(500, 4, 1);
         let (best, timings) = auto_select(&rt, |rt| {
             let _ = crate::workloads::pagerank(rt, &g, 1);

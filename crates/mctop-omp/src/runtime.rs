@@ -92,10 +92,10 @@ pub struct OmpRuntime {
 }
 
 impl OmpRuntime {
-    /// A runtime over a topology with the given team size.
-    pub fn new(topo: Arc<Mctop>, threads: usize) -> Self {
-        let threads = threads.clamp(1, topo.num_hwcs());
-        let pool = PlacePool::with_view(TopoView::new(topo), PlaceOpts::threads(threads));
+    /// A runtime over a topology view with the given team size.
+    pub fn new(view: TopoView, threads: usize) -> Self {
+        let threads = threads.clamp(1, view.num_hwcs());
+        let pool = PlacePool::with_view(view, PlaceOpts::threads(threads));
         let placement = pool.select(Policy::None).expect("NONE always places");
         let exec = Executor::with_cfg(
             Some(pool.view()),
@@ -249,26 +249,28 @@ impl OmpRuntime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{
         AtomicU64,
         Ordering, //
     };
 
-    fn topo() -> Arc<Mctop> {
+    /// The view the crate's unit tests run on: `synthetic_small`,
+    /// inferred noiselessly.
+    pub(crate) fn view() -> TopoView {
         let spec = mcsim::presets::synthetic_small();
         let mut p = mctop::backend::SimProber::noiseless(&spec);
         let cfg = mctop::ProbeConfig {
             reps: 3,
             ..mctop::ProbeConfig::fast()
         };
-        Arc::new(mctop::infer(&mut p, &cfg).unwrap())
+        TopoView::new(Arc::new(mctop::infer(&mut p, &cfg).unwrap()))
     }
 
     #[test]
     fn parallel_for_covers_every_index_once() {
-        let rt = OmpRuntime::new(topo(), 4);
+        let rt = OmpRuntime::new(view(), 4);
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
         rt.parallel_for(1000, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
@@ -278,7 +280,7 @@ mod tests {
 
     #[test]
     fn policy_switch_between_regions() {
-        let rt = OmpRuntime::new(topo(), 4);
+        let rt = OmpRuntime::new(view(), 4);
         rt.set_binding_policy(Policy::ConHwc).unwrap();
         assert_eq!(rt.binding_policy(), Policy::ConHwc);
         rt.parallel_for(10, |_| {});
@@ -289,7 +291,7 @@ mod tests {
 
     #[test]
     fn with_policy_restores_previous() {
-        let rt = OmpRuntime::new(topo(), 2);
+        let rt = OmpRuntime::new(view(), 2);
         rt.set_binding_policy(Policy::BalanceHwc).unwrap();
         let out = rt
             .with_policy(Policy::ConCore, |rt| {
@@ -303,7 +305,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_runs_serially_without_deadlock() {
-        let rt = OmpRuntime::new(topo(), 4);
+        let rt = OmpRuntime::new(view(), 4);
         let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
         // The outer bodies run on team workers; the inner region must
         // fall back to serial execution instead of targeting the very
@@ -318,7 +320,7 @@ mod tests {
 
     #[test]
     fn policy_switch_from_inside_a_region_does_not_deadlock() {
-        let rt = OmpRuntime::new(topo(), 4);
+        let rt = OmpRuntime::new(view(), 4);
         rt.parallel_for(8, |i| {
             if i == 0 {
                 rt.set_binding_policy(Policy::RrCore).unwrap();
@@ -335,8 +337,8 @@ mod tests {
 
     #[test]
     fn cross_runtime_nesting_uses_the_inner_team() {
-        let rt_a = OmpRuntime::new(topo(), 2);
-        let rt_b = OmpRuntime::new(topo(), 4);
+        let rt_a = OmpRuntime::new(view(), 2);
+        let rt_b = OmpRuntime::new(view(), 4);
         let seen = parking_lot::Mutex::new(std::collections::HashSet::new());
         rt_a.parallel_for_chunked(1, |_range| {
             rt_b.parallel_for(4, |_i| {
@@ -351,7 +353,7 @@ mod tests {
 
     #[test]
     fn reduce_is_deterministic_for_order_sensitive_combine() {
-        let rt = OmpRuntime::new(topo(), 4);
+        let rt = OmpRuntime::new(view(), 4);
         let n = 10usize;
         let chunk = n.div_ceil(4);
         // Sequential reference folding the chunk partials in ascending
@@ -380,7 +382,7 @@ mod tests {
 
     #[test]
     fn reduce_sums_correctly() {
-        let rt = OmpRuntime::new(topo(), 3);
+        let rt = OmpRuntime::new(view(), 3);
         let total = rt.parallel_reduce(
             10_001,
             0u64,
@@ -392,7 +394,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_loops() {
-        let rt = OmpRuntime::new(topo(), 8);
+        let rt = OmpRuntime::new(view(), 8);
         rt.parallel_for(0, |_| panic!("must not run"));
         let count = AtomicU64::new(0);
         rt.parallel_for(1, |_| {

@@ -166,16 +166,9 @@ pub fn combination(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn rt() -> OmpRuntime {
-        let spec = mcsim::presets::synthetic_small();
-        let mut p = mctop::backend::SimProber::noiseless(&spec);
-        let cfg = mctop::ProbeConfig {
-            reps: 3,
-            ..mctop::ProbeConfig::fast()
-        };
-        OmpRuntime::new(Arc::new(mctop::infer(&mut p, &cfg).unwrap()), 4)
+        OmpRuntime::new(crate::runtime::tests::view(), 4)
     }
 
     fn line_graph(n: usize) -> Graph {

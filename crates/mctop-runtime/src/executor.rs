@@ -283,7 +283,7 @@ impl Shared {
     }
 
     fn push_stealable(&self, task: Task) {
-        self.metrics.stealable_push();
+        self.metrics.exec.stealable_pushes.add(1);
         let i = self.next_injector.fetch_add(1, Ordering::Relaxed) % self.injectors.len();
         self.injectors[i].push(task);
         // Wake one parked worker if there is one (lowest latency to
@@ -310,7 +310,7 @@ impl Shared {
     }
 
     fn push_targeted(&self, worker: usize, task: Task) {
-        self.metrics.targeted_push();
+        self.metrics.exec.targeted_pushes.add(1);
         self.mailboxes[worker].push(task);
         self.bump(worker);
     }
@@ -330,7 +330,7 @@ fn injector_take(injector: &Injector<Task>) -> Option<Task> {
 /// One worker's search for work, in mailbox → deques → injectors order.
 fn next_task(shared: &Shared, idx: usize, queue: &StealPool<Task>) -> Option<Task> {
     if let Some(task) = injector_take(&shared.mailboxes[idx]) {
-        shared.metrics.mailbox_hit();
+        shared.metrics.exec.mailbox_hits.add(1);
         return Some(task);
     }
     // Local pops and steals are recorded inside the pool (it knows the
@@ -349,7 +349,7 @@ fn next_task(shared: &Shared, idx: usize, queue: &StealPool<Task>) -> Option<Tas
         } else {
             let got = injector_take(injector);
             if got.is_some() {
-                shared.metrics.remote_injector_hit();
+                shared.metrics.exec.remote_injector_hits.add(1);
             }
             got
         };
@@ -395,7 +395,7 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, queue: StealPool<Task>, pin: Opt
             // (an idle team costs ~2 wakeups/s/worker, not a poll
             // loop).
             g.parked = true;
-            shared.metrics.parked();
+            shared.metrics.exec.parks.add(1);
             let (mut g, timeout) = my
                 .cv
                 .wait_timeout(g, Duration::from_millis(500))
@@ -404,7 +404,7 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, queue: StealPool<Task>, pin: Opt
             if !timeout.timed_out() {
                 // Woken by a push or shutdown bump, not the defensive
                 // backstop timer.
-                shared.metrics.unparked();
+                shared.metrics.exec.unparks.add(1);
             }
         }
     }
@@ -531,13 +531,13 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.shared.metrics.task_spawned();
+        self.shared.metrics.exec.tasks.add(1);
         self.state.pending.fetch_add(1, Ordering::AcqRel);
         let state = Arc::clone(&self.state);
         let metrics = Arc::clone(&self.shared.metrics);
         let boxed: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                metrics.task_panicked();
+                metrics.exec.panics.add(1);
                 let mut slot = state.panic.lock().unwrap_or_else(|e| e.into_inner());
                 slot.get_or_insert(payload);
             }
@@ -683,7 +683,7 @@ impl Executor {
             queue.attach_metrics(Arc::clone(&metrics), row);
         }
 
-        metrics.exec_armed();
+        metrics.exec.arms.add(1);
         let shared = Arc::new(Shared {
             ctxs,
             mailboxes: (0..n).map(|_| Injector::new()).collect(),
@@ -794,7 +794,7 @@ impl Executor {
             Some(t) => t,
             None => return Err(ExecutorShutdown),
         };
-        self.shared.metrics.scope_opened();
+        self.shared.metrics.exec.scopes.add(1);
         let state = Arc::new(ScopeState::new());
         let scope = Scope {
             shared: &self.shared,
@@ -905,7 +905,7 @@ impl Executor {
         let cfg = self.cfg;
         let metrics = Arc::clone(&self.shared.metrics);
         self.shutdown();
-        metrics.exec_rearmed();
+        metrics.exec.rearms.add(1);
         *self = Executor::with_metrics(view, placement, cfg, metrics);
     }
 

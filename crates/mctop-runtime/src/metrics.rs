@@ -1,37 +1,41 @@
-//! Lock-free runtime observability: relaxed-ordering counter buckets
-//! for the executor, the prober, and the placement/alloc layer.
+//! Lock-free runtime observability: relaxed-ordering counter groups
+//! for the executor, the prober, the placement/alloc layer and the
+//! `mctopd` serving path.
 //!
 //! The paper's premise is that topology-aware placement wins are
 //! *measurable*; this module is what makes them measurable in
 //! production rather than only in one-off benches. Every counter is a
-//! plain [`AtomicU64`] written with [`Ordering::Relaxed`] — a single
-//! uncontended `lock xadd` on the hot path, no locks, no allocation —
-//! and compiled out entirely when the crate's `metrics` feature is
-//! disabled (the recording helpers become empty `#[inline(always)]`
-//! functions, so call sites cost nothing).
+//! [`Counter`] — a plain `AtomicU64` written with `Ordering::Relaxed`:
+//! one uncontended `lock xadd` on the hot path, no locks, no
+//! allocation — and [`Counter::add`] compiles to nothing when the
+//! crate's `metrics` feature is disabled.
+//!
+//! Each group (`executor`, `prober`, `alloc`, `server`) is declared
+//! **once**, with `counter_group!`: the live cells, the serialisable
+//! snapshot struct, `load`, `reset` and the field-wise delta all follow
+//! from that list. Recording names the cell
+//! (`metrics.exec.tasks.add(1)`); only the recorders that carry meaning
+//! are functions ([`Metrics::record_alloc_plan`] and its like).
 //!
 //! # Handles
 //!
 //! [`Metrics`] is the bucket set. A process-global instance
 //! ([`global`]) is what default-constructed executors and the
 //! `mctop-alloc` plan resolver record into — one `snapshot()` of it is
-//! the whole process's runtime story (the view a future `mctopd`
-//! daemon will serve). Tests and benches that need isolation build
-//! their own handle ([`Metrics::handle`]) and arm executors with
+//! the whole process's runtime story. Tests, benches and the daemon
+//! build their own handle ([`Metrics::handle`]) and arm executors with
 //! [`crate::Executor::with_metrics`].
 //!
 //! # Reading counters
 //!
 //! [`Metrics::snapshot`] loads every counter with relaxed ordering.
-//! Because writers are relaxed too, a snapshot taken while workers are
-//! running is a *consistent-enough* view for monitoring — each counter
-//! is exact, but cross-counter invariants (e.g. "dispatch-source hits
-//! sum to tasks") only hold once the executor is quiescent (all scopes
-//! returned). Snapshots are plain serde-serializable data:
-//! [`MetricsSnapshot::delta`] subtracts an earlier snapshot to get a
-//! per-window view, and [`Metrics::reset`] zeroes the buckets (racy
-//! against concurrent writers by design — reset while quiescent, as
-//! `mct query metrics` does).
+//! Writers are relaxed too, so a snapshot taken while workers run is
+//! exact per counter, but cross-counter invariants ("dispatch-source
+//! hits sum to tasks") only hold once the executor is quiescent.
+//! Snapshots are plain serde data: [`MetricsSnapshot::delta`] subtracts
+//! an earlier one to get a per-window view, [`Metrics::reset`] zeroes
+//! the buckets (racy against concurrent writers by design — reset while
+//! quiescent, as `mct query metrics` does).
 //!
 //! ```
 //! use mctop_runtime::metrics::{Metrics, MetricsSnapshot};
@@ -39,35 +43,23 @@
 //! let m = Metrics::handle();
 //! let before = m.snapshot();
 //! m.record_alloc_plan(2, &[16, 16]); // a 2-arena plan striped 16+16 pages
-//! let after = m.snapshot();
-//! let window = after.delta(&before);
-//! // With the `metrics` feature off the recorders are no-ops, so the
-//! // assertions only make sense when it is on (the default).
+//! let window = m.snapshot().delta(&before);
+//! // Recording is a no-op with the `metrics` feature off.
 //! #[cfg(feature = "metrics")]
-//! {
-//!     assert_eq!(window.alloc.plans_resolved, 1);
-//!     assert_eq!(window.alloc.pages_planned, 32);
-//! }
+//! assert_eq!((window.alloc.plans_resolved, window.alloc.pages_planned), (1, 32));
 //! m.reset();
 //! assert_eq!(m.snapshot(), MetricsSnapshot::default());
 //! ```
-//!
-//! The counter-by-counter semantics (what increments each bucket,
-//! which thread owns it, and the relaxed-ordering caveats for
-//! cross-thread reads) are documented in `docs/OBSERVABILITY.md`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-// The counters come from the facade's `counter` module, which is a
-// plain `std` `AtomicU64` in *both* personalities: metrics are
+// A plain `std` `AtomicU64` in *both* facade personalities: metrics are
 // observational (relaxed, never read back for control flow), so the
-// model checker deliberately does not track them — tracking would
-// multiply the explored state space per recorded event without ever
-// finding a protocol bug. Model tests should record into a private
-// `Metrics::handle()`; the process-global handle above stays a `std`
-// `OnceLock` for the same reason.
+// model checker does not track them — that would multiply the explored
+// state space per recorded event without ever finding a protocol bug.
+// The process-global handle stays a `std` `OnceLock` for the same reason.
 use crate::sync::counter::AtomicU64;
 
 use mctop::alg::probe::ProbeStats;
@@ -76,15 +68,12 @@ use serde::{
     Serialize, //
 };
 
-/// Per-node bucket capacity for the alloc stripe counters. Far above
-/// the node count of any modelled machine (the largest, the 8-socket
-/// Opteron/Westmere models, have 8 nodes).
+/// Per-node bucket capacity for the alloc stripe counters (the largest
+/// modelled machines, 8-socket Opteron/Westmere, have 8 nodes).
 pub const MAX_NODES: usize = 32;
 
 /// Distance class of a steal victim, in the `TopoView` min-latency
-/// order the executor steals in. `Local` is bucket 0 of the
-/// steal-distance histogram: a pop from the worker's own deque, not a
-/// steal.
+/// order the executor steals in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StealClass {
     /// The victim shares the thief's socket (includes SMT siblings).
@@ -97,111 +86,297 @@ pub enum StealClass {
     Unclassified,
 }
 
-#[inline(always)]
-fn add(counter: &AtomicU64, n: u64) {
-    #[cfg(feature = "metrics")]
-    counter.fetch_add(n, Ordering::Relaxed);
-    #[cfg(not(feature = "metrics"))]
-    {
-        let _ = (counter, n);
+/// One live counter: the cell every scalar field of a counter group is
+/// made of. Recording an event is `metrics.<group>.<field>.add(n)`.
+#[derive(Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n`: one relaxed `fetch_add`, and nothing at all when the
+    /// `metrics` feature is off.
+    #[inline(always)]
+    pub fn add(&self, n: u64) {
+        #[cfg(feature = "metrics")]
+        self.0.fetch_add(n, Ordering::Relaxed);
+        #[cfg(not(feature = "metrics"))]
+        let _ = n;
+    }
+
+    fn load(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
-#[inline(always)]
-fn get(counter: &AtomicU64) -> u64 {
-    counter.load(Ordering::Relaxed)
-}
-
-/// Executor-traffic counters (one bucket set shared by all executors
-/// recording into the same [`Metrics`] handle).
+/// One [`Counter`] per memory node ([`MAX_NODES`] of them); its
+/// snapshot is a `Vec<u64>` with the trailing zero nodes trimmed.
 #[derive(Default)]
-pub struct ExecCounters {
-    pub(crate) arms: AtomicU64,
-    pub(crate) rearms: AtomicU64,
-    pub(crate) scopes: AtomicU64,
-    pub(crate) tasks: AtomicU64,
-    pub(crate) panics: AtomicU64,
-    pub(crate) targeted_pushes: AtomicU64,
-    pub(crate) stealable_pushes: AtomicU64,
-    pub(crate) mailbox_hits: AtomicU64,
-    pub(crate) local_deque_hits: AtomicU64,
-    pub(crate) injector_hits: AtomicU64,
-    pub(crate) remote_injector_hits: AtomicU64,
-    pub(crate) steals_same_socket: AtomicU64,
-    pub(crate) steals_one_hop: AtomicU64,
-    pub(crate) steals_multi_hop: AtomicU64,
-    pub(crate) steals_unclassified: AtomicU64,
-    pub(crate) parks: AtomicU64,
-    pub(crate) unparks: AtomicU64,
+pub struct PerNode([Counter; MAX_NODES]);
+
+impl PerNode {
+    fn load(&self) -> Vec<u64> {
+        trimmed(self.0.iter().map(Counter::load))
+    }
+
+    fn reset(&self) {
+        self.0.iter().for_each(Counter::reset);
+    }
 }
 
-/// Prober-activity counters, folded in from [`ProbeStats`] after a
-/// collection run (the prober counts locally while measuring — see
-/// [`Metrics::record_probe_stats`]).
+/// The place of a snapshot field computed from its siblings instead of
+/// recorded ([`ExecutorSnapshot::steals_total`]): zero-sized, loads as
+/// 0, and has no `add`, so recording into it does not compile.
 #[derive(Default)]
-pub struct ProberCounters {
-    pub(crate) runs: AtomicU64,
-    pub(crate) pairs: AtomicU64,
-    pub(crate) probes: AtomicU64,
-    pub(crate) pilot_probes: AtomicU64,
-    pub(crate) refined_pairs: AtomicU64,
-    pub(crate) retries: AtomicU64,
+pub struct Derived;
+
+impl Derived {
+    fn load(&self) -> u64 {
+        0
+    }
+
+    fn reset(&self) {}
 }
 
-/// Placement/alloc counters.
-pub struct AllocCounters {
-    pub(crate) plans_resolved: AtomicU64,
-    pub(crate) arenas_planned: AtomicU64,
-    pub(crate) pages_planned: AtomicU64,
-    pub(crate) stripes_per_node: [AtomicU64; MAX_NODES],
+fn trimmed(values: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut v: Vec<u64> = values.collect();
+    while v.last() == Some(&0) {
+        v.pop();
+    }
+    v
 }
 
-impl Default for AllocCounters {
-    fn default() -> Self {
-        AllocCounters {
-            plans_resolved: AtomicU64::new(0),
-            arenas_planned: AtomicU64::new(0),
-            pages_planned: AtomicU64::new(0),
-            stripes_per_node: std::array::from_fn(|_| AtomicU64::new(0)),
+/// What a snapshot value accumulated since an earlier one: saturating,
+/// so a reset between the two clamps to zero instead of wrapping.
+trait Since {
+    fn since(&self, earlier: &Self) -> Self;
+}
+
+impl Since for u64 {
+    fn since(&self, earlier: &u64) -> u64 {
+        self.saturating_sub(*earlier)
+    }
+}
+
+impl Since for Vec<u64> {
+    fn since(&self, earlier: &Vec<u64>) -> Vec<u64> {
+        let earlier = earlier.iter().chain(std::iter::repeat(&0));
+        trimmed(self.iter().zip(earlier).map(|(now, then)| now.since(then)))
+    }
+}
+
+/// Declares one counter group **once**: each field (name, doc comment,
+/// cell kind, in JSON order) becomes a live cell of the `live` struct
+/// and a plain value of the serialisable `snapshot` struct; `load`,
+/// `reset` and the field-wise [`Since`] come from the same list, so a
+/// counter cannot be left out of one of them. A cell kind is a
+/// `Default` type with `load`/`reset` and a `@value` line naming the
+/// [`Since`] type its snapshot holds.
+macro_rules! counter_group {
+    (@value Counter) => { u64 };
+    (@value PerNode) => { Vec<u64> };
+    (@value Derived) => { u64 };
+    (
+        $(#[$live_doc:meta])*
+        live $Live:ident;
+        $(#[$snap_doc:meta])*
+        snapshot $Snap:ident;
+        $($(#[$doc:meta])* $field:ident: $Kind:ident,)*
+    ) => {
+        $(#[$live_doc])*
+        #[derive(Default)]
+        pub struct $Live {
+            $($(#[$doc])* pub $field: $Kind,)*
         }
-    }
+
+        $(#[$snap_doc])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct $Snap {
+            $($(#[$doc])* pub $field: counter_group!(@value $Kind),)*
+        }
+
+        impl $Live {
+            fn load(&self) -> $Snap {
+                $Snap { $($field: self.$field.load(),)* }
+            }
+
+            fn reset(&self) {
+                $(self.$field.reset();)*
+            }
+        }
+
+        impl $Snap {
+            /// The declared field names, in declaration order.
+            #[cfg(test)]
+            const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
+        }
+
+        impl Since for $Snap {
+            fn since(&self, earlier: &$Snap) -> $Snap {
+                $Snap { $($field: self.$field.since(&earlier.$field),)* }
+            }
+        }
+    };
 }
 
-/// Serving-path counters for the `mctopd` daemon: connections,
-/// per-kind request traffic, batching, and failure classes.
-///
-/// Deliberately **not** part of [`MetricsSnapshot`]: the runtime
-/// snapshot schema is pinned by goldens and pre-daemon artifacts.
-/// Read these via [`Metrics::server_snapshot`]; the daemon's
-/// `MetricsSnapshot` request returns both views side by side.
-#[derive(Default)]
-pub struct ServerCounters {
-    pub(crate) connections_opened: AtomicU64,
-    pub(crate) connections_closed: AtomicU64,
-    pub(crate) hellos_ok: AtomicU64,
-    pub(crate) version_mismatches: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) req_list: AtomicU64,
-    pub(crate) req_query: AtomicU64,
-    pub(crate) req_placement: AtomicU64,
-    pub(crate) req_alloc_plan: AtomicU64,
-    pub(crate) req_metrics: AtomicU64,
-    pub(crate) req_reload: AtomicU64,
-    pub(crate) req_shutdown: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) inline_batches: AtomicU64,
-    pub(crate) ok_responses: AtomicU64,
-    pub(crate) error_responses: AtomicU64,
-    pub(crate) protocol_errors: AtomicU64,
-    pub(crate) disconnects_mid_request: AtomicU64,
-    pub(crate) reloads: AtomicU64,
-    pub(crate) reload_views_dropped: AtomicU64,
-    pub(crate) bytes_read: AtomicU64,
-    pub(crate) bytes_written: AtomicU64,
+counter_group! {
+    /// Live executor-traffic cells (one set shared by all executors
+    /// recording into the same [`Metrics`] handle).
+    live ExecCounters;
+    /// A point-in-time copy of the executor buckets: plain totals since
+    /// the handle's creation (or last [`Metrics::reset`]).
+    snapshot ExecutorSnapshot;
+    /// Executors armed (constructions, including each re-arm's fresh
+    /// team).
+    arms: Counter,
+    /// Graceful placement changes ([`crate::Executor::rearm`]).
+    rearms: Counter,
+    /// Fork-join scopes opened (`run`/`run_each` count one per call).
+    scopes: Counter,
+    /// Tasks submitted (targeted + stealable).
+    tasks: Counter,
+    /// Tasks whose closure panicked (the panic is captured and
+    /// re-thrown at the scope).
+    panics: Counter,
+    /// Tasks pushed to a specific worker's mailbox (`spawn_on`,
+    /// `run_each`).
+    targeted_pushes: Counter,
+    /// Tasks pushed to a socket injector (`spawn`, `join`).
+    stealable_pushes: Counter,
+    /// Tasks a worker took from its own mailbox.
+    mailbox_hits: Counter,
+    /// Tasks a worker popped from its own deque (bucket 0 of the
+    /// steal-distance histogram).
+    local_deque_hits: Counter,
+    /// Tasks taken directly off an injector by a home-socket batch
+    /// refill (the batch surplus lands in the local deque and is later
+    /// counted under `local_deque_hits` or the steal buckets).
+    injector_hits: Counter,
+    /// Tasks taken one-at-a-time from another socket's injector.
+    remote_injector_hits: Counter,
+    /// Steals from a victim on the thief's own socket (incl. SMT
+    /// siblings).
+    steals_same_socket: Counter,
+    /// Steals from a victim one interconnect hop away.
+    steals_one_hop: Counter,
+    /// Steals from a victim two or more hops away.
+    steals_multi_hop: Counter,
+    /// Steals whose distance could not be classified (executor armed
+    /// without a topology view).
+    steals_unclassified: Counter,
+    /// Sum of the four steal buckets (filled in by `snapshot()` and
+    /// `delta()`, so the histogram always sums to the total).
+    steals_total: Derived,
+    /// Times a worker went to sleep after an empty scan. Timing-
+    /// dependent: two identical runs may park differently.
+    parks: Counter,
+    /// Times a sleeping worker was woken by a push or shutdown (not by
+    /// its defensive timeout). Timing-dependent.
+    unparks: Counter,
 }
 
-/// Request kinds the server counts individually (the serving wire
-/// protocol's non-handshake requests).
+counter_group! {
+    /// Live prober-activity cells, folded in once per collection run by
+    /// [`Metrics::record_probe_stats`].
+    live ProberCounters;
+    /// A point-in-time copy of the prober buckets.
+    snapshot ProberSnapshot;
+    /// Collection runs folded in via [`Metrics::record_probe_stats`].
+    runs: Counter,
+    /// Context pairs measured.
+    pairs: Counter,
+    /// Raw probes issued (including retries and adaptive pilots).
+    probes: Counter,
+    /// Probes issued by the adaptive pilot pass.
+    pilot_probes: Counter,
+    /// Pairs re-measured with full repetitions by adaptive refinement.
+    refined_pairs: Counter,
+    /// Pair-level retries due to unstable stdev.
+    retries: Counter,
+}
+
+counter_group! {
+    /// Live placement/alloc cells.
+    live AllocCounters;
+    /// A point-in-time copy of the alloc buckets.
+    snapshot AllocSnapshot;
+    /// Allocation plans resolved (`AllocPlan::resolve`).
+    plans_resolved: Counter,
+    /// Per-worker arenas across all resolved plans.
+    arenas_planned: Counter,
+    /// Pages across all resolved plans.
+    pages_planned: Counter,
+    /// First-touch stripe pages per memory node, trailing zeros
+    /// trimmed (`stripes_per_node[n]` = pages planned onto node `n`).
+    stripes_per_node: PerNode,
+}
+
+counter_group! {
+    /// Live serving-path cells for the `mctopd` daemon: connections,
+    /// per-kind request traffic, batching, and failure classes.
+    /// Deliberately **not** part of [`MetricsSnapshot`], whose schema is
+    /// pinned by goldens and pre-daemon artifacts.
+    live ServerCounters;
+    /// A point-in-time copy of the serving-path buckets
+    /// ([`Metrics::server_snapshot`]). The daemon's `MetricsSnapshot`
+    /// request serves it next to the runtime [`MetricsSnapshot`].
+    snapshot ServerSnapshot;
+    /// Connections accepted.
+    connections_opened: Counter,
+    /// Connection handlers finished (any reason).
+    connections_closed: Counter,
+    /// Successful `Hello` handshakes.
+    hellos_ok: Counter,
+    /// `Hello` frames rejected for an unsupported protocol version.
+    version_mismatches: Counter,
+    /// Decoded requests entering execution (all kinds).
+    requests: Counter,
+    /// `ListTopologies` requests.
+    req_list: Counter,
+    /// `Query` requests.
+    req_query: Counter,
+    /// `Placement` requests.
+    req_placement: Counter,
+    /// `AllocPlan` requests.
+    req_alloc_plan: Counter,
+    /// `MetricsSnapshot` requests.
+    req_metrics: Counter,
+    /// `Reload` admin requests.
+    req_reload: Counter,
+    /// `Shutdown` admin requests.
+    req_shutdown: Counter,
+    /// Pipelined batches executed (a batch is >= 1 request), on either
+    /// path.
+    batches: Counter,
+    /// Of those, the all-lookup batches answered on the connection
+    /// thread: no executor scope, no task. The rest ran as one
+    /// executor scope each: `batches - inline_batches` equals
+    /// `executor.scopes` when the daemon's executor serves nothing else.
+    inline_batches: Counter,
+    /// `Ok` response frames written.
+    ok_responses: Counter,
+    /// Typed error response frames written.
+    error_responses: Counter,
+    /// Connections closed for broken framing (malformed frame,
+    /// mid-frame EOF).
+    protocol_errors: Counter,
+    /// Clients that vanished with a request or response in flight.
+    disconnects_mid_request: Counter,
+    /// Topology-cache reloads performed.
+    reloads: Counter,
+    /// Cached views those reloads dropped because their description
+    /// had changed (or could no longer be read); every other view was
+    /// kept. 0 against a non-zero `reloads` means nothing was re-parsed.
+    reload_views_dropped: Counter,
+    /// Frame bytes read from clients (payload + length prefixes).
+    bytes_read: Counter,
+    /// Frame bytes written to clients (payload + length prefixes).
+    bytes_written: Counter,
+}
+
+/// The serving wire protocol's non-handshake requests, counted per kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerRequestKind {
     /// `ListTopologies`.
@@ -221,9 +396,8 @@ pub enum ServerRequestKind {
 }
 
 /// The full runtime counter set: executor traffic, prober activity,
-/// alloc/placement plans, and the daemon's serving path. See the
-/// module docs for the handle model and `docs/OBSERVABILITY.md` for
-/// per-counter semantics.
+/// alloc/placement plans, and the daemon's serving path. Per-counter
+/// semantics are in `docs/OBSERVABILITY.md`.
 #[derive(Default)]
 pub struct Metrics {
     /// Executor-traffic buckets.
@@ -244,58 +418,12 @@ pub fn global() -> &'static Arc<Metrics> {
 }
 
 impl Metrics {
-    /// A fresh, isolated handle (for tests and benches that must not
-    /// see other executors' traffic).
+    /// A fresh handle that sees no other executor's traffic.
     pub fn handle() -> Arc<Metrics> {
         Arc::new(Metrics::default())
     }
 
-    // --- executor recording (crate-internal call sites) ---
-
-    pub(crate) fn exec_armed(&self) {
-        add(&self.exec.arms, 1);
-    }
-
-    pub(crate) fn exec_rearmed(&self) {
-        add(&self.exec.rearms, 1);
-    }
-
-    pub(crate) fn scope_opened(&self) {
-        add(&self.exec.scopes, 1);
-    }
-
-    pub(crate) fn task_spawned(&self) {
-        add(&self.exec.tasks, 1);
-    }
-
-    pub(crate) fn task_panicked(&self) {
-        add(&self.exec.panics, 1);
-    }
-
-    pub(crate) fn targeted_push(&self) {
-        add(&self.exec.targeted_pushes, 1);
-    }
-
-    pub(crate) fn stealable_push(&self) {
-        add(&self.exec.stealable_pushes, 1);
-    }
-
-    pub(crate) fn mailbox_hit(&self) {
-        add(&self.exec.mailbox_hits, 1);
-    }
-
-    pub(crate) fn local_deque_hit(&self) {
-        add(&self.exec.local_deque_hits, 1);
-    }
-
-    pub(crate) fn injector_hit(&self) {
-        add(&self.exec.injector_hits, 1);
-    }
-
-    pub(crate) fn remote_injector_hit(&self) {
-        add(&self.exec.remote_injector_hits, 1);
-    }
-
+    /// One steal from a victim of distance `class`.
     pub(crate) fn steal(&self, class: StealClass) {
         let bucket = match class {
             StealClass::SameSocket => &self.exec.steals_same_socket,
@@ -303,445 +431,99 @@ impl Metrics {
             StealClass::MultiHop => &self.exec.steals_multi_hop,
             StealClass::Unclassified => &self.exec.steals_unclassified,
         };
-        add(bucket, 1);
+        bucket.add(1);
     }
-
-    pub(crate) fn parked(&self) {
-        add(&self.exec.parks, 1);
-    }
-
-    pub(crate) fn unparked(&self) {
-        add(&self.exec.unparks, 1);
-    }
-
-    // --- prober and alloc recording (public: called from other
-    // crates and harnesses) ---
 
     /// Folds one collection run's [`ProbeStats`] into the prober
-    /// buckets. The prober counts locally while measuring (its inner
-    /// loop is the measurement — an atomic per sample would perturb
-    /// it); callers fold the totals in once per run.
+    /// buckets. The prober counts locally while measuring (an atomic
+    /// per sample would perturb the measurement); callers fold the
+    /// totals in once per run.
     pub fn record_probe_stats(&self, stats: &ProbeStats) {
-        add(&self.prober.runs, 1);
-        add(&self.prober.pairs, stats.pairs);
-        add(&self.prober.probes, stats.probes);
-        add(&self.prober.pilot_probes, stats.pilot_probes);
-        add(&self.prober.refined_pairs, stats.refined_pairs);
-        add(&self.prober.retries, stats.retries);
+        let p = &self.prober;
+        p.runs.add(1);
+        p.pairs.add(stats.pairs);
+        p.probes.add(stats.probes);
+        p.pilot_probes.add(stats.pilot_probes);
+        p.refined_pairs.add(stats.refined_pairs);
+        p.retries.add(stats.retries);
     }
 
-    /// Records one resolved allocation plan: `arenas` per-worker
-    /// arenas whose first-touch stripes put `pages_per_node[n]` pages
-    /// on node `n`. Nodes beyond [`MAX_NODES`] are folded into the
-    /// last bucket.
+    /// Records one resolved allocation plan: `arenas` per-worker arenas
+    /// whose first-touch stripes put `pages_per_node[n]` pages on node
+    /// `n`. Nodes beyond [`MAX_NODES`] are folded into the last bucket.
     pub fn record_alloc_plan(&self, arenas: u64, pages_per_node: &[u64]) {
-        add(&self.alloc.plans_resolved, 1);
-        add(&self.alloc.arenas_planned, arenas);
+        let a = &self.alloc;
+        a.plans_resolved.add(1);
+        a.arenas_planned.add(arenas);
         for (node, &pages) in pages_per_node.iter().enumerate() {
-            add(&self.alloc.pages_planned, pages);
+            a.pages_planned.add(pages);
             if pages > 0 {
-                add(&self.alloc.stripes_per_node[node.min(MAX_NODES - 1)], pages);
+                a.stripes_per_node.0[node.min(MAX_NODES - 1)].add(pages);
             }
         }
     }
 
-    // --- serving recording (public: called from the mctopd crate) ---
-
-    /// A connection was accepted.
-    pub fn record_conn_opened(&self) {
-        add(&self.server.connections_opened, 1);
-    }
-
-    /// A connection handler finished (any reason).
-    pub fn record_conn_closed(&self) {
-        add(&self.server.connections_closed, 1);
-    }
-
-    /// A `Hello` handshake succeeded.
-    pub fn record_hello_ok(&self) {
-        add(&self.server.hellos_ok, 1);
-    }
-
-    /// A `Hello` carried an unsupported protocol version.
-    pub fn record_version_mismatch(&self) {
-        add(&self.server.version_mismatches, 1);
-    }
-
-    /// One decoded request of `kind` entered execution.
+    /// One decoded request of `kind` entered execution: the total, its
+    /// per-kind bucket and, for a `Reload`, `reloads`.
     pub fn record_server_request(&self, kind: ServerRequestKind) {
-        add(&self.server.requests, 1);
+        let s = &self.server;
+        s.requests.add(1);
         let bucket = match kind {
-            ServerRequestKind::List => &self.server.req_list,
-            ServerRequestKind::Query => &self.server.req_query,
-            ServerRequestKind::Placement => &self.server.req_placement,
-            ServerRequestKind::AllocPlan => &self.server.req_alloc_plan,
-            ServerRequestKind::Metrics => &self.server.req_metrics,
+            ServerRequestKind::List => &s.req_list,
+            ServerRequestKind::Query => &s.req_query,
+            ServerRequestKind::Placement => &s.req_placement,
+            ServerRequestKind::AllocPlan => &s.req_alloc_plan,
+            ServerRequestKind::Metrics => &s.req_metrics,
             ServerRequestKind::Reload => {
-                add(&self.server.reloads, 1);
-                &self.server.req_reload
+                s.reloads.add(1);
+                &s.req_reload
             }
-            ServerRequestKind::Shutdown => &self.server.req_shutdown,
+            ServerRequestKind::Shutdown => &s.req_shutdown,
         };
-        add(bucket, 1);
+        bucket.add(1);
     }
 
-    /// One batch of pipelined requests was executed together.
-    pub fn record_server_batch(&self) {
-        add(&self.server.batches, 1);
-    }
-
-    /// A batch counted by [`Metrics::record_server_batch`] was answered
-    /// on the connection thread: no executor scope, no task.
-    pub fn record_inline_batch(&self) {
-        add(&self.server.inline_batches, 1);
-    }
-
-    /// An `Ok` response frame was written.
-    pub fn record_ok_response(&self) {
-        add(&self.server.ok_responses, 1);
-    }
-
-    /// A typed error response frame was written.
-    pub fn record_error_response(&self) {
-        add(&self.server.error_responses, 1);
-    }
-
-    /// A connection broke the framing (malformed frame, mid-frame EOF)
-    /// and was closed.
-    pub fn record_protocol_error(&self) {
-        add(&self.server.protocol_errors, 1);
-    }
-
-    /// A client vanished while a request (or its response) was in
-    /// flight; the request was abandoned, the server unaffected.
-    pub fn record_disconnect_mid_request(&self) {
-        add(&self.server.disconnects_mid_request, 1);
-    }
-
-    /// A `Reload` dropped `n` cached views (what `Registry::reload`
-    /// returned): the ones whose description had changed.
-    pub fn record_reload_views_dropped(&self, n: u64) {
-        add(&self.server.reload_views_dropped, n);
-    }
-
-    /// Frame bytes read from clients (payload + length prefixes).
-    pub fn record_bytes_read(&self, n: u64) {
-        add(&self.server.bytes_read, n);
-    }
-
-    /// Frame bytes written to clients (payload + length prefixes).
-    pub fn record_bytes_written(&self, n: u64) {
-        add(&self.server.bytes_written, n);
-    }
-
-    /// Loads the serving-path counters (relaxed) into a serializable
-    /// snapshot. Kept separate from [`Metrics::snapshot`] so the
-    /// runtime schema (and its goldens) stay byte-stable.
+    /// Loads the serving-path counters (relaxed). Kept apart from
+    /// [`Metrics::snapshot`] so the runtime schema stays byte-stable.
     pub fn server_snapshot(&self) -> ServerSnapshot {
-        let s = &self.server;
-        ServerSnapshot {
-            connections_opened: get(&s.connections_opened),
-            connections_closed: get(&s.connections_closed),
-            hellos_ok: get(&s.hellos_ok),
-            version_mismatches: get(&s.version_mismatches),
-            requests: get(&s.requests),
-            req_list: get(&s.req_list),
-            req_query: get(&s.req_query),
-            req_placement: get(&s.req_placement),
-            req_alloc_plan: get(&s.req_alloc_plan),
-            req_metrics: get(&s.req_metrics),
-            req_reload: get(&s.req_reload),
-            req_shutdown: get(&s.req_shutdown),
-            batches: get(&s.batches),
-            inline_batches: get(&s.inline_batches),
-            ok_responses: get(&s.ok_responses),
-            error_responses: get(&s.error_responses),
-            protocol_errors: get(&s.protocol_errors),
-            disconnects_mid_request: get(&s.disconnects_mid_request),
-            reloads: get(&s.reloads),
-            reload_views_dropped: get(&s.reload_views_dropped),
-            bytes_read: get(&s.bytes_read),
-            bytes_written: get(&s.bytes_written),
-        }
+        self.server.load()
     }
 
-    /// Loads every counter (relaxed) into a plain, serializable
-    /// snapshot. Exact per counter; cross-counter invariants hold only
-    /// when the recording executors are quiescent.
+    /// Loads every counter (relaxed). Exact per counter; cross-counter
+    /// invariants hold only when the recording executors are quiescent.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let e = &self.exec;
-        let p = &self.prober;
-        let a = &self.alloc;
-        let steals_same_socket = get(&e.steals_same_socket);
-        let steals_one_hop = get(&e.steals_one_hop);
-        let steals_multi_hop = get(&e.steals_multi_hop);
-        let steals_unclassified = get(&e.steals_unclassified);
-        let mut stripes_per_node: Vec<u64> = a.stripes_per_node.iter().map(get).collect();
-        while stripes_per_node.last() == Some(&0) {
-            stripes_per_node.pop();
-        }
         MetricsSnapshot {
-            executor: ExecutorSnapshot {
-                arms: get(&e.arms),
-                rearms: get(&e.rearms),
-                scopes: get(&e.scopes),
-                tasks: get(&e.tasks),
-                panics: get(&e.panics),
-                targeted_pushes: get(&e.targeted_pushes),
-                stealable_pushes: get(&e.stealable_pushes),
-                mailbox_hits: get(&e.mailbox_hits),
-                local_deque_hits: get(&e.local_deque_hits),
-                injector_hits: get(&e.injector_hits),
-                remote_injector_hits: get(&e.remote_injector_hits),
-                steals_same_socket,
-                steals_one_hop,
-                steals_multi_hop,
-                steals_unclassified,
-                steals_total: steals_same_socket
-                    + steals_one_hop
-                    + steals_multi_hop
-                    + steals_unclassified,
-                parks: get(&e.parks),
-                unparks: get(&e.unparks),
-            },
-            prober: ProberSnapshot {
-                runs: get(&p.runs),
-                pairs: get(&p.pairs),
-                probes: get(&p.probes),
-                pilot_probes: get(&p.pilot_probes),
-                refined_pairs: get(&p.refined_pairs),
-                retries: get(&p.retries),
-            },
-            alloc: AllocSnapshot {
-                plans_resolved: get(&a.plans_resolved),
-                arenas_planned: get(&a.arenas_planned),
-                pages_planned: get(&a.pages_planned),
-                stripes_per_node,
-            },
+            executor: self.exec.load().with_steals_total(),
+            prober: self.prober.load(),
+            alloc: self.alloc.load(),
         }
     }
 
-    /// Zeroes every bucket. Racy against concurrent writers (a write
-    /// in flight during the reset survives it); reset while the
-    /// recording executors are quiescent.
+    /// Zeroes every bucket. A write in flight during the reset survives
+    /// it: reset while the recording executors are quiescent.
     pub fn reset(&self) {
-        let e = &self.exec;
-        for c in [
-            &e.arms,
-            &e.rearms,
-            &e.scopes,
-            &e.tasks,
-            &e.panics,
-            &e.targeted_pushes,
-            &e.stealable_pushes,
-            &e.mailbox_hits,
-            &e.local_deque_hits,
-            &e.injector_hits,
-            &e.remote_injector_hits,
-            &e.steals_same_socket,
-            &e.steals_one_hop,
-            &e.steals_multi_hop,
-            &e.steals_unclassified,
-            &e.parks,
-            &e.unparks,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        let p = &self.prober;
-        for c in [
-            &p.runs,
-            &p.pairs,
-            &p.probes,
-            &p.pilot_probes,
-            &p.refined_pairs,
-            &p.retries,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        let a = &self.alloc;
-        a.plans_resolved.store(0, Ordering::Relaxed);
-        a.arenas_planned.store(0, Ordering::Relaxed);
-        a.pages_planned.store(0, Ordering::Relaxed);
-        for c in &a.stripes_per_node {
-            c.store(0, Ordering::Relaxed);
-        }
-        let s = &self.server;
-        for c in [
-            &s.connections_opened,
-            &s.connections_closed,
-            &s.hellos_ok,
-            &s.version_mismatches,
-            &s.requests,
-            &s.req_list,
-            &s.req_query,
-            &s.req_placement,
-            &s.req_alloc_plan,
-            &s.req_metrics,
-            &s.req_reload,
-            &s.req_shutdown,
-            &s.batches,
-            &s.inline_batches,
-            &s.ok_responses,
-            &s.error_responses,
-            &s.protocol_errors,
-            &s.disconnects_mid_request,
-            &s.reloads,
-            &s.reload_views_dropped,
-            &s.bytes_read,
-            &s.bytes_written,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.exec.reset();
+        self.prober.reset();
+        self.alloc.reset();
+        self.server.reset();
     }
 }
 
-/// A point-in-time copy of the serving-path buckets, as returned by
-/// [`Metrics::server_snapshot`]. Served (next to the runtime
-/// [`MetricsSnapshot`]) by the daemon's `MetricsSnapshot` request;
-/// schema documented in `docs/OBSERVABILITY.md` and `docs/SERVING.md`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServerSnapshot {
-    /// Connections accepted.
-    pub connections_opened: u64,
-    /// Connection handlers finished (any reason).
-    pub connections_closed: u64,
-    /// Successful `Hello` handshakes.
-    pub hellos_ok: u64,
-    /// `Hello` frames rejected for an unsupported protocol version.
-    pub version_mismatches: u64,
-    /// Decoded requests entering execution (all kinds).
-    pub requests: u64,
-    /// `ListTopologies` requests.
-    pub req_list: u64,
-    /// `Query` requests.
-    pub req_query: u64,
-    /// `Placement` requests.
-    pub req_placement: u64,
-    /// `AllocPlan` requests.
-    pub req_alloc_plan: u64,
-    /// `MetricsSnapshot` requests.
-    pub req_metrics: u64,
-    /// `Reload` admin requests.
-    pub req_reload: u64,
-    /// `Shutdown` admin requests.
-    pub req_shutdown: u64,
-    /// Pipelined batches executed (a batch is >= 1 request), on either
-    /// path.
-    pub batches: u64,
-    /// Of those, the all-lookup batches answered on the connection
-    /// thread. The rest ran as one executor scope each:
-    /// `batches - inline_batches` equals `executor.scopes` when the
-    /// daemon's executor serves nothing else.
-    pub inline_batches: u64,
-    /// `Ok` response frames written.
-    pub ok_responses: u64,
-    /// Typed error response frames written.
-    pub error_responses: u64,
-    /// Connections closed for broken framing (malformed frame,
-    /// mid-frame EOF).
-    pub protocol_errors: u64,
-    /// Clients that vanished with a request or response in flight.
-    pub disconnects_mid_request: u64,
-    /// Topology-cache reloads performed.
-    pub reloads: u64,
-    /// Cached views those reloads dropped because their description
-    /// had changed (or could no longer be read); every other view was
-    /// kept. 0 against a non-zero `reloads` means nothing was re-parsed.
-    pub reload_views_dropped: u64,
-    /// Frame bytes read from clients.
-    pub bytes_read: u64,
-    /// Frame bytes written to clients.
-    pub bytes_written: u64,
+impl ExecutorSnapshot {
+    /// Fills in the derived `steals_total`: the sum of the four steal
+    /// buckets as they stand in this snapshot.
+    fn with_steals_total(mut self) -> ExecutorSnapshot {
+        self.steals_total = self.steals_same_socket
+            + self.steals_one_hop
+            + self.steals_multi_hop
+            + self.steals_unclassified;
+        self
+    }
 }
 
-/// A point-in-time copy of the executor buckets. All fields are plain
-/// totals since the handle's creation (or last [`Metrics::reset`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExecutorSnapshot {
-    /// Executors armed (constructions, including each re-arm's fresh
-    /// team).
-    pub arms: u64,
-    /// Graceful placement changes ([`crate::Executor::rearm`]).
-    pub rearms: u64,
-    /// Fork-join scopes opened (`run`/`run_each` count one per call).
-    pub scopes: u64,
-    /// Tasks submitted (targeted + stealable).
-    pub tasks: u64,
-    /// Tasks whose closure panicked (the panic is captured and
-    /// re-thrown at the scope).
-    pub panics: u64,
-    /// Tasks pushed to a specific worker's mailbox (`spawn_on`,
-    /// `run_each`).
-    pub targeted_pushes: u64,
-    /// Tasks pushed to a socket injector (`spawn`, `join`).
-    pub stealable_pushes: u64,
-    /// Tasks a worker took from its own mailbox.
-    pub mailbox_hits: u64,
-    /// Tasks a worker popped from its own deque (bucket 0 of the
-    /// steal-distance histogram).
-    pub local_deque_hits: u64,
-    /// Tasks taken directly off an injector by a home-socket batch
-    /// refill (the batch surplus lands in the local deque and is later
-    /// counted under `local_deque_hits` or the steal buckets).
-    pub injector_hits: u64,
-    /// Tasks taken one-at-a-time from another socket's injector.
-    pub remote_injector_hits: u64,
-    /// Steals from a victim on the thief's own socket (incl. SMT
-    /// siblings).
-    pub steals_same_socket: u64,
-    /// Steals from a victim one interconnect hop away.
-    pub steals_one_hop: u64,
-    /// Steals from a victim two or more hops away.
-    pub steals_multi_hop: u64,
-    /// Steals whose distance could not be classified (executor armed
-    /// without a topology view).
-    pub steals_unclassified: u64,
-    /// Sum of the four steal buckets (maintained by `snapshot()`, so
-    /// the histogram always sums to the total).
-    pub steals_total: u64,
-    /// Times a worker went to sleep after an empty scan. Timing-
-    /// dependent: two identical runs may park differently.
-    pub parks: u64,
-    /// Times a sleeping worker was woken by a push or shutdown (not by
-    /// its defensive timeout). Timing-dependent.
-    pub unparks: u64,
-}
-
-/// A point-in-time copy of the prober buckets.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProberSnapshot {
-    /// Collection runs folded in via [`Metrics::record_probe_stats`].
-    pub runs: u64,
-    /// Context pairs measured.
-    pub pairs: u64,
-    /// Raw probes issued (including retries and adaptive pilots).
-    pub probes: u64,
-    /// Probes issued by the adaptive pilot pass.
-    pub pilot_probes: u64,
-    /// Pairs re-measured with full repetitions by adaptive refinement.
-    pub refined_pairs: u64,
-    /// Pair-level retries due to unstable stdev.
-    pub retries: u64,
-}
-
-/// A point-in-time copy of the alloc buckets.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AllocSnapshot {
-    /// Allocation plans resolved (`AllocPlan::resolve`).
-    pub plans_resolved: u64,
-    /// Per-worker arenas across all resolved plans.
-    pub arenas_planned: u64,
-    /// Pages across all resolved plans.
-    pub pages_planned: u64,
-    /// First-touch stripe pages per memory node, trailing zeros
-    /// trimmed (`stripes_per_node[n]` = pages planned onto node `n`).
-    pub stripes_per_node: Vec<u64>,
-}
-
-/// A point-in-time copy of every bucket group, as returned by
-/// [`Metrics::snapshot`]. Serializes to the stable JSON schema
-/// documented in `docs/OBSERVABILITY.md` (also emitted by `mct query
-/// <desc> metrics` and the daemon's metrics response).
+/// A point-in-time copy of every bucket group ([`Metrics::snapshot`]).
+/// Serializes to the stable JSON schema of `docs/OBSERVABILITY.md`, as
+/// emitted by `mct query <desc> metrics` and the daemon.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Executor traffic.
@@ -754,68 +536,19 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// The counters accumulated since `earlier`: field-wise saturating
-    /// subtraction (a reset between the two snapshots clamps to zero
-    /// instead of wrapping).
+    /// subtraction (a reset in between clamps to zero instead of
+    /// wrapping), `steals_total` re-derived from the clamped buckets.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let e = &self.executor;
-        let eo = &earlier.executor;
-        let p = &self.prober;
-        let po = &earlier.prober;
-        let a = &self.alloc;
-        let ao = &earlier.alloc;
-        let mut stripes_per_node: Vec<u64> = a
-            .stripes_per_node
-            .iter()
-            .enumerate()
-            .map(|(n, &v)| v.saturating_sub(ao.stripes_per_node.get(n).copied().unwrap_or(0)))
-            .collect();
-        while stripes_per_node.last() == Some(&0) {
-            stripes_per_node.pop();
-        }
         MetricsSnapshot {
-            executor: ExecutorSnapshot {
-                arms: e.arms.saturating_sub(eo.arms),
-                rearms: e.rearms.saturating_sub(eo.rearms),
-                scopes: e.scopes.saturating_sub(eo.scopes),
-                tasks: e.tasks.saturating_sub(eo.tasks),
-                panics: e.panics.saturating_sub(eo.panics),
-                targeted_pushes: e.targeted_pushes.saturating_sub(eo.targeted_pushes),
-                stealable_pushes: e.stealable_pushes.saturating_sub(eo.stealable_pushes),
-                mailbox_hits: e.mailbox_hits.saturating_sub(eo.mailbox_hits),
-                local_deque_hits: e.local_deque_hits.saturating_sub(eo.local_deque_hits),
-                injector_hits: e.injector_hits.saturating_sub(eo.injector_hits),
-                remote_injector_hits: e
-                    .remote_injector_hits
-                    .saturating_sub(eo.remote_injector_hits),
-                steals_same_socket: e.steals_same_socket.saturating_sub(eo.steals_same_socket),
-                steals_one_hop: e.steals_one_hop.saturating_sub(eo.steals_one_hop),
-                steals_multi_hop: e.steals_multi_hop.saturating_sub(eo.steals_multi_hop),
-                steals_unclassified: e.steals_unclassified.saturating_sub(eo.steals_unclassified),
-                steals_total: e.steals_total.saturating_sub(eo.steals_total),
-                parks: e.parks.saturating_sub(eo.parks),
-                unparks: e.unparks.saturating_sub(eo.unparks),
-            },
-            prober: ProberSnapshot {
-                runs: p.runs.saturating_sub(po.runs),
-                pairs: p.pairs.saturating_sub(po.pairs),
-                probes: p.probes.saturating_sub(po.probes),
-                pilot_probes: p.pilot_probes.saturating_sub(po.pilot_probes),
-                refined_pairs: p.refined_pairs.saturating_sub(po.refined_pairs),
-                retries: p.retries.saturating_sub(po.retries),
-            },
-            alloc: AllocSnapshot {
-                plans_resolved: a.plans_resolved.saturating_sub(ao.plans_resolved),
-                arenas_planned: a.arenas_planned.saturating_sub(ao.arenas_planned),
-                pages_planned: a.pages_planned.saturating_sub(ao.pages_planned),
-                stripes_per_node,
-            },
+            executor: self.executor.since(&earlier.executor).with_steals_total(),
+            prober: self.prober.since(&earlier.prober),
+            alloc: self.alloc.since(&earlier.alloc),
         }
     }
 
     /// This snapshot with the timing-dependent counters (`parks`,
     /// `unparks`) zeroed — the view `mct query metrics` prints, so its
-    /// deterministic workload golden-tests byte-for-byte. Every other
-    /// counter of that workload is exact by construction.
+    /// deterministic workload golden-tests byte-for-byte.
     pub fn without_timing_noise(&self) -> MetricsSnapshot {
         let mut s = self.clone();
         s.executor.parks = 0;
@@ -890,10 +623,10 @@ mod tests {
     #[test]
     fn delta_and_reset_round_trip() {
         let m = Metrics::handle();
-        m.task_spawned();
-        m.mailbox_hit();
+        m.exec.tasks.add(1);
+        m.exec.mailbox_hits.add(1);
         let first = m.snapshot();
-        m.task_spawned();
+        m.exec.tasks.add(1);
         m.steal(StealClass::OneHop);
         let second = m.snapshot();
         let d = second.delta(&first);
@@ -909,11 +642,11 @@ mod tests {
     #[test]
     fn server_bucket_counts_and_resets() {
         let m = Metrics::handle();
-        m.record_conn_opened();
-        m.record_hello_ok();
-        m.record_server_batch();
-        m.record_server_batch();
-        m.record_inline_batch();
+        m.server.connections_opened.add(1);
+        m.server.hellos_ok.add(1);
+        m.server.batches.add(1);
+        m.server.batches.add(1);
+        m.server.inline_batches.add(1);
         for kind in [
             ServerRequestKind::List,
             ServerRequestKind::Query,
@@ -926,13 +659,13 @@ mod tests {
         ] {
             m.record_server_request(kind);
         }
-        m.record_reload_views_dropped(0);
-        m.record_reload_views_dropped(3);
-        m.record_ok_response();
-        m.record_error_response();
-        m.record_bytes_read(100);
-        m.record_bytes_written(250);
-        m.record_conn_closed();
+        m.server.reload_views_dropped.add(0);
+        m.server.reload_views_dropped.add(3);
+        m.server.ok_responses.add(1);
+        m.server.error_responses.add(1);
+        m.server.bytes_read.add(100);
+        m.server.bytes_written.add(250);
+        m.server.connections_closed.add(1);
         let s = m.server_snapshot();
         assert_eq!(s.requests, 8);
         assert_eq!(
@@ -955,10 +688,52 @@ mod tests {
         assert_eq!(m.server_snapshot(), ServerSnapshot::default());
     }
 
+    /// The object keys of a pretty-printed JSON document, in order.
+    fn json_keys(json: &str) -> Vec<&str> {
+        json.lines()
+            .filter_map(|line| line.trim_start().strip_prefix('"')?.split_once("\":"))
+            .map(|(key, _)| key)
+            .collect()
+    }
+
+    /// The declaration is the schema and the catalog's table of
+    /// contents: JSON keys come out in declaration order, and every
+    /// declared counter has its row in `docs/OBSERVABILITY.md`.
+    #[test]
+    fn declared_fields_are_the_json_keys_and_the_catalog_rows() {
+        let groups = [
+            ("executor", ExecutorSnapshot::FIELDS),
+            ("prober", ProberSnapshot::FIELDS),
+            ("alloc", AllocSnapshot::FIELDS),
+        ];
+        let runtime = serde_json::to_string_pretty(&MetricsSnapshot::default()).unwrap();
+        let declared: Vec<&str> = groups
+            .iter()
+            .flat_map(|(group, fields)| std::iter::once(group).chain(fields.iter()).copied())
+            .collect();
+        assert_eq!(json_keys(&runtime), declared);
+        let server = serde_json::to_string_pretty(&ServerSnapshot::default()).unwrap();
+        assert_eq!(json_keys(&server), ServerSnapshot::FIELDS);
+
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let catalog = doc
+            .split("\n## ")
+            .find(|section| section.starts_with("Counter catalog"))
+            .expect("docs/OBSERVABILITY.md has a `## Counter catalog` section");
+        for (group, fields) in groups.iter().chain(&[("server", ServerSnapshot::FIELDS)]) {
+            for field in *fields {
+                assert!(
+                    catalog.contains(&format!("`{field}`")),
+                    "`{group}.{field}` has no row in the counter catalog"
+                );
+            }
+        }
+    }
+
     #[test]
     fn server_snapshot_serde_round_trips() {
         let m = Metrics::handle();
-        m.record_conn_opened();
+        m.server.connections_opened.add(1);
         let snap = m.server_snapshot();
         let json = serde_json::to_string_pretty(&snap).unwrap();
         let back: ServerSnapshot = serde_json::from_str(&json).unwrap();

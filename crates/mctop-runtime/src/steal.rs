@@ -168,7 +168,7 @@ impl<T> StealPool<T> {
             match injector.steal_batch_and_pop(&self.local) {
                 Steal::Success(item) => {
                     if let Some(m) = &self.metrics {
-                        m.injector_hit();
+                        m.exec.injector_hits.add(1);
                     }
                     return Some(item);
                 }
@@ -183,7 +183,7 @@ impl<T> StealPool<T> {
     pub fn next(&self) -> Option<(T, Source)> {
         if let Some(item) = self.local.pop() {
             if let Some(m) = &self.metrics {
-                m.local_deque_hit();
+                m.exec.local_deque_hits.add(1);
             }
             return Some((item, Source::Local));
         }

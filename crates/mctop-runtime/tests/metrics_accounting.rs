@@ -152,9 +152,18 @@ proptest! {
         pages_a in prop::collection::vec(0u64..10_000, 1..8),
         arenas_b in 1u64..64,
         pages_b in prop::collection::vec(0u64..10_000, 1..8),
+        steals_a in prop::collection::vec(0u64..16, 4..5),
+        steals_b in prop::collection::vec(0u64..16, 4..5),
     ) {
         let m = Metrics::handle();
+        let record_steals = |n: &[u64]| {
+            m.exec.steals_same_socket.add(n[0]);
+            m.exec.steals_one_hop.add(n[1]);
+            m.exec.steals_multi_hop.add(n[2]);
+            m.exec.steals_unclassified.add(n[3]);
+        };
         m.record_alloc_plan(arenas_a, &pages_a);
+        record_steals(&steals_a);
         let first = m.snapshot();
         m.record_alloc_plan(arenas_b, &pages_b);
         let second = m.snapshot();
@@ -174,8 +183,18 @@ proptest! {
         // ...and a delta taken across the reset saturates to zero
         // instead of wrapping around.
         m.record_alloc_plan(1, &[1]);
+        record_steals(&steals_b);
         let across = m.snapshot().delta(&first);
         prop_assert_eq!(across.alloc.plans_resolved, 0);
         prop_assert!(across.alloc.pages_planned <= 1);
+
+        // Each steal bucket clamps on its own, and the total is the sum
+        // of the clamped buckets — not a fifth, separately clamped field.
+        let e = across.executor;
+        prop_assert_eq!(e.steals_one_hop, steals_b[1].saturating_sub(steals_a[1]));
+        prop_assert_eq!(
+            e.steals_total,
+            e.steals_same_socket + e.steals_one_hop + e.steals_multi_hop + e.steals_unclassified
+        );
     }
 }

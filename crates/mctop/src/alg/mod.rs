@@ -57,8 +57,8 @@ pub struct Inference {
 /// clusters, statistics; the Fig. 6 harness prints these stages). The
 /// collection phase is spread over `jobs` forked probers measuring
 /// disjoint pairs ([`probe::collect_parallel`]): the output is
-/// byte-identical for every `jobs`, and `jobs <= 1` runs the
-/// sequential loop.
+/// byte-identical for every `jobs`, and `jobs <= 1` measures on the
+/// calling thread.
 pub fn run_full<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,

@@ -495,7 +495,8 @@ pub fn collect<P: Prober>(
 /// contract requires `cfg.warmup` (or frequency scaling disabled) —
 /// the simulated backend's DVFS factor is saturated by warm-up and
 /// inherited by every fork. Backends whose [`Prober::fork`] returns
-/// `None` (and `jobs <= 1`) fall back to the sequential loop.
+/// `None` (and `jobs <= 1`) run the same loop with one prober, on the
+/// calling thread.
 pub fn collect_parallel<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
@@ -507,7 +508,8 @@ pub fn collect_parallel<P: Prober>(
     let mut stats = ProbeStats::default();
 
     // Fork the worker pool after warm-up, so every fork inherits the
-    // saturated DVFS state. A backend that cannot fork measures inline.
+    // saturated DVFS state. A backend that cannot fork, like a run with
+    // one job, is a team of one: `prober` itself, and no thread.
     let mut forks: Vec<P> = Vec::new();
     if jobs > 1 {
         for _ in 0..jobs.min(ctx.n / 2) {
@@ -521,15 +523,13 @@ pub fn collect_parallel<P: Prober>(
         }
     }
 
-    let mut table = if forks.len() > 1 {
-        run_phases(&mut ctx, cfg, &rounds, &mut stats, |rs, kind, st| {
-            run_phase_threaded(&mut forks, cfg, rs, kind, st)
-        })?
-    } else {
-        run_phases(&mut ctx, cfg, &rounds, &mut stats, |rs, kind, st| {
-            run_phase_inline(prober, cfg, rs, kind, st)
-        })?
+    let team = match forks.len() {
+        0 | 1 => std::slice::from_mut(prober),
+        _ => &mut forks[..],
     };
+    let mut table = run_phases(&mut ctx, cfg, &rounds, &mut stats, |rs, kind, st| {
+        run_phase(team, cfg, rs, kind, st)
+    })?;
     if let Some((pairs, pc)) = &pruned {
         reconstruct_pruned(&mut table, pairs, pc);
     }
@@ -858,131 +858,107 @@ fn measure_one<P: Prober>(
     }
 }
 
-/// Runs one phase on the calling thread, visiting rounds (and pairs
-/// within each round) in schedule order. Stops after the first failing
-/// pair, like the paper's sequential collector.
-fn run_phase_inline<P: Prober>(
-    prober: &mut P,
+/// Runs one phase over `probers`: the pairs of each schedule round are
+/// dealt out across them, one worker thread each — or, for a single
+/// prober, the calling thread and nothing spawned. Worker outputs are
+/// merged into schedule order and per-round worker maxima feed the
+/// critical-path accounting. A failing pair stops the phase: what is
+/// merged always holds the first failure in schedule order and every
+/// pair before it, for any number of probers.
+fn run_phase<P: Prober>(
+    probers: &mut [P],
     cfg: &ProbeConfig,
     rounds: &[Vec<(usize, usize)>],
     kind: PhaseKind,
     stats: &mut ProbeStats,
 ) -> Vec<Entry> {
-    let mut entries = Vec::with_capacity(rounds.iter().map(Vec::len).sum());
-    let mut buf = Vec::new();
-    let backend_before = prober.backend_retries();
-    'rounds: for (r, round) in rounds.iter().enumerate() {
-        for (i, &(a, b)) in round.iter().enumerate() {
-            let (outcome, cycles) = measure_one(prober, cfg, kind, a, b, stats, &mut buf);
-            stats.critical_cycles += cycles;
-            let failed = matches!(outcome, Outcome::Unstable(_));
-            entries.push(Entry {
-                round: r as u32,
-                slot: i as u32,
-                a,
-                b,
-                outcome,
-            });
-            if failed {
-                break 'rounds;
-            }
-        }
-    }
-    stats.retries += prober.backend_retries().saturating_sub(backend_before);
-    entries
-}
-
-/// Runs one phase across the forked worker pool: round by round, the
-/// disjoint pairs of each round are dealt out across the workers, with
-/// a barrier between rounds so concurrently-measured pairs never share
-/// a context (the measurement-isolation property the schedule exists
-/// for). Worker outputs are merged into schedule order and per-round
-/// worker maxima feed the critical-path accounting.
-fn run_phase_threaded<P: Prober>(
-    forks: &mut [P],
-    cfg: &ProbeConfig,
-    rounds: &[Vec<(usize, usize)>],
-    kind: PhaseKind,
-    stats: &mut ProbeStats,
-) -> Vec<Entry> {
-    let jobs = forks.len();
+    let jobs = probers.len();
     // Disjointness within an in-flight set only matters when pairs
     // disturb each other (real hardware): then a barrier holds workers
-    // to one schedule round at a time. Order-independent backends skip
-    // the sync and stream through their share of every round.
-    let isolate_rounds = forks.iter().all(|f| f.concurrent_pairs_interfere());
+    // to one schedule round at a time, so pairs in flight never share a
+    // context (the measurement-isolation property the schedule exists
+    // for). Order-independent backends skip the sync and stream through
+    // their share of every round.
+    let isolate_rounds = jobs > 1 && probers.iter().all(|f| f.concurrent_pairs_interfere());
     let barrier = Barrier::new(jobs);
     // Earliest round with a failed pair (`u64::MAX` while none): every
-    // worker keeps measuring until it has *completed* that round, so
-    // the merged entries always contain the first failing pair in
-    // schedule order — the one the sequential run would report.
+    // worker keeps measuring until it has completed that round or
+    // failed in it itself, so the merged entries always contain the
+    // first failing pair in schedule order — the one a lone prober
+    // stops at.
     let abort_round = AtomicU64::new(u64::MAX);
-    let worker_outs: Vec<(Vec<Entry>, ProbeStats, Vec<u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = forks
-            .iter_mut()
-            .enumerate()
-            .map(|(w, prober)| {
-                let barrier = &barrier;
-                let abort_round = &abort_round;
-                scope.spawn(move || {
-                    let mut entries = Vec::new();
-                    let mut local = ProbeStats::default();
-                    let mut buf = Vec::new();
-                    let mut round_cycles = vec![0u64; rounds.len()];
-                    let backend_before = prober.backend_retries();
-                    for (r, round) in rounds.iter().enumerate() {
-                        for (i, &(a, b)) in round.iter().enumerate() {
-                            if i % jobs != w {
-                                continue;
-                            }
-                            let (outcome, cycles) =
-                                measure_one(prober, cfg, kind, a, b, &mut local, &mut buf);
-                            round_cycles[r] += cycles;
-                            if matches!(outcome, Outcome::Unstable(_)) {
-                                abort_round.fetch_min(r as u64, Ordering::Relaxed);
-                            }
-                            entries.push(Entry {
-                                round: r as u32,
-                                slot: i as u32,
-                                a,
-                                b,
-                                outcome,
-                            });
-                        }
-                        if isolate_rounds {
-                            // Lockstep rounds stop collectively: between
-                            // the two waits nobody measures (so nobody
-                            // stores), hence every worker reads the same
-                            // abort state and takes the same branch — a
-                            // divergent break would strand the others at
-                            // the next barrier.
-                            barrier.wait();
-                            let stop = abort_round.load(Ordering::Relaxed) != u64::MAX;
-                            barrier.wait();
-                            if stop {
-                                break;
-                            }
-                        } else if r as u64 >= abort_round.load(Ordering::Relaxed) {
-                            // Free-running workers stop once they have
-                            // completed the earliest failing round, so
-                            // every pair scheduled before the failure is
-                            // still measured.
-                            break;
-                        }
-                    }
-                    local.retries += prober.backend_retries().saturating_sub(backend_before);
-                    (entries, local, round_cycles)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let total_pairs: usize = rounds.iter().map(Vec::len).sum();
+    let worker = |w: usize, prober: &mut P| {
+        let mut entries = Vec::with_capacity(total_pairs.div_ceil(jobs));
+        let mut local = ProbeStats::default();
+        let mut buf = Vec::new();
+        let mut round_cycles = vec![0u64; rounds.len()];
+        let backend_before = prober.backend_retries();
+        for (r, round) in rounds.iter().enumerate() {
+            for (i, &(a, b)) in round.iter().enumerate().skip(w).step_by(jobs) {
+                let (outcome, cycles) = measure_one(prober, cfg, kind, a, b, &mut local, &mut buf);
+                round_cycles[r] += cycles;
+                let failed = matches!(outcome, Outcome::Unstable(_));
+                entries.push(Entry {
+                    round: r as u32,
+                    slot: i as u32,
+                    a,
+                    b,
+                    outcome,
+                });
+                if failed {
+                    // The rest of this worker's share comes later in
+                    // the schedule than its own failure.
+                    abort_round.fetch_min(r as u64, Ordering::Relaxed);
+                    break;
+                }
+            }
+            if isolate_rounds {
+                // Lockstep rounds stop collectively: between the two
+                // waits nobody measures (so nobody stores), hence every
+                // worker reads the same abort state and takes the same
+                // branch — a divergent break would strand the others
+                // at the next barrier.
+                barrier.wait();
+                let stop = abort_round.load(Ordering::Relaxed) != u64::MAX;
+                barrier.wait();
+                if stop {
+                    break;
+                }
+            } else if r as u64 >= abort_round.load(Ordering::Relaxed) {
+                // Free-running workers stop once they are through the
+                // earliest failing round, so every pair scheduled
+                // before the failure is still measured.
+                break;
+            }
+        }
+        local.retries += prober.backend_retries().saturating_sub(backend_before);
+        (entries, local, round_cycles)
+    };
+    let worker_outs: Vec<(Vec<Entry>, ProbeStats, Vec<u64>)> = match probers {
+        [only] => vec![worker(0, only)],
+        _ => std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = probers
+                .iter_mut()
+                .enumerate()
+                .map(|(w, prober)| scope.spawn(move || worker(w, prober)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        }),
+    };
 
-    let mut entries = Vec::with_capacity(rounds.iter().map(Vec::len).sum());
+    // The first worker's entries become the merge buffer, so a lone
+    // prober's output is moved, never copied.
+    let mut entries = Vec::new();
     let mut round_maxima = vec![0u64; rounds.len()];
     for (worker_entries, worker_stats, round_cycles) in worker_outs {
         stats.merge(&worker_stats);
-        entries.extend(worker_entries);
+        if entries.is_empty() {
+            entries = worker_entries;
+        } else {
+            entries.extend(worker_entries);
+        }
         for (r, &c) in round_cycles.iter().enumerate() {
             round_maxima[r] = round_maxima[r].max(c);
         }

@@ -190,9 +190,19 @@ pub struct Registry {
     cache: RwLock<HashMap<String, Entry>>,
 }
 
-/// Where a directory source keeps `name`'s description.
-fn desc_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(desc::default_filename(name))
+/// Where a directory source keeps `name`'s description. A name may
+/// come straight off the wire, so it must be exactly one normal path
+/// component: anything else is refused here, before any filesystem
+/// call and in the same words whatever is on disk, or `view` would
+/// open (and report on) files outside `dir`.
+fn desc_path(dir: &Path, name: &str) -> Result<PathBuf, McTopError> {
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\', '\0']) {
+        return Err(McTopError::InvalidDescription(
+            "a machine name is one path component: not empty, `.` or `..`, no `/`, `\\` or NUL"
+                .to_string(),
+        ));
+    }
+    Ok(dir.join(desc::default_filename(name)))
 }
 
 impl Default for Registry {
@@ -251,7 +261,8 @@ impl Registry {
                 ))
             }),
             Source::Dir(dir) => {
-                let text = std::fs::read_to_string(desc_path(dir, name)).map_err(McTopError::Io)?;
+                let text =
+                    std::fs::read_to_string(desc_path(dir, name)?).map_err(McTopError::Io)?;
                 Ok(Cow::Owned(text))
             }
         }
@@ -330,7 +341,10 @@ impl Registry {
             .map(|(name, e)| (name.clone(), Arc::clone(&e.view), e.stamp))
             .collect();
         stale.retain(|(name, _, stamp)| {
-            std::fs::read(desc_path(dir, name)).map_or(true, |bytes| Stamp::of(&bytes) != *stamp)
+            let bytes = desc_path(dir, name)
+                .ok()
+                .and_then(|path| std::fs::read(path).ok());
+            bytes.is_none_or(|bytes| Stamp::of(&bytes) != *stamp)
         });
         if !stale.is_empty() {
             let mut cache = self.cache.write();
@@ -455,6 +469,39 @@ mod tests {
     }
 
     #[test]
+    fn names_that_are_paths_never_reach_the_filesystem() {
+        let root = DescDir::new("traversal");
+        let (name, [(_, text), _]) = two_descriptions();
+        let (served, sibling) = (root.0.join("served"), root.0.join("sib"));
+        std::fs::create_dir_all(&served).unwrap();
+        std::fs::create_dir_all(&sibling).unwrap();
+        let outside = sibling.join(desc::default_filename(&name));
+        let reg = Registry::with_dir(&served);
+
+        let refusal = |asked: &str| match reg.view(asked) {
+            Err(McTopError::InvalidDescription(msg)) => msg,
+            other => panic!("`{asked}` must be refused as a name, got {other:?}"),
+        };
+        let relative = format!("../sib/{name}");
+        let absolute = sibling.join(&name).to_str().unwrap().to_string();
+        // The same answer whether the file the path points at is a
+        // valid description, or is not there at all.
+        std::fs::write(&outside, &text).unwrap();
+        let with_target = [refusal(&relative), refusal(&absolute)];
+        std::fs::remove_file(&outside).unwrap();
+        assert_eq!([refusal(&relative), refusal(&absolute)], with_target);
+        assert_eq!(with_target[0], with_target[1]);
+        for asked in ["", ".", "..", "a/b", "a\\b", "a\0b", "/"] {
+            assert_eq!(refusal(asked), with_target[0]);
+        }
+        assert_eq!(reg.cached(), 0);
+
+        // A plain name still resolves inside the directory.
+        std::fs::write(served.join(desc::default_filename(&name)), &text).unwrap();
+        assert_eq!(reg.view(&name).unwrap().topo().name, name);
+    }
+
+    #[test]
     fn clear_hands_out_fresh_arcs() {
         let reg = Registry::shipped();
         let a = reg.view("synth-small").unwrap();
@@ -480,7 +527,7 @@ mod tests {
         }
 
         fn file(&self, name: &str) -> PathBuf {
-            desc_path(&self.0, name)
+            desc_path(&self.0, name).expect("a plain name")
         }
     }
 

@@ -372,7 +372,7 @@ fn accept_loop(listener: UnixListener, state: Arc<State>) {
             Ok(s) => s,
             Err(_) => continue,
         };
-        state.metrics.record_conn_opened();
+        state.metrics.server.connections_opened.add(1);
         if let Ok(clone) = stream.try_clone() {
             state
                 .conns
@@ -390,7 +390,7 @@ fn accept_loop(listener: UnixListener, state: Arc<State>) {
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
                     .remove(&id);
-                state.metrics.record_conn_closed();
+                state.metrics.server.connections_closed.add(1);
             })
             .expect("spawn connection handler");
         // A daemon lives through any number of connections: join the
@@ -435,8 +435,8 @@ fn serve_conn(state: &State, mut stream: UnixStream) {
     let end = serve_conn_inner(state, &mut stream);
     match end {
         ConnEnd::Clean => {}
-        ConnEnd::ProtocolError => state.metrics.record_protocol_error(),
-        ConnEnd::Disconnect => state.metrics.record_disconnect_mid_request(),
+        ConnEnd::ProtocolError => state.metrics.server.protocol_errors.add(1),
+        ConnEnd::Disconnect => state.metrics.server.disconnects_mid_request.add(1),
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
@@ -444,12 +444,13 @@ fn serve_conn(state: &State, mut stream: UnixStream) {
 /// Writes one response frame, counting bytes and the response class.
 fn write_response(state: &State, stream: &mut UnixStream, resp: &Response) -> Result<(), ()> {
     let payload = wire::encode_response(resp);
+    let counters = &state.metrics.server;
     match resp {
-        Response::Ok { .. } => state.metrics.record_ok_response(),
-        Response::Err { .. } => state.metrics.record_error_response(),
+        Response::Ok { .. } => counters.ok_responses.add(1),
+        Response::Err { .. } => counters.error_responses.add(1),
         Response::HelloOk { .. } => {}
     }
-    state.metrics.record_bytes_written(4 + payload.len() as u64);
+    counters.bytes_written.add(4 + payload.len() as u64);
     wire::write_frame(stream, &payload).map_err(|_| ())
 }
 
@@ -473,7 +474,7 @@ fn serve_conn_inner(state: &State, stream: &mut UnixStream) -> ConnEnd {
     let hello = rest.remove(0);
     match wire::decode_request(&hello) {
         Ok(Request::Hello { version }) if version == PROTO_VERSION => {
-            state.metrics.record_hello_ok();
+            state.metrics.server.hellos_ok.add(1);
             if write_response(
                 state,
                 stream,
@@ -487,7 +488,7 @@ fn serve_conn_inner(state: &State, stream: &mut UnixStream) -> ConnEnd {
             }
         }
         Ok(Request::Hello { version }) => {
-            state.metrics.record_version_mismatch();
+            state.metrics.server.version_mismatches.add(1);
             let _ = write_response(
                 state,
                 stream,
@@ -596,7 +597,7 @@ fn next_batch(
                     match stream.read(&mut chunk) {
                         Ok(0) => break,
                         Ok(n) => {
-                            state.metrics.record_bytes_read(n as u64);
+                            state.metrics.server.bytes_read.add(n as u64);
                             acc.extend_from_slice(&chunk[..n]);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -631,7 +632,7 @@ fn next_batch(
                 };
             }
             Ok(n) => {
-                state.metrics.record_bytes_read(n as u64);
+                state.metrics.server.bytes_read.add(n as u64);
                 acc.extend_from_slice(&chunk[..n]);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -663,9 +664,9 @@ fn execute_batch(state: &State, requests: &[Request]) -> (Vec<Response>, bool) {
     if requests.is_empty() {
         return (Vec::new(), false);
     }
-    state.metrics.record_server_batch();
+    state.metrics.server.batches.add(1);
     let responses = if requests.iter().all(is_lookup) {
-        state.metrics.record_inline_batch();
+        state.metrics.server.inline_batches.add(1);
         answer_inline(requests, |req| answer(state, req))
     } else {
         answer_scoped(state, requests)
@@ -831,8 +832,8 @@ fn answer(state: &State, req: &Request) -> Response {
             state
                 .metrics
                 .record_server_request(ServerRequestKind::Reload);
-            let dropped = state.registry.reload();
-            state.metrics.record_reload_views_dropped(dropped as u64);
+            let dropped = state.registry.reload() as u64;
+            state.metrics.server.reload_views_dropped.add(dropped);
             Response::Ok { body: Vec::new() }
         }
         Request::Shutdown => {

@@ -687,3 +687,71 @@ fn reload_drops_only_the_machine_whose_file_changed() {
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A machine name off the wire is a name, not a path: one that points
+/// out of the served directory is refused before the filesystem is
+/// asked anything, so the answer cannot tell what is out there.
+#[test]
+fn names_that_are_paths_get_one_answer_whatever_is_on_disk() {
+    let root = std::env::temp_dir().join(format!("mctopd-fault-{}-paths", std::process::id()));
+    let (served, outside) = (root.join("served"), root.join("outside"));
+    std::fs::create_dir_all(&served).unwrap();
+    std::fs::create_dir_all(&outside).unwrap();
+    let text = mctop::registry::shipped_source("ivy").unwrap();
+    std::fs::write(served.join("ivy.mct.json"), text).unwrap();
+    std::fs::write(outside.join("ivy.mct.json"), text).unwrap();
+    std::fs::write(outside.join("secret.mct.json"), "not a description").unwrap();
+
+    let server = Server::bind(ServerCfg {
+        source: DescSource::Dir(served.clone()),
+        ..ServerCfg::new(sock_path("paths"))
+    })
+    .unwrap();
+    let sock = server.socket_path().to_path_buf();
+    let handle = server.start();
+    let mut client = Client::connect(&sock).unwrap();
+
+    // A valid description, a file that does not parse, nothing at all,
+    // and an absolute path: four different things on disk, one answer.
+    let absolute = outside.join("ivy").to_str().unwrap().to_string();
+    let names = [
+        "../outside/ivy",
+        "../outside/secret",
+        "../outside/nothere",
+        &absolute,
+    ];
+    let answers: Vec<Response> = names
+        .iter()
+        .map(|name| client.roundtrip(&query(name, "summary", &[])).unwrap())
+        .collect();
+    assert!(matches!(
+        &answers[0],
+        Response::Err {
+            code: ErrorCode::BadRequest,
+            ..
+        }
+    ));
+    assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
+    // The other two requests that carry a name resolve it the same way.
+    let placement = Request::Placement {
+        desc: names[0].into(),
+        policy: "RR_CORE".into(),
+        workers: 4,
+    };
+    let plan = Request::AllocPlan {
+        desc: names[0].into(),
+        policy: "local".into(),
+        workers: 4,
+    };
+    assert_eq!(client.roundtrip(&placement).unwrap(), answers[0]);
+    assert_eq!(client.roundtrip(&plan).unwrap(), answers[0]);
+
+    // The connection is still good, and so is the name that is one.
+    let req = lookup("ivy", "latency", 20);
+    let want = Response::Ok {
+        body: local_body(&Registry::shipped(), &req),
+    };
+    assert_eq!(client.roundtrip(&req).unwrap(), want);
+    handle.stop();
+    std::fs::remove_dir_all(&root).unwrap();
+}

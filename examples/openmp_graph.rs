@@ -6,7 +6,10 @@
 
 use std::time::Instant;
 
-use mctop::Registry;
+use mctop::{
+    Registry,
+    TopoView, //
+};
 use mctop_omp::autoselect::auto_select;
 use mctop_omp::graph::Graph;
 use mctop_omp::workloads::{
@@ -20,14 +23,14 @@ use mctop_place::Policy;
 fn main() {
     // The runtime loads its topology from the shipped description
     // library; inference ran once, at `mct regen-descs` time.
-    let topo = Registry::shipped()
-        .topo("synth-small")
+    let view = Registry::shipped()
+        .view("synth-small")
         .expect("shipped description");
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(2)
         .min(8);
-    let rt = OmpRuntime::new(topo, threads);
+    let rt = OmpRuntime::new(TopoView::clone(&view), threads);
 
     let g = Graph::synthetic(50_000, 8, 3);
     println!(

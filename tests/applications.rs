@@ -97,7 +97,7 @@ fn mapreduce_results_independent_of_placement_policy() {
 fn omp_kernels_agree_across_policies() {
     let view = enriched(&mcsim::presets::synthetic_small());
     let g = mctop_omp::graph::Graph::synthetic(2000, 6, 5);
-    let rt = mctop_omp::OmpRuntime::new(Arc::clone(view.topo()), 4);
+    let rt = mctop_omp::OmpRuntime::new(TopoView::clone(&view), 4);
     rt.set_binding_policy(Policy::ConCoreHwc).unwrap();
     let d1 = mctop_omp::workloads::hop_distance(&rt, &g, 0);
     rt.set_binding_policy(Policy::BalanceHwc).unwrap();

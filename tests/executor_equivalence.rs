@@ -182,10 +182,9 @@ proptest! {
     fn omp_matches_prerefactor_bytes(case in arb_case()) {
         let (machine, workers_idx, _rr, seed) = case;
         let name = shipped_machines()[machine];
-        let topo = registry().topo(name).expect("committed desc loads");
         let view = registry().view(name).expect("committed desc loads");
         let workers = WORKER_COUNTS[workers_idx].min(view.num_hwcs());
-        let rt = mctop_omp::OmpRuntime::new(topo, workers);
+        let rt = mctop_omp::OmpRuntime::new(TopoView::clone(&view), workers);
         let n = 5_000 + (seed as usize % 7);
         let reference: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(2654435761) ^ seed).collect();
         for policy in [Policy::None, Policy::RrCore, Policy::ConHwc] {
