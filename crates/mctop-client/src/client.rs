@@ -1,13 +1,13 @@
 //! A blocking `mctopd` client over a Unix domain socket.
 
 use std::fmt;
-use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use crate::wire::{
     self,
     ErrorCode,
+    FrameReader,
     Request,
     Response,
     WireError,
@@ -60,6 +60,10 @@ impl From<WireError> for ClientError {
 #[derive(Debug)]
 pub struct Client {
     stream: UnixStream,
+    /// Kept across calls: responses that arrived together are not lost.
+    reader: FrameReader,
+    /// The frames of one `send` or `batch`, reused.
+    out: Vec<u8>,
 }
 
 impl Client {
@@ -72,7 +76,11 @@ impl Client {
     /// to exercise the mismatch path).
     pub fn connect_version(path: impl AsRef<Path>, version: u16) -> Result<Client, ClientError> {
         let stream = UnixStream::connect(path.as_ref()).map_err(ClientError::Connect)?;
-        let mut client = Client { stream };
+        let mut client = Client {
+            stream,
+            reader: FrameReader::default(),
+            out: Vec::new(),
+        };
         match client.roundtrip(&Request::Hello { version })? {
             Response::HelloOk { .. } => Ok(client),
             Response::Err { code, message } => Err(ClientError::Server { code, message }),
@@ -82,20 +90,19 @@ impl Client {
         }
     }
 
-    /// Sends one request frame without reading a response (tests and
-    /// the batch path build on this).
+    /// Sends one request frame, in one `write`, without reading a
+    /// response.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        let payload = wire::encode_request(req);
-        wire::write_frame(&mut self.stream, &payload)?;
-        self.stream.flush().map_err(WireError::Io)?;
-        Ok(())
+        self.send_all(std::slice::from_ref(req))
     }
 
     /// Reads one response frame; a server-side close is a
     /// [`WireError::UnexpectedEof`].
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let payload = wire::read_frame(&mut self.stream)?.ok_or(WireError::UnexpectedEof)?;
-        Ok(wire::decode_response(&payload)?)
+        match self.reader.next(&mut self.stream)? {
+            Some(payload) => Ok(wire::decode_response(payload)?),
+            None => Err(WireError::UnexpectedEof.into()),
+        }
     }
 
     /// One request, one response. The typed helpers below are usually
@@ -105,20 +112,17 @@ impl Client {
         self.recv()
     }
 
-    /// Sends every request back to back, then reads the responses in
-    /// order — one write burst, one read burst. The server answers a
-    /// pipelined burst as a batch (see `docs/SERVING.md`).
+    /// Sends every request in one `write`, then reads the responses in
+    /// order. The server answers a pipelined burst as a batch (see
+    /// `docs/SERVING.md`).
     pub fn batch(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ClientError> {
-        let mut burst = Vec::new();
-        for req in reqs {
-            let payload = wire::encode_request(req);
-            wire::write_frame(&mut burst, &payload)?;
-        }
-        self.stream
-            .write_all(&burst)
-            .and_then(|()| self.stream.flush())
-            .map_err(WireError::Io)?;
+        self.send_all(reqs)?;
         (0..reqs.len()).map(|_| self.recv()).collect()
+    }
+
+    fn send_all(&mut self, reqs: &[Request]) -> Result<(), ClientError> {
+        let frames = reqs.iter().map(wire::encode_request);
+        Ok(wire::write_frames(&mut self.stream, &mut self.out, frames)?)
     }
 
     fn expect_body(&mut self, req: &Request) -> Result<Vec<u8>, ClientError> {
@@ -192,8 +196,9 @@ impl Client {
         self.expect_text(&Request::MetricsSnapshot)
     }
 
-    /// Admin: makes the server drop its memoized topologies and
-    /// re-load them from the description source on next use.
+    /// Admin: makes the server revalidate its memoized topologies: one
+    /// whose description is unchanged is kept, a changed or removed one
+    /// is dropped and loaded afresh on next use.
     pub fn reload(&mut self) -> Result<(), ClientError> {
         self.expect_body(&Request::Reload).map(|_| ())
     }

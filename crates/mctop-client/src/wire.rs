@@ -15,6 +15,11 @@
 //! Frames longer than [`MAX_FRAME_LEN`] are rejected before any
 //! allocation, so a hostile length prefix cannot balloon memory.
 //!
+//! Both ends share one framing path: [`FrameReader`] is the only code
+//! that parses a length prefix, and [`write_frames`] sends a batch of
+//! frames in one `write` — a round trip, or a pipelined batch, is one
+//! `write` and one `read` on each end.
+//!
 //! # Versioning rules
 //!
 //! The first frame on every connection must be [`Request::Hello`]
@@ -37,7 +42,7 @@ use std::io::{
 pub const PROTO_VERSION: u16 = 1;
 
 /// Hard ceiling on a frame's payload length (16 MiB). Larger length
-/// prefixes are rejected by [`read_frame`] before allocating.
+/// prefixes are rejected by [`FrameReader`] before its buffer grows.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 // Request tags (client -> server).
@@ -100,8 +105,10 @@ pub enum Request {
     /// The server's live runtime + serving counters as JSON
     /// (`{"runtime": MetricsSnapshot, "server": ServerSnapshot}`).
     MetricsSnapshot,
-    /// Admin: drop every memoized topology; later lookups re-load from
-    /// the description source and hand out fresh `Arc<TopoView>`s.
+    /// Admin: revalidate the memoized topologies against the
+    /// description source. A machine whose description is unchanged
+    /// keeps its `Arc<TopoView>`; a changed or removed one is dropped,
+    /// and the next lookup for it loads afresh.
     Reload,
     /// Admin: gracefully stop the server after answering this frame.
     Shutdown,
@@ -470,61 +477,107 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     Ok(())
 }
 
-/// Reads one frame payload. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; EOF inside a frame is [`WireError::UnexpectedEof`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(WireError::UnexpectedEof),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
+/// Frames every payload into `out` (cleared first, reused across calls)
+/// and sends them all with one `write_all`: how both ends send a batch.
+pub fn write_frames(
+    w: &mut impl Write,
+    out: &mut Vec<u8>,
+    payloads: impl IntoIterator<Item = Vec<u8>>,
+) -> Result<(), WireError> {
+    out.clear();
+    for payload in payloads {
+        write_frame(out, &payload)?;
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut at = 0;
-    while at < payload.len() {
-        match r.read(&mut payload[at..]) {
-            Ok(0) => return Err(WireError::UnexpectedEof),
-            Ok(n) => at += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(Some(payload))
+    w.write_all(out)?;
+    Ok(())
 }
 
-/// Splits as many complete frames as `buf` holds off its front,
-/// returning their payloads. Leftover bytes (a partial trailing frame)
-/// stay in `buf`. An oversized length prefix stops the scan and is
-/// reported *alongside* the frames already parsed — a hostile tail
-/// never discards the valid requests pipelined ahead of it.
-pub fn drain_frames(buf: &mut Vec<u8>) -> (Vec<Vec<u8>>, Option<WireError>) {
-    let mut frames = Vec::new();
-    let mut at = 0usize;
-    let mut error = None;
-    while buf.len() - at >= 4 {
-        let len = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
-        if len > MAX_FRAME_LEN {
-            error = Some(WireError::Oversized(len));
-            break;
+/// A buffered frame reader: the one place bytes off the socket become
+/// frames, at both ends. It yields borrowed payloads of the complete
+/// frames it holds and calls `read` only when it holds none. Its buffer
+/// (64 KiB, zeroed once) is reused and compacted in place, and grows,
+/// as its bytes arrive, only for a frame whose length prefix passed the
+/// [`MAX_FRAME_LEN`] check; an oversized prefix is reported after the
+/// frames ahead of it.
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// The bytes read but not yet handed out are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> FrameReader {
+        FrameReader {
+            buf: vec![0; 64 * 1024],
+            start: 0,
+            end: 0,
         }
-        let total = 4 + len as usize;
-        if buf.len() - at < total {
-            break;
-        }
-        frames.push(buf[at + 4..at + total].to_vec());
-        at += total;
     }
-    buf.drain(..at);
-    (frames, error)
+}
+
+impl fmt::Debug for FrameReader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameReader").finish_non_exhaustive()
+    }
+}
+
+impl FrameReader {
+    /// The next frame's payload, calling `r.read` only while no
+    /// complete frame is buffered. `Ok(None)` is a clean EOF at a frame
+    /// boundary; EOF inside a frame is [`WireError::UnexpectedEof`].
+    pub fn next(&mut self, r: &mut impl Read) -> Result<Option<&[u8]>, WireError> {
+        loop {
+            if let Some(payload) = self.split()? {
+                return Ok(Some(&self.buf[payload]));
+            }
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(None),
+                Ok(0) => return Err(WireError::UnexpectedEof),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(WireError::Io(e)),
+            }
+        }
+    }
+
+    /// The next complete frame already buffered, without reading;
+    /// `Ok(None)` when the reader holds none.
+    pub fn buffered(&mut self) -> Result<Option<&[u8]>, WireError> {
+        Ok(self.split()?.map(|payload| &self.buf[payload]))
+    }
+
+    /// Bytes the buffer occupies: 64 KiB, or at most 4 + the largest
+    /// frame whose prefix was accepted.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Hands out the frame at the front, if complete, as the range of
+    /// its payload in `buf`. If not and the buffer is full, it doubles,
+    /// never past the frame: memory follows the bytes that came, not
+    /// what a prefix promised, and the next `read` has room.
+    fn split(&mut self) -> Result<Option<std::ops::Range<usize>>, WireError> {
+        let Some(prefix) = self.buf[self.start..self.end].first_chunk() else {
+            return Ok(None);
+        };
+        let len = match u32::from_le_bytes(*prefix) {
+            len if len > MAX_FRAME_LEN => return Err(WireError::Oversized(len)),
+            len => 4 + len as usize,
+        };
+        if self.end - self.start < len {
+            if self.end - self.start == self.buf.len() {
+                self.buf.resize(len.min(2 * self.buf.len()), 0);
+            }
+            return Ok(None);
+        }
+        self.start += len;
+        Ok(Some(self.start - len + 4..self.start))
+    }
 }
 
 #[cfg(test)]
@@ -611,12 +664,33 @@ mod tests {
 
     #[test]
     fn oversized_frames_rejected_without_allocation() {
+        let mut reader = FrameReader::default();
         let mut buf: &[u8] = &[0xff, 0xff, 0xff, 0xff, 0x00];
-        assert!(matches!(read_frame(&mut buf), Err(WireError::Oversized(_))));
-        let mut pending = vec![0xff, 0xff, 0xff, 0xff, 0x00];
-        let (frames, err) = drain_frames(&mut pending);
-        assert!(frames.is_empty());
-        assert!(matches!(err, Some(WireError::Oversized(_))));
+        assert!(matches!(
+            reader.next(&mut buf),
+            Err(WireError::Oversized(_))
+        ));
+        assert!(matches!(reader.buffered(), Err(WireError::Oversized(_))));
+        assert_eq!(reader.capacity(), 64 * 1024);
+    }
+
+    #[test]
+    fn the_buffer_grows_with_the_bytes_of_a_large_frame() {
+        let payload: Vec<u8> = (0..200_000u32).map(|i| i as u8).collect();
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &payload).unwrap();
+        // The prefix alone reserves nothing.
+        let mut reader = FrameReader::default();
+        assert!(matches!(
+            reader.next(&mut &framed[..10]),
+            Err(WireError::UnexpectedEof)
+        ));
+        assert_eq!(reader.capacity(), 64 * 1024);
+        // The whole frame: 64 KiB, doubled once, then exactly its size.
+        let mut reader = FrameReader::default();
+        let got = reader.next(&mut framed.as_slice()).unwrap();
+        assert_eq!(got, Some(&payload[..]));
+        assert_eq!(reader.capacity(), framed.len());
     }
 
     #[test]
@@ -627,10 +701,14 @@ mod tests {
         write_frame(&mut buf, &a).unwrap();
         write_frame(&mut buf, &b).unwrap();
         buf.extend_from_slice(&[3, 0, 0, 0, 1]); // incomplete third frame
-        let (frames, err) = drain_frames(&mut buf);
-        assert!(err.is_none());
-        assert_eq!(frames, vec![a, b]);
-        assert_eq!(buf, vec![3, 0, 0, 0, 1]);
+        let rest: &[u8] = &[2, 3];
+        let mut stream = buf.as_slice().chain(rest); // two reads
+        let mut reader = FrameReader::default();
+        assert_eq!(reader.next(&mut stream).unwrap(), Some(&a[..]));
+        assert_eq!(reader.buffered().unwrap(), Some(&b[..]));
+        assert_eq!(reader.buffered().unwrap(), None);
+        assert_eq!(reader.next(&mut stream).unwrap(), Some(&[1, 2, 3][..]));
+        assert_eq!(reader.next(&mut stream).unwrap(), None);
     }
 
     #[test]
@@ -639,19 +717,95 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &a).unwrap();
         buf.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x00]);
-        let (frames, err) = drain_frames(&mut buf);
-        assert_eq!(frames, vec![a]);
-        assert!(matches!(err, Some(WireError::Oversized(_))));
+        let mut reader = FrameReader::default();
+        assert_eq!(reader.next(&mut buf.as_slice()).unwrap(), Some(&a[..]));
+        assert!(matches!(reader.buffered(), Err(WireError::Oversized(_))));
     }
 
     #[test]
     fn eof_mid_frame_is_typed() {
         let mut short: &[u8] = &[10, 0, 0, 0, 1, 2];
         assert!(matches!(
-            read_frame(&mut short),
+            FrameReader::default().next(&mut short),
             Err(WireError::UnexpectedEof)
         ));
         let mut empty: &[u8] = &[];
-        assert!(matches!(read_frame(&mut empty), Ok(None)));
+        assert!(matches!(FrameReader::default().next(&mut empty), Ok(None)));
+    }
+
+    /// Counts the `read` and `write` calls made on `inner`.
+    struct Counting<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<T: Read> Read for Counting<T> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl<T: Write> Write for Counting<T> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    fn lookups(n: usize) -> Vec<Request> {
+        (0..n)
+            .map(|k| Request::Query {
+                desc: "ivy".into(),
+                query: "latency".into(),
+                args: vec![k.to_string(), "20".into()],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_available_at_once_costs_one_read() {
+        let mut burst = Vec::new();
+        write_frames(
+            &mut burst,
+            &mut Vec::new(),
+            lookups(16).iter().map(encode_request),
+        )
+        .unwrap();
+        let mut stream = Counting {
+            inner: burst.as_slice(),
+            calls: 0,
+        };
+        let mut reader = FrameReader::default();
+        let first = reader.next(&mut stream).unwrap().map(decode_request);
+        assert_eq!(first.unwrap().unwrap(), lookups(1)[0]);
+        for _ in 1..16 {
+            assert!(reader.next(&mut stream).unwrap().is_some());
+        }
+        assert_eq!(stream.calls, 1);
+        assert!(reader.next(&mut stream).unwrap().is_none());
+        assert_eq!(stream.calls, 2);
+    }
+
+    #[test]
+    fn a_batch_of_frames_is_one_write() {
+        let mut out = Vec::new();
+        for n in [1, 16] {
+            let mut sink = Counting {
+                inner: Vec::new(),
+                calls: 0,
+            };
+            write_frames(&mut sink, &mut out, lookups(n).iter().map(encode_request)).unwrap();
+            assert_eq!(sink.calls, 1, "{n} frames");
+            let (mut reader, mut sent) = (FrameReader::default(), sink.inner.as_slice());
+            for req in lookups(n) {
+                let payload = reader.next(&mut sent).unwrap();
+                assert_eq!(decode_request(payload.unwrap()).unwrap(), req);
+            }
+        }
     }
 }

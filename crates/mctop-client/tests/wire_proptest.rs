@@ -3,16 +3,19 @@
 //! oversized length prefixes, bit flips — are rejected with typed
 //! errors and never panic.
 
-use std::io::Cursor;
+use std::io::{
+    self,
+    Cursor,
+    Read, //
+};
 
 use mctop_client::wire::{
     decode_request,
     decode_response,
-    drain_frames,
     encode_request,
     encode_response,
-    read_frame,
     write_frame,
+    FrameReader,
     Request,
     Response,
     WireError,
@@ -84,11 +87,48 @@ fn response_from(sel: u8, a: u64) -> Response {
     }
 }
 
+/// A pipelined burst of one request per selector, derived from the
+/// seeds, and its framed bytes.
+fn burst_from(sels: &[u8], a: u64, b: u64) -> (Vec<Request>, Vec<u8>) {
+    let requests: Vec<Request> = sels
+        .iter()
+        .enumerate()
+        .map(|(i, sel)| request_from(*sel, a ^ i as u64, b ^ i as u64))
+        .collect();
+    let mut burst = Vec::new();
+    for req in &requests {
+        write_frame(&mut burst, &encode_request(req)).unwrap();
+    }
+    (requests, burst)
+}
+
+/// Hands out its bytes in pieces of 1..=`max` bytes, the sizes drawn
+/// from `seed`: every way a socket may split a stream.
+struct Pieces<'a> {
+    bytes: &'a [u8],
+    seed: u64,
+    max: usize,
+}
+
+impl Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.seed = self
+            .seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let piece = 1 + (self.seed >> 33) as usize % self.max;
+        let n = piece.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every request survives encode → decode unchanged, and the
-    /// framed form survives write_frame → read_frame.
+    /// framed form survives write_frame → FrameReader.
     #[test]
     fn request_round_trips(sel in any::<u8>(), a in any::<u64>(), b in any::<u64>()) {
         let req = request_from(sel, a, b);
@@ -97,8 +137,9 @@ proptest! {
 
         let mut framed = Vec::new();
         write_frame(&mut framed, &payload).unwrap();
-        let read = read_frame(&mut Cursor::new(&framed)).unwrap().unwrap();
-        prop_assert_eq!(decode_request(&read).unwrap(), req);
+        let mut reader = FrameReader::default();
+        let read = reader.next(&mut Cursor::new(&framed)).unwrap().unwrap();
+        prop_assert_eq!(decode_request(read).unwrap(), req);
     }
 
     /// Every response survives encode → decode unchanged.
@@ -172,7 +213,7 @@ proptest! {
         let len = MAX_FRAME_LEN + excess;
         let framed = len.to_le_bytes().to_vec();
         prop_assert!(matches!(
-            read_frame(&mut Cursor::new(&framed)),
+            FrameReader::default().next(&mut Cursor::new(&framed)),
             Err(WireError::Oversized(l)) if l == len
         ));
     }
@@ -187,13 +228,16 @@ proptest! {
 
         let cut = 1 + (cut as usize) % (framed.len() - 1);
         prop_assert!(matches!(
-            read_frame(&mut Cursor::new(&framed[..cut])),
+            FrameReader::default().next(&mut Cursor::new(&framed[..cut])),
             Err(WireError::UnexpectedEof)
         ));
-        prop_assert!(matches!(read_frame(&mut Cursor::new(&[] as &[u8])), Ok(None)));
+        prop_assert!(matches!(
+            FrameReader::default().next(&mut Cursor::new(&[] as &[u8])),
+            Ok(None)
+        ));
     }
 
-    /// `drain_frames` splits a pipelined burst back into the original
+    /// The reader splits a pipelined burst back into the original
     /// frames and keeps a partial tail buffered.
     #[test]
     fn drain_splits_bursts(
@@ -202,33 +246,110 @@ proptest! {
         b in any::<u64>(),
         cut in any::<u64>(),
     ) {
-        let requests: Vec<Request> = sels
-            .iter()
-            .enumerate()
-            .map(|(i, sel)| request_from(*sel, a ^ i as u64, b ^ i as u64))
-            .collect();
-        let mut burst = Vec::new();
-        for req in &requests {
-            write_frame(&mut burst, &encode_request(req)).unwrap();
+        let (requests, burst) = burst_from(&sels, a, b);
+
+        // Whole burst: every frame comes back, then nothing is held.
+        let mut reader = FrameReader::default();
+        let mut input = burst.as_slice();
+        let mut decoded = Vec::new();
+        while let Some(f) = reader.next(&mut input).unwrap() {
+            decoded.push(decode_request(f).unwrap());
         }
+        prop_assert_eq!(decoded, requests.clone());
+        prop_assert!(reader.buffered().unwrap().is_none());
 
-        // Whole burst: every frame comes back, buffer drains empty.
-        let mut buf = burst.clone();
-        let (frames, err) = drain_frames(&mut buf);
-        prop_assert!(err.is_none());
-        prop_assert!(buf.is_empty());
-        let decoded: Vec<Request> = frames
-            .iter()
-            .map(|f| decode_request(f).unwrap())
-            .collect();
-        prop_assert_eq!(decoded, requests);
-
-        // Partial burst: the incomplete tail stays buffered verbatim.
+        // Partial burst: the first read ends inside a frame; the
+        // incomplete tail stays buffered verbatim and completes with
+        // the second.
         let cut = (cut as usize) % burst.len();
-        let mut buf = burst[..cut].to_vec();
-        let (frames, err) = drain_frames(&mut buf);
-        prop_assert!(err.is_none());
-        let consumed: usize = frames.iter().map(|f| 4 + f.len()).sum();
-        prop_assert_eq!(&burst[consumed..cut], &buf[..]);
+        let mut input = burst[..cut].chain(&burst[cut..]);
+        let mut reader = FrameReader::default();
+        let mut decoded = Vec::new();
+        while let Some(f) = reader.next(&mut input).unwrap() {
+            decoded.push(decode_request(f).unwrap());
+        }
+        prop_assert_eq!(decoded, requests);
+    }
+
+    /// (a) Split invariance: however the stream is cut into pieces, the
+    /// reader yields exactly the encoded payloads in order, then a
+    /// clean EOF.
+    #[test]
+    fn split_invariance(
+        sels in prop::collection::vec(any::<u8>(), 1..9),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        seed in any::<u64>(),
+        max in 1usize..64,
+    ) {
+        let (requests, burst) = burst_from(&sels, a, b);
+        let mut input = Pieces { bytes: &burst, seed, max };
+        let mut reader = FrameReader::default();
+        for req in &requests {
+            let payload = reader.next(&mut input).unwrap();
+            prop_assert_eq!(payload, Some(&encode_request(req)[..]));
+        }
+        prop_assert!(matches!(reader.next(&mut input), Ok(None)));
+    }
+
+    /// (b) Oversized tail: the valid frames ahead of a hostile length
+    /// prefix all come out first, then `Oversized`, and the buffer never
+    /// grew for the prefix.
+    #[test]
+    fn oversized_tail_after_good_frames(
+        sels in prop::collection::vec(any::<u8>(), 0..9),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        excess in 1u32..1000,
+        seed in any::<u64>(),
+        max in 1usize..64,
+    ) {
+        let (requests, mut burst) = burst_from(&sels, a, b);
+        let len = MAX_FRAME_LEN + excess;
+        burst.extend_from_slice(&len.to_le_bytes());
+        burst.extend_from_slice(&[0u8; 16]);
+        let mut input = Pieces { bytes: &burst, seed, max };
+        let mut reader = FrameReader::default();
+        let capacity = reader.capacity();
+        for req in &requests {
+            let payload = reader.next(&mut input).unwrap();
+            prop_assert_eq!(payload, Some(&encode_request(req)[..]));
+        }
+        prop_assert!(matches!(
+            reader.next(&mut input),
+            Err(WireError::Oversized(l)) if l == len
+        ));
+        prop_assert_eq!(reader.capacity(), capacity);
+    }
+
+    /// (c) Cut mid-frame: a stream that ends inside a frame yields the
+    /// complete frames ahead of the cut, then `UnexpectedEof`.
+    #[test]
+    fn cut_mid_frame(
+        sels in prop::collection::vec(any::<u8>(), 1..9),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        at in any::<u64>(),
+        seed in any::<u64>(),
+        max in 1usize..64,
+    ) {
+        let (requests, burst) = burst_from(&sels, a, b);
+        let whole = (at as usize) % requests.len();
+        let start: usize = requests[..whole]
+            .iter()
+            .map(|r| 4 + encode_request(r).len())
+            .sum();
+        let frame_len = 4 + encode_request(&requests[whole]).len();
+        let cut = start + 1 + (at as usize >> 8) % (frame_len - 1);
+        let mut input = Pieces { bytes: &burst[..cut], seed, max };
+        let mut reader = FrameReader::default();
+        for req in &requests[..whole] {
+            let payload = reader.next(&mut input).unwrap();
+            prop_assert_eq!(payload, Some(&encode_request(req)[..]));
+        }
+        prop_assert!(matches!(
+            reader.next(&mut input),
+            Err(WireError::UnexpectedEof)
+        ));
     }
 }

@@ -5,7 +5,8 @@
 //!
 //! - An **accept thread** owns the `UnixListener` and spawns one
 //!   handler thread per connection (I/O threads are cheap; they block
-//!   on `read`).
+//!   on `read`). A *batch* is the complete frames one `read` brought;
+//!   its responses go back in one `write`.
 //! - Request **execution** is decided per decoded batch, from the
 //!   request bytes alone (`execute_batch`). A batch in which *every*
 //!   request is a lookup — a `Query` named in [`eval::LOOKUP_QUERIES`]
@@ -79,6 +80,7 @@ use mctop::registry::Registry;
 use mctop_client::wire::{
     self,
     ErrorCode,
+    FrameReader,
     Request,
     Response,
     WireError,
@@ -90,6 +92,8 @@ use mctop_place::{
     Policy, //
 };
 use mctop_runtime::{
+    metrics::Counter,
+    metrics::ServerCounters,
     ExecCfg,
     Executor,
     Metrics,
@@ -103,9 +107,6 @@ use crate::eval::{
     self,
     EvalError, //
 };
-
-/// Read chunk size for connection handlers.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Where the server loads descriptions from.
 #[derive(Debug, Clone)]
@@ -431,8 +432,8 @@ enum ConnEnd {
     Disconnect,
 }
 
-fn serve_conn(state: &State, mut stream: UnixStream) {
-    let end = serve_conn_inner(state, &mut stream);
+fn serve_conn(state: &State, stream: UnixStream) {
+    let end = serve_conn_inner(state, &stream);
     match end {
         ConnEnd::Clean => {}
         ConnEnd::ProtocolError => state.metrics.server.protocol_errors.add(1),
@@ -441,17 +442,36 @@ fn serve_conn(state: &State, mut stream: UnixStream) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// Writes one response frame, counting bytes and the response class.
-fn write_response(state: &State, stream: &mut UnixStream, resp: &Response) -> Result<(), ()> {
-    let payload = wire::encode_response(resp);
-    let counters = &state.metrics.server;
-    match resp {
-        Response::Ok { .. } => counters.ok_responses.add(1),
-        Response::Err { .. } => counters.error_responses.add(1),
-        Response::HelloOk { .. } => {}
+/// A connection's read side; every byte it reads counts in
+/// `server.bytes_read`.
+struct Inbound<'a>(&'a UnixStream, &'a Counter);
+
+impl Read for Inbound<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.0.read(buf)?;
+        self.1.add(n as u64);
+        Ok(n)
     }
-    counters.bytes_written.add(4 + payload.len() as u64);
-    wire::write_frame(stream, &payload).map_err(|_| ())
+}
+
+/// Sends a batch's responses with one `write`, counting them by class
+/// and the bytes written.
+fn write_batch(
+    counters: &ServerCounters,
+    w: &mut impl Write,
+    out: &mut Vec<u8>,
+    responses: &[Response],
+) -> Result<(), WireError> {
+    for resp in responses {
+        match resp {
+            Response::Ok { .. } => counters.ok_responses.add(1),
+            Response::Err { .. } => counters.error_responses.add(1),
+            Response::HelloOk { .. } => {}
+        }
+    }
+    wire::write_frames(w, out, responses.iter().map(wire::encode_response))?;
+    counters.bytes_written.add(out.len() as u64);
+    Ok(())
 }
 
 fn err_frame(code: ErrorCode, message: impl Into<String>) -> Response {
@@ -461,183 +481,95 @@ fn err_frame(code: ErrorCode, message: impl Into<String>) -> Response {
     }
 }
 
-fn serve_conn_inner(state: &State, stream: &mut UnixStream) -> ConnEnd {
-    let mut acc: Vec<u8> = Vec::new();
-
-    // --- handshake: the first frame must be a matching Hello.
-    let first = match next_batch(state, stream, &mut acc) {
-        Ok(Some(frames)) => frames,
-        Ok(None) => return ConnEnd::Clean, // connected, said nothing
+fn serve_conn_inner(state: &State, stream: &UnixStream) -> ConnEnd {
+    let counters = &state.metrics.server;
+    let (mut input, mut output) = (Inbound(stream, &counters.bytes_read), stream);
+    let (mut reader, mut out) = (FrameReader::default(), Vec::new());
+    let (mut requests, mut malformed) = match read_batch(&mut reader, &mut input) {
+        Ok(batch) => batch,
         Err(end) => return end,
     };
-    let mut rest = first;
-    let hello = rest.remove(0);
-    match wire::decode_request(&hello) {
-        Ok(Request::Hello { version }) if version == PROTO_VERSION => {
-            state.metrics.server.hellos_ok.add(1);
-            if write_response(
-                state,
-                stream,
-                &Response::HelloOk {
-                    version: PROTO_VERSION,
-                },
-            )
-            .is_err()
-            {
-                return ConnEnd::Disconnect;
-            }
+
+    // --- handshake: the first frame must be a matching Hello; the
+    // frames pipelined behind it are the first batch.
+    let mut responses = Vec::new();
+    match requests.first() {
+        Some(Request::Hello { version }) if *version == PROTO_VERSION => {
+            counters.hellos_ok.add(1);
+            requests.remove(0);
+            responses.push(Response::HelloOk {
+                version: PROTO_VERSION,
+            });
         }
-        Ok(Request::Hello { version }) => {
-            state.metrics.server.version_mismatches.add(1);
-            let _ = write_response(
-                state,
-                stream,
-                &err_frame(
-                    ErrorCode::VersionMismatch,
-                    format!("server speaks protocol v{PROTO_VERSION}, client offered v{version}"),
-                ),
+        Some(Request::Hello { version }) => {
+            counters.version_mismatches.add(1);
+            let refusal = err_frame(
+                ErrorCode::VersionMismatch,
+                format!("server speaks protocol v{PROTO_VERSION}, client offered v{version}"),
             );
+            let _ = write_batch(counters, &mut output, &mut out, &[refusal]);
             return ConnEnd::Clean; // negotiated close, not a violation
         }
-        Ok(_) => {
-            let _ = write_response(
-                state,
-                stream,
-                &err_frame(
-                    ErrorCode::MalformedFrame,
-                    "the first frame on a connection must be Hello",
-                ),
+        Some(_) => {
+            let refusal = err_frame(
+                ErrorCode::MalformedFrame,
+                "the first frame on a connection must be Hello",
             );
+            let _ = write_batch(counters, &mut output, &mut out, &[refusal]);
             return ConnEnd::ProtocolError;
         }
-        Err(e) => {
-            let _ = write_response(
-                state,
-                stream,
-                &err_frame(ErrorCode::MalformedFrame, e.to_string()),
-            );
-            return ConnEnd::ProtocolError;
-        }
+        None => {} // the first frame is malformed: answered below
     }
 
-    // --- request loop: frames pipelined behind the Hello are the
-    // first batch.
+    // --- request loop: one batch in, its responses out in one write. A
+    // malformed frame ends the batch (the requests ahead of it are
+    // still answered) and, after its error frame, the connection.
     loop {
-        let frames = if rest.is_empty() {
-            match next_batch(state, stream, &mut acc) {
-                Ok(Some(frames)) => frames,
-                Ok(None) => return ConnEnd::Clean,
-                Err(end) => return end,
-            }
-        } else {
-            std::mem::take(&mut rest)
-        };
-
-        // Decode the whole batch; a malformed frame truncates it (the
-        // valid prefix is still answered) and closes the connection
-        // after the responses.
-        let mut requests: Vec<Request> = Vec::with_capacity(frames.len());
-        let mut malformed: Option<WireError> = None;
-        for frame in &frames {
-            match wire::decode_request(frame) {
-                Ok(req) => requests.push(req),
-                Err(e) => {
-                    malformed = Some(e);
-                    break;
-                }
-            }
+        let (answers, saw_shutdown) = execute_batch(state, &requests);
+        responses.extend(answers);
+        if let Some(e) = &malformed {
+            responses.push(err_frame(ErrorCode::MalformedFrame, e.to_string()));
         }
-
-        let (responses, saw_shutdown) = execute_batch(state, &requests);
-        for resp in &responses {
-            if write_response(state, stream, resp).is_err() {
-                return ConnEnd::Disconnect;
-            }
-        }
-        if stream.flush().is_err() {
-            return ConnEnd::Disconnect;
-        }
-        if let Some(e) = malformed {
-            let _ = write_response(
-                state,
-                stream,
-                &err_frame(ErrorCode::MalformedFrame, e.to_string()),
-            );
+        let sent = write_batch(counters, &mut output, &mut out, &responses);
+        if malformed.is_some() {
             return ConnEnd::ProtocolError;
         }
-        if saw_shutdown {
-            state.initiate_shutdown();
+        if sent.is_err() {
+            return ConnEnd::Disconnect;
+        }
+        if saw_shutdown || state.shutting_down.load(Ordering::SeqCst) {
+            state.initiate_shutdown(); // a no-op if it has begun already
             return ConnEnd::Clean;
         }
+        responses.clear();
+        (requests, malformed) = match read_batch(&mut reader, &mut input) {
+            Ok(batch) => batch,
+            Err(end) => return end,
+        };
     }
 }
 
-/// Reads until at least one complete frame is buffered, then drains
-/// every complete frame already available — the pipelining batch.
-///
-/// Returns `Ok(None)` on a clean EOF at a frame boundary (including
-/// the shutdown drain), `Err` with the failure class otherwise.
-fn next_batch(
-    state: &State,
-    stream: &mut UnixStream,
-    acc: &mut Vec<u8>,
-) -> Result<Option<Vec<Vec<u8>>>, ConnEnd> {
-    let mut chunk = [0u8; READ_CHUNK];
+/// Reads one batch: the complete frames the reader holds or, if none,
+/// those one blocking `read` brings. The first malformed or oversized
+/// frame ends it and comes back beside the requests ahead of it. `Err`
+/// is how the connection ended instead.
+fn read_batch(
+    reader: &mut FrameReader,
+    input: &mut impl Read,
+) -> Result<(Vec<Request>, Option<WireError>), ConnEnd> {
+    let mut frame = match reader.next(input) {
+        Ok(None) => return Err(ConnEnd::Clean),
+        Err(WireError::UnexpectedEof | WireError::Io(_)) => return Err(ConnEnd::Disconnect),
+        frame => frame,
+    };
+    let mut requests = Vec::new();
     loop {
-        // An oversized length prefix stays at the front of `acc`: the
-        // frames ahead of it are served as a batch first, and the call
-        // after that finds the prefix alone and cuts the connection —
-        // whether it arrived in the blocking read or in the scoop.
-        let (mut frames, err) = wire::drain_frames(acc);
-        if !frames.is_empty() {
-            // Opportunistic scoop: grab frames that already arrived
-            // without blocking, so a pipelined burst runs as one batch.
-            if err.is_none() && stream.set_nonblocking(true).is_ok() {
-                loop {
-                    match stream.read(&mut chunk) {
-                        Ok(0) => break,
-                        Ok(n) => {
-                            state.metrics.server.bytes_read.add(n as u64);
-                            acc.extend_from_slice(&chunk[..n]);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
-                }
-                let _ = stream.set_nonblocking(false);
-                frames.extend(wire::drain_frames(acc).0);
-            }
-            return Ok(Some(frames));
+        match frame.and_then(|f| f.map(wire::decode_request).transpose()) {
+            Ok(Some(req)) => requests.push(req),
+            Ok(None) => return Ok((requests, None)),
+            Err(e) => return Ok((requests, Some(e))),
         }
-        if let Some(e) = err {
-            let _ = write_response(
-                state,
-                stream,
-                &err_frame(ErrorCode::MalformedFrame, e.to_string()),
-            );
-            return Err(ConnEnd::ProtocolError);
-        }
-        if state.shutting_down.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if acc.is_empty() {
-                    Ok(None)
-                } else {
-                    // EOF inside a frame: the client vanished
-                    // mid-request.
-                    Err(ConnEnd::Disconnect)
-                };
-            }
-            Ok(n) => {
-                state.metrics.server.bytes_read.add(n as u64);
-                acc.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(ConnEnd::Disconnect),
-        }
+        frame = reader.buffered();
     }
 }
 
@@ -884,6 +816,39 @@ mod tests {
         ] {
             assert!(!is_lookup(&heavy), "{heavy:?}");
         }
+    }
+
+    /// Records the length of every `write` call.
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_batch_of_responses_is_one_write() {
+        let metrics = Metrics::handle();
+        let responses: Vec<Response> = (0..16)
+            .map(|k| Response::Ok {
+                body: format!("{k}\n").into_bytes(),
+            })
+            .collect();
+        let mut sink = Writes(Vec::new());
+        write_batch(&metrics.server, &mut sink, &mut Vec::new(), &responses).unwrap();
+        let framed: usize = responses
+            .iter()
+            .map(|r| 4 + wire::encode_response(r).len())
+            .sum();
+        assert_eq!(sink.0, [framed]);
+        let snap = metrics.server_snapshot();
+        assert_eq!((snap.ok_responses, snap.bytes_written), (16, framed as u64));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::sync::atomic::{
 use mctop::registry::Registry;
 use mctop_client::wire::{
     self,
+    FrameReader,
     Request, //
 };
 use mctop_client::{
@@ -328,13 +329,14 @@ fn garbage_frame_gets_error_and_close_without_poisoning() {
     raw.read_exact(&mut hello_ok).unwrap();
 
     wire::write_frame(&mut raw, &[0x7f, 1, 2, 3]).unwrap();
-    let payload = wire::read_frame(&mut raw).unwrap().unwrap();
-    match wire::decode_response(&payload).unwrap() {
+    let mut reader = FrameReader::default();
+    let payload = reader.next(&mut raw).unwrap().unwrap();
+    match wire::decode_response(payload).unwrap() {
         Response::Err { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),
         other => panic!("expected an error frame, got {other:?}"),
     }
     // The server closed the connection: next read is EOF.
-    assert!(matches!(wire::read_frame(&mut raw), Ok(None)));
+    assert!(matches!(reader.next(&mut raw), Ok(None)));
 
     assert!(handle.metrics().server_snapshot().protocol_errors >= 1);
     assert_still_serving(&sock);
@@ -349,8 +351,9 @@ fn hello_must_be_first_and_only_first() {
     let mut raw = UnixStream::connect(&sock).unwrap();
     let req = wire::encode_request(&Request::ListTopologies);
     wire::write_frame(&mut raw, &req).unwrap();
-    let payload = wire::read_frame(&mut raw).unwrap().unwrap();
-    match wire::decode_response(&payload).unwrap() {
+    let mut reader = FrameReader::default();
+    let payload = reader.next(&mut raw).unwrap().unwrap();
+    match wire::decode_response(payload).unwrap() {
         Response::Err { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),
         other => panic!("expected an error frame, got {other:?}"),
     }
@@ -392,12 +395,13 @@ fn oversized_length_prefix_is_cut_off() {
     let mut hostile = u32::MAX.to_le_bytes().to_vec();
     hostile.extend_from_slice(&[0u8; 64]);
     raw.write_all(&hostile).unwrap();
-    let payload = wire::read_frame(&mut raw).unwrap().unwrap();
-    match wire::decode_response(&payload).unwrap() {
+    let mut reader = FrameReader::default();
+    let payload = reader.next(&mut raw).unwrap().unwrap();
+    match wire::decode_response(payload).unwrap() {
         Response::Err { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),
         other => panic!("expected an error frame, got {other:?}"),
     }
-    assert!(matches!(wire::read_frame(&mut raw), Ok(None)));
+    assert!(matches!(reader.next(&mut raw), Ok(None)));
 
     assert_still_serving(&sock);
     handle.stop();
@@ -418,19 +422,20 @@ fn frames_ahead_of_an_oversized_prefix_are_answered() {
     burst.extend_from_slice(&[0u8; 64]);
     raw.write_all(&burst).unwrap();
 
-    let payload = wire::read_frame(&mut raw).unwrap().unwrap();
+    let mut reader = FrameReader::default();
+    let payload = reader.next(&mut raw).unwrap().unwrap();
     assert_eq!(
-        wire::decode_response(&payload).unwrap(),
+        wire::decode_response(payload).unwrap(),
         Response::Ok {
             body: local_body(&Registry::shipped(), &req)
         }
     );
-    let payload = wire::read_frame(&mut raw).unwrap().unwrap();
-    match wire::decode_response(&payload).unwrap() {
+    let payload = reader.next(&mut raw).unwrap().unwrap();
+    match wire::decode_response(payload).unwrap() {
         Response::Err { code, .. } => assert_eq!(code, ErrorCode::MalformedFrame),
         other => panic!("expected an error frame, got {other:?}"),
     }
-    assert!(matches!(wire::read_frame(&mut raw), Ok(None)));
+    assert!(matches!(reader.next(&mut raw), Ok(None)));
 
     assert_still_serving(&sock);
     // The handler counts the violation after it has closed the socket;
@@ -467,6 +472,33 @@ fn single_lookups_are_answered_without_the_executor() {
     assert_eq!(exec1.tasks - exec0.tasks, 0);
     assert_eq!(server1.error_responses, 0);
     handle.stop();
+}
+
+/// Answers that reach the client together stay in its reader until
+/// asked for. The trailing `Shutdown` closes the connection after its
+/// answer, so a client that lost buffered bytes fails instead of
+/// blocking.
+#[test]
+fn sends_then_receives_get_every_answer_in_order() {
+    let (handle, sock) = start("sends");
+    let registry = Registry::shipped();
+    let mut client = Client::connect(&sock).unwrap();
+    let reqs: Vec<Request> = ["latency", "core-of", "node-of"]
+        .iter()
+        .enumerate()
+        .map(|(k, kind)| lookup("ivy", kind, k))
+        .collect();
+    for req in reqs.iter().chain([&Request::Shutdown]) {
+        client.send(req).unwrap();
+    }
+    for req in &reqs {
+        let want = Response::Ok {
+            body: local_body(&registry, req),
+        };
+        assert_eq!(client.recv().unwrap(), want, "{req:?}");
+    }
+    assert_eq!(client.recv().unwrap(), Response::Ok { body: Vec::new() });
+    handle.join();
 }
 
 #[test]
