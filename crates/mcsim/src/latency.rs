@@ -120,9 +120,34 @@ impl<'m> LatencyOracle<'m> {
     /// plus rdtsc cost, jitter, outliers, and quantization.
     pub fn probe_raw(&mut self, a: usize, b: usize) -> u32 {
         self.probes += 1;
+        let pair = self.pair(a, b);
+        self.sample(pair)
+    }
+
+    /// `count` raw measurements between `a` and `b`, into `out` (cleared
+    /// first): sample for sample what as many [`probe_raw`] calls
+    /// return, with the pair's true latency and cores looked up once.
+    ///
+    /// [`probe_raw`]: LatencyOracle::probe_raw
+    pub fn probe_raw_batch(&mut self, a: usize, b: usize, out: &mut Vec<u32>, count: usize) {
+        out.clear();
+        out.reserve(count);
+        self.probes += count as u64;
+        let pair = self.pair(a, b);
+        for _ in 0..count {
+            out.push(self.sample(pair));
+        }
+    }
+
+    /// The per-pair invariants of a probe: true latency and both cores.
+    fn pair(&self, a: usize, b: usize) -> (f64, usize, usize) {
         let true_lat = self.spec.true_latency(a, b) as f64;
-        let ca = self.spec.loc(a).core;
-        let cb = self.spec.loc(b).core;
+        (true_lat, self.spec.loc(a).core, self.spec.loc(b).core)
+    }
+
+    /// One sample of a pair: the DVFS factor of the colder core at the
+    /// current warmth, then warming both cores, then noise.
+    fn sample(&mut self, (true_lat, ca, cb): (f64, usize, usize)) -> u32 {
         let factor = self
             .dvfs
             .factor(self.warmth[ca])

@@ -64,7 +64,8 @@ pub trait Prober: Send {
 
     /// A batch of `count` raw samples for one pair, appended into `out`
     /// (cleared first). The default loops [`Prober::probe`]; backends
-    /// with per-batch setup cost (thread spawns, pinning) override it.
+    /// with per-batch setup cost (thread spawns, pinning) or per-pair
+    /// invariants (the simulator's true latency) override it.
     fn probe_batch(&mut self, a: usize, b: usize, out: &mut Vec<u32>, count: usize) {
         out.clear();
         out.reserve(count);
@@ -731,8 +732,8 @@ fn begin_collection<P: Prober>(
     // Estimate the rdtsc read cost once, as the median of a calibration
     // loop (Fig. 5 subtracts `rdtsc_latency` from every measurement).
     prober.begin_stream(ProbeStream::Calibration);
-    let rdtsc_samples: Vec<u32> = (0..101).map(|_| prober.rdtsc_cost()).collect();
-    let rdtsc_est = stats::median_u32(&rdtsc_samples);
+    let mut rdtsc_samples: Vec<u32> = (0..101).map(|_| prober.rdtsc_cost()).collect();
+    let rdtsc_est = stats::median_u32(&mut rdtsc_samples);
     // The paper warms both cores before every lock-step phase; warming
     // everything up-front is equivalent (frequency only ramps up) and
     // keeps measurements independent of pair order.
@@ -806,8 +807,7 @@ fn measure_one<P: Prober>(
             let sample_cycles: u64 = buf.iter().map(|&s| s as u64).sum();
             stats.sample_cycles += sample_cycles;
             cycles += sample_cycles;
-            let median = stats::median_u32(buf);
-            let sd = stats::stdev(buf);
+            let (median, sd) = median_stdev(buf);
             let frac = if median == 0 { 0.0 } else { sd / median as f64 };
             (
                 Outcome::Pilot {
@@ -835,8 +835,7 @@ fn measure_one<P: Prober>(
                 let sample_cycles: u64 = buf.iter().map(|&s| s as u64).sum();
                 stats.sample_cycles += sample_cycles;
                 cycles += sample_cycles;
-                let median = stats::median_u32(buf);
-                let sd = stats::stdev(buf);
+                let (median, sd) = median_stdev(buf);
                 let frac = if median == 0 { 0.0 } else { sd / median as f64 };
                 // Threshold escalates linearly from stdev_frac to
                 // stdev_frac_max across the retries.
@@ -856,6 +855,15 @@ fn measure_one<P: Prober>(
             (Outcome::Unstable(best_frac), cycles)
         }
     }
+}
+
+/// Median and standard deviation of one attempt's samples. The stdev
+/// sums the samples in the order they were taken, before the median
+/// reorders them: a reordered floating-point sum can flip a borderline
+/// stdev gate.
+fn median_stdev(samples: &mut [u32]) -> (u32, f64) {
+    let sd = stats::stdev(samples);
+    (stats::median_u32(samples), sd)
 }
 
 /// Runs one phase over `probers`: the pairs of each schedule round are
@@ -1258,6 +1266,89 @@ mod tests {
                 assert_eq!(fs, fp);
             }
             other => panic!("expected matching unstable errors, got {other:?}"),
+        }
+    }
+
+    /// FNV-1a over a table's values, row-major, little-endian.
+    fn fnv1a_table(t: &LatencyTable) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for a in 0..t.n() {
+            for byte in t.row(a).iter().flat_map(|v| v.to_le_bytes()) {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// The committed descriptions are noiseless, so they cannot see a
+    /// change in RNG consumption order or in the stdev's summation
+    /// order; these pins can. The values are the collection's output
+    /// from before probes were batched and the median taken in place.
+    #[test]
+    fn noisy_collection_is_pinned() {
+        let ivy = presets::ivy();
+        let cfg = ProbeConfig {
+            adaptive: Some(AdaptiveCfg::default()),
+            ..ProbeConfig::fast()
+        };
+        for jobs in [1, 2] {
+            let (table, stats) =
+                collect_parallel(&mut SimProber::new(&ivy, 7), &cfg, jobs).unwrap();
+            assert_eq!(
+                fnv1a_table(&table),
+                1_839_495_580_399_761_221,
+                "jobs {jobs}"
+            );
+            let critical_cycles = if jobs == 1 {
+                6_282_818_844
+            } else {
+                3_161_502_952
+            };
+            assert_eq!(
+                stats,
+                ProbeStats {
+                    pairs: 780,
+                    probes: 11_955,
+                    pilot_probes: 11_700,
+                    refined_pairs: 5,
+                    retries: 0,
+                    sample_cycles: 2_818_844,
+                    overhead_cycles: 6_280_000_000,
+                    critical_cycles,
+                },
+                "jobs {jobs}"
+            );
+        }
+        // Hostile noise fails on the first pair in schedule order, and
+        // the error carries that pair's best stdev to the last bit. A
+        // stdev summed in another order differs in its last bits about
+        // half the time, so a few seeds make that slip visible.
+        let west = presets::westmere();
+        let cfg = ProbeConfig {
+            reps: 31,
+            ..ProbeConfig::fast()
+        };
+        for (seed, bits) in [
+            (3, 0x3FD1_5328_2ED7_9C91u64),
+            (4, 0x3FD1_57E2_D8AB_9DBC),
+            (5, 0x3FCB_BAE1_7E84_F586),
+            (6, 0x3FCE_FF4A_388D_33F2),
+            (7, 0x3FE3_A22B_A1C5_DE31),
+            (8, 0x3FCD_5440_9FE0_B449),
+        ] {
+            for jobs in [1, 2] {
+                let mut p = SimProber::with_noise(&west, seed, mcsim::NoiseCfg::hostile());
+                match collect_parallel(&mut p, &cfg, jobs) {
+                    Err(McTopError::UnstableMeasurements { pair, stdev_frac }) => {
+                        assert_eq!(pair, (0, 159), "seed {seed} jobs {jobs}");
+                        assert_eq!(stdev_frac.to_bits(), bits, "seed {seed} jobs {jobs}");
+                    }
+                    other => {
+                        panic!("seed {seed} jobs {jobs}: expected an unstable pair, got {other:?}")
+                    }
+                }
+            }
         }
     }
 

@@ -69,6 +69,10 @@ impl Prober for SimProber<'_> {
         self.oracle.probe_raw(a, b)
     }
 
+    fn probe_batch(&mut self, a: usize, b: usize, out: &mut Vec<u32>, count: usize) {
+        self.oracle.probe_raw_batch(a, b, out, count);
+    }
+
     fn rdtsc_cost(&mut self) -> u32 {
         self.oracle.rdtsc_cost_estimate()
     }
@@ -117,6 +121,35 @@ mod tests {
         assert_eq!(p.num_hwcs(), 40);
         assert_eq!(p.num_nodes(), 2);
         assert_eq!(p.machine_name(), "ivy");
+    }
+
+    #[test]
+    fn batched_probes_equal_looped_probes() {
+        for spec in [presets::ivy(), presets::westmere(), presets::scrambled()] {
+            let n = spec.total_hwcs();
+            // A cross-socket pair, a far pair, and SMT siblings (one
+            // core, warmed once per sample).
+            let sibling = spec.hwc_of(spec.loc(0).core, spec.smt_per_core - 1);
+            let pairs = [(0, 1), (0, n - 1), (0, sibling)];
+            for noise in [NoiseCfg::default(), NoiseCfg::hostile()] {
+                // DVFS on and no warm-up: core 0's warmth crosses
+                // `ramp_units` inside one of the batches below.
+                let mut batched = SimProber::with_noise(&spec, 5, noise);
+                let mut looped = batched.clone();
+                let mut out = Vec::new();
+                for _ in 0..3 {
+                    for k in [1, 3, 15, 51] {
+                        for &(a, b) in &pairs {
+                            batched.probe_batch(a, b, &mut out, k);
+                            let want: Vec<u32> = (0..k).map(|_| looped.probe(a, b)).collect();
+                            assert_eq!(out, want, "{} k={k} ({a},{b})", spec.name);
+                            assert_eq!(batched.oracle.probe_count(), looped.oracle.probe_count());
+                        }
+                    }
+                }
+                assert_eq!(batched.probe(0, 1), looped.probe(0, 1), "{}", spec.name);
+            }
+        }
     }
 
     #[test]

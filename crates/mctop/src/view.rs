@@ -413,11 +413,12 @@ struct SparseStore {
     /// Fallback bandwidth index when the arena is not sorted: visible
     /// link indices ordered by `(a, b)`.
     link_index: Vec<u32>,
-    /// LRU of recent BFS hop rows.
+    /// LRU of recent BFS hop rows, for single-pair `latency` / `hops`.
     rows: Mutex<RowCache>,
     /// Proximity-sorted neighbor rows, pinned once queried (the row is
     /// handed out by reference, so it cannot be evicted like the hop
-    /// rows; only queried sockets ever materialize).
+    /// rows; only queried sockets ever materialize). Each costs one BFS
+    /// of its own and never touches `rows`.
     neighbor_rows: Vec<OnceLock<Vec<usize>>>,
 }
 
@@ -595,18 +596,26 @@ impl SparseStore {
         if a == b {
             return self.intra;
         }
+        self.pair_latency(a, b, || self.with_row(a.min(b), |row| row[a.max(b)]))
+    }
+
+    /// The latency rule of two distinct sockets: the exception entry if
+    /// the pair deviates from the hop model, otherwise the latency of
+    /// its BFS hop level. `hop_count` runs only when there is no
+    /// exception.
+    fn pair_latency(&self, a: usize, b: usize, hop_count: impl FnOnce() -> u32) -> u32 {
         if let Some((lat, _)) = self.exception(a, b) {
             return lat;
         }
-        let k = self.with_row(a.min(b), |row| row[a.max(b)]);
-        if k == u32::MAX {
-            return u32::MAX;
+        match hop_count() {
+            u32::MAX => u32::MAX,
+            k => self
+                .level_lat
+                .get(k as usize)
+                .copied()
+                .flatten()
+                .unwrap_or(u32::MAX),
         }
-        self.level_lat
-            .get(k as usize)
-            .copied()
-            .flatten()
-            .unwrap_or(u32::MAX)
     }
 
     fn hops(&self, a: usize, b: usize) -> usize {
@@ -651,11 +660,15 @@ impl SparseStore {
 
     fn closest(&self, a: usize) -> &[usize] {
         self.neighbor_rows[a].get_or_init(|| {
-            let mut others: Vec<usize> = (0..self.n).filter(|&b| b != a).collect();
-            // Cached: a key is a lock, a row-cache scan and usually a
-            // BFS; derive each once, not once per comparison.
-            others.sort_by_cached_key(|&b| (self.latency(a, b), b));
-            others
+            // One BFS from `a` holds every key's hop count: the graph
+            // is undirected, so `row[b]` is the hop count of (a, b).
+            let row = bfs_row(&self.adj_off, &self.adj, self.n, a);
+            let mut keyed: Vec<(u32, usize)> = (0..self.n)
+                .filter(|&b| b != a)
+                .map(|b| (self.pair_latency(a, b, || row[b]), b))
+                .collect();
+            keyed.sort_unstable();
+            keyed.iter().map(|&(_, b)| b).collect()
         })
     }
 
@@ -1232,6 +1245,56 @@ mod tests {
             assert_eq!(
                 dense.socket_order_bandwidth_proximity(),
                 sparse.socket_order_bandwidth_proximity()
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_neighbor_rows_match_dense_and_cache_no_bfs_row() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../descs/synth-mesh-144.mct.json"
+        );
+        let t = Arc::new(crate::desc::load(std::path::Path::new(path)).unwrap());
+        let s = t.num_sockets();
+        let dense = TopoView::with_backend(Arc::clone(&t), ViewBackend::Dense);
+        let sparse = TopoView::new(Arc::clone(&t));
+        assert_eq!(sparse.backend(), ViewBackend::Sparse);
+        let fresh = sparse.resident_bytes();
+        for a in 0..s {
+            assert_eq!(
+                sparse.closest_sockets(a),
+                dense.closest_sockets(a),
+                "row {a}"
+            );
+        }
+        // The neighbor rows alone: no BFS row went into the row cache.
+        assert_eq!(
+            sparse.resident_bytes(),
+            fresh + s * (s - 1) * size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn sparse_neighbor_rows_honor_exceptions_and_missing_pairs() {
+        let mut t = Mctop::clone(&enriched(&mcsim::presets::opteron()));
+        let two_hop: Vec<usize> = (0..t.links.len())
+            .filter(|&i| t.links[i].hops == 2)
+            .collect();
+        assert!(two_hop.len() >= 2);
+        // A far pair that answers faster than any neighbor (off the hop
+        // model, so the sparse store keeps it as an exception) ...
+        t.links[two_hop[0]].latency = 1;
+        // ... and a pair with no record at all (unknown, sorts last).
+        t.links.remove(two_hop[two_hop.len() - 1]);
+        let t = Arc::new(t);
+        let dense = TopoView::with_backend(Arc::clone(&t), ViewBackend::Dense);
+        let sparse = TopoView::with_backend(Arc::clone(&t), ViewBackend::Sparse);
+        for a in 0..t.num_sockets() {
+            assert_eq!(
+                sparse.closest_sockets(a),
+                dense.closest_sockets(a),
+                "row {a}"
             );
         }
     }
