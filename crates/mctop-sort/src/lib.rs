@@ -11,9 +11,9 @@
 //!
 //! Modules:
 //! - [`seq`]: the one sequential sort of the first phase, shared by
-//!   `mctop_sort` and the baseline — an introsort with a branch-free
-//!   partition, an equal-run path for repeated keys and recursion
-//!   depth ⌈log₂ n⌉ (O(n log n) on every input);
+//!   `mctop_sort` and the baseline — a cache-sized `u32` radix kernel
+//!   that sorts each chunk straight into its merge run, with a
+//!   duplicate-safe, depth-bounded introsort as its fallback;
 //! - [`merge`]: scalar merging plus merge-path splitting for
 //!   cooperative (multi-thread) merges;
 //! - [`bitonic`]: the portable 4-wide bitonic merge network — the

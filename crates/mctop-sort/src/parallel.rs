@@ -5,7 +5,7 @@
 //! [`crate::model`] over the simulated machines.
 //!
 //! Every phase of `mctop_sort` executes on a caller-owned persistent
-//! [`mctop_runtime::Executor`]: chunk quicksorts, per-socket merge
+//! [`mctop_runtime::Executor`]: chunk sorts, per-socket merge
 //! rounds, and the cross-socket tree merges are all submitted as
 //! tasks to placement-pinned workers instead of spawning fresh
 //! scoped threads per phase. The caller arms the team the way Fig. 7
@@ -29,7 +29,7 @@ use crate::merge::{
     merge_jobs,
     parallel_merge, //
 };
-use crate::seq::quicksort;
+use crate::seq::sort_into;
 use crate::simd::KernelTable;
 use crate::tree::MergeTree;
 
@@ -45,12 +45,12 @@ enum Kernel {
 /// One tagged merge segment: `(use_vector_kernel, a, b, out_window)`.
 type TaggedJob<'a> = (bool, &'a [u32], &'a [u32], &'a mut [u32]);
 
-/// Reusable merge scratch for the persistent-sort entry points
+/// Reusable run and merge scratch for the persistent-sort entry points
 /// ([`mctop_sort_on`] / [`mctop_sort_sse_on`]): a pool of `Vec<u32>`
-/// buffers recycled across merge rounds **and across sorts**, so a
+/// buffers recycled across phases, merge rounds **and sorts**, so a
 /// steady stream of similar-sized sorts stops paying one allocation
-/// per merge pair per round (the same caller-owned-state pattern the
-/// probe sample buffers use).
+/// per run and per merge pair per round (the same caller-owned-state
+/// pattern the probe sample buffers use).
 #[derive(Debug, Default)]
 pub struct SortScratch {
     pool: Vec<Vec<u32>>,
@@ -62,23 +62,17 @@ impl SortScratch {
         SortScratch::default()
     }
 
-    /// A zeroed buffer of exactly `len`, recycled when possible.
-    fn take(&mut self, len: usize) -> Vec<u32> {
-        match self.pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.resize(len, 0);
-                v
-            }
-            None => vec![0u32; len],
-        }
-    }
-
-    /// A recycled buffer holding a copy of `src` (no zero-fill pass).
-    fn take_copy(&mut self, src: &[u32]) -> Vec<u32> {
+    /// An empty buffer, recycled when possible, for its user to size.
+    fn take_empty(&mut self) -> Vec<u32> {
         let mut v = self.pool.pop().unwrap_or_default();
         v.clear();
-        v.extend_from_slice(src);
+        v
+    }
+
+    /// A zeroed buffer of exactly `len`, recycled when possible.
+    fn take(&mut self, len: usize) -> Vec<u32> {
+        let mut v = self.take_empty();
+        v.resize(len, 0);
         v
     }
 
@@ -96,13 +90,13 @@ impl SortScratch {
 }
 
 /// Sorts `data` with the topology-aware mergesort of Section 7.2 on
-/// a caller-owned persistent executor: chunks are quicksorted in
-/// parallel, per-socket runs are merged cooperatively inside each
+/// a caller-owned persistent executor: chunks are sorted in parallel
+/// into their runs, per-socket runs are merged cooperatively inside each
 /// socket, and the per-socket runs are merged along the
 /// bandwidth-maximizing cross-socket tree, rooted at socket `dest`.
 /// Worker count and socket assignment come from the executor's
 /// placement; nothing is spawned or pinned per call, and `scratch`
-/// recycles every merge buffer across calls.
+/// recycles every run and merge buffer across calls.
 pub fn mctop_sort_on(
     exec: &Executor,
     data: &mut Vec<u32>,
@@ -165,20 +159,28 @@ fn sort_on_impl(
     let threads_of_socket =
         |s: usize| -> usize { ctxs.iter().filter(|c| c.socket() == s).count().max(1) };
 
-    // --- Phase 1: parallel chunk quicksort -----------------------------
+    // --- Phase 1: parallel chunk sort -----------------------------------
+    // Each chunk is sorted straight into its phase-2 run, with the chunk
+    // itself as the kernel's scratch. The task sizes its run, so the
+    // zero-fill runs in parallel too.
     let chunk = n.div_ceil(n_threads);
+    let mut runs: Vec<Vec<u32>> = (0..n.div_ceil(chunk))
+        .map(|_| scratch.take_empty())
+        .collect();
     exec.scope(|sc| {
-        for piece in data.chunks_mut(chunk) {
-            sc.spawn(move || quicksort(piece));
+        for (piece, run) in data.chunks_mut(chunk).zip(&mut runs) {
+            sc.spawn(move || {
+                run.resize(piece.len(), 0);
+                sort_into(piece, run);
+            });
         }
     });
 
     // --- Phase 2: per-socket cooperative merging ------------------------
-    // Assign each chunk to the socket of the worker that sorted it.
+    // Assign each run to the socket of the worker that sorted it.
     let mut socket_runs: Vec<Vec<Vec<u32>>> = vec![Vec::new(); view.num_sockets()];
-    for (idx, piece) in data.chunks(chunk).enumerate() {
-        let socket = ctxs[idx % n_threads].socket();
-        socket_runs[socket].push(scratch.take_copy(piece));
+    for (idx, run) in runs.into_iter().enumerate() {
+        socket_runs[ctxs[idx % n_threads].socket()].push(run);
     }
     // Merge within each socket (all its threads cooperate) until one
     // run per socket. Each round pairs up every socket's runs and
@@ -405,7 +407,7 @@ fn reduce_runs(mut runs: Vec<Vec<u32>>, k: usize) -> Vec<u32> {
 }
 
 /// The topology-agnostic baseline, shaped like `__gnu_parallel::sort`:
-/// parallel chunk quicksort, then iterative pairwise parallel merging —
+/// parallel chunk sort, then iterative pairwise parallel merging —
 /// no placement, no NUMA awareness, fresh scoped threads per call (the
 /// comparison point the executor-backed paths are measured against).
 pub fn baseline_sort(data: &mut Vec<u32>, n_threads: usize) {
@@ -415,12 +417,15 @@ pub fn baseline_sort(data: &mut Vec<u32>, n_threads: usize) {
     }
     let n_threads = n_threads.max(1);
     let chunk = n.div_ceil(n_threads);
+    let mut runs: Vec<Vec<u32>> = vec![Vec::new(); n.div_ceil(chunk)];
     std::thread::scope(|scope| {
-        for piece in data.chunks_mut(chunk) {
-            scope.spawn(|| quicksort(piece));
+        for (piece, run) in data.chunks_mut(chunk).zip(&mut runs) {
+            scope.spawn(move || {
+                run.resize(piece.len(), 0);
+                sort_into(piece, run);
+            });
         }
     });
-    let runs: Vec<Vec<u32>> = data.chunks(chunk).map(|c| c.to_vec()).collect();
     *data = reduce_runs(runs, n_threads);
 }
 
@@ -565,6 +570,27 @@ mod tests {
         }
         // The pool actually recycled buffers across those sorts.
         assert!(scratch.pooled_elements() > 0, "scratch never pooled");
+    }
+
+    /// Phase 1 sorts each chunk into a run taken from the pool, with the
+    /// chunk as the kernel's scratch: a stream of equal sorts settles the
+    /// pool after the second one, at no more than 5n/2 elements (a
+    /// kernel buffer beside each run would add n).
+    #[test]
+    fn repeated_sorts_do_not_grow_the_pool() {
+        let n = 1usize << 18;
+        let view = view();
+        let exec = team(&view, 2);
+        let mut scratch = SortScratch::new();
+        let pooled: Vec<usize> = (0..10)
+            .map(|round| {
+                let mut v = random(n, round);
+                mctop_sort_sse_on(&exec, &mut v, &view, 0, &mut scratch);
+                scratch.pooled_elements()
+            })
+            .collect();
+        assert_eq!(pooled[1], pooled[9], "{pooled:?}");
+        assert!(pooled[9] <= 5 * n / 2, "{pooled:?}");
     }
 
     #[test]

@@ -1,9 +1,17 @@
-//! Sequential introsort: the per-chunk sort of phase one (both
-//! `mctop_sort` and the baseline use the same sequential kernel, as in
-//! the paper where "the sequential part is the same on both
-//! algorithms").
+//! The local sort of phase one. `mctop_sort` and the baseline sort every
+//! chunk with [`sort_into`], as in the paper, where "the sequential part
+//! is the same on both algorithms".
 //!
-//! A quicksort with three properties a library kernel needs:
+//! [`sort_into`] is a `u32` radix sort that keeps its passes in cache:
+//! one MSD pass on the top byte that varies scatters the keys into at
+//! most 256 buckets (≈ 16 KiB each for a 2²⁰-key chunk), and LSD passes
+//! over the bits that still vary finish each bucket while it is cached.
+//! Sorted and strictly decreasing input is copied in O(n); when a spread
+//! sample shows few distinct keys, and for tiny buckets, it hands over
+//! to [`quicksort`].
+//!
+//! [`quicksort`] is the comparison fallback, an introsort with three
+//! properties a library kernel needs:
 //!
 //! - *branch-free partition*: the comparison result is added to the
 //!   store index, so random keys cost no mispredicted branch
@@ -24,6 +32,67 @@ const CUTOFF: usize = 24;
 /// Smallest slice whose pivot is a median of three medians of three.
 const NINTHER: usize = 128;
 
+/// Bits of one radix digit.
+const DIGIT: u32 = 8;
+
+/// Keys the few-distinct check reads, spread evenly over the input.
+const SAMPLE: usize = 256;
+
+/// Most distinct sampled keys for which `quicksort`'s equal-run path
+/// beats the radix passes.
+const FEW_DISTINCT: usize = 16;
+
+/// Largest input or bucket `quicksort` sorts instead of radix passes.
+const SMALL: usize = 64;
+
+/// Sorts `keys` into `out` (ascending), using `keys` as scratch: on
+/// return `keys` holds the same keys in no particular order.
+///
+/// O(n) on non-decreasing and strictly decreasing input, O(n) radix
+/// passes otherwise, `quicksort` when a spread sample of the keys holds
+/// few distinct values (the sample picks the method, never the result).
+///
+/// # Panics
+///
+/// If `keys` and `out` differ in length.
+pub fn sort_into(keys: &mut [u32], out: &mut [u32]) {
+    assert_eq!(
+        keys.len(),
+        out.len(),
+        "sort_into: `keys` and `out` must have the same length"
+    );
+    let n = keys.len();
+    if n < 2 {
+        out.copy_from_slice(keys);
+        return;
+    }
+    let (run, desc) = leading_run(keys);
+    if run == n {
+        if desc {
+            for (o, &k) in out.iter_mut().zip(keys.iter().rev()) {
+                *o = k;
+            }
+        } else {
+            out.copy_from_slice(keys);
+        }
+        return;
+    }
+    if n <= SMALL || few_distinct(keys) {
+        quicksort(keys);
+        out.copy_from_slice(keys);
+        return;
+    }
+    // One MSD pass on the top byte that varies, then each bucket on
+    // its own, from `out` with its window of `keys` as scratch.
+    let shift = (u32::BITS - varying_bits(keys).leading_zeros()).saturating_sub(DIGIT);
+    let ends = radix_pass(keys, out, shift);
+    let mut start = 0;
+    for end in ends {
+        finish_bucket(&mut out[start..end], &mut keys[start..end]);
+        start = end;
+    }
+}
+
 /// Sorts a slice in place (unstable, O(n log n) comparisons, O(log n)
 /// stack; O(n) on non-decreasing and strictly decreasing input).
 pub fn quicksort<T: Ord + Copy>(a: &mut [T]) {
@@ -31,13 +100,9 @@ pub fn quicksort<T: Ord + Copy>(a: &mut [T]) {
     if n < 2 {
         return;
     }
-    // The leading run, non-decreasing or strictly decreasing: when it
-    // is the whole slice the sort is a no-op or a reversal.
-    let desc = a[1] < a[0];
-    let run = 2 + a[1..]
-        .windows(2)
-        .take_while(|w| (w[1] < w[0]) == desc)
-        .count();
+    // When the leading run is the whole slice the sort is a no-op or a
+    // reversal.
+    let (run, desc) = leading_run(a);
     if run == n {
         if desc {
             a.reverse();
@@ -45,6 +110,94 @@ pub fn quicksort<T: Ord + Copy>(a: &mut [T]) {
         return;
     }
     introsort(a, None, 2 * ceil_log2(n));
+}
+
+/// Length of the leading run of `a` (at least two keys), non-decreasing
+/// or strictly decreasing, and whether it decreases.
+fn leading_run<T: Ord>(a: &[T]) -> (usize, bool) {
+    let desc = a[1] < a[0];
+    let run = 2 + a[1..]
+        .windows(2)
+        .take_while(|w| (w[1] < w[0]) == desc)
+        .count();
+    (run, desc)
+}
+
+/// The slots the few-distinct check reads: `SAMPLE` of them, spread
+/// evenly over `n` keys.
+fn sample_slots(n: usize) -> impl Iterator<Item = usize> {
+    (0..SAMPLE).map(move |i| i * n / SAMPLE)
+}
+
+/// Whether the sampled keys hold at most `FEW_DISTINCT` values.
+fn few_distinct(keys: &[u32]) -> bool {
+    let mut seen = [0u32; FEW_DISTINCT];
+    let mut len = 0;
+    for slot in sample_slots(keys.len()) {
+        let k = keys[slot];
+        if !seen[..len].contains(&k) {
+            if len == FEW_DISTINCT {
+                return false;
+            }
+            seen[len] = k;
+            len += 1;
+        }
+    }
+    true
+}
+
+/// The bits in which some key of `a` differs from the first one.
+fn varying_bits(a: &[u32]) -> u32 {
+    let first = a[0];
+    a.iter().fold(0, |acc, &k| acc | (k ^ first))
+}
+
+fn digit(k: u32, shift: u32) -> usize {
+    ((k >> shift) & 0xFF) as usize
+}
+
+/// One counting pass: scatters `src` into `dst` (same length), stably,
+/// by the digit at `shift`, and returns where each digit's bucket ends.
+fn radix_pass(src: &[u32], dst: &mut [u32], shift: u32) -> [usize; 256] {
+    let mut next = [0usize; 256];
+    for &k in src {
+        next[digit(k, shift)] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        (*slot, start) = (start, start + *slot);
+    }
+    for &k in src {
+        let d = digit(k, shift);
+        dst[next[d]] = k;
+        next[d] += 1;
+    }
+    next
+}
+
+/// Sorts one MSD bucket, which starts and ends in `a`, with `tmp` (same
+/// length) as scratch: LSD passes over just the bits that vary in it,
+/// at most three since the top byte that varies is already fixed.
+fn finish_bucket(a: &mut [u32], tmp: &mut [u32]) {
+    if a.len() <= SMALL {
+        return quicksort(a);
+    }
+    let varying = varying_bits(a);
+    if varying == 0 {
+        return;
+    }
+    let lowest = varying.trailing_zeros();
+    let end = u32::BITS - varying.leading_zeros();
+    let (mut src, mut dst) = (a, tmp);
+    let mut passes = 0;
+    for shift in (lowest..end).step_by(DIGIT as usize) {
+        radix_pass(src, dst, shift);
+        (src, dst) = (dst, src);
+        passes += 1;
+    }
+    if passes % 2 == 1 {
+        dst.copy_from_slice(src);
+    }
 }
 
 fn ceil_log2(n: usize) -> u32 {
@@ -171,6 +324,7 @@ fn sift_down<T: Ord + Copy>(a: &mut [T], mut root: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{
         Rng,
@@ -370,5 +524,105 @@ mod tests {
                 count_comparisons(&keys, |v| quicksort(v));
             }
         }
+    }
+
+    /// Runs `sort_into` with `out` full of garbage and checks it against
+    /// `sort_unstable`.
+    fn check_sort_into(name: &str, keys: &[u32], rng: &mut SmallRng) {
+        let mut scratch = keys.to_vec();
+        let mut out: Vec<u32> = (0..keys.len()).map(|_| rng.gen()).collect();
+        sort_into(&mut scratch, &mut out);
+        let mut expected = keys.to_vec();
+        expected.sort_unstable();
+        assert!(out == expected, "{name}, n = {}", keys.len());
+    }
+
+    /// Keys whose `SAMPLE` spread slots hold only four values while
+    /// every other slot is distinct: the sample picks `quicksort`, and
+    /// the output must not care.
+    fn fools_the_sample(n: usize) -> Vec<u32> {
+        let mut keys: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        for (i, slot) in sample_slots(n).enumerate() {
+            if let Some(k) = keys.get_mut(slot) {
+                *k = i as u32 % 4;
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn sort_into_equals_the_oracle_on_every_family() {
+        type Family = (&'static str, fn(usize, &mut SmallRng) -> Vec<u32>);
+        /// `n` draws from `distinct` random values.
+        fn few(n: usize, rng: &mut SmallRng, distinct: usize) -> Vec<u32> {
+            let values: Vec<u32> = (0..distinct).map(|_| rng.gen()).collect();
+            (0..n).map(|_| values[rng.gen_range(0..distinct)]).collect()
+        }
+        /// Uniform keys with every bit outside `varying` set to a fixed
+        /// pattern.
+        fn only(n: usize, rng: &mut SmallRng, varying: u32) -> Vec<u32> {
+            (0..n)
+                .map(|_| (rng.gen::<u32>() & varying) | (0x5A5A_5A5A & !varying))
+                .collect()
+        }
+        let families: [Family; 16] = [
+            ("uniform", |n, rng| (0..n).map(|_| rng.gen()).collect()),
+            ("all-equal", |n, _| vec![7; n]),
+            ("sorted", |n, _| (0..n as u32).collect()),
+            ("reversed", |n, _| (0..n as u32).rev().collect()),
+            ("organ-pipe", |n, _| organ_pipe(n)),
+            ("saw-tooth", |n, _| {
+                (0..n).map(|i| (i % 100) as u32).collect()
+            }),
+            ("2-distinct", |n, rng| few(n, rng, 2)),
+            ("4-distinct", |n, rng| few(n, rng, 4)),
+            ("16-distinct", |n, rng| few(n, rng, 16)),
+            ("17-distinct", |n, rng| few(n, rng, 17)),
+            ("bit 31 only", |n, rng| only(n, rng, 1 << 31)),
+            ("top byte only", |n, rng| only(n, rng, 0xFF00_0000)),
+            ("low byte only", |n, rng| only(n, rng, 0xFF)),
+            ("top byte and bit 0", |n, rng| only(n, rng, 0xFF00_0001)),
+            ("near u32::MAX", |n, rng| {
+                (0..n)
+                    .map(|_| u32::MAX - rng.gen_range(0..1_000u32))
+                    .collect()
+            }),
+            ("fools the sample", |n, _| fools_the_sample(n)),
+        ];
+        let mut rng = SmallRng::seed_from_u64(6);
+        let lengths = (0..=300).chain((9..=17).map(|log2| 1 << log2));
+        for n in lengths {
+            for (name, make) in &families {
+                let keys = make(n, &mut rng);
+                check_sort_into(name, &keys, &mut rng);
+            }
+        }
+        // The sample did see four values only, so the inputs built to
+        // fool it reached the `quicksort` path.
+        assert!(few_distinct(&fools_the_sample(1 << 12)));
+        assert!(!few_distinct(&few(1 << 12, &mut rng, 17)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary keys with arbitrary bits held fixed, so the bits
+        /// that vary start and end anywhere in the word.
+        #[test]
+        fn sort_into_equals_the_oracle_under_any_mask(
+            keys in prop::collection::vec(any::<u32>(), 0..5_000),
+            mask in any::<u32>(),
+            fixed in any::<u32>(),
+        ) {
+            let keys: Vec<u32> = keys.iter().map(|&k| (k & mask) | (fixed & !mask)).collect();
+            let mut rng = SmallRng::seed_from_u64(7);
+            check_sort_into("masked", &keys, &mut rng);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`keys` and `out` must have the same length")]
+    fn sort_into_refuses_an_out_of_another_length() {
+        sort_into(&mut [3, 1, 2], &mut [0; 2]);
     }
 }

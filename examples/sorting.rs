@@ -82,12 +82,19 @@ fn main() {
     println!("  gnu-like baseline : {baseline:?}");
     println!("  mctop_sort        : {scalar:?}");
     println!("  mctop_sort_sse    : {sse:?}");
-    // Inputs a textbook quicksort chunk sort is quadratic on.
+    // Skewed inputs: runs the chunk sort copies in one pass, few
+    // distinct keys it hands to its comparison fallback, and a narrow
+    // key range its radix passes skip the constant bits of.
     let n = data.len();
-    let skewed: [(&str, Vec<u32>); 3] = [
+    let skewed: [(&str, Vec<u32>); 5] = [
         ("all-equal", vec![7; n]),
         ("sorted", (0..n as u32).collect()),
+        ("reversed", (0..n as u32).rev().collect()),
         ("4-distinct", data.iter().map(|x| x % 4).collect()),
+        (
+            "organ-pipe",
+            (0..n).map(|i| i.min(n - 1 - i) as u32).collect(),
+        ),
     ];
     for (name, data) in &skewed {
         let [baseline, scalar, sse] = sort_three_ways(&exec, &view, &mut scratch, threads, data);
