@@ -120,20 +120,38 @@ impl AllocPlan {
             }
         }
 
+        // Every worker of a socket gets the same (node, pages) shares, so
+        // they are apportioned once per socket, on its first use: the
+        // first failing socket in placement order names the error.
+        let mut shares: Vec<Option<Vec<(usize, usize)>>> = vec![None; view.num_sockets()];
+        let mut node_pages = vec![0u64; view.num_nodes()];
         let mut arenas = Vec::with_capacity(order.len());
         for (worker, &hwc) in order.iter().enumerate() {
             let socket = view.socket_of(hwc);
-            let weights = policy.socket_weights(view, socket)?;
-            let per_node = apportion(pages, &weights);
-            let stripes: Vec<NodeStripe> = per_node
+            let share = match &mut shares[socket] {
+                Some(share) => share,
+                slot => {
+                    let weights = policy.socket_weights(view, socket)?;
+                    let per_node = apportion(pages, &weights);
+                    slot.insert(
+                        per_node
+                            .into_iter()
+                            .enumerate()
+                            .filter(|&(_, p)| p > 0)
+                            .collect(),
+                    )
+                }
+            };
+            let stripes: Vec<NodeStripe> = share
                 .iter()
-                .enumerate()
-                .filter(|&(_, &p)| p > 0)
-                .map(|(node, &p)| NodeStripe {
-                    node,
-                    pages: p,
-                    bytes: p * cfg.page_size,
-                    touch_worker: first_on_node[node].unwrap_or(worker),
+                .map(|&(node, p)| {
+                    node_pages[node] += p as u64;
+                    NodeStripe {
+                        node,
+                        pages: p,
+                        bytes: p * cfg.page_size,
+                        touch_worker: first_on_node[node].unwrap_or(worker),
+                    }
                 })
                 .collect();
             arenas.push(WorkerArena {
@@ -163,13 +181,7 @@ impl AllocPlan {
         };
         // Observability: every resolved plan lands in the process-global
         // runtime counters (see `mctop_runtime::metrics`).
-        let pages_per_node: Vec<u64> = plan
-            .node_totals()
-            .iter()
-            .map(|&(_, pages, _)| pages as u64)
-            .collect();
-        mctop_runtime::metrics::global()
-            .record_alloc_plan(plan.arenas.len() as u64, &pages_per_node);
+        mctop_runtime::metrics::global().record_alloc_plan(plan.arenas.len() as u64, &node_pages);
         Ok(plan)
     }
 
@@ -194,7 +206,16 @@ impl AllocPlan {
     /// through `mct query alloc-plan`.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::new();
+        // Every field is written once, straight into a buffer sized from
+        // the plan's counts (bytes per item, separators included).
+        let stripes: usize = self.arenas.iter().map(|a| a.stripes.len()).sum();
+        let mut out = String::with_capacity(
+            160 + self.machine.len()
+                + 16 * self.saturation.len()
+                + 40 * self.arenas.len()
+                + 32 * stripes
+                + 40 * self.nodes,
+        );
         let _ = writeln!(out, "## MCTOP Alloc : {} on {}", self.policy, self.machine);
         let _ = writeln!(
             out,
@@ -204,38 +225,71 @@ impl AllocPlan {
             self.bytes_per_worker / self.page_size,
             self.page_size
         );
-        let sat: Vec<String> = self
-            .saturation
-            .iter()
-            .map(|s| {
-                let threads = s.threads.map_or_else(|| "?".to_string(), |t| t.to_string());
-                format!("s{}: {threads}", s.socket)
-            })
-            .collect();
-        let _ = writeln!(out, "# Saturation thr.  : {}", sat.join("  "));
-        for arena in &self.arenas {
-            let stripes: Vec<String> = arena
-                .stripes
-                .iter()
-                .map(|s| format!("n{}: {:>6}p (touch w{})", s.node, s.pages, s.touch_worker))
-                .collect();
-            let _ = writeln!(
-                out,
-                "# worker {:>3} hwc {:>3} socket {:>2} : {}",
-                arena.worker,
-                arena.hwc,
-                arena.socket,
-                stripes.join("  ")
-            );
+        // Items are separated by two spaces, written between them, so an
+        // empty list leaves its line at ": ".
+        out.push_str("# Saturation thr.  : ");
+        for (i, s) in self.saturation.iter().enumerate() {
+            out.push_str(if i == 0 { "s" } else { "  s" });
+            push_int(&mut out, s.socket, 0);
+            out.push_str(": ");
+            match s.threads {
+                Some(t) => push_int(&mut out, t, 0),
+                None => out.push('?'),
+            }
         }
-        let totals: Vec<String> = self
-            .node_totals()
-            .iter()
-            .map(|&(node, pages, bytes)| format!("n{node}: {pages}p ({} KiB)", bytes / 1024))
-            .collect();
-        let _ = writeln!(out, "# Node totals      : {}", totals.join("  "));
+        out.push('\n');
+        for arena in &self.arenas {
+            out.push_str("# worker ");
+            push_int(&mut out, arena.worker, 3);
+            out.push_str(" hwc ");
+            push_int(&mut out, arena.hwc, 3);
+            out.push_str(" socket ");
+            push_int(&mut out, arena.socket, 2);
+            out.push_str(" : ");
+            for (i, s) in arena.stripes.iter().enumerate() {
+                out.push_str(if i == 0 { "n" } else { "  n" });
+                push_int(&mut out, s.node, 0);
+                out.push_str(": ");
+                push_int(&mut out, s.pages, 6);
+                out.push_str("p (touch w");
+                push_int(&mut out, s.touch_worker, 0);
+                out.push(')');
+            }
+            out.push('\n');
+        }
+        out.push_str("# Node totals      : ");
+        for (node, pages, bytes) in self.node_totals() {
+            out.push_str(if node == 0 { "n" } else { "  n" });
+            push_int(&mut out, node, 0);
+            out.push_str(": ");
+            push_int(&mut out, pages, 0);
+            out.push_str("p (");
+            push_int(&mut out, bytes / 1024, 0);
+            out.push_str(" KiB)");
+        }
+        out.push('\n');
         out
     }
+}
+
+/// Appends `value` right-aligned in `width` columns (at most 20), exactly
+/// as `{:>width$}` prints it — a value wider than the pad is written
+/// whole — in one `push_str`, without going through `fmt`.
+fn push_int(out: &mut String, value: usize, width: usize) {
+    // `usize::MAX` has 20 digits; the pad is the spaces left of them.
+    let mut text = [b' '; 20];
+    let mut start = text.len();
+    let mut rest = value;
+    loop {
+        start -= 1;
+        text[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let start = start.min(text.len().saturating_sub(width));
+    out.push_str(std::str::from_utf8(&text[start..]).expect("ASCII digits and spaces"));
 }
 
 /// Streaming threads needed to saturate a socket's local memory
@@ -282,6 +336,11 @@ mod tests {
     use mctop_place::{
         PlaceOpts,
         Policy, //
+    };
+    use rand::rngs::SmallRng;
+    use rand::{
+        Rng,
+        SeedableRng, //
     };
 
     fn view(name: &str) -> std::sync::Arc<TopoView> {
@@ -452,5 +511,164 @@ mod tests {
         assert!(a.contains("BW_PROPORTIONAL on synth-small"));
         assert!(a.contains("# worker   0"));
         assert!(a.contains("# Node totals"));
+    }
+
+    /// The `format!`-and-`join` renderer `render` replaced: the oracle
+    /// its bytes are checked against.
+    fn render_reference(plan: &AllocPlan) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(out, "## MCTOP Alloc : {} on {}", plan.policy, plan.machine);
+        let _ = writeln!(
+            out,
+            "# Workers          : {} x {} KiB arenas ({} pages of {} B)",
+            plan.arenas.len(),
+            plan.bytes_per_worker / 1024,
+            plan.bytes_per_worker / plan.page_size,
+            plan.page_size
+        );
+        let sat: Vec<String> = plan
+            .saturation
+            .iter()
+            .map(|s| {
+                let threads = s.threads.map_or_else(|| "?".to_string(), |t| t.to_string());
+                format!("s{}: {threads}", s.socket)
+            })
+            .collect();
+        let _ = writeln!(out, "# Saturation thr.  : {}", sat.join("  "));
+        for arena in &plan.arenas {
+            let stripes: Vec<String> = arena
+                .stripes
+                .iter()
+                .map(|s| format!("n{}: {:>6}p (touch w{})", s.node, s.pages, s.touch_worker))
+                .collect();
+            let _ = writeln!(
+                out,
+                "# worker {:>3} hwc {:>3} socket {:>2} : {}",
+                arena.worker,
+                arena.hwc,
+                arena.socket,
+                stripes.join("  ")
+            );
+        }
+        let totals: Vec<String> = plan
+            .node_totals()
+            .iter()
+            .map(|&(node, pages, bytes)| format!("n{node}: {pages}p ({} KiB)", bytes / 1024))
+            .collect();
+        let _ = writeln!(out, "# Node totals      : {}", totals.join("  "));
+        out
+    }
+
+    /// A value of up to `max_digits` decimal digits, short ones as
+    /// likely as long ones, so every pad width is met from both sides.
+    fn wide(rng: &mut SmallRng, max_digits: u32) -> usize {
+        let digits = rng.gen_range(1..=max_digits);
+        rng.gen_range(0..10usize.pow(digits))
+    }
+
+    fn synthetic_plan(rng: &mut SmallRng) -> AllocPlan {
+        let policy = match rng.gen_range(0..4) {
+            0 => AllocPolicy::Local,
+            1 => AllocPolicy::Interleave,
+            2 => AllocPolicy::BwProportional,
+            _ => AllocPolicy::OnNodes((0..rng.gen_range(0..4)).map(|_| wide(rng, 4)).collect()),
+        };
+        let machine = ["", "ivy", "synth-mesh-256"][rng.gen_range(0..3usize)].to_string();
+        let page_size = [1, 4096, 65536, 1 << 21][rng.gen_range(0..4usize)];
+        // Empty node, arena, stripe and saturation lists included.
+        let nodes = rng.gen_range(0..10);
+        let mut arenas = Vec::new();
+        for _ in 0..rng.gen_range(0..12) {
+            let mut stripes = Vec::new();
+            for node in 0..nodes {
+                if rng.gen_bool(0.4) {
+                    continue;
+                }
+                // Pages of up to seven digits: past the pad of six.
+                let pages = wide(rng, 7);
+                stripes.push(NodeStripe {
+                    node,
+                    pages,
+                    bytes: pages * page_size,
+                    touch_worker: wide(rng, 4),
+                });
+            }
+            arenas.push(WorkerArena {
+                worker: wide(rng, 4),
+                hwc: wide(rng, 4),
+                socket: wide(rng, 3),
+                stripes,
+            });
+        }
+        let saturation = (0..rng.gen_range(0..6))
+            .map(|socket| SocketSaturation {
+                socket,
+                local_node: rng.gen_bool(0.5).then(|| wide(rng, 2)),
+                threads: rng.gen_bool(0.7).then(|| wide(rng, 4)),
+            })
+            .collect();
+        AllocPlan {
+            policy,
+            machine,
+            bytes_per_worker: wide(rng, 7) * page_size,
+            page_size,
+            nodes,
+            arenas,
+            saturation,
+        }
+    }
+
+    #[test]
+    fn render_matches_the_reference_on_synthetic_plans() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        for case in 0..4000 {
+            let plan = synthetic_plan(&mut rng);
+            assert_eq!(
+                plan.render(),
+                render_reference(&plan),
+                "case {case}: {plan:?}"
+            );
+        }
+        // The named edge cases, whatever the generator drew.
+        let edge = AllocPlan {
+            policy: AllocPolicy::OnNodes(vec![0, 1_000_000]),
+            machine: "edge".into(),
+            bytes_per_worker: 4096,
+            page_size: 4096,
+            nodes: 2,
+            arenas: vec![
+                WorkerArena {
+                    worker: 1000,
+                    hwc: 12_345,
+                    socket: 100,
+                    stripes: vec![],
+                },
+                WorkerArena {
+                    worker: 0,
+                    hwc: 0,
+                    socket: 0,
+                    stripes: vec![NodeStripe {
+                        node: 1,
+                        pages: 1_000_000,
+                        bytes: 1_000_000 * 4096,
+                        touch_worker: 1000,
+                    }],
+                },
+            ],
+            saturation: vec![],
+        };
+        assert_eq!(edge.render(), render_reference(&edge));
+    }
+
+    #[test]
+    fn push_int_pads_like_fmt() {
+        for value in [0, 7, 42, 999, 1000, 123_456, 1_000_000, usize::MAX] {
+            for width in 0..8 {
+                let mut out = String::new();
+                push_int(&mut out, value, width);
+                assert_eq!(out, format!("{value:>width$}"));
+            }
+        }
     }
 }

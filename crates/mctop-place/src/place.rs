@@ -5,6 +5,7 @@
 //! topology instead of re-derived from the model arenas inside every
 //! placement construction.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{
     AtomicBool,
     Ordering, //
@@ -271,60 +272,74 @@ impl Placement {
 impl PlaceStats {
     /// Renders the `mctop_place_print` block of Fig. 7.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+        // Every field is written once, straight into a buffer sized from
+        // the block's counts (bytes per item, separator included).
+        let ints = self.hwcs.len()
+            + self.sockets.len()
+            + self.hwc_per_socket.len()
+            + self.cores_per_socket.len();
+        let watts = self.pow_no_dram.as_ref().map_or(0, Vec::len)
+            + self.pow_with_dram.as_ref().map_or(0, Vec::len);
+        let mut out =
+            String::with_capacity(400 + 6 * ints + 8 * (self.bw_proportions.len() + watts));
         let _ = writeln!(
             out,
             "## MCTOP Placement : MCTOP_PLACE_{}",
             self.policy.name()
         );
         let _ = writeln!(out, "# # Cores         : {}", self.n_cores);
-        let list: Vec<String> = self.hwcs.iter().map(|h| h.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "# HW contexts ({}) : {}",
-            self.hwcs.len(),
-            list.join(" ")
-        );
+        let _ = write!(out, "# HW contexts ({}) : ", self.hwcs.len());
+        push_ints(&mut out, self.hwcs.iter().copied());
+        out.push('\n');
         // The C library displays sockets with a 20000 offset.
-        let socks: Vec<String> = self
-            .sockets
-            .iter()
-            .map(|s| (20000 + s).to_string())
-            .collect();
-        let _ = writeln!(
-            out,
-            "# Sockets ({})     : {}",
-            self.sockets.len(),
-            socks.join(" ")
-        );
-        let per: Vec<String> = self.hwc_per_socket.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(out, "# # HW ctx / socket: {}", per.join(" "));
-        let cps: Vec<String> = self
-            .cores_per_socket
-            .iter()
-            .map(|c| c.to_string())
-            .collect();
-        let _ = writeln!(out, "# # Cores / socket : {}", cps.join(" "));
-        let props: Vec<String> = self
-            .bw_proportions
-            .iter()
-            .map(|p| format!("{p:.3}"))
-            .collect();
-        let _ = writeln!(out, "# BW proportions   : {}", props.join(" "));
+        let _ = write!(out, "# Sockets ({})     : ", self.sockets.len());
+        push_ints(&mut out, self.sockets.iter().map(|s| 20000 + s));
+        out.push('\n');
+        out.push_str("# # HW ctx / socket: ");
+        push_ints(&mut out, self.hwc_per_socket.iter().copied());
+        out.push('\n');
+        out.push_str("# # Cores / socket : ");
+        push_ints(&mut out, self.cores_per_socket.iter().copied());
+        out.push('\n');
+        out.push_str("# BW proportions   : ");
+        push_floats(&mut out, &self.bw_proportions, 3);
+        out.push('\n');
         if let (Some(no), Some(with)) = (&self.pow_no_dram, &self.pow_with_dram) {
-            let f = |v: &Vec<f64>| {
-                let parts: Vec<String> = v.iter().map(|w| format!("{w:.1}")).collect();
-                format!("{} = {:.1} Watt", parts.join(" "), v.iter().sum::<f64>())
-            };
-            let _ = writeln!(out, "# Max pow no DRAM  : {}", f(no));
-            let _ = writeln!(out, "# Max pow with DRAM: {}", f(with));
+            for (label, watts) in [
+                ("# Max pow no DRAM  : ", no),
+                ("# Max pow with DRAM: ", with),
+            ] {
+                out.push_str(label);
+                push_floats(&mut out, watts, 1);
+                let _ = writeln!(out, " = {:.1} Watt", watts.iter().sum::<f64>());
+            }
         }
         let _ = writeln!(out, "# Max latency      : {} cycles", self.max_latency);
         if let Some(bw) = self.min_bandwidth {
             let _ = writeln!(out, "# Min bandwidth    : {bw:.2} GB/s");
         }
         out
+    }
+}
+
+/// `values` separated by single spaces: a `join(" ")` that writes no
+/// string per item, so an empty list writes nothing.
+fn push_ints(out: &mut String, values: impl Iterator<Item = usize>) {
+    for (i, v) in values.enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// `values` at `precision` decimals, separated by single spaces.
+fn push_floats(out: &mut String, values: &[f64], precision: usize) {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = write!(out, "{v:.precision$}");
     }
 }
 
@@ -762,5 +777,139 @@ mod tests {
         assert!(p.pins());
         let none = Placement::with_view(&t, Policy::None, PlaceOpts::threads(5)).unwrap();
         assert!(!none.pins());
+    }
+
+    /// The `format!`-and-`join` renderer `PlaceStats::render` replaced:
+    /// the oracle its bytes are checked against.
+    fn render_reference(stats: &PlaceStats) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "## MCTOP Placement : MCTOP_PLACE_{}",
+            stats.policy.name()
+        );
+        let _ = writeln!(out, "# # Cores         : {}", stats.n_cores);
+        let list: Vec<String> = stats.hwcs.iter().map(|h| h.to_string()).collect();
+        let _ = writeln!(
+            out,
+            "# HW contexts ({}) : {}",
+            stats.hwcs.len(),
+            list.join(" ")
+        );
+        let socks: Vec<String> = stats
+            .sockets
+            .iter()
+            .map(|s| (20000 + s).to_string())
+            .collect();
+        let _ = writeln!(
+            out,
+            "# Sockets ({})     : {}",
+            stats.sockets.len(),
+            socks.join(" ")
+        );
+        let per: Vec<String> = stats.hwc_per_socket.iter().map(|c| c.to_string()).collect();
+        let _ = writeln!(out, "# # HW ctx / socket: {}", per.join(" "));
+        let cps: Vec<String> = stats
+            .cores_per_socket
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        let _ = writeln!(out, "# # Cores / socket : {}", cps.join(" "));
+        let props: Vec<String> = stats
+            .bw_proportions
+            .iter()
+            .map(|p| format!("{p:.3}"))
+            .collect();
+        let _ = writeln!(out, "# BW proportions   : {}", props.join(" "));
+        if let (Some(no), Some(with)) = (&stats.pow_no_dram, &stats.pow_with_dram) {
+            let f = |v: &Vec<f64>| {
+                let parts: Vec<String> = v.iter().map(|w| format!("{w:.1}")).collect();
+                format!("{} = {:.1} Watt", parts.join(" "), v.iter().sum::<f64>())
+            };
+            let _ = writeln!(out, "# Max pow no DRAM  : {}", f(no));
+            let _ = writeln!(out, "# Max pow with DRAM: {}", f(with));
+        }
+        let _ = writeln!(out, "# Max latency      : {} cycles", stats.max_latency);
+        if let Some(bw) = stats.min_bandwidth {
+            let _ = writeln!(out, "# Min bandwidth    : {bw:.2} GB/s");
+        }
+        out
+    }
+
+    /// A 64-bit LCG (Knuth's MMIX constants): seeded test input without
+    /// a dependency.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+
+        /// A value of up to `max_digits` decimal digits, short ones as
+        /// likely as long ones.
+        fn wide(&mut self, max_digits: u32) -> usize {
+            let digits = 1 + self.below(max_digits as u64) as u32;
+            self.below(10u64.pow(digits)) as usize
+        }
+
+        fn ints(&mut self, max_len: u64, max_digits: u32) -> Vec<usize> {
+            (0..self.below(max_len + 1))
+                .map(|_| self.wide(max_digits))
+                .collect()
+        }
+
+        /// Shares of a placement's threads, a third of them `c / 16`
+        /// or `c / 2000` ratios that land on a `.xxx5` rounding tie.
+        fn floats(&mut self, max_len: u64) -> Vec<f64> {
+            (0..self.below(max_len + 1))
+                .map(|_| match self.below(3) {
+                    0 => (2 * self.below(8) + 1) as f64 / 16.0,
+                    1 => (2 * self.below(1000) + 1) as f64 / 2000.0,
+                    _ => self.below(1 << 30) as f64 / 1024.0,
+                })
+                .collect()
+        }
+    }
+
+    fn synthetic_stats(rng: &mut Lcg) -> PlaceStats {
+        // Power as both `Some` (empty vectors included), both `None`,
+        // or only one of the two, which prints no power line.
+        let mut power = || match rng.below(4) {
+            0 => None,
+            _ => Some(rng.floats(4)),
+        };
+        let (pow_no_dram, pow_with_dram) = (power(), power());
+        PlaceStats {
+            policy: Policy::ALL[rng.below(12) as usize],
+            n_cores: rng.wide(4),
+            // Empty lists included; contexts past a thousand.
+            hwcs: rng.ints(80, 4),
+            sockets: rng.ints(6, 3),
+            hwc_per_socket: rng.ints(6, 4),
+            cores_per_socket: rng.ints(6, 4),
+            bw_proportions: rng.floats(6),
+            pow_no_dram,
+            pow_with_dram,
+            max_latency: rng.wide(6) as u32,
+            min_bandwidth: (rng.below(2) == 0).then(|| rng.below(100_000) as f64 / 1000.0),
+        }
+    }
+
+    #[test]
+    fn render_matches_the_reference_on_synthetic_stats() {
+        let mut rng = Lcg(28);
+        for case in 0..4000 {
+            let stats = synthetic_stats(&mut rng);
+            assert_eq!(
+                stats.render(),
+                render_reference(&stats),
+                "case {case}: {stats:?}"
+            );
+        }
     }
 }

@@ -77,6 +77,7 @@ use std::sync::{
 use std::thread::JoinHandle;
 
 use mctop::registry::Registry;
+use mctop::TopoView;
 use mctop_client::wire::{
     self,
     ErrorCode,
@@ -661,7 +662,6 @@ fn answer_scoped(state: &State, requests: &[Request]) -> Vec<Response> {
 
 /// Answers one request, on whichever thread `execute_batch` chose.
 fn answer(state: &State, req: &Request) -> Response {
-    let eval_err = |e: EvalError| err_frame(ErrorCode::BadRequest, e.message());
     match req {
         Request::Hello { .. } => err_frame(
             ErrorCode::BadRequest,
@@ -669,12 +669,7 @@ fn answer(state: &State, req: &Request) -> Response {
         ),
         Request::ListTopologies => {
             state.metrics.record_server_request(ServerRequestKind::List);
-            match eval::list_text(&state.registry) {
-                Ok(text) => Response::Ok {
-                    body: text.into_bytes(),
-                },
-                Err(e) => eval_err(e),
-            }
+            eval_response(eval::list_text(&state.registry))
         }
         Request::Query { desc, query, args } => {
             state
@@ -686,16 +681,10 @@ fn answer(state: &State, req: &Request) -> Response {
                     "`metrics` is served by the MetricsSnapshot request",
                 );
             }
-            let view = match eval::resolve_view(&state.registry, desc) {
-                Ok(v) => v,
-                Err(e) => return eval_err(e),
-            };
-            match eval::query_text(&view, query, args) {
-                Ok(text) => Response::Ok {
-                    body: text.into_bytes(),
-                },
-                Err(e) => eval_err(e),
-            }
+            eval_response(
+                eval::resolve_view(&state.registry, desc)
+                    .and_then(|view| eval::query_text(&view, query, args)),
+            )
         }
         Request::Placement {
             desc,
@@ -705,21 +694,7 @@ fn answer(state: &State, req: &Request) -> Response {
             state
                 .metrics
                 .record_server_request(ServerRequestKind::Placement);
-            let view = match eval::resolve_view(&state.registry, desc) {
-                Ok(v) => v,
-                Err(e) => return eval_err(e),
-            };
-            let n = if *workers == 0 {
-                view.num_hwcs()
-            } else {
-                *workers as usize
-            };
-            match eval::placement_text(&view, policy, n) {
-                Ok(text) => Response::Ok {
-                    body: text.into_bytes(),
-                },
-                Err(e) => eval_err(e),
-            }
+            answer_for_workers(state, desc, policy, *workers, eval::placement_text)
         }
         Request::AllocPlan {
             desc,
@@ -729,21 +704,7 @@ fn answer(state: &State, req: &Request) -> Response {
             state
                 .metrics
                 .record_server_request(ServerRequestKind::AllocPlan);
-            let view = match eval::resolve_view(&state.registry, desc) {
-                Ok(v) => v,
-                Err(e) => return eval_err(e),
-            };
-            let n = if *workers == 0 {
-                view.num_hwcs()
-            } else {
-                *workers as usize
-            };
-            match eval::alloc_plan_text(&view, policy, n) {
-                Ok(text) => Response::Ok {
-                    body: text.into_bytes(),
-                },
-                Err(e) => eval_err(e),
-            }
+            answer_for_workers(state, desc, policy, *workers, eval::alloc_plan_text)
         }
         Request::MetricsSnapshot => {
             state
@@ -774,6 +735,36 @@ fn answer(state: &State, req: &Request) -> Response {
                 .record_server_request(ServerRequestKind::Shutdown);
             Response::Ok { body: Vec::new() }
         }
+    }
+}
+
+/// Answers a `Placement` or an `AllocPlan` request through `text`
+/// (`eval::placement_text` or `eval::alloc_plan_text`) on `desc`'s view,
+/// for `workers` threads, where 0 means every context of the machine.
+fn answer_for_workers(
+    state: &State,
+    desc: &str,
+    policy: &str,
+    workers: u32,
+    text: fn(&TopoView, &str, usize) -> Result<String, EvalError>,
+) -> Response {
+    eval_response(eval::resolve_view(&state.registry, desc).and_then(|view| {
+        let n = match workers {
+            0 => view.num_hwcs(),
+            n => n as usize,
+        };
+        text(&view, policy, n)
+    }))
+}
+
+/// The frame of an `eval` answer: its text, or its message as
+/// `BadRequest`.
+fn eval_response(answer: Result<String, EvalError>) -> Response {
+    match answer {
+        Ok(text) => Response::Ok {
+            body: text.into_bytes(),
+        },
+        Err(e) => err_frame(ErrorCode::BadRequest, e.message()),
     }
 }
 
