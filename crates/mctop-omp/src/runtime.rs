@@ -20,6 +20,7 @@ use std::sync::atomic::{
 };
 use std::sync::Arc;
 
+use mctop::sync::{Mutex, RwLock};
 use mctop::{
     Mctop,
     TopoView, //
@@ -34,7 +35,6 @@ use mctop_runtime::{
     ExecCfg,
     Executor, //
 };
-use parking_lot::RwLock;
 
 /// Distinguishes runtimes so nesting detection is per-runtime: a
 /// region of runtime B inside a region of runtime A still runs on B's
@@ -212,18 +212,24 @@ impl OmpRuntime {
     }
 
     /// Runs `region` under `policy`, restoring the previous policy
-    /// afterwards — per-parallel-region placement (the Combination
-    /// application of Fig. 12 interleaves two kernels this way).
+    /// afterwards, also when `region` panics — per-parallel-region
+    /// placement (the Combination application of Fig. 12 interleaves
+    /// two kernels this way).
     pub fn with_policy<R>(
         &self,
         policy: Policy,
         region: impl FnOnce(&Self) -> R,
     ) -> Result<R, PlaceError> {
+        struct Restore<'a>(&'a OmpRuntime, Policy);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                let _ = self.0.set_binding_policy(self.1);
+            }
+        }
         let prev = self.binding_policy();
         self.set_binding_policy(policy)?;
-        let out = region(self);
-        let _ = self.set_binding_policy(prev);
-        Ok(out)
+        let _restore = Restore(self, prev);
+        Ok(region(self))
     }
 
     /// Parallel reduction: each worker folds its range, the partials
@@ -237,7 +243,7 @@ impl OmpRuntime {
         F: Fn(std::ops::Range<usize>, T) -> T + Sync,
         G: Fn(T, T) -> T,
     {
-        let partials = parking_lot::Mutex::new(Vec::new());
+        let partials = Mutex::new(Vec::new());
         self.parallel_for_chunked(n, |range| {
             let v = fold(range.clone(), identity.clone());
             partials.lock().push((range.start, v));
@@ -304,6 +310,22 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn with_policy_restores_the_previous_policy_when_the_region_panics() {
+        let rt = OmpRuntime::new(view(), 4);
+        rt.set_binding_policy(Policy::RrCore).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = rt.with_policy(Policy::ConHwc, |_| panic!("region panics"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(rt.binding_policy(), Policy::RrCore);
+        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+        rt.parallel_for(100, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
     fn nested_parallel_for_runs_serially_without_deadlock() {
         let rt = OmpRuntime::new(view(), 4);
         let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
@@ -339,7 +361,7 @@ pub(crate) mod tests {
     fn cross_runtime_nesting_uses_the_inner_team() {
         let rt_a = OmpRuntime::new(view(), 2);
         let rt_b = OmpRuntime::new(view(), 4);
-        let seen = parking_lot::Mutex::new(std::collections::HashSet::new());
+        let seen = Mutex::new(std::collections::HashSet::new());
         rt_a.parallel_for_chunked(1, |_range| {
             rt_b.parallel_for(4, |_i| {
                 seen.lock().insert(std::thread::current().id());

@@ -6,9 +6,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use mctop::sync::RwLock;
 use mctop::view::TopoView;
 use mctop::Mctop;
-use parking_lot::RwLock;
 
 use crate::place::{
     PlaceError,

@@ -75,9 +75,9 @@ use crate::steal::{
     StealOrder,
     StealPool, //
 };
-// Every synchronization primitive comes from the cfg-switched facade:
-// plain `std`/`crossbeam` re-exports by default, tracked model-checker
-// shims under `--features model-check` (see `crate::sync`).
+// Every synchronization primitive comes from the cfg-switched facade
+// `mctop::sync` (re-exported as `crate::sync`): `std`/`crossbeam` by
+// default, tracked model-checker shims under `--features model-check`.
 use crate::sync::atomic::{
     AtomicBool,
     AtomicUsize,
@@ -202,7 +202,8 @@ struct Shared {
 #[cfg(feature = "model-check")]
 pub mod faults {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+
+    use crate::sync::{Mutex, MutexGuard};
 
     static LOST_WAKEUP: AtomicBool = AtomicBool::new(false);
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -227,12 +228,12 @@ pub mod faults {
     /// parallel, and a fault left active by a concurrent test would
     /// leak into their executions.
     pub fn exclusive() -> MutexGuard<'static, ()> {
-        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        FAULT_LOCK.lock()
     }
 
     /// Activates the lost-wakeup fault until the guard drops.
     pub fn break_bump() -> BrokenBumpGuard {
-        let serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let serial = FAULT_LOCK.lock();
         LOST_WAKEUP.store(true, Ordering::Relaxed);
         BrokenBumpGuard { _serial: serial }
     }
@@ -265,10 +266,7 @@ impl Shared {
     /// sufficient for liveness.
     fn bump(&self, worker: usize) {
         {
-            let mut g = self.sleeps[worker]
-                .state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut g = self.sleeps[worker].state.lock();
             if !fault_lost_wakeup() {
                 g.epoch = g.epoch.wrapping_add(1);
             }
@@ -294,13 +292,7 @@ impl Shared {
         let start = self.next_wake.fetch_add(1, Ordering::Relaxed);
         for k in 0..n {
             let w = (start + k) % n;
-            let parked = {
-                self.sleeps[w]
-                    .state
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .parked
-            };
+            let parked = self.sleeps[w].state.lock().parked;
             if parked {
                 self.bump(w);
                 return;
@@ -366,7 +358,7 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, queue: StealPool<Task>, pin: Opt
     }
     let my = &shared.sleeps[idx];
     loop {
-        let epoch = { my.state.lock().unwrap_or_else(|e| e.into_inner()).epoch };
+        let epoch = my.state.lock().epoch;
         if shared.draining_down() {
             // Graceful exit: shutdown was requested, no scope is still
             // open (a racing `try_scope` either lost and returned the
@@ -385,7 +377,7 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, queue: StealPool<Task>, pin: Opt
         if ran {
             continue;
         }
-        let mut g = my.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = my.state.lock();
         if g.epoch == epoch {
             // Nothing arrived since the scan started; park. Every
             // event this worker must see — a push, a shutdown, the
@@ -396,10 +388,7 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, queue: StealPool<Task>, pin: Opt
             // loop).
             g.parked = true;
             shared.metrics.exec.parks.add(1);
-            let (mut g, timeout) = my
-                .cv
-                .wait_timeout(g, Duration::from_millis(500))
-                .unwrap_or_else(|e| e.into_inner());
+            let (mut g, timeout) = my.cv.wait_timeout(g, Duration::from_millis(500));
             g.parked = false;
             if !timeout.timed_out() {
                 // Woken by a push or shutdown bump, not the defensive
@@ -538,11 +527,11 @@ impl<'scope> Scope<'scope> {
         let boxed: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                 metrics.exec.panics.add(1);
-                let mut slot = state.panic.lock().unwrap_or_else(|e| e.into_inner());
+                let mut slot = state.panic.lock();
                 slot.get_or_insert(payload);
             }
             if state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _g = state.done.lock().unwrap_or_else(|e| e.into_inner());
+                let _g = state.done.lock();
                 state.cv.notify_all();
             }
         });
@@ -809,20 +798,17 @@ impl Executor {
         // cannot miss the completion; the timeout is a defensive
         // backstop only.
         while state.pending.load(Ordering::Acquire) > 0 {
-            let g = state.done.lock().unwrap_or_else(|e| e.into_inner());
+            let g = state.done.lock();
             if state.pending.load(Ordering::Acquire) == 0 {
                 break;
             }
-            let _ = state
-                .cv
-                .wait_timeout(g, Duration::from_millis(100))
-                .map_err(|e| e.into_inner());
+            let _ = state.cv.wait_timeout(g, Duration::from_millis(100));
         }
         drop(ticket);
         match result {
             Err(payload) => resume_unwind(payload),
             Ok(r) => {
-                let mut slot = state.panic.lock().unwrap_or_else(|e| e.into_inner());
+                let mut slot = state.panic.lock();
                 if let Some(payload) = slot.take() {
                     resume_unwind(payload);
                 }
@@ -928,7 +914,7 @@ impl Executor {
             self.shared.bump(w);
         }
         let drained: Vec<JoinHandle<()>> = {
-            let mut g = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+            let mut g = self.threads.lock();
             g.drain(..).collect()
         };
         for t in drained {

@@ -29,7 +29,7 @@ pub mod executor;
 pub mod host;
 pub mod metrics;
 pub mod steal;
-pub mod sync;
+pub use mctop::sync;
 
 pub use executor::{
     ExecCfg,

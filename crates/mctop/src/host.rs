@@ -83,7 +83,6 @@ impl HostProber {
     fn try_measure_batch(&self, a: usize, b: usize, rounds: usize) -> std::io::Result<Vec<u32>> {
         let line = Arc::new(AtomicU64::new(0));
         let phase = Arc::new(AtomicU32::new(0));
-        let results = Arc::new(parking_lot::Mutex::new(Vec::with_capacity(rounds)));
 
         let owner = {
             let line = Arc::clone(&line);
@@ -121,7 +120,6 @@ impl HostProber {
         let measurer = {
             let line = Arc::clone(&line);
             let phase = Arc::clone(&phase);
-            let results = Arc::clone(&results);
             std::thread::Builder::new()
                 .name("mctop-probe-measurer".into())
                 .spawn(move || {
@@ -142,7 +140,7 @@ impl HostProber {
                         local.push(ns);
                         phase.store(2 * r + 2, Ordering::Release);
                     }
-                    results.lock().extend(local);
+                    local
                 })
         };
         let measurer = match measurer {
@@ -156,9 +154,9 @@ impl HostProber {
             }
         };
         let _ = owner.join();
-        let _ = measurer.join();
-        let out = results.lock().clone();
-        Ok(out)
+        // A measurer that died mid-batch yields a short batch, which
+        // `measure_pair` retries.
+        Ok(measurer.join().unwrap_or_default())
     }
 
     /// One measurement batch with bounded retry: a transient

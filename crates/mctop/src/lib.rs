@@ -30,6 +30,8 @@
 //! - [`registry`]: [`registry::Registry`], the thread-safe loader that
 //!   resolves descriptions by machine name and memoizes one shared
 //!   [`Arc<TopoView>`](view::TopoView) per topology.
+//! - [`sync`]: the workspace's one lock vocabulary — `std` by default,
+//!   the model explorer's tracked primitives under `model-check`.
 //! - Probe backends: [`backend::SimProber`] over the `mcsim` machine
 //!   models, and on Linux [`host::HostProber`] which measures the real
 //!   machine the process runs on.
@@ -68,6 +70,7 @@ pub mod model;
 pub mod policies;
 pub mod query;
 pub mod registry;
+pub mod sync;
 pub mod view;
 
 pub use alg::probe::{

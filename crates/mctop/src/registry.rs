@@ -56,11 +56,10 @@ use std::path::{
 };
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use crate::desc;
 use crate::error::McTopError;
 use crate::model::Mctop;
+use crate::sync::RwLock;
 use crate::view::TopoView;
 
 /// The shipped description library: the committed `descs/*.mct.json`

@@ -1,4 +1,4 @@
-//! A deterministic-interleaving explorer for the runtime's
+//! A deterministic-interleaving explorer for the workspace's
 //! synchronization protocols (compiled only under the `model-check`
 //! feature).
 //!
@@ -33,7 +33,7 @@
 //! blocked — this is how a lost wakeup surfaces, because the shim's
 //! `Condvar::wait_timeout` never times out, or (c) the per-execution
 //! step bound trips (livelock). On failure the model is poisoned:
-//! blocked threads are woken and unwind with a private [`TearDown`]
+//! blocked threads are woken and unwind with a private `TearDown`
 //! panic so every OS thread exits before the failure is reported.
 //!
 //! # What is explored
@@ -55,6 +55,8 @@ use std::sync::{
     Mutex as StdMutex, //
 };
 
+use crate::sync::unpoison;
+
 /// Sentinel panic payload used to unwind threads of a poisoned
 /// (already-failed) execution; never reported as a failure itself.
 pub(crate) struct TearDown;
@@ -62,7 +64,7 @@ pub(crate) struct TearDown;
 /// What a live thread is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Wait {
-    /// Blocked acquiring the tracked mutex with this key.
+    /// Blocked acquiring the tracked mutex or rwlock with this key.
     Mutex(usize),
     /// Blocked in a wait on the tracked condvar with this key.
     Condvar(usize),
@@ -173,7 +175,7 @@ impl Model {
 
     /// Registers a new model thread (Runnable, no OS handle yet).
     pub(crate) fn register_thread(&self) -> usize {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         g.threads.push(ThreadState {
             run: Run::Runnable,
             yielded: false,
@@ -183,22 +185,22 @@ impl Model {
     }
 
     pub(crate) fn store_handle(&self, tid: usize, h: std::thread::JoinHandle<()>) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         g.os_handles[tid] = Some(h);
     }
 
     /// Marks a registered thread that never got an OS thread (spawn
     /// failure) as finished, so the execution can still complete.
     pub(crate) fn mark_finished_stillborn(&self, tid: usize) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         g.threads[tid].run = Run::Finished;
     }
 
     /// Blocks a *non-model* thread until model thread `tid` finishes.
     pub(crate) fn wait_finished_external(&self, tid: usize) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         while g.threads[tid].run != Run::Finished {
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = unpoison(self.cv.wait(g));
         }
     }
 
@@ -206,7 +208,7 @@ impl Model {
     /// the token; the woken threads become schedulable at the next
     /// choice point). With `only_one`, wakes at most the lowest tid.
     pub(crate) fn mark_runnable(&self, wait: Wait, only_one: bool) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         for t in g.threads.iter_mut() {
             if t.run == Run::Blocked(wait) {
                 t.run = Run::Runnable;
@@ -219,7 +221,7 @@ impl Model {
 
     /// Whether the model thread `tid` has finished.
     pub(crate) fn is_finished(&self, tid: usize) -> bool {
-        let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let g = unpoison(self.inner.lock());
         g.threads[tid].run == Run::Finished
     }
 
@@ -242,7 +244,7 @@ impl Model {
     /// until the token comes back. Every call is one model step and at
     /// most one recorded decision.
     pub(crate) fn transfer(self: &Arc<Model>, me: usize, new_run: Run, set_yielded: bool) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         debug_assert_eq!(g.current, me, "transfer by a thread without the token");
         g.threads[me].run = new_run;
         if set_yielded {
@@ -373,9 +375,9 @@ impl Model {
     /// Blocks the OS thread until `tid` holds the token again (or the
     /// model is poisoned, in which case the thread unwinds).
     pub(crate) fn wait_for_token(self: &Arc<Model>, tid: usize) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         while g.current != tid {
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = unpoison(self.cv.wait(g));
         }
         let poisoned = g.poisoned;
         drop(g);
@@ -388,7 +390,7 @@ impl Model {
     /// failure, wakes joiners, and passes the token on.
     pub(crate) fn finish_thread(self: &Arc<Model>, me: usize, real_panic: Option<String>) {
         {
-            let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut g = unpoison(self.inner.lock());
             if let Some(msg) = real_panic {
                 if g.failure.is_none() {
                     Model::fail_locked(&mut g, format!("thread t{me} panicked: {msg}"));
@@ -406,9 +408,9 @@ impl Model {
     }
 
     fn wait_all_finished(&self) {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(self.inner.lock());
         while !g.threads.iter().all(|t| t.run == Run::Finished) {
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = unpoison(self.cv.wait(g));
         }
     }
 }
@@ -539,13 +541,13 @@ fn run_one(
     // Join every OS thread of this execution before reporting, so no
     // stale thread leaks into the next schedule.
     let handles: Vec<std::thread::JoinHandle<()>> = {
-        let mut g = model.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = unpoison(model.inner.lock());
         g.os_handles.iter_mut().filter_map(Option::take).collect()
     };
     for h in handles {
         let _ = h.join();
     }
-    let g = model.inner.lock().unwrap_or_else(|e| e.into_inner());
+    let g = unpoison(model.inner.lock());
     (g.trace.clone(), g.failure.clone())
 }
 
@@ -562,7 +564,7 @@ fn fail(kind: &str, schedules: usize, trace: &[Decision], failure: &str, seed: O
     panic!(
         "model check failed ({kind}, schedule {schedules}): {failure}{seed_line}\n  \
          decision trace: \"{trace}\"\n  \
-         reproduce with mctop_runtime::sync::model::replay(cfg, \"{trace}\", f)"
+         reproduce with mctop::sync::model::replay(cfg, \"{trace}\", f)"
     );
 }
 
@@ -757,13 +759,13 @@ mod tests {
                 let m2 = Arc::new(shim::Mutex::new(0u32));
                 let (a1, a2) = (Arc::clone(&m1), Arc::clone(&m2));
                 let t1 = shim::spawn(move || {
-                    let _g1 = a1.lock().unwrap();
-                    let _g2 = a2.lock().unwrap();
+                    let _g1 = a1.lock();
+                    let _g2 = a2.lock();
                 });
                 let (b1, b2) = (Arc::clone(&m1), Arc::clone(&m2));
                 let t2 = shim::spawn(move || {
-                    let _g2 = b2.lock().unwrap();
-                    let _g1 = b1.lock().unwrap();
+                    let _g2 = b2.lock();
+                    let _g1 = b1.lock();
                 });
                 let _ = t1.join();
                 let _ = t2.join();
@@ -784,12 +786,12 @@ mod tests {
                 let flag = Arc::new(shim::AtomicBool::new(false));
                 let (m2, cv2, flag2) = (Arc::clone(&m), Arc::clone(&cv), Arc::clone(&flag));
                 let waiter = shim::spawn(move || {
-                    let mut g = m2.lock().unwrap();
+                    let mut g = m2.lock();
                     while !flag2.load(SeqCst) {
                         // Broken protocol: the flag is not protected by
                         // the mutex, so the notify can land between the
                         // load and the wait.
-                        g = cv2.wait(g).unwrap();
+                        g = cv2.wait(g);
                     }
                 });
                 flag.store(true, SeqCst);
@@ -808,12 +810,12 @@ mod tests {
             let cv = Arc::new(shim::Condvar::new());
             let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
             let waiter = shim::spawn(move || {
-                let mut g = m2.lock().unwrap();
+                let mut g = m2.lock();
                 while !*g {
-                    g = cv2.wait(g).unwrap();
+                    g = cv2.wait(g);
                 }
             });
-            *m.lock().unwrap() = true;
+            *m.lock() = true;
             cv.notify_all();
             waiter.join().unwrap();
         });
@@ -838,5 +840,84 @@ mod tests {
             t.join().unwrap();
         });
         assert!(cov.schedules() > 0);
+    }
+
+    /// Two readers, each waiting inside its read section for the other
+    /// to arrive: only overlapping read sections let both finish.
+    #[test]
+    fn rwlock_readers_overlap() {
+        let cov = explore(&ModelCfg::default(), || {
+            let lock = Arc::new(shim::RwLock::new(()));
+            let inside = Arc::new(shim::AtomicUsize::new(0));
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (lock, inside) = (Arc::clone(&lock), Arc::clone(&inside));
+                    shim::spawn(move || {
+                        let _g = lock.read();
+                        inside.fetch_add(1, SeqCst);
+                        while inside.load(SeqCst) < 2 {
+                            shim::spin_loop();
+                        }
+                    })
+                })
+                .collect();
+            for r in readers {
+                r.join().unwrap();
+            }
+        });
+        assert!(
+            matches!(cov, Coverage::Exhaustive { .. }),
+            "expected exhaustive coverage, got {cov:?}"
+        );
+    }
+
+    /// A writer updates two fields with a choice point between them; a
+    /// reader must never see them disagree.
+    #[test]
+    fn rwlock_writer_excludes_readers() {
+        let cov = explore(&ModelCfg::default(), || {
+            let lock = Arc::new(shim::RwLock::new((0u32, 0u32)));
+            let mark = Arc::new(shim::AtomicBool::new(false));
+            let (lock2, mark2) = (Arc::clone(&lock), Arc::clone(&mark));
+            let writer = shim::spawn(move || {
+                let mut g = lock2.write();
+                g.0 = 1;
+                mark2.store(true, SeqCst);
+                g.1 = 1;
+            });
+            let (a, b) = *lock.read();
+            assert_eq!(a, b, "reader saw a half-done write");
+            writer.join().unwrap();
+            assert_eq!(*lock.read(), (1, 1));
+        });
+        assert!(
+            matches!(cov, Coverage::Exhaustive { .. }),
+            "expected exhaustive coverage, got {cov:?}"
+        );
+    }
+
+    /// Upgrading a held read guard by calling `write` blocks on the
+    /// thread's own reader: a deadlock, with a trace that replays.
+    fn read_then_write() {
+        let lock = Arc::new(shim::RwLock::new(0u32));
+        let lock2 = Arc::clone(&lock);
+        let t = shim::spawn(move || {
+            let _r = lock2.read();
+            *lock2.write() += 1;
+        });
+        let _ = t.join();
+    }
+
+    #[test]
+    fn rwlock_read_then_write_is_a_replayable_deadlock() {
+        let msg = catch_failure(|| {
+            explore(&ModelCfg::default(), read_then_write);
+        });
+        assert!(msg.contains("deadlock"), "unexpected failure: {msg}");
+        let trace = trace_of(&msg);
+        let msg2 = catch_failure(move || {
+            replay(&ModelCfg::default(), &trace, read_then_write);
+        });
+        assert!(msg2.contains("deadlock"), "replay diverged: {msg2}");
     }
 }

@@ -1,5 +1,5 @@
 //! Tracked drop-in replacements for the `std::sync` / `std::thread` /
-//! `crossbeam_deque` types the runtime uses, compiled in by the
+//! `crossbeam_deque` types the workspace uses, compiled in by the
 //! `model-check` feature via [`crate::sync`].
 //!
 //! Every type here has two behaviors, decided per call:
@@ -8,7 +8,7 @@
 //!   [`super::explore_random`] / [`super::replay`]): each operation is
 //!   a scheduling choice point — the explorer may hand the token to a
 //!   different thread before the operation takes effect — and blocking
-//!   operations (mutex acquisition, condvar waits, joins) suspend the
+//!   operations (lock acquisition, condvar waits, joins) suspend the
 //!   thread *in the model* rather than in the OS, so the explorer sees
 //!   exactly which threads are runnable and can detect deadlocks.
 //! - **Anywhere else**: straight passthrough to the wrapped `std` /
@@ -32,8 +32,11 @@ use std::sync::{
     LockResult,
     Mutex as StdMutex,
     MutexGuard as StdMutexGuard,
-    PoisonError,
-    TryLockError, //
+    RwLock as StdRwLock,
+    RwLockReadGuard as StdRwLockReadGuard,
+    RwLockWriteGuard as StdRwLockWriteGuard,
+    TryLockError,
+    TryLockResult, //
 };
 use std::time::Duration;
 
@@ -44,6 +47,7 @@ use super::{
     TearDown,
     Wait, //
 };
+use crate::sync::unpoison;
 
 fn key_of<T: ?Sized>(p: &T) -> usize {
     p as *const T as *const () as usize
@@ -137,8 +141,44 @@ pub fn spin_loop() {
 }
 
 // ---------------------------------------------------------------------
-// Mutex / Condvar
+// Mutex / RwLock / Condvar
 // ---------------------------------------------------------------------
+
+/// Takes a tracked lock. Off the model, `block()` (the `std` blocking
+/// acquire). On a model thread, a choice point, then `attempt()` (the
+/// `std` `try_*`) until it succeeds, blocking *in the model* on `key`
+/// while the lock is held elsewhere.
+fn acquire<G>(
+    key: Wait,
+    block: impl FnOnce() -> LockResult<G>,
+    attempt: impl Fn() -> TryLockResult<G>,
+) -> G {
+    let Some(ctx) = Ctx::current() else {
+        return unpoison(block());
+    };
+    ctx.yield_point();
+    loop {
+        match attempt() {
+            Ok(g) => return g,
+            Err(TryLockError::Poisoned(p)) => return p.into_inner(),
+            Err(TryLockError::WouldBlock) => ctx.block_on(key),
+        }
+    }
+}
+
+/// Releases a tracked lock's `std` guard. On a model thread, wakes the
+/// threads blocked on `key` first and makes the release a choice point.
+fn release<G>(key: Wait, real: Option<G>) {
+    let Some(real) = real else { return };
+    match Ctx::current() {
+        None => drop(real),
+        Some(ctx) => {
+            ctx.model.mark_runnable(key, false);
+            drop(real);
+            ctx.yield_point();
+        }
+    }
+}
 
 /// A tracked mutex. Acquisition by a model thread is a choice point;
 /// contention blocks the thread in the model (never in the OS), so the
@@ -156,30 +196,19 @@ impl<T> Mutex<T> {
         }
     }
 
-    fn wait_key(&self) -> Wait {
+    fn key(&self) -> Wait {
         Wait::Mutex(key_of(&self.inner))
     }
 
     /// Acquires the mutex, like `std::sync::Mutex::lock`.
-    pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
-        match Ctx::current() {
-            None => match self.inner.lock() {
-                Ok(g) => Ok(self.wrap(g)),
-                Err(p) => Err(PoisonError::new(self.wrap(p.into_inner()))),
-            },
-            Some(ctx) => {
-                ctx.yield_point();
-                loop {
-                    match self.inner.try_lock() {
-                        Ok(g) => return Ok(self.wrap(g)),
-                        Err(TryLockError::Poisoned(p)) => {
-                            return Err(PoisonError::new(self.wrap(p.into_inner())));
-                        }
-                        Err(TryLockError::WouldBlock) => ctx.block_on(self.wait_key()),
-                    }
-                }
-            }
-        }
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        let real = acquire(self.key(), || self.inner.lock(), || self.inner.try_lock());
+        self.wrap(real)
+    }
+
+    /// Consumes the mutex, returning its value.
+    pub fn into_inner(self) -> T {
+        unpoison(self.inner.into_inner())
     }
 
     fn wrap<'a>(&'a self, real: StdMutexGuard<'a, T>) -> MutexGuard<'a, T> {
@@ -198,12 +227,19 @@ pub struct MutexGuard<'a, T> {
     mutex: &'a Mutex<T>,
 }
 
-impl<T> MutexGuard<'_, T> {
+impl<'a, T> MutexGuard<'a, T> {
+    /// Takes the `std` guard out without releasing the lock, for a
+    /// `std` wait off the model.
+    fn into_std(mut self) -> (&'a Mutex<T>, StdMutexGuard<'a, T>) {
+        let real = self.real.take().expect("guard holds the lock");
+        (self.mutex, real)
+    }
+
     /// Releases the lock *without* a trailing choice point, for the
     /// atomic release-and-block inside [`Condvar::wait`].
     fn release_for_wait(mut self) {
         if let Some(ctx) = Ctx::current() {
-            ctx.model.mark_runnable(self.mutex.wait_key(), false);
+            ctx.model.mark_runnable(self.mutex.key(), false);
         }
         drop(self.real.take());
         // Drop of `self` sees `real == None` and does nothing more.
@@ -226,18 +262,96 @@ impl<T> DerefMut for MutexGuard<'_, T> {
 
 impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(real) = self.real.take() {
-            match Ctx::current() {
-                None => drop(real),
-                Some(ctx) => {
-                    // Wake model waiters, then make the release visible
-                    // as a choice point.
-                    ctx.model.mark_runnable(self.mutex.wait_key(), false);
-                    drop(real);
-                    ctx.yield_point();
-                }
-            }
+        release(self.mutex.key(), self.real.take());
+    }
+}
+
+/// A tracked reader-writer lock, modeled like [`Mutex`]: acquisition by
+/// a model thread is a choice point, contention blocks it in the model,
+/// and a guard's release wakes the blocked threads and is a choice
+/// point. Readers overlap; a writer excludes everyone.
+#[derive(Debug, Default)]
+pub struct RwLock<T> {
+    inner: StdRwLock<T>,
+}
+
+impl<T> RwLock<T> {
+    /// Creates a new tracked lock.
+    pub const fn new(v: T) -> Self {
+        RwLock {
+            inner: StdRwLock::new(v),
         }
+    }
+
+    fn key(&self) -> Wait {
+        Wait::Mutex(key_of(&self.inner))
+    }
+
+    /// Acquires a shared read guard, like `std::sync::RwLock::read`.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        let real = acquire(self.key(), || self.inner.read(), || self.inner.try_read());
+        RwLockReadGuard {
+            real: Some(real),
+            lock: self,
+        }
+    }
+
+    /// Acquires the exclusive write guard, like
+    /// `std::sync::RwLock::write`.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        let real = acquire(self.key(), || self.inner.write(), || self.inner.try_write());
+        RwLockWriteGuard {
+            real: Some(real),
+            lock: self,
+        }
+    }
+}
+
+/// The shared guard of a tracked [`RwLock`].
+#[derive(Debug)]
+pub struct RwLockReadGuard<'a, T> {
+    real: Option<StdRwLockReadGuard<'a, T>>,
+    lock: &'a RwLock<T>,
+}
+
+impl<T> Deref for RwLockReadGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.real.as_ref().expect("guard holds the lock")
+    }
+}
+
+impl<T> Drop for RwLockReadGuard<'_, T> {
+    fn drop(&mut self) {
+        release(self.lock.key(), self.real.take());
+    }
+}
+
+/// The exclusive guard of a tracked [`RwLock`].
+#[derive(Debug)]
+pub struct RwLockWriteGuard<'a, T> {
+    real: Option<StdRwLockWriteGuard<'a, T>>,
+    lock: &'a RwLock<T>,
+}
+
+impl<T> Deref for RwLockWriteGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        self.real.as_ref().expect("guard holds the lock")
+    }
+}
+
+impl<T> DerefMut for RwLockWriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.real.as_mut().expect("guard holds the lock")
+    }
+}
+
+impl<T> Drop for RwLockWriteGuard<'_, T> {
+    fn drop(&mut self) {
+        release(self.lock.key(), self.real.take());
     }
 }
 
@@ -273,22 +387,16 @@ impl Condvar {
         }
     }
 
-    fn wait_key(&self) -> Wait {
+    fn key(&self) -> Wait {
         Wait::Condvar(key_of(self))
     }
 
     /// Blocks until notified, like `std::sync::Condvar::wait`.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         match Ctx::current() {
             None => {
-                let mutex = guard.mutex;
-                let mut inner = guard;
-                let real = inner.real.take().expect("guard holds the lock");
-                drop(inner);
-                match self.std.wait(real) {
-                    Ok(g) => Ok(mutex.wrap(g)),
-                    Err(p) => Err(PoisonError::new(mutex.wrap(p.into_inner()))),
-                }
+                let (mutex, real) = guard.into_std();
+                mutex.wrap(unpoison(self.std.wait(real)))
             }
             Some(ctx) => {
                 // Choice point *before* the wait (the race window where
@@ -300,7 +408,7 @@ impl Condvar {
                 // like std, no notification can slip between unlocking
                 // the mutex and registering as a waiter.
                 guard.release_for_wait();
-                ctx.block_on(self.wait_key());
+                ctx.block_on(self.key());
                 mutex.lock()
             }
         }
@@ -312,35 +420,21 @@ impl Condvar {
         &self,
         guard: MutexGuard<'a, T>,
         dur: Duration,
-    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
+    ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
         match Ctx::current() {
             None => {
-                let mutex = guard.mutex;
-                let mut inner = guard;
-                let real = inner.real.take().expect("guard holds the lock");
-                drop(inner);
-                match self.std.wait_timeout(real, dur) {
-                    Ok((g, wtr)) => Ok((mutex.wrap(g), WaitTimeoutResult(wtr.timed_out()))),
-                    Err(p) => {
-                        let (g, wtr) = p.into_inner();
-                        Err(PoisonError::new((
-                            mutex.wrap(g),
-                            WaitTimeoutResult(wtr.timed_out()),
-                        )))
-                    }
-                }
+                let (mutex, real) = guard.into_std();
+                let (g, wtr) = unpoison(self.std.wait_timeout(real, dur));
+                (mutex.wrap(g), WaitTimeoutResult(wtr.timed_out()))
             }
-            Some(_) => match self.wait(guard) {
-                Ok(g) => Ok((g, WaitTimeoutResult(false))),
-                Err(p) => Err(PoisonError::new((p.into_inner(), WaitTimeoutResult(false)))),
-            },
+            Some(_) => (self.wait(guard), WaitTimeoutResult(false)),
         }
     }
 
     /// Wakes one waiter.
     pub fn notify_one(&self) {
         if let Some(ctx) = Ctx::current() {
-            ctx.model.mark_runnable(self.wait_key(), true);
+            ctx.model.mark_runnable(self.key(), true);
             self.std.notify_one();
             ctx.yield_point();
         } else {
@@ -351,7 +445,7 @@ impl Condvar {
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         if let Some(ctx) = Ctx::current() {
-            ctx.model.mark_runnable(self.wait_key(), false);
+            ctx.model.mark_runnable(self.key(), false);
             self.std.notify_all();
             ctx.yield_point();
         } else {
@@ -393,8 +487,7 @@ impl<T> JoinHandle<T> {
                 } else {
                     model.wait_finished_external(tid);
                 }
-                slot.lock()
-                    .unwrap_or_else(|e| e.into_inner())
+                unpoison(slot.lock())
                     .take()
                     .expect("finished model thread stored its result")
             }
@@ -451,7 +544,7 @@ impl Builder {
                         Err(p) if p.is::<TearDown>() => None,
                         Err(p) => Some(panic_message(p.as_ref())),
                     };
-                    *slot2.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+                    *unpoison(slot2.lock()) = Some(result);
                     model.finish_thread(tid, real_panic);
                 }) {
                     Ok(h) => h,
@@ -512,12 +605,6 @@ impl<T> Worker<T> {
     pub fn pop(&self) -> Option<T> {
         point();
         self.inner.pop()
-    }
-
-    /// Whether the deque looks empty (choice point on a model thread).
-    pub fn is_empty(&self) -> bool {
-        point();
-        self.inner.is_empty()
     }
 
     /// A stealer handle onto this deque.
@@ -585,18 +672,5 @@ impl<T> Injector<T> {
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
         point();
         self.inner.steal_batch_and_pop(&dest.inner)
-    }
-
-    /// Whether the injector looks empty (choice point on a model
-    /// thread).
-    pub fn is_empty(&self) -> bool {
-        point();
-        self.inner.is_empty()
-    }
-
-    /// Number of queued tasks (choice point on a model thread).
-    pub fn len(&self) -> usize {
-        point();
-        self.inner.len()
     }
 }

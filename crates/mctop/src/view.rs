@@ -44,12 +44,12 @@ use std::mem::size_of;
 use std::ops::Deref;
 use std::sync::{
     Arc,
-    Mutex,
     OnceLock, //
 };
 
 use crate::error::McTopError;
 use crate::model::Mctop;
+use crate::sync::Mutex;
 
 /// Socket count at and above which [`TopoView::new`] picks the sparse
 /// distance backend. Below it the dense matrices are at most a few
@@ -578,7 +578,7 @@ impl SparseStore {
     /// Runs `f` over the BFS hop row of `s`, computing and caching the
     /// row if it is not resident.
     fn with_row<R>(&self, s: usize, f: impl FnOnce(&[u32]) -> R) -> R {
-        let mut cache = self.rows.lock().unwrap();
+        let mut cache = self.rows.lock();
         if let Some(pos) = cache.entries.iter().position(|(k, _)| *k == s) {
             let e = cache.entries.remove(pos);
             cache.entries.push(e);
@@ -681,7 +681,6 @@ impl SparseStore {
         total += self
             .rows
             .lock()
-            .unwrap()
             .entries
             .iter()
             .map(|(_, r)| r.len() * size_of::<u32>())

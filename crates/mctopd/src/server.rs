@@ -70,13 +70,11 @@ use std::sync::atomic::{
     AtomicBool,
     Ordering, //
 };
-use std::sync::{
-    Arc,
-    Mutex, //
-};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use mctop::registry::Registry;
+use mctop::sync::Mutex;
 use mctop::TopoView;
 use mctop_client::wire::{
     self,
@@ -210,7 +208,7 @@ impl State {
     }
 
     fn close_read_sides(&self) {
-        let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
+        let conns = self.conns.lock();
         for stream in conns.values() {
             let _ = stream.shutdown(std::net::Shutdown::Read);
         }
@@ -376,22 +374,14 @@ fn accept_loop(listener: UnixListener, state: Arc<State>) {
         };
         state.metrics.server.connections_opened.add(1);
         if let Ok(clone) = stream.try_clone() {
-            state
-                .conns
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(id, clone);
+            state.conns.lock().insert(id, clone);
         }
         let state = Arc::clone(&state);
         let handler = std::thread::Builder::new()
             .name("mctopd-conn".into())
             .spawn(move || {
                 serve_conn(&state, stream);
-                state
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&id);
+                state.conns.lock().remove(&id);
                 state.metrics.server.connections_closed.add(1);
             })
             .expect("spawn connection handler");

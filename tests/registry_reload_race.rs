@@ -1,6 +1,6 @@
-//! `Registry::reload` against concurrent lookups, on real threads
-//! (the registry sits below the `mctop_runtime::sync` facade, so the
-//! model checker cannot drive it yet).
+//! `Registry::reload` against concurrent lookups, on real threads (the
+//! model checker explores the same race schedule by schedule in
+//! `crates/mctop/tests/model_registry.rs`; this test runs it at scale).
 //!
 //! Readers loop `view()` while a writer swaps the file between two
 //! descriptions (write-to-temp + `rename`, so the file is whole at
