@@ -61,8 +61,7 @@ USAGE:
     mct query [--remote SOCKET] <desc> <query> [args...]
     mct diff <a> <b>
     mct regen-descs [--dir DIR] [--check]
-    mct serve --socket PATH [--descs DIR] [--pin MACHINE] [--workers N]
-              [--os-pin]
+    mct serve --socket PATH [--descs DIR]
 
 Collection is deterministic in the worker count: `infer --jobs` only
 changes wall-clock time (disjoint context pairs are measured
@@ -385,25 +384,17 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let socket = take_flag(&mut args, "--socket")?
         .ok_or_else(|| CliError::Usage("serve needs --socket PATH".into()))?;
     let descs = take_flag(&mut args, "--descs")?;
-    let pin = take_flag(&mut args, "--pin")?;
-    let workers = take_flag(&mut args, "--workers")?
-        .map(|s| parse::<usize>(&s, "worker count"))
-        .transpose()?;
-    let os_pin = take_switch(&mut args, "--os-pin");
     if let Some(extra) = args.first() {
         return Err(CliError::Usage(format!(
             "unexpected serve argument `{extra}`"
         )));
     }
     let cfg = mctopd::ServerCfg {
-        socket: PathBuf::from(&socket),
         source: match descs {
             Some(dir) => mctopd::DescSource::Dir(PathBuf::from(dir)),
             None => mctopd::DescSource::Shipped,
         },
-        pin_desc: pin,
-        workers,
-        os_pin,
+        ..mctopd::ServerCfg::new(&socket)
     };
     let server = mctopd::Server::bind(cfg).map_err(|e| CliError::Failed(e.to_string()))?;
     eprintln!("mct serve: listening on {socket}");

@@ -88,6 +88,17 @@ fn serve_rejects_bad_invocations() {
     // Stray positional argument.
     let out = mct(&["serve", "--socket", "/tmp/x.sock", "stray"]);
     assert_eq!(out.status.code(), Some(2));
+    // The daemon has no worker team to size, pin or place.
+    for flag in [&["--workers", "2"][..], &["--os-pin"], &["--pin", "ivy"]] {
+        let args = [&["serve", "--socket", "/tmp/x.sock"][..], flag].concat();
+        let out = mct(&args);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected serve argument `{}`", flag[0])),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]

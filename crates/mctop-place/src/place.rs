@@ -154,16 +154,9 @@ impl Placement {
                 available,
             });
         }
-        let order: Vec<usize> = full_order.into_iter().take(n).collect();
+        let mut order = full_order;
+        order.truncate(n);
 
-        // Per-socket bookkeeping in socket-first-use order.
-        let mut sockets: Vec<usize> = Vec::new();
-        for &h in &order {
-            let s = view.socket_of(h);
-            if !sockets.contains(&s) {
-                sockets.push(s);
-            }
-        }
         let mut socket_pos = vec![0usize; view.num_sockets()];
         let handles: Vec<PinHandle> = order
             .iter()
@@ -185,7 +178,7 @@ impl Placement {
 
         let max_latency = view.max_latency_between(&order);
         let min_bandwidth = view.min_bandwidth_of(&order);
-        let stats = build_stats(view, policy, &order, &sockets, max_latency, min_bandwidth);
+        let stats = build_stats(view, policy, &order, max_latency, min_bandwidth);
         let used = order.iter().map(|_| AtomicBool::new(false)).collect();
         Ok(Placement {
             policy,
@@ -343,66 +336,64 @@ fn push_floats(out: &mut String, values: &[f64], precision: usize) {
     }
 }
 
+/// The Fig. 7 statistics of `order`, counted in one pass over it.
 fn build_stats(
     view: &TopoView,
     policy: Policy,
     order: &[usize],
-    sockets: &[usize],
     max_latency: u32,
     min_bandwidth: Option<f64>,
 ) -> PlaceStats {
-    let mut cores: Vec<usize> = order.iter().map(|&h| view.core_of(h)).collect();
-    cores.sort_unstable();
-    cores.dedup();
-    let hwc_per_socket: Vec<usize> = sockets
-        .iter()
-        .map(|&s| order.iter().filter(|&&h| view.socket_of(h) == s).count())
-        .collect();
-    let cores_per_socket: Vec<usize> = sockets
-        .iter()
-        .map(|&s| {
-            let mut c: Vec<usize> = order
-                .iter()
-                .filter(|&&h| view.socket_of(h) == s)
-                .map(|&h| view.core_of(h))
-                .collect();
-            c.sort_unstable();
-            c.dedup();
-            c.len()
-        })
-        .collect();
+    // Contexts per core; contexts and distinct cores per socket; the
+    // sockets in first-use order.
+    let mut on_core = vec![0usize; view.num_cores()];
+    let mut on_socket = vec![(0usize, 0usize); view.num_sockets()];
+    let mut sockets = Vec::new();
+    for &h in order {
+        let (c, s) = (view.core_of(h), view.socket_of(h));
+        if on_socket[s].0 == 0 {
+            sockets.push(s);
+        }
+        on_socket[s].0 += 1;
+        on_socket[s].1 += usize::from(on_core[c] == 0);
+        on_core[c] += 1;
+    }
+    let hwc_per_socket: Vec<usize> = sockets.iter().map(|&s| on_socket[s].0).collect();
+    let cores_per_socket: Vec<usize> = sockets.iter().map(|&s| on_socket[s].1).collect();
     let total = order.len().max(1);
-    let bw_proportions: Vec<f64> = hwc_per_socket
+    let bw_proportions = hwc_per_socket
         .iter()
         .map(|&c| c as f64 / total as f64)
         .collect();
     let (pow_no_dram, pow_with_dram) = match &view.power {
         Some(p) => {
-            let per_socket = |with_dram: bool| -> Vec<f64> {
+            // `PowerInfo::estimate` of each used socket's contexts alone,
+            // in its summation order (all sockets' base, then the used
+            // cores by ascending index, then DRAM), minus the other
+            // sockets' idle base.
+            let mut watts = vec![view.num_sockets() as f64 * p.socket_base_w; view.num_sockets()];
+            for (c, &n) in on_core.iter().enumerate() {
+                if n > 0 {
+                    let s = view.socket_of(view.groups[view.cores[c]].hwcs[0]);
+                    watts[s] += p.first_ctx_w + (n - 1) as f64 * p.second_ctx_w;
+                }
+            }
+            let others_idle = (view.num_sockets() - 1) as f64 * p.socket_base_w;
+            let per_socket = |dram_w: f64| -> Vec<f64> {
                 sockets
                     .iter()
-                    .map(|&s| {
-                        let on_socket: Vec<usize> = order
-                            .iter()
-                            .copied()
-                            .filter(|&h| view.socket_of(h) == s)
-                            .collect();
-                        // Per-socket power: subtract the other sockets'
-                        // idle base from the machine estimate.
-                        p.estimate(view, &on_socket, with_dram)
-                            - (view.num_sockets() - 1) as f64 * p.socket_base_w
-                    })
+                    .map(|&s| watts[s] + dram_w - others_idle)
                     .collect()
             };
-            (Some(per_socket(false)), Some(per_socket(true)))
+            (Some(per_socket(0.0)), Some(per_socket(p.dram_socket_w)))
         }
         None => (None, None),
     };
     PlaceStats {
         policy,
-        n_cores: cores.len(),
+        n_cores: cores_per_socket.iter().sum(),
         hwcs: order.to_vec(),
-        sockets: sockets.to_vec(),
+        sockets,
         hwc_per_socket,
         cores_per_socket,
         bw_proportions,
@@ -421,13 +412,13 @@ fn policy_order(
     policy: Policy,
     n_sockets: Option<usize>,
 ) -> Result<Vec<usize>, PlaceError> {
-    let all: Vec<usize> = (0..view.num_hwcs()).collect();
+    let all = || (0..view.num_hwcs()).collect::<Vec<usize>>();
     let mut socket_order: &[usize] = view.socket_order_bandwidth_proximity();
     if let Some(k) = n_sockets {
         socket_order = &socket_order[..k.max(1).min(socket_order.len())];
     }
     let order = match policy {
-        Policy::None | Policy::Sequential => all,
+        Policy::None | Policy::Sequential => all(),
         Policy::ConHwc => socket_order
             .iter()
             .flat_map(|&s| view.socket_hwcs_compact(s).iter().copied())
@@ -483,7 +474,7 @@ fn policy_order(
             // marginal power (ties toward lower OS ids).
             let topo: &Mctop = view;
             let mut chosen: Vec<usize> = Vec::new();
-            let mut remaining: Vec<usize> = all;
+            let mut remaining = all();
             while !remaining.is_empty() {
                 let base = power.estimate(topo, &chosen, true);
                 let (idx, _) = remaining
@@ -777,6 +768,136 @@ mod tests {
         assert!(p.pins());
         let none = Placement::with_view(&t, Policy::None, PlaceOpts::threads(5)).unwrap();
         assert!(!none.pins());
+    }
+
+    /// `build_stats` before it counted in one pass (a sort and dedup for
+    /// the cores, a scan of the order per used socket, and one
+    /// `PowerInfo::estimate` per used socket): the oracle the one-pass
+    /// version is checked against.
+    fn build_stats_reference(
+        view: &TopoView,
+        policy: Policy,
+        order: &[usize],
+        sockets: &[usize],
+        max_latency: u32,
+        min_bandwidth: Option<f64>,
+    ) -> PlaceStats {
+        let mut cores: Vec<usize> = order.iter().map(|&h| view.core_of(h)).collect();
+        cores.sort_unstable();
+        cores.dedup();
+        let hwc_per_socket: Vec<usize> = sockets
+            .iter()
+            .map(|&s| order.iter().filter(|&&h| view.socket_of(h) == s).count())
+            .collect();
+        let cores_per_socket: Vec<usize> = sockets
+            .iter()
+            .map(|&s| {
+                let mut c: Vec<usize> = order
+                    .iter()
+                    .filter(|&&h| view.socket_of(h) == s)
+                    .map(|&h| view.core_of(h))
+                    .collect();
+                c.sort_unstable();
+                c.dedup();
+                c.len()
+            })
+            .collect();
+        let total = order.len().max(1);
+        let bw_proportions: Vec<f64> = hwc_per_socket
+            .iter()
+            .map(|&c| c as f64 / total as f64)
+            .collect();
+        let (pow_no_dram, pow_with_dram) = match &view.power {
+            Some(p) => {
+                let per_socket = |with_dram: bool| -> Vec<f64> {
+                    sockets
+                        .iter()
+                        .map(|&s| {
+                            let on_socket: Vec<usize> = order
+                                .iter()
+                                .copied()
+                                .filter(|&h| view.socket_of(h) == s)
+                                .collect();
+                            p.estimate(view, &on_socket, with_dram)
+                                - (view.num_sockets() - 1) as f64 * p.socket_base_w
+                        })
+                        .collect()
+                };
+                (Some(per_socket(false)), Some(per_socket(true)))
+            }
+            None => (None, None),
+        };
+        PlaceStats {
+            policy,
+            n_cores: cores.len(),
+            hwcs: order.to_vec(),
+            sockets: sockets.to_vec(),
+            hwc_per_socket,
+            cores_per_socket,
+            bw_proportions,
+            pow_no_dram,
+            pow_with_dram,
+            max_latency,
+            min_bandwidth,
+        }
+    }
+
+    /// Every committed description, every policy it resolves, thread
+    /// counts at each structural boundary and the socket restrictions:
+    /// the statistics equal the reference's, to the last bit of every
+    /// `f64`.
+    #[test]
+    fn build_stats_matches_the_reference_on_every_committed_machine() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../descs");
+        let registry = mctop::registry::Registry::with_dir(dir);
+        let names = registry.names().unwrap();
+        assert_eq!(names.len(), 16, "{names:?}");
+        let mut with_power = 0;
+        for name in names {
+            let view = registry.view(&name).unwrap();
+            with_power += usize::from(view.power.is_some());
+            let (cores, contexts) = (view.num_cores(), view.num_hwcs());
+            let threads = [
+                1,
+                view.smt(),
+                cores / view.num_sockets(),
+                cores,
+                contexts - 1,
+                contexts,
+            ];
+            let mut resolved = 0;
+            for policy in Policy::ALL {
+                for n_sockets in [None, Some(1), Some(2)] {
+                    for n in threads {
+                        let opts = PlaceOpts {
+                            n_threads: Some(n),
+                            n_sockets,
+                        };
+                        let Ok(p) = Placement::with_view(&view, policy, opts) else {
+                            continue;
+                        };
+                        let mut sockets = Vec::new();
+                        for &h in p.order() {
+                            if !sockets.contains(&view.socket_of(h)) {
+                                sockets.push(view.socket_of(h));
+                            }
+                        }
+                        let want = build_stats_reference(
+                            &view,
+                            policy,
+                            p.order(),
+                            &sockets,
+                            p.max_latency(),
+                            p.min_bandwidth(),
+                        );
+                        assert_eq!(p.stats(), &want, "{name} {policy} {opts:?}");
+                        resolved += 1;
+                    }
+                }
+            }
+            assert!(resolved >= 10 * threads.len(), "{name}: {resolved}");
+        }
+        assert!(with_power > 0, "no committed machine exercises POWER");
     }
 
     /// The `format!`-and-`join` renderer `PlaceStats::render` replaced:

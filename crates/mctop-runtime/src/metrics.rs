@@ -347,14 +347,8 @@ counter_group! {
     req_reload: Counter,
     /// `Shutdown` admin requests.
     req_shutdown: Counter,
-    /// Pipelined batches executed (a batch is >= 1 request), on either
-    /// path.
+    /// Pipelined batches executed (a batch is >= 1 request).
     batches: Counter,
-    /// Of those, the all-lookup batches answered on the connection
-    /// thread: no executor scope, no task. The rest ran as one
-    /// executor scope each: `batches - inline_batches` equals
-    /// `executor.scopes` when the daemon's executor serves nothing else.
-    inline_batches: Counter,
     /// `Ok` response frames written.
     ok_responses: Counter,
     /// Typed error response frames written.
@@ -646,7 +640,6 @@ mod tests {
         m.server.hellos_ok.add(1);
         m.server.batches.add(1);
         m.server.batches.add(1);
-        m.server.inline_batches.add(1);
         for kind in [
             ServerRequestKind::List,
             ServerRequestKind::Query,
@@ -679,7 +672,7 @@ mod tests {
                 + s.req_shutdown
         );
         assert_eq!(s.req_query, 2);
-        assert_eq!((s.batches, s.inline_batches), (2, 1));
+        assert_eq!(s.batches, 2);
         assert_eq!((s.reloads, s.reload_views_dropped), (1, 3));
         assert_eq!(s.bytes_written, 250);
         // The serving bucket never leaks into the pinned runtime schema.

@@ -1323,4 +1323,58 @@ mod tests {
             dense_matrix_bytes
         );
     }
+
+    /// `max_latency_between` is the maximum of the latency table over
+    /// the given contexts, and nothing less direct: `alg::validate`
+    /// checks the table's shape, symmetry and zero diagonal only, and
+    /// never ties it to `links` or `levels`. A description whose one
+    /// cross-socket entry disagrees with its link and level latencies
+    /// loads, so a closed form over those would answer it wrongly.
+    #[test]
+    fn max_latency_between_is_the_table_maximum() {
+        let mut ivy =
+            crate::desc::from_str(crate::registry::shipped_source("ivy").unwrap()).unwrap();
+        let n = ivy.num_hwcs();
+        let (a, b) = (ivy.sockets[0].hwcs[3], ivy.sockets[1].hwcs[5]);
+        let raised = ivy.get_latency(a, b) + 1000;
+        ivy.lat_table[a * n + b] = raised;
+        ivy.lat_table[b * n + a] = raised;
+        crate::alg::validate::validate(&ivy).unwrap();
+        let raised_view = TopoView::new(Arc::new(ivy));
+        assert_eq!(raised_view.max_latency_between(&[a, b]), raised);
+        assert_eq!(raised_view.max_latency_between(&[b, 0, a]), raised);
+
+        // Seeded subsets of every committed machine against a brute
+        // force over all ordered pairs.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../descs");
+        let registry = crate::Registry::with_dir(dir);
+        let names = registry.names().unwrap();
+        assert_eq!(names.len(), 16, "{names:?}");
+        let mut views: Vec<Arc<TopoView>> = names
+            .iter()
+            .map(|name| registry.view(name).unwrap())
+            .collect();
+        views.push(Arc::new(raised_view));
+        let mut state = 9u64;
+        let mut below = |k: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % k
+        };
+        for view in &views {
+            let n = view.num_hwcs();
+            for _ in 0..24 {
+                let len = 1 + below(n.min(64));
+                let hwcs: Vec<usize> = (0..len).map(|_| below(n)).collect();
+                let brute = hwcs
+                    .iter()
+                    .flat_map(|&x| hwcs.iter().map(move |&y| (x, y)))
+                    .map(|(x, y)| view.get_latency(x, y))
+                    .max()
+                    .unwrap();
+                assert_eq!(view.max_latency_between(&hwcs), brute, "{hwcs:?}");
+            }
+        }
+    }
 }

@@ -44,27 +44,6 @@ impl EvalError {
     }
 }
 
-/// The lookups: the queries whose answer is one number read out of the
-/// view's tables, so its cost and size do not depend on the machine.
-/// `mctopd` answers a batch made only of these (and of the admin frames
-/// that touch no view) on the connection thread; every query *not*
-/// listed here — `summary`, `walk`, `closest`, `sockets-by-bw`, `hwcs`,
-/// `alloc-plan`, and any kind added later — runs on the worker team. A
-/// list-valued kind belongs here only with a stated reason.
-pub const LOOKUP_QUERIES: [&str; 6] = [
-    "latency",
-    "socket-latency",
-    "socket-of",
-    "core-of",
-    "node-of",
-    "max-latency",
-];
-
-/// Whether `query` names one of [`LOOKUP_QUERIES`].
-pub(crate) fn is_lookup_query(query: &str) -> bool {
-    LOOKUP_QUERIES.contains(&query)
-}
-
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, EvalError> {
     s.parse()
         .map_err(|_| EvalError::Usage(format!("invalid {what} `{s}`")))
@@ -267,42 +246,6 @@ mod tests {
             query_text(&view, "latency", &["x".into(), "1".into()]),
             Err(EvalError::Usage(_))
         ));
-    }
-
-    /// Pins the lookup table: a listed name is a single-line answer of
-    /// `query_text`, and nothing else in the vocabulary (nor an unknown
-    /// name) is a lookup, so a new query kind defaults to the executor.
-    #[test]
-    fn lookup_table_is_the_single_number_queries() {
-        let reg = Registry::shipped();
-        let view = reg.view("ivy").unwrap();
-        for name in LOOKUP_QUERIES {
-            assert!(is_lookup_query(name));
-            let args: Vec<String> = match name {
-                "latency" | "socket-latency" => vec!["0".into(), "1".into()],
-                "max-latency" => vec![],
-                _ => vec!["0".into()],
-            };
-            let text = query_text(&view, name, &args).unwrap();
-            assert!(text.ends_with('\n'), "`{name}`: {text:?}");
-            assert_eq!(text.lines().count(), 1, "`{name}`: {text:?}");
-            assert!(!text.trim_end().contains(' '), "`{name}`: {text:?}");
-        }
-        for name in [
-            "summary",
-            "closest",
-            "sockets-by-bw",
-            "walk",
-            "hwcs",
-            "alloc-plan",
-            "metrics",
-            "nope",
-            "",
-            "Latency",
-            "latency ",
-        ] {
-            assert!(!is_lookup_query(name), "`{name}` classed as a lookup");
-        }
     }
 
     #[test]

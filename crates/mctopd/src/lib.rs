@@ -14,10 +14,10 @@
 //!   single source of the exact output text, which is what makes the
 //!   byte-identity guarantee hold by construction.
 //! - [`server`]: socket handling, the version handshake, request
-//!   batching (lookups answered where they arrive, everything else on
-//!   the persistent [`mctop_runtime::Executor`]), and the
-//!   graceful-degradation paths (version mismatch, malformed frames,
-//!   client disconnects, reloads, shutdown).
+//!   batching (every batch answered on the connection thread it
+//!   arrived on), and the graceful-degradation paths (version
+//!   mismatch, malformed frames, client disconnects, reloads,
+//!   shutdown).
 //!
 //! See `docs/SERVING.md` for the protocol and operational story.
 

@@ -7,21 +7,15 @@
 //!   handler thread per connection (I/O threads are cheap; they block
 //!   on `read`). A *batch* is the complete frames one `read` brought;
 //!   its responses go back in one `write`.
-//! - Request **execution** is decided per decoded batch, from the
-//!   request bytes alone (`execute_batch`). A batch in which *every*
-//!   request is a lookup — a `Query` named in [`eval::LOOKUP_QUERIES`]
-//!   (one number out of the view's tables), or a frame that touches no
-//!   view: `Reload`, `Shutdown`, a misplaced `Hello` — is answered on
-//!   the connection thread, in request order: the answer takes well
-//!   under a microsecond, a hand-over to a parked worker and back
-//!   takes several, and a lookup then never queues behind another
-//!   connection's heavy batch. Any other batch (`Placement`,
-//!   `AllocPlan`, `ListTopologies`, `MetricsSnapshot`, the list- and
-//!   block-valued queries, or a mix) goes whole to the shared
-//!   persistent [`Executor`] as one fork-join scope whose tasks run on
-//!   the placement-pinned worker team, which is what bounds how much
-//!   heavy work runs at once. Both paths call the same `answer`, so
-//!   bodies, error frames and counters do not depend on the path.
+//! - Every batch is **answered where it arrives**: on its connection
+//!   thread, in request order (`execute_batch`). The heaviest answer
+//!   (a `Placement` or `AllocPlan` block) takes a few microseconds, and
+//!   handing a batch to a worker team and back costs more than that on
+//!   a host whose cores also run the clients. Parallelism across
+//!   requests comes from connections — one handler thread each — so
+//!   the number of connections, not a team size, bounds how much
+//!   heavy work runs at once. A panicking request poisons only its own
+//!   response slot.
 //! - Topology state is the memoizing [`Registry`]: one
 //!   `Arc<TopoView>` per machine, handed to each request by clone.
 //!   A `Reload` admin request revalidates the cache
@@ -29,9 +23,8 @@
 //!   keeps its `Arc` and every index built behind it, one whose file
 //!   changed is dropped. Requests already holding an `Arc` finish on
 //!   the old view, the next request for a dropped machine loads it
-//!   afresh (a lookup that misses pays the load on its connection
-//!   thread) — no locks on the read path beyond the registry's read
-//!   lock.
+//!   afresh on its connection thread — no locks on the read path
+//!   beyond the registry's read lock.
 //!
 //! # Degradation contract (verified by `tests/faults.rs`)
 //!
@@ -85,16 +78,9 @@ use mctop_client::wire::{
     WireError,
     PROTO_VERSION, //
 };
-use mctop_place::{
-    PlaceOpts,
-    Placement,
-    Policy, //
-};
 use mctop_runtime::{
     metrics::Counter,
     metrics::ServerCounters,
-    ExecCfg,
-    Executor,
     Metrics,
     MetricsSnapshot,
     ServerRequestKind,
@@ -123,14 +109,13 @@ pub struct ServerCfg {
     pub socket: PathBuf,
     /// Description source backing the registry.
     pub source: DescSource,
-    /// Machine whose topology pins the worker team (`None`: the first
-    /// registry name).
+    /// Machine loaded at bind, so that an empty or broken source fails
+    /// there (`None`: the first registry name).
     pub pin_desc: Option<String>,
-    /// Executor worker count (`None`: host parallelism, capped at 8
-    /// and at the pin machine's context count).
+    /// Ignored: every batch is answered on its connection thread. Kept
+    /// while the benchmark harness still sets it.
     pub workers: Option<usize>,
-    /// Pin worker threads to host CPUs (off by default: the modelled
-    /// machines rarely match the host).
+    /// Ignored, like `workers`.
     pub os_pin: bool,
 }
 
@@ -154,7 +139,7 @@ pub enum ServeError {
     AlreadyRunning(PathBuf),
     /// Binding the socket failed.
     Bind(io::Error),
-    /// Registry or executor setup failed.
+    /// Registry setup failed.
     Setup(String),
 }
 
@@ -183,7 +168,6 @@ struct ServingSnapshot {
 /// Shared server state: what every connection handler sees.
 struct State {
     registry: Registry,
-    exec: Executor,
     metrics: Arc<Metrics>,
     shutting_down: AtomicBool,
     /// `try_clone` handles of live connections by connection id, used
@@ -229,7 +213,7 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds the socket and arms the worker team.
+    /// Loads one description, then binds the socket.
     ///
     /// If the socket path is taken, connects to it to distinguish a
     /// live daemon ([`ServeError::AlreadyRunning`]) from a stale file
@@ -239,6 +223,8 @@ impl Server {
             DescSource::Shipped => Registry::shipped(),
             DescSource::Dir(dir) => Registry::with_dir(dir.clone()),
         };
+        // Fail fast: an empty or broken source is refused here, not on
+        // the first request.
         let pin_name = match &cfg.pin_desc {
             Some(name) => name.clone(),
             None => registry
@@ -248,30 +234,9 @@ impl Server {
                 .cloned()
                 .ok_or_else(|| ServeError::Setup("description source is empty".into()))?,
         };
-        let view = registry
+        registry
             .view(&pin_name)
             .map_err(|e| ServeError::Setup(format!("pin topology `{pin_name}`: {e}")))?;
-        let workers = cfg
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get().min(8))
-                    .unwrap_or(1)
-            })
-            .min(view.num_hwcs())
-            .max(1);
-        let placement = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(workers))
-            .map_err(|e| ServeError::Setup(format!("pin placement: {e}")))?;
-        let metrics = Metrics::handle();
-        let exec = Executor::with_metrics(
-            Some(&view),
-            &placement,
-            ExecCfg {
-                workers: None,
-                os_pin: cfg.os_pin,
-            },
-            Arc::clone(&metrics),
-        );
 
         let listener = match UnixListener::bind(&cfg.socket) {
             Ok(l) => l,
@@ -291,8 +256,7 @@ impl Server {
             listener,
             state: Arc::new(State {
                 registry,
-                exec,
-                metrics,
+                metrics: Metrics::handle(),
                 shutting_down: AtomicBool::new(false),
                 conns: Mutex::new(HashMap::new()),
                 socket_path: cfg.socket,
@@ -328,7 +292,7 @@ impl ServerHandle {
     }
 
     /// Waits until the server has fully stopped: every connection
-    /// handler joined, the executor shut down, the loaded views released,
+    /// handler joined, the loaded views released,
     /// the socket file removed.
     pub fn join(mut self) {
         if let Some(t) = self.accept.take() {
@@ -402,7 +366,6 @@ fn accept_loop(listener: UnixListener, state: Arc<State>) {
     for h in handlers {
         let _ = h.join();
     }
-    state.exec.shutdown();
     // The views go now, freed by this thread, not whenever the caller
     // drops its `ServerHandle`: a lookup's cold load grows the arena of
     // the connection thread it ran on, and chunks freed by a long-lived
@@ -564,42 +527,20 @@ fn read_batch(
     }
 }
 
-/// Whether `req` is a lookup: an answer of constant, machine-independent
-/// cost that is cheaper to compute than to hand to a worker. The `Query`
-/// half of the list is [`eval::LOOKUP_QUERIES`]; the other frames here
-/// touch no view.
-fn is_lookup(req: &Request) -> bool {
-    match req {
-        Request::Query { query, .. } => eval::is_lookup_query(query),
-        Request::Reload | Request::Shutdown | Request::Hello { .. } => true,
-        Request::ListTopologies
-        | Request::Placement { .. }
-        | Request::AllocPlan { .. }
-        | Request::MetricsSnapshot => false,
-    }
-}
-
-/// Runs one batch and returns the responses in request order, plus
-/// whether a `Shutdown` admin request was seen. An all-lookup batch is
-/// answered here, on the connection thread; any other batch goes whole
-/// to the shared executor.
+/// Runs one batch on the connection thread and returns the responses
+/// in request order, plus whether a `Shutdown` admin request was seen.
 fn execute_batch(state: &State, requests: &[Request]) -> (Vec<Response>, bool) {
     if requests.is_empty() {
         return (Vec::new(), false);
     }
     state.metrics.server.batches.add(1);
-    let responses = if requests.iter().all(is_lookup) {
-        state.metrics.server.inline_batches.add(1);
-        answer_inline(requests, |req| answer(state, req))
-    } else {
-        answer_scoped(state, requests)
-    };
+    let responses = answer_inline(requests, |req| answer(state, req));
     let saw_shutdown = requests.iter().any(|r| matches!(r, Request::Shutdown));
     (responses, saw_shutdown)
 }
 
 /// Answers `requests` one after the other on the calling thread. A
-/// panicking request poisons only its own slot, as on the executor.
+/// panicking request poisons only its own slot.
 fn answer_inline(requests: &[Request], answer: impl Fn(&Request) -> Response) -> Vec<Response> {
     requests
         .iter()
@@ -610,47 +551,7 @@ fn answer_inline(requests: &[Request], answer: impl Fn(&Request) -> Response) ->
         .collect()
 }
 
-/// Answers `requests` as one fork-join scope on the worker team.
-fn answer_scoped(state: &State, requests: &[Request]) -> Vec<Response> {
-    let mut slots: Vec<Option<Response>> = Vec::with_capacity(requests.len());
-    slots.resize_with(requests.len(), || None);
-
-    let scope_result = catch_unwind(AssertUnwindSafe(|| {
-        state.exec.try_scope(|s| {
-            for (slot, req) in slots.iter_mut().zip(requests) {
-                s.spawn(move || {
-                    *slot = Some(answer(state, req));
-                });
-            }
-        })
-    }));
-
-    match scope_result {
-        Ok(Ok(())) => slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    err_frame(ErrorCode::Internal, "request task did not complete")
-                })
-            })
-            .collect(),
-        Ok(Err(_shutdown)) => requests
-            .iter()
-            .map(|_| err_frame(ErrorCode::ShuttingDown, "server is shutting down"))
-            .collect(),
-        // A panicking request poisons only its own slot: the scope ran
-        // every task to completion before rethrowing, so sibling
-        // responses are intact.
-        Err(_panic) => slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| err_frame(ErrorCode::Internal, "request handler panicked"))
-            })
-            .collect(),
-    }
-}
-
-/// Answers one request, on whichever thread `execute_batch` chose.
+/// Answers one request.
 fn answer(state: &State, req: &Request) -> Response {
     match req {
         Request::Hello { .. } => err_frame(
@@ -767,35 +668,6 @@ mod tests {
             desc: "ivy".into(),
             query: name.into(),
             args: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn only_table_queries_and_viewless_frames_are_lookups() {
-        for name in eval::LOOKUP_QUERIES {
-            assert!(is_lookup(&query(name)), "{name}");
-        }
-        assert!(is_lookup(&Request::Reload));
-        assert!(is_lookup(&Request::Shutdown));
-        assert!(is_lookup(&Request::Hello {
-            version: PROTO_VERSION
-        }));
-        for heavy in [
-            query("summary"),
-            Request::ListTopologies,
-            Request::MetricsSnapshot,
-            Request::Placement {
-                desc: "ivy".into(),
-                policy: "RR_CORE".into(),
-                workers: 4,
-            },
-            Request::AllocPlan {
-                desc: "ivy".into(),
-                policy: "local".into(),
-                workers: 4,
-            },
-        ] {
-            assert!(!is_lookup(&heavy), "{heavy:?}");
         }
     }
 

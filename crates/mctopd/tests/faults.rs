@@ -81,6 +81,16 @@ fn query(desc: &str, query: &str, args: &[&str]) -> Request {
     }
 }
 
+/// The single-number queries: one value read out of the view's tables.
+const LOOKUPS: [&str; 6] = [
+    "latency",
+    "socket-latency",
+    "socket-of",
+    "core-of",
+    "node-of",
+    "max-latency",
+];
+
 /// Well-formed arguments for lookup `kind` on a machine with at least
 /// two sockets and `k % 16 + 1` contexts.
 fn lookup(desc: &str, kind: &str, k: usize) -> Request {
@@ -454,7 +464,7 @@ fn single_lookups_are_answered_without_the_executor() {
 
     let descs = ["ivy", "opteron", "haswell", "westmere", "sparc"];
     for k in 0..1000 {
-        let kind = eval::LOOKUP_QUERIES[k % eval::LOOKUP_QUERIES.len()];
+        let kind = LOOKUPS[k % LOOKUPS.len()];
         let req = lookup(descs[k % descs.len()], kind, k);
         assert_eq!(
             client.roundtrip(&req).unwrap(),
@@ -467,7 +477,6 @@ fn single_lookups_are_answered_without_the_executor() {
 
     let (server1, exec1) = counters(&handle);
     assert_eq!(server1.batches - server0.batches, 1000);
-    assert_eq!(server1.inline_batches - server0.inline_batches, 1000);
     assert_eq!(exec1.scopes - exec0.scopes, 0);
     assert_eq!(exec1.tasks - exec0.tasks, 0);
     assert_eq!(server1.error_responses, 0);
@@ -502,14 +511,14 @@ fn sends_then_receives_get_every_answer_in_order() {
 }
 
 #[test]
-fn one_heavy_request_sends_the_whole_batch_to_the_executor() {
+fn a_heavy_batch_is_answered_on_its_connection_thread() {
     let (handle, sock) = start("mixed");
     let registry = Registry::shipped();
     let mut client = Client::connect(&sock).unwrap();
 
     let lookups: Vec<Request> = (0..16)
         .map(|k| {
-            let kind = eval::LOOKUP_QUERIES[k % eval::LOOKUP_QUERIES.len()];
+            let kind = LOOKUPS[k % LOOKUPS.len()];
             lookup("westmere", kind, k)
         })
         .collect();
@@ -519,18 +528,11 @@ fn one_heavy_request_sends_the_whole_batch_to_the_executor() {
             body: local_body(&registry, req),
         })
         .collect();
-
-    // All lookups: answered in request order on the connection thread.
-    let (server0, exec0) = counters(&handle);
+    let (server0, _) = counters(&handle);
     assert_eq!(client.batch(&lookups).unwrap(), want);
-    let (server1, exec1) = counters(&handle);
-    assert_eq!(exec1.tasks - exec0.tasks, 0);
-    assert_eq!(
-        server1.inline_batches - server0.inline_batches,
-        server1.batches - server0.batches
-    );
 
-    // The same sixteen around one Placement: every request is a task.
+    // The same sixteen around one Placement: answered in request order,
+    // with the same bytes.
     let mut mixed = lookups.clone();
     mixed.insert(
         7,
@@ -541,9 +543,6 @@ fn one_heavy_request_sends_the_whole_batch_to_the_executor() {
         },
     );
     let mut got = client.batch(&mixed).unwrap();
-    let (server2, exec2) = counters(&handle);
-    assert_eq!(exec2.tasks - exec1.tasks, 17);
-    assert_eq!(server2.inline_batches - server1.inline_batches, 0);
     let placement = got.remove(7);
     let view = registry.view("westmere").unwrap();
     assert_eq!(
@@ -554,17 +553,16 @@ fn one_heavy_request_sends_the_whole_batch_to_the_executor() {
                 .into_bytes()
         }
     );
-    assert_eq!(got, want, "a lookup's bytes depend on the path it took");
+    assert_eq!(got, want, "a lookup's bytes depend on its neighbours");
 
-    // After a mixed run, every batch is accounted for on one path or
-    // the other (this daemon's executor serves nothing else).
+    // Nothing reached an executor, whatever the batch held.
     client.reload().unwrap();
     client.list_topologies().unwrap();
     client.query("ivy", "summary", &[]).unwrap();
     client.metrics_snapshot().unwrap();
-    let (server, exec) = counters(&handle);
-    assert!(server.inline_batches > 0 && server.inline_batches < server.batches);
-    assert_eq!(server.batches - server.inline_batches, exec.scopes);
+    let (server1, exec1) = counters(&handle);
+    assert!(server1.batches - server0.batches >= 6);
+    assert_eq!(exec1, ExecutorSnapshot::default());
     handle.stop();
 }
 
@@ -587,8 +585,9 @@ fn error_frames_are_the_same_bytes_on_both_paths() {
     ];
     for case in &cases {
         let alone = client.roundtrip(case).unwrap();
-        let mut scoped = client.batch(&[heavy.clone(), case.clone()]).unwrap();
-        let scoped = scoped.pop().unwrap();
+        // The same request beside a heavy one in the same batch.
+        let mut beside = client.batch(&[heavy.clone(), case.clone()]).unwrap();
+        let beside = beside.pop().unwrap();
         assert!(
             matches!(
                 alone,
@@ -601,16 +600,13 @@ fn error_frames_are_the_same_bytes_on_both_paths() {
         );
         assert_eq!(
             wire::encode_response(&alone),
-            wire::encode_response(&scoped),
+            wire::encode_response(&beside),
             "{case:?}"
         );
     }
 
-    // Four of the five went inline when sent alone (`metrics` is no
-    // lookup); every error frame was counted.
-    let (server, exec) = counters(&handle);
-    assert_eq!(server.inline_batches, 4);
-    assert_eq!(exec.tasks, 2 * cases.len() as u64 + 1);
+    // Every error frame was counted.
+    let (server, _) = counters(&handle);
     assert_eq!(server.error_responses, 2 * cases.len() as u64);
     handle.stop();
 }
@@ -655,9 +651,8 @@ fn reload_then_lookup_loads_afresh_on_the_connection_thread() {
     assert_eq!(burst, [Response::Ok { body: Vec::new() }, want]);
 
     // Both misses were paid without a worker.
-    let (server, exec) = counters(&handle);
+    let (_, exec) = counters(&handle);
     assert_eq!(exec.tasks, 0);
-    assert_eq!(server.inline_batches, server.batches);
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }
