@@ -139,17 +139,19 @@ pub fn assemble(
         }
     }
     let links = infer_links(&s_lat, n_sockets)?;
-    // One CrossSocket latency level per distinct cross value.
+    // One CrossSocket latency level per distinct cross value, with the
+    // most hops any link of that value takes (one pass over the links).
     let mut cross_vals: Vec<u32> = links.iter().map(|l| l.latency).collect();
     cross_vals.sort_unstable();
     cross_vals.dedup();
-    for v in cross_vals {
-        let hops = links
-            .iter()
-            .filter(|l| l.latency == v)
-            .map(|l| l.hops)
-            .max()
+    let mut cross_hops = vec![0usize; cross_vals.len()];
+    for l in &links {
+        let i = cross_vals
+            .binary_search(&l.latency)
             .expect("value came from links");
+        cross_hops[i] = cross_hops[i].max(l.hops);
+    }
+    for (v, hops) in cross_vals.into_iter().zip(cross_hops) {
         // Reuse the cluster triplet when one matches this median.
         let triplet = clusters
             .iter()

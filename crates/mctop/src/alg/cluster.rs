@@ -95,10 +95,26 @@ pub fn assign(value: u32, clusters: &[LatTriplet]) -> usize {
 
 /// Normalizes a raw table: every off-diagonal value is replaced by the
 /// median of its cluster (Fig. 6 (2b)). The diagonal stays zero.
+///
+/// Each value's cluster is [`assign`]'s: on strictly ascending medians
+/// (what [`cluster`] returns) it is found by binary search, on any
+/// other slice by `assign` itself.
 pub fn normalize(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
+    let medians: Vec<u32> = clusters.iter().map(|c| c.median).collect();
+    let ascending = !medians.is_empty() && medians.windows(2).all(|w| w[0] < w[1]);
     LatencyTable::from_fn(raw.n(), |a, b| {
-        let c = assign(raw.get(a, b), clusters);
-        clusters[c].median
+        let value = raw.get(a, b);
+        if !ascending {
+            return medians[assign(value, clusters)];
+        }
+        // The nearest median is the first one not below `value` or the
+        // one before it; a tie goes to the lower.
+        match medians.partition_point(|&m| m < value) {
+            0 => medians[0],
+            i if i == medians.len() => medians[i - 1],
+            i if medians[i] - value < value - medians[i - 1] => medians[i],
+            i => medians[i - 1],
+        }
     })
 }
 
@@ -195,6 +211,97 @@ mod tests {
         assert_eq!(assign(100, &clusters), 1);
         assert_eq!(assign(150, &clusters), 1);
         assert_eq!(assign(400, &clusters), 2);
+    }
+
+    /// `normalize` as it was: [`assign`]'s linear scan per entry.
+    fn normalize_reference(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
+        LatencyTable::from_fn(raw.n(), |a, b| {
+            clusters[assign(raw.get(a, b), clusters)].median
+        })
+    }
+
+    fn triplets(medians: &[u32]) -> Vec<LatTriplet> {
+        medians.iter().map(|&m| LatTriplet::exact(m)).collect()
+    }
+
+    #[test]
+    fn normalize_equals_the_linear_scan_on_the_committed_machines() {
+        use crate::alg::probe;
+        use crate::backend::SimProber;
+        // The sixteen machines of the committed `descs/` library.
+        let specs = mcsim::presets::all_paper_platforms()
+            .into_iter()
+            .chain(mcsim::presets::all_synthetic())
+            .chain(mcsim::presets::all_mesh_scale());
+        for spec in specs {
+            let cfg = crate::desc::canonical_probe_config_for(&spec);
+            let (raw, _) = probe::collect(&mut SimProber::noiseless(&spec), &cfg).unwrap();
+            let clusters = cluster(&raw.upper_triangle(), &cfg.cluster).unwrap();
+            assert_eq!(
+                normalize(&raw, &clusters),
+                normalize_reference(&raw, &clusters),
+                "{}",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
+    fn normalize_equals_the_linear_scan_on_ties_ends_and_odd_slices() {
+        let mut next = crate::alg::splitmix(35);
+        for case in 0..400 {
+            // Ascending medians, then (every other case) shuffled or
+            // with a median repeated.
+            let k = 1 + (next() % 8) as usize;
+            let mut medians: Vec<u32> = Vec::with_capacity(k);
+            let mut m = 10 + (next() % 50) as u32;
+            for _ in 0..k {
+                medians.push(m);
+                m += 1 + (next() % 60) as u32;
+            }
+            match case % 4 {
+                1 => {
+                    for i in (1..k).rev() {
+                        medians.swap(i, (next() % (i as u64 + 1)) as usize);
+                    }
+                }
+                3 => {
+                    let i = (next() % k as u64) as usize;
+                    let j = (next() % k as u64) as usize;
+                    medians[i] = medians[j];
+                }
+                _ => {}
+            }
+            // Values: equidistant between two medians (when their gap
+            // is even), on a median, beyond both ends, and anywhere.
+            let (lo, hi) = (
+                *medians.iter().min().unwrap(),
+                *medians.iter().max().unwrap(),
+            );
+            let mut values = vec![0, 1, lo.saturating_sub(1), hi + 1, u32::MAX];
+            for w in medians.windows(2) {
+                values.extend([(w[0] + w[1]) / 2, w[0], w[1].saturating_sub(1)]);
+            }
+            values.extend((0..20).map(|_| (next() % u64::from(hi + 40)) as u32));
+            let mut n = 2;
+            while n * (n - 1) / 2 < values.len() {
+                n += 1;
+            }
+            let mut at = 0;
+            let raw = LatencyTable::from_fn(n, |_, _| {
+                at += 1;
+                values[(at - 1) % values.len()]
+            });
+            let clusters = triplets(&medians);
+            assert_eq!(
+                normalize(&raw, &clusters),
+                normalize_reference(&raw, &clusters),
+                "medians {medians:?}"
+            );
+        }
+        // A value halfway between two medians goes to the lower one.
+        let raw = LatencyTable::from_fn(2, |_, _| 50);
+        assert_eq!(normalize(&raw, &triplets(&[40, 60])).get(0, 1), 40);
     }
 
     #[test]

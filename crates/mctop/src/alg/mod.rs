@@ -89,3 +89,17 @@ pub fn run_full<P: Prober>(
         raw_table: raw,
     })
 }
+
+/// A seeded splitmix64 stream: the hashed samples of a pruned plan, and
+/// the random cases of the stages' oracle tests (the crate has no
+/// `rand`).
+pub(crate) fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}

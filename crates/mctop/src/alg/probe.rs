@@ -300,14 +300,7 @@ pub fn pruned_pairs(n: usize, cfg: &PruneCfg) -> Option<Vec<(usize, usize)>> {
     }
     // Hashed samples: splitmix64 over a fixed seed, so the plan is a
     // pure function of the machine shape.
-    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ ((n as u64) << 32 | c as u64);
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = super::splitmix(0x9E37_79B9_7F4A_7C15u64 ^ ((n as u64) << 32 | c as u64));
     for _ in 0..cfg.samples {
         let a = (next() % n as u64) as usize;
         let b = (next() % n as u64) as usize;
@@ -581,12 +574,12 @@ fn effective_cfg(cfg: &ProbeConfig, pruned: bool) -> ProbeConfig {
 /// pairs give socket-edge weights `W(u, v) = min measured latency`;
 /// `h` falls out of the two smallest distinct weights (a 2-hop path
 /// costs `h + 2 * (lambda1 - h)`, so `h = 2 * lambda1 - lambda2` when
-/// the second level is a 2-hop level); Dijkstra over `W - h` then gives
-/// every missing cross-socket latency as `h + dist`. Measured entries
-/// are kept verbatim, so on machines where the model is exact (the
-/// mesh-scale presets) a noiseless pruned table equals the exhaustive
-/// one byte for byte, and on machines where it is not, validation sees
-/// the genuine measurements.
+/// the second level is a 2-hop level); a min-plus (Floyd–Warshall)
+/// closure over `W - h` then gives every missing cross-socket latency
+/// as `h + dist`. Measured entries are kept verbatim, so on machines
+/// where the model is exact (the mesh-scale presets) a noiseless pruned
+/// table equals the exhaustive one byte for byte, and on machines where
+/// it is not, validation sees the genuine measurements.
 fn reconstruct_pruned(table: &mut LatencyTable, pairs: &[(usize, usize)], pc: &PruneCfg) {
     let n = table.n();
     let c = pc.ctxs_per_socket;
@@ -624,37 +617,32 @@ fn reconstruct_pruned(table: &mut LatencyTable, pairs: &[(usize, usize)], pc: &P
         (Some(&l1), Some(&l2)) => ((2 * l1 as u64).saturating_sub(l2 as u64)).min(l1 as u64) as u32,
         _ => 0,
     };
-    // Dijkstra per socket over wire weights (W - h).
-    let mut dist_all: Vec<Vec<u64>> = Vec::with_capacity(m);
-    let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); m];
+    // All-pairs wire distances over W - h: one min-plus closure, with
+    // saturating adds so an unreachable pair stays `u64::MAX`.
+    let mut dist: Vec<u64> = w
+        .iter()
+        .map(|&weight| match weight {
+            u32::MAX => u64::MAX,
+            weight => u64::from(weight.saturating_sub(h)),
+        })
+        .collect();
     for u in 0..m {
-        for v in (u + 1)..m {
-            let weight = w[u * m + v];
-            if weight != u32::MAX {
-                let wire = weight.saturating_sub(h) as u64;
-                adj[u].push((v, wire));
-                adj[v].push((u, wire));
-            }
-        }
+        dist[u * m + u] = 0;
     }
-    for src in 0..m {
-        let mut dist = vec![u64::MAX; m];
-        dist[src] = 0;
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push(std::cmp::Reverse((0u64, src)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
+    // Row `k` and column `k` do not change in step `k`, so the step
+    // reads a copy of the row.
+    let mut row_k = vec![0u64; m];
+    for k in 0..m {
+        row_k.copy_from_slice(&dist[k * m..(k + 1) * m]);
+        for row in dist.chunks_exact_mut(m) {
+            let via = row[k];
+            if via == u64::MAX {
                 continue;
             }
-            for &(v, wire) in &adj[u] {
-                let nd = d + wire;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    heap.push(std::cmp::Reverse((nd, v)));
-                }
+            for (d, &dk) in row.iter_mut().zip(&row_k) {
+                *d = (*d).min(via.saturating_add(dk));
             }
         }
-        dist_all.push(dist);
     }
     // Fill every unmeasured entry; disconnected or intra-unmeasured
     // pairs stay zero (validation rejects such tables loudly rather
@@ -670,7 +658,7 @@ fn reconstruct_pruned(table: &mut LatencyTable, pairs: &[(usize, usize)], pc: &P
                     table.set(a, b, intra[u]);
                 }
             } else {
-                let d = dist_all[u][v];
+                let d = dist[u * m + v];
                 if d != u64::MAX {
                     let lat = (h as u64 + d).min(u32::MAX as u64) as u32;
                     table.set(a, b, lat);
@@ -1506,6 +1494,173 @@ mod tests {
         // prune rather than reconstruct from a bogus hypothesis.
         assert!(pruned_pairs(40, &PruneCfg::for_machine(3, 10)).is_none());
         assert!(pruned_pairs(8, &PruneCfg::for_machine(2, 4)).is_none());
+    }
+
+    /// `reconstruct_pruned` as it was: one heap Dijkstra per socket
+    /// over an adjacency list, the oracle for the min-plus closure.
+    fn reconstruct_reference(table: &mut LatencyTable, pairs: &[(usize, usize)], pc: &PruneCfg) {
+        let n = table.n();
+        let c = pc.ctxs_per_socket;
+        let m = pc.sockets;
+        debug_assert_eq!(c * m, n);
+        let mut measured = vec![false; n * n];
+        for &(a, b) in pairs {
+            measured[a * n + b] = true;
+            measured[b * n + a] = true;
+        }
+        // Socket-level edge weights: the minimum measured latency between
+        // any context of u and any context of v (noise, if present, is
+        // damped by taking the min over c^2-ish samples per socket pair).
+        let mut w: Vec<u32> = vec![u32::MAX; m * m];
+        // Intra-socket fallback (the ball radius >= c guarantees every
+        // intra pair is measured, so this is belt and braces).
+        let mut intra: Vec<u32> = vec![u32::MAX; m];
+        for &(a, b) in pairs {
+            let (u, v) = (a / c, b / c);
+            let lat = table.get(a, b);
+            if u == v {
+                intra[u] = intra[u].min(lat);
+            } else if lat < w[u * m + v] {
+                w[u * m + v] = lat;
+                w[v * m + u] = lat;
+            }
+        }
+        // Overhead estimate from the two smallest distinct edge weights;
+        // a single level (or none) means no path composition is possible
+        // anyway and h only shifts reconstructed values uniformly.
+        let mut vals: Vec<u32> = w.iter().copied().filter(|&x| x != u32::MAX).collect();
+        vals.sort_unstable();
+        vals.dedup();
+        let h = match (vals.first(), vals.get(1)) {
+            (Some(&l1), Some(&l2)) => {
+                ((2 * l1 as u64).saturating_sub(l2 as u64)).min(l1 as u64) as u32
+            }
+            _ => 0,
+        };
+        // Dijkstra per socket over wire weights (W - h).
+        let mut dist_all: Vec<Vec<u64>> = Vec::with_capacity(m);
+        let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); m];
+        for u in 0..m {
+            for v in (u + 1)..m {
+                let weight = w[u * m + v];
+                if weight != u32::MAX {
+                    let wire = weight.saturating_sub(h) as u64;
+                    adj[u].push((v, wire));
+                    adj[v].push((u, wire));
+                }
+            }
+        }
+        for src in 0..m {
+            let mut dist = vec![u64::MAX; m];
+            dist[src] = 0;
+            let mut heap = std::collections::BinaryHeap::new();
+            heap.push(std::cmp::Reverse((0u64, src)));
+            while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+                if d > dist[u] {
+                    continue;
+                }
+                for &(v, wire) in &adj[u] {
+                    let nd = d + wire;
+                    if nd < dist[v] {
+                        dist[v] = nd;
+                        heap.push(std::cmp::Reverse((nd, v)));
+                    }
+                }
+            }
+            dist_all.push(dist);
+        }
+        // Fill every unmeasured entry; disconnected or intra-unmeasured
+        // pairs stay zero (validation rejects such tables loudly rather
+        // than inventing a number).
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if measured[a * n + b] {
+                    continue;
+                }
+                let (u, v) = (a / c, b / c);
+                if u == v {
+                    if intra[u] != u32::MAX {
+                        table.set(a, b, intra[u]);
+                    }
+                } else {
+                    let d = dist_all[u][v];
+                    if d != u64::MAX {
+                        let lat = (h as u64 + d).min(u32::MAX as u64) as u32;
+                        table.set(a, b, lat);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A pruned table of `spec`: every planned pair measured at its
+    /// true latency, jittered by up to `jitter` per mille, the rest 0.
+    fn pruned_table(
+        spec: &mcsim::MachineSpec,
+        pairs: &[(usize, usize)],
+        jitter: u64,
+        seed: u64,
+    ) -> LatencyTable {
+        let mut next = crate::alg::splitmix(seed);
+        let mut table = LatencyTable::new(spec.total_hwcs());
+        for &(a, b) in pairs {
+            let lat = u64::from(spec.true_latency(a, b));
+            let wobble = lat * (next() % (2 * jitter + 1)) / 1000;
+            table.set(a, b, (lat + wobble - lat * jitter / 1000) as u32);
+        }
+        table
+    }
+
+    #[test]
+    fn reconstruct_pruned_equals_the_dijkstras_on_the_mesh_scale_presets() {
+        for spec in presets::all_mesh_scale() {
+            let n = spec.total_hwcs();
+            let pc = PruneCfg::for_machine(n / spec.sockets, spec.sockets);
+            let pairs = pruned_pairs(n, &pc).unwrap();
+            for (jitter, seed) in [(0, 0), (30, 37), (120, 38)] {
+                let table = pruned_table(&spec, &pairs, jitter, seed);
+                let (mut fast, mut slow) = (table.clone(), table);
+                reconstruct_pruned(&mut fast, &pairs, &pc);
+                reconstruct_reference(&mut slow, &pairs, &pc);
+                assert_eq!(fast, slow, "{} jitter {jitter}", spec.name);
+                if jitter == 0 {
+                    assert!(fast.upper_triangle().iter().all(|&v| v > 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reconstruct_pruned_equals_the_dijkstras_on_a_disconnected_socket_graph() {
+        // Eight 2-context sockets; sockets 0-3 measure each other, 4-7
+        // each other, and no pair crosses between the halves. The upper
+        // half's weights sit near `u32::MAX`, where a clamped closure
+        // would not be exact.
+        let pc = PruneCfg::for_machine(2, 8);
+        let mut pairs = Vec::new();
+        let mut table = LatencyTable::new(16);
+        let mut next = crate::alg::splitmix(39);
+        for a in 0..16 {
+            for b in (a + 1)..16 {
+                let (u, v) = (a / 2, b / 2);
+                if u / 4 != v / 4 || (v - u == 2 && next().is_multiple_of(2)) {
+                    continue;
+                }
+                let lat = match (u == v, u < 4) {
+                    (true, _) => 90,
+                    (false, true) => 150 + 60 * (v - u) as u32,
+                    (false, false) => u32::MAX - 1 - (next() % 1000) as u32 * (v - u) as u32,
+                };
+                pairs.push((a, b));
+                table.set(a, b, lat);
+            }
+        }
+        let (mut fast, mut slow) = (table.clone(), table);
+        reconstruct_pruned(&mut fast, &pairs, &pc);
+        reconstruct_reference(&mut slow, &pairs, &pc);
+        assert_eq!(fast, slow);
+        assert_eq!(fast.get(0, 15), 0, "a disconnected pair stays unfilled");
+        assert_ne!(fast.get(0, 6), 0, "a connected pair is filled");
     }
 
     #[test]

@@ -63,19 +63,31 @@ pub fn num_pairs(n: usize) -> usize {
 /// round — holds by construction.
 pub fn rounds_for(n: usize, pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
     let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
-    let mut busy: Vec<Vec<bool>> = Vec::new();
+    // `busy[c]`: bit `r` is set once context `c` is taken in round `r`
+    // (a missing word is all free).
+    let mut busy: Vec<Vec<u64>> = vec![Vec::new(); n];
+    let word = |bits: &Vec<u64>, w: usize| bits.get(w).copied().unwrap_or(0);
     for &(a, b) in pairs {
         debug_assert!(a < b && b < n, "pair ({a},{b}) malformed for n={n}");
-        let slot = match busy.iter().position(|r| !r[a] && !r[b]) {
-            Some(s) => s,
-            None => {
-                rounds.push(Vec::new());
-                busy.push(vec![false; n]);
-                busy.len() - 1
+        // The first round free for both: the first zero bit of the
+        // union, at most one past the last round.
+        let mut w = 0;
+        let slot = loop {
+            let taken = word(&busy[a], w) | word(&busy[b], w);
+            if taken != u64::MAX {
+                break w * 64 + (!taken).trailing_zeros() as usize;
             }
+            w += 1;
         };
-        busy[slot][a] = true;
-        busy[slot][b] = true;
+        if slot == rounds.len() {
+            rounds.push(Vec::new());
+        }
+        for c in [a, b] {
+            if busy[c].len() <= slot / 64 {
+                busy[c].resize(slot / 64 + 1, 0);
+            }
+            busy[c][slot / 64] |= 1 << (slot % 64);
+        }
         rounds[slot].push((a, b));
     }
     rounds
@@ -146,6 +158,66 @@ mod tests {
         assert_eq!(seen.len(), pairs.len(), "pairs dropped by the scheduler");
         // Deterministic: same input, same schedule.
         assert_eq!(rounds, rounds_for(n, &pairs));
+    }
+
+    /// `rounds_for` as it was: one `bool` row per round, rescanned for
+    /// every pair.
+    fn rounds_for_reference(n: usize, pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+        let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
+        let mut busy: Vec<Vec<bool>> = Vec::new();
+        for &(a, b) in pairs {
+            let slot = match busy.iter().position(|r| !r[a] && !r[b]) {
+                Some(s) => s,
+                None => {
+                    rounds.push(Vec::new());
+                    busy.push(vec![false; n]);
+                    busy.len() - 1
+                }
+            };
+            busy[slot][a] = true;
+            busy[slot][b] = true;
+            rounds[slot].push((a, b));
+        }
+        rounds
+    }
+
+    #[test]
+    fn rounds_for_equals_the_rescan_on_pruned_plans() {
+        use crate::alg::probe::{
+            pruned_pairs,
+            PruneCfg, //
+        };
+        let mut most = 0;
+        for spec in mcsim::presets::all_mesh_scale() {
+            let n = spec.total_hwcs();
+            let pc = PruneCfg::for_machine(n / spec.sockets, spec.sockets);
+            let pairs = pruned_pairs(n, &pc).unwrap();
+            let rounds = rounds_for(n, &pairs);
+            most = most.max(rounds.len());
+            assert_eq!(rounds, rounds_for_reference(n, &pairs), "{}", spec.name);
+        }
+        assert!(most > 64, "no plan needs a second word of rounds");
+    }
+
+    #[test]
+    fn rounds_for_equals_the_rescan_on_random_pair_sets() {
+        let mut next = crate::alg::splitmix(36);
+        for _ in 0..300 {
+            let n = 2 + (next() % 40) as usize;
+            let count = (next() % (4 * n as u64)) as usize;
+            let pairs: Vec<(usize, usize)> = (0..count)
+                .filter_map(|_| {
+                    let (a, b) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+                    (a != b).then(|| (a.min(b), a.max(b)))
+                })
+                .collect();
+            assert_eq!(rounds_for(n, &pairs), rounds_for_reference(n, &pairs));
+        }
+        // A star: every pair shares context 0, so each takes a round of
+        // its own, past the first 64-bit word.
+        let star: Vec<(usize, usize)> = (1..150).map(|b| (0, b)).collect();
+        assert_eq!(rounds_for(150, &star).len(), 149);
+        assert_eq!(rounds_for(150, &star), rounds_for_reference(150, &star));
     }
 
     #[test]

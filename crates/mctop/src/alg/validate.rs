@@ -12,6 +12,7 @@ use std::collections::BTreeSet;
 
 use crate::error::McTopError;
 use crate::model::{
+    InterconnectLink,
     LevelRole,
     Mctop, //
 };
@@ -20,6 +21,9 @@ use crate::model::{
 pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
     let n = topo.num_hwcs();
     let err = |msg: String| Err(McTopError::IrregularTopology(msg));
+    if n == 0 || topo.num_sockets() == 0 {
+        return err("the topology has no contexts or no sockets".into());
+    }
 
     // Latency table: square, symmetric, zero diagonal.
     if topo.lat_table.len() != n * n {
@@ -122,12 +126,20 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
     // Every socket pair has exactly one link record, stored normalized
     // (a < b) — the query engine and the `TopoView` matrices both rely
     // on this canonical orientation.
-    let s = topo.num_sockets();
-    if topo.links.len() != s * (s - 1) / 2 {
+    check_links(&topo.links, topo.num_sockets())
+}
+
+/// The interconnect records of an `s`-socket topology: exactly one per
+/// socket pair, each normalized and naming known sockets. Duplicates
+/// are found in an `s x s` bitmap, allocated only once the record count
+/// has matched `s (s - 1) / 2`, which bounds its size by the input's.
+fn check_links(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
+    let err = |msg: String| Err(McTopError::IrregularTopology(msg));
+    if links.len() != s * (s - 1) / 2 {
         return err("missing interconnect records".into());
     }
-    let mut pairs = BTreeSet::new();
-    for l in &topo.links {
+    let mut seen = vec![0u64; (s * s).div_ceil(64)];
+    for l in links {
         if l.a >= l.b {
             return err(format!(
                 "interconnect record ({}, {}) is not normalized (need a < b)",
@@ -140,9 +152,11 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
                 l.a, l.b
             ));
         }
-        if !pairs.insert((l.a, l.b)) {
+        let (word, bit) = ((l.a * s + l.b) / 64, (l.a * s + l.b) % 64);
+        if seen[word] & 1 << bit != 0 {
             return err(format!("duplicate interconnect record ({}, {})", l.a, l.b));
         }
+        seen[word] |= 1 << bit;
     }
     Ok(())
 }
@@ -277,6 +291,140 @@ mod tests {
         ] {
             let t = infer(&spec);
             validate(&t).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        }
+    }
+
+    #[test]
+    fn a_topology_without_contexts_or_sockets_is_irregular() {
+        let mut t = infer(&presets::synthetic_small());
+        t.sockets.clear();
+        t.links.clear();
+        assert!(matches!(
+            validate(&t),
+            Err(McTopError::IrregularTopology(_))
+        ));
+        t.hwcs.clear();
+        t.lat_table.clear();
+        t.cores.clear();
+        t.groups.clear();
+        t.levels.clear();
+        t.nodes.clear();
+        assert!(matches!(
+            validate(&t),
+            Err(McTopError::IrregularTopology(_))
+        ));
+    }
+
+    /// The link check as it was before the bitmap: a set of the pairs
+    /// seen so far, the oracle the bitmap is compared against.
+    fn check_links_reference(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
+        let err = |msg: String| Err(McTopError::IrregularTopology(msg));
+        if links.len() != s * (s - 1) / 2 {
+            return err("missing interconnect records".into());
+        }
+        let mut pairs = BTreeSet::new();
+        for l in links {
+            if l.a >= l.b {
+                return err(format!(
+                    "interconnect record ({}, {}) is not normalized (need a < b)",
+                    l.a, l.b
+                ));
+            }
+            if l.b >= s {
+                return err(format!(
+                    "interconnect record ({}, {}) names an unknown socket",
+                    l.a, l.b
+                ));
+            }
+            if !pairs.insert((l.a, l.b)) {
+                return err(format!("duplicate interconnect record ({}, {})", l.a, l.b));
+            }
+        }
+        Ok(())
+    }
+
+    fn records(pairs: &[(usize, usize)]) -> Vec<InterconnectLink> {
+        pairs
+            .iter()
+            .map(|&(a, b)| InterconnectLink {
+                a,
+                b,
+                latency: 1000,
+                hops: 1,
+                bandwidth: None,
+            })
+            .collect()
+    }
+
+    fn outcome(r: Result<(), McTopError>) -> Result<(), String> {
+        r.map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn link_check_equals_the_set_reference() {
+        // (0, 6) of a 4-socket machine lands on the bit of (1, 2): the
+        // range check must come before the bitmap is read.
+        let aliased = records(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 6)]);
+        assert_eq!(
+            outcome(check_links(&aliased, 4)),
+            Err("irregular topology: interconnect record (0, 6) names an unknown socket".into())
+        );
+        // Seeded record sets: every pair once, shuffled, then a few
+        // duplicated, flipped, pushed out of range or collapsed.
+        let mut next = crate::alg::splitmix(33);
+        let mut errors = 0;
+        for _ in 0..3000 {
+            let s = 1 + (next() % 9) as usize;
+            let mut pairs: Vec<(usize, usize)> = (0..s)
+                .flat_map(|a| (a + 1..s).map(move |b| (a, b)))
+                .collect();
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            for _ in 0..next() % 3 {
+                if pairs.is_empty() {
+                    break;
+                }
+                let i = (next() % pairs.len() as u64) as usize;
+                let j = (next() % pairs.len() as u64) as usize;
+                let (a, b) = pairs[i];
+                pairs[i] = match next() % 4 {
+                    0 => pairs[j],
+                    1 => (b, a),
+                    2 => (a, s + (next() % 3) as usize),
+                    _ => (a, a),
+                };
+            }
+            let links = records(&pairs);
+            let want = outcome(check_links_reference(&links, s));
+            errors += usize::from(want.is_err());
+            assert_eq!(outcome(check_links(&links, s)), want, "s={s} {pairs:?}");
+        }
+        assert!(errors > 1000, "only {errors} of the cases are errors");
+    }
+
+    #[test]
+    fn validate_reports_the_first_bad_link_record_as_before() {
+        let t = infer(&presets::mesh(4));
+        let s = t.num_sockets();
+        assert_eq!(s, 16);
+        let mut next = crate::alg::splitmix(34);
+        for _ in 0..200 {
+            let mut bad = t.clone();
+            let n = bad.links.len();
+            for i in (1..n).rev() {
+                bad.links.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let i = (next() % n as u64) as usize;
+            let j = (next() % n as u64) as usize;
+            let l = &mut bad.links[i];
+            match next() % 3 {
+                0 => (l.a, l.b) = (t.links[j].a, t.links[j].b),
+                1 => (l.a, l.b) = (l.b, l.a),
+                _ => l.b = s + (next() % 3) as usize,
+            }
+            let want = outcome(check_links_reference(&bad.links, s));
+            assert_eq!(outcome(validate(&bad)), want);
         }
     }
 

@@ -289,8 +289,10 @@ impl<'a> Reader<'a> {
         self.s.as_bytes().get(self.i).copied()
     }
 
+    /// Skips JSON's whitespace: space, tab, line feed, carriage return
+    /// (RFC 8259 §2; a form feed is not one).
     fn ws(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.i += 1;
         }
     }
@@ -377,6 +379,24 @@ impl<'a> Reader<'a> {
     /// finite is an error.
     fn number(&mut self) -> Result<Number, DeError> {
         let start = self.i;
+        // A plain non-negative integer of at most 19 digits (always
+        // below `u64::MAX`) is accumulated as it is scanned.
+        let bytes = &self.s.as_bytes()[start..];
+        let mut value = 0u64;
+        let mut len = 0;
+        while len < 19 {
+            match bytes.get(len) {
+                Some(&d @ b'0'..=b'9') => value = value * 10 + u64::from(d - b'0'),
+                _ => break,
+            }
+            len += 1;
+        }
+        let plain = len == 1 || (len > 1 && bytes[0] != b'0');
+        if plain && !matches!(bytes.get(len), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            self.i += len;
+            return Ok(Number::U(value));
+        }
+        // Anything else: scan, then parse the text.
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
@@ -472,6 +492,10 @@ pub fn to_json<T: Serialize + ?Sized>(t: &T, pretty: bool, capacity: usize) -> S
     String::from_utf8(w.out).expect("the writer appends whole strings and ASCII")
 }
 
+/// A newline and the pretty indentation of depths 0 to 8 (a
+/// description nests six).
+const INDENT: &[u8] = b"\n                ";
+
 /// The JSON text under construction.
 pub struct Writer {
     out: Vec<u8>,
@@ -489,18 +513,21 @@ impl Writer {
     }
 
     /// Writes the object entry `name: value`.
+    #[inline]
     pub fn field<T: Serialize + ?Sized>(&mut self, name: &str, value: &T) {
         self.key(name);
         value.write_json(self);
     }
 
     /// Starts an object entry: separator, indentation, key and colon.
+    #[inline]
     pub fn key(&mut self, name: &str) {
         self.item();
         self.string(name);
         self.raw(if self.pretty { ": " } else { ":" });
     }
 
+    #[inline]
     fn raw(&mut self, text: &str) {
         self.out.extend_from_slice(text.as_bytes());
     }
@@ -519,23 +546,32 @@ impl Writer {
     }
 
     /// Separator and indentation before an array element or a key.
+    #[inline]
     fn item(&mut self) {
         self.separate(!self.empty);
         self.empty = false;
     }
 
-    /// An optional comma, then (pretty) a newline and the indentation.
+    /// An optional comma, then (pretty) a newline and the indentation,
+    /// taken from one slice up to [`INDENT`]'s depth.
+    #[inline]
     fn separate(&mut self, comma: bool) {
         if comma {
             self.raw(",");
         }
         if self.pretty {
-            self.raw("\n");
-            self.out.resize(self.out.len() + 2 * self.depth, b' ');
+            match INDENT.get(..1 + 2 * self.depth) {
+                Some(line) => self.out.extend_from_slice(line),
+                None => {
+                    self.raw("\n");
+                    self.out.resize(self.out.len() + 2 * self.depth, b' ');
+                }
+            }
         }
     }
 
     /// A quoted string; runs of ordinary bytes are copied whole.
+    #[inline]
     fn string(&mut self, s: &str) {
         self.raw("\"");
         let mut run = 0;
@@ -560,6 +596,7 @@ impl Writer {
         self.raw("\"");
     }
 
+    #[inline]
     fn int(&mut self, v: i128) {
         let mut buf = [0u8; 21];
         let mut i = buf.len();
@@ -616,7 +653,14 @@ macro_rules! impl_float {
                 let _ = if !x.is_finite() {
                     write!(w.out, "null")
                 } else if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(w.out, "{x:.1}")
+                    // `{x:.1}`'s text, but for -0.0 without `core::fmt`.
+                    if x == 0.0 && x.is_sign_negative() {
+                        write!(w.out, "{x:.1}")
+                    } else {
+                        w.int(x as i128);
+                        w.out.extend_from_slice(b".0");
+                        Ok(())
+                    }
                 } else {
                     write!(w.out, "{x}")
                 };

@@ -239,6 +239,30 @@ fn numbers_follow_rfc_8259() {
 }
 
 #[test]
+fn a_plain_integer_is_read_while_it_is_scanned() {
+    // The integer read while it is scanned agrees with the text's
+    // value up to 19 digits; from 20 digits on the text is parsed.
+    for text in [
+        "9999999999999999999",
+        "1000000000000000000",
+        "18446744073709551615",
+    ] {
+        assert_eq!(
+            from_json::<u64>(text).unwrap(),
+            text.parse::<u64>().unwrap()
+        );
+        assert_eq!(
+            from_json::<Value>(text).unwrap(),
+            Value::U64(text.parse().unwrap())
+        );
+    }
+    assert_eq!(
+        from_json::<Value>("[0,7,10]").unwrap(),
+        from_json::<Value>("[0 , 7 , 10]").unwrap()
+    );
+}
+
+#[test]
 fn syntax_errors_give_line_and_column() {
     // On the first line; after a multi-byte character (column 7, byte
     // 8); on the last line; at the end of the text.
@@ -255,10 +279,73 @@ fn syntax_errors_give_line_and_column() {
     ] {
         assert_eq!(error::<Value>(text), at, "{text}");
     }
+    // Whitespace is space, tab, line feed and carriage return only: a
+    // form feed (or any other ASCII space) is not a separator.
+    assert!(from_json::<Value>(" \t\r\n{\"a\":\r\n\t 1} \n").is_ok());
+    for (text, at) in [
+        ("{\"a\":\u{c}1}", "expected a value at line 1 column 6"),
+        ("[1,\n\u{c}2]", "expected a value at line 2 column 1"),
+        ("\u{c}1", "expected a value at line 1 column 1"),
+        ("1\u{b}", "trailing characters at line 1 column 2"),
+    ] {
+        assert_eq!(error::<Value>(text), at, "{text:?}");
+    }
     // A typed reader finds the same error where it expected its type.
     assert_eq!(
         error::<Vec<u32>>("[1, @]"),
         "expected a value at line 1 column 5"
     );
     assert_eq!(error::<Vec<u32>>("[1, \"x\"]"), "expected u32");
+}
+
+#[test]
+fn floats_and_indents_print_as_core_fmt_would() {
+    // An integral float below 1e15 prints as `{x:.1}` does, -0.0 too;
+    // anything else as `{x}`.
+    for x in [
+        0.0f64,
+        -0.0,
+        1.0,
+        -3.0,
+        42.0,
+        999_999_999_999_999.0,
+        -999_999_999_999_999.0,
+        1e15,
+        -1e15,
+        1e21,
+        0.5,
+        -2.25,
+        1.0 / 3.0,
+    ] {
+        let want = if x.fract() == 0.0 && x.abs() < 1e15 {
+            format!("{x:.1}")
+        } else {
+            format!("{x}")
+        };
+        assert_eq!(to_json(&x, false, 0), want);
+        assert_eq!(to_json(&(x as f32), false, 0), {
+            let y = f64::from(x as f32);
+            if y.fract() == 0.0 && y.abs() < 1e15 {
+                format!("{y:.1}")
+            } else {
+                format!("{y}")
+            }
+        });
+    }
+    assert_eq!(to_json(&f64::NAN, false, 0), "null");
+    // Pretty indentation below and beyond the static slice's depth.
+    let mut value = Value::U64(1);
+    for _ in 0..12 {
+        value = Value::Array(vec![value]);
+    }
+    let text = to_json(&value, true, 0);
+    let mut want = String::new();
+    for d in 0..12 {
+        want += &format!("[\n{}", "  ".repeat(d + 1));
+    }
+    want += "1";
+    for d in (0..12).rev() {
+        want += &format!("\n{}]", "  ".repeat(d));
+    }
+    assert_eq!(text, want);
 }

@@ -87,6 +87,46 @@ fn single_byte_mutations_never_panic() {
 }
 
 #[test]
+fn a_form_feed_is_not_whitespace() {
+    // RFC 8259 §2: only space, tab, line feed and carriage return. A
+    // form feed where a space was is a syntax error at its own place.
+    let text = committed("synth-nosmt");
+    for at in text.match_indices(": ").map(|(i, _)| i + 1).step_by(97) {
+        let mutated = format!("{}\u{c}{}", &text[..at], &text[at + 1..]);
+        assert_eq!(read_both(&mutated), (false, false), "form feed at {at}");
+        let line = 1 + text[..at].matches('\n').count();
+        let column = at - text[..at].rfind('\n').map_or(0, |n| n + 1) + 1;
+        let place = format!("at line {line} column {column}");
+        let tree = serde_json::from_str::<Value>(&mutated).unwrap_err();
+        assert!(tree.to_string().ends_with(&place), "{tree} / {place}");
+        let loaded = desc::from_str_full(&mutated).unwrap_err();
+        assert!(loaded.to_string().ends_with(&place), "{loaded} / {place}");
+    }
+    assert!(serde_json::from_str::<Value>("{\"a\":\u{c}1}").is_err());
+}
+
+#[test]
+fn a_description_without_sockets_is_an_error_not_a_panic() {
+    // The minimal zero-socket description: every array of the topology
+    // empty. It parses, and validation rejects it.
+    let mut file: Value = serde_json::from_str(&committed("synth-nosmt")).unwrap();
+    let serde_json::InnerValue::Object(entries) = &mut file["topology"].0 else {
+        panic!("the topology is an object");
+    };
+    for (_, value) in entries.iter_mut() {
+        if let serde_json::InnerValue::Array(items) = value {
+            items.clear();
+        }
+    }
+    let text = serde_json::to_string(&file).unwrap();
+    assert_eq!(read_both(&text), (true, false));
+    match desc::from_str(&text).unwrap_err() {
+        mctop::McTopError::IrregularTopology(_) => {}
+        other => panic!("{other}"),
+    }
+}
+
+#[test]
 fn invalid_utf8_inside_and_outside_strings_is_an_io_error() {
     let text = committed("synth-nosmt");
     let in_string = text.find("synth-nosmt").unwrap();
