@@ -268,8 +268,15 @@ impl MachineSpec {
         if a == b {
             return 0;
         }
-        let la = self.loc(a);
-        let lb = self.loc(b);
+        self.true_latency_at(self.loc(a), self.loc(b))
+    }
+
+    /// [`MachineSpec::true_latency`] between two decoded contexts: the
+    /// one latency rule, for callers that keep each context's [`Loc`].
+    pub(crate) fn true_latency_at(&self, la: Loc, lb: Loc) -> u32 {
+        if la == lb {
+            return 0;
+        }
         if la.core == lb.core {
             return self.smt_latency;
         }

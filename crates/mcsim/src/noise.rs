@@ -68,6 +68,12 @@ impl NoiseCfg {
         }
     }
 
+    /// Whether [`NoiseCfg::apply`] draws nothing from its generator: no
+    /// jitter and no outliers, so a sample is a function of its input.
+    pub(crate) fn draws_nothing(&self) -> bool {
+        self.sigma_frac == 0.0 && self.outlier_prob == 0.0
+    }
+
     /// Applies jitter, outliers and quantization to a true latency.
     /// `gauss` must be a standard-normal-ish sample.
     pub fn apply<R: Rng>(&self, true_cycles: f64, rng: &mut R) -> u32 {

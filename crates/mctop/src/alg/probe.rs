@@ -411,13 +411,6 @@ impl ProbeStats {
         self.modeled_cycles() as f64 / (freq_ghz * 1e9)
     }
 
-    /// Modelled wall-clock seconds of the *parallel* schedule at the
-    /// given core frequency: the critical path through the disjoint
-    /// rounds rather than the total work.
-    pub fn modeled_parallel_seconds(&self, freq_ghz: f64) -> f64 {
-        self.critical_cycles as f64 / (freq_ghz * 1e9)
-    }
-
     /// Folds another run's statistics into this one (all counters are
     /// additive; critical-path cycles add because sequential phases
     /// concatenate — per-round maxima across workers are computed by
@@ -849,7 +842,16 @@ fn measure_one<P: Prober>(
 /// sums the samples in the order they were taken, before the median
 /// reorders them: a reordered floating-point sum can flip a borderline
 /// stdev gate.
+///
+/// Equal samples skip both passes. That is exact while their sum is:
+/// below 2^21 samples of a `u32` every partial sum fits an `f64`'s 53
+/// bits, so the mean is the value and the stdev `+0.0`, bit for bit.
 fn median_stdev(samples: &mut [u32]) -> (u32, f64) {
+    if let Some((&v, rest)) = samples.split_first() {
+        if samples.len() <= 1 << 21 && rest.iter().all(|&s| s == v) {
+            return (v, 0.0);
+        }
+    }
     let sd = stats::stdev(samples);
     (stats::median_u32(samples), sd)
 }
@@ -1337,6 +1339,41 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `median_stdev` against the two functions it stands for, bit for
+    /// bit, on all-equal and mixed slices.
+    #[test]
+    fn median_stdev_equals_median_and_stdev() {
+        let seeded = |seed: u64, len: usize| -> Vec<u32> {
+            (0..len)
+                .map(|i| mcsim::latency::stream_seed(seed, i as u64) as u32)
+                .collect()
+        };
+        let mut slices: Vec<Vec<u32>> = Vec::new();
+        for len in [1, 2, 3, 51, 2000] {
+            for v in [0, u32::MAX, seeded(len as u64, 1)[0]] {
+                slices.push(vec![v; len]);
+            }
+        }
+        for len in [2, 3, 51, 2000] {
+            slices.push(seeded(7, len));
+            slices.push(seeded(8, len).iter().map(|s| 300 + s % 3).collect());
+            // Equal but for one sample at the front, the middle or the end.
+            for at in [0, len / 2, len - 1] {
+                let mut s = vec![u32::MAX; len];
+                s[at] = u32::MAX - 1;
+                slices.push(s);
+            }
+        }
+        slices.push(vec![136, 136, 140, 140, 140]);
+        for (i, s) in slices.iter().enumerate() {
+            let want_sd = stats::stdev(s);
+            let want_median = stats::median_u32(&mut s.clone());
+            let (median, sd) = median_stdev(&mut s.clone());
+            assert_eq!(median, want_median, "slice {i}");
+            assert_eq!(sd.to_bits(), want_sd.to_bits(), "slice {i}");
         }
     }
 
