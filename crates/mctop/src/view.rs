@@ -1061,14 +1061,6 @@ impl TopoView {
         }
         min
     }
-
-    /// Estimated LLC share (bytes) for each of `k` threads on a socket
-    /// — policies like "each thread has access to at least 3 MB of LLC"
-    /// (Section 1) build on this.
-    pub fn llc_share_per_thread(&self, k: usize) -> Option<usize> {
-        let llc = self.topo.caches.as_ref()?.last()?;
-        Some(llc.size_estimate / k.max(1))
-    }
 }
 
 impl Deref for TopoView {

@@ -10,6 +10,18 @@
 //!
 //! The derive emits the externally-tagged enum representation the real
 //! serde would, so description files stay human-readable and stable.
+//! It writes each field key already quoted ([`Writer::ident_field`]):
+//! an identifier needs no escape, so no key is scanned for one.
+//!
+//! An array goes through two hidden provided methods,
+//! [`Serialize::write_json_slice`] and [`Deserialize::read_json_vec`],
+//! whose defaults are the element loop. The integers override both: a
+//! pretty integer array is written at its exact size in one loop, and
+//! read by one plain scan that takes only brackets, commas, whitespace
+//! and plain non-negative integers that fit. At anything else the scan
+//! leaves the cursor where it was and the element loop reads the array
+//! from its first byte, so values and errors are the element loop's by
+//! construction, and the element loop stays the oracle.
 
 use std::borrow::Cow;
 use std::io::Write as _;
@@ -86,12 +98,31 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Appends `self` to the writer.
     fn write_json(&self, w: &mut Writer);
+
+    /// Appends `items` as an array: what `Vec<Self>` writes. The
+    /// integers override it with a loop of their own; the text is the
+    /// same.
+    #[doc(hidden)]
+    fn write_json_slice(items: &[Self], w: &mut Writer)
+    where
+        Self: Sized,
+    {
+        w.items(items);
+    }
 }
 
 /// Deserialization from JSON text.
 pub trait Deserialize: Sized {
     /// Reads one value of `Self` at the reader's cursor.
     fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError>;
+
+    /// Reads an array of `Self`: what `Vec<Self>` reads. The integers
+    /// override it with a scan of their own that hands anything it does
+    /// not take to this loop, so values and errors are the same.
+    #[doc(hidden)]
+    fn read_json_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, DeError> {
+        r.items()
+    }
 }
 
 /// Reads `s` — one JSON value, whitespace around it — as a `T`.
@@ -110,6 +141,33 @@ pub fn from_json<T: Deserialize>(s: &str) -> Result<T, DeError> {
 /// committed description nests 6), so hostile input cannot exhaust the
 /// stack.
 const MAX_DEPTH: usize = 128;
+
+/// The first index at or after `i` that is not JSON whitespace: space,
+/// tab, line feed, carriage return (RFC 8259 §2; a form feed is not
+/// one). A run of spaces, a pretty text's indentation, is skipped eight
+/// bytes at a time.
+#[inline]
+fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
+    loop {
+        match bytes.get(i) {
+            Some(b' ') => match bytes
+                .get(i..i + 8)
+                .and_then(|w| <[u8; 8]>::try_from(w).ok())
+            {
+                // The spaces that open the word: a space is the only
+                // byte that XORs to zero, any other has fewer than eight
+                // trailing zeros. The first byte is one, so `i` moves.
+                Some(word) => {
+                    let word = u64::from_le_bytes(word) ^ 0x2020_2020_2020_2020;
+                    i += (word.trailing_zeros() / 8) as usize;
+                }
+                None => i += 1,
+            },
+            Some(b'\t' | b'\n' | b'\r') => i += 1,
+            _ => return i,
+        }
+    }
+}
 
 /// A number as written: a non-negative integer, a negative one, or
 /// anything else finite.
@@ -131,6 +189,69 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn new(s: &'a str) -> Self {
         Reader { s, i: 0, depth: 0 }
+    }
+
+    /// An array of `T`s, each read by its `read_json`.
+    fn items<T: Deserialize>(&mut self) -> Result<Vec<T>, DeError> {
+        let mut items = Vec::new();
+        self.array(|r| {
+            items.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
+
+    /// An array of plain non-negative integers (at most 19 digits, no
+    /// leading zero, no fraction or exponent), each of which `fit`
+    /// takes, read in one scan. At any other byte, or a value `fit`
+    /// refuses, it is `None` with the cursor unmoved: the caller then
+    /// reads the array through [`Reader::items`], which takes it or
+    /// says what is wrong with it, as if this scan had not run.
+    fn plain_ints<T>(&mut self, fit: impl Fn(u64) -> Option<T>) -> Option<Vec<T>> {
+        // At the cap the container loop refuses the array.
+        if self.depth >= MAX_DEPTH {
+            return None;
+        }
+        let bytes = self.s.as_bytes();
+        let ws = |i| skip_ws(bytes, i);
+        if bytes.get(self.i) != Some(&b'[') {
+            return None;
+        }
+        let mut i = ws(self.i + 1);
+        let mut items = Vec::new();
+        if bytes.get(i) == Some(&b']') {
+            self.i = i + 1;
+            return Some(items);
+        }
+        loop {
+            // The grammar of `Reader::number`'s plain integer. The value
+            // wraps only past 19 digits, which are refused.
+            let start = i;
+            let mut value = 0u64;
+            while let Some(&d @ b'0'..=b'9') = bytes.get(i) {
+                value = value.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                i += 1;
+            }
+            let len = i - start;
+            if len == 0 || len > 19 || (len > 1 && bytes[start] == b'0') {
+                return None;
+            }
+            items.push(fit(value)?);
+            // A `.`, `e` or `E` after the digits ends the scan here too.
+            let mut next = bytes.get(i);
+            if let Some(b' ' | b'\t' | b'\n' | b'\r') = next {
+                i = ws(i);
+                next = bytes.get(i);
+            }
+            match next {
+                Some(b',') => i = ws(i + 1),
+                Some(b']') => {
+                    self.i = i + 1;
+                    return Some(items);
+                }
+                _ => return None,
+            }
+        }
     }
 
     /// Reads an array; `item` reads each element.
@@ -289,12 +410,9 @@ impl<'a> Reader<'a> {
         self.s.as_bytes().get(self.i).copied()
     }
 
-    /// Skips JSON's whitespace: space, tab, line feed, carriage return
-    /// (RFC 8259 §2; a form feed is not one).
+    /// Skips the whitespace at the cursor.
     fn ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
-            self.i += 1;
-        }
+        self.i = skip_ws(self.s.as_bytes(), self.i);
     }
 
     fn word(&mut self, w: &str) -> Result<(), DeError> {
@@ -353,19 +471,36 @@ impl<'a> Reader<'a> {
             Some(b'f') => '\u{c}',
             Some(b'u') => {
                 // Exactly four hex digits (`from_str_radix` would take
-                // a sign); a lone surrogate is not a character.
-                let code = self
-                    .s
-                    .as_bytes()
-                    .get(self.i + 1..self.i + 5)
-                    .and_then(|hex| {
+                // a sign) after the `u` at `at`.
+                let hex4 = |at: usize| {
+                    self.s.as_bytes().get(at + 1..at + 5).and_then(|hex| {
                         hex.iter()
                             .try_fold(0u32, |code, &h| Some(code * 16 + (h as char).to_digit(16)?))
                     })
+                };
+                // A high surrogate is a character only together with the
+                // `\u` low surrogate right after it (RFC 8259 §7); alone,
+                // reversed or cut short it is no character at all.
+                let (code, len) = match hex4(self.i) {
+                    Some(high @ 0xd800..=0xdbff) => {
+                        let low = match self.s.as_bytes().get(self.i + 5..self.i + 7) {
+                            Some(b"\\u") => hex4(self.i + 6),
+                            _ => None,
+                        };
+                        match low {
+                            Some(low @ 0xdc00..=0xdfff) => {
+                                (Some(0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)), 10)
+                            }
+                            _ => (None, 4),
+                        }
+                    }
+                    code => (code, 4),
+                };
+                let c = code
                     .and_then(char::from_u32)
                     .ok_or_else(|| self.syntax("bad \\u escape"))?;
-                self.i += 4;
-                code
+                self.i += len;
+                c
             }
             _ => return Err(self.syntax("bad escape")),
         };
@@ -496,6 +631,61 @@ pub fn to_json<T: Serialize + ?Sized>(t: &T, pretty: bool, capacity: usize) -> S
 /// description nests six).
 const INDENT: &[u8] = b"\n                ";
 
+/// `00` to `99`, two bytes each.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// The number of decimal digits of `n`.
+#[inline]
+fn decimal_len(n: u64) -> usize {
+    let mut len = 1;
+    let mut bound = 10u64;
+    while len < 20 && n >= bound {
+        len += 1;
+        bound = bound.wrapping_mul(10);
+    }
+    len
+}
+
+/// Writes the decimal digits of `n` right-aligned into `out`, which
+/// holds exactly [`decimal_len`]`(n)` bytes.
+#[inline]
+fn put_decimal(out: &mut [u8], mut n: u64) {
+    let mut i = out.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        out[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        out[i - 2..i].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        out[i - 1] = b'0' + n as u8;
+    }
+}
+
+/// The bytes of integer `v`: a sign, then the digits of its magnitude.
+#[inline]
+fn int_len(v: i128) -> usize {
+    usize::from(v < 0) + decimal_len(v.unsigned_abs() as u64)
+}
+
+/// Writes integer `v` into `out`, which holds exactly [`int_len`]`(v)`
+/// bytes.
+#[inline]
+fn put_int(out: &mut [u8], v: i128) {
+    if v < 0 {
+        out[0] = b'-';
+    }
+    put_decimal(&mut out[usize::from(v < 0)..], v.unsigned_abs() as u64);
+}
+
 /// The JSON text under construction.
 pub struct Writer {
     out: Vec<u8>,
@@ -525,6 +715,67 @@ impl Writer {
         self.item();
         self.string(name);
         self.raw(if self.pretty { ": " } else { ":" });
+    }
+
+    /// [`Writer::field`] for a key given already quoted, and needing no
+    /// escape (a Rust identifier): what the derive writes.
+    #[doc(hidden)]
+    #[inline]
+    pub fn ident_field<T: Serialize + ?Sized>(&mut self, quoted: &str, value: &T) {
+        self.ident_key(quoted);
+        value.write_json(self);
+    }
+
+    /// [`Writer::key`] for a key given already quoted, and needing no
+    /// escape.
+    #[doc(hidden)]
+    #[inline]
+    pub fn ident_key(&mut self, quoted: &str) {
+        self.item();
+        self.raw(quoted);
+        self.raw(if self.pretty { ": " } else { ":" });
+    }
+
+    /// An array of `items`, each written by its `write_json`.
+    fn items<T: Serialize>(&mut self, items: &[T]) {
+        self.nest("[", "]", |w| {
+            for item in items {
+                w.item();
+                item.write_json(w);
+            }
+        });
+    }
+
+    /// A pretty, non-empty array of integers, in the bytes of
+    /// [`Writer::items`]: its size is counted first, then the buffer
+    /// grows once, filled with the indentation's spaces, and only the
+    /// brackets, commas, line breaks and digits are put in place.
+    fn int_items<T: Copy>(&mut self, items: &[T], wide: impl Fn(T) -> i128) {
+        debug_assert!(self.pretty && !items.is_empty());
+        // An element's `,`, line break and indentation.
+        let width = 2 + 2 * (self.depth + 1);
+        let digits: usize = items.iter().map(|&v| int_len(wide(v))).sum();
+        // A separator before each element (the first one's comma is the
+        // `[`), the digits, and the closing line break, indentation and
+        // `]`.
+        let len = items.len() * width + digits + (width - 2);
+        let start = self.out.len();
+        self.out.resize(start + len, b' ');
+        let out = &mut self.out[start..];
+        let mut at = width;
+        for &v in items {
+            out[at - width] = b',';
+            out[at - width + 1] = b'\n';
+            let v = wide(v);
+            let end = at + int_len(v);
+            put_int(&mut out[at..end], v);
+            at = end + width;
+        }
+        out[0] = b'[';
+        // The closing line break, after the last element.
+        out[at - width] = b'\n';
+        out[len - 1] = b']';
+        self.empty = false;
     }
 
     #[inline]
@@ -599,21 +850,9 @@ impl Writer {
     #[inline]
     fn int(&mut self, v: i128) {
         let mut buf = [0u8; 21];
-        let mut i = buf.len();
-        let mut n = v.unsigned_abs() as u64;
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        if v < 0 {
-            i -= 1;
-            buf[i] = b'-';
-        }
-        self.out.extend_from_slice(&buf[i..]);
+        let len = int_len(v);
+        put_int(&mut buf[..len], v);
+        self.out.extend_from_slice(&buf[..len]);
     }
 }
 
@@ -622,6 +861,14 @@ macro_rules! impl_int {
         impl Serialize for $t {
             fn write_json(&self, w: &mut Writer) {
                 w.int(*self as i128);
+            }
+
+            fn write_json_slice(items: &[Self], w: &mut Writer) {
+                if w.pretty && !items.is_empty() {
+                    w.int_items(items, |v| v as i128);
+                } else {
+                    w.items(items);
+                }
             }
         }
         impl Deserialize for $t {
@@ -635,6 +882,13 @@ macro_rules! impl_int {
                     Number::F(_) => return Err(DeError::new(concat!("expected ", stringify!($t)))),
                 };
                 fits.ok_or_else(|| DeError::new(concat!("integer out of range for ", stringify!($t))))
+            }
+
+            fn read_json_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, DeError> {
+                match r.plain_ints(|n| <$t>::try_from(n).ok()) {
+                    Some(items) => Ok(items),
+                    None => r.items(),
+                }
             }
         }
     )*};
@@ -725,23 +979,13 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn write_json(&self, w: &mut Writer) {
-        w.nest("[", "]", |w| {
-            for item in self {
-                w.item();
-                item.write_json(w);
-            }
-        });
+        T::write_json_slice(self, w);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
-        let mut items = Vec::new();
-        r.array(|r| {
-            items.push(T::read_json(r)?);
-            Ok(())
-        })?;
-        Ok(items)
+        T::read_json_vec(r)
     }
 }
 

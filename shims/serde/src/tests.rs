@@ -349,3 +349,281 @@ fn floats_and_indents_print_as_core_fmt_would() {
     }
     assert_eq!(text, want);
 }
+
+#[test]
+fn a_surrogate_pair_escape_is_one_character() {
+    for (text, want) in [
+        (r#""\ud83d\ude00""#, "\u{1F600}"),
+        (r#""\uD83D\uDE00""#, "\u{1F600}"),
+        (r#""a\ud83d\ude00b\n""#, "a\u{1F600}b\n"),
+        (r#""\ud800\udc00""#, "\u{10000}"),
+        (r#""\udbff\udfff""#, "\u{10FFFF}"),
+        (r#""\ud83d\ude00\ud83d\ude00""#, "\u{1F600}\u{1F600}"),
+    ] {
+        assert_eq!(from_json::<String>(text).unwrap(), want, "{text}");
+        assert_eq!(from_json::<Value>(text).unwrap(), Value::Str(want.into()));
+        assert_eq!(Reader::new(text).skip().unwrap(), text);
+        // As a key too.
+        let object = format!("{{{text}: 1}}");
+        assert_eq!(
+            from_json::<Value>(&object).unwrap(),
+            Value::Object(vec![(want.into(), Value::U64(1))])
+        );
+    }
+    // A surrogate that is not half of a pair, in order, is no character:
+    // the error is where it was before pairs were read, at the first
+    // escape's `u`.
+    for text in [
+        r#""\ud83d""#,
+        r#""\ud83dx""#,
+        r#""\ud83d\n""#,
+        r#""\ud83dA""#,
+        r#""\ud83d\ud83d""#,
+        r#""\ude00""#,
+        r#""\ude00\ud83d""#,
+        r#""\ud83d\ude0""#,
+        r#""\ud83d\ude0x""#,
+        r#""\ud83d\u""#,
+        r#""\ud83d\"#,
+        r#""\ud83d"#,
+    ] {
+        assert_eq!(
+            error::<String>(text),
+            "bad \\u escape at line 1 column 3",
+            "{text}"
+        );
+        assert!(Reader::new(text).skip().is_err(), "{text}");
+    }
+    assert_eq!(
+        error::<Value>(r#"["ok", "x\udfff"]"#),
+        "bad \\u escape at line 1 column 11"
+    );
+}
+
+/// An integer read and written through the generic element loop: what
+/// `Vec<T>` did before the integers had a loop of their own.
+#[derive(Debug, PartialEq)]
+struct Generic<T>(T);
+
+impl<T: Serialize> Serialize for Generic<T> {
+    fn write_json(&self, w: &mut super::Writer) {
+        self.0.write_json(w);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Generic<T> {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, super::DeError> {
+        T::read_json(r).map(Generic)
+    }
+}
+
+/// `items` written at nesting depth `depth`.
+fn written_at<T: Serialize>(items: &Vec<T>, pretty: bool, depth: usize) -> String {
+    let mut w = super::Writer {
+        out: Vec::new(),
+        pretty,
+        depth,
+        empty: true,
+    };
+    items.write_json(&mut w);
+    assert!(!w.empty);
+    String::from_utf8(w.out).unwrap()
+}
+
+/// `text` (whitespace around it) read as a `Vec<T>` at nesting depth
+/// `depth`: the value or the error, and where the cursor stopped.
+fn read_at<T: Deserialize>(text: &str, depth: usize) -> (Result<Vec<T>, String>, usize) {
+    let mut r = Reader::new(text);
+    r.depth = depth;
+    r.ws();
+    let read = Vec::<T>::read_json(&mut r).map_err(|e| e.to_string());
+    assert_eq!(r.depth, depth, "{text:?}");
+    (read, r.i)
+}
+
+/// Tokens that a plain-integer scan must not take, in the place of one
+/// element.
+const NOT_PLAIN: [&str; 18] = [
+    "-0",
+    "-5",
+    "1.0",
+    "1e2",
+    "1E2",
+    "007",
+    "0.5",
+    "18446744073709551616",
+    "12345678901234567890",
+    "99999999999999999999",
+    "300",
+    "65536",
+    "-129",
+    "\"7\"",
+    "null",
+    "[1]",
+    "",
+    "+1",
+];
+
+/// Array texts around `values`: well-formed in several layouts, then
+/// with each entry of [`NOT_PLAIN`] put in place of an element, then
+/// broken: a trailing comma, a missing `]`, every truncation.
+fn array_texts(values: &[String]) -> Vec<String> {
+    let mut texts = vec![
+        format!("[{}]", values.join(",")),
+        format!("[ {} ]", values.join(" , ")),
+        format!("[\t{}\r\n]", values.join(",\r\n\t")),
+        format!("[\n  {}\n]", values.join(",\n  ")),
+    ];
+    let some = if values.is_empty() {
+        vec!["1".to_string()]
+    } else {
+        values.to_vec()
+    };
+    for token in NOT_PLAIN {
+        for at in [0, some.len() / 2, some.len() - 1] {
+            let mut injected = some.clone();
+            injected[at] = token.to_string();
+            texts.push(format!("[{}]", injected.join(", ")));
+        }
+    }
+    let full = format!("[{}]", some.join(", "));
+    texts.push(format!("[{},]", some.join(", ")));
+    texts.push(format!("[{} ,\n]", some.join(", ")));
+    texts.push(format!("[{}", some.join(", ")));
+    texts.push(format!("[{} 1]", some.join(", ")));
+    texts.push(format!("[{};]", some.join(", ")));
+    texts.push(format!("[,{}]", some.join(", ")));
+    texts.push("[1,\u{c}2]".to_string());
+    texts.push(format!("{full} trailing"));
+    texts.extend((0..full.len()).map(|cut| full[..cut].to_string()));
+    texts
+}
+
+macro_rules! integer_array_oracle {
+    ($($name:ident: $t:ty,)*) => {$(
+        #[test]
+        fn $name() {
+            // Every digit count, both sides of each power of ten, the
+            // extremes, and a seeded spread.
+            let mut values: Vec<$t> = vec![<$t>::MIN, <$t>::MAX, 0, 1];
+            let mut p = 1i128;
+            for _ in 0..20 {
+                p *= 10;
+                for v in [p - 1, p, p + 1, -(p - 1), -p] {
+                    values.extend(<$t>::try_from(v));
+                }
+            }
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                values.push(x as $t);
+                values.push((x % 1000) as $t);
+            }
+            for len in [0, 1, 2, values.len()] {
+                let items = values[..len].to_vec();
+                let generic: Vec<Generic<$t>> = items.iter().copied().map(Generic).collect();
+                for pretty in [false, true] {
+                    for depth in 0..=12 {
+                        // The writer: the same bytes.
+                        let text = written_at(&items, pretty, depth);
+                        assert_eq!(text, written_at(&generic, pretty, depth), "{len} {pretty} {depth}");
+                        // The reader, on what the writer wrote.
+                        let (read, end) = read_at::<$t>(&text, depth);
+                        assert_eq!((read, end), (Ok(items.clone()), text.len()));
+                    }
+                }
+                // The reader on hand-made texts: the same value or the
+                // same error, and the cursor in the same place.
+                let words: Vec<String> = items.iter().map(|v| v.to_string()).collect();
+                for text in array_texts(&words) {
+                    for depth in [0, 1, 8, super::MAX_DEPTH - 1, super::MAX_DEPTH] {
+                        let (fast, fast_end) = read_at::<$t>(&text, depth);
+                        let (slow, slow_end) = read_at::<Generic<$t>>(&text, depth);
+                        let slow = slow.map(|v| v.into_iter().map(|g| g.0).collect());
+                        assert_eq!(fast, slow, "{text:?} at depth {depth}");
+                        assert_eq!(fast_end, slow_end, "{text:?} at depth {depth}");
+                    }
+                }
+            }
+        }
+    )*};
+}
+
+integer_array_oracle! {
+    u8_arrays_read_and_write_as_the_element_loop_does: u8,
+    u16_arrays_read_and_write_as_the_element_loop_does: u16,
+    u32_arrays_read_and_write_as_the_element_loop_does: u32,
+    u64_arrays_read_and_write_as_the_element_loop_does: u64,
+    usize_arrays_read_and_write_as_the_element_loop_does: usize,
+    i8_arrays_read_and_write_as_the_element_loop_does: i8,
+    i16_arrays_read_and_write_as_the_element_loop_does: i16,
+    i32_arrays_read_and_write_as_the_element_loop_does: i32,
+    i64_arrays_read_and_write_as_the_element_loop_does: i64,
+    isize_arrays_read_and_write_as_the_element_loop_does: isize,
+}
+
+#[test]
+fn integer_arrays_nested_in_containers_match_the_element_loop() {
+    let nested: Vec<Vec<Vec<u32>>> = vec![vec![], vec![vec![], vec![7]], vec![vec![1, 20, 300]]];
+    let generic: Vec<Vec<Vec<Generic<u32>>>> = nested
+        .iter()
+        .map(|a| {
+            a.iter()
+                .map(|b| b.iter().copied().map(Generic).collect())
+                .collect()
+        })
+        .collect();
+    for pretty in [false, true] {
+        let text = to_json(&nested, pretty, 0);
+        assert_eq!(text, to_json(&generic, pretty, 0));
+        assert_eq!(from_json::<Vec<Vec<Vec<u32>>>>(&text).unwrap(), nested);
+    }
+    // Below the nesting cap the array is read; at it, refused.
+    assert_eq!(
+        read_at::<u8>("[1, 2]", super::MAX_DEPTH - 1),
+        (Ok(vec![1, 2]), 6)
+    );
+    assert_eq!(
+        read_at::<u8>("[1, 2]", super::MAX_DEPTH),
+        (Err("nesting deeper than 128 at line 1 column 1".into()), 0)
+    );
+}
+
+#[test]
+fn whitespace_is_skipped_as_one_byte_at_a_time_would() {
+    let one_at_a_time = |bytes: &[u8], mut i: usize| {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(i) {
+            i += 1;
+        }
+        i
+    };
+    // Runs of every length up to past a word, of spaces alone and mixed
+    // with the other three, ending in a non-space (a form feed and `!`,
+    // `@` and `` ` ``, which differ from a space in one bit) or at the
+    // end of the text.
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..20_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let len = (x % 24) as usize;
+        let mut text: Vec<u8> = (0..len)
+            .map(|k| match (x >> (k % 60)) % 16 {
+                0 => b'\t',
+                1 => b'\n',
+                2 => b'\r',
+                _ => b' ',
+            })
+            .collect();
+        text.extend_from_slice(&[b'\x0c', b'!', b'@', b'`', b'0'][..(x >> 61) as usize % 6]);
+        for start in 0..=text.len() {
+            assert_eq!(
+                super::skip_ws(&text, start),
+                one_at_a_time(&text, start),
+                "{text:?} from {start}"
+            );
+        }
+    }
+}

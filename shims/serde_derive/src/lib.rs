@@ -145,11 +145,13 @@ fn variants(stream: TokenStream) -> Vec<Variant> {
 }
 
 /// `__w.object(..)` writing `fields`, each value expression produced by
-/// `access` (already a reference).
+/// `access` (already a reference). A key is an identifier, which needs
+/// no escape, so it is written quoted here rather than scanned for
+/// escapes on every write.
 fn write_fields(fields: &[String], access: impl Fn(&str) -> String) -> String {
     let entries: String = fields
         .iter()
-        .map(|f| format!("__w.field(\"{f}\", {});", access(f)))
+        .map(|f| format!("__w.ident_field(\"\\\"{f}\\\"\", {});", access(f)))
         .collect();
     format!("__w.object(|__w| {{ {entries} }})")
 }
@@ -176,7 +178,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         let bind = fields.join(", ");
                         let inner = write_fields(fields, |f| f.to_string());
                         format!(
-                            "{name}::{v} {{ {bind} }} => __w.object(|__w| {{ __w.key(\"{v}\"); {inner} }}),"
+                            "{name}::{v} {{ {bind} }} => __w.object(|__w| {{ __w.ident_key(\"\\\"{v}\\\"\"); {inner} }}),"
                         )
                     }
                 })
