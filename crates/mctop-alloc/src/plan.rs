@@ -111,9 +111,10 @@ impl AllocPlan {
         let pages = cfg.bytes_per_worker.div_ceil(cfg.page_size);
         let bytes_per_worker = pages * cfg.page_size;
         let order = placement.order();
+        let topo = view.topo();
 
         // First placed worker on each node, for first-touch delegation.
-        let mut first_on_node: Vec<Option<usize>> = vec![None; view.num_nodes()];
+        let mut first_on_node: Vec<Option<usize>> = vec![None; topo.num_nodes()];
         for (w, &hwc) in order.iter().enumerate() {
             if let Some(node) = view.node_of(hwc) {
                 first_on_node[node].get_or_insert(w);
@@ -124,14 +125,14 @@ impl AllocPlan {
         // they are apportioned once per socket, on its first use: the
         // first failing socket in placement order names the error.
         let mut shares: Vec<Option<Vec<(usize, usize)>>> = vec![None; view.num_sockets()];
-        let mut node_pages = vec![0u64; view.num_nodes()];
+        let mut node_pages = vec![0u64; topo.num_nodes()];
         let mut arenas = Vec::with_capacity(order.len());
         for (worker, &hwc) in order.iter().enumerate() {
             let socket = view.socket_of(hwc);
             let share = match &mut shares[socket] {
                 Some(share) => share,
                 slot => {
-                    let weights = policy.socket_weights(view, socket)?;
+                    let weights = policy.socket_weights(topo, socket)?;
                     let per_node = apportion(pages, &weights);
                     slot.insert(
                         per_node
@@ -165,17 +166,17 @@ impl AllocPlan {
         let saturation = (0..view.num_sockets())
             .map(|s| SocketSaturation {
                 socket: s,
-                local_node: view.sockets[s].local_node,
-                threads: saturation_threads(view, s),
+                local_node: topo.sockets[s].local_node,
+                threads: saturation_threads(topo, s),
             })
             .collect();
 
         let plan = AllocPlan {
             policy: policy.clone(),
-            machine: view.name.clone(),
+            machine: topo.name.clone(),
             bytes_per_worker,
             page_size: cfg.page_size,
-            nodes: view.num_nodes(),
+            nodes: topo.num_nodes(),
             arenas,
             saturation,
         };
@@ -403,7 +404,7 @@ mod tests {
         let plan =
             AllocPlan::resolve(&v, &p, &AllocPolicy::BwProportional, &AllocCfg::default()).unwrap();
         for arena in &plan.arenas {
-            let bws = &v.sockets[arena.socket].mem_bandwidths;
+            let bws = &v.topo().sockets[arena.socket].mem_bandwidths;
             let wsum: f64 = bws.iter().sum();
             let psum: f64 = arena.stripes.iter().map(|s| s.pages as f64).sum();
             for stripe in &arena.stripes {

@@ -114,7 +114,7 @@ fn query_metrics(view: &TopoView) -> Result<(), CliError> {
     // --- prober activity: one plain and one adaptive noiseless
     // inference of the same machine, when the description names a
     // simulated model (a plain *.mct.json file has no prober to run).
-    if let Some(spec) = mcsim::presets::by_name(&view.name) {
+    if let Some(spec) = mcsim::presets::by_name(&view.topo().name) {
         let mut prober = mctop::backend::SimProber::noiseless(&spec);
         let inf = mctop::alg::run_full(&mut prober, &mctop::ProbeConfig::fast(), 1)?;
         handle.record_probe_stats(&inf.stats);

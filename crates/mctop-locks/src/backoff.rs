@@ -76,7 +76,7 @@ mod tests {
         // Whole machine.
         let all: Vec<usize> = (0..v.num_hwcs()).collect();
         assert_eq!(BackoffCfg::from_view(&v, &all).quantum_cycles, 308);
-        assert_eq!(v.max_latency(), 308);
+        assert_eq!(v.topo().max_latency(), 308);
     }
 
     #[test]

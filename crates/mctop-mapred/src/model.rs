@@ -136,7 +136,7 @@ pub fn exec_time_alloc(
     // = the socket's local bandwidth, the legacy ad-hoc node math).
     let mut threads_on = vec![0usize; topo.num_sockets()];
     for &h in hwcs {
-        threads_on[topo.socket_of(h)] += 1;
+        threads_on[topo.hwcs[h].socket] += 1;
     }
     let mut bw_supply = 0.0f64;
     for (s, &threads) in threads_on.iter().enumerate().filter(|(_, &t)| t > 0) {
@@ -202,7 +202,7 @@ pub fn best_time_view(
     p: &Profile,
 ) -> (f64, Placement) {
     let total = view.num_hwcs();
-    let cores = view.num_cores();
+    let cores = view.topo().num_cores();
     let mut candidates = vec![cores / 2, cores, (cores + total) / 2, total];
     candidates.retain(|&c| c >= 1 && c <= total);
     candidates.dedup();
@@ -211,7 +211,7 @@ pub fn best_time_view(
         let Ok(place) = Placement::with_view(view, policy, PlaceOpts::threads(threads)) else {
             continue;
         };
-        let t = exec_time(spec, view, &place, p);
+        let t = exec_time(spec, view.topo(), &place, p);
         if best.as_ref().is_none_or(|(bt, _)| t < *bt) {
             best = Some((t, place));
         }
@@ -270,8 +270,9 @@ pub fn fig10_platform(spec: &MachineSpec, topo: &Mctop) -> Vec<Fig10Bar> {
 
 /// Best placement by *energy* under the POWER policy.
 fn best_energy(spec: &MachineSpec, view: &TopoView, p: &Profile) -> (f64, Placement) {
+    let topo = view.topo();
     let total = view.num_hwcs();
-    let cores = view.num_cores();
+    let cores = topo.num_cores();
     let mut candidates = vec![cores / 2, cores, (cores + total) / 2, total];
     candidates.retain(|&c| c >= 1 && c <= total);
     candidates.dedup();
@@ -281,8 +282,8 @@ fn best_energy(spec: &MachineSpec, view: &TopoView, p: &Profile) -> (f64, Placem
         else {
             continue;
         };
-        let t = exec_time(spec, view, &place, p);
-        let e = execution_energy(view, place.order(), t, true).expect("power measured");
+        let t = exec_time(spec, topo, &place, p);
+        let e = execution_energy(topo, place.order(), t, true).expect("power measured");
         if best.as_ref().is_none_or(|(be, _, _)| e < *be) {
             best = Some((e, t, place));
         }

@@ -12,7 +12,6 @@ use std::sync::atomic::{
 };
 
 use mctop::view::TopoView;
-use mctop::Mctop;
 
 use crate::policy::Policy;
 
@@ -346,7 +345,8 @@ fn build_stats(
 ) -> PlaceStats {
     // Contexts per core; contexts and distinct cores per socket; the
     // sockets in first-use order.
-    let mut on_core = vec![0usize; view.num_cores()];
+    let topo = view.topo();
+    let mut on_core = vec![0usize; topo.num_cores()];
     let mut on_socket = vec![(0usize, 0usize); view.num_sockets()];
     let mut sockets = Vec::new();
     for &h in order {
@@ -365,7 +365,7 @@ fn build_stats(
         .iter()
         .map(|&c| c as f64 / total as f64)
         .collect();
-    let (pow_no_dram, pow_with_dram) = match &view.power {
+    let (pow_no_dram, pow_with_dram) = match &topo.power {
         Some(p) => {
             // `PowerInfo::estimate` of each used socket's contexts alone,
             // in its summation order (all sockets' base, then the used
@@ -374,7 +374,7 @@ fn build_stats(
             let mut watts = vec![view.num_sockets() as f64 * p.socket_base_w; view.num_sockets()];
             for (c, &n) in on_core.iter().enumerate() {
                 if n > 0 {
-                    let s = view.socket_of(view.groups[view.cores[c]].hwcs[0]);
+                    let s = view.socket_of(topo.groups[topo.cores[c]].hwcs[0]);
                     watts[s] += p.first_ctx_w + (n - 1) as f64 * p.second_ctx_w;
                 }
             }
@@ -412,6 +412,7 @@ fn policy_order(
     policy: Policy,
     n_sockets: Option<usize>,
 ) -> Result<Vec<usize>, PlaceError> {
+    let topo = view.topo();
     let all = || (0..view.num_hwcs()).collect::<Vec<usize>>();
     let mut socket_order: &[usize] = view.socket_order_bandwidth_proximity();
     if let Some(k) = n_sockets {
@@ -431,10 +432,10 @@ fn policy_order(
             // All unique cores of all used sockets, then second+
             // contexts.
             let mut out = Vec::new();
-            for round in 0..view.smt() {
+            for round in 0..topo.smt() {
                 for &s in socket_order {
-                    for &cg in &view.sockets[s].cores {
-                        if let Some(&h) = view.groups[cg].hwcs.get(round) {
+                    for &cg in &topo.sockets[s].cores {
+                        if let Some(&h) = topo.groups[cg].hwcs.get(round) {
                             out.push(h);
                         }
                     }
@@ -469,10 +470,9 @@ fn policy_order(
             round_robin(&per_socket)
         }
         Policy::Power => {
-            let power = view.power.as_ref().ok_or(PlaceError::PowerUnavailable)?;
+            let power = topo.power.as_ref().ok_or(PlaceError::PowerUnavailable)?;
             // Greedy: repeatedly add the context with the smallest
             // marginal power (ties toward lower OS ids).
-            let topo: &Mctop = view;
             let mut chosen: Vec<usize> = Vec::new();
             let mut remaining = all();
             while !remaining.is_empty() {
@@ -496,7 +496,7 @@ fn policy_order(
             let caps: Vec<usize> = socket_order
                 .iter()
                 .map(|&s| {
-                    view.sockets[s]
+                    topo.sockets[s]
                         .threads_to_saturate()
                         .ok_or(PlaceError::BandwidthUnavailable)
                 })
@@ -610,7 +610,7 @@ mod tests {
         let p = Placement::with_view(&t, Policy::ConCore, PlaceOpts::threads(20)).unwrap();
         // 20 threads on 20 distinct cores (both sockets), no SMT
         // doubling.
-        let mut cores: Vec<usize> = p.order().iter().map(|&h| t.hwcs[h].core).collect();
+        let mut cores: Vec<usize> = p.order().iter().map(|&h| t.core_of(h)).collect();
         cores.sort_unstable();
         cores.dedup();
         assert_eq!(cores.len(), 20);
@@ -630,7 +630,7 @@ mod tests {
             .iter()
             .all(|&h| t.socket_of(h) != first_socket));
         // Within the first 10: unique cores.
-        let mut cores: Vec<usize> = p.order()[..10].iter().map(|&h| t.hwcs[h].core).collect();
+        let mut cores: Vec<usize> = p.order()[..10].iter().map(|&h| t.core_of(h)).collect();
         cores.dedup();
         assert_eq!(cores.len(), 10);
     }
@@ -659,7 +659,7 @@ mod tests {
         assert_ne!(sockets[0], sockets[1]);
         // RR_CORE uses unique cores for the first #cores threads.
         let p_full = Placement::with_view(&t, Policy::RrCore, PlaceOpts::threads(20)).unwrap();
-        let mut cores: Vec<usize> = p_full.order().iter().map(|&h| t.hwcs[h].core).collect();
+        let mut cores: Vec<usize> = p_full.order().iter().map(|&h| t.core_of(h)).collect();
         cores.sort_unstable();
         cores.dedup();
         assert_eq!(cores.len(), 20);
@@ -673,7 +673,7 @@ mod tests {
         // share a core... but round-robin interleaves sockets, so slots
         // 0 and 2 share a core.
         let o = p.order();
-        assert_eq!(t.hwcs[o[0]].core, t.hwcs[o[2]].core);
+        assert_eq!(t.core_of(o[0]), t.core_of(o[2]));
         assert_ne!(t.socket_of(o[0]), t.socket_of(o[1]));
     }
 
@@ -687,7 +687,7 @@ mod tests {
         assert_eq!(s.sockets.len(), 1);
         assert_eq!(s.n_cores, 10);
         // The very first two threads share a core.
-        assert_eq!(t.hwcs[p.order()[0]].core, t.hwcs[p.order()[1]].core);
+        assert_eq!(t.core_of(p.order()[0]), t.core_of(p.order()[1]));
     }
 
     #[test]
@@ -757,7 +757,7 @@ mod tests {
         p.unpin(h1);
         let h3 = p.pin().unwrap();
         assert_eq!(h3.hwc, h1.hwc);
-        assert_eq!(h3.local_node, t.get_local_node(h3.hwc));
+        assert_eq!(h3.local_node, t.topo().get_local_node(h3.hwc));
     }
 
     #[test]
@@ -807,7 +807,7 @@ mod tests {
             .iter()
             .map(|&c| c as f64 / total as f64)
             .collect();
-        let (pow_no_dram, pow_with_dram) = match &view.power {
+        let (pow_no_dram, pow_with_dram) = match &view.topo().power {
             Some(p) => {
                 let per_socket = |with_dram: bool| -> Vec<f64> {
                     sockets
@@ -818,7 +818,7 @@ mod tests {
                                 .copied()
                                 .filter(|&h| view.socket_of(h) == s)
                                 .collect();
-                            p.estimate(view, &on_socket, with_dram)
+                            p.estimate(view.topo(), &on_socket, with_dram)
                                 - (view.num_sockets() - 1) as f64 * p.socket_base_w
                         })
                         .collect()
@@ -855,11 +855,11 @@ mod tests {
         let mut with_power = 0;
         for name in names {
             let view = registry.view(&name).unwrap();
-            with_power += usize::from(view.power.is_some());
-            let (cores, contexts) = (view.num_cores(), view.num_hwcs());
+            with_power += usize::from(view.topo().power.is_some());
+            let (cores, contexts) = (view.topo().num_cores(), view.num_hwcs());
             let threads = [
                 1,
-                view.smt(),
+                view.topo().smt(),
                 cores / view.num_sockets(),
                 cores,
                 contexts - 1,

@@ -146,7 +146,7 @@ pub fn predict_with_view(
 /// never silently priced like `Local`.
 pub fn predict_alloc(
     spec: &MachineSpec,
-    topo: &TopoView,
+    view: &TopoView,
     algo: SortAlgo,
     n_threads: usize,
     cfg: &SortModelCfg,
@@ -171,7 +171,7 @@ pub fn predict_alloc(
     };
     let cpu_pass_s = e * merge_cycles / (f_hz * p);
 
-    let sockets_used = topo.num_sockets().min(n_threads).max(1);
+    let sockets_used = view.num_sockets().min(n_threads).max(1);
     let threads_per_socket = (n_threads as f64 / sockets_used as f64).max(1.0);
     // What each socket can stream against buffers striped per the
     // allocation policy (LOCAL = the socket's local bandwidth, i.e. the
@@ -179,9 +179,9 @@ pub fn predict_alloc(
     // Precomputed once: topology and policy are fixed for the call.
     // Only LOCAL keeps the legacy fallback for an unmeasured local
     // bandwidth; policy errors propagate instead of pricing as LOCAL.
-    let socket_bw: Vec<f64> = (0..topo.num_sockets())
+    let socket_bw: Vec<f64> = (0..view.num_sockets())
         .map(
-            |s| match mctop_alloc::model::socket_policy_bandwidth(topo, s, alloc) {
+            |s| match mctop_alloc::model::socket_policy_bandwidth(view.topo(), s, alloc) {
                 Ok(bw) => Ok(bw * 1e9),
                 Err(_) if matches!(alloc, AllocPolicy::Local) => Ok(spec.mem.local_bandwidth * 1e9),
                 Err(e) => Err(e),
@@ -196,9 +196,9 @@ pub fn predict_alloc(
             // log2(p) passes; every pass moves all data. Random
             // placement: with probability 1/S the two runs share a
             // socket, otherwise the merge streams over a random link.
-            let s = topo.num_sockets() as f64;
-            let avg_local: f64 = (0..topo.num_sockets()).map(local_bw).sum::<f64>() / s;
-            let links = &topo.links;
+            let s = view.num_sockets() as f64;
+            let avg_local: f64 = (0..view.num_sockets()).map(local_bw).sum::<f64>() / s;
+            let links = &view.topo().links;
             let avg_link: f64 = if links.is_empty() {
                 avg_local
             } else {
@@ -222,7 +222,7 @@ pub fn predict_alloc(
         SortAlgo::Mctop | SortAlgo::MctopSse => {
             // Intra-socket passes: each socket reduces its own chunks at
             // local bandwidth, all sockets in parallel.
-            let min_local = (0..topo.num_sockets())
+            let min_local = (0..view.num_sockets())
                 .map(local_bw)
                 .fold(f64::INFINITY, f64::min);
             let mut runs_per_socket = threads_per_socket.round().max(1.0) as usize;
@@ -237,8 +237,8 @@ pub fn predict_alloc(
             // bandwidth for the amount that is already local).
             let sockets: Vec<usize> = (0..sockets_used).collect();
             if sockets.len() > 1 {
-                let tree = MergeTree::build(topo, &sockets, 0);
-                let mut run_elems = vec![0.0f64; topo.num_sockets()];
+                let tree = MergeTree::build(view, &sockets, 0);
+                let mut run_elems = vec![0.0f64; view.num_sockets()];
                 for &s in &sockets {
                     run_elems[s] = e / sockets.len() as f64;
                 }

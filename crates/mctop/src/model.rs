@@ -331,21 +331,6 @@ impl Mctop {
         self.sockets[self.hwcs[hwc].socket].local_node
     }
 
-    /// Hardware contexts of a socket.
-    pub fn socket_get_hwcs(&self, socket: usize) -> &[usize] {
-        &self.sockets[socket].hwcs
-    }
-
-    /// The socket of a context.
-    pub fn socket_of(&self, hwc: usize) -> usize {
-        self.hwcs[hwc].socket
-    }
-
-    /// The core group of a context.
-    pub fn core_of(&self, hwc: usize) -> &HwcGroup {
-        &self.groups[self.hwcs[hwc].core_group_id(self)]
-    }
-
     /// The interconnect link record for a socket pair.
     pub fn link(&self, a: usize, b: usize) -> Option<&InterconnectLink> {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
@@ -396,13 +381,6 @@ impl Mctop {
             self.num_nodes(),
             self.levels.len()
         )
-    }
-}
-
-impl HwContext {
-    /// The group id (arena index) of this context's core.
-    fn core_group_id(&self, topo: &Mctop) -> usize {
-        topo.cores[self.core]
     }
 }
 

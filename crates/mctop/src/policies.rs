@@ -29,9 +29,10 @@ use crate::view::TopoView;
 /// One hardware context per core, machine-wide, in core order
 /// (the "avoid SMT siblings" policy).
 pub fn one_hwc_per_core(view: &TopoView) -> Vec<usize> {
-    view.cores
+    let topo = view.topo();
+    topo.cores
         .iter()
-        .map(|&cg| view.groups[cg].hwcs[0])
+        .map(|&cg| topo.groups[cg].hwcs[0])
         .collect()
 }
 
@@ -67,7 +68,7 @@ pub fn threads_on_remote_sockets_with_llc(
     llc_per_thread: usize,
 ) -> Option<Vec<usize>> {
     let (a, b) = two_most_remote_sockets(view)?;
-    let llc = view.caches.as_ref()?.last()?.size_estimate;
+    let llc = view.topo().caches.as_ref()?.last()?.size_estimate;
     if llc_per_thread == 0 {
         return None;
     }
@@ -84,10 +85,11 @@ pub fn threads_on_remote_sockets_with_llc(
 /// The `n` cores closest to the core of context `x`, by communication
 /// latency (excluding `x`'s own core); ties toward lower core ids.
 pub fn closest_cores_to(view: &TopoView, x: usize, n: usize) -> Vec<usize> {
+    let topo = view.topo();
     let my_core = view.core_of(x);
-    let mut others: Vec<usize> = (0..view.num_cores()).filter(|&c| c != my_core).collect();
+    let mut others: Vec<usize> = (0..topo.num_cores()).filter(|&c| c != my_core).collect();
     others.sort_by_key(|&c| {
-        let rep = view.groups[view.cores[c]].hwcs[0];
+        let rep = topo.groups[topo.cores[c]].hwcs[0];
         (view.get_latency(x, rep), c)
     });
     others.truncate(n);
@@ -192,12 +194,13 @@ mod tests {
         // that core must come first.
         let order = closest_cores_to(&v, 0, 4);
         assert_eq!(order.len(), 4);
-        let first_rep = v.groups[v.cores[order[0]]].hwcs[0];
+        let topo = v.topo();
+        let first_rep = topo.groups[topo.cores[order[0]]].hwcs[0];
         assert_eq!(v.get_latency(0, first_rep), 55);
         // And no remote-socket core before a local one.
         let sockets: Vec<usize> = order
             .iter()
-            .map(|&c| v.groups[v.cores[c]].hwcs[0])
+            .map(|&c| topo.groups[topo.cores[c]].hwcs[0])
             .map(|h| v.socket_of(h))
             .collect();
         assert_eq!(sockets, vec![0, 0, 0, 0]);

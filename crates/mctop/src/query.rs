@@ -46,19 +46,19 @@ mod tests {
     #[test]
     fn closest_sockets_on_opteron_prefers_mcm_partner() {
         let t = infer(&presets::opteron());
-        let order = naive::closest_sockets(&t, 0);
+        let order = naive::closest_sockets(t.topo(), 0);
         assert_eq!(t.closest_sockets(0), &order[..]);
         // Socket 1 (MCM partner, 197 cy) first; 2-hop sockets last.
         assert_eq!(order[0], 1);
         let last = *order.last().unwrap();
-        assert_eq!(naive::socket_latency(&t, 0, last), 300);
+        assert_eq!(naive::socket_latency(t.topo(), 0, last), 300);
         assert_eq!(t.socket_latency(0, last), 300);
     }
 
     #[test]
     fn min_latency_pair_is_an_mcm_pair() {
         let t = infer(&presets::opteron());
-        let (a, b) = naive::min_latency_socket_pair(&t).unwrap();
+        let (a, b) = naive::min_latency_socket_pair(t.topo()).unwrap();
         assert_eq!(t.min_latency_socket_pair(), Some((a, b)));
         assert_eq!(t.socket_latency(a, b), 197);
     }
@@ -80,11 +80,11 @@ mod tests {
     #[test]
     fn cores_first_order_interleaves_smt() {
         let t = infer(&presets::synthetic_small());
-        let order = naive::socket_hwcs_cores_first(&t, 0);
+        let order = naive::socket_hwcs_cores_first(t.topo(), 0);
         // Socket 0 of synth-small: cores {0,8},{1,9},{2,10},{3,11}.
         assert_eq!(order, vec![0, 1, 2, 3, 8, 9, 10, 11]);
         assert_eq!(t.socket_hwcs_cores_first(0), &order[..]);
-        let compact = naive::socket_hwcs_compact(&t, 0);
+        let compact = naive::socket_hwcs_compact(t.topo(), 0);
         assert_eq!(compact, vec![0, 8, 1, 9, 2, 10, 3, 11]);
         assert_eq!(t.socket_hwcs_compact(0), &compact[..]);
     }
@@ -93,7 +93,7 @@ mod tests {
     fn socket_order_covers_all_sockets() {
         for spec in [presets::synthetic_small(), presets::no_smt_small()] {
             let t = infer(&spec);
-            let order = naive::socket_order_bandwidth_proximity(&t);
+            let order = naive::socket_order_bandwidth_proximity(t.topo());
             assert_eq!(t.socket_order_bandwidth_proximity(), &order[..]);
             let mut sorted = order;
             sorted.sort_unstable();

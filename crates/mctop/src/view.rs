@@ -41,7 +41,6 @@
 //! ```
 
 use std::mem::size_of;
-use std::ops::Deref;
 use std::sync::{
     Arc,
     OnceLock, //
@@ -766,12 +765,13 @@ impl DistanceStore {
 
 /// A precomputed, shareable index over an immutable [`Mctop`].
 ///
-/// Construction is O(S + E + N) plus lazy per-index costs on first
-/// touch; every query afterwards is an O(1) table lookup or a borrowed
-/// slice (amortized, for the sparse backend). The view holds the
-/// topology behind an [`Arc`], so it is cheap to hand to worker pools
-/// and placement caches, and it [`Deref`]s to [`Mctop`] for the model
-/// accessors (`num_sockets`, `get_latency`, ...).
+/// Construction is O(N + E + S log S) on the dense backend, whose S×S
+/// matrices (and the S² bitmap of their link scan) are built on first
+/// touch, and O(N + S·(S + E)) on the sparse one (a BFS per socket).
+/// Every query afterwards is an O(1) table lookup or a borrowed slice
+/// (amortized, for the sparse backend). The view holds the topology
+/// behind an [`Arc`], so it is cheap to hand to worker pools and
+/// placement caches; [`TopoView::topo`] hands out the model itself.
 #[derive(Debug, Clone)]
 pub struct TopoView {
     topo: Arc<Mctop>,
@@ -885,6 +885,22 @@ impl TopoView {
     /// The topology behind the view.
     pub fn topo(&self) -> &Arc<Mctop> {
         &self.topo
+    }
+
+    /// Number of hardware contexts.
+    pub fn num_hwcs(&self) -> usize {
+        self.hwc_socket.len()
+    }
+
+    /// Number of sockets.
+    pub fn num_sockets(&self) -> usize {
+        self.n_sockets
+    }
+
+    /// Normalized communication latency between two contexts
+    /// (`mctop_get_latency` of Section 2).
+    pub fn get_latency(&self, a: usize, b: usize) -> u32 {
+        self.topo.get_latency(a, b)
     }
 
     /// The distance backend this view runs on.
@@ -1063,14 +1079,6 @@ impl TopoView {
     }
 }
 
-impl Deref for TopoView {
-    type Target = Mctop;
-
-    fn deref(&self) -> &Mctop {
-        &self.topo
-    }
-}
-
 impl From<Mctop> for TopoView {
     fn from(topo: Mctop) -> TopoView {
         TopoView::new(Arc::new(topo))
@@ -1147,7 +1155,7 @@ mod tests {
         let t = enriched(&mcsim::presets::ivy());
         let v = TopoView::new(Arc::clone(&t));
         for h in 0..t.num_hwcs() {
-            assert_eq!(v.socket_of(h), t.socket_of(h));
+            assert_eq!(v.socket_of(h), t.hwcs[h].socket);
             assert_eq!(v.core_of(h), t.hwcs[h].core);
             assert_eq!(v.node_of(h), t.get_local_node(h));
         }
@@ -1162,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn deref_exposes_model_accessors() {
+    fn view_answers_model_counts_and_latency() {
         let t = enriched(&mcsim::presets::single_socket());
         let v = TopoView::new(Arc::clone(&t));
         assert_eq!(v.num_sockets(), 1);

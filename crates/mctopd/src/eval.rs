@@ -63,7 +63,7 @@ pub fn list_text(registry: &Registry) -> Result<String, EvalError> {
             out,
             "{name:<18} {} sockets, {} cores, {} contexts",
             view.num_sockets(),
-            view.num_cores(),
+            view.topo().num_cores(),
             view.num_hwcs()
         );
     }
@@ -142,7 +142,7 @@ pub fn query_text(view: &TopoView, query: &str, args: &[String]) -> Result<Strin
     let line = |s: String| Ok(s + "\n");
 
     match query {
-        "summary" => line(view.summary()),
+        "summary" => line(view.topo().summary()),
         "latency" => {
             let (a, b) = pair("context")?;
             line(view.get_latency(check_hwc(a)?, check_hwc(b)?).to_string())
@@ -160,7 +160,7 @@ pub fn query_text(view: &TopoView, query: &str, args: &[String]) -> Result<Strin
         }
         "sockets-by-bw" => line(list(view.sockets_by_local_bandwidth())),
         "walk" => line(list(view.socket_order_bandwidth_proximity())),
-        "max-latency" => line(view.max_latency().to_string()),
+        "max-latency" => line(view.topo().max_latency().to_string()),
         "socket-of" => line(view.socket_of(check_hwc(int("context")?)?).to_string()),
         "core-of" => line(view.core_of(check_hwc(int("context")?)?).to_string()),
         "node-of" => match view.node_of(check_hwc(int("context")?)?) {
@@ -225,7 +225,7 @@ mod tests {
         );
         assert_eq!(
             query_text(&view, "summary", &[]).unwrap(),
-            format!("{}\n", view.summary())
+            format!("{}\n", view.topo().summary())
         );
         assert!(query_text(&view, "walk", &[]).unwrap().ends_with('\n'));
     }

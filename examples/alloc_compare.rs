@@ -53,7 +53,7 @@ fn main() {
         let view = registry.view(&spec.name).expect("shipped description");
         // One worker per physical core: the streaming sweet spot (SMT
         // siblings share load ports and add no bandwidth).
-        let workers = view.num_cores();
+        let workers = view.topo().num_cores();
         let place = Placement::with_view(&view, Policy::RrCore, PlaceOpts::threads(workers))
             .expect("RR placement succeeds");
         let [local, interleave, bw] = [

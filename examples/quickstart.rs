@@ -28,25 +28,26 @@ fn main() {
     enrich_all(&mut topo, &mut mem, &mut pow).expect("enrichment");
 
     // 4. Index the topology and query it (the portable vocabulary of
-    //    Section 5). The view derefs to the model it indexes.
-    let topo = mctop::TopoView::from(topo);
+    //    Section 5). The view answers; `view.topo()` hands out the model.
+    let view = mctop::TopoView::from(topo);
+    let topo = view.topo();
     println!(
         "latency(0, 20)        = {} cycles (SMT siblings)",
-        topo.get_latency(0, 20)
+        view.get_latency(0, 20)
     );
     println!(
         "latency(0, 10)        = {} cycles (cross-socket)",
-        topo.get_latency(0, 10)
+        view.get_latency(0, 10)
     );
     println!("local node of ctx 3   = {:?}", topo.get_local_node(3));
-    println!("closest to socket 0   = {:?}", topo.closest_sockets(0));
-    println!("max-bandwidth socket  = {}", topo.max_bandwidth_socket());
+    println!("closest to socket 0   = {:?}", view.closest_sockets(0));
+    println!("max-bandwidth socket  = {}", view.max_bandwidth_socket());
     println!("backoff quantum (all) = {} cycles", topo.max_latency());
 
     // 5. Validate and compare against the OS view (Section 3.6).
-    validate::validate(&topo).expect("structural validation");
+    validate::validate(topo).expect("structural validation");
     let os = validate::OsTopology::from_spec(&spec);
-    let divergences = validate::compare_with_os(&topo, &os);
+    let divergences = validate::compare_with_os(topo, &os);
     println!("divergences vs OS     = {divergences:?}");
 
     // 6. Persist the description file — with its provenance header, so
@@ -55,16 +56,16 @@ fn main() {
         .with_generator("quickstart example");
     let dir = std::env::temp_dir();
     let path = dir.join(mctop::desc::default_filename(&topo.name));
-    mctop::desc::save(&topo, &prov, &path).expect("save");
+    mctop::desc::save(topo, &prov, &path).expect("save");
     println!("description file      = {}", path.display());
 
     // 7. "Load everywhere": a Registry resolves descriptions by machine
     //    name and memoizes one shared TopoView per topology, so every
     //    later consumer skips both inference and index construction.
     let registry = mctop::Registry::with_dir(&dir);
-    let view = registry.view(&topo.name).expect("registry load");
-    assert_eq!(view.topo(), topo.topo());
+    let loaded = registry.view(&topo.name).expect("registry load");
+    assert_eq!(loaded.topo(), topo);
     let again = registry.view(&topo.name).expect("cached");
-    assert!(std::sync::Arc::ptr_eq(&view, &again));
+    assert!(std::sync::Arc::ptr_eq(&loaded, &again));
     println!("registry              = same Arc<TopoView> on repeat lookup");
 }

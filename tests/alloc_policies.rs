@@ -92,7 +92,7 @@ proptest! {
                 prop_assert!(pair[0].node < pair[1].node);
             }
             for stripe in &arena.stripes {
-                prop_assert!(stripe.node < view.num_nodes());
+                prop_assert!(stripe.node < view.topo().num_nodes());
                 prop_assert!(stripe.pages > 0);
                 prop_assert!(stripe.touch_worker < a.arenas.len());
             }
@@ -118,7 +118,7 @@ proptest! {
         let bw = AllocPlan::resolve(&view, &place, &AllocPolicy::BwProportional, &cfg)
             .expect("committed descs are enriched");
         for arena in &bw.arenas {
-            let weights = &view.sockets[arena.socket].mem_bandwidths;
+            let weights = &view.topo().sockets[arena.socket].mem_bandwidths;
             let wsum: f64 = weights.iter().sum();
             let psum: f64 = arena.stripes.iter().map(|s| s.bytes as f64).sum();
             // Every node with positive measured bandwidth gets a stripe.
@@ -145,7 +145,7 @@ proptest! {
             .expect("resolves");
         prop_assert_eq!(plan.saturation.len(), view.num_sockets());
         for sat in &plan.saturation {
-            let s = &view.sockets[sat.socket];
+            let s = &view.topo().sockets[sat.socket];
             prop_assert_eq!(sat.local_node, s.local_node);
             let want = (s.local_bandwidth().unwrap() / s.single_core_bw.unwrap()).ceil()
                 as usize;

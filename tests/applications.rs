@@ -114,8 +114,8 @@ fn work_stealing_follows_inferred_latencies() {
     let view = enriched(&mcsim::presets::clustered_l2());
     // Workers: SMT pair of core 0, its L2-cluster partner core, a
     // far core, a remote socket.
-    let socket0 = view.socket_get_hwcs(0).to_vec();
-    let remote = view.socket_get_hwcs(1)[0];
+    let socket0 = view.topo().sockets[0].hwcs.clone();
+    let remote = view.topo().sockets[1].hwcs[0];
     let workers = vec![socket0[0], socket0[1], socket0[2], remote];
     let order = mctop_runtime::StealOrder::with_view(&view, &workers);
     // Closest victim of worker 0 is whatever has the lowest latency —

@@ -270,6 +270,8 @@ proptest! {
                 let view = TopoView::try_new(Arc::new(inferred)).expect("inferred topologies have a socket level");
                 let topo: &Mctop = view.topo();
                 let s = topo.num_sockets();
+                prop_assert_eq!(view.num_hwcs(), topo.hwcs.len());
+                prop_assert_eq!(view.num_sockets(), topo.sockets.len());
                 prop_assert_eq!(view.socket_level(), naive::socket_level_index(topo));
                 prop_assert_eq!(view.intra_socket_latency(), naive::intra_socket_latency(topo));
                 for a in 0..s {
@@ -303,7 +305,7 @@ proptest! {
                 // The context-set queries have no `naive` form: their
                 // oracles are spelled out here.
                 let hwcs: Vec<usize> = pick.iter().map(|&x| x as usize % topo.num_hwcs()).collect();
-                let mut used: Vec<usize> = hwcs.iter().map(|&h| topo.socket_of(h)).collect();
+                let mut used: Vec<usize> = hwcs.iter().map(|&h| topo.hwcs[h].socket).collect();
                 used.sort_unstable();
                 used.dedup();
                 let min_bw = used
@@ -318,9 +320,14 @@ proptest! {
                 prop_assert_eq!(view.sockets_used_by(&hwcs), used);
                 prop_assert_eq!(view.min_bandwidth_of(&hwcs), min_bw);
                 prop_assert_eq!(view.max_latency_between(&hwcs), max_lat);
+                let n = topo.hwcs.len();
                 for &h in &hwcs {
-                    prop_assert_eq!(view.socket_of(h), topo.socket_of(h));
+                    prop_assert_eq!(view.socket_of(h), topo.hwcs[h].socket);
+                    prop_assert_eq!(view.core_of(h), topo.hwcs[h].core);
                     prop_assert_eq!(view.node_of(h), topo.get_local_node(h));
+                    for &g in &hwcs {
+                        prop_assert_eq!(view.get_latency(h, g), topo.lat_table[h * n + g]);
+                    }
                 }
             }
         }
