@@ -185,11 +185,13 @@ pub fn assemble(
             socket: Some(socket_of[c[0]]),
         });
     }
-    // Intermediate hier levels strictly between core and socket.
+    // Intermediate hier levels strictly between core and socket (none
+    // when every context is its own socket: each level then groups
+    // contexts of different sockets).
     // `arena_of_level[i]` maps hier level i component index -> arena id.
     let mut arena_of_level: Vec<Vec<usize>> = Vec::with_capacity(hier.levels.len());
     for (i, lvl) in hier.levels.iter().enumerate() {
-        if Some(i) == socket_hier_idx {
+        if socket_hier_idx.is_none_or(|s| i == s) {
             break;
         }
         if Some(i) == core_hier_idx {

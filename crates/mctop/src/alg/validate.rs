@@ -1,47 +1,102 @@
 //! MCTOP-ALG output validation (Section 3.6).
 //!
-//! Two mechanisms: (i) structural self-checks — symmetry, hierarchy
-//! cardinality, partition properties — which catch spurious measurements
-//! that survived clustering; and (ii) comparison against the operating
-//! system's topology view, which either confirms the inference or
-//! pinpoints exactly where the two disagree (on the paper's Opteron the
-//! *OS* was wrong about the node mapping; the divergence report is how
-//! that was noticed).
+//! Two mechanisms: (i) structural self-checks — hierarchy cardinality,
+//! partition properties, group and link latencies on the levels, and a
+//! latency table equal to the one the groups and links define — which
+//! catch spurious measurements that survived clustering and
+//! descriptions that disagree with themselves; and (ii) comparison
+//! against the operating system's topology view, which either confirms
+//! the inference or pinpoints exactly where the two disagree (on the
+//! paper's Opteron the *OS* was wrong about the node mapping; the
+//! divergence report is how that was noticed).
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 
 use crate::error::McTopError;
 use crate::model::{
     InterconnectLink,
+    LatencyLevel,
     LevelRole,
     Mctop, //
 };
 
-/// Structural self-validation.
+/// Structural self-validation, then the latency table against the one
+/// the groups and links define ([`Mctop::derived_latency_rows`]): the
+/// first entry that differs is named, with both values.
 pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
+    structure(topo)?;
     let n = topo.num_hwcs();
-    let err = |msg: String| Err(McTopError::IrregularTopology(msg));
+    if topo.lat_table.len() != n * n {
+        return irregular("latency table is not N x N".into());
+    }
+    topo.derived_latency_rows(|a, row| {
+        let stored = &topo.lat_table[a * n..][..n];
+        if stored == row {
+            return Ok(());
+        }
+        match stored.iter().zip(row).position(|(x, y)| x != y) {
+            None => Ok(()),
+            Some(b) => irregular(format!(
+                "latency table entry ({a}, {b}) is {}, but the groups and links give {}",
+                stored[b], row[b]
+            )),
+        }
+    })
+}
+
+/// Structural self-validation of a topology read without its latency
+/// table (description format 3), then the table filled from the
+/// groups and links.
+pub fn fill_table(topo: &mut Mctop) -> Result<(), McTopError> {
+    structure(topo)?;
+    if !topo.lat_table.is_empty() {
+        return irregular("a description of this format carries no latency table".into());
+    }
+    // The table grows through the powers of two, as the one the
+    // format-2 reader pushes entry by entry does, rather than being
+    // reserved at N² up front. A fresh N² block is carved out of
+    // whatever free chunk fits it; under `mctbench`'s `sort-exec` that
+    // was the space of a freed 8 MB buffer the next op wanted back, and
+    // peak RSS rose by 8 MB.
+    let mut table: Vec<u32> = Vec::new();
+    let filled = topo.derived_latency_rows(|_, row| {
+        let len = table.len();
+        if len + row.len() > table.capacity() {
+            table.reserve_exact((len + row.len()).next_power_of_two() - len);
+        }
+        table.extend_from_slice(row);
+        Ok::<(), Infallible>(())
+    });
+    let Ok(()) = filled;
+    topo.lat_table = table;
+    Ok(())
+}
+
+fn irregular(msg: String) -> Result<(), McTopError> {
+    Err(McTopError::IrregularTopology(msg))
+}
+
+/// Everything but the latency table: each index the table's derivation
+/// reads is in range, cores and sockets partition the contexts, and
+/// every group and link latency is a level's median.
+fn structure(topo: &Mctop) -> Result<(), McTopError> {
+    let n = topo.num_hwcs();
+    let err = irregular;
     if n == 0 || topo.num_sockets() == 0 {
         return err("the topology has no contexts or no sockets".into());
     }
 
-    // Latency table: square, symmetric, zero diagonal.
-    if topo.lat_table.len() != n * n {
-        return err("latency table is not N x N".into());
-    }
-    for a in 0..n {
-        if topo.get_latency(a, a) != 0 {
-            return err(format!("non-zero self latency for context {a}"));
-        }
-        for b in (a + 1)..n {
-            if topo.get_latency(a, b) != topo.get_latency(b, a) {
-                return err(format!("asymmetric latency for pair ({a},{b})"));
-            }
+    // Group members name contexts (descriptions are untrusted input).
+    for (g, group) in topo.groups.iter().enumerate() {
+        if let Some(&h) = group.hwcs.iter().find(|&&h| h >= n) {
+            return err(format!(
+                "group {g} holds context {h}, but the topology has {n} contexts"
+            ));
         }
     }
 
     // Cores partition the contexts, all with the same cardinality.
-    // (Ids are bounds-checked first: descriptions are untrusted input.)
     let mut seen = vec![false; n];
     let smt = topo.smt;
     for &cg in &topo.cores {
@@ -55,9 +110,6 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
             ));
         }
         for &h in &g.hwcs {
-            if h >= n {
-                return err(format!("context id {h} out of range"));
-            }
             if seen[h] {
                 return err(format!("context {h} is in two cores"));
             }
@@ -68,10 +120,14 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
         return err("a context belongs to no core".into());
     }
 
-    // Sockets partition the contexts with equal cardinality.
+    // Sockets partition the contexts with equal cardinality, each
+    // socket's group holding exactly its contexts.
     let mut seen = vec![false; n];
     let per_socket = topo.sockets.first().map_or(0, |s| s.hwcs.len());
-    for s in &topo.sockets {
+    for (si, s) in topo.sockets.iter().enumerate() {
+        if s.id != si {
+            return err(format!("socket record {si} has id {}", s.id));
+        }
         if s.hwcs.len() != per_socket {
             return err(format!(
                 "socket {} has {} contexts, expected {per_socket}",
@@ -94,6 +150,13 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
                 return err(format!("context {h} disagrees about its socket"));
             }
         }
+        let group = topo.groups.get(s.group);
+        if group.map(|g| (g.socket, &g.hwcs)) != Some((Some(si), &s.hwcs)) {
+            return err(format!(
+                "socket {si}'s group {} is not tagged with it or does not hold exactly its contexts",
+                s.group
+            ));
+        }
     }
     if !seen.iter().all(|&s| s) {
         return err("a context belongs to no socket".into());
@@ -106,7 +169,26 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
         }
     }
 
-    // Cross-socket latencies must exceed every intra-socket level.
+    // A group tagged with a socket holds only that socket's contexts,
+    // at a level's latency.
+    for (g, group) in topo.groups.iter().enumerate() {
+        let Some(s) = group.socket else {
+            continue;
+        };
+        for &h in &group.hwcs {
+            let t = topo.hwcs[h].socket;
+            if t != s {
+                return err(format!(
+                    "group {g} is tagged socket {s}, but holds context {h} of socket {t}"
+                ));
+            }
+        }
+        if let Some(off) = off_levels(&topo.levels, group.latency) {
+            return err(format!("group {g} has {off}"));
+        }
+    }
+
+    // Cross-socket latencies are levels above every intra-socket level.
     let max_intra = topo
         .levels
         .iter()
@@ -121,12 +203,35 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
                 l.latency, l.a, l.b
             ));
         }
+        if let Some(off) = off_levels(&topo.levels, l.latency) {
+            return err(format!("interconnect record ({}, {}) has {off}", l.a, l.b));
+        }
     }
 
     // Every socket pair has exactly one link record, stored normalized
     // (a < b) — the query engine and the `TopoView` matrices both rely
     // on this canonical orientation.
     check_links(&topo.links, topo.num_sockets())
+}
+
+/// `None` if `latency` is the median of one of `levels` (ascending),
+/// else what to say about it, naming the nearest median.
+fn off_levels(levels: &[LatencyLevel], latency: u32) -> Option<String> {
+    let i = levels.partition_point(|l| l.latency.median < latency);
+    let above = levels.get(i).map(|l| l.latency.median);
+    if above == Some(latency) {
+        return None;
+    }
+    let below = i.checked_sub(1).map(|j| levels[j].latency.median);
+    let nearest = match (below, above) {
+        (Some(b), Some(a)) if latency - b <= a - latency => Some(b),
+        (_, Some(a)) => Some(a),
+        (b, None) => b,
+    };
+    Some(match nearest {
+        Some(m) => format!("latency {latency}, which is no level's median (the nearest is {m})"),
+        None => format!("latency {latency}, but the topology has no levels"),
+    })
 }
 
 /// The interconnect records of an `s`-socket topology: exactly one per
@@ -449,6 +554,94 @@ mod tests {
         t.lat_table[1] = t.lat_table[n];
         t.lat_table[0] = 5;
         assert!(validate(&t).is_err());
+    }
+
+    /// Each way a topology can disagree with itself is refused with an
+    /// error naming the pair or record and both values, and the checks
+    /// ahead of the derivation keep it from reading a bad index.
+    #[test]
+    fn a_topology_that_disagrees_with_itself_is_named() {
+        let ivy = crate::desc::from_str(crate::registry::shipped_source("ivy").unwrap()).unwrap();
+        let n = ivy.num_hwcs();
+        let irregular = |t: &Mctop| match validate(t) {
+            Err(McTopError::IrregularTopology(msg)) => msg,
+            other => panic!("expected IrregularTopology, got {other:?}"),
+        };
+        let raised = |a: usize, b: usize| {
+            let mut t = ivy.clone();
+            t.lat_table[a * n + b] += 1;
+            let v = ivy.get_latency(a, b);
+            let want = format!(
+                "latency table entry ({a}, {b}) is {}, but the groups and links give {v}",
+                v + 1
+            );
+            assert_eq!(irregular(&t), want);
+        };
+        // (a) An in-socket entry, (b) a cross-socket one.
+        raised(ivy.sockets[0].hwcs[1], ivy.sockets[0].hwcs[0]);
+        raised(ivy.sockets[0].hwcs[3], ivy.sockets[1].hwcs[5]);
+
+        // (c) A link latency off every level.
+        let mut t = ivy.clone();
+        t.links[0].latency += 1;
+        let l = &ivy.links[0];
+        assert_eq!(
+            irregular(&t),
+            format!(
+                "interconnect record ({}, {}) has latency {}, which is no level's median \
+                 (the nearest is {})",
+                l.a,
+                l.b,
+                l.latency + 1,
+                l.latency
+            )
+        );
+
+        // (d) A group member out of range.
+        let mut t = ivy.clone();
+        t.groups[3].hwcs[1] = n + 7;
+        assert_eq!(
+            irregular(&t),
+            format!(
+                "group 3 holds context {}, but the topology has {n} contexts",
+                n + 7
+            )
+        );
+
+        // (e) A group tagged with a socket its members are not in, and
+        // a group latency off every level.
+        let g = ivy.cores[0];
+        let h = ivy.groups[g].hwcs[0];
+        let s = ivy.hwcs[h].socket;
+        let mut t = ivy.clone();
+        t.groups[g].socket = Some(1 - s);
+        assert_eq!(
+            irregular(&t),
+            format!(
+                "group {g} is tagged socket {}, but holds context {h} of socket {s}",
+                1 - s
+            )
+        );
+        let socket_group = ivy.sockets[1].group;
+        let mut t = ivy.clone();
+        t.groups[socket_group].socket = None;
+        assert_eq!(
+            irregular(&t),
+            format!(
+                "socket 1's group {socket_group} is not tagged with it \
+                 or does not hold exactly its contexts"
+            )
+        );
+        let mut t = ivy.clone();
+        t.groups[g].latency += 2;
+        assert_eq!(
+            irregular(&t),
+            format!(
+                "group {g} has latency {}, which is no level's median (the nearest is {})",
+                ivy.groups[g].latency + 2,
+                ivy.groups[g].latency
+            )
+        );
     }
 
     #[test]

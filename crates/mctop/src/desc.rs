@@ -12,6 +12,16 @@
 //! [`McTopError::InvalidDescription`] — a matching `version` number
 //! alone is not enough to accept a file.
 //!
+//! Format 3 ([`VERSION`]) stores the latency levels, the group tree and
+//! the socket-pair link records, and not the N×N latency table: the
+//! reader runs the structural checks of [`validate`] and then derives
+//! the table from the groups and links ([`Mctop::derived_latency_rows`]). Two contexts of one socket are as
+//! far apart as the smallest group that holds both, two of different
+//! sockets as their socket pair's link record, and a context is 0 from
+//! itself. A format-2 file, which stored the table, still loads: its
+//! table is compared with the derivation row by row, and the file is
+//! refused at the first entry that differs, naming both values.
+//!
 //! Both directions are one pass over the text with no value tree in
 //! between: [`to_string`] writes a borrowed envelope into one buffer,
 //! [`from_str_full`] reads version, header and payload straight into
@@ -57,8 +67,13 @@ use crate::error::McTopError;
 use crate::model::Mctop;
 
 /// Current description-file format version. Version 2 added the
-/// mandatory provenance header.
-pub const VERSION: u32 = 2;
+/// mandatory provenance header; version 3 dropped the latency table,
+/// which the reader derives from the groups and links.
+pub const VERSION: u32 = 3;
+
+/// The last version that stored the latency table. Such a file still
+/// loads, once its table equals the derived one.
+const TABLE_VERSION: u32 = 2;
 
 /// The generator string written by the canonical regeneration path.
 pub const CANONICAL_GENERATOR: &str = "mct regen-descs";
@@ -111,19 +126,20 @@ impl Provenance {
 }
 
 /// The file envelope as it is read: version-gated, header and payload
-/// each read once, neither yet checked against the other.
-struct Loaded(Mctop, Provenance);
+/// each read once, neither yet checked against the other nor against
+/// the version.
+struct Loaded(u32, Mctop, Provenance);
 
 impl Deserialize for Loaded {
     /// Reads the envelope in the pass that reads its entries, in gate
     /// order whatever the key order: `provenance` is read in place once
-    /// the version is known to be [`VERSION`], `topology` once the
-    /// header is read. An entry that arrives before the gates ahead of
-    /// it are settled is only checked, and its text (a slice of the
-    /// input, no copy) read after the object closes — so a file of
-    /// another version fails on its version, and a headerless one on
-    /// the missing header, not on whatever field of a payload they
-    /// never promised trips first.
+    /// the version is known to be [`VERSION`] or [`TABLE_VERSION`],
+    /// `topology` once the header is read. An entry that arrives before
+    /// the gates ahead of it are settled is only checked, and its text
+    /// (a slice of the input, no copy) read after the object closes —
+    /// so a file of another version fails on its version, and a
+    /// headerless one on the missing header, not on whatever field of a
+    /// payload they never promised trips first.
     fn read_json<'a>(r: &mut Reader<'a>) -> Result<Self, DeError> {
         let (mut version, mut prov, mut topo) = (None::<u32>, None, None);
         let (mut prov_text, mut topo_text) = (None::<&'a str>, None::<&'a str>);
@@ -133,8 +149,9 @@ impl Deserialize for Loaded {
             "version" => {
                 r.field("version", &mut version)?;
                 match version {
-                    Some(v) if v != VERSION => Err(DeError::new(format!(
-                        "unsupported description version {v} (expected {VERSION})"
+                    Some(v) if v != VERSION && v != TABLE_VERSION => Err(DeError::new(format!(
+                        "unsupported description version {v} \
+                         (expected {VERSION}, or {TABLE_VERSION} with its latency table)"
                     ))),
                     _ => Ok(()),
                 }
@@ -147,9 +164,9 @@ impl Deserialize for Loaded {
             "topology" if topo_text.is_none() => r.skip().map(|text| topo_text = Some(text)),
             _ => r.skip().map(drop),
         })?;
-        if version.is_none() {
+        let Some(version) = version else {
             return Err(DeError::new("missing field `version`"));
-        }
+        };
         let prov = settle("provenance", prov, prov_text)?.ok_or_else(|| {
             DeError::new(
                 "missing provenance header (a bare topology payload is not a description file)",
@@ -157,7 +174,7 @@ impl Deserialize for Loaded {
         })?;
         let topo = settle("topology", topo, topo_text)?
             .ok_or_else(|| DeError::new("missing field `topology`"))?;
-        Ok(Loaded(topo, prov))
+        Ok(Loaded(version, topo, prov))
     }
 }
 
@@ -284,10 +301,7 @@ pub fn to_string(topo: &Mctop, prov: &Provenance) -> Result<String, McTopError> 
 /// the real size, so the buffer grows at most once.
 fn text_size_estimate(topo: &Mctop) -> usize {
     let (n, s) = (topo.num_hwcs(), topo.num_sockets());
-    4096 + 12 * n * n
-        + 128 * (n + topo.links.len())
-        + 256 * topo.groups.len()
-        + 64 * s * topo.nodes.len()
+    4096 + 128 * (n + topo.links.len()) + 256 * topo.groups.len() + 64 * s * topo.nodes.len()
 }
 
 /// Parses and validates a description string.
@@ -296,16 +310,19 @@ pub fn from_str(s: &str) -> Result<Mctop, McTopError> {
 }
 
 /// Parses and validates a description string, returning the provenance
-/// header alongside the topology.
+/// header alongside the topology. The latency table is derived from the
+/// groups and links; a version-2 file's stored table is checked against
+/// the derived one instead, and rejected at the first entry that
+/// differs.
 pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
-    let Loaded(topo, prov) =
+    let Loaded(version, mut topo, prov) =
         serde::from_json(s).map_err(|e| McTopError::InvalidDescription(e.to_string()))?;
     // The header must agree with both the envelope and the payload: a
     // field-for-field compatible topology is still rejected unless its
     // provenance says it was written in this format for this machine.
-    if prov.format_version != VERSION {
+    if prov.format_version != version {
         return Err(McTopError::InvalidDescription(format!(
-            "provenance format_version {} disagrees with file version {VERSION}",
+            "provenance format_version {} disagrees with file version {version}",
             prov.format_version
         )));
     }
@@ -315,7 +332,11 @@ pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
             prov.machine, topo.name
         )));
     }
-    validate::validate(&topo)?;
+    if version == TABLE_VERSION {
+        validate::validate(&topo)?;
+    } else {
+        validate::fill_table(&mut topo)?;
+    }
     Ok((topo, prov))
 }
 
@@ -442,15 +463,64 @@ mod tests {
         }
     }
 
+    /// `text` (version 3) as version 2 wrote it: `table` stored after
+    /// `links`, and both version fields 2.
+    fn as_v2(text: &str, table: &[u32]) -> String {
+        let mut v: serde_json::Value = serde_json::from_str(text).unwrap();
+        v["version"] = serde_json::json!(2);
+        v["provenance"]["format_version"] = serde_json::json!(2);
+        let serde_json::InnerValue::Object(fields) = &mut v["topology"].0 else {
+            panic!("the topology is an object");
+        };
+        let at = fields.iter().position(|(k, _)| k == "links").unwrap() + 1;
+        fields.insert(
+            at,
+            ("lat_table".into(), serde_json::json!(table.to_vec()).0),
+        );
+        v.to_string()
+    }
+
     #[test]
     fn corrupt_payload_rejected_by_validation() {
         let (topo, prov) = infer_with_header(&presets::synthetic_small());
         let s = to_string(&topo, &prov).unwrap();
-        // Surgical corruption: make the latency table asymmetric.
-        let mut v: serde_json::Value = serde_json::from_str(&s).unwrap();
-        v["topology"]["lat_table"][1] = serde_json::json!(9999);
-        let res = from_str(&v.to_string());
+        // Surgical corruption of a version-2 text, the one that stores a
+        // table: make the latency table asymmetric.
+        let mut table = topo.lat_table.clone();
+        table[1] = 9999;
+        let res = from_str(&as_v2(&s, &table));
         assert!(matches!(res, Err(McTopError::IrregularTopology(_))));
+    }
+
+    #[test]
+    fn only_a_version_2_text_stores_the_table() {
+        let (topo, prov) = infer_with_header(&presets::synthetic_small());
+        let s = to_string(&topo, &prov).unwrap();
+        assert!(!s.contains("lat_table"), "{s}");
+        let v2 = as_v2(&s, &topo.lat_table);
+        let (back, back_prov) = from_str_full(&v2).unwrap();
+        assert_eq!(back, topo);
+        assert_eq!(back_prov.format_version, 2);
+        let irregular = |text: &str| match from_str(text).unwrap_err() {
+            McTopError::IrregularTopology(msg) => msg,
+            other => panic!("expected IrregularTopology, got {other:?}"),
+        };
+        // A version-3 text with a table, or a version-2 one without.
+        let v3_with_table = v2.replacen("\"version\":2", "\"version\":3", 1).replacen(
+            "\"format_version\":2",
+            "\"format_version\":3",
+            1,
+        );
+        assert_eq!(
+            irregular(&v3_with_table),
+            "a description of this format carries no latency table"
+        );
+        let v2_without_table = s.replacen("\"version\": 3", "\"version\": 2", 1).replacen(
+            "\"format_version\": 3",
+            "\"format_version\": 2",
+            1,
+        );
+        assert_eq!(irregular(&v2_without_table), "latency table is not N x N");
     }
 
     #[test]

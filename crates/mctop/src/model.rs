@@ -273,6 +273,10 @@ pub struct Mctop {
     /// Socket-to-socket connections (every pair, with hop counts).
     pub links: Vec<InterconnectLink>,
     /// Normalized context-to-context latency table (row-major, N x N).
+    /// A description file does not store it (format 3): the loader
+    /// fills it from [`Mctop::derived_latency_rows`], and
+    /// `alg::validate` checks that it equals them.
+    #[serde(skip_serializing, default)]
     pub lat_table: Vec<u32>,
     /// Provenance of the socket->node mapping.
     pub node_assignment: NodeAssignment,
@@ -323,6 +327,89 @@ impl Mctop {
         let n = self.num_hwcs();
         assert!(a < n && b < n, "context out of range");
         self.lat_table[a * n + b]
+    }
+
+    /// The latency table that the groups and links define, one row at a
+    /// time: `each(a, row)` gets row `a` for every context `a` in
+    /// ascending order, until it returns an `Err`, which is returned.
+    ///
+    /// - Two contexts of one socket get the `latency` of the smallest
+    ///   socket-tagged group that holds both (the lower latency on a
+    ///   tie).
+    /// - Two contexts of different sockets get the latency of that
+    ///   socket pair's link record.
+    /// - A context is 0 from itself.
+    ///
+    /// Costs N² plus the sum of the squared group sizes. It holds one
+    /// row, an S×S matrix of the link latencies and each context's list
+    /// of groups, never a table.
+    ///
+    /// # Panics
+    ///
+    /// If an index it reads is out of range: run it only on a topology
+    /// that passed `alg::validate`'s structural checks, which also make
+    /// each socket's group a socket-tagged group of exactly its
+    /// contexts, so that every in-socket pair has a group.
+    pub fn derived_latency_rows<E>(
+        &self,
+        mut each: impl FnMut(usize, &[u32]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (n, s) = (self.num_hwcs(), self.num_sockets());
+        let mut cross = vec![0u32; s * s];
+        for l in &self.links {
+            cross[l.a * s + l.b] = l.latency;
+            cross[l.b * s + l.a] = l.latency;
+        }
+        // The socket-tagged groups holding each context, largest first,
+        // so that a row writes the smallest group holding a pair last:
+        // `holding[start[h]..start[h + 1]]` for context `h`.
+        let mut order = Vec::with_capacity(self.groups.len());
+        order.extend((0..self.groups.len()).filter(|&g| self.groups[g].socket.is_some()));
+        order.sort_unstable_by_key(|&g| {
+            let group = &self.groups[g];
+            (std::cmp::Reverse((group.hwcs.len(), group.latency)), g)
+        });
+        let mut start = vec![0usize; n + 1];
+        for &g in &order {
+            for &h in &self.groups[g].hwcs {
+                start[h] += 1;
+            }
+        }
+        let mut total = 0;
+        for count in &mut start {
+            total += *count;
+            *count = total;
+        }
+        let mut holding = vec![0usize; total];
+        for &g in order.iter().rev() {
+            for &h in &self.groups[g].hwcs {
+                start[h] -= 1;
+                holding[start[h]] = g;
+            }
+        }
+        // A row's cross-socket entries depend on its socket alone, and
+        // its socket's group rewrites every in-socket entry: the cross
+        // part is written again only when the socket changes.
+        let mut row = vec![0u32; n];
+        let mut row_socket = None;
+        for (a, ctx) in self.hwcs.iter().enumerate() {
+            if row_socket != Some(ctx.socket) {
+                row_socket = Some(ctx.socket);
+                let cross = &cross[ctx.socket * s..][..s];
+                for (v, other) in row.iter_mut().zip(&self.hwcs) {
+                    *v = cross[other.socket];
+                }
+            }
+            for &g in &holding[start[a]..start[a + 1]] {
+                let g = &self.groups[g];
+                for &h in &g.hwcs {
+                    row[h] = g.latency;
+                }
+            }
+            row[a] = 0;
+            each(a, &row)?;
+        }
+        Ok(())
     }
 
     /// The local memory node of a context
@@ -531,6 +618,33 @@ mod tests {
             power: None,
             freq_ghz: None,
         }
+    }
+
+    #[test]
+    fn derived_rows_are_the_tiny_table() {
+        let t = tiny_topology();
+        let mut rows = Vec::new();
+        t.derived_latency_rows(|a, row| {
+            assert_eq!(a, rows.len() / 4);
+            rows.extend_from_slice(row);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(rows, t.lat_table);
+        // An `Err` stops the rows where it is returned.
+        let mut seen = 0;
+        assert_eq!(
+            t.derived_latency_rows(|a, _| {
+                seen += 1;
+                if a == 1 {
+                    Err(a)
+                } else {
+                    Ok(())
+                }
+            }),
+            Err(1)
+        );
+        assert_eq!(seen, 2);
     }
 
     #[test]

@@ -1325,21 +1325,29 @@ mod tests {
     }
 
     /// `max_latency_between` is the maximum of the latency table over
-    /// the given contexts, and nothing less direct: `alg::validate`
-    /// checks the table's shape, symmetry and zero diagonal only, and
-    /// never ties it to `links` or `levels`. A description whose one
-    /// cross-socket entry disagrees with its link and level latencies
-    /// loads, so a closed form over those would answer it wrongly.
+    /// the given contexts. A table whose one cross-socket entry
+    /// disagrees with its link record does not validate (the table is
+    /// the one the groups and links define, and no description stores
+    /// another), but a view over it still answers from the table.
     #[test]
     fn max_latency_between_is_the_table_maximum() {
         let mut ivy =
             crate::desc::from_str(crate::registry::shipped_source("ivy").unwrap()).unwrap();
         let n = ivy.num_hwcs();
         let (a, b) = (ivy.sockets[0].hwcs[3], ivy.sockets[1].hwcs[5]);
-        let raised = ivy.get_latency(a, b) + 1000;
+        let link = ivy.get_latency(a, b);
+        let raised = link + 1000;
         ivy.lat_table[a * n + b] = raised;
         ivy.lat_table[b * n + a] = raised;
-        crate::alg::validate::validate(&ivy).unwrap();
+        assert_eq!(
+            crate::alg::validate::validate(&ivy)
+                .unwrap_err()
+                .to_string(),
+            format!(
+                "irregular topology: latency table entry ({a}, {b}) is {raised}, \
+                 but the groups and links give {link}"
+            )
+        );
         let raised_view = TopoView::new(Arc::new(ivy));
         assert_eq!(raised_view.max_latency_between(&[a, b]), raised);
         assert_eq!(raised_view.max_latency_between(&[b, 0, a]), raised);

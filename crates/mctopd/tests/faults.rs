@@ -688,13 +688,24 @@ fn reload_drops_only_the_machine_whose_file_changed() {
     };
     assert_eq!(client.roundtrip(&rewritten).unwrap(), before);
 
-    // `ivy` measured again: one SMT pair a cycle slower.
+    // `ivy` measured again: SMT pairs a cycle slower. The file stores
+    // the SMT level and the core groups' latency, not the table, so
+    // both move together.
     let (mut topo, prov) = mctop::desc::load_full(&file("ivy")).unwrap();
-    let n = topo.num_hwcs();
-    topo.lat_table[20] += 1;
-    topo.lat_table[20 * n] += 1;
-    let slower = topo.get_latency(0, 20);
+    let smt = topo
+        .levels
+        .iter_mut()
+        .find(|l| l.role == mctop::model::LevelRole::Smt)
+        .unwrap();
+    smt.latency.min += 1;
+    smt.latency.median += 1;
+    smt.latency.max += 1;
+    for &g in &topo.cores {
+        topo.groups[g].latency += 1;
+    }
     mctop::desc::save(&topo, &prov, &file("ivy")).unwrap();
+    let slower = mctop::desc::load(&file("ivy")).unwrap().get_latency(0, 20);
+    assert_eq!(slower, topo.get_latency(0, 20) + 1);
     client.reload().unwrap();
     let (server, exec) = counters(&handle);
     assert_eq!((server.reloads, server.reload_views_dropped), (1, 1));

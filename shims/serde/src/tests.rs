@@ -30,6 +30,15 @@ enum Nest {
     Wrap(Vec<Nest>),
 }
 
+/// A field the text does not carry: real serde's attributes on it.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Derived {
+    kept: u32,
+    #[serde(skip_serializing, default)]
+    derived: Vec<u32>,
+    after: bool,
+}
+
 fn error<T: Deserialize + std::fmt::Debug>(text: &str) -> String {
     from_json::<T>(text).unwrap_err().to_string()
 }
@@ -151,6 +160,35 @@ fn derived_types_round_trip() {
     assert_eq!(
         to_json(&record.shapes, false, 0),
         r#"["Unit",{"Tuple":18446744073709551615},{"Struct":{"a":7,"b":[0.5,-3.0,1000000000000000000000]}}]"#
+    );
+}
+
+#[test]
+fn a_skip_serializing_default_field_is_not_written_and_read_if_present() {
+    let full = Derived {
+        kept: 1,
+        derived: vec![7, 8],
+        after: true,
+    };
+    let text = to_json(&full, false, 0);
+    assert_eq!(text, r#"{"kept":1,"after":true}"#);
+    let read = from_json::<Derived>(&text).unwrap();
+    assert_eq!(
+        read,
+        Derived {
+            derived: Vec::new(),
+            ..full
+        }
+    );
+    let carried = r#"{"kept": 1, "derived": [7, 8], "after": true}"#;
+    assert_eq!(from_json::<Derived>(carried).unwrap(), full);
+    assert_eq!(
+        error::<Derived>(r#"{"kept": 1, "derived": [-1], "after": true}"#),
+        "field `derived`: integer out of range for u32"
+    );
+    assert_eq!(
+        error::<Derived>(r#"{"derived": [], "after": true}"#),
+        "missing field `kept`"
     );
 }
 

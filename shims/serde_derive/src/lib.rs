@@ -5,19 +5,31 @@
 //! written against `proc_macro` alone — no `syn`, no `quote`. It parses
 //! just the shapes this workspace uses: non-generic braced structs and
 //! enums whose variants are unit, single-field tuple, or braced.
+//!
+//! A named field takes real serde's `#[serde(skip_serializing)]` (not
+//! written) and `#[serde(default)]` (`Default::default()` when the key
+//! is missing); any other `serde` attribute is a compile error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
+
+/// A named field and its `#[serde(...)]` flags.
+#[derive(Default)]
+struct Field {
+    name: String,
+    skip_serializing: bool,
+    default: bool,
+}
 
 enum Variant {
     Unit(String),
     /// Single unnamed field (e.g. `Scrambled(u64)`).
     Tuple(String),
     /// Named fields (e.g. `CrossSocket { hops: usize }`).
-    Struct(String, Vec<String>),
+    Struct(String, Vec<Field>),
 }
 
 enum Shape {
-    Struct(String, Vec<String>),
+    Struct(String, Vec<Field>),
     Enum(String, Vec<Variant>),
 }
 
@@ -58,7 +70,7 @@ fn parse_shape(input: TokenStream) -> Shape {
         }
     };
     match kind.as_str() {
-        "struct" => Shape::Struct(name, field_names(body)),
+        "struct" => Shape::Struct(name, fields(body)),
         "enum" => Shape::Enum(name, variants(body)),
         other => panic!("cannot derive for {other}"),
     }
@@ -85,25 +97,54 @@ fn split_commas(stream: TokenStream) -> Vec<Vec<TokenTree>> {
 }
 
 /// Field name = the identifier right before the first top-level `:`
-/// (after attributes and visibility).
-fn field_names(stream: TokenStream) -> Vec<String> {
+/// (after attributes and visibility); its flags come from the
+/// `#[serde(...)]` attributes in front of it.
+fn fields(stream: TokenStream) -> Vec<Field> {
     split_commas(stream)
         .into_iter()
         .map(|field| {
-            let mut name = None;
+            let mut out = Field::default();
             for (i, tt) in field.iter().enumerate() {
-                if let TokenTree::Punct(p) = tt {
-                    if p.as_char() == ':' {
+                match tt {
+                    TokenTree::Group(g) if g.delimiter() == Delimiter::Bracket => {
+                        serde_flags(g.stream(), &mut out);
+                    }
+                    TokenTree::Punct(p) if p.as_char() == ':' => {
                         if let Some(TokenTree::Ident(id)) = field.get(i.wrapping_sub(1)) {
-                            name = Some(id.to_string());
+                            out.name = id.to_string();
                         }
                         break;
                     }
+                    _ => {}
                 }
             }
-            name.expect("named field")
+            assert!(!out.name.is_empty(), "named field");
+            out
         })
         .collect()
+}
+
+/// Sets `field`'s flags from one attribute's bracketed tokens, if the
+/// attribute is `serde(...)`.
+fn serde_flags(attr: TokenStream, field: &mut Field) {
+    let mut iter = attr.into_iter();
+    match (iter.next(), iter.next()) {
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) if id.to_string() == "serde" => {
+            for arg in split_commas(args.stream()) {
+                match arg
+                    .iter()
+                    .map(|tt| tt.to_string())
+                    .collect::<String>()
+                    .as_str()
+                {
+                    "skip_serializing" => field.skip_serializing = true,
+                    "default" => field.default = true,
+                    other => panic!("unsupported serde attribute `{other}`"),
+                }
+            }
+        }
+        _ => {}
+    }
 }
 
 fn variants(stream: TokenStream) -> Vec<Variant> {
@@ -130,8 +171,7 @@ fn variants(stream: TokenStream) -> Vec<Variant> {
             match payload {
                 None => Variant::Unit(name),
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    let fields = field_names(g.stream());
-                    Variant::Struct(name, fields)
+                    Variant::Struct(name, fields(g.stream()))
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                     let n = split_commas(g.stream()).len();
@@ -144,19 +184,21 @@ fn variants(stream: TokenStream) -> Vec<Variant> {
         .collect()
 }
 
-/// `__w.object(..)` writing `fields`, each value expression produced by
-/// `access` (already a reference). A key is an identifier, which needs
-/// no escape, so it is written quoted here rather than scanned for
-/// escapes on every write.
-fn write_fields(fields: &[String], access: impl Fn(&str) -> String) -> String {
+/// `__w.object(..)` writing `fields` but those marked
+/// `skip_serializing`, each value expression produced by `access`
+/// (already a reference). A key is an identifier, which needs no
+/// escape, so it is written quoted here rather than scanned for escapes
+/// on every write.
+fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
     let entries: String = fields
         .iter()
-        .map(|f| format!("__w.ident_field(\"\\\"{f}\\\"\", {});", access(f)))
+        .filter(|f| !f.skip_serializing)
+        .map(|Field { name: f, .. }| format!("__w.ident_field(\"\\\"{f}\\\"\", {});", access(f)))
         .collect();
     format!("__w.object(|__w| {{ {entries} }})")
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, body) = match parse_shape(input) {
         Shape::Struct(name, fields) => {
@@ -171,14 +213,22 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         format!("{name}::{v} => ::serde::Serialize::write_json(\"{v}\", __w),")
                     }
                     Variant::Tuple(v) => {
-                        let tagged = write_fields(std::slice::from_ref(v), |_| "__f0".into());
+                        let tag = Field {
+                            name: v.clone(),
+                            ..Field::default()
+                        };
+                        let tagged = write_fields(&[tag], |_| "__f0".into());
                         format!("{name}::{v}(__f0) => {tagged},")
                     }
                     Variant::Struct(v, fields) => {
-                        let bind = fields.join(", ");
+                        let bind: String = fields
+                            .iter()
+                            .filter(|f| !f.skip_serializing)
+                            .map(|f| format!("{}, ", f.name))
+                            .collect();
                         let inner = write_fields(fields, |f| f.to_string());
                         format!(
-                            "{name}::{v} {{ {bind} }} => __w.object(|__w| {{ __w.ident_key(\"\\\"{v}\\\"\"); {inner} }}),"
+                            "{name}::{v} {{ {bind}.. }} => __w.object(|__w| {{ __w.ident_key(\"\\\"{v}\\\"\"); {inner} }}),"
                         )
                     }
                 })
@@ -197,21 +247,29 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 
 /// An expression reading the object at `__r`'s cursor into `ctor`'s
 /// `fields`: one `Option` slot per field, filled in whatever order the
-/// keys arrive; unknown keys are checked and dropped.
-fn read_fields(ctor: &str, fields: &[String]) -> String {
+/// keys arrive; unknown keys are checked and dropped. A missing key is
+/// an error, or its type's default for a `default` field.
+fn read_fields(ctor: &str, fields: &[Field]) -> String {
     let slots: String = fields
         .iter()
-        .map(|f| format!("let mut __f_{f} = ::std::option::Option::None;"))
+        .map(|Field { name: f, .. }| format!("let mut __f_{f} = ::std::option::Option::None;"))
         .collect();
     let arms: String = fields
         .iter()
-        .map(|f| format!("\"{f}\" => __r.field(\"{f}\", &mut __f_{f}),"))
+        .map(|Field { name: f, .. }| format!("\"{f}\" => __r.field(\"{f}\", &mut __f_{f}),"))
         .collect();
     let inits: String = fields
         .iter()
-        .map(|f| {
-            format!("{f}: __f_{f}.ok_or_else(|| ::serde::DeError::new(\"missing field `{f}`\"))?,")
-        })
+        .map(
+            |Field {
+                 name: f, default, ..
+             }| match default {
+                true => format!("{f}: __f_{f}.unwrap_or_default(),"),
+                false => format!(
+                    "{f}: __f_{f}.ok_or_else(|| ::serde::DeError::new(\"missing field `{f}`\"))?,"
+                ),
+            },
+        )
         .collect();
     format!(
         "{{ {slots}\n\
@@ -220,7 +278,7 @@ fn read_fields(ctor: &str, fields: &[String]) -> String {
     )
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, body) = match parse_shape(input) {
         Shape::Struct(name, fields) => {

@@ -9,6 +9,8 @@ use mctop::enrich::{
 };
 use mctop::ProbeConfig;
 
+mod support;
+
 fn cfg() -> ProbeConfig {
     ProbeConfig {
         reps: 3,
@@ -51,7 +53,6 @@ fn description_is_human_inspectable_json() {
     for needle in [
         "\"sockets\"",
         "\"levels\"",
-        "\"lat_table\"",
         "\"version\"",
         "\"provenance\"",
         "\"machine\"",
@@ -59,6 +60,46 @@ fn description_is_human_inspectable_json() {
     ] {
         assert!(s.contains(needle), "missing {needle}");
     }
+    // The latency table is derived on load, never stored.
+    assert!(!s.contains("\"lat_table\""), "{s}");
+}
+
+/// A format-2 text of each committed description (the table stored)
+/// loads to the same topology as the format-3 file, with its header's
+/// `format_version` 2; with one table entry raised it is refused, and
+/// the error names that entry.
+#[test]
+fn every_committed_file_still_loads_as_format_2() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("descs");
+    let mut files = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (topo, prov) = mctop::desc::from_str_full(&text).unwrap();
+        let (topo2, prov2) = mctop::desc::from_str_full(&support::v2_text(&text, None))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(topo2, topo, "{}", path.display());
+        let v2 = Provenance {
+            format_version: 2,
+            ..prov
+        };
+        assert_eq!(prov2, v2, "{}", path.display());
+
+        let (a, b) = (topo.num_hwcs() - 1, 0);
+        let was = topo.get_latency(a, b);
+        match mctop::desc::from_str(&support::v2_text(&text, Some((a, b)))) {
+            Err(mctop::McTopError::IrregularTopology(msg)) => assert_eq!(
+                msg,
+                format!(
+                    "latency table entry ({a}, {b}) is {}, but the groups and links give {was}",
+                    was + 1
+                )
+            ),
+            other => panic!("{}: {other:?}", path.display()),
+        }
+        files += 1;
+    }
+    assert_eq!(files, 16);
 }
 
 #[test]

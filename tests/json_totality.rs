@@ -20,6 +20,8 @@ use rand::{
 };
 use serde_json::Value;
 
+mod support;
+
 fn committed(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("descs")
@@ -124,6 +126,42 @@ fn a_description_without_sockets_is_an_error_not_a_panic() {
         mctop::McTopError::IrregularTopology(_) => {}
         other => panic!("{other}"),
     }
+}
+
+#[test]
+fn a_description_that_disagrees_with_itself_is_named_not_loaded() {
+    // A format-2 table entry raised inside a socket and across sockets,
+    // and a group member out of range: each parses, and validation
+    // names the entry and both values.
+    let text = committed("synth-nosmt");
+    let topo = desc::from_str(&text).unwrap();
+    let irregular = |text: &str| {
+        assert_eq!(read_both(text), (true, false));
+        match desc::from_str(text).unwrap_err() {
+            mctop::McTopError::IrregularTopology(msg) => msg,
+            other => panic!("{other}"),
+        }
+    };
+    let (s0, s1) = (&topo.sockets[0].hwcs, &topo.sockets[1].hwcs);
+    for (a, b) in [(s0[0], s0[1]), (s0[2], s1[1])] {
+        let was = topo.get_latency(a, b);
+        assert_eq!(
+            irregular(&support::v2_text(&text, Some((a, b)))),
+            format!(
+                "latency table entry ({a}, {b}) is {}, but the groups and links give {was}",
+                was + 1
+            )
+        );
+    }
+    let mut file: Value = serde_json::from_str(&text).unwrap();
+    file["topology"]["groups"][3]["hwcs"][0] = serde_json::json!(99);
+    assert_eq!(
+        irregular(&file.to_string()),
+        format!(
+            "group 3 holds context 99, but the topology has {} contexts",
+            topo.num_hwcs()
+        )
+    );
 }
 
 #[test]
