@@ -130,7 +130,7 @@ fn regen_descs_roundtrip_and_check() {
     // Tamper with one file: --check fails with exit 1.
     let victim = dir.join("ivy.mct.json");
     let text = std::fs::read_to_string(&victim).unwrap();
-    std::fs::write(&victim, text.replace("\"version\": 3", "\"version\": 2")).unwrap();
+    std::fs::write(&victim, text.replace("\"version\": 4", "\"version\": 3")).unwrap();
     let out = mct(&["regen-descs", "--dir", dir_str, "--check"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stdout(&out).contains("STALE"), "{}", stdout(&out));

@@ -1,7 +1,8 @@
 //! MCTOP-ALG output validation (Section 3.6).
 //!
 //! Two mechanisms: (i) structural self-checks — hierarchy cardinality,
-//! partition properties, group and link latencies on the levels, and a
+//! partition properties, group and link latencies on the levels, link
+//! hop counts equal to the distances over the direct links, and a
 //! latency table equal to the one the groups and links define — which
 //! catch spurious measurements that survived clustering and
 //! descriptions that disagree with themselves; and (ii) comparison
@@ -18,7 +19,8 @@ use crate::model::{
     InterconnectLink,
     LatencyLevel,
     LevelRole,
-    Mctop, //
+    Mctop,
+    Underived, //
 };
 
 /// Structural self-validation, then the latency table against the one
@@ -75,6 +77,128 @@ pub fn fill_table(topo: &mut Mctop) -> Result<(), McTopError> {
 
 fn irregular(msg: String) -> Result<(), McTopError> {
     Err(McTopError::IrregularTopology(msg))
+}
+
+/// Rule 3 on a topology that has every socket pair's link record
+/// (description formats 2 and 3, or a format-4 file that stores them
+/// all), in any order: each record's `hops` is the BFS distance over the
+/// direct (`hops == 1`) records. The records are first checked as
+/// [`validate`] checks them, so that the distances read no bad index.
+pub fn hops(topo: &Mctop) -> Result<(), McTopError> {
+    let s = topo.num_sockets();
+    if s == 0 {
+        // Refused by the structural checks, which say why.
+        return Ok(());
+    }
+    check_links(&topo.links, s)?;
+    let sorted;
+    let mut links = &topo.links[..];
+    if !links
+        .windows(2)
+        .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b))
+    {
+        let mut copy = links.to_vec();
+        copy.sort_unstable_by_key(|l| (l.a, l.b));
+        sorted = copy;
+        links = &sorted;
+    }
+    topo.derived_links(links, |_, stored, derived| match stored {
+        Some(l) if l.hops != 1 => same_hops(l, &derived),
+        _ => Ok(()),
+    })
+}
+
+/// The link records of a format-4 description completed. The stored
+/// records must be normalized, name known sockets and come in strictly
+/// ascending triangle order; each that is not direct must pass rule 3;
+/// the record of every pair the file leaves out is derived
+/// ([`Mctop::derived_links`]), and the pair is named if the rules give
+/// none. A file that stores every pair's record needs no order and
+/// derives nothing: it is checked as [`hops`] checks it.
+pub fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
+    let s = topo.num_sockets();
+    let pairs = s * s.saturating_sub(1) / 2;
+    if topo.links.len() == pairs {
+        return hops(topo);
+    }
+    if s > topo.num_hwcs() {
+        // Every socket holds a context, or the structural checks refuse
+        // the file; deriving nothing here keeps the S² records this
+        // would allocate within the N² table's bound.
+        return Ok(());
+    }
+    let mut last = None;
+    for l in &topo.links {
+        check_record(l, s)?;
+        let pair = Some((l.a, l.b));
+        if pair <= last {
+            let (a, b) = last.unwrap_or_default();
+            return irregular(match pair == last {
+                true => format!("duplicate interconnect record ({a}, {b})"),
+                false => format!(
+                    "interconnect record ({}, {}) is out of triangle order: it follows ({a}, {b})",
+                    l.a, l.b
+                ),
+            });
+        }
+        last = pair;
+    }
+    let mut links = Vec::with_capacity(pairs);
+    topo.derived_links(&topo.links, |(a, b), stored, derived| {
+        match (stored, derived) {
+            (Some(l), derived) => {
+                if l.hops != 1 {
+                    same_hops(l, &derived)?;
+                }
+                links.push(l.clone());
+            }
+            (None, Ok(l)) => links.push(l),
+            (None, Err(Underived::Unreachable)) => {
+                return irregular(format!(
+                    "socket pair ({a}, {b}) has no interconnect record, \
+                     and no path of direct links joins it"
+                ))
+            }
+            (None, Err(Underived::Levels { hops, levels })) => {
+                let have = match levels {
+                    0 => "no level has".to_string(),
+                    k => format!("{k} levels have"),
+                };
+                return irregular(format!(
+                    "socket pair ({a}, {b}) has no interconnect record and is {hops} hops apart, \
+                     but {have} role CrossSocket {{ hops: {hops} }}"
+                ));
+            }
+        }
+        Ok(())
+    })?;
+    topo.links = links;
+    Ok(())
+}
+
+/// Rule 3 on one record: its `hops` is the distance `derived` found.
+fn same_hops(
+    l: &InterconnectLink,
+    derived: &Result<InterconnectLink, Underived>,
+) -> Result<(), McTopError> {
+    let (a, b, stored) = (l.a, l.b, l.hops);
+    let hops = match derived {
+        Ok(d) => d.hops,
+        Err(Underived::Levels { hops, .. }) => *hops,
+        Err(Underived::Unreachable) => {
+            return irregular(format!(
+                "interconnect record ({a}, {b}) has hops {stored}, \
+                 but no path of direct links joins the pair"
+            ));
+        }
+    };
+    if stored == hops {
+        return Ok(());
+    }
+    irregular(format!(
+        "interconnect record ({a}, {b}) has hops {stored}, \
+         but the direct links join the pair in {hops}"
+    ))
 }
 
 /// Everything but the latency table: each index the table's derivation
@@ -239,29 +363,35 @@ fn off_levels(levels: &[LatencyLevel], latency: u32) -> Option<String> {
 /// are found in an `s x s` bitmap, allocated only once the record count
 /// has matched `s (s - 1) / 2`, which bounds its size by the input's.
 fn check_links(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
-    let err = |msg: String| Err(McTopError::IrregularTopology(msg));
     if links.len() != s * (s - 1) / 2 {
-        return err("missing interconnect records".into());
+        return irregular("missing interconnect records".into());
     }
     let mut seen = vec![0u64; (s * s).div_ceil(64)];
     for l in links {
-        if l.a >= l.b {
-            return err(format!(
-                "interconnect record ({}, {}) is not normalized (need a < b)",
-                l.a, l.b
-            ));
-        }
-        if l.b >= s {
-            return err(format!(
-                "interconnect record ({}, {}) names an unknown socket",
-                l.a, l.b
-            ));
-        }
+        check_record(l, s)?;
         let (word, bit) = ((l.a * s + l.b) / 64, (l.a * s + l.b) % 64);
         if seen[word] & 1 << bit != 0 {
-            return err(format!("duplicate interconnect record ({}, {})", l.a, l.b));
+            return irregular(format!("duplicate interconnect record ({}, {})", l.a, l.b));
         }
         seen[word] |= 1 << bit;
+    }
+    Ok(())
+}
+
+/// One interconnect record of an `s`-socket topology is normalized and
+/// names known sockets.
+fn check_record(l: &InterconnectLink, s: usize) -> Result<(), McTopError> {
+    if l.a >= l.b {
+        return irregular(format!(
+            "interconnect record ({}, {}) is not normalized (need a < b)",
+            l.a, l.b
+        ));
+    }
+    if l.b >= s {
+        return irregular(format!(
+            "interconnect record ({}, {}) names an unknown socket",
+            l.a, l.b
+        ));
     }
     Ok(())
 }
@@ -506,6 +636,30 @@ mod tests {
             assert_eq!(outcome(check_links(&links, s)), want, "s={s} {pairs:?}");
         }
         assert!(errors > 1000, "only {errors} of the cases are errors");
+    }
+
+    #[test]
+    fn more_sockets_than_contexts_derive_no_links() {
+        // A description read without its table, its socket records
+        // repeated far past its contexts and its links left out: the
+        // S² records are not derived, and the structural checks refuse
+        // the file.
+        let mut t = infer(&presets::synthetic_small());
+        let s = 4 * t.num_hwcs();
+        t.sockets = (0..s)
+            .map(|id| crate::model::Socket {
+                id,
+                ..t.sockets[0].clone()
+            })
+            .collect();
+        t.links.clear();
+        t.lat_table.clear();
+        derive_links(&mut t).unwrap();
+        assert!(t.links.is_empty());
+        assert!(matches!(
+            fill_table(&mut t),
+            Err(McTopError::IrregularTopology(_))
+        ));
     }
 
     #[test]

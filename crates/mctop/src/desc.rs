@@ -12,15 +12,37 @@
 //! [`McTopError::InvalidDescription`] — a matching `version` number
 //! alone is not enough to accept a file.
 //!
-//! Format 3 ([`VERSION`]) stores the latency levels, the group tree and
-//! the socket-pair link records, and not the N×N latency table: the
-//! reader runs the structural checks of [`validate`] and then derives
-//! the table from the groups and links ([`Mctop::derived_latency_rows`]). Two contexts of one socket are as
+//! Format 4 ([`VERSION`]) stores the latency levels, the group tree and
+//! only the socket-pair link records that the rest of the description
+//! does not define ([`Mctop::stored_links`]): every direct (`hops == 1`)
+//! record, and any other whose fields three rules would not reproduce
+//! exactly ([`Mctop::derived_links`]):
+//!
+//! - its `hops` is the BFS distance over the direct records;
+//! - its `latency` is the median of the one level whose role is
+//!   `CrossSocket { hops }` with that hop count;
+//! - its `bandwidth` is `sockets[a].mem_bandwidths[n]` for socket `b`'s
+//!   local node `n`.
+//!
+//! The reader checks the stored records (normalized, naming known
+//! sockets, in triangle order, and each one that is not direct at the
+//! distance the direct ones give), derives every missing pair's record,
+//! and refuses the file, naming the pair, where the rules give none. A
+//! file that stores every record may list them in any order. It then
+//! runs the structural checks of [`validate`] and derives the N×N
+//! latency table from the groups and links
+//! ([`Mctop::derived_latency_rows`]): two contexts of one socket are as
 //! far apart as the smallest group that holds both, two of different
 //! sockets as their socket pair's link record, and a context is 0 from
-//! itself. A format-2 file, which stored the table, still loads: its
-//! table is compared with the derivation row by row, and the file is
-//! refused at the first entry that differs, naming both values.
+//! itself. The loaded [`Mctop`] holds every pair's record, in triangle
+//! order, whatever the file stored.
+//!
+//! Older files still load, checked by the same rules. A format-3 file
+//! stores every link record: each one's `hops` must be its distance over
+//! the direct records, and the table is derived as above. A format-2
+//! file also stores the table: its hops are checked the same way, and
+//! its table is compared with the derivation row by row and refused at
+//! the first entry that differs, naming both values.
 //!
 //! Both directions are one pass over the text with no value tree in
 //! between: [`to_string`] writes a borrowed envelope into one buffer,
@@ -68,11 +90,17 @@ use crate::model::Mctop;
 
 /// Current description-file format version. Version 2 added the
 /// mandatory provenance header; version 3 dropped the latency table,
-/// which the reader derives from the groups and links.
-pub const VERSION: u32 = 3;
+/// which the reader derives from the groups and links; version 4 drops
+/// the link records the reader derives from the direct ones.
+pub const VERSION: u32 = 4;
+
+/// The last version that stored every socket pair's link record. Such
+/// a file still loads, once each record's hops equal the distance over
+/// the direct ones.
+const LINKS_VERSION: u32 = 3;
 
 /// The last version that stored the latency table. Such a file still
-/// loads, once its table equals the derived one.
+/// loads, once its hops and its table equal the derived ones.
 const TABLE_VERSION: u32 = 2;
 
 /// The generator string written by the canonical regeneration path.
@@ -133,13 +161,13 @@ struct Loaded(u32, Mctop, Provenance);
 impl Deserialize for Loaded {
     /// Reads the envelope in the pass that reads its entries, in gate
     /// order whatever the key order: `provenance` is read in place once
-    /// the version is known to be [`VERSION`] or [`TABLE_VERSION`],
-    /// `topology` once the header is read. An entry that arrives before
-    /// the gates ahead of it are settled is only checked, and its text
-    /// (a slice of the input, no copy) read after the object closes —
-    /// so a file of another version fails on its version, and a
-    /// headerless one on the missing header, not on whatever field of a
-    /// payload they never promised trips first.
+    /// the version is known to be [`VERSION`], [`LINKS_VERSION`] or
+    /// [`TABLE_VERSION`], `topology` once the header is read. An entry
+    /// that arrives before the gates ahead of it are settled is only
+    /// checked, and its text (a slice of the input, no copy) read after
+    /// the object closes — so a file of another version fails on its
+    /// version, and a headerless one on the missing header, not on
+    /// whatever field of a payload they never promised trips first.
     fn read_json<'a>(r: &mut Reader<'a>) -> Result<Self, DeError> {
         let (mut version, mut prov, mut topo) = (None::<u32>, None, None);
         let (mut prov_text, mut topo_text) = (None::<&'a str>, None::<&'a str>);
@@ -149,10 +177,13 @@ impl Deserialize for Loaded {
             "version" => {
                 r.field("version", &mut version)?;
                 match version {
-                    Some(v) if v != VERSION && v != TABLE_VERSION => Err(DeError::new(format!(
-                        "unsupported description version {v} \
-                         (expected {VERSION}, or {TABLE_VERSION} with its latency table)"
-                    ))),
+                    Some(v) if ![VERSION, LINKS_VERSION, TABLE_VERSION].contains(&v) => {
+                        Err(DeError::new(format!(
+                            "unsupported description version {v} (expected {VERSION}, \
+                             {LINKS_VERSION} with every link record, \
+                             or {TABLE_VERSION} with its latency table)"
+                        )))
+                    }
                     _ => Ok(()),
                 }
             }
@@ -298,10 +329,14 @@ pub fn to_string(topo: &Mctop, prov: &Provenance) -> Result<String, McTopError> 
 }
 
 /// Bytes to reserve for the text of `topo`: within a factor of two of
-/// the real size, so the buffer grows at most once.
+/// the real size, so the buffer grows at most once. The link records
+/// counted are the direct ones, which are what a description stores
+/// where the rules of [`Mctop::derived_links`] hold; counting them
+/// exactly would cost a second derivation.
 fn text_size_estimate(topo: &Mctop) -> usize {
     let (n, s) = (topo.num_hwcs(), topo.num_sockets());
-    4096 + 128 * (n + topo.links.len()) + 256 * topo.groups.len() + 64 * s * topo.nodes.len()
+    let links = topo.links.iter().filter(|l| l.hops == 1).count();
+    4096 + 128 * (n + links) + 256 * topo.groups.len() + 64 * s * topo.nodes.len()
 }
 
 /// Parses and validates a description string.
@@ -310,7 +345,8 @@ pub fn from_str(s: &str) -> Result<Mctop, McTopError> {
 }
 
 /// Parses and validates a description string, returning the provenance
-/// header alongside the topology. The latency table is derived from the
+/// header alongside the topology. The link records the file leaves out
+/// are derived from the direct ones, and the latency table from the
 /// groups and links; a version-2 file's stored table is checked against
 /// the derived one instead, and rejected at the first entry that
 /// differs.
@@ -332,10 +368,19 @@ pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
             prov.machine, topo.name
         )));
     }
-    if version == TABLE_VERSION {
-        validate::validate(&topo)?;
-    } else {
-        validate::fill_table(&mut topo)?;
+    match version {
+        VERSION => {
+            validate::derive_links(&mut topo)?;
+            validate::fill_table(&mut topo)?;
+        }
+        LINKS_VERSION => {
+            validate::hops(&topo)?;
+            validate::fill_table(&mut topo)?;
+        }
+        _ => {
+            validate::hops(&topo)?;
+            validate::validate(&topo)?;
+        }
     }
     Ok((topo, prov))
 }
@@ -463,21 +508,32 @@ mod tests {
         }
     }
 
-    /// `text` (version 3) as version 2 wrote it: `table` stored after
-    /// `links`, and both version fields 2.
-    fn as_v2(text: &str, table: &[u32]) -> String {
+    /// `text` (version 4) as an older `version` wrote it: every link
+    /// record of `topo` back in `links`, both version fields set to
+    /// `version`, and `table`, if any, stored after `links`.
+    fn as_old(text: &str, topo: &Mctop, version: u32, table: Option<&[u32]>) -> String {
         let mut v: serde_json::Value = serde_json::from_str(text).unwrap();
-        v["version"] = serde_json::json!(2);
-        v["provenance"]["format_version"] = serde_json::json!(2);
+        v["version"] = serde_json::json!(version);
+        v["provenance"]["format_version"] = serde_json::json!(version);
+        v["topology"]["links"] = serde_json::to_value(&topo.links);
         let serde_json::InnerValue::Object(fields) = &mut v["topology"].0 else {
             panic!("the topology is an object");
         };
-        let at = fields.iter().position(|(k, _)| k == "links").unwrap() + 1;
-        fields.insert(
-            at,
-            ("lat_table".into(), serde_json::json!(table.to_vec()).0),
-        );
+        if let Some(table) = table {
+            let at = fields.iter().position(|(k, _)| k == "links").unwrap() + 1;
+            fields.insert(
+                at,
+                ("lat_table".into(), serde_json::json!(table.to_vec()).0),
+            );
+        }
         v.to_string()
+    }
+
+    fn irregular(text: &str) -> String {
+        match from_str(text).unwrap_err() {
+            McTopError::IrregularTopology(msg) => msg,
+            other => panic!("expected IrregularTopology, got {other:?}"),
+        }
     }
 
     #[test]
@@ -488,7 +544,7 @@ mod tests {
         // table: make the latency table asymmetric.
         let mut table = topo.lat_table.clone();
         table[1] = 9999;
-        let res = from_str(&as_v2(&s, &table));
+        let res = from_str(&as_old(&s, &topo, 2, Some(&table)));
         assert!(matches!(res, Err(McTopError::IrregularTopology(_))));
     }
 
@@ -497,30 +553,103 @@ mod tests {
         let (topo, prov) = infer_with_header(&presets::synthetic_small());
         let s = to_string(&topo, &prov).unwrap();
         assert!(!s.contains("lat_table"), "{s}");
-        let v2 = as_v2(&s, &topo.lat_table);
+        let v2 = as_old(&s, &topo, 2, Some(&topo.lat_table));
         let (back, back_prov) = from_str_full(&v2).unwrap();
         assert_eq!(back, topo);
         assert_eq!(back_prov.format_version, 2);
-        let irregular = |text: &str| match from_str(text).unwrap_err() {
-            McTopError::IrregularTopology(msg) => msg,
-            other => panic!("expected IrregularTopology, got {other:?}"),
-        };
-        // A version-3 text with a table, or a version-2 one without.
-        let v3_with_table = v2.replacen("\"version\":2", "\"version\":3", 1).replacen(
-            "\"format_version\":2",
-            "\"format_version\":3",
-            1,
-        );
-        assert_eq!(
-            irregular(&v3_with_table),
-            "a description of this format carries no latency table"
-        );
-        let v2_without_table = s.replacen("\"version\": 3", "\"version\": 2", 1).replacen(
-            "\"format_version\": 3",
-            "\"format_version\": 2",
-            1,
-        );
+        // A version-3 or version-4 text with a table, or a version-2 one
+        // without.
+        for version in [3, 4] {
+            let with_table = v2
+                .replacen("\"version\":2", &format!("\"version\":{version}"), 1)
+                .replacen(
+                    "\"format_version\":2",
+                    &format!("\"format_version\":{version}"),
+                    1,
+                );
+            assert_eq!(
+                irregular(&with_table),
+                "a description of this format carries no latency table"
+            );
+        }
+        let v2_without_table = as_old(&s, &topo, 2, None);
         assert_eq!(irregular(&v2_without_table), "latency table is not N x N");
+    }
+
+    /// Each way a description can contradict its link rules is refused,
+    /// naming the pair and both values.
+    #[test]
+    fn link_records_that_contradict_the_rules_are_named() {
+        use crate::model::{
+            LatTriplet,
+            LatencyLevel,
+            LevelRole, //
+        };
+        let text = crate::registry::shipped_source("opteron").unwrap();
+        let opteron = from_str(text).unwrap();
+        let stored: Vec<_> = opteron.stored_links().into_iter().cloned().collect();
+        // `text` with one topology entry replaced.
+        let with = |key: &str, value: serde_json::Value| {
+            let mut v: serde_json::Value = serde_json::from_str(text).unwrap();
+            v["topology"][key] = value;
+            v.to_string()
+        };
+
+        // (a) A version-3 text with link (0, 3) one hop further than the
+        // direct links put it ...
+        let mut far = opteron.clone();
+        let l = far.links.iter_mut().find(|l| (l.a, l.b) == (0, 3)).unwrap();
+        assert_eq!(l.hops, 2);
+        l.hops = 3;
+        let want = "interconnect record (0, 3) has hops 3, but the direct links join the pair in 2";
+        assert_eq!(irregular(&as_old(text, &far, 3, None)), want);
+        // ... and the same record stored in a version-4 text.
+        let mut links = stored.clone();
+        let at = links.partition_point(|r| (r.a, r.b) < (0, 3));
+        links.insert(at, far.link(0, 3).unwrap().clone());
+        assert_eq!(
+            irregular(&with("links", serde_json::to_value(&links))),
+            want
+        );
+
+        // (b) Ivy's one direct record removed: socket 1 is unreachable.
+        let ivy = crate::registry::shipped_source("ivy").unwrap();
+        let mut v: serde_json::Value = serde_json::from_str(ivy).unwrap();
+        v["topology"]["links"] =
+            serde_json::to_value(&Vec::<crate::model::InterconnectLink>::new());
+        assert_eq!(
+            irregular(&v.to_string()),
+            "socket pair (0, 1) has no interconnect record, and no path of direct links joins it"
+        );
+
+        // (c) A second level with two hops' role: the first pair two hops
+        // apart has no one latency.
+        let two = opteron.links.iter().find(|l| l.hops == 2).unwrap();
+        let mut levels = opteron.levels.clone();
+        levels.push(LatencyLevel {
+            index: levels.len(),
+            latency: LatTriplet::exact(opteron.max_latency() + 10),
+            role: LevelRole::CrossSocket { hops: 2 },
+        });
+        assert_eq!(
+            irregular(&with("levels", serde_json::to_value(&levels))),
+            format!(
+                "socket pair ({}, {}) has no interconnect record and is 2 hops apart, \
+                 but 2 levels have role CrossSocket {{ hops: 2 }}",
+                two.a, two.b
+            )
+        );
+
+        // (d) Two stored records swapped.
+        let mut swapped = stored.clone();
+        swapped.swap(0, 1);
+        assert_eq!(
+            irregular(&with("links", serde_json::to_value(&swapped))),
+            format!(
+                "interconnect record ({}, {}) is out of triangle order: it follows ({}, {})",
+                stored[0].a, stored[0].b, stored[1].a, stored[1].b
+            )
+        );
     }
 
     #[test]

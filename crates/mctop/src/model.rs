@@ -180,6 +180,22 @@ pub struct InterconnectLink {
     pub bandwidth: Option<f64>,
 }
 
+/// Why the rules of [`Mctop::derived_links`] give a socket pair no link
+/// record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Underived {
+    /// No path of direct records joins the two sockets.
+    Unreachable,
+    /// The pair is `hops` apart, and `levels` latency levels (none, or
+    /// more than one) have the role `CrossSocket { hops }`.
+    Levels {
+        /// The pair's BFS distance over the direct records.
+        hops: usize,
+        /// Levels with that role.
+        levels: usize,
+    },
+}
+
 /// How the socket->node mapping in this topology was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeAssignment {
@@ -270,10 +286,13 @@ pub struct Mctop {
     pub sockets: Vec<Socket>,
     /// Memory nodes.
     pub nodes: Vec<Node>,
-    /// Socket-to-socket connections (every pair, with hop counts).
+    /// Socket-to-socket connections (every pair, with hop counts). A
+    /// description stores only [`Mctop::stored_links`] (format 4): the
+    /// loader derives the rest ([`Mctop::derived_links`]).
+    #[serde(getter = "Mctop::stored_links")]
     pub links: Vec<InterconnectLink>,
     /// Normalized context-to-context latency table (row-major, N x N).
-    /// A description file does not store it (format 3): the loader
+    /// A description file does not store it (since format 3): the loader
     /// fills it from [`Mctop::derived_latency_rows`], and
     /// `alg::validate` checks that it equals them.
     #[serde(skip_serializing, default)]
@@ -410,6 +429,137 @@ impl Mctop {
             each(a, &row)?;
         }
         Ok(())
+    }
+
+    /// Every socket pair's link record as the rest of the topology
+    /// defines it, in triangle order: `each((a, b), stored, derived)` for
+    /// every pair `a < b` — (0, 1), (0, 2), …, (1, 2), … — until it
+    /// returns an `Err`, which is returned. `stored` is the pair's record
+    /// in `links`, if it has one; `derived` is what three rules make of
+    /// the pair:
+    ///
+    /// - `hops` is the BFS distance from `a` to `b` over the `hops == 1`
+    ///   records of `links`;
+    /// - `latency` is the median of the one level whose role is
+    ///   `CrossSocket { hops }` with that hop count;
+    /// - `bandwidth` is `sockets[a].mem_bandwidths[n]` for `b`'s local
+    ///   node `n`, and `None` if `b` has none or `n` is out of range
+    ///   (what `enrich::memory::bandwidth_plugin` writes).
+    ///
+    /// Costs one BFS per socket over the direct records, plus one step
+    /// per pair.
+    ///
+    /// # Panics
+    ///
+    /// If `links` is not normalized (`a < b`), in range and in strictly
+    /// ascending triangle order.
+    pub fn derived_links<'a, E>(
+        &self,
+        links: &'a [InterconnectLink],
+        mut each: impl FnMut(
+            (usize, usize),
+            Option<&'a InterconnectLink>,
+            Result<InterconnectLink, Underived>,
+        ) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let s = self.num_sockets();
+        // The direct records as adjacency lists:
+        // `adjacent[start[a]..start[a + 1]]` for socket `a`.
+        let direct = || links.iter().filter(|l| l.hops == 1);
+        let mut start = vec![0usize; s + 1];
+        for l in direct() {
+            start[l.a] += 1;
+            start[l.b] += 1;
+        }
+        let mut total = 0;
+        for count in &mut start {
+            total += *count;
+            *count = total;
+        }
+        let mut adjacent = vec![0usize; total];
+        for l in direct() {
+            start[l.a] -= 1;
+            adjacent[start[l.a]] = l.b;
+            start[l.b] -= 1;
+            adjacent[start[l.b]] = l.a;
+        }
+        // (levels, median) of the `CrossSocket` levels of each hop count
+        // a BFS can reach.
+        let mut by_hops = vec![(0usize, 0u32); s];
+        for level in &self.levels {
+            if let LevelRole::CrossSocket { hops } = level.role {
+                if let Some(slot) = by_hops.get_mut(hops) {
+                    *slot = (slot.0 + 1, level.latency.median);
+                }
+            }
+        }
+        let mut dist = vec![usize::MAX; s];
+        let mut queue = Vec::with_capacity(s);
+        let mut stored = links.iter().peekable();
+        for a in 0..s {
+            dist.fill(usize::MAX);
+            dist[a] = 0;
+            queue.clear();
+            queue.push(a);
+            let mut next = 0;
+            while let Some(&u) = queue.get(next) {
+                next += 1;
+                for &v in &adjacent[start[u]..start[u + 1]] {
+                    if dist[v] == usize::MAX {
+                        dist[v] = dist[u] + 1;
+                        queue.push(v);
+                    }
+                }
+            }
+            for (b, &hops) in dist.iter().enumerate().skip(a + 1) {
+                let record = stored.next_if(|l| (l.a, l.b) == (a, b));
+                let derived = match hops {
+                    usize::MAX => Err(Underived::Unreachable),
+                    hops => match by_hops[hops] {
+                        (1, latency) => Ok(InterconnectLink {
+                            a,
+                            b,
+                            latency,
+                            hops,
+                            bandwidth: self.sockets[b]
+                                .local_node
+                                .and_then(|n| self.sockets[a].mem_bandwidths.get(n).copied()),
+                        }),
+                        (levels, _) => Err(Underived::Levels { hops, levels }),
+                    },
+                };
+                each((a, b), record, derived)?;
+            }
+        }
+        assert!(
+            stored.next().is_none(),
+            "link records out of triangle order"
+        );
+        Ok(())
+    }
+
+    /// The link records a description stores: the direct (`hops == 1`)
+    /// ones, and every other one that differs from what
+    /// [`Mctop::derived_links`] makes of its pair, in triangle order. If
+    /// `links` is not every socket pair in triangle order, all of it, in
+    /// its own order, so that a round trip keeps it.
+    pub fn stored_links(&self) -> Vec<&InterconnectLink> {
+        let s = self.num_sockets();
+        let mut pairs = (0..s).flat_map(|a| (a + 1..s).map(move |b| (a, b)));
+        let in_order = self.links.len() == s * s.saturating_sub(1) / 2
+            && self.links.iter().all(|l| pairs.next() == Some((l.a, l.b)));
+        if !in_order {
+            return self.links.iter().collect();
+        }
+        let mut out = Vec::new();
+        let Ok(()) = self.derived_links(&self.links, |_, stored, derived| {
+            let l = stored.expect("every pair has a record");
+            if l.hops == 1 || derived.as_ref() != Ok(l) {
+                out.push(l);
+            }
+            Ok::<(), std::convert::Infallible>(())
+        });
+        out
     }
 
     /// The local memory node of a context

@@ -39,6 +39,21 @@ struct Derived {
     after: bool,
 }
 
+/// A field written as what a function of the whole struct returns, and
+/// read as itself.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Gotten {
+    #[serde(getter = "Gotten::evens")]
+    items: Vec<u32>,
+    after: bool,
+}
+
+impl Gotten {
+    fn evens(&self) -> Vec<&u32> {
+        self.items.iter().filter(|&&v| v % 2 == 0).collect()
+    }
+}
+
 fn error<T: Deserialize + std::fmt::Debug>(text: &str) -> String {
     from_json::<T>(text).unwrap_err().to_string()
 }
@@ -189,6 +204,23 @@ fn a_skip_serializing_default_field_is_not_written_and_read_if_present() {
     assert_eq!(
         error::<Derived>(r#"{"derived": [], "after": true}"#),
         "missing field `kept`"
+    );
+}
+
+#[test]
+fn a_getter_field_is_written_as_the_getters_value_and_read_as_itself() {
+    let full = Gotten {
+        items: vec![1, 2, 3, 4],
+        after: true,
+    };
+    let text = to_json(&full, false, 0);
+    assert_eq!(text, r#"{"items":[2,4],"after":true}"#);
+    assert_eq!(
+        from_json::<Gotten>(&text).unwrap(),
+        Gotten {
+            items: vec![2, 4],
+            after: true,
+        }
     );
 }
 

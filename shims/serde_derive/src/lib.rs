@@ -7,8 +7,10 @@
 //! enums whose variants are unit, single-field tuple, or braced.
 //!
 //! A named field takes real serde's `#[serde(skip_serializing)]` (not
-//! written) and `#[serde(default)]` (`Default::default()` when the key
-//! is missing); any other `serde` attribute is a compile error.
+//! written), `#[serde(default)]` (`Default::default()` when the key is
+//! missing) and `#[serde(getter = "path")]` (a struct field written as
+//! what `path(&self)` returns; read as the field itself); any other
+//! `serde` attribute is a compile error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -18,6 +20,9 @@ struct Field {
     name: String,
     skip_serializing: bool,
     default: bool,
+    /// The function whose value, for the whole struct, is written for
+    /// this field.
+    getter: Option<String>,
 }
 
 enum Variant {
@@ -131,15 +136,14 @@ fn serde_flags(attr: TokenStream, field: &mut Field) {
     match (iter.next(), iter.next()) {
         (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) if id.to_string() == "serde" => {
             for arg in split_commas(args.stream()) {
-                match arg
-                    .iter()
-                    .map(|tt| tt.to_string())
-                    .collect::<String>()
-                    .as_str()
-                {
+                let arg: String = arg.iter().map(|tt| tt.to_string()).collect();
+                match arg.as_str() {
                     "skip_serializing" => field.skip_serializing = true,
                     "default" => field.default = true,
-                    other => panic!("unsupported serde attribute `{other}`"),
+                    other => match other.strip_prefix("getter=") {
+                        Some(path) => field.getter = Some(path.trim_matches('"').to_string()),
+                        None => panic!("unsupported serde attribute `{other}`"),
+                    },
                 }
             }
         }
@@ -189,11 +193,11 @@ fn variants(stream: TokenStream) -> Vec<Variant> {
 /// (already a reference). A key is an identifier, which needs no
 /// escape, so it is written quoted here rather than scanned for escapes
 /// on every write.
-fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+fn write_fields(fields: &[Field], access: impl Fn(&Field) -> String) -> String {
     let entries: String = fields
         .iter()
         .filter(|f| !f.skip_serializing)
-        .map(|Field { name: f, .. }| format!("__w.ident_field(\"\\\"{f}\\\"\", {});", access(f)))
+        .map(|f| format!("__w.ident_field(\"\\\"{}\\\"\", {});", f.name, access(f)))
         .collect();
     format!("__w.object(|__w| {{ {entries} }})")
 }
@@ -202,7 +206,10 @@ fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (name, body) = match parse_shape(input) {
         Shape::Struct(name, fields) => {
-            let body = write_fields(&fields, |f| format!("&self.{f}"));
+            let body = write_fields(&fields, |f| match &f.getter {
+                Some(getter) => format!("&{getter}(self)"),
+                None => format!("&self.{}", f.name),
+            });
             (name, body)
         }
         Shape::Enum(name, vars) => {
@@ -221,12 +228,16 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         format!("{name}::{v}(__f0) => {tagged},")
                     }
                     Variant::Struct(v, fields) => {
+                        assert!(
+                            fields.iter().all(|f| f.getter.is_none()),
+                            "`getter` is for struct fields"
+                        );
                         let bind: String = fields
                             .iter()
                             .filter(|f| !f.skip_serializing)
                             .map(|f| format!("{}, ", f.name))
                             .collect();
-                        let inner = write_fields(fields, |f| f.to_string());
+                        let inner = write_fields(fields, |f| f.name.clone());
                         format!(
                             "{name}::{v} {{ {bind}.. }} => __w.object(|__w| {{ __w.ident_key(\"\\\"{v}\\\"\"); {inner} }}),"
                         )

@@ -64,21 +64,22 @@ fn read(text: &str) -> (usize, usize, usize) {
 /// One test, so nothing else in this process allocates meanwhile.
 ///
 /// The bounds are checked on the format-2 text of each file, which
-/// stores the latency table the reader keeps; the format-3 file
-/// stores no table, so its length is no yardstick for what the reader
-/// builds. Reading it keeps no more and allocates no more often than
-/// reading the format-2 text, and peaks within the same 1.5 × of what
-/// it keeps. (Its peak is 5–9 % above the format-2 read's: the derived
-/// table's last doubling happens while the derivation's scratch is
-/// live.)
+/// stores every link record and the latency table the reader keeps; the
+/// format-3 text stores no table, and the format-4 file not even the
+/// link records the reader derives, so their lengths are no yardstick
+/// for what the reader builds. Reading either keeps no more and
+/// allocates no more often than reading the format-2 text, and peaks
+/// within the same 1.5 × of what it keeps. (Their peaks are 5–9 %
+/// above the format-2 read's: the derived table's last doubling happens
+/// while the derivation's scratch is live.)
 #[test]
 fn a_read_holds_little_more_than_its_result() {
     for name in ["ivy", "synth-mesh-64", "synth-mesh-144", "synth-mesh-256"] {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("descs")
             .join(mctop::desc::default_filename(name));
-        let v3 = std::fs::read_to_string(path).unwrap();
-        let text = support::v2_text(&v3, None);
+        let v4 = std::fs::read_to_string(path).unwrap();
+        let text = support::v2_text(&v4, None);
         let (peak, kept, allocations) = read(&text);
         println!(
             "{name}: text {} peak {peak} kept {kept} allocations {allocations}",
@@ -91,19 +92,25 @@ fn a_read_holds_little_more_than_its_result() {
             "{name}: {allocations} allocations for {} bytes",
             text.len()
         );
-        let (v3_peak, v3_kept, v3_allocations) = read(&v3);
-        println!(
-            "{name} v3: text {} peak {v3_peak} kept {v3_kept} allocations {v3_allocations}",
-            v3.len()
-        );
-        assert!(v3_kept <= kept, "{name}: v3 keeps {v3_kept}, v2 {kept}");
-        assert!(
-            2 * v3_peak <= 3 * v3_kept,
-            "{name}: v3 peak {v3_peak}, kept {v3_kept}"
-        );
-        assert!(
-            v3_allocations <= allocations,
-            "{name}: v3 {v3_allocations} allocations, v2 {allocations}"
-        );
+        for (format, newer) in [("v3", support::v3_text(&v4)), ("v4", v4.clone())] {
+            let (new_peak, new_kept, new_allocations) = read(&newer);
+            println!(
+                "{name} {format}: text {} peak {new_peak} kept {new_kept} \
+                 allocations {new_allocations}",
+                newer.len()
+            );
+            assert!(
+                new_kept <= kept,
+                "{name}: {format} keeps {new_kept}, v2 {kept}"
+            );
+            assert!(
+                2 * new_peak <= 3 * new_kept,
+                "{name}: {format} peak {new_peak}, kept {new_kept}"
+            );
+            assert!(
+                new_allocations <= allocations,
+                "{name}: {format} {new_allocations} allocations, v2 {allocations}"
+            );
+        }
     }
 }

@@ -64,10 +64,10 @@ fn description_is_human_inspectable_json() {
     assert!(!s.contains("\"lat_table\""), "{s}");
 }
 
-/// A format-2 text of each committed description (the table stored)
-/// loads to the same topology as the format-3 file, with its header's
-/// `format_version` 2; with one table entry raised it is refused, and
-/// the error names that entry.
+/// A format-2 text of each committed description (every link record and
+/// the table stored) loads to the same topology as the format-4 file,
+/// with its header's `format_version` 2; with one table entry raised it
+/// is refused, and the error names that entry.
 #[test]
 fn every_committed_file_still_loads_as_format_2() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("descs");
@@ -100,6 +100,140 @@ fn every_committed_file_still_loads_as_format_2() {
         files += 1;
     }
     assert_eq!(files, 16);
+}
+
+/// The committed descriptions, by path: (path, text, loaded).
+fn committed() -> Vec<(std::path::PathBuf, String, mctop::Mctop)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("descs");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let topo = mctop::desc::from_str(&text).unwrap();
+            (path, text, topo)
+        })
+        .collect();
+    files.sort_by(|a, b| a.0.cmp(&b.0));
+    assert_eq!(files.len(), 16);
+    files
+}
+
+/// A format-3 text of each committed description (every link record
+/// stored) loads to the same topology as the format-4 file, with its
+/// header's `format_version` 3.
+#[test]
+fn every_committed_file_still_loads_as_format_3() {
+    for (path, text, topo) in committed() {
+        let (topo3, prov3) = mctop::desc::from_str_full(&support::v3_text(&text))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(topo3, topo, "{}", path.display());
+        assert_eq!(prov3.format_version, 3, "{}", path.display());
+    }
+}
+
+/// On every committed description the rules derive each record that is
+/// not direct: the file stores exactly the `hops == 1` ones.
+#[test]
+fn every_committed_file_stores_exactly_its_direct_links() {
+    for (path, _, topo) in committed() {
+        let direct: Vec<_> = topo.links.iter().filter(|l| l.hops == 1).collect();
+        assert_eq!(topo.stored_links(), direct, "{}", path.display());
+    }
+}
+
+/// A record the rules would not reproduce is stored, and only such a
+/// record: after one seeded mutation of a committed topology, a write
+/// and a read give it back equal, and the file stores the direct
+/// records plus exactly the mutated ones — or every record, in their
+/// own order, once the list is shuffled.
+#[test]
+fn records_the_rules_miss_are_stored_and_round_trip() {
+    use rand::rngs::SmallRng;
+    use rand::{
+        Rng,
+        SeedableRng, //
+    };
+    let files: Vec<_> = committed()
+        .into_iter()
+        .filter(|(_, _, topo)| topo.links.iter().any(|l| l.hops > 1))
+        .collect();
+    assert!(files.len() >= 6);
+    let mut rng = SmallRng::seed_from_u64(39);
+    let prov = |topo: &mctop::Mctop| Provenance::new(&topo.name, &cfg(), None, true);
+    let mut seen = [0; 4];
+    for case in 0..200 {
+        let (path, _, base) = &files[rng.gen_range(0..files.len())];
+        let mut topo = base.clone();
+        let pick = rng.gen_range(0..topo.links.len());
+        let direct = |topo: &mctop::Mctop, extra: &[(usize, usize)]| -> Vec<_> {
+            let keep =
+                |l: &&mctop::model::InterconnectLink| l.hops == 1 || extra.contains(&(l.a, l.b));
+            topo.links.iter().filter(keep).cloned().collect()
+        };
+        let kind = rng.gen_range(0..4);
+        seen[kind] += 1;
+        let want = match kind {
+            // A multi-hop record's latency moved onto another cross level.
+            0 => {
+                let multi: Vec<usize> = (0..topo.links.len())
+                    .filter(|&i| topo.links[i].hops > 1)
+                    .collect();
+                let i = multi[rng.gen_range(0..multi.len())];
+                let others: Vec<u32> = topo
+                    .levels
+                    .iter()
+                    .filter(|l| matches!(l.role, mctop::model::LevelRole::CrossSocket { .. }))
+                    .map(|l| l.latency.median)
+                    .filter(|&m| m != topo.links[i].latency)
+                    .collect();
+                topo.links[i].latency = others[rng.gen_range(0..others.len())];
+                direct(&topo, &[(topo.links[i].a, topo.links[i].b)])
+            }
+            // One record's bandwidth changed.
+            1 => {
+                let l = &mut topo.links[pick];
+                l.bandwidth = Some(l.bandwidth.unwrap_or(0.0) + 0.25);
+                let pair = (l.a, l.b);
+                direct(&topo, &[pair])
+            }
+            // One socket's local node forgotten: each record towards it
+            // that carries a bandwidth no longer follows from the rules.
+            2 => {
+                let b = rng.gen_range(1..topo.num_sockets());
+                topo.sockets[b].local_node = None;
+                let towards: Vec<_> = topo
+                    .links
+                    .iter()
+                    .filter(|l| l.b == b && l.bandwidth.is_some())
+                    .map(|l| (l.a, l.b))
+                    .collect();
+                direct(&topo, &towards)
+            }
+            // The records shuffled.
+            _ => {
+                for i in (1..topo.links.len()).rev() {
+                    topo.links.swap(i, rng.gen_range(0..=i));
+                }
+                topo.links.clone()
+            }
+        };
+        let what = format!("case {case}, {}, mutation {kind}", path.display());
+        // The table follows the moved latency, as a load derives it.
+        topo.lat_table.clear();
+        mctop::alg::validate::fill_table(&mut topo).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let stored: Vec<_> = topo.stored_links().into_iter().cloned().collect();
+        assert!(
+            stored == want,
+            "{what}: {} stored, {} wanted",
+            stored.len(),
+            want.len()
+        );
+        let text = mctop::desc::to_string(&topo, &prov(&topo)).unwrap();
+        let back = mctop::desc::from_str(&text).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(back == topo, "{what}: the round trip changed the topology");
+    }
+    assert!(seen.iter().all(|&k| k > 20), "{seen:?}");
 }
 
 #[test]

@@ -165,6 +165,61 @@ fn a_description_that_disagrees_with_itself_is_named_not_loaded() {
 }
 
 #[test]
+fn a_description_whose_links_contradict_their_rules_is_named_not_loaded() {
+    // (a) A format-3 text with link (0, 3) one hop further than the
+    // direct links put it; (b) a format-4 text whose one direct record
+    // is gone, so socket 1 is unreachable; (c) a format-4 text with a
+    // second level for two hops, which a derived pair needs. Each
+    // parses, and the loader names the pair and both values.
+    let irregular = |text: &str| {
+        assert_eq!(read_both(text), (true, false));
+        match desc::from_str(text).unwrap_err() {
+            mctop::McTopError::IrregularTopology(msg) => msg,
+            other => panic!("{other}"),
+        }
+    };
+    let opteron = committed("opteron");
+    let mut file: Value = serde_json::from_str(&support::v3_text(&opteron)).unwrap();
+    let record = &mut file["topology"]["links"][2];
+    assert_eq!(
+        (record["a"].to_string(), record["b"].to_string()),
+        ("0".into(), "3".into())
+    );
+    assert_eq!(record["hops"].to_string(), "2");
+    record["hops"] = serde_json::json!(3);
+    assert_eq!(
+        irregular(&file.to_string()),
+        "interconnect record (0, 3) has hops 3, but the direct links join the pair in 2"
+    );
+
+    let mut file: Value = serde_json::from_str(&committed("ivy")).unwrap();
+    file["topology"]["links"] = serde_json::to_value(&Vec::<mctop::model::InterconnectLink>::new());
+    assert_eq!(
+        irregular(&file.to_string()),
+        "socket pair (0, 1) has no interconnect record, and no path of direct links joins it"
+    );
+
+    let topo = desc::from_str(&opteron).unwrap();
+    let mut levels = topo.levels.clone();
+    levels.push(mctop::model::LatencyLevel {
+        index: levels.len(),
+        latency: mctop::model::LatTriplet::exact(topo.max_latency() + 10),
+        role: mctop::model::LevelRole::CrossSocket { hops: 2 },
+    });
+    let mut file: Value = serde_json::from_str(&opteron).unwrap();
+    file["topology"]["levels"] = serde_json::to_value(&levels);
+    let two = topo.links.iter().find(|l| l.hops == 2).unwrap();
+    assert_eq!(
+        irregular(&file.to_string()),
+        format!(
+            "socket pair ({}, {}) has no interconnect record and is 2 hops apart, \
+             but 2 levels have role CrossSocket {{ hops: 2 }}",
+            two.a, two.b
+        )
+    );
+}
+
+#[test]
 fn invalid_utf8_inside_and_outside_strings_is_an_io_error() {
     let text = committed("synth-nosmt");
     let in_string = text.find("synth-nosmt").unwrap();
