@@ -69,6 +69,13 @@ concurrently), never a single output byte. --adaptive measures every
 pair with a cheap pilot pass and spends the full repetitions only on
 pairs near latency cluster boundaries.
 
+By default `infer` measures a planned subset of the context pairs and
+derives the rest: below 32 sockets, each socket's inside, one anchor
+row per socket and a hold-out sample, with every other cross-socket
+pair predicted from its socket pair (hierarchy-first); from 32
+sockets, a pruned neighbourhood plan closed over the socket graph.
+--exhaustive opts out of either plan and measures every pair.
+
 A <desc> is a machine name from `mct list` (resolved against the
 shipped description library) or a path to a *.mct.json file.
 
@@ -222,11 +229,11 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
 
     // Noiseless by default (deterministic); --seed switches to the
     // noisy backend, which also needs the full repetition count.
-    // Either way start from the machine's canonical config so
-    // mesh-scale presets keep their pruned collection plan and cluster
-    // thresholds — and so that with no overrides this is exactly the
-    // pipeline of `desc::canonical` behind `descs/` (only the
-    // generator string differs).
+    // Either way start from the machine's canonical config so every
+    // preset keeps its collection plan (hierarchy-first, or pruned at
+    // mesh scale) and cluster thresholds — and so that with no
+    // overrides this is exactly the pipeline of `desc::canonical`
+    // behind `descs/` (only the generator string differs).
     let mut cfg = desc::canonical_probe_config_for(&spec);
     if seed.is_some() {
         cfg.reps = mctop::ProbeConfig::fast().reps;
@@ -238,9 +245,10 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
         cfg.adaptive = Some(mctop::AdaptiveCfg::default());
     }
     if exhaustive {
-        // Opt out of the pruned plan: probe every context pair.
-        // Reconstruction is exact, so on the synthetic models this
-        // only changes the pair count, never a byte of the output.
+        // Opt out of the hierarchy-first or pruned plan: probe every
+        // context pair. Noiseless prediction and reconstruction are
+        // exact, so on the synthetic models this only changes the pair
+        // count, never a byte of the output.
         cfg.pairs = mctop::PairSelection::Exhaustive;
     }
     let mut prober = match seed {
@@ -327,16 +335,15 @@ fn show_stats(topo: &mctop::Mctop) -> String {
 
     let n = topo.num_hwcs();
     let total = n * (n - 1) / 2;
-    // The probed-pair count comes from the canonical collection plan of
-    // the matching machine model; a desc without a model (foreign file)
-    // is reported as exhaustively probed.
+    // The probed-pair count is what the canonical collection of the
+    // matching machine model measures, noiseless; a desc without a model
+    // (foreign file) is reported as exhaustively probed.
     let probed = mcsim::presets::by_name(&topo.name)
-        .and_then(|spec| match desc::canonical_probe_config_for(&spec).pairs {
-            mctop::PairSelection::Pruned(pc) => mctop::alg::probe::pruned_pairs(n, &pc),
-            mctop::PairSelection::Exhaustive => None,
+        .and_then(|spec| {
+            let cfg = desc::canonical_probe_config_for(&spec);
+            mctop::alg::probe::collect(&mut mctop::backend::SimProber::noiseless(&spec), &cfg).ok()
         })
-        .map(|pairs| pairs.len())
-        .unwrap_or(total);
+        .map_or(total, |(_, stats)| stats.pairs as usize);
     let view = mctop::TopoView::new(std::sync::Arc::new(topo.clone()));
 
     let mut out = String::new();

@@ -177,6 +177,24 @@ fn jobs_flag_never_changes_output() {
 }
 
 #[test]
+fn exhaustive_flag_never_changes_output() {
+    // Hierarchy-first collection predicts most cross-socket pairs; a
+    // noiseless prediction is exact, so opting out of it changes the
+    // pair count and nothing else.
+    for machine in ["ivy", "westmere"] {
+        let planned = mct(&["infer", machine, "--stdout"]);
+        let exhaustive = mct(&["infer", machine, "--exhaustive", "--stdout"]);
+        assert_success(&planned, "infer");
+        assert_success(&exhaustive, "infer --exhaustive");
+        assert_eq!(
+            stdout(&planned),
+            stdout(&exhaustive),
+            "{machine}: --exhaustive changed bytes"
+        );
+    }
+}
+
+#[test]
 fn adaptive_inference_produces_a_valid_description() {
     let out = mct(&["infer", "ivy", "--adaptive", "--stdout"]);
     assert_success(&out, "infer --adaptive");

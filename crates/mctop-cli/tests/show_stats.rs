@@ -1,7 +1,7 @@
 //! Golden tests for `mct show --stats`: the scale-stats block is
 //! pinned byte-for-byte against `tests/golden_stats/` for one small
-//! cache-coherent machine (dense view, exhaustively probed) and one
-//! mesh-scale NoC (sparse view, pruned collection).
+//! cache-coherent machine (dense view, hierarchy-first collection) and
+//! one mesh-scale NoC (sparse view, pruned collection).
 //!
 //! Regenerate after an intentional stats change with
 //! `MCT_UPDATE_GOLDEN=1 cargo test -p mctop-cli --test show_stats`.
@@ -58,12 +58,14 @@ fn show_stats_matches_goldens() {
 
 /// The numbers the goldens pin are the scaling story itself: the mesh
 /// machine must be probed subquadratically and served off the sparse
-/// backend, the small machine exhaustively off the dense one.
+/// backend, the small machine off the dense one, with 89 of its 120
+/// pairs measured (its 2 anchor rows, every pair inside its 2 sockets
+/// and the hold-outs).
 #[test]
 fn stats_reflect_the_scaling_contract() {
     let small = String::from_utf8(mct(&["show", "synth-small", "--stats"]).stdout).unwrap();
     assert!(small.contains("view backend:    dense"), "{small}");
-    assert!(small.contains("(100.0%)"), "{small}");
+    assert!(small.contains("pairs probed:    89 (74.2%)"), "{small}");
 
     let mesh = String::from_utf8(mct(&["show", "synth-mesh-64", "--stats"]).stdout).unwrap();
     assert!(mesh.contains("view backend:    sparse"), "{mesh}");

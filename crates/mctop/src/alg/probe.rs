@@ -20,6 +20,11 @@
 //! produces byte-for-byte the same table and statistics as the
 //! sequential [`collect`].
 //!
+//! [`PairSelection`] decides which pairs are measured at all: every one
+//! (the paper's collection), a pruned plan for mesh-scale machines, or
+//! the hierarchy-first plan that predicts the pairs between two sockets
+//! from one representative (see [`collect_parallel`]).
+//!
 //! [`AdaptiveCfg`] layers two-phase repetitions on top: a cheap pilot
 //! pass over all pairs, then full-repetition refinement only for pairs
 //! whose pilot median lands near a latency-cluster boundary or fails
@@ -207,6 +212,11 @@ impl Default for AdaptiveCfg {
 /// a function of interconnect hop distance under socket-major numbering
 /// (the mesh-scale presets), the reconstruction is *exact*: a noiseless
 /// pruned run produces byte-for-byte the table of an exhaustive run.
+///
+/// [`PairSelection::Hierarchy`] needs no hint at all: it finds the
+/// sockets from the measurements themselves, measures every pair inside
+/// them, and predicts the pairs between two sockets from one
+/// representative, checked against a sample (see [`collect_parallel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairSelection {
     /// Measure every unordered pair (the paper's collection).
@@ -219,6 +229,14 @@ pub enum PairSelection {
     /// check clusters the whole table, which is meaningless while most
     /// entries are unmeasured.
     Pruned(PruneCfg),
+    /// Hierarchy-first collection: one anchor row per socket places
+    /// every context, every pair inside a socket is measured, and each
+    /// cross-socket pair is predicted from its socket pair's
+    /// representative once a seeded hold-out sample lands on the
+    /// predicted levels. Any miss falls back to measuring every pair,
+    /// counted in [`ProbeStats::fallbacks`]. Implies non-adaptive
+    /// collection, as [`PairSelection::Pruned`] does.
+    Hierarchy,
 }
 
 /// Structural hints for [`PairSelection::Pruned`]. The collection layer
@@ -397,6 +415,10 @@ pub struct ProbeStats {
     /// sequential run; under `collect_parallel(jobs=K)` it shrinks
     /// toward `modeled_cycles() / K`.
     pub critical_cycles: u64,
+    /// Hierarchy-first runs that gave up predicting and measured every
+    /// remaining pair: a socket cut that did not hold, or an anchor-row
+    /// or hold-out value off its predicted level.
+    pub fallbacks: u64,
 }
 
 impl ProbeStats {
@@ -424,6 +446,7 @@ impl ProbeStats {
         self.sample_cycles += other.sample_cycles;
         self.overhead_cycles += other.overhead_cycles;
         self.critical_cycles += other.critical_cycles;
+        self.fallbacks += other.fallbacks;
     }
 
     /// Stats as they would look with `target` repetitions per pair
@@ -454,6 +477,7 @@ impl ProbeStats {
             sample_cycles: (self.sample_cycles as f64 * cf) as u64,
             overhead_cycles: self.overhead_cycles,
             critical_cycles: (self.critical_cycles as f64 * cf) as u64,
+            fallbacks: self.fallbacks,
         }
     }
 }
@@ -483,15 +507,50 @@ pub fn collect<P: Prober>(
 /// the simulated backend's DVFS factor is saturated by warm-up and
 /// inherited by every fork. Backends whose [`Prober::fork`] returns
 /// `None` (and `jobs <= 1`) run the same loop with one prober, on the
-/// calling thread.
+/// calling thread. Only [`ProbeStats::critical_cycles`], the modelled
+/// critical path, depends on `jobs`.
+///
+/// # Hierarchy-first collection
+///
+/// Under [`PairSelection::Hierarchy`] the run measures in the order of
+/// the hierarchy, each step a phase of its own:
+///
+/// 1. *Anchor rows.* The lowest context not yet placed is the anchor of
+///    a new socket and is measured against every context. Its row is
+///    clustered and cut at the level boundary that holds `N / nodes`
+///    contexts (else the largest one dividing it: `assemble`'s socket
+///    rule), and every later socket must cut at the first one's size.
+///    Every context then has a value against every socket's anchor.
+/// 2. *Intra-socket pairs.* Every pair inside each socket, so groups
+///    and SMT stay fully measured.
+/// 3. *Representatives and hold-outs.* The two anchors' pair is the
+///    representative of a socket pair (the pair `assemble` reads the
+///    socket latency from). A splitmix sample, seeded by the shape
+///    only, adds two more pairs per socket pair and `N` more anywhere
+///    across sockets.
+///
+/// Every anchor-row value and every hold-out must land on its socket
+/// pair's representative level: within the gap at which
+/// [`cluster::cluster`] would split the two. Then each unmeasured pair
+/// takes its representative's value. A socket cut that does not hold or
+/// any value off its level instead measures every remaining pair; the
+/// table is then exactly the exhaustive one (each pair's samples come
+/// from its own stream, whenever it is measured), and
+/// [`ProbeStats::fallbacks`] says so.
 pub fn collect_parallel<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
     jobs: usize,
 ) -> Result<(LatencyTable, ProbeStats), McTopError> {
     let mut ctx = begin_collection(prober, cfg)?;
-    let (rounds, pruned) = plan_rounds(ctx.n, cfg);
-    let cfg = &effective_cfg(cfg, pruned.is_some());
+    let nodes = prober.num_nodes();
+    let hierarchy = cfg.pairs == PairSelection::Hierarchy;
+    let (rounds, pruned) = if hierarchy {
+        (Vec::new(), None)
+    } else {
+        plan_rounds(ctx.n, cfg)
+    };
+    let cfg = &effective_cfg(cfg, hierarchy || pruned.is_some());
     let mut stats = ProbeStats::default();
 
     // Fork the worker pool after warm-up, so every fork inherits the
@@ -514,13 +573,330 @@ pub fn collect_parallel<P: Prober>(
         0 | 1 => std::slice::from_mut(prober),
         _ => &mut forks[..],
     };
+    if hierarchy {
+        let table = collect_hierarchy(&mut ctx, cfg, nodes, &mut stats, team)?;
+        return Ok((table, stats));
+    }
     let mut table = run_phases(&mut ctx, cfg, &rounds, &mut stats, |rs, kind, st| {
-        run_phase(team, cfg, rs, kind, st)
+        run_phase(team, cfg, &slices(rs), kind, st)
     })?;
     if let Some((pairs, pc)) = &pruned {
         reconstruct_pruned(&mut table, pairs, pc);
     }
     Ok((table, stats))
+}
+
+/// The measured pairs of a hierarchy-first run, and the team that
+/// measures more.
+struct Measured<'t, P> {
+    n: usize,
+    /// `done[a * n + b]`: the pair has been measured (or is the
+    /// diagonal), both ways round.
+    done: Vec<bool>,
+    team: &'t mut [P],
+}
+
+impl<P: Prober> Measured<'_, P> {
+    fn has(&self, a: usize, b: usize) -> bool {
+        self.done[a * self.n + b]
+    }
+
+    /// Measures the pairs of `rounds` (each `a < b`) as one phase and
+    /// writes them into the table, surfacing the first failure.
+    fn run(
+        &mut self,
+        ctx: &mut Collection,
+        cfg: &ProbeConfig,
+        rounds: &[&[(usize, usize)]],
+        stats: &mut ProbeStats,
+    ) -> Result<(), McTopError> {
+        for &(a, b) in rounds.iter().copied().flatten() {
+            self.done[a * self.n + b] = true;
+            self.done[b * self.n + a] = true;
+        }
+        apply_phase(
+            ctx,
+            run_phase(self.team, cfg, rounds, PhaseKind::Full, stats),
+        )
+    }
+}
+
+/// Rounds as slices, the one form [`run_phase`] takes: the anchor rows
+/// are one-pair chunks of one vector, with no allocation per pair. (A
+/// `run_phase` generic over the round type instead measured about 25 %
+/// slower per pair on exhaustive collection.)
+fn slices(rounds: &[Vec<(usize, usize)>]) -> Vec<&[(usize, usize)]> {
+    rounds.iter().map(Vec::as_slice).collect()
+}
+
+/// The sockets a hierarchy-first run found: `members[s]` ascending, so
+/// `members[s][0]` is the socket's anchor, and `of[c]` the socket of
+/// context `c`.
+struct Sockets {
+    of: Vec<usize>,
+    members: Vec<Vec<usize>>,
+}
+
+impl Sockets {
+    /// The representative latency of the socket pair `(u, v)`: its two
+    /// anchors' pair.
+    fn rep(&self, table: &LatencyTable, u: usize, v: usize) -> u32 {
+        table.get(self.members[u][0], self.members[v][0])
+    }
+
+    /// Whether the measured pair `(a, b)` of two sockets lies on its
+    /// socket pair's representative level.
+    fn on_level(&self, table: &LatencyTable, a: usize, b: usize, cfg: &ClusterCfg) -> bool {
+        let rep = self.rep(table, self.of[a], self.of[b]);
+        same_level(table.get(a, b), rep, cfg)
+    }
+}
+
+/// Splitmix seed of the hold-out sample (mixed with the shape).
+const HOLDOUT_SEED: u64 = 0xD1B5_4A32_D192_ED03;
+
+/// Hierarchy-first collection ([`PairSelection::Hierarchy`]; the steps
+/// are described at [`collect_parallel`]).
+fn collect_hierarchy<P: Prober>(
+    ctx: &mut Collection,
+    cfg: &ProbeConfig,
+    nodes: usize,
+    stats: &mut ProbeStats,
+    team: &mut [P],
+) -> Result<LatencyTable, McTopError> {
+    let n = ctx.n;
+    let mut done = vec![false; n * n];
+    for c in 0..n {
+        done[c * n + c] = true;
+    }
+    let mut m = Measured { n, done, team };
+    match hierarchy_steps(ctx, cfg, nodes, stats, &mut m)? {
+        Some(sockets) => predict(&mut ctx.table, &m.done, &sockets),
+        None => {
+            stats.fallbacks += 1;
+            let rest = schedule::round_robin(n)
+                .into_iter()
+                .map(|round| {
+                    round
+                        .into_iter()
+                        .filter(|&(a, b)| !m.has(a, b))
+                        .collect::<Vec<_>>()
+                })
+                .filter(|round| !round.is_empty())
+                .collect::<Vec<_>>();
+            m.run(ctx, cfg, &slices(&rest), stats)?;
+        }
+    }
+    Ok(std::mem::replace(&mut ctx.table, LatencyTable::new(0)))
+}
+
+/// Runs the three measuring steps and their checks. `Ok(None)` means a
+/// check missed and the run must measure every remaining pair.
+fn hierarchy_steps<P: Prober>(
+    ctx: &mut Collection,
+    cfg: &ProbeConfig,
+    nodes: usize,
+    stats: &mut ProbeStats,
+    m: &mut Measured<P>,
+) -> Result<Option<Sockets>, McTopError> {
+    let n = ctx.n;
+    let nodes = nodes.max(1);
+    let quota = if n.is_multiple_of(nodes) {
+        n / nodes
+    } else {
+        0
+    };
+    // Step 1: anchor rows. Every pair of a row shares the anchor, so
+    // each is a round of its own.
+    let mut of = vec![usize::MAX; n];
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    while let Some(anchor) = of.iter().position(|&s| s == usize::MAX) {
+        let row: Vec<(usize, usize)> = (0..n)
+            .filter(|&b| !m.has(anchor, b))
+            .map(|b| (anchor.min(b), anchor.max(b)))
+            .collect();
+        m.run(ctx, cfg, &row.chunks(1).collect::<Vec<_>>(), stats)?;
+        let size = members.first().map(Vec::len);
+        let Some(socket) = cut_row(ctx.table.row(anchor), anchor, quota, size, &cfg.cluster) else {
+            return Ok(None);
+        };
+        if socket.iter().any(|&c| of[c] != usize::MAX) {
+            return Ok(None);
+        }
+        for &c in &socket {
+            of[c] = members.len();
+        }
+        members.push(socket);
+    }
+    let sockets = Sockets { of, members };
+    let off_level = sockets.members.iter().any(|socket| {
+        let anchor = socket[0];
+        (0..n).any(|c| {
+            sockets.of[c] != sockets.of[anchor]
+                && !sockets.on_level(&ctx.table, c, anchor, &cfg.cluster)
+        })
+    });
+    if off_level {
+        return Ok(None);
+    }
+
+    // Step 2: every pair inside each socket, the sockets' round-robin
+    // schedules side by side (all sockets have one size).
+    let mut intra = Vec::new();
+    for round in schedule::round_robin(sockets.members[0].len()) {
+        let mut pairs = Vec::with_capacity(round.len() * sockets.members.len());
+        for s in &sockets.members {
+            pairs.extend(
+                round
+                    .iter()
+                    .map(|&(i, j)| (s[i], s[j]))
+                    .filter(|&(a, b)| !m.has(a, b)),
+            );
+        }
+        if !pairs.is_empty() {
+            intra.push(pairs);
+        }
+    }
+    m.run(ctx, cfg, &slices(&intra), stats)?;
+
+    // Step 3: the hold-out sample.
+    let holdouts = holdout_pairs(n, &sockets, &mut m.done);
+    m.run(
+        ctx,
+        cfg,
+        &slices(&schedule::rounds_for(n, &holdouts)),
+        stats,
+    )?;
+    let on_level = holdouts
+        .iter()
+        .all(|&(a, b)| sockets.on_level(&ctx.table, a, b, &cfg.cluster));
+    Ok(on_level.then_some(sockets))
+}
+
+/// The socket of `anchor`, read off its measured row: the anchor plus
+/// every context in the row's lowest latency clusters, cut at the
+/// boundary that holds `size` contexts. The first socket has no size
+/// yet and cuts as `assemble` picks its socket level: at `quota`
+/// contexts, else at the largest boundary below `N` that divides it.
+/// `None` when no boundary fits (or the row does not cluster).
+fn cut_row(
+    row: &[u32],
+    anchor: usize,
+    quota: usize,
+    size: Option<usize>,
+    cfg: &ClusterCfg,
+) -> Option<Vec<usize>> {
+    let n = row.len();
+    let mut sorted: Vec<u32> = (0..n).filter(|&b| b != anchor).map(|b| row[b]).collect();
+    sorted.sort_unstable();
+    let clusters = cluster::cluster(&sorted, cfg).ok()?;
+    // `holding[k]`: the anchor plus every context below cluster `k`,
+    // with `ceiling[k]` the largest latency among them.
+    let mut holding = vec![1usize];
+    let mut ceiling = vec![0u32];
+    for c in &clusters {
+        holding.push(1 + sorted.partition_point(|&v| v <= c.max));
+        ceiling.push(c.max);
+    }
+    let cut = match size {
+        Some(size) => holding.iter().position(|&h| h == size)?,
+        None if quota == 0 => return None,
+        None => holding.iter().position(|&h| h == quota).or_else(|| {
+            (0..holding.len())
+                .filter(|&k| holding[k] < n && quota.is_multiple_of(holding[k]))
+                .max_by_key(|&k| holding[k])
+        })?,
+    };
+    Some(
+        (0..n)
+            .filter(|&b| b == anchor || (cut > 0 && row[b] <= ceiling[cut]))
+            .collect(),
+    )
+}
+
+/// Whether `x` and `y` fall in one cluster of any table that holds both:
+/// their gap is within the split threshold [`cluster::cluster`] applies
+/// at the lower one, which no value between them can exceed.
+fn same_level(x: u32, y: u32, cfg: &ClusterCfg) -> bool {
+    x.abs_diff(y) <= cfg.abs_gap.max((cfg.rel_gap * x.min(y) as f64) as u32)
+}
+
+/// The hold-out sample of a hierarchy-first run, sorted: for each
+/// socket pair, the first two unmeasured pairs of its grid scanned from
+/// a seeded start, then `n` more unmeasured cross-socket pairs drawn at
+/// random (a bounded number of draws). Each pick is marked in `done`
+/// at once, so none is drawn twice; the caller measures them next.
+fn holdout_pairs(n: usize, sockets: &Sockets, done: &mut [bool]) -> Vec<(usize, usize)> {
+    let s = sockets.members.len();
+    let c = sockets.members[0].len();
+    let mut next = super::splitmix(HOLDOUT_SEED ^ ((n as u64) << 32 | s as u64));
+    let mut picked = Vec::new();
+    let mut pick = |a: usize, b: usize, picked: &mut Vec<(usize, usize)>| {
+        let free = sockets.of[a] != sockets.of[b] && !done[a * n + b];
+        if free {
+            done[a * n + b] = true;
+            done[b * n + a] = true;
+            picked.push((a.min(b), a.max(b)));
+        }
+        free
+    };
+    for u in 0..s {
+        for v in (u + 1)..s {
+            let start = (next() % (c * c) as u64) as usize;
+            let mut found = 0;
+            for k in 0..c * c {
+                if found == 2 {
+                    break;
+                }
+                let at = (start + k) % (c * c);
+                if pick(
+                    sockets.members[u][at / c],
+                    sockets.members[v][at % c],
+                    &mut picked,
+                ) {
+                    found += 1;
+                }
+            }
+        }
+    }
+    let mut found = 0;
+    for _ in 0..16 * n {
+        if found == n {
+            break;
+        }
+        let a = (next() % n as u64) as usize;
+        let b = (next() % n as u64) as usize;
+        if pick(a, b, &mut picked) {
+            found += 1;
+        }
+    }
+    picked.sort_unstable();
+    picked
+}
+
+/// Fills every unmeasured pair of a hierarchy-first table with its
+/// socket pair's representative (all of them cross-socket: step 2
+/// measures every pair inside a socket).
+fn predict(table: &mut LatencyTable, done: &[bool], sockets: &Sockets) {
+    let n = table.n();
+    // `filled[u]`: the row a context of socket `u` has where nothing is
+    // measured, each entry its socket pair's representative.
+    let filled: Vec<Vec<u32>> = (0..sockets.members.len())
+        .map(|u| {
+            (0..n)
+                .map(|b| sockets.rep(table, u, sockets.of[b]))
+                .collect()
+        })
+        .collect();
+    // Row by row over both triangles: `done` is symmetric, so every
+    // write is sequential and the table stays symmetric.
+    for a in 0..n {
+        let done = &done[a * n..][..n];
+        let filled = &filled[sockets.of[a]];
+        for ((value, &done), &rep) in table.row_mut(a).iter_mut().zip(done).zip(filled) {
+            *value = if done { *value } else { rep };
+        }
+    }
 }
 
 /// Resolves the measurement plan of a run: the schedule rounds plus,
@@ -866,7 +1242,7 @@ fn median_stdev(samples: &mut [u32]) -> (u32, f64) {
 fn run_phase<P: Prober>(
     probers: &mut [P],
     cfg: &ProbeConfig,
-    rounds: &[Vec<(usize, usize)>],
+    rounds: &[&[(usize, usize)]],
     kind: PhaseKind,
     stats: &mut ProbeStats,
 ) -> Vec<Entry> {
@@ -885,7 +1261,7 @@ fn run_phase<P: Prober>(
     // first failing pair in schedule order — the one a lone prober
     // stops at.
     let abort_round = AtomicU64::new(u64::MAX);
-    let total_pairs: usize = rounds.iter().map(Vec::len).sum();
+    let total_pairs: usize = rounds.iter().map(|round| round.len()).sum();
     let worker = |w: usize, prober: &mut P| {
         let mut entries = Vec::with_capacity(total_pairs.div_ceil(jobs));
         let mut local = ProbeStats::default();
@@ -966,9 +1342,18 @@ fn run_phase<P: Prober>(
     entries
 }
 
+/// Applies a Full/Refine phase's entries and hands the finished table
+/// over.
+fn finish_phase(ctx: &mut Collection, entries: Vec<Entry>) -> Result<LatencyTable, McTopError> {
+    apply_phase(ctx, entries)?;
+    // The collection state is done once the last phase is applied: move
+    // the table out instead of copying N² values.
+    Ok(std::mem::replace(&mut ctx.table, LatencyTable::new(0)))
+}
+
 /// Applies a Full/Refine phase's entries to the table (rdtsc-corrected)
 /// in schedule order, surfacing the earliest failure.
-fn finish_phase(ctx: &mut Collection, entries: Vec<Entry>) -> Result<LatencyTable, McTopError> {
+fn apply_phase(ctx: &mut Collection, entries: Vec<Entry>) -> Result<(), McTopError> {
     for e in entries {
         match e.outcome {
             Outcome::Value(median) => {
@@ -984,9 +1369,7 @@ fn finish_phase(ctx: &mut Collection, entries: Vec<Entry>) -> Result<LatencyTabl
             }
         }
     }
-    // The collection state is done once the last phase is applied: move
-    // the table out instead of copying N² values.
-    Ok(std::mem::replace(&mut ctx.table, LatencyTable::new(0)))
+    Ok(())
 }
 
 /// Applies the pilot entries to the table and selects which pairs the
@@ -1306,6 +1689,7 @@ mod tests {
                     sample_cycles: 2_818_844,
                     overhead_cycles: 6_280_000_000,
                     critical_cycles,
+                    fallbacks: 0,
                 },
                 "jobs {jobs}"
             );
@@ -1750,5 +2134,298 @@ mod tests {
         let (t_pr, s_pr) = collect(&mut SimProber::noiseless(&spec), &cfg_pr).unwrap();
         assert_eq!(t_ex, t_pr);
         assert_eq!(s_pr.pilot_probes, 0, "pruning disables the pilot pass");
+    }
+
+    fn with_pairs(pairs: PairSelection) -> ProbeConfig {
+        ProbeConfig {
+            reps: 3,
+            pairs,
+            ..ProbeConfig::fast()
+        }
+    }
+
+    /// Every machine below mesh scale, each shape the committed library
+    /// has: SMT or not, one socket, a node per two sockets, interleaved
+    /// and scrambled numberings, and several cross-socket levels.
+    fn below_mesh_scale() -> Vec<mcsim::MachineSpec> {
+        presets::all_paper_platforms()
+            .into_iter()
+            .chain(presets::all_synthetic())
+            .collect()
+    }
+
+    #[test]
+    fn hierarchy_noiseless_equals_exhaustive_on_every_machine_below_mesh_scale() {
+        for spec in below_mesh_scale() {
+            let n = spec.total_hwcs() as u64;
+            let (t_ex, s_ex) = collect(
+                &mut SimProber::noiseless(&spec),
+                &with_pairs(PairSelection::Exhaustive),
+            )
+            .unwrap();
+            let (t_hi, s_hi) = collect(
+                &mut SimProber::noiseless(&spec),
+                &with_pairs(PairSelection::Hierarchy),
+            )
+            .unwrap();
+            assert_eq!(t_ex, t_hi, "{}", spec.name);
+            assert_eq!(s_hi.fallbacks, 0, "{}", spec.name);
+            assert_eq!(s_ex.pairs, n * (n - 1) / 2);
+            assert!(s_hi.pairs <= s_ex.pairs, "{}", spec.name);
+            if spec.sockets > 1 && spec.total_hwcs() > 8 {
+                assert!(s_hi.pairs < s_ex.pairs, "{}: {s_hi:?}", spec.name);
+            }
+        }
+    }
+
+    /// Table and statistics, all but the critical path (the one figure
+    /// that is about the worker count), for jobs 1, 2 and 3: noiseless
+    /// and under noise seed 7.
+    #[test]
+    fn hierarchy_is_deterministic_in_the_worker_count() {
+        let cfg = ProbeConfig {
+            pairs: PairSelection::Hierarchy,
+            adaptive: Some(AdaptiveCfg::default()), // must be forced off
+            ..ProbeConfig::fast()
+        };
+        for spec in [presets::ivy(), presets::westmere()] {
+            for seed in [None, Some(7u64)] {
+                let mk = || match seed {
+                    None => SimProber::noiseless(&spec),
+                    Some(s) => SimProber::new(&spec, s),
+                };
+                let runs: Vec<_> = [1, 2, 3]
+                    .map(|jobs| {
+                        let (table, stats) = collect_parallel(&mut mk(), &cfg, jobs).unwrap();
+                        let stats = ProbeStats {
+                            critical_cycles: 0,
+                            ..stats
+                        };
+                        (table, stats)
+                    })
+                    .into();
+                assert_eq!(runs[0], runs[1], "{} seed {seed:?}", spec.name);
+                assert_eq!(runs[0], runs[2], "{} seed {seed:?}", spec.name);
+                let stats = runs[0].1;
+                assert_eq!(stats.pilot_probes, 0, "the pilot pass is off");
+                assert_eq!(stats.fallbacks, 0, "{} seed {seed:?}", spec.name);
+                assert!(stats.pairs < (spec.total_hwcs() * (spec.total_hwcs() - 1) / 2) as u64);
+            }
+        }
+    }
+
+    /// A simulated machine whose chosen pairs read `extra` cycles slower
+    /// than the model says: a structure the model's own rules do not
+    /// describe.
+    #[derive(Clone)]
+    struct Perturbed<'a> {
+        inner: SimProber<'a>,
+        /// `extra[a * n + b]`, symmetric.
+        extra: Vec<u32>,
+    }
+
+    impl<'a> Perturbed<'a> {
+        fn new(spec: &'a mcsim::MachineSpec, hit: impl Fn(usize, usize) -> Option<u32>) -> Self {
+            let n = spec.total_hwcs();
+            let extra = (0..n * n)
+                .map(|i| {
+                    if i / n == i % n {
+                        0
+                    } else {
+                        hit(i / n, i % n).unwrap_or(0)
+                    }
+                })
+                .collect();
+            Perturbed {
+                inner: SimProber::noiseless(spec),
+                extra,
+            }
+        }
+    }
+
+    impl Prober for Perturbed<'_> {
+        fn num_hwcs(&self) -> usize {
+            self.inner.num_hwcs()
+        }
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn probe(&mut self, a: usize, b: usize) -> u32 {
+            self.inner.probe(a, b) + self.extra[a * self.num_hwcs() + b]
+        }
+        fn probe_batch(&mut self, a: usize, b: usize, out: &mut Vec<u32>, count: usize) {
+            self.inner.probe_batch(a, b, out, count);
+            let extra = self.extra[a * self.num_hwcs() + b];
+            out.iter_mut().for_each(|s| *s += extra);
+        }
+        fn rdtsc_cost(&mut self) -> u32 {
+            self.inner.rdtsc_cost()
+        }
+        fn spin_duration(&mut self, ctxs: &[usize], iters: u64) -> u64 {
+            self.inner.spin_duration(ctxs, iters)
+        }
+        fn begin_stream(&mut self, stream: ProbeStream) {
+            self.inner.begin_stream(stream)
+        }
+        fn fork(&self) -> Option<Self> {
+            Some(self.clone())
+        }
+        fn concurrent_pairs_interfere(&self) -> bool {
+            false
+        }
+    }
+
+    /// Hierarchy-first collection on a perturbed machine either falls
+    /// back, says so, and returns the exhaustive table, or refuses,
+    /// naming the pair; it never returns a table the exhaustive run
+    /// would not. Returns whether it fell back.
+    fn loud_or_exact(mk: impl Fn() -> Perturbed<'static>, what: &str) -> bool {
+        let (t_ex, s_ex) = collect(&mut mk(), &with_pairs(PairSelection::Exhaustive)).unwrap();
+        for jobs in [1, 2] {
+            match collect_parallel(&mut mk(), &with_pairs(PairSelection::Hierarchy), jobs) {
+                Ok((t_hi, s_hi)) => {
+                    assert_eq!(
+                        t_hi, t_ex,
+                        "{what}: a table exhaustive collection would not give"
+                    );
+                    if s_hi.fallbacks == 1 {
+                        assert_eq!(
+                            s_hi.pairs, s_ex.pairs,
+                            "{what}: a fallback measures every pair"
+                        );
+                        assert_eq!(s_hi.probes, s_ex.probes, "{what}");
+                    } else {
+                        assert_eq!(s_hi.fallbacks, 0, "{what}");
+                    }
+                    if jobs == 2 {
+                        return s_hi.fallbacks == 1;
+                    }
+                }
+                Err(McTopError::UnstableMeasurements { pair, .. }) => {
+                    assert!(pair.0 < pair.1, "{what}: refused, naming {pair:?}");
+                    return true;
+                }
+                Err(other) => panic!("{what}: {other}"),
+            }
+        }
+        unreachable!()
+    }
+
+    fn leak(spec: mcsim::MachineSpec) -> &'static mcsim::MachineSpec {
+        Box::leak(Box::new(spec))
+    }
+
+    #[test]
+    fn hierarchy_falls_back_on_a_context_whose_cross_row_is_off() {
+        for spec in [leak(presets::ivy()), leak(presets::westmere())] {
+            let socket = |c: usize| spec.loc(c).socket;
+            // The anchor of the first socket, and a context that is no
+            // anchor at all.
+            let anchors: Vec<usize> = (0..spec.sockets)
+                .map(|s| (0..spec.total_hwcs()).find(|&c| socket(c) == s).unwrap())
+                .collect();
+            let plain = (0..spec.total_hwcs())
+                .find(|c| !anchors.contains(c))
+                .unwrap();
+            for x in [anchors[0], plain] {
+                let mk = || {
+                    Perturbed::new(spec, |a, b| {
+                        ((a == x || b == x) && socket(a) != socket(b))
+                            .then(|| spec.true_latency(a, b) / 2)
+                    })
+                };
+                let what = format!("{}: context {x}'s cross row", spec.name);
+                assert!(loud_or_exact(mk, &what), "{what}: no fallback");
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchy_predicts_a_socket_pair_raised_as_one_and_falls_back_on_a_split_one() {
+        let spec = leak(presets::westmere());
+        let socket = |c: usize| spec.loc(c).socket;
+        let pair = |a: usize, b: usize| {
+            let (u, v) = (socket(a).min(socket(b)), socket(a).max(socket(b)));
+            (u, v) == (2, 5)
+        };
+        // Every pair of sockets 2 and 5 raised alike: one latency per
+        // socket pair still holds, so the prediction is exact.
+        let uniform = || Perturbed::new(spec, |a, b| pair(a, b).then_some(200));
+        assert!(!loud_or_exact(uniform, "sockets (2, 5) raised alike"));
+        // Raised by two amounts two levels apart: the anchor rows see
+        // both.
+        let parity =
+            |a: usize, b: usize| (spec.loc(a).core_in_socket + spec.loc(b).core_in_socket) % 2;
+        let split = || {
+            Perturbed::new(spec, |a, b| {
+                pair(a, b).then_some(if parity(a, b) == 0 { 200 } else { 400 })
+            })
+        };
+        assert!(loud_or_exact(split, "sockets (2, 5) split"));
+        // Split so that every anchor row sees one amount: only the
+        // hold-outs see the other.
+        let anchors: Vec<usize> = (0..spec.sockets)
+            .map(|s| (0..spec.total_hwcs()).find(|&c| socket(c) == s).unwrap())
+            .collect();
+        let hidden = || {
+            Perturbed::new(spec, |a, b| {
+                let on_anchor_row = anchors.contains(&a) || anchors.contains(&b);
+                pair(a, b).then_some(if on_anchor_row { 200 } else { 400 })
+            })
+        };
+        assert!(loud_or_exact(
+            hidden,
+            "sockets (2, 5) split off the anchor rows"
+        ));
+    }
+
+    #[test]
+    fn hierarchy_falls_back_on_one_hold_out_off_its_level() {
+        for spec in [leak(presets::ivy()), leak(presets::haswell())] {
+            let socket = |c: usize| spec.loc(c).socket;
+            let anchors: Vec<usize> = (0..spec.sockets)
+                .map(|s| (0..spec.total_hwcs()).find(|&c| socket(c) == s).unwrap())
+                .collect();
+            // The hold-outs are the measured cross pairs off every anchor
+            // row: record the pairs a noiseless run measures.
+            struct Recording<'a>(SimProber<'a>, Vec<(usize, usize)>);
+            impl Prober for Recording<'_> {
+                fn num_hwcs(&self) -> usize {
+                    self.0.num_hwcs()
+                }
+                fn num_nodes(&self) -> usize {
+                    self.0.num_nodes()
+                }
+                fn probe(&mut self, a: usize, b: usize) -> u32 {
+                    self.0.probe(a, b)
+                }
+                fn probe_batch(&mut self, a: usize, b: usize, out: &mut Vec<u32>, count: usize) {
+                    self.1.push((a, b));
+                    self.0.probe_batch(a, b, out, count)
+                }
+                fn rdtsc_cost(&mut self) -> u32 {
+                    self.0.rdtsc_cost()
+                }
+                fn spin_duration(&mut self, ctxs: &[usize], iters: u64) -> u64 {
+                    self.0.spin_duration(ctxs, iters)
+                }
+            }
+            let mut rec = Recording(SimProber::noiseless(spec), Vec::new());
+            collect(&mut rec, &with_pairs(PairSelection::Hierarchy)).unwrap();
+            let holdout = *rec
+                .1
+                .iter()
+                .find(|&&(a, b)| {
+                    socket(a) != socket(b) && !anchors.contains(&a) && !anchors.contains(&b)
+                })
+                .expect("a hold-out pair");
+            let mk = || {
+                Perturbed::new(spec, |a, b| {
+                    ((a.min(b), a.max(b)) == holdout).then(|| spec.true_latency(a, b) / 2)
+                })
+            };
+            let what = format!("{}: hold-out {holdout:?}", spec.name);
+            assert!(loud_or_exact(mk, &what), "{what}: no fallback");
+        }
     }
 }

@@ -67,6 +67,12 @@ impl LatencyTable {
         &self.vals[a * self.n..(a + 1) * self.n]
     }
 
+    /// The row of a context, to write in place. The caller keeps the
+    /// table symmetric with a zero diagonal.
+    pub(crate) fn row_mut(&mut self, a: usize) -> &mut [u32] {
+        &mut self.vals[a * self.n..(a + 1) * self.n]
+    }
+
     /// The backing vector (row-major), e.g. to store in `Mctop`.
     pub fn into_vec(self) -> Vec<u32> {
         self.vals

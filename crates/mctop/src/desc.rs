@@ -37,6 +37,12 @@
 //! itself. The loaded [`Mctop`] holds every pair's record, in triangle
 //! order, whatever the file stored.
 //!
+//! Before it derives anything, the reader refuses a description larger
+//! than its limits ([`MAX_CONTEXTS`], [`MAX_SOCKETS`], [`MAX_LEVELS`],
+//! [`MAX_GROUPS`]), naming the limit and the count: what a load costs
+//! grows with the square of the context and socket counts, not with
+//! the bytes of the file.
+//!
 //! Older files still load, checked by the same rules. A format-3 file
 //! stores every link record: each one's `hops` must be its distance over
 //! the direct records, and the table is derived as above. A format-2
@@ -102,6 +108,26 @@ const LINKS_VERSION: u32 = 3;
 /// The last version that stored the latency table. Such a file still
 /// loads, once its hops and its table equal the derived ones.
 const TABLE_VERSION: u32 = 2;
+
+/// The most hardware contexts a description may have: 8× the largest
+/// committed machine (512) and above any current multi-socket server.
+/// It caps the derived N×N latency table at 64 MiB.
+pub const MAX_CONTEXTS: usize = 4096;
+
+/// The most sockets a description may have: 4× the largest committed
+/// machine (256). It caps the S(S−1)/2 derived link records at about
+/// 25 MB.
+pub const MAX_SOCKETS: usize = 1024;
+
+/// The most latency levels a description may have: 8× the largest
+/// committed machine (32, on the 256-socket mesh).
+pub const MAX_LEVELS: usize = 256;
+
+/// The most groups a description may have. Every group is a core or
+/// has two children or more, so a tree over [`MAX_CONTEXTS`] contexts
+/// has fewer than twice as many; the largest committed machine has 768
+/// over 512 contexts.
+pub const MAX_GROUPS: usize = 2 * MAX_CONTEXTS;
 
 /// The generator string written by the canonical regeneration path.
 pub const CANONICAL_GENERATOR: &str = "mct regen-descs";
@@ -259,9 +285,12 @@ fn canonical_probe_config() -> ProbeConfig {
 pub const MESH_SCALE_SOCKETS: usize = 32;
 
 /// The canonical probe configuration *for a machine*: three
-/// repetitions of [`ProbeConfig::fast`] for cache-coherent boxes, and
-/// the mesh-scale variant for NoC-scale machines
-/// ([`MESH_SCALE_SOCKETS`]+ sockets).
+/// repetitions of [`ProbeConfig::fast`] with hierarchy-first collection
+/// ([`crate::alg::PairSelection::Hierarchy`]) for cache-coherent boxes,
+/// and the mesh-scale variant for NoC-scale machines
+/// ([`MESH_SCALE_SOCKETS`]+ sockets). A noiseless hierarchy-first run
+/// predicts exactly, so the committed descriptions are byte-identical
+/// to an exhaustive run's.
 ///
 /// The mesh-scale variant differs in two ways:
 ///
@@ -272,13 +301,13 @@ pub const MESH_SCALE_SOCKETS: usize = 32;
 ///   have many closely spaced levels: a 16x16 mesh has 30 distinct
 ///   cross levels 60 cycles apart, which the default 8% relative gap
 ///   would merge at the top and the default 12-level cap would reject).
-///
-/// Existing (small) machines keep the exact historical config, so the
-/// committed goldens cannot move.
 pub fn canonical_probe_config_for(spec: &mcsim::MachineSpec) -> ProbeConfig {
     let base = canonical_probe_config();
     if spec.sockets < MESH_SCALE_SOCKETS {
-        return base;
+        return ProbeConfig {
+            pairs: crate::alg::PairSelection::Hierarchy,
+            ..base
+        };
     }
     let ctxs = spec.total_hwcs();
     ProbeConfig {
@@ -368,6 +397,7 @@ pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
             prov.machine, topo.name
         )));
     }
+    within_limits(&topo)?;
     match version {
         VERSION => {
             validate::derive_links(&mut topo)?;
@@ -383,6 +413,24 @@ pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
         }
     }
     Ok((topo, prov))
+}
+
+/// Refuses a topology over any of the reader's limits, before anything
+/// is derived from it.
+fn within_limits(topo: &Mctop) -> Result<(), McTopError> {
+    for (what, count, limit) in [
+        ("contexts", topo.hwcs.len(), MAX_CONTEXTS),
+        ("sockets", topo.sockets.len(), MAX_SOCKETS),
+        ("latency levels", topo.levels.len(), MAX_LEVELS),
+        ("groups", topo.groups.len(), MAX_GROUPS),
+    ] {
+        if count > limit {
+            return Err(McTopError::InvalidDescription(format!(
+                "{count} {what}, over the limit of {limit} {what} a description may have"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Writes the description file for a topology.

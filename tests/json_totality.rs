@@ -220,6 +220,37 @@ fn a_description_whose_links_contradict_their_rules_is_named_not_loaded() {
 }
 
 #[test]
+fn a_description_over_a_limit_is_refused_before_anything_is_derived() {
+    // One file per limit, generated here: a committed description with
+    // the array the limit counts grown to one entry past it.
+    for (key, what, limit) in [
+        ("hwcs", "contexts", desc::MAX_CONTEXTS),
+        ("sockets", "sockets", desc::MAX_SOCKETS),
+        ("levels", "latency levels", desc::MAX_LEVELS),
+        ("groups", "groups", desc::MAX_GROUPS),
+    ] {
+        let mut file: Value = serde_json::from_str(&committed("synth-nosmt")).unwrap();
+        let serde_json::InnerValue::Array(items) = &mut file["topology"][key].0 else {
+            panic!("`{key}` is an array");
+        };
+        let first = items[0].clone();
+        items.resize(limit + 1, first);
+        let text = serde_json::to_string(&file).unwrap();
+        assert_eq!(read_both(&text), (true, false), "{key}");
+        match desc::from_str(&text).unwrap_err() {
+            mctop::McTopError::InvalidDescription(msg) => assert_eq!(
+                msg,
+                format!(
+                    "{} {what}, over the limit of {limit} {what} a description may have",
+                    limit + 1
+                )
+            ),
+            other => panic!("{key}: {other}"),
+        }
+    }
+}
+
+#[test]
 fn invalid_utf8_inside_and_outside_strings_is_an_io_error() {
     let text = committed("synth-nosmt");
     let in_string = text.find("synth-nosmt").unwrap();
