@@ -404,12 +404,23 @@ fn socket_comp_index(comps: &[Vec<usize>], comp: &[usize]) -> usize {
 fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>, McTopError> {
     let lat = |i: usize, j: usize| s_lat[i * n_sockets + j];
     let mut direct: Vec<Vec<usize>> = vec![Vec::new(); n_sockets];
+    // Row `i` as `lat(i, k) << 32 | k`, ascending, so the sockets nearer
+    // to `i` than a bound are a prefix of it.
+    let mut near: Vec<u64> = Vec::with_capacity(n_sockets);
     for i in 0..n_sockets {
+        near.clear();
+        near.extend((0..n_sockets).map(|k| u64::from(lat(i, k)) << 32 | k as u64));
+        near.sort_unstable();
         for j in (i + 1)..n_sockets {
             let v = lat(i, j);
             // Multi-hop when some intermediate reaches both ends with
-            // strictly smaller latency.
-            let multi = (0..n_sockets).any(|k| k != i && k != j && lat(i, k) < v && lat(k, j) < v);
+            // strictly smaller latency: only the sockets nearer to `i`
+            // than `v` can, nearest first.
+            let multi = near
+                .iter()
+                .take_while(|&&key| key >> 32 < u64::from(v))
+                .map(|&key| key as u32 as usize)
+                .any(|k| k != i && k != j && lat(k, j) < v);
             if !multi {
                 direct[i].push(j);
                 direct[j].push(i);
@@ -503,6 +514,124 @@ mod tests {
             infer_links(&m, 3),
             Err(McTopError::IrregularTopology(_))
         ));
+    }
+
+    /// `infer_links` as it was: every pair scans every intermediate
+    /// socket, the oracle for the nearest-first test.
+    fn infer_links_reference(
+        s_lat: &[u32],
+        n_sockets: usize,
+    ) -> Result<Vec<InterconnectLink>, McTopError> {
+        let lat = |i: usize, j: usize| s_lat[i * n_sockets + j];
+        let mut direct: Vec<Vec<usize>> = vec![Vec::new(); n_sockets];
+        for i in 0..n_sockets {
+            for j in (i + 1)..n_sockets {
+                let v = lat(i, j);
+                let multi =
+                    (0..n_sockets).any(|k| k != i && k != j && lat(i, k) < v && lat(k, j) < v);
+                if !multi {
+                    direct[i].push(j);
+                    direct[j].push(i);
+                }
+            }
+        }
+        let mut links = Vec::new();
+        for i in 0..n_sockets {
+            let mut dist = vec![usize::MAX; n_sockets];
+            dist[i] = 0;
+            let mut queue = std::collections::VecDeque::from([i]);
+            while let Some(s) = queue.pop_front() {
+                for &t in &direct[s] {
+                    if dist[t] == usize::MAX {
+                        dist[t] = dist[s] + 1;
+                        queue.push_back(t);
+                    }
+                }
+            }
+            for (j, &hops) in dist.iter().enumerate().skip(i + 1) {
+                if hops == usize::MAX {
+                    return Err(McTopError::IrregularTopology(
+                        "multi-hop socket pair unreachable over direct links".into(),
+                    ));
+                }
+                links.push(InterconnectLink {
+                    a: i,
+                    b: j,
+                    latency: lat(i, j),
+                    hops,
+                    bandwidth: None,
+                });
+            }
+        }
+        Ok(links)
+    }
+
+    fn assert_links_match_reference(m: &[u32], n: usize, what: &str) {
+        match (infer_links(m, n), infer_links_reference(m, n)) {
+            (Ok(fast), Ok(slow)) => assert_eq!(fast, slow, "{what}"),
+            (Err(fast), Err(slow)) => assert_eq!(fast.to_string(), slow.to_string(), "{what}"),
+            (fast, slow) => panic!("{what}: {fast:?} vs {slow:?}"),
+        }
+    }
+
+    /// An `n x n` table with a zero diagonal, each other entry one of
+    /// `levels` values 100, 140, 180, ... (few values, many ties).
+    fn random_table(
+        next: &mut impl FnMut() -> u64,
+        n: usize,
+        levels: u64,
+        symmetric: bool,
+    ) -> Vec<u32> {
+        let mut m = vec![0u32; n * n];
+        for a in 0..n {
+            for b in 0..n {
+                if a == b || (symmetric && b < a) {
+                    continue;
+                }
+                let v = 100 + 40 * (next() % levels) as u32;
+                m[a * n + b] = v;
+                if symmetric {
+                    m[b * n + a] = v;
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn infer_links_equals_the_full_scan_on_the_committed_descriptions() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../descs");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let topo = crate::desc::load(&path).unwrap();
+            let n = topo.sockets.len();
+            let mut m = vec![0u32; n * n];
+            for l in &topo.links {
+                m[l.a * n + l.b] = l.latency;
+                m[l.b * n + l.a] = l.latency;
+            }
+            assert_links_match_reference(&m, n, &path.display().to_string());
+            seen += 1;
+        }
+        assert_eq!(seen, 16);
+    }
+
+    #[test]
+    fn infer_links_equals_the_full_scan_on_random_tables_with_ties() {
+        let mut next = crate::alg::splitmix(42);
+        for case in 0..200 {
+            let n = 2 + (next() % 23) as usize;
+            let levels = 1 + next() % 4;
+            let m = random_table(&mut next, n, levels, true);
+            assert_links_match_reference(&m, n, &format!("symmetric case {case}"));
+        }
+        for case in 0..200 {
+            let n = 2 + (next() % 15) as usize;
+            let levels = 1 + next() % 5;
+            let m = random_table(&mut next, n, levels, false);
+            assert_links_match_reference(&m, n, &format!("asymmetric case {case}"));
+        }
     }
 
     #[test]

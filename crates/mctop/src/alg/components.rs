@@ -12,6 +12,7 @@
 //! the sockets remain the top components and the cross-socket structure
 //! is handled by interconnect inference instead).
 
+use crate::alg::find_root;
 use crate::alg::table::LatencyTable;
 use crate::error::McTopError;
 use crate::model::LatTriplet;
@@ -49,7 +50,7 @@ pub struct Hierarchy {
 pub fn build(norm: &LatencyTable, clusters: &[LatTriplet]) -> Result<Hierarchy, McTopError> {
     let n = norm.n();
     let mut comps: Vec<Vec<usize>> = (0..n).map(|h| vec![h]).collect();
-    let mut m: Vec<u32> = (0..n * n).map(|i| norm.get(i / n, i % n)).collect();
+    let mut m: Vec<u32> = norm.clone().into_vec();
     let mut levels: Vec<LevelComps> = Vec::new();
     let mut stopped = None;
 
@@ -137,23 +138,10 @@ pub fn build(norm: &LatencyTable, clusters: &[LatTriplet]) -> Result<Hierarchy, 
 fn try_group(m: &[u32], k: usize, lat: u32) -> Option<Vec<Vec<usize>>> {
     // Union-find over components joined by `lat`.
     let mut parent: Vec<usize> = (0..k).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut r = x;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        let mut c = x;
-        while parent[c] != c {
-            let next = parent[c];
-            parent[c] = r;
-            c = next;
-        }
-        r
-    }
     for i in 0..k {
         for j in (i + 1)..k {
             if m[i * k + j] == lat {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                let (ri, rj) = (find_root(&mut parent, i), find_root(&mut parent, j));
                 if ri != rj {
                     parent[ri] = rj;
                 }
@@ -162,7 +150,7 @@ fn try_group(m: &[u32], k: usize, lat: u32) -> Option<Vec<Vec<usize>>> {
     }
     let mut groups_map: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
     for i in 0..k {
-        let r = find(&mut parent, i);
+        let r = find_root(&mut parent, i);
         groups_map.entry(r).or_default().push(i);
     }
     let groups: Vec<Vec<usize>> = groups_map.into_values().collect();
@@ -184,20 +172,26 @@ fn try_group(m: &[u32], k: usize, lat: u32) -> Option<Vec<Vec<usize>>> {
             }
         }
         // Condition 2: identical external rows.
-        let first = g[0];
-        let in_group = |x: usize| g.contains(&x);
-        for &member in g.iter().skip(1) {
-            for z in 0..k {
-                if in_group(z) {
-                    continue;
-                }
-                if m[first * k + z] != m[member * k + z] {
-                    return None;
-                }
-            }
+        if !same_external_rows(m, k, g) {
+            return None;
         }
     }
     Some(groups)
+}
+
+/// Whether every member of `g` has the same row as its first member
+/// outside the group's own columns. The rows are compared whole, and
+/// only a column where they differ is looked up in `g`.
+fn same_external_rows(m: &[u32], k: usize, g: &[usize]) -> bool {
+    let first = &m[g[0] * k..][..k];
+    g[1..].iter().all(|&member| {
+        let row = &m[member * k..][..k];
+        first
+            .iter()
+            .zip(row)
+            .enumerate()
+            .all(|(z, (a, b))| a == b || g.contains(&z))
+    })
 }
 
 #[cfg(test)]
@@ -305,6 +299,52 @@ mod tests {
         let h = hierarchy_of(&presets::scrambled());
         assert_eq!(h.levels[0].comps.len(), 8); // Cores.
         assert_eq!(h.levels[1].comps.len(), 2); // Sockets.
+    }
+
+    /// The identical-external-rows check as it was: every column of
+    /// every member looked up in the group first.
+    fn same_external_rows_reference(m: &[u32], k: usize, g: &[usize]) -> bool {
+        let first = g[0];
+        for &member in g.iter().skip(1) {
+            for z in 0..k {
+                if g.contains(&z) {
+                    continue;
+                }
+                if m[first * k + z] != m[member * k + z] {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn same_external_rows_equals_the_lookup_per_column() {
+        let mut next = crate::alg::splitmix(43);
+        for case in 0..2000 {
+            // A group of up to 4 distinct components whose rows are
+            // copies of the first's, then one entry changed, inside the
+            // group's columns or outside them.
+            let k = 2 + (next() % 10) as usize;
+            let mut m: Vec<u32> = (0..k * k).map(|_| (next() % 3) as u32).collect();
+            let mut g: Vec<usize> = Vec::new();
+            for _ in 0..1 + next() % 4 {
+                let c = (next() % k as u64) as usize;
+                if !g.contains(&c) {
+                    g.push(c);
+                }
+            }
+            for &member in &g[1..] {
+                m.copy_within(g[0] * k..(g[0] + 1) * k, member * k);
+            }
+            let row = g[(next() % g.len() as u64) as usize];
+            m[row * k + (next() % k as u64) as usize] += 1;
+            assert_eq!(
+                same_external_rows(&m, k, &g),
+                same_external_rows_reference(&m, k, &g),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

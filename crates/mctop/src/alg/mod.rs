@@ -103,3 +103,20 @@ pub(crate) fn splitmix(seed: u64) -> impl FnMut() -> u64 {
         z ^ (z >> 31)
     }
 }
+
+/// The root of `x` in a union-find forest (`parent[r] == r` at a root),
+/// compressing the path on the way: the component grouping and the
+/// pruned closure's reachability both union over it.
+pub(crate) fn find_root(parent: &mut [usize], x: usize) -> usize {
+    let mut r = x;
+    while parent[r] != r {
+        r = parent[r];
+    }
+    let mut c = x;
+    while parent[c] != c {
+        let next = parent[c];
+        parent[c] = r;
+        c = next;
+    }
+    r
+}
