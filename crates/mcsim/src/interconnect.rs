@@ -247,7 +247,8 @@ impl Interconnect {
     }
 
     /// All distinct cross-socket latency values, ascending.
-    pub fn latency_levels(&self) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn latency_levels(&self) -> Vec<u32> {
         let mut vals: Vec<u32> = (0..self.sockets)
             .flat_map(|a| ((a + 1)..self.sockets).map(move |b| (a, b)))
             .map(|(a, b)| self.latency(a, b))

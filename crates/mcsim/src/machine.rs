@@ -294,22 +294,17 @@ impl MachineSpec {
         self.interconnect.latency(la.socket, lb.socket)
     }
 
-    /// The socket-level latency (context-to-context across sockets).
-    pub fn cross_latency(&self, sa: usize, sb: usize) -> u32 {
-        self.interconnect.latency(sa, sb)
-    }
-
     /// Memory load latency from `socket` to `node`, cycles: local
     /// latency plus a per-hop penalty to the *nearest* socket attached
     /// to the node (a node can be shared by several sockets).
-    pub fn mem_latency(&self, socket: usize, node: usize) -> u32 {
+    pub(crate) fn mem_latency(&self, socket: usize, node: usize) -> u32 {
         let hops = self.hops_to_node(socket, node);
         self.mem.local_latency + hops as u32 * self.mem.hop_penalty
     }
 
     /// Interconnect hops from a socket to the nearest socket attached to
     /// `node` (0 when the socket itself is attached).
-    pub fn hops_to_node(&self, socket: usize, node: usize) -> usize {
+    pub(crate) fn hops_to_node(&self, socket: usize, node: usize) -> usize {
         self.local_node_of_socket
             .iter()
             .enumerate()
@@ -325,7 +320,7 @@ impl MachineSpec {
     /// capped by the weakest link on the path, with a deterministic
     /// per-pair degradation standing in for routing asymmetries
     /// (the paper's Fig. 1/2 remote bandwidths are visibly non-uniform).
-    pub fn mem_bandwidth(&self, socket: usize, node: usize) -> f64 {
+    pub(crate) fn mem_bandwidth(&self, socket: usize, node: usize) -> f64 {
         let hops = self.hops_to_node(socket, node);
         if hops == 0 {
             return self.mem.local_bandwidth;
@@ -354,7 +349,8 @@ impl MachineSpec {
 
     /// The socket whose memory controller hosts `node` (inverse of the
     /// true socket->node map; for shared nodes, the first such socket).
-    pub fn socket_of_node(&self, node: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn socket_of_node(&self, node: usize) -> usize {
         self.local_node_of_socket
             .iter()
             .position(|&n| n == node)

@@ -76,7 +76,7 @@ impl NoiseCfg {
 
     /// Applies jitter, outliers and quantization to a true latency.
     /// `gauss` must be a standard-normal-ish sample.
-    pub fn apply<R: Rng>(&self, true_cycles: f64, rng: &mut R) -> u32 {
+    pub(crate) fn apply<R: Rng>(&self, true_cycles: f64, rng: &mut R) -> u32 {
         let mut v = true_cycles;
         if self.sigma_frac > 0.0 {
             v *= 1.0 + self.sigma_frac * approx_std_normal(rng);
@@ -93,7 +93,7 @@ impl NoiseCfg {
 
 /// Approximate standard normal: sum of 12 uniforms minus 6 (Irwin-Hall).
 /// Accurate enough for measurement jitter and avoids an extra dependency.
-pub fn approx_std_normal<R: Rng>(rng: &mut R) -> f64 {
+pub(crate) fn approx_std_normal<R: Rng>(rng: &mut R) -> f64 {
     let s: f64 = (0..12).map(|_| rng.gen::<f64>()).sum();
     s - 6.0
 }
@@ -122,7 +122,7 @@ impl Default for DvfsCfg {
 
 impl DvfsCfg {
     /// DVFS switched off in the BIOS.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         DvfsCfg {
             enabled: false,
             ramp_units: 0,
@@ -131,7 +131,7 @@ impl DvfsCfg {
     }
 
     /// Current slowdown multiplier for a core with `warmth` busy units.
-    pub fn factor(&self, warmth: u32) -> f64 {
+    pub(crate) fn factor(&self, warmth: u32) -> f64 {
         if !self.enabled || warmth >= self.ramp_units {
             return 1.0;
         }

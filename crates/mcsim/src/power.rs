@@ -95,7 +95,8 @@ impl<'m> PowerModel<'m> {
     }
 
     /// Marginal power of activating `hwc` given the already-active set.
-    pub fn marginal(&self, active: &[usize], hwc: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn marginal(&self, active: &[usize], hwc: usize) -> f64 {
         let before = self.estimate(active).total_with_dram();
         let mut with: Vec<usize> = active.to_vec();
         with.push(hwc);

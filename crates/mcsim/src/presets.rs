@@ -825,8 +825,8 @@ mod tests {
     fn westmere_cross_latencies_match_fig2() {
         let w = westmere();
         // Direct links: 341 cycles.
-        assert_eq!(w.cross_latency(0, 1), 341);
-        assert_eq!(w.cross_latency(0, 4), 341);
+        assert_eq!(w.interconnect.latency(0, 1), 341);
+        assert_eq!(w.interconnect.latency(0, 4), 341);
         // Two-hop pairs exist and cost 458.
         let levels = w.interconnect.latency_levels();
         assert_eq!(levels, vec![341, 458]);
@@ -836,9 +836,9 @@ mod tests {
     fn opteron_three_cross_levels_match_fig1() {
         let o = opteron();
         // MCM partner: 197; direct HT: 217; 2-hop: 300.
-        assert_eq!(o.cross_latency(0, 1), 197);
-        assert_eq!(o.cross_latency(0, 2), 217);
-        assert_eq!(o.cross_latency(0, 3), 300);
+        assert_eq!(o.interconnect.latency(0, 1), 197);
+        assert_eq!(o.interconnect.latency(0, 2), 217);
+        assert_eq!(o.interconnect.latency(0, 3), 300);
         assert_eq!(o.interconnect.latency_levels(), vec![197, 217, 300]);
     }
 
@@ -880,10 +880,10 @@ mod tests {
         assert_eq!(m.total_hwcs(), 128);
         // Corner to corner: 7 + 7 = 14 hops.
         assert_eq!(m.interconnect.hops(0, 63), 14);
-        assert_eq!(m.cross_latency(0, 63), 150 + 60 * 14);
+        assert_eq!(m.interconnect.latency(0, 63), 150 + 60 * 14);
         // Neighbours: one hop.
-        assert_eq!(m.cross_latency(0, 1), 210);
-        assert_eq!(m.cross_latency(0, 8), 210);
+        assert_eq!(m.interconnect.latency(0, 1), 210);
+        assert_eq!(m.interconnect.latency(0, 8), 210);
         // One latency level per Manhattan distance 1..=14.
         let levels = m.interconnect.latency_levels();
         assert_eq!(levels.len(), 14);

@@ -4,18 +4,19 @@
 //! re-uses the same pinned workers instead of spawning scoped threads
 //! per call.
 
+#[cfg(test)]
 use std::mem::MaybeUninit;
 
 use mcsim::{
     MachineSpec,
     MemoryOracle, //
 };
+#[cfg(test)]
 use mctop_runtime::Executor;
 
-use crate::plan::{
-    AllocPlan,
-    NodeStripe, //
-};
+use crate::plan::AllocPlan;
+#[cfg(test)]
+use crate::plan::NodeStripe;
 use crate::policy::AllocError;
 
 /// A backend turns a resolved [`AllocPlan`] into per-worker arenas —
@@ -113,8 +114,9 @@ impl MemoryBackend for ModelBackend<'_> {
 }
 
 /// A host arena: real bytes, first-touched according to the plan.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct HostArena {
+pub(crate) struct HostArena {
     /// Dense worker index.
     pub worker: usize,
     /// The stripes backing this arena (offsets follow stripe order).
@@ -122,6 +124,7 @@ pub struct HostArena {
     buf: Vec<u8>,
 }
 
+#[cfg(test)]
 impl HostArena {
     /// The arena bytes (zero-initialized by the first touch).
     pub fn as_slice(&self) -> &[u8] {
@@ -129,7 +132,7 @@ impl HostArena {
     }
 
     /// The arena bytes, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.buf
     }
 
@@ -151,11 +154,13 @@ impl HostArena {
 /// On a NUMA host with default first-touch page placement this backs
 /// every stripe by its planned node without `mbind`/`libnuma`; on any
 /// other host it degrades to plain allocation.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct HostBackend<'e> {
+pub(crate) struct HostBackend<'e> {
     exec: &'e Executor,
 }
 
+#[cfg(test)]
 impl<'e> HostBackend<'e> {
     /// A host backend over an executor armed on the *same placement*
     /// the plan was resolved from (worker indices must agree).
@@ -164,6 +169,7 @@ impl<'e> HostBackend<'e> {
     }
 }
 
+#[cfg(test)]
 impl MemoryBackend for HostBackend<'_> {
     type Arena = HostArena;
 

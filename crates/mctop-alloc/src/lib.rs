@@ -9,17 +9,14 @@
 //! nodes at page granularity, plus the per-socket bandwidth-saturation
 //! thread counts that the RR_SCALE-style policies need.
 //!
-//! Two backends realize a plan behind the one [`MemoryBackend`] trait:
-//!
-//! - [`ModelBackend`] charges the plan's costs through
-//!   [`mcsim::MemoryOracle`] — deterministic, noiseless, comparable
-//!   across policies, which is what the tests and
-//!   `examples/alloc_compare.rs` use;
-//! - [`HostBackend`] provisions real buffers on the machine running the
-//!   process: each stripe is zero-initialized (*first-touched*) by a
-//!   pinned [`mctop_runtime::Executor`] worker sitting on the
-//!   stripe's node, so on a NUMA host with first-touch page placement
-//!   the pages land on the planned nodes without `mbind`.
+//! A backend realizes a plan behind the one [`MemoryBackend`] trait:
+//! [`ModelBackend`] charges the plan's costs through
+//! [`mcsim::MemoryOracle`] — deterministic, noiseless, comparable
+//! across policies, which is what the tests and
+//! `examples/alloc_compare.rs` use. The host backend, which provisions
+//! real buffers whose stripes are zero-initialized (*first-touched*) by
+//! a pinned [`mctop_runtime::Executor`] worker on the stripe's node, has
+//! no caller outside this crate's tests and is compiled only for them.
 //!
 //! # Example
 //!
@@ -57,8 +54,6 @@ pub mod plan;
 pub mod policy;
 
 pub use backend::{
-    HostArena,
-    HostBackend,
     MemoryBackend,
     ModelBackend,
     ModeledArena, //

@@ -188,7 +188,7 @@ impl AllocPlan {
 
     /// Total pages and bytes per arena stripe on every node of the
     /// machine, ascending node id (nodes with zero pages included).
-    pub fn node_totals(&self) -> Vec<(usize, usize, usize)> {
+    pub(crate) fn node_totals(&self) -> Vec<(usize, usize, usize)> {
         let mut pages = vec![0usize; self.nodes];
         for arena in &self.arenas {
             for stripe in &arena.stripes {
@@ -298,7 +298,7 @@ fn push_int(out: &mut String, value: usize, width: usize) {
 /// bandwidth plugin has not run). Thin front for
 /// [`mctop::model::Socket::threads_to_saturate`] — the one shared
 /// definition of the RR_SCALE saturation arithmetic.
-pub fn saturation_threads(topo: &mctop::Mctop, socket: usize) -> Option<usize> {
+pub(crate) fn saturation_threads(topo: &mctop::Mctop, socket: usize) -> Option<usize> {
     topo.sockets[socket].threads_to_saturate()
 }
 

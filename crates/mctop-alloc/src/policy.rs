@@ -43,7 +43,11 @@ impl AllocPolicy {
     /// The returned vector has one non-negative entry per memory node
     /// and a strictly positive sum; [`crate::plan`] turns it into whole
     /// pages with largest-remainder apportionment.
-    pub fn socket_weights(&self, topo: &Mctop, socket: usize) -> Result<Vec<f64>, AllocError> {
+    pub(crate) fn socket_weights(
+        &self,
+        topo: &Mctop,
+        socket: usize,
+    ) -> Result<Vec<f64>, AllocError> {
         let n_nodes = topo.num_nodes();
         match self {
             AllocPolicy::Local => {

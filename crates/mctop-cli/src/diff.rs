@@ -19,7 +19,7 @@ fn field(out: &mut Vec<String>, name: &str, va: String, vb: String) {
 
 /// All structural differences between two topologies, empty when they
 /// are identical.
-pub fn structural(a: &Mctop, b: &Mctop) -> Vec<String> {
+pub(crate) fn structural(a: &Mctop, b: &Mctop) -> Vec<String> {
     let mut out = Vec::new();
 
     field(&mut out, "name", a.name.clone(), b.name.clone());

@@ -33,7 +33,7 @@ use mctop::McTopError;
 /// CLI failure modes, mapped to exit codes: usage errors exit 2,
 /// everything else (I/O, invalid descriptions, found differences)
 /// exits 1.
-pub enum CliError {
+pub(crate) enum CliError {
     /// Bad invocation; the string is the offending detail.
     Usage(String),
     /// The command ran and failed.
@@ -63,9 +63,12 @@ USAGE:
     mct regen-descs [--dir DIR] [--check]
     mct serve --socket PATH [--descs DIR]
 
-Collection is deterministic in the worker count: `infer --jobs` only
-changes wall-clock time (disjoint context pairs are measured
-concurrently), never a single output byte. --adaptive measures every
+Collection is deterministic in the worker count: `infer --jobs` never
+changes a single output byte (disjoint context pairs are measured
+concurrently). More jobs pay only at high --reps: at the canonical 3
+repetitions forking the probers costs more than it saves, and 2 jobs
+collect about twice as slowly as 1 (sparc at --reps 2000: 4.3 s with 1
+job, 2.2 s with 2, on a 2-CPU host). --adaptive measures every
 pair with a cheap pilot pass and spends the full repetitions only on
 pairs near latency cluster boundaries.
 

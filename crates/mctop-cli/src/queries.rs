@@ -51,7 +51,7 @@ impl From<EvalError> for CliError {
     }
 }
 
-pub fn cmd_query(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let mut args = args.to_vec();
     let remote = take_flag(&mut args, "--remote")?;
     let [target, query, rest @ ..] = args.as_slice() else {

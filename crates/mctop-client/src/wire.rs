@@ -469,16 +469,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 
 // ---------------------------------------------------------------- frame io
 
-/// Writes one frame: length prefix, then the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    Ok(())
-}
-
-/// Frames every payload into `out` (cleared first, reused across calls)
-/// and sends them all with one `write_all`: how both ends send a batch.
+/// Frames every payload (length prefix, then the payload) into `out`
+/// (cleared first, reused across calls) and sends them all with one
+/// `write_all`: how both ends send a batch, and the one frame writer.
 pub fn write_frames(
     w: &mut impl Write,
     out: &mut Vec<u8>,
@@ -486,7 +479,9 @@ pub fn write_frames(
 ) -> Result<(), WireError> {
     out.clear();
     for payload in payloads {
-        write_frame(out, &payload)?;
+        debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&payload);
     }
     w.write_all(out)?;
     Ok(())
@@ -678,7 +673,7 @@ mod tests {
     fn the_buffer_grows_with_the_bytes_of_a_large_frame() {
         let payload: Vec<u8> = (0..200_000u32).map(|i| i as u8).collect();
         let mut framed = Vec::new();
-        write_frame(&mut framed, &payload).unwrap();
+        write_frames(&mut framed, &mut Vec::new(), [payload.to_vec()]).unwrap();
         // The prefix alone reserves nothing.
         let mut reader = FrameReader::default();
         assert!(matches!(
@@ -698,8 +693,7 @@ mod tests {
         let a = encode_request(&Request::ListTopologies);
         let b = encode_request(&Request::Reload);
         let mut buf = Vec::new();
-        write_frame(&mut buf, &a).unwrap();
-        write_frame(&mut buf, &b).unwrap();
+        write_frames(&mut buf, &mut Vec::new(), [a.clone(), b.clone()]).unwrap();
         buf.extend_from_slice(&[3, 0, 0, 0, 1]); // incomplete third frame
         let rest: &[u8] = &[2, 3];
         let mut stream = buf.as_slice().chain(rest); // two reads
@@ -715,7 +709,7 @@ mod tests {
     fn drain_reports_oversized_tail_but_keeps_good_frames() {
         let a = encode_request(&Request::MetricsSnapshot);
         let mut buf = Vec::new();
-        write_frame(&mut buf, &a).unwrap();
+        write_frames(&mut buf, &mut Vec::new(), [a.to_vec()]).unwrap();
         buf.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x00]);
         let mut reader = FrameReader::default();
         assert_eq!(reader.next(&mut buf.as_slice()).unwrap(), Some(&a[..]));

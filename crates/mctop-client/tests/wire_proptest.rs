@@ -14,7 +14,7 @@ use mctop_client::wire::{
     decode_response,
     encode_request,
     encode_response,
-    write_frame,
+    write_frames,
     FrameReader,
     Request,
     Response,
@@ -97,7 +97,7 @@ fn burst_from(sels: &[u8], a: u64, b: u64) -> (Vec<Request>, Vec<u8>) {
         .collect();
     let mut burst = Vec::new();
     for req in &requests {
-        write_frame(&mut burst, &encode_request(req)).unwrap();
+        write_frames(&mut burst, &mut Vec::new(), [encode_request(req)]).unwrap();
     }
     (requests, burst)
 }
@@ -128,7 +128,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every request survives encode → decode unchanged, and the
-    /// framed form survives write_frame → FrameReader.
+    /// framed form survives write_frames → FrameReader.
     #[test]
     fn request_round_trips(sel in any::<u8>(), a in any::<u64>(), b in any::<u64>()) {
         let req = request_from(sel, a, b);
@@ -136,7 +136,7 @@ proptest! {
         prop_assert_eq!(decode_request(&payload).unwrap(), req.clone());
 
         let mut framed = Vec::new();
-        write_frame(&mut framed, &payload).unwrap();
+        write_frames(&mut framed, &mut Vec::new(), [payload.to_vec()]).unwrap();
         let mut reader = FrameReader::default();
         let read = reader.next(&mut Cursor::new(&framed)).unwrap().unwrap();
         prop_assert_eq!(decode_request(read).unwrap(), req);
@@ -224,7 +224,7 @@ proptest! {
     fn eof_typing(sel in any::<u8>(), a in any::<u64>(), b in any::<u64>(), cut in any::<u64>()) {
         let payload = encode_request(&request_from(sel, a, b));
         let mut framed = Vec::new();
-        write_frame(&mut framed, &payload).unwrap();
+        write_frames(&mut framed, &mut Vec::new(), [payload.to_vec()]).unwrap();
 
         let cut = 1 + (cut as usize) % (framed.len() - 1);
         prop_assert!(matches!(

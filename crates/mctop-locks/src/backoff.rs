@@ -40,7 +40,7 @@ impl BackoffCfg {
     /// (on x86 the paper invokes `pause` in a loop to implement the
     /// quantum).
     #[inline]
-    pub fn pause(&self, mult: u32) {
+    pub(crate) fn pause(&self, mult: u32) {
         // A pause/yield hint costs a handful of cycles; ~8 is a
         // conservative portable estimate.
         let iters = (self.quantum_cycles / 8).max(1) * mult.max(1);

@@ -123,7 +123,8 @@ pub fn run(
 
 /// Runs the with/without-backoff comparison (one Fig. 8 bar pair) on
 /// the host.
-pub fn compare(
+#[cfg(test)]
+pub(crate) fn compare(
     exec: &Executor,
     algo: LockAlgo,
     quantum_cycles: u32,

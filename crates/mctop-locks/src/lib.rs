@@ -26,8 +26,5 @@ pub mod sim;
 pub use backoff::BackoffCfg;
 pub use raw::{
     LockAlgo,
-    RawLock,
-    TasLock,
-    TicketLock,
-    TtasLock, //
+    RawLock, //
 };

@@ -45,7 +45,7 @@ pub fn with_lock<R>(lock: &(dyn RawLock + Send + Sync), f: impl FnOnce() -> R) -
 
 /// Test-and-set lock: unconditional atomic swap attempts.
 #[derive(Debug)]
-pub struct TasLock {
+pub(crate) struct TasLock {
     state: AtomicBool,
     backoff: BackoffCfg,
 }
@@ -78,7 +78,7 @@ impl RawLock for TasLock {
 
 /// Test-and-test-and-set lock: spin reading, swap only when free.
 #[derive(Debug)]
-pub struct TtasLock {
+pub(crate) struct TtasLock {
     state: AtomicBool,
     backoff: BackoffCfg,
 }
@@ -118,7 +118,7 @@ impl RawLock for TtasLock {
 /// to the serving counter (as in the paper, following
 /// Mellor-Crummey/Scott-style proportional waiting).
 #[derive(Debug)]
-pub struct TicketLock {
+pub(crate) struct TicketLock {
     next: AtomicU32,
     serving: AtomicU32,
     backoff: BackoffCfg,

@@ -55,7 +55,7 @@ impl Default for SimParams {
 
 /// Backoff behaviour in the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimBackoff {
+pub(crate) enum SimBackoff {
     /// Bare pause-loop baseline.
     None,
     /// Fixed quantum (TAS/TTAS).
@@ -157,7 +157,7 @@ enum Ev {
 
 /// Simulated throughput (operations per second) of `n_threads` competing
 /// for one lock on `spec`. Threads occupy hardware contexts `0..n`.
-pub fn throughput(
+pub(crate) fn throughput(
     spec: &MachineSpec,
     algo: LockAlgo,
     n_threads: usize,
@@ -303,7 +303,7 @@ pub fn throughput(
 
 /// The educated backoff quantum for `n` threads on contexts `0..n`: the
 /// maximum pairwise communication latency (Section 5).
-pub fn educated_quantum(spec: &MachineSpec, n_threads: usize) -> u64 {
+pub(crate) fn educated_quantum(spec: &MachineSpec, n_threads: usize) -> u64 {
     let mut max = 0u32;
     for a in 0..n_threads {
         for b in (a + 1)..n_threads {

@@ -6,7 +6,7 @@ use mctop::Mctop;
 
 /// Energy (joules) of running the given contexts for `seconds`.
 /// `None` when the topology has no power measurements (non-Intel).
-pub fn execution_energy(
+pub(crate) fn execution_energy(
     topo: &Mctop,
     active_hwcs: &[usize],
     seconds: f64,
@@ -18,7 +18,7 @@ pub fn execution_energy(
 
 /// Energy efficiency relative to a baseline: `(perf / perf_base) /
 /// (energy / energy_base)` — the metric of Fig. 11 (higher is better).
-pub fn relative_efficiency(time_rel: f64, energy_rel: f64) -> f64 {
+pub(crate) fn relative_efficiency(time_rel: f64, energy_rel: f64) -> f64 {
     (1.0 / time_rel) / energy_rel
 }
 

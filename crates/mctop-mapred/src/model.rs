@@ -53,7 +53,7 @@ pub struct Profile {
 }
 
 /// The four workloads of Fig. 10 with their paper policies.
-pub fn fig10_profiles() -> Vec<Profile> {
+pub(crate) fn fig10_profiles() -> Vec<Profile> {
     vec![
         Profile {
             name: "K-Means",
@@ -96,7 +96,7 @@ pub fn fig10_profiles() -> Vec<Profile> {
 /// Predicted execution time (seconds) of a profile under a placement,
 /// with every worker's tables and buffers on its local node (Metis's
 /// allocation behaviour, and what the paper's study measures).
-pub fn exec_time(spec: &MachineSpec, topo: &Mctop, place: &Placement, p: &Profile) -> f64 {
+pub(crate) fn exec_time(spec: &MachineSpec, topo: &Mctop, place: &Placement, p: &Profile) -> f64 {
     exec_time_alloc(spec, topo, place, p, &AllocPolicy::Local)
         .expect("the LOCAL policy always resolves")
 }
@@ -107,7 +107,7 @@ pub fn exec_time(spec: &MachineSpec, topo: &Mctop, place: &Placement, p: &Profil
 /// local-node buffers. `AllocPolicy::Local` reproduces [`exec_time`]
 /// bit-exactly; any other policy that cannot be evaluated on this
 /// topology is an error — never silently priced like `Local`.
-pub fn exec_time_alloc(
+pub(crate) fn exec_time_alloc(
     spec: &MachineSpec,
     topo: &Mctop,
     place: &Placement,
@@ -183,19 +183,9 @@ fn mean_pairwise_latency(topo: &Mctop, hwcs: &[usize]) -> f64 {
 
 /// Best (time, placement) over a sweep of thread counts for one policy
 /// (the paper selects the best-performing thread count for both Metis
-/// versions).
+/// versions). One view serves every thread-count candidate and every
+/// workload of a platform sweep.
 pub fn best_time(
-    spec: &MachineSpec,
-    topo: &Mctop,
-    policy: Policy,
-    p: &Profile,
-) -> (f64, Placement) {
-    best_time_view(spec, &TopoView::new(Arc::new(topo.clone())), policy, p)
-}
-
-/// [`best_time`] over a prebuilt topology view (one view serves every
-/// thread-count candidate and every workload of a platform sweep).
-pub fn best_time_view(
     spec: &MachineSpec,
     view: &TopoView,
     policy: Policy,
@@ -246,8 +236,8 @@ pub fn fig10_platform(spec: &MachineSpec, topo: &Mctop) -> Vec<Fig10Bar> {
             if spec.name == "sparc" && p.name == "Word Count" {
                 p.policy = Policy::ConCore;
             }
-            let (t_base, place_base) = best_time_view(spec, &view, Policy::Sequential, &p);
-            let (t_mctop, place_mctop) = best_time_view(spec, &view, p.policy, &p);
+            let (t_base, place_base) = best_time(spec, &view, Policy::Sequential, &p);
+            let (t_mctop, place_mctop) = best_time(spec, &view, p.policy, &p);
             let rel_energy = match topo.power {
                 Some(_) => {
                     let e_base = execution_energy(topo, place_base.order(), t_base, true).unwrap();
@@ -314,7 +304,7 @@ pub fn fig11(spec: &MachineSpec, topo: &Mctop) -> Vec<Fig11Row> {
         .into_iter()
         .filter(|p| p.name == "K-Means" || p.name == "Mean")
         .map(|p| {
-            let (t_perf, place_perf) = best_time_view(spec, &view, p.policy, &p);
+            let (t_perf, place_perf) = best_time(spec, &view, p.policy, &p);
             // The energy-oriented run picks the POWER placement that
             // minimizes *energy* (the paper trades performance by
             // "using fewer physical cores").

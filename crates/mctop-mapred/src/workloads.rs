@@ -1,7 +1,8 @@
 //! The four Metis workloads of Fig. 10, with synthetic input
 //! generators (the paper uses the inputs shipped with Metis; synthetic
 //! inputs with the same statistical shape exercise the same engine
-//! paths).
+//! paths). Only Word Count runs outside the tests; Mean, K-Means and
+//! Matrix Multiply are compiled for them alone.
 
 use rand::rngs::SmallRng;
 use rand::{
@@ -50,8 +51,10 @@ pub fn gen_text(lines: usize, words_per_line: usize, vocab: usize, seed: u64) ->
 }
 
 /// Mean: per-key average of numeric samples.
-pub struct Mean;
+#[cfg(test)]
+pub(crate) struct Mean;
 
+#[cfg(test)]
 impl MapReduce for Mean {
     type Item = (u16, f64); // (station, sample)
     type K = u16;
@@ -72,11 +75,13 @@ impl MapReduce for Mean {
 
 /// K-Means: one assignment + recentering iteration per engine run
 /// (K = cluster id, V = (point sum, count)).
-pub struct KMeansStep {
+#[cfg(test)]
+pub(crate) struct KMeansStep {
     /// Current centroids.
     pub centroids: Vec<[f64; 2]>,
 }
 
+#[cfg(test)]
 impl MapReduce for KMeansStep {
     type Item = [f64; 2];
     type K = u32;
@@ -106,13 +111,15 @@ impl MapReduce for KMeansStep {
     }
 }
 
+#[cfg(test)]
 fn dist2(a: &[f64; 2], b: &[f64; 2]) -> f64 {
     (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2)
 }
 
 /// Matrix Multiply: row-blocked C = A x B over the engine (K = row
 /// index, V = the computed row).
-pub struct MatrixMult<'m> {
+#[cfg(test)]
+pub(crate) struct MatrixMult<'m> {
     /// Left operand, row-major n x n.
     pub a: &'m [f64],
     /// Right operand, row-major n x n.
@@ -121,6 +128,7 @@ pub struct MatrixMult<'m> {
     pub n: usize,
 }
 
+#[cfg(test)]
 impl MapReduce for MatrixMult<'_> {
     type Item = usize; // Row index.
     type K = usize;

@@ -34,12 +34,12 @@ impl Graph {
     }
 
     /// Out-degree of `v`.
-    pub fn degree(&self, v: usize) -> usize {
+    pub(crate) fn degree(&self, v: usize) -> usize {
         self.offsets[v + 1] - self.offsets[v]
     }
 
     /// Builds a graph from an edge list (sorts and deduplicates).
-    pub fn from_edges(n: usize, mut edges: Vec<(u32, u32)>) -> Graph {
+    pub(crate) fn from_edges(n: usize, mut edges: Vec<(u32, u32)>) -> Graph {
         edges.sort_unstable();
         edges.dedup();
         let mut offsets = vec![0usize; n + 1];

@@ -10,7 +10,10 @@
 //! where OpenMP must run *both* kernels under one placement while
 //! MCTOP MP re-places threads between parallel regions.
 
+use std::sync::Arc;
+
 use mcsim::MachineSpec;
+use mctop::view::TopoView;
 use mctop::Mctop;
 use mctop_mapred::model::{
     best_time,
@@ -19,10 +22,10 @@ use mctop_mapred::model::{
 use mctop_place::Policy;
 
 /// Overhead factor of the automatic policy-selection pre-processing.
-pub const AUTOSELECT_OVERHEAD: f64 = 1.03;
+pub(crate) const AUTOSELECT_OVERHEAD: f64 = 1.03;
 
 /// The five Fig. 12 workloads with the policies the figure names.
-pub fn fig12_profiles() -> Vec<Profile> {
+pub(crate) fn fig12_profiles() -> Vec<Profile> {
     vec![
         Profile {
             // Label propagation: latency/sync bound.
@@ -98,10 +101,11 @@ pub fn fig12_platforms() -> Vec<MachineSpec> {
 /// Computes the Fig. 12 bars for one platform (five kernels plus
 /// Combination).
 pub fn fig12_platform(spec: &MachineSpec, topo: &Mctop) -> Vec<Fig12Bar> {
+    let view = TopoView::new(Arc::new(topo.clone()));
     let mut bars = Vec::new();
     for p in fig12_profiles() {
-        let (t_omp, _) = best_time(spec, topo, Policy::Sequential, &p);
-        let (t_mp, _) = best_time(spec, topo, p.policy, &p);
+        let (t_omp, _) = best_time(spec, &view, Policy::Sequential, &p);
+        let (t_mp, _) = best_time(spec, &view, p.policy, &p);
         bars.push(Fig12Bar {
             platform: spec.name.clone(),
             workload: p.name,
@@ -120,11 +124,12 @@ pub fn fig12_platform(spec: &MachineSpec, topo: &Mctop) -> Vec<Fig12Bar> {
         .find(|p| p.name == "Potential Friends")
         .expect("profile");
     // MCTOP MP: each region under its own best policy.
-    let t_mp = best_time(spec, topo, pr.policy, pr).0 + best_time(spec, topo, pf.policy, pf).0;
+    let t_mp = best_time(spec, &view, pr.policy, pr).0 + best_time(spec, &view, pf.policy, pf).0;
     // OpenMP: one fixed placement for the whole program; it gets the
     // better of the two kernels' policies (a generous baseline).
-    let both =
-        |policy: Policy| best_time(spec, topo, policy, pr).0 + best_time(spec, topo, policy, pf).0;
+    let both = |policy: Policy| {
+        best_time(spec, &view, policy, pr).0 + best_time(spec, &view, policy, pf).0
+    };
     let t_omp = both(pr.policy)
         .min(both(pf.policy))
         .min(both(Policy::Sequential));

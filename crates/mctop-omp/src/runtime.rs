@@ -152,7 +152,7 @@ impl OmpRuntime {
     }
 
     /// The currently selected policy.
-    pub fn binding_policy(&self) -> Policy {
+    pub(crate) fn binding_policy(&self) -> Policy {
         self.pool.current_policy()
     }
 
@@ -180,7 +180,7 @@ impl OmpRuntime {
     /// regions (a body calling back into the runtime) execute serially
     /// on the calling worker, matching OpenMP's default of disabled
     /// nested parallelism.
-    pub fn parallel_for_chunked<F>(&self, n: usize, body: F)
+    pub(crate) fn parallel_for_chunked<F>(&self, n: usize, body: F)
     where
         F: Fn(std::ops::Range<usize>) + Sync,
     {
@@ -215,7 +215,7 @@ impl OmpRuntime {
     /// afterwards, also when `region` panics — per-parallel-region
     /// placement (the Combination application of Fig. 12 interleaves
     /// two kernels this way).
-    pub fn with_policy<R>(
+    pub(crate) fn with_policy<R>(
         &self,
         policy: Policy,
         region: impl FnOnce(&Self) -> R,

@@ -108,7 +108,7 @@ pub fn communities(rt: &OmpRuntime, g: &Graph, iters: usize) -> Vec<u32> {
 
 /// Potential friends: total number of common-neighbor pairs over the
 /// first `pairs` sampled vertex pairs (friend-of-friend counting).
-pub fn potential_friends(rt: &OmpRuntime, g: &Graph, pairs: usize, seed: u64) -> u64 {
+pub(crate) fn potential_friends(rt: &OmpRuntime, g: &Graph, pairs: usize, seed: u64) -> u64 {
     let n = g.num_nodes();
     if n < 2 {
         return 0;

@@ -105,7 +105,6 @@ pub struct Placement {
     handles: Vec<PinHandle>,
     used: Vec<AtomicBool>,
     max_latency: u32,
-    min_bandwidth: Option<f64>,
     stats: PlaceStats,
 }
 
@@ -185,7 +184,6 @@ impl Placement {
             handles,
             used,
             max_latency,
-            min_bandwidth,
             stats,
         })
     }
@@ -243,11 +241,6 @@ impl Placement {
     /// the backoff quantum of Section 5's "educated backoffs".
     pub fn max_latency(&self) -> u32 {
         self.max_latency
-    }
-
-    /// Minimum local bandwidth among used sockets.
-    pub fn min_bandwidth(&self) -> Option<f64> {
-        self.min_bandwidth
     }
 
     /// The statistics block.
@@ -888,7 +881,7 @@ mod tests {
                             p.order(),
                             &sockets,
                             p.max_latency(),
-                            p.min_bandwidth(),
+                            view.min_bandwidth_of(p.order()),
                         );
                         assert_eq!(p.stats(), &want, "{name} {policy} {opts:?}");
                         resolved += 1;

@@ -8,7 +8,7 @@
 //! pool and the OpenMP runtime).
 
 /// Number of CPUs actually available on the host (1 if unknown).
-pub fn host_cpus() -> usize {
+pub(crate) fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -17,7 +17,7 @@ pub fn host_cpus() -> usize {
 /// Best-effort OS pinning: binds the calling thread to `hwc` when that
 /// CPU exists on the host, and reports whether the bind happened.
 /// Contexts beyond the host's CPU count are left virtual.
-pub fn pin_if_host(hwc: usize) -> bool {
+pub(crate) fn pin_if_host(hwc: usize) -> bool {
     hwc < host_cpus() && mctop_place::pin_os_thread(hwc)
 }
 

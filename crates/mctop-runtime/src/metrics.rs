@@ -70,7 +70,7 @@ use serde::{
 
 /// Per-node bucket capacity for the alloc stripe counters (the largest
 /// modelled machines, 8-socket Opteron/Westmere, have 8 nodes).
-pub const MAX_NODES: usize = 32;
+pub(crate) const MAX_NODES: usize = 32;
 
 /// Distance class of a steal victim, in the `TopoView` min-latency
 /// order the executor steals in.
@@ -111,7 +111,7 @@ impl Counter {
     }
 }
 
-/// One [`Counter`] per memory node ([`MAX_NODES`] of them); its
+/// One [`Counter`] per memory node (`MAX_NODES` of them); its
 /// snapshot is a `Vec<u64>` with the trailing zero nodes trimmed.
 #[derive(Default)]
 pub struct PerNode([Counter; MAX_NODES]);
@@ -444,7 +444,7 @@ impl Metrics {
 
     /// Records one resolved allocation plan: `arenas` per-worker arenas
     /// whose first-touch stripes put `pages_per_node[n]` pages on node
-    /// `n`. Nodes beyond [`MAX_NODES`] are folded into the last bucket.
+    /// `n`. Nodes beyond `MAX_NODES` are folded into the last bucket.
     pub fn record_alloc_plan(&self, arenas: u64, pages_per_node: &[u64]) {
         let a = &self.alloc;
         a.plans_resolved.add(1);

@@ -51,7 +51,7 @@ impl StealOrder {
     /// A victim order that ignores the topology: every worker tries
     /// the other workers in ascending index order. The fallback when
     /// only a [`mctop_place::Placement`] (no view) is available.
-    pub fn sequential(n: usize) -> Self {
+    pub(crate) fn sequential(n: usize) -> Self {
         StealOrder {
             orders: (0..n)
                 .map(|i| (0..n).filter(|&j| j != i).collect())

@@ -14,7 +14,7 @@
 /// (one pass of the bitonic network: reverse + 3 compare-exchange
 /// stages).
 #[inline(always)]
-pub fn bitonic_merge_4x4(a: [u32; 4], b: [u32; 4]) -> [u32; 8] {
+pub(crate) fn bitonic_merge_4x4(a: [u32; 4], b: [u32; 4]) -> [u32; 8] {
     // Stage 0: concatenate a with reversed b -> bitonic sequence.
     let mut v = [a[0], a[1], a[2], a[3], b[3], b[2], b[1], b[0]];
     // Stage 1: compare-exchange with stride 4.
@@ -44,7 +44,7 @@ fn cx(v: &mut [u32; 8], i: usize, j: usize) {
 /// Merges two sorted runs into `out` using the 4-wide bitonic kernel
 /// for the bulk and a scalar tail. Semantically identical to
 /// [`crate::merge::merge_into`].
-pub fn merge_bitonic(a: &[u32], b: &[u32], out: &mut [u32]) {
+pub(crate) fn merge_bitonic(a: &[u32], b: &[u32], out: &mut [u32]) {
     assert_eq!(out.len(), a.len() + b.len());
     let mut i = 0usize; // Consumed from a.
     let mut j = 0usize;

@@ -16,7 +16,7 @@
 //!   duplicate-safe, depth-bounded introsort as its fallback;
 //! - [`merge`]: scalar merging plus merge-path splitting for
 //!   cooperative (multi-thread) merges;
-//! - [`bitonic`]: the portable 4-wide bitonic merge network — the
+//! - `bitonic`: the portable 4-wide bitonic merge network — the
 //!   mandatory scalar fallback of `mctop_sort_sse` (written over
 //!   fixed-size arrays so the compiler can vectorize it);
 //! - [`simd`]: runtime-feature-detected SSE4.1/AVX2 bitonic merge
@@ -32,7 +32,7 @@
 
 #![deny(missing_docs)]
 
-pub mod bitonic;
+pub(crate) mod bitonic;
 pub mod merge;
 pub mod model;
 pub mod parallel;

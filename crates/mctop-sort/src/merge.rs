@@ -77,7 +77,7 @@ pub fn merge3_into<T: Ord + Copy>(p: &[T], a: &[T], b: &[T], out: &mut [T]) {
 /// Co-ranks for the merge path: returns `(i, j)` with `i + j == d` such
 /// that merging `a[..i]` and `b[..j]` produces exactly the first `d`
 /// output elements.
-pub fn co_rank<T: Ord + Copy>(d: usize, a: &[T], b: &[T]) -> (usize, usize) {
+pub(crate) fn co_rank<T: Ord + Copy>(d: usize, a: &[T], b: &[T]) -> (usize, usize) {
     assert!(d <= a.len() + b.len());
     let mut lo = d.saturating_sub(b.len());
     let mut hi = d.min(a.len());
@@ -99,7 +99,7 @@ pub fn co_rank<T: Ord + Copy>(d: usize, a: &[T], b: &[T]) -> (usize, usize) {
 
 /// Splits the merge of `a` and `b` into `k` balanced independent
 /// segments `(a_range, b_range, out_offset)`.
-pub fn split_merge<T: Ord + Copy>(
+pub(crate) fn split_merge<T: Ord + Copy>(
     a: &[T],
     b: &[T],
     k: usize,
@@ -122,14 +122,14 @@ pub fn split_merge<T: Ord + Copy>(
 
 /// One independent slice of a cooperative merge: two sorted inputs
 /// and the disjoint output window they merge into.
-pub type MergeJob<'a, T> = (&'a [T], &'a [T], &'a mut [T]);
+pub(crate) type MergeJob<'a, T> = (&'a [T], &'a [T], &'a mut [T]);
 
 /// Splits the merge of `a` and `b` into at most `k` independent jobs
 /// over disjoint windows of `out`. Small merges (or `k <= 1`) come
 /// back as a single job. The split depends only on the data and `k` —
 /// never on who executes the jobs — so any schedule produces the same
 /// bytes.
-pub fn merge_jobs<'a, T: Ord + Copy>(
+pub(crate) fn merge_jobs<'a, T: Ord + Copy>(
     a: &'a [T],
     b: &'a [T],
     out: &'a mut [T],
@@ -159,7 +159,12 @@ pub fn merge_jobs<'a, T: Ord + Copy>(
 /// merging an independent merge-path segment. (The topology-agnostic
 /// baseline path; `mctop_sort` submits [`merge_jobs`] to the
 /// persistent executor instead.)
-pub fn parallel_merge<T: Ord + Copy + Send + Sync>(a: &[T], b: &[T], out: &mut [T], k: usize) {
+pub(crate) fn parallel_merge<T: Ord + Copy + Send + Sync>(
+    a: &[T],
+    b: &[T],
+    out: &mut [T],
+    k: usize,
+) {
     let mut jobs = merge_jobs(a, b, out, k);
     if jobs.len() == 1 {
         let (sa, sb, window) = jobs.pop().expect("one job");

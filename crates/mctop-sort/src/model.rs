@@ -82,7 +82,8 @@ impl SortModelCfg {
     /// whatever kernel [`crate::simd::auto`] dispatched — including a
     /// host where no vector unit exists, in which case the ratio is
     /// ~1 and the sse variant correctly predicts no kernel win.
-    pub fn calibrate_kernels(
+    #[cfg(test)]
+    pub(crate) fn calibrate_kernels(
         mut self,
         scalar: &crate::simd::KernelTable,
         simd: &crate::simd::KernelTable,
@@ -103,7 +104,8 @@ impl SortModelCfg {
 
     /// [`SortModelCfg::calibrate_kernels`] over the dispatch pair the
     /// sorts use: [`crate::simd::scalar`] vs [`crate::simd::auto`].
-    pub fn calibrated() -> SortModelCfg {
+    #[cfg(test)]
+    pub(crate) fn calibrated() -> SortModelCfg {
         SortModelCfg::default().calibrate_kernels(crate::simd::scalar(), crate::simd::auto())
     }
 }
@@ -144,7 +146,7 @@ pub fn predict_with_view(
 /// [`predict_with_view`] bit-exactly; any other policy that cannot be
 /// evaluated on this topology (unenriched, bad node set) is an error —
 /// never silently priced like `Local`.
-pub fn predict_alloc(
+pub(crate) fn predict_alloc(
     spec: &MachineSpec,
     view: &TopoView,
     algo: SortAlgo,

@@ -1,8 +1,8 @@
 //! The local sort of phase one. `mctop_sort` and the baseline sort every
-//! chunk with [`sort_into`], as in the paper, where "the sequential part
+//! chunk with `sort_into`, as in the paper, where "the sequential part
 //! is the same on both algorithms".
 //!
-//! [`sort_into`] is a `u32` radix sort that keeps its passes in cache:
+//! `sort_into` is a `u32` radix sort that keeps its passes in cache:
 //! one MSD pass on the top byte that varies scatters the keys into at
 //! most 256 buckets (≈ 16 KiB each for a 2²⁰-key chunk), and LSD passes
 //! over the bits that still vary finish each bucket while it is cached.
@@ -55,7 +55,7 @@ const SMALL: usize = 64;
 /// # Panics
 ///
 /// If `keys` and `out` differ in length.
-pub fn sort_into(keys: &mut [u32], out: &mut [u32]) {
+pub(crate) fn sort_into(keys: &mut [u32], out: &mut [u32]) {
     assert_eq!(
         keys.len(),
         out.len(),

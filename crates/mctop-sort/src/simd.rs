@@ -2,7 +2,7 @@
 //! merge networks behind `mctop_sort_sse` (Section 7.2).
 //!
 //! The paper's headline application win is a mergesort whose merge
-//! phases run 128-bit bitonic merge networks. [`crate::bitonic`] keeps
+//! phases run 128-bit bitonic merge networks. `crate::bitonic` keeps
 //! the portable scalar network (the mandatory fallback); this module
 //! adds the vector implementations — a 4-wide SSE4.1 network and an
 //! 8-wide AVX2 network over `core::arch` intrinsics — and the runtime
@@ -37,7 +37,7 @@ use crate::bitonic::merge_bitonic;
 
 /// A merge kernel entry point: merges two sorted runs into `out`
 /// (which must have the exact combined length).
-pub type MergeFn = fn(&[u32], &[u32], &mut [u32]);
+pub(crate) type MergeFn = fn(&[u32], &[u32], &mut [u32]);
 
 /// One dispatchable merge kernel.
 #[derive(Debug, Clone, Copy)]
@@ -53,7 +53,7 @@ pub struct KernelTable {
 
 /// The portable scalar bitonic network ([`crate::bitonic`]): the
 /// mandatory fallback every build ships.
-pub const SCALAR: KernelTable = KernelTable {
+pub(crate) const SCALAR: KernelTable = KernelTable {
     name: "scalar",
     width: 4,
     merge: merge_bitonic,
@@ -89,7 +89,7 @@ pub fn auto() -> &'static KernelTable {
 }
 
 /// Every kernel runnable on this host, widest first (for tests and
-/// benches that compare all of them). Always ends with [`SCALAR`].
+/// benches that compare all of them). Always ends with `SCALAR`.
 pub fn supported() -> Vec<&'static KernelTable> {
     let mut tables = detected_vector_tables();
     tables.push(&SCALAR);
@@ -135,7 +135,8 @@ fn detect() -> &'static KernelTable {
 /// [`crate::model::SortModelCfg::calibrate_kernels`]). Deterministic
 /// inputs — a fixed LCG stream — so repeated calls measure the same
 /// workload.
-pub fn measure_merge_ns(table: &KernelTable, elements: usize, reps: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn measure_merge_ns(table: &KernelTable, elements: usize, reps: usize) -> f64 {
     let half = (elements / 2).max(1);
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let mut run = |n: usize| -> Vec<u32> {
@@ -178,14 +179,14 @@ mod x86 {
     };
 
     /// 4-wide SSE4.1 bitonic merge network.
-    pub const SSE41: KernelTable = KernelTable {
+    pub(crate) const SSE41: KernelTable = KernelTable {
         name: "sse4.1",
         width: 4,
         merge: merge_sse41,
     };
 
     /// 8-wide AVX2 bitonic merge network.
-    pub const AVX2: KernelTable = KernelTable {
+    pub(crate) const AVX2: KernelTable = KernelTable {
         name: "avx2",
         width: 8,
         merge: merge_avx2,

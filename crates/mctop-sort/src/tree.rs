@@ -9,7 +9,7 @@ use mctop::view::TopoView;
 /// One merge step: the runs held by `src` and `dst` are merged, the
 /// result lives on `dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeStep {
+pub(crate) struct MergeStep {
     /// Socket whose run is consumed.
     pub src: usize,
     /// Socket that holds the merged result.
@@ -21,7 +21,7 @@ pub struct MergeStep {
 
 /// A level-ordered binary reduction tree over sockets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeTree {
+pub(crate) struct MergeTree {
     /// Levels from leaves to root; steps within a level run in
     /// parallel.
     pub levels: Vec<Vec<MergeStep>>,
@@ -99,7 +99,8 @@ impl MergeTree {
     }
 
     /// Number of merge levels.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         self.levels.len()
     }
 }

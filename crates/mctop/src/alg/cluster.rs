@@ -79,7 +79,7 @@ pub fn cluster(values: &[u32], cfg: &ClusterCfg) -> Result<Vec<LatTriplet>, McTo
 
 /// Index of the cluster whose median is nearest to `value` (ties toward
 /// the lower cluster).
-pub fn assign(value: u32, clusters: &[LatTriplet]) -> usize {
+pub(crate) fn assign(value: u32, clusters: &[LatTriplet]) -> usize {
     assert!(!clusters.is_empty());
     let mut best = 0usize;
     let mut best_d = u32::MAX;
@@ -96,7 +96,7 @@ pub fn assign(value: u32, clusters: &[LatTriplet]) -> usize {
 /// Normalizes a raw table: every off-diagonal value is replaced by the
 /// median of its cluster (Fig. 6 (2b)). The diagonal stays zero.
 ///
-/// Each value's cluster is [`assign`]'s: on strictly ascending medians
+/// Each value's cluster is `assign`'s: on strictly ascending medians
 /// (what [`cluster`] returns) it is found by binary search, on any
 /// other slice by `assign` itself.
 pub fn normalize(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {

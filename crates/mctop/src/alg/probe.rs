@@ -129,7 +129,7 @@ pub trait Prober: Send {
     /// Cumulative count of transient backend failures this prober has
     /// absorbed by retrying internally (measurement-thread spawn
     /// failures, short sample batches — see
-    /// [`crate::host::HostProber::measure_pair`]). The phase runners
+    /// `crate::host::HostProber::measure_pair`). The phase runners
     /// fold per-phase deltas into [`ProbeStats::retries`], so absorbed
     /// failures still show up in the cost accounting. Deterministic
     /// backends never retry and keep the default.
@@ -260,7 +260,7 @@ pub struct PruneCfg {
 impl PruneCfg {
     /// The canonical pruning plan for a machine shape: one hashed
     /// long-range sample per context.
-    pub fn for_machine(ctxs_per_socket: usize, sockets: usize) -> Self {
+    pub(crate) fn for_machine(ctxs_per_socket: usize, sockets: usize) -> Self {
         PruneCfg {
             ctxs_per_socket,
             sockets,
@@ -433,7 +433,7 @@ pub struct ProbeStats {
 impl ProbeStats {
     /// Total modelled cost in cycles: the quantity behind the paper's
     /// "~3 seconds on Ivy, 96 seconds on Westmere" (Section 3.5).
-    pub fn modeled_cycles(&self) -> u64 {
+    pub(crate) fn modeled_cycles(&self) -> u64 {
         self.sample_cycles + self.overhead_cycles
     }
 

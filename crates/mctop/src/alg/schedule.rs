@@ -47,7 +47,7 @@ pub fn round_robin(n: usize) -> Vec<Vec<(usize, usize)>> {
 }
 
 /// Number of unordered context pairs over `n` contexts.
-pub fn num_pairs(n: usize) -> usize {
+pub(crate) fn num_pairs(n: usize) -> usize {
     n * (n - 1) / 2
 }
 
@@ -61,7 +61,7 @@ pub fn num_pairs(n: usize) -> usize {
 /// one round of optimal on the regular meshes this exists for, and the
 /// schedule invariant the collectors rely on — no context twice per
 /// round — holds by construction.
-pub fn rounds_for(n: usize, pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+pub(crate) fn rounds_for(n: usize, pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
     let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
     // `busy[c]`: bit `r` is set once context `c` is taken in round `r`
     // (a missing word is all free).

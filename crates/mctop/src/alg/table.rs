@@ -74,12 +74,13 @@ impl LatencyTable {
     }
 
     /// The backing vector (row-major), e.g. to store in `Mctop`.
-    pub fn into_vec(self) -> Vec<u32> {
+    pub(crate) fn into_vec(self) -> Vec<u32> {
         self.vals
     }
 
     /// Whether the table is symmetric with a zero diagonal.
-    pub fn is_consistent(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_consistent(&self) -> bool {
         for a in 0..self.n {
             if self.get(a, a) != 0 {
                 return false;

@@ -24,7 +24,7 @@ use crate::model::{
 };
 
 /// Structural self-validation, then the latency table against the one
-/// the groups and links define ([`Mctop::derived_latency_rows`]): the
+/// the groups and links define (`Mctop::derived_latency_rows`): the
 /// first entry that differs is named, with both values.
 pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
     structure(topo)?;
@@ -115,7 +115,7 @@ pub fn hops(topo: &Mctop) -> Result<(), McTopError> {
 /// ([`Mctop::derived_links`]), and the pair is named if the rules give
 /// none. A file that stores every pair's record needs no order and
 /// derives nothing: it is checked as [`hops`] checks it.
-pub fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
+pub(crate) fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
     let s = topo.num_sockets();
     let pairs = s * s.saturating_sub(1) / 2;
     if topo.links.len() == pairs {

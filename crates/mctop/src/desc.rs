@@ -12,11 +12,11 @@
 //! [`McTopError::InvalidDescription`] — a matching `version` number
 //! alone is not enough to accept a file.
 //!
-//! Format 4 ([`VERSION`]) stores the latency levels, the group tree and
+//! Format 4 (`VERSION`) stores the latency levels, the group tree and
 //! only the socket-pair link records that the rest of the description
 //! does not define ([`Mctop::stored_links`]): every direct (`hops == 1`)
 //! record, and any other whose fields three rules would not reproduce
-//! exactly ([`Mctop::derived_links`]):
+//! exactly (`Mctop::derived_links`):
 //!
 //! - its `hops` is the BFS distance over the direct records;
 //! - its `latency` is the median of the one level whose role is
@@ -31,7 +31,7 @@
 //! file that stores every record may list them in any order. It then
 //! runs the structural checks of [`validate`] and derives the N×N
 //! latency table from the groups and links
-//! ([`Mctop::derived_latency_rows`]): two contexts of one socket are as
+//! (`Mctop::derived_latency_rows`): two contexts of one socket are as
 //! far apart as the smallest group that holds both, two of different
 //! sockets as their socket pair's link record, and a context is 0 from
 //! itself. The loaded [`Mctop`] holds every pair's record, in triangle
@@ -98,7 +98,7 @@ use crate::model::Mctop;
 /// mandatory provenance header; version 3 dropped the latency table,
 /// which the reader derives from the groups and links; version 4 drops
 /// the link records the reader derives from the direct ones.
-pub const VERSION: u32 = 4;
+pub(crate) const VERSION: u32 = 4;
 
 /// The last version that stored every socket pair's link record. Such
 /// a file still loads, once each record's hops equal the distance over
@@ -282,13 +282,13 @@ fn canonical_probe_config() -> ProbeConfig {
 /// a finer clustering config. Every committed cache-coherent platform
 /// sits far below (max 8 sockets); the mesh/circulant NoC presets sit
 /// at or above.
-pub const MESH_SCALE_SOCKETS: usize = 32;
+pub(crate) const MESH_SCALE_SOCKETS: usize = 32;
 
 /// The canonical probe configuration *for a machine*: three
 /// repetitions of [`ProbeConfig::fast`] with hierarchy-first collection
 /// ([`crate::alg::PairSelection::Hierarchy`]) for cache-coherent boxes,
 /// and the mesh-scale variant for NoC-scale machines
-/// ([`MESH_SCALE_SOCKETS`]+ sockets). A noiseless hierarchy-first run
+/// (`MESH_SCALE_SOCKETS`+ sockets). A noiseless hierarchy-first run
 /// predicts exactly, so the committed descriptions are byte-identical
 /// to an exhaustive run's.
 ///

@@ -20,7 +20,10 @@ const MIN_WS: usize = 4 * 1024;
 const MAX_WS: usize = 512 * 1024 * 1024;
 
 /// Estimates the cache hierarchy seen from context 0's socket.
-pub fn cache_plugin<M: MemoryProbe>(topo: &mut Mctop, probe: &mut M) -> Result<(), McTopError> {
+pub(crate) fn cache_plugin<M: MemoryProbe>(
+    topo: &mut Mctop,
+    probe: &mut M,
+) -> Result<(), McTopError> {
     let rep = topo.sockets[0].hwcs[0];
     let node = topo.sockets[0].local_node.unwrap_or(0);
 

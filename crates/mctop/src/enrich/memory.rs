@@ -21,7 +21,10 @@ use crate::model::{
 const CHASE_WS: usize = 512 * 1024 * 1024;
 
 /// Measures per-(socket, node) load latencies and assigns local nodes.
-pub fn latency_plugin<M: MemoryProbe>(topo: &mut Mctop, probe: &mut M) -> Result<(), McTopError> {
+pub(crate) fn latency_plugin<M: MemoryProbe>(
+    topo: &mut Mctop,
+    probe: &mut M,
+) -> Result<(), McTopError> {
     let n_nodes = probe.num_nodes();
     if n_nodes != topo.num_nodes() {
         return Err(McTopError::IrregularTopology(format!(
@@ -57,7 +60,10 @@ pub fn latency_plugin<M: MemoryProbe>(topo: &mut Mctop, probe: &mut M) -> Result
 
 /// Measures per-(socket, node) stream bandwidths and fills the
 /// cross-socket link bandwidths.
-pub fn bandwidth_plugin<M: MemoryProbe>(topo: &mut Mctop, probe: &mut M) -> Result<(), McTopError> {
+pub(crate) fn bandwidth_plugin<M: MemoryProbe>(
+    topo: &mut Mctop,
+    probe: &mut M,
+) -> Result<(), McTopError> {
     let n_nodes = probe.num_nodes();
     for si in 0..topo.num_sockets() {
         // One streaming thread per core (SMT siblings share load ports,

@@ -14,7 +14,10 @@ use crate::model::{
 
 /// Runs the power plugin. Returns [`McTopError::Unavailable`] on
 /// machines without power counters (non-Intel, in the paper).
-pub fn power_plugin<P: PowerProbe>(topo: &mut Mctop, probe: &mut P) -> Result<(), McTopError> {
+pub(crate) fn power_plugin<P: PowerProbe>(
+    topo: &mut Mctop,
+    probe: &mut P,
+) -> Result<(), McTopError> {
     if !probe.available() {
         return Err(McTopError::Unavailable("power counters (RAPL)"));
     }

@@ -167,7 +167,7 @@ impl HostProber {
     /// failure degrades to zero samples — like pin failure, the
     /// pipeline keeps running with degraded data rather than dying
     /// mid-collection.
-    pub fn measure_pair(&mut self, a: usize, b: usize, rounds: usize) -> Vec<u32> {
+    pub(crate) fn measure_pair(&mut self, a: usize, b: usize, rounds: usize) -> Vec<u32> {
         let mut backoff = BACKOFF_BASE;
         for attempt in 0..=MAX_BACKEND_RETRIES {
             match self.attempt_batch(a, b, rounds) {

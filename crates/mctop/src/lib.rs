@@ -17,12 +17,11 @@
 //!   component construction, and role assignment.
 //! - [`enrich`]: the measurement plugins of Section 4 (memory latency,
 //!   memory bandwidth, cache latency/size, power).
-//! - [`query`]: the topology query engine used by the high-level
-//!   policies of Sections 5-6.
-//! - [`view`]: [`view::TopoView`], the precomputed index layer over the
-//!   query engine — built once per topology, it answers the socket-level
-//!   queries with O(1) table lookups and is what the placement, sorting
-//!   and runtime layers build on.
+//! - [`view`]: [`view::TopoView`], the topology query engine (Section 5)
+//!   in which the high-level policies of Sections 5-6 are written —
+//!   built once per topology, it answers the socket-level queries with
+//!   O(1) table lookups and is what the placement, sorting and runtime
+//!   layers build on.
 //! - [`fmt`]: Graphviz and textual renderings (Figs. 1-3).
 //! - [`desc`]: description files (create once, load afterwards), with a
 //!   mandatory provenance header and the canonical deterministic
@@ -67,8 +66,6 @@ pub mod fmt;
 #[cfg(target_os = "linux")]
 pub mod host;
 pub mod model;
-pub mod policies;
-pub mod query;
 pub mod registry;
 pub mod sync;
 pub mod view;

@@ -180,10 +180,10 @@ pub struct InterconnectLink {
     pub bandwidth: Option<f64>,
 }
 
-/// Why the rules of [`Mctop::derived_links`] give a socket pair no link
+/// Why the rules of `Mctop::derived_links` give a socket pair no link
 /// record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Underived {
+pub(crate) enum Underived {
     /// No path of direct records joins the two sockets.
     Unreachable,
     /// The pair is `hops` apart, and `levels` latency levels (none, or
@@ -288,12 +288,12 @@ pub struct Mctop {
     pub nodes: Vec<Node>,
     /// Socket-to-socket connections (every pair, with hop counts). A
     /// description stores only [`Mctop::stored_links`] (format 4): the
-    /// loader derives the rest ([`Mctop::derived_links`]).
+    /// loader derives the rest (`Mctop::derived_links`).
     #[serde(getter = "Mctop::stored_links")]
     pub links: Vec<InterconnectLink>,
     /// Normalized context-to-context latency table (row-major, N x N).
     /// A description file does not store it (since format 3): the loader
-    /// fills it from [`Mctop::derived_latency_rows`], and
+    /// fills it from `Mctop::derived_latency_rows`, and
     /// `alg::validate` checks that it equals them.
     #[serde(skip_serializing, default)]
     pub lat_table: Vec<u32>,
@@ -369,7 +369,7 @@ impl Mctop {
     /// that passed `alg::validate`'s structural checks, which also make
     /// each socket's group a socket-tagged group of exactly its
     /// contexts, so that every in-socket pair has a group.
-    pub fn derived_latency_rows<E>(
+    pub(crate) fn derived_latency_rows<E>(
         &self,
         mut each: impl FnMut(usize, &[u32]) -> Result<(), E>,
     ) -> Result<(), E> {
@@ -453,7 +453,7 @@ impl Mctop {
     ///
     /// If `links` is not normalized (`a < b`), in range and in strictly
     /// ascending triangle order.
-    pub fn derived_links<'a, E>(
+    pub(crate) fn derived_links<'a, E>(
         &self,
         links: &'a [InterconnectLink],
         mut each: impl FnMut(
@@ -540,7 +540,7 @@ impl Mctop {
 
     /// The link records a description stores: the direct (`hops == 1`)
     /// ones, and every other one that differs from what
-    /// [`Mctop::derived_links`] makes of its pair, in triangle order. If
+    /// `Mctop::derived_links` makes of its pair, in triangle order. If
     /// `links` is not every socket pair in triangle order, all of it, in
     /// its own order, so that a round trip keeps it.
     pub fn stored_links(&self) -> Vec<&InterconnectLink> {

@@ -154,12 +154,6 @@ mod plain {
             Condvar(std::sync::Condvar::new())
         }
 
-        /// Blocks until notified.
-        #[inline]
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            unpoison(self.0.wait(guard))
-        }
-
         /// Blocks until notified or until `dur` has passed.
         #[inline]
         pub fn wait_timeout<'a, T>(
@@ -168,12 +162,6 @@ mod plain {
             dur: Duration,
         ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
             unpoison(self.0.wait_timeout(guard, dur))
-        }
-
-        /// Wakes one waiter.
-        #[inline]
-        pub fn notify_one(&self) {
-            self.0.notify_one()
         }
 
         /// Wakes every waiter.

@@ -206,15 +206,12 @@ impl Model {
 
     /// Marks every thread blocked on `wait` runnable (the waker keeps
     /// the token; the woken threads become schedulable at the next
-    /// choice point). With `only_one`, wakes at most the lowest tid.
-    pub(crate) fn mark_runnable(&self, wait: Wait, only_one: bool) {
+    /// choice point).
+    pub(crate) fn mark_runnable(&self, wait: Wait) {
         let mut g = unpoison(self.inner.lock());
         for t in g.threads.iter_mut() {
             if t.run == Run::Blocked(wait) {
                 t.run = Run::Runnable;
-                if only_one {
-                    break;
-                }
             }
         }
     }

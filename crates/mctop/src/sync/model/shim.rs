@@ -173,7 +173,7 @@ fn release<G>(key: Wait, real: Option<G>) {
     match Ctx::current() {
         None => drop(real),
         Some(ctx) => {
-            ctx.model.mark_runnable(key, false);
+            ctx.model.mark_runnable(key);
             drop(real);
             ctx.yield_point();
         }
@@ -239,7 +239,7 @@ impl<'a, T> MutexGuard<'a, T> {
     /// atomic release-and-block inside [`Condvar::wait`].
     fn release_for_wait(mut self) {
         if let Some(ctx) = Ctx::current() {
-            ctx.model.mark_runnable(self.mutex.key(), false);
+            ctx.model.mark_runnable(self.mutex.key());
         }
         drop(self.real.take());
         // Drop of `self` sees `real == None` and does nothing more.
@@ -392,7 +392,7 @@ impl Condvar {
     }
 
     /// Blocks until notified, like `std::sync::Condvar::wait`.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub(crate) fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         match Ctx::current() {
             None => {
                 let (mutex, real) = guard.into_std();
@@ -431,21 +431,10 @@ impl Condvar {
         }
     }
 
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        if let Some(ctx) = Ctx::current() {
-            ctx.model.mark_runnable(self.key(), true);
-            self.std.notify_one();
-            ctx.yield_point();
-        } else {
-            self.std.notify_one();
-        }
-    }
-
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         if let Some(ctx) = Ctx::current() {
-            ctx.model.mark_runnable(self.key(), false);
+            ctx.model.mark_runnable(self.key());
             self.std.notify_all();
             ctx.yield_point();
         } else {

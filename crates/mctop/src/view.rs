@@ -1,4 +1,6 @@
-//! Precomputed topology views: the query engine of [`crate::query`].
+//! Precomputed topology views: the topology query engine (Section 5:
+//! "Essentially, MCTOP provides a topology query engine for
+//! multi-cores"), the vocabulary in which portable policies are written.
 //!
 //! Written as straight-line scans over the model arenas (the [`naive`]
 //! module), the queries are easy to audit against the paper, but
@@ -54,7 +56,7 @@ use crate::sync::Mutex;
 /// distance backend. Below it the dense matrices are at most a few
 /// dozen kilobytes and strictly faster; above it they grow with S² while
 /// the sparse form grows with the link degree.
-pub const SPARSE_THRESHOLD_SOCKETS: usize = 32;
+pub(crate) const SPARSE_THRESHOLD_SOCKETS: usize = 32;
 
 /// BFS hop rows the sparse backend keeps resident (LRU). Policy loops
 /// query a handful of "current" sockets over and over; 32 rows covers
@@ -772,6 +774,20 @@ impl DistanceStore {
 /// (amortized, for the sparse backend). The view holds the topology
 /// behind an [`Arc`], so it is cheap to hand to worker pools and
 /// placement caches; [`TopoView::topo`] hands out the model itself.
+///
+/// No query names a concrete machine, which is what makes a policy
+/// written against the view portable.
+///
+/// # Examples
+///
+/// ```
+/// let view = mctop::Registry::shipped().view("ivy").unwrap();
+/// // Ivy has two sockets 308 cycles apart (Fig. 6).
+/// assert_eq!(view.closest_sockets(0), &[1]);
+/// assert_eq!(view.socket_latency(0, 1), 308);
+/// // Contexts 0 and 20 are SMT siblings of core 0 on socket 0.
+/// assert_eq!(view.socket_of(20), 0);
+/// ```
 #[derive(Debug, Clone)]
 pub struct TopoView {
     topo: Arc<Mctop>,
@@ -802,7 +818,7 @@ pub struct TopoView {
 impl TopoView {
     /// Builds the view, taking shared ownership of the topology. The
     /// distance backend is chosen by socket count
-    /// ([`SPARSE_THRESHOLD_SOCKETS`]).
+    /// (`SPARSE_THRESHOLD_SOCKETS`).
     pub fn new(topo: Arc<Mctop>) -> TopoView {
         let backend = if topo.num_sockets() >= SPARSE_THRESHOLD_SOCKETS {
             ViewBackend::Sparse
@@ -1384,5 +1400,91 @@ mod tests {
                 assert_eq!(view.max_latency_between(&hwcs), brute, "{hwcs:?}");
             }
         }
+    }
+
+    fn infer(spec: &mcsim::MachineSpec) -> TopoView {
+        let mut p = SimProber::noiseless(spec);
+        let cfg = ProbeConfig {
+            reps: 3,
+            ..ProbeConfig::fast()
+        };
+        TopoView::from(crate::infer(&mut p, &cfg).unwrap())
+    }
+
+    #[test]
+    fn closest_sockets_on_opteron_prefers_mcm_partner() {
+        let t = infer(&mcsim::presets::opteron());
+        let order = naive::closest_sockets(t.topo(), 0);
+        assert_eq!(t.closest_sockets(0), &order[..]);
+        // Socket 1 (MCM partner, 197 cy) first; 2-hop sockets last.
+        assert_eq!(order[0], 1);
+        let last = *order.last().unwrap();
+        assert_eq!(naive::socket_latency(t.topo(), 0, last), 300);
+        assert_eq!(t.socket_latency(0, last), 300);
+    }
+
+    #[test]
+    fn min_latency_pair_is_an_mcm_pair() {
+        let t = infer(&mcsim::presets::opteron());
+        let (a, b) = naive::min_latency_socket_pair(t.topo()).unwrap();
+        assert_eq!(t.min_latency_socket_pair(), Some((a, b)));
+        assert_eq!(t.socket_latency(a, b), 197);
+    }
+
+    #[test]
+    fn max_latency_pair_is_two_hops_apart() {
+        let t = infer(&mcsim::presets::opteron());
+        let (a, b) = naive::max_latency_socket_pair(t.topo()).unwrap();
+        assert_eq!(t.max_latency_socket_pair(), Some((a, b)));
+        assert_eq!(t.socket_latency(a, b), 300);
+        assert_eq!(t.socket_hops(a, b), 2);
+    }
+
+    #[test]
+    fn max_latency_between_spans_sockets() {
+        let t = infer(&mcsim::presets::synthetic_small());
+        // Contexts on the same socket.
+        let same = t.max_latency_between(&[0, 1, 2]);
+        assert_eq!(same, 100);
+        // Contexts across sockets.
+        let cross = t.max_latency_between(&[0, 1, 4]);
+        assert_eq!(cross, 290);
+        // SMT pair only.
+        assert_eq!(t.max_latency_between(&[0, 8]), 30);
+        assert_eq!(t.max_latency_between(&[3]), 0);
+    }
+
+    #[test]
+    fn cores_first_order_interleaves_smt() {
+        let t = infer(&mcsim::presets::synthetic_small());
+        let order = naive::socket_hwcs_cores_first(t.topo(), 0);
+        // Socket 0 of synth-small: cores {0,8},{1,9},{2,10},{3,11}.
+        assert_eq!(order, vec![0, 1, 2, 3, 8, 9, 10, 11]);
+        assert_eq!(t.socket_hwcs_cores_first(0), &order[..]);
+        let compact = naive::socket_hwcs_compact(t.topo(), 0);
+        assert_eq!(compact, vec![0, 8, 1, 9, 2, 10, 3, 11]);
+        assert_eq!(t.socket_hwcs_compact(0), &compact[..]);
+    }
+
+    #[test]
+    fn socket_order_covers_all_sockets() {
+        for spec in [
+            mcsim::presets::synthetic_small(),
+            mcsim::presets::no_smt_small(),
+        ] {
+            let t = infer(&spec);
+            let order = naive::socket_order_bandwidth_proximity(t.topo());
+            assert_eq!(t.socket_order_bandwidth_proximity(), &order[..]);
+            let mut sorted = order;
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..t.num_sockets()).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn sockets_used_by_dedups() {
+        let t = infer(&mcsim::presets::synthetic_small());
+        assert_eq!(t.sockets_used_by(&[0, 1, 8]), vec![0]);
+        assert_eq!(t.sockets_used_by(&[0, 4]), vec![0, 1]);
     }
 }

@@ -67,7 +67,7 @@ fn raw_conn(sock: &PathBuf) -> UnixStream {
     let hello = wire::encode_request(&Request::Hello {
         version: PROTO_VERSION,
     });
-    wire::write_frame(&mut raw, &hello).unwrap();
+    wire::write_frames(&mut raw, &mut Vec::new(), [hello.to_vec()]).unwrap();
     let mut hello_ok = [0u8; 7];
     raw.read_exact(&mut hello_ok).unwrap();
     raw
@@ -130,7 +130,7 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
         let hello = wire::encode_request(&Request::Hello {
             version: PROTO_VERSION,
         });
-        wire::write_frame(&mut raw, &hello).unwrap();
+        wire::write_frames(&mut raw, &mut Vec::new(), [hello.to_vec()]).unwrap();
         let mut hello_ok = [0u8; 7];
         raw.read_exact(&mut hello_ok).unwrap();
 
@@ -140,7 +140,7 @@ fn client_disconnect_mid_request_leaves_server_healthy() {
             args: vec![],
         });
         let mut framed = Vec::new();
-        wire::write_frame(&mut framed, &query).unwrap();
+        wire::write_frames(&mut framed, &mut Vec::new(), [query.to_vec()]).unwrap();
         raw.write_all(&framed[..framed.len() / 2]).unwrap();
         // Drop: EOF lands mid-frame on the server.
     }
@@ -334,11 +334,11 @@ fn garbage_frame_gets_error_and_close_without_poisoning() {
     let hello = wire::encode_request(&Request::Hello {
         version: PROTO_VERSION,
     });
-    wire::write_frame(&mut raw, &hello).unwrap();
+    wire::write_frames(&mut raw, &mut Vec::new(), [hello.to_vec()]).unwrap();
     let mut hello_ok = [0u8; 7];
     raw.read_exact(&mut hello_ok).unwrap();
 
-    wire::write_frame(&mut raw, &[0x7f, 1, 2, 3]).unwrap();
+    wire::write_frames(&mut raw, &mut Vec::new(), [[0x7f, 1, 2, 3].to_vec()]).unwrap();
     let mut reader = FrameReader::default();
     let payload = reader.next(&mut raw).unwrap().unwrap();
     match wire::decode_response(payload).unwrap() {
@@ -360,7 +360,7 @@ fn hello_must_be_first_and_only_first() {
     // A non-Hello first frame is a protocol violation.
     let mut raw = UnixStream::connect(&sock).unwrap();
     let req = wire::encode_request(&Request::ListTopologies);
-    wire::write_frame(&mut raw, &req).unwrap();
+    wire::write_frames(&mut raw, &mut Vec::new(), [req.to_vec()]).unwrap();
     let mut reader = FrameReader::default();
     let payload = reader.next(&mut raw).unwrap().unwrap();
     match wire::decode_response(payload).unwrap() {
@@ -395,7 +395,7 @@ fn oversized_length_prefix_is_cut_off() {
     let hello = wire::encode_request(&Request::Hello {
         version: PROTO_VERSION,
     });
-    wire::write_frame(&mut raw, &hello).unwrap();
+    wire::write_frames(&mut raw, &mut Vec::new(), [hello.to_vec()]).unwrap();
     let mut hello_ok = [0u8; 7];
     raw.read_exact(&mut hello_ok).unwrap();
 
@@ -427,7 +427,7 @@ fn frames_ahead_of_an_oversized_prefix_are_answered() {
 
     let req = lookup("ivy", "latency", 20);
     let mut burst = Vec::new();
-    wire::write_frame(&mut burst, &wire::encode_request(&req)).unwrap();
+    wire::write_frames(&mut burst, &mut Vec::new(), [wire::encode_request(&req)]).unwrap();
     burst.extend_from_slice(&u32::MAX.to_le_bytes());
     burst.extend_from_slice(&[0u8; 64]);
     raw.write_all(&burst).unwrap();

@@ -340,7 +340,7 @@ proptest! {
     /// exercise the schedule's bye slot). The big platforms get the
     /// same check in `parallel_collection_equals_sequential_big_presets`
     /// below. This is the determinism contract that makes `--jobs` a
-    /// pure wall-clock knob.
+    /// knob that never moves an output byte.
     #[test]
     fn parallel_collection_equals_sequential(seed in any::<u64>(), spec in arb_spec()) {
         let mut specs: Vec<MachineSpec> = mcsim::presets::all_paper_platforms()
