@@ -1432,6 +1432,18 @@ mod tests {
     }
 
     #[test]
+    fn min_latency_sockets_on_opteron_are_an_mcm_pair() {
+        let t = infer(&mcsim::presets::opteron());
+        let (a, b) = t.min_latency_socket_pair().unwrap();
+        assert_ne!(a, b);
+        assert_eq!(t.socket_latency(a, b), 197);
+        assert_eq!(t.socket_latency(b, a), 197);
+        // MCM partners are each other's closest socket.
+        assert_eq!(t.closest_sockets(a)[0], b);
+        assert_eq!(t.closest_sockets(b)[0], a);
+    }
+
+    #[test]
     fn max_latency_pair_is_two_hops_apart() {
         let t = infer(&mcsim::presets::opteron());
         let (a, b) = naive::max_latency_socket_pair(t.topo()).unwrap();
