@@ -53,9 +53,8 @@ mct — MCTOP description tooling (infer once, store, load everywhere)
 
 USAGE:
     mct list
-    mct infer <machine> [--seed N] [--reps N] [--jobs N] [--adaptive]
-                        [--exhaustive] [--no-enrich] [--out PATH]
-                        [--stdout]
+    mct infer <machine> [--seed N] [--reps N] [--jobs N] [--exhaustive]
+                        [--no-enrich] [--out PATH] [--stdout]
     mct validate <desc>...
     mct show <desc> [--format text|dot|summary] [--stats]
     mct query [--remote SOCKET] <desc> <query> [args...]
@@ -63,14 +62,12 @@ USAGE:
     mct regen-descs [--dir DIR] [--check]
     mct serve --socket PATH [--descs DIR]
 
-Collection is deterministic in the worker count: `infer --jobs` never
-changes a single output byte (disjoint context pairs are measured
-concurrently). More jobs pay only at high --reps: at the canonical 3
-repetitions forking the probers costs more than it saves, and 2 jobs
-collect about twice as slowly as 1 (sparc at --reps 2000: 4.3 s with 1
-job, 2.2 s with 2, on a 2-CPU host). --adaptive measures every
-pair with a cheap pilot pass and spends the full repetitions only on
-pairs near latency cluster boundaries.
+Collection is deterministic in the worker count: `infer --jobs`
+(default 1) never changes a single output byte (disjoint context pairs
+are measured concurrently). More jobs pay only at high --reps: at the
+canonical 3 repetitions forking the probers costs more than it saves,
+and 2 jobs collect about twice as slowly as 1 (sparc at --reps 2000:
+4.3 s with 1 job, 2.2 s with 2, on a 2-CPU host).
 
 By default `infer` measures a planned subset of the context pairs and
 derives the rest: below 32 sockets, each socket's inside, one anchor
@@ -198,16 +195,12 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
     let reps = take_flag(&mut args, "--reps")?
         .map(|s| parse::<usize>(&s, "reps"))
         .transpose()?;
-    // Worker count for parallel collection: explicit, or the machine's
-    // parallelism capped at 8 (the schedule has at most ⌊N/2⌋ disjoint
-    // pairs per round and returns diminish well before that).
-    let jobs = match take_flag(&mut args, "--jobs")? {
-        Some(s) => parse::<usize>(&s, "jobs")?,
-        None => std::thread::available_parallelism().map_or(1, |p| p.get().min(8)),
-    };
+    let jobs = take_flag(&mut args, "--jobs")?
+        .map(|s| parse::<usize>(&s, "jobs"))
+        .transpose()?
+        .unwrap_or(1);
     let out = take_flag(&mut args, "--out")?.map(PathBuf::from);
     let no_enrich = take_switch(&mut args, "--no-enrich");
-    let adaptive = take_switch(&mut args, "--adaptive");
     let exhaustive = take_switch(&mut args, "--exhaustive");
     let to_stdout = take_switch(&mut args, "--stdout");
     if reps == Some(0) {
@@ -220,6 +213,9 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::Usage(
             "--out and --stdout are mutually exclusive".into(),
         ));
+    }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError::Usage(format!("infer: unknown flag `{flag}`")));
     }
     let [machine] = args.as_slice() else {
         return Err(CliError::Usage("infer takes exactly one machine".into()));
@@ -243,9 +239,6 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(reps) = reps {
         cfg.reps = reps;
-    }
-    if adaptive {
-        cfg.adaptive = Some(mctop::AdaptiveCfg::default());
     }
     if exhaustive {
         // Opt out of the hierarchy-first or pruned plan: probe every

@@ -92,8 +92,8 @@ fn query_remote(socket: &str, desc: &str, query: &str, args: &[String]) -> Resul
 }
 
 /// The `metrics` query: runs a small deterministic workload through
-/// every instrumented layer — prober (noiseless inference, plain and
-/// adaptive), live executor (targeted-only rounds plus one re-arm),
+/// every instrumented layer — prober (one noiseless inference), live
+/// executor (targeted-only rounds plus one re-arm),
 /// single-threaded steal/injector harnesses, and alloc plan resolution
 /// — then prints the process-global counter snapshot as JSON.
 ///
@@ -111,19 +111,12 @@ fn query_metrics(view: &TopoView) -> Result<(), CliError> {
     let handle = metrics::global();
     handle.reset();
 
-    // --- prober activity: one plain and one adaptive noiseless
-    // inference of the same machine, when the description names a
-    // simulated model (a plain *.mct.json file has no prober to run).
+    // --- prober activity: one noiseless inference of the machine,
+    // when the description names a simulated model (a plain *.mct.json
+    // file has no prober to run).
     if let Some(spec) = mcsim::presets::by_name(&view.topo().name) {
         let mut prober = mctop::backend::SimProber::noiseless(&spec);
         let inf = mctop::alg::run_full(&mut prober, &mctop::ProbeConfig::fast(), 1)?;
-        handle.record_probe_stats(&inf.stats);
-        let mut prober = mctop::backend::SimProber::noiseless(&spec);
-        let cfg = mctop::ProbeConfig {
-            adaptive: Some(mctop::AdaptiveCfg::default()),
-            ..mctop::ProbeConfig::fast()
-        };
-        let inf = mctop::alg::run_full(&mut prober, &cfg, 1)?;
         handle.record_probe_stats(&inf.stats);
     }
 

@@ -287,12 +287,8 @@ counter_group! {
     runs: Counter,
     /// Context pairs measured.
     pairs: Counter,
-    /// Raw probes issued (including retries and adaptive pilots).
+    /// Raw probes issued (including retries).
     probes: Counter,
-    /// Probes issued by the adaptive pilot pass.
-    pilot_probes: Counter,
-    /// Pairs re-measured with full repetitions by adaptive refinement.
-    refined_pairs: Counter,
     /// Pair-level retries due to unstable stdev.
     retries: Counter,
 }
@@ -437,8 +433,6 @@ impl Metrics {
         p.runs.add(1);
         p.pairs.add(stats.pairs);
         p.probes.add(stats.probes);
-        p.pilot_probes.add(stats.pilot_probes);
-        p.refined_pairs.add(stats.refined_pairs);
         p.retries.add(stats.retries);
     }
 
@@ -597,8 +591,6 @@ mod tests {
         let stats = ProbeStats {
             pairs: 10,
             probes: 510,
-            pilot_probes: 150,
-            refined_pairs: 3,
             retries: 1,
             ..ProbeStats::default()
         };
@@ -608,8 +600,6 @@ mod tests {
         assert_eq!(p.runs, 2);
         assert_eq!(p.pairs, 20);
         assert_eq!(p.probes, 1020);
-        assert_eq!(p.pilot_probes, 300);
-        assert_eq!(p.refined_pairs, 6);
         assert_eq!(p.retries, 2);
     }
 

@@ -31,7 +31,6 @@ pub mod validate;
 use crate::error::McTopError;
 use crate::model::Mctop;
 pub use probe::{
-    AdaptiveCfg,
     PairSelection,
     ProbeConfig,
     ProbeStream,

@@ -15,21 +15,17 @@
 //! ⌊N/2⌋ pairs at a time. The parallel path is *deterministic*: every
 //! measurement draws its randomness from a stream derived from the run
 //! seed and a [`ProbeStream`] identity (calibration, warm-up of one
-//! context, one pair, one refinement), never from a position in a
-//! global sample sequence — so `collect_parallel` with any worker count
+//! context, one pair), never from a position in a global sample
+//! sequence — so `collect_parallel` with any worker count
 //! produces byte-for-byte the same table and statistics as the
 //! sequential [`collect`].
 //!
 //! [`PairSelection`] decides which pairs are measured at all: every one
 //! (the paper's collection), a pruned plan for mesh-scale machines, or
 //! the hierarchy-first plan that predicts the pairs between two sockets
-//! from one representative (see [`collect_parallel`]).
-//!
-//! [`AdaptiveCfg`] layers two-phase repetitions on top: a cheap pilot
-//! pass over all pairs, then full-repetition refinement only for pairs
-//! whose pilot median lands near a latency-cluster boundary or fails
-//! the stdev gate. The savings and the extra migrations are modeled in
-//! [`ProbeStats`], keeping the Section 3.5 cost accounting honest.
+//! from one representative (see [`collect_parallel`]). Every measured
+//! pair gets the full repetitions; the cost is modeled in
+//! [`ProbeStats`], keeping the Section 3.5 accounting honest.
 
 use std::sync::atomic::{
     AtomicU64,
@@ -47,6 +43,7 @@ use crate::alg::find_root;
 use crate::alg::schedule;
 use crate::alg::table::LatencyTable;
 use crate::error::McTopError;
+use crate::sync::Mutex;
 
 /// The three OS dependencies of Section 3 ("A way to read the number of
 /// available hardware contexts and the number of memory nodes, and a way
@@ -152,10 +149,6 @@ pub enum ProbeStream {
     Warmup(usize),
     /// All samples (including stdev retries) of one pair, `a < b`.
     Pair(usize, usize),
-    /// The full-repetition refinement pass of one pair (adaptive
-    /// collection only) — a distinct stream, so refinement does not
-    /// replay the pilot samples.
-    Refine(usize, usize),
     /// The SMT-detection spin measurements (Section 3.5).
     SmtCheck,
 }
@@ -169,34 +162,6 @@ impl ProbeStream {
             ProbeStream::SmtCheck => 1,
             ProbeStream::Warmup(c) => (1 << 60) | c as u64,
             ProbeStream::Pair(a, b) => (2 << 60) | ((a as u64) << 30) | b as u64,
-            ProbeStream::Refine(a, b) => (3 << 60) | ((a as u64) << 30) | b as u64,
-        }
-    }
-}
-
-/// Two-phase adaptive repetitions (Section 3.5 cost reduction): a cheap
-/// pilot pass over every pair, then full-repetition refinement only
-/// where the pilot is untrustworthy.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveCfg {
-    /// Repetitions of the pilot pass (a small fraction of
-    /// [`ProbeConfig::reps`]).
-    pub pilot_reps: usize,
-    /// A pilot median within this fraction of its own value from the
-    /// nearest adjacent latency cluster is considered boundary-risky
-    /// and re-measured with full repetitions.
-    pub boundary_frac: f64,
-}
-
-impl Default for AdaptiveCfg {
-    fn default() -> Self {
-        AdaptiveCfg {
-            // 15 samples give a usable median under the default noise
-            // model; anything boundary-risky is re-measured anyway.
-            pilot_reps: 15,
-            // Just above the widest stdev gate (14%): a median that
-            // close to another cluster could plausibly flip sides.
-            boundary_frac: 0.15,
         }
     }
 }
@@ -226,17 +191,14 @@ pub enum PairSelection {
     /// reconstruct the rest. Falls back to exhaustive when the config
     /// does not match the machine (context count not `ctxs_per_socket *
     /// sockets`) or the machine is too small for pruning to save
-    /// anything. Implies non-adaptive collection: the adaptive boundary
-    /// check clusters the whole table, which is meaningless while most
-    /// entries are unmeasured.
+    /// anything.
     Pruned(PruneCfg),
     /// Hierarchy-first collection: one anchor row per socket places
     /// every context, every pair inside a socket is measured, and each
     /// cross-socket pair is predicted from its socket pair's
     /// representative once a seeded hold-out sample lands on the
     /// predicted levels. Any miss falls back to measuring every pair,
-    /// counted in [`ProbeStats::fallbacks`]. Implies non-adaptive
-    /// collection, as [`PairSelection::Pruned`] does.
+    /// counted in [`ProbeStats::fallbacks`].
     Hierarchy,
 }
 
@@ -360,12 +322,9 @@ pub struct ProbeConfig {
     /// threads to a new pair and re-synchronizing: contributes to the
     /// inference-runtime accounting of Section 3.5.
     pub pair_overhead_cycles: u64,
-    /// Clustering parameters for step 2 (also used by the adaptive
-    /// boundary check).
+    /// Clustering parameters for step 2 (also used by hierarchy-first
+    /// collection to cut anchor rows and check levels).
     pub cluster: ClusterCfg,
-    /// Two-phase adaptive repetitions; `None` measures every pair with
-    /// the full `reps` (the paper's behaviour).
-    pub adaptive: Option<AdaptiveCfg>,
     /// Which context pairs to measure (default: all of them).
     pub pairs: PairSelection,
 }
@@ -380,7 +339,6 @@ impl Default for ProbeConfig {
             warmup: true,
             pair_overhead_cycles: 8_000_000,
             cluster: ClusterCfg::default(),
-            adaptive: None,
             pairs: PairSelection::Exhaustive,
         }
     }
@@ -404,11 +362,6 @@ pub struct ProbeStats {
     pub pairs: u64,
     /// Raw probes issued.
     pub probes: u64,
-    /// Probes issued by the adaptive pilot pass (subset of `probes`).
-    pub pilot_probes: u64,
-    /// Pairs re-measured with full repetitions by the adaptive
-    /// refinement pass.
-    pub refined_pairs: u64,
     /// Pair-level retries due to unstable stdev, plus transient
     /// backend failures absorbed by retry ([`Prober::backend_retries`]
     /// deltas, folded in per phase).
@@ -416,7 +369,7 @@ pub struct ProbeStats {
     /// Cycles spent inside probes (sum of all raw samples).
     pub sample_cycles: u64,
     /// Cycles of fixed per-pair overhead (thread migration, barriers,
-    /// DVFS re-checks). Refined pairs pay it twice.
+    /// DVFS re-checks).
     pub overhead_cycles: u64,
     /// Modelled critical-path cycles: with the disjoint-round schedule,
     /// each round costs the maximum over the workers measuring it, not
@@ -449,8 +402,6 @@ impl ProbeStats {
     pub fn merge(&mut self, other: &ProbeStats) {
         self.pairs += other.pairs;
         self.probes += other.probes;
-        self.pilot_probes += other.pilot_probes;
-        self.refined_pairs += other.refined_pairs;
         self.retries += other.retries;
         self.sample_cycles += other.sample_cycles;
         self.overhead_cycles += other.overhead_cycles;
@@ -459,19 +410,14 @@ impl ProbeStats {
     }
 
     /// Stats as they would look with `target` repetitions per pair
-    /// instead of the `actual` used: full-repetition probe time scales
-    /// linearly, while the pilot pass (fixed by
-    /// [`AdaptiveCfg::pilot_reps`]) and the per-pair overhead do not.
-    /// Lets fast runs report the cost of the paper's 2000-rep
-    /// configuration. Sample and critical-path cycles scale by the
-    /// resulting probe ratio — exact for non-adaptive runs, a
-    /// proportionality approximation for adaptive ones (per-phase cycle
-    /// shares are not tracked).
+    /// instead of the `actual` used: probe time scales linearly, the
+    /// per-pair overhead does not. Lets fast runs report the cost of the
+    /// paper's 2000-rep configuration. Sample and critical-path cycles
+    /// scale by the resulting probe ratio.
     pub fn scaled_to_reps(&self, actual: usize, target: usize) -> ProbeStats {
         assert!(actual > 0);
         let f = target as f64 / actual as f64;
-        let full_probes = self.probes - self.pilot_probes;
-        let probes = self.pilot_probes + (full_probes as f64 * f) as u64;
+        let probes = (self.probes as f64 * f) as u64;
         let cf = if self.probes == 0 {
             1.0
         } else {
@@ -480,8 +426,6 @@ impl ProbeStats {
         ProbeStats {
             pairs: self.pairs,
             probes,
-            pilot_probes: self.pilot_probes,
-            refined_pairs: self.refined_pairs,
             retries: self.retries,
             sample_cycles: (self.sample_cycles as f64 * cf) as u64,
             overhead_cycles: self.overhead_cycles,
@@ -559,7 +503,6 @@ pub fn collect_parallel<P: Prober>(
     } else {
         plan_rounds(ctx.n, cfg)
     };
-    let cfg = &effective_cfg(cfg, hierarchy || pruned.is_some());
     let mut stats = ProbeStats::default();
 
     // Fork the worker pool after warm-up, so every fork inherits the
@@ -583,16 +526,14 @@ pub fn collect_parallel<P: Prober>(
         _ => &mut forks[..],
     };
     if hierarchy {
-        let table = collect_hierarchy(&mut ctx, cfg, nodes, &mut stats, team)?;
-        return Ok((table, stats));
+        collect_hierarchy(&mut ctx, cfg, nodes, &mut stats, team)?;
+    } else {
+        run_phase(team, cfg, &slices(&rounds), &mut ctx, &mut stats)?;
+        if let Some((pairs, pc)) = &pruned {
+            reconstruct_pruned(&mut ctx.table, pairs, pc);
+        }
     }
-    let mut table = run_phases(&mut ctx, cfg, &rounds, &mut stats, |rs, kind, st| {
-        run_phase(team, cfg, &slices(rs), kind, st)
-    })?;
-    if let Some((pairs, pc)) = &pruned {
-        reconstruct_pruned(&mut table, pairs, pc);
-    }
-    Ok((table, stats))
+    Ok((ctx.table, stats))
 }
 
 /// The measured pairs of a hierarchy-first run, and the team that
@@ -623,10 +564,7 @@ impl<P: Prober> Measured<'_, P> {
             self.done[a * self.n + b] = true;
             self.done[b * self.n + a] = true;
         }
-        apply_phase(
-            ctx,
-            run_phase(self.team, cfg, rounds, PhaseKind::Full, stats),
-        )
+        run_phase(self.team, cfg, rounds, ctx, stats)
     }
 }
 
@@ -672,7 +610,7 @@ fn collect_hierarchy<P: Prober>(
     nodes: usize,
     stats: &mut ProbeStats,
     team: &mut [P],
-) -> Result<LatencyTable, McTopError> {
+) -> Result<(), McTopError> {
     let n = ctx.n;
     let mut done = vec![false; n * n];
     for c in 0..n {
@@ -696,7 +634,7 @@ fn collect_hierarchy<P: Prober>(
             m.run(ctx, cfg, &slices(&rest), stats)?;
         }
     }
-    Ok(std::mem::replace(&mut ctx.table, LatencyTable::new(0)))
+    Ok(())
 }
 
 /// Runs the three measuring steps and their checks. `Ok(None)` means a
@@ -929,20 +867,6 @@ fn plan_rounds(
     (schedule::round_robin(n), None)
 }
 
-/// Pruned collection is single-phase: the adaptive pilot's boundary
-/// check clusters the whole table, which is meaningless while most
-/// entries are still unmeasured, so pruning forces `adaptive` off.
-fn effective_cfg(cfg: &ProbeConfig, pruned: bool) -> ProbeConfig {
-    if pruned && cfg.adaptive.is_some() {
-        ProbeConfig {
-            adaptive: None,
-            ..cfg.clone()
-        }
-    } else {
-        cfg.clone()
-    }
-}
-
 /// Fills the unmeasured entries of a pruned table by shortest-path
 /// closure over the measured socket graph.
 ///
@@ -1098,34 +1022,6 @@ fn close_triangle_portable(dist: &mut [u32], m: usize) {
     }
 }
 
-/// Drives the one- or two-phase measurement plan over a phase executor
-/// (the inline loop or the threaded pool) — the single code path both
-/// [`collect`] and [`collect_parallel`] reduce to.
-fn run_phases(
-    ctx: &mut Collection,
-    cfg: &ProbeConfig,
-    rounds: &[Vec<(usize, usize)>],
-    stats: &mut ProbeStats,
-    mut phase: impl FnMut(&[Vec<(usize, usize)>], PhaseKind, &mut ProbeStats) -> Vec<Entry>,
-) -> Result<LatencyTable, McTopError> {
-    match cfg.adaptive {
-        None => finish_phase(ctx, phase(rounds, PhaseKind::Full, stats)),
-        Some(ad) => {
-            // The pilot must stay the cheap pass: a pilot_reps above the
-            // full repetition count would make "adaptive" strictly more
-            // expensive than plain collection.
-            let ad = AdaptiveCfg {
-                pilot_reps: ad.pilot_reps.min(cfg.reps),
-                ..ad
-            };
-            let pilots = phase(rounds, PhaseKind::Pilot(ad), stats);
-            let refine = plan_refinement(ctx, rounds, pilots, cfg, ad);
-            let entries = phase(&refine, PhaseKind::Refine, stats);
-            finish_phase(ctx, entries)
-        }
-    }
-}
-
 /// Shared state of one collection run.
 struct Collection {
     n: usize,
@@ -1144,9 +1040,6 @@ fn begin_collection<P: Prober>(
     let n = prober.num_hwcs();
     assert!(n >= 2, "need at least two hardware contexts");
     assert!(cfg.reps >= 1, "need at least one repetition per pair");
-    if let Some(ad) = &cfg.adaptive {
-        assert!(ad.pilot_reps >= 1, "need at least one pilot repetition");
-    }
     // Estimate the rdtsc read cost once, as the median of a calibration
     // loop (Fig. 5 subtracts `rdtsc_latency` from every measurement).
     prober.begin_stream(ProbeStream::Calibration);
@@ -1168,111 +1061,49 @@ fn begin_collection<P: Prober>(
     })
 }
 
-/// What a measurement phase does per pair.
-#[derive(Clone, Copy)]
-enum PhaseKind {
-    /// Full repetitions with the stdev retry gate ([`ProbeStream::Pair`]).
-    Full,
-    /// The cheap adaptive pilot pass (no retries, no failure).
-    Pilot(AdaptiveCfg),
-    /// Full repetitions on the refinement stream
-    /// ([`ProbeStream::Refine`]).
-    Refine,
-}
-
-/// Result of measuring one pair.
-enum Outcome {
-    /// Median of the accepted samples, rdtsc cost still included.
-    Value(u32),
-    /// Pilot median plus whether the pilot already met the stdev gate.
-    Pilot { median: u32, stable: bool },
-    /// The retry escalation never stabilized (best relative stdev).
-    Unstable(f64),
-}
-
-/// One measured pair, tagged with its schedule position so merged
-/// worker outputs can be ordered deterministically.
-struct Entry {
-    round: u32,
-    slot: u32,
-    a: usize,
-    b: usize,
-    outcome: Outcome,
-}
-
-/// Measures one pair according to `kind`, accumulating statistics and
-/// reusing `buf` for the samples. Returns the outcome and the modelled
-/// cycles this pair occupied its measurement slot for (samples +
-/// migration overhead) — the unit of the critical-path accounting.
+/// Measures one pair with full repetitions and the stdev retry gate
+/// ([`ProbeStream::Pair`]), accumulating statistics and reusing `buf`
+/// for the samples. Returns the median of the accepted samples (rdtsc
+/// cost still included) or, when the retry escalation never
+/// stabilized, the best relative stdev; and the modelled cycles this
+/// pair occupied its measurement slot for (samples + migration
+/// overhead) — the unit of the critical-path accounting.
 fn measure_one<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
-    kind: PhaseKind,
     a: usize,
     b: usize,
     stats: &mut ProbeStats,
     buf: &mut Vec<u32>,
-) -> (Outcome, u64) {
+) -> (Result<u32, f64>, u64) {
     let mut cycles = cfg.pair_overhead_cycles;
     stats.overhead_cycles += cfg.pair_overhead_cycles;
-    match kind {
-        PhaseKind::Pilot(ad) => {
-            prober.begin_stream(ProbeStream::Pair(a, b));
-            prober.probe_batch(a, b, buf, ad.pilot_reps);
-            stats.pairs += 1;
-            stats.probes += buf.len() as u64;
-            stats.pilot_probes += buf.len() as u64;
-            let sample_cycles: u64 = buf.iter().map(|&s| s as u64).sum();
-            stats.sample_cycles += sample_cycles;
-            cycles += sample_cycles;
-            let (median, sd) = median_stdev(buf);
-            let frac = if median == 0 { 0.0 } else { sd / median as f64 };
-            (
-                Outcome::Pilot {
-                    median,
-                    stable: frac <= cfg.stdev_frac,
-                },
-                cycles,
-            )
+    prober.begin_stream(ProbeStream::Pair(a, b));
+    stats.pairs += 1;
+    let mut best_frac = f64::INFINITY;
+    for attempt in 0..=cfg.max_retries {
+        prober.probe_batch(a, b, buf, cfg.reps);
+        stats.probes += buf.len() as u64;
+        let sample_cycles: u64 = buf.iter().map(|&s| s as u64).sum();
+        stats.sample_cycles += sample_cycles;
+        cycles += sample_cycles;
+        let (median, sd) = median_stdev(buf);
+        let frac = if median == 0 { 0.0 } else { sd / median as f64 };
+        // Threshold escalates linearly from stdev_frac to
+        // stdev_frac_max across the retries.
+        let threshold = if cfg.max_retries == 0 {
+            cfg.stdev_frac_max
+        } else {
+            cfg.stdev_frac
+                + (cfg.stdev_frac_max - cfg.stdev_frac) * (attempt as f64 / cfg.max_retries as f64)
+        };
+        if frac <= threshold {
+            return (Ok(median), cycles);
         }
-        PhaseKind::Full | PhaseKind::Refine => {
-            match kind {
-                PhaseKind::Full => {
-                    prober.begin_stream(ProbeStream::Pair(a, b));
-                    stats.pairs += 1;
-                }
-                _ => {
-                    prober.begin_stream(ProbeStream::Refine(a, b));
-                    stats.refined_pairs += 1;
-                }
-            }
-            let mut best_frac = f64::INFINITY;
-            for attempt in 0..=cfg.max_retries {
-                prober.probe_batch(a, b, buf, cfg.reps);
-                stats.probes += buf.len() as u64;
-                let sample_cycles: u64 = buf.iter().map(|&s| s as u64).sum();
-                stats.sample_cycles += sample_cycles;
-                cycles += sample_cycles;
-                let (median, sd) = median_stdev(buf);
-                let frac = if median == 0 { 0.0 } else { sd / median as f64 };
-                // Threshold escalates linearly from stdev_frac to
-                // stdev_frac_max across the retries.
-                let threshold = if cfg.max_retries == 0 {
-                    cfg.stdev_frac_max
-                } else {
-                    cfg.stdev_frac
-                        + (cfg.stdev_frac_max - cfg.stdev_frac)
-                            * (attempt as f64 / cfg.max_retries as f64)
-                };
-                if frac <= threshold {
-                    return (Outcome::Value(median), cycles);
-                }
-                best_frac = best_frac.min(frac);
-                stats.retries += 1;
-            }
-            (Outcome::Unstable(best_frac), cycles)
-        }
+        best_frac = best_frac.min(frac);
+        stats.retries += 1;
     }
+    (Err(best_frac), cycles)
 }
 
 /// Median and standard deviation of one attempt's samples. The stdev
@@ -1293,21 +1124,23 @@ fn median_stdev(samples: &mut [u32]) -> (u32, f64) {
     (stats::median_u32(samples), sd)
 }
 
-/// Runs one phase over `probers`: the pairs of each schedule round are
-/// dealt out across them, one worker thread each — or, for a single
-/// prober, the calling thread and nothing spawned. Worker outputs are
-/// merged into schedule order and per-round worker maxima feed the
-/// critical-path accounting. A failing pair stops the phase: what is
-/// merged always holds the first failure in schedule order and every
-/// pair before it, for any number of probers.
+/// Runs one phase over `probers` and writes each measured value
+/// (rdtsc-corrected) straight into the table: the pairs of each schedule
+/// round are dealt out across the probers, one worker thread each — or,
+/// for a single prober, the calling thread and nothing spawned. A run
+/// measures each pair at most once, so the order of the writes does not
+/// matter. Per-round worker maxima feed the critical-path accounting. A
+/// failing pair stops the phase, and the error is the first failure in
+/// schedule order, for any number of probers.
 fn run_phase<P: Prober>(
     probers: &mut [P],
     cfg: &ProbeConfig,
     rounds: &[&[(usize, usize)]],
-    kind: PhaseKind,
+    ctx: &mut Collection,
     stats: &mut ProbeStats,
-) -> Vec<Entry> {
+) -> Result<(), McTopError> {
     let jobs = probers.len();
+    let rdtsc_est = ctx.rdtsc_est;
     // Disjointness within an in-flight set only matters when pairs
     // disturb each other (real hardware): then a barrier holds workers
     // to one schedule round at a time, so pairs in flight never share a
@@ -1318,34 +1151,33 @@ fn run_phase<P: Prober>(
     let barrier = Barrier::new(jobs);
     // Earliest round with a failed pair (`u64::MAX` while none): every
     // worker keeps measuring until it has completed that round or
-    // failed in it itself, so the merged entries always contain the
-    // first failing pair in schedule order — the one a lone prober
-    // stops at.
+    // failed in it itself, so the earliest of the workers' own first
+    // failures is the first failing pair in schedule order — the one a
+    // lone prober stops at.
     let abort_round = AtomicU64::new(u64::MAX);
-    let total_pairs: usize = rounds.iter().map(|round| round.len()).sum();
-    let worker = |w: usize, prober: &mut P| {
-        let mut entries = Vec::with_capacity(total_pairs.div_ceil(jobs));
+    let worker = |w: usize, prober: &mut P, store: &mut dyn FnMut(usize, usize, u32)| {
         let mut local = ProbeStats::default();
         let mut buf = Vec::new();
         let mut round_cycles = vec![0u64; rounds.len()];
+        let mut failure = None;
         let backend_before = prober.backend_retries();
         for (r, round) in rounds.iter().enumerate() {
             for (i, &(a, b)) in round.iter().enumerate().skip(w).step_by(jobs) {
-                let (outcome, cycles) = measure_one(prober, cfg, kind, a, b, &mut local, &mut buf);
+                let (outcome, cycles) = measure_one(prober, cfg, a, b, &mut local, &mut buf);
                 round_cycles[r] += cycles;
-                let failed = matches!(outcome, Outcome::Unstable(_));
-                entries.push(Entry {
-                    round: r as u32,
-                    slot: i as u32,
-                    a,
-                    b,
-                    outcome,
-                });
-                if failed {
-                    // The rest of this worker's share comes later in
-                    // the schedule than its own failure.
-                    abort_round.fetch_min(r as u64, Ordering::Relaxed);
-                    break;
+                match outcome {
+                    Ok(median) => store(a, b, median.saturating_sub(rdtsc_est)),
+                    Err(stdev_frac) => {
+                        let err = McTopError::UnstableMeasurements {
+                            pair: (a, b),
+                            stdev_frac,
+                        };
+                        failure = Some(((r, i), err));
+                        // The rest of this worker's share comes later in
+                        // the schedule than its own failure.
+                        abort_round.fetch_min(r as u64, Ordering::Relaxed);
+                        break;
+                    }
                 }
             }
             if isolate_rounds {
@@ -1368,126 +1200,43 @@ fn run_phase<P: Prober>(
             }
         }
         local.retries += prober.backend_retries().saturating_sub(backend_before);
-        (entries, local, round_cycles)
+        (local, round_cycles, failure)
     };
-    let worker_outs: Vec<(Vec<Entry>, ProbeStats, Vec<u64>)> = match probers {
-        [only] => vec![worker(0, only)],
-        _ => std::thread::scope(|scope| {
-            let worker = &worker;
-            let handles: Vec<_> = probers
-                .iter_mut()
-                .enumerate()
-                .map(|(w, prober)| scope.spawn(move || worker(w, prober)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        }),
+    let worker_outs = match probers {
+        [only] => vec![worker(0, only, &mut |a, b, v| ctx.table.set(a, b, v))],
+        _ => {
+            let table = Mutex::new(&mut ctx.table);
+            std::thread::scope(|scope| {
+                let (worker, table) = (&worker, &table);
+                let handles: Vec<_> = probers
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(w, prober)| {
+                        scope.spawn(move || {
+                            worker(w, prober, &mut |a, b, v| table.lock().set(a, b, v))
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        }
     };
 
-    // The first worker's entries become the merge buffer, so a lone
-    // prober's output is moved, never copied.
-    let mut entries = Vec::new();
     let mut round_maxima = vec![0u64; rounds.len()];
-    for (worker_entries, worker_stats, round_cycles) in worker_outs {
+    let mut first_failure: Option<((usize, usize), McTopError)> = None;
+    for (worker_stats, round_cycles, failure) in worker_outs {
         stats.merge(&worker_stats);
-        if entries.is_empty() {
-            entries = worker_entries;
-        } else {
-            entries.extend(worker_entries);
-        }
         for (r, &c) in round_cycles.iter().enumerate() {
             round_maxima[r] = round_maxima[r].max(c);
         }
-    }
-    stats.critical_cycles += round_maxima.iter().sum::<u64>();
-    entries.sort_unstable_by_key(|e| (e.round, e.slot));
-    entries
-}
-
-/// Applies a Full/Refine phase's entries and hands the finished table
-/// over.
-fn finish_phase(ctx: &mut Collection, entries: Vec<Entry>) -> Result<LatencyTable, McTopError> {
-    apply_phase(ctx, entries)?;
-    // The collection state is done once the last phase is applied: move
-    // the table out instead of copying N² values.
-    Ok(std::mem::replace(&mut ctx.table, LatencyTable::new(0)))
-}
-
-/// Applies a Full/Refine phase's entries to the table (rdtsc-corrected)
-/// in schedule order, surfacing the earliest failure.
-fn apply_phase(ctx: &mut Collection, entries: Vec<Entry>) -> Result<(), McTopError> {
-    for e in entries {
-        match e.outcome {
-            Outcome::Value(median) => {
-                ctx.table
-                    .set(e.a, e.b, median.saturating_sub(ctx.rdtsc_est));
-            }
-            Outcome::Pilot { .. } => unreachable!("pilot entries go through plan_refinement"),
-            Outcome::Unstable(stdev_frac) => {
-                return Err(McTopError::UnstableMeasurements {
-                    pair: (e.a, e.b),
-                    stdev_frac,
-                });
+        if let Some((at, err)) = failure {
+            if first_failure.as_ref().is_none_or(|(first, _)| at < *first) {
+                first_failure = Some((at, err));
             }
         }
     }
-    Ok(())
-}
-
-/// Applies the pilot entries to the table and selects which pairs the
-/// refinement pass must re-measure: pilots that failed the stdev gate,
-/// plus pilots whose (rdtsc-corrected) median lies within
-/// [`AdaptiveCfg::boundary_frac`] of an adjacent latency cluster — the
-/// pairs where a cheap median could plausibly land on the wrong side of
-/// a cluster split. Returns refinement rounds (each a subset of a
-/// schedule round, so disjointness is preserved).
-fn plan_refinement(
-    ctx: &mut Collection,
-    rounds: &[Vec<(usize, usize)>],
-    pilots: Vec<Entry>,
-    cfg: &ProbeConfig,
-    ad: AdaptiveCfg,
-) -> Vec<Vec<(usize, usize)>> {
-    let n = ctx.n;
-    let mut stable = vec![true; n * n];
-    for e in &pilots {
-        let (median, ok) = match e.outcome {
-            Outcome::Pilot { median, stable } => (median, stable),
-            _ => unreachable!("full entries go through finish_phase"),
-        };
-        ctx.table
-            .set(e.a, e.b, median.saturating_sub(ctx.rdtsc_est));
-        stable[e.a * n + e.b] = ok;
-    }
-    // Cluster the pilot medians; if even the pilot values cluster, only
-    // boundary-risky pairs need the full repetitions. A failed
-    // clustering means the pilot is globally untrustworthy: refine
-    // everything.
-    let clusters = cluster::cluster(&ctx.table.upper_triangle(), &cfg.cluster).ok();
-    let near_boundary = |value: u32| -> bool {
-        let Some(clusters) = &clusters else {
-            return true;
-        };
-        let Some(i) = clusters
-            .iter()
-            .position(|c| c.min <= value && value <= c.max)
-        else {
-            return true;
-        };
-        let guard = ad.boundary_frac * value as f64;
-        (i > 0 && (value - clusters[i - 1].max) as f64 <= guard)
-            || (i + 1 < clusters.len() && (clusters[i + 1].min - value) as f64 <= guard)
-    };
-    rounds
-        .iter()
-        .map(|round| {
-            round
-                .iter()
-                .copied()
-                .filter(|&(a, b)| !stable[a * n + b] || near_boundary(ctx.table.get(a, b)))
-                .collect::<Vec<_>>()
-        })
-        .filter(|round: &Vec<_>| !round.is_empty())
-        .collect()
+    stats.critical_cycles += round_maxima.iter().sum::<u64>();
+    first_failure.map_or(Ok(()), |(_, err)| Err(err))
 }
 
 /// SMT detection (Section 3.5): spin solo on one context, then spin
@@ -1718,37 +1467,28 @@ mod tests {
     /// The committed descriptions are noiseless, so they cannot see a
     /// change in RNG consumption order or in the stdev's summation
     /// order; these pins can. The values are the collection's output
-    /// from before probes were batched and the median taken in place.
+    /// from before its phases wrote straight into the table.
     #[test]
     fn noisy_collection_is_pinned() {
         let ivy = presets::ivy();
-        let cfg = ProbeConfig {
-            adaptive: Some(AdaptiveCfg::default()),
-            ..ProbeConfig::fast()
-        };
+        let cfg = ProbeConfig::fast();
         for jobs in [1, 2] {
             let (table, stats) =
                 collect_parallel(&mut SimProber::new(&ivy, 7), &cfg, jobs).unwrap();
-            assert_eq!(
-                fnv1a_table(&table),
-                1_839_495_580_399_761_221,
-                "jobs {jobs}"
-            );
+            assert_eq!(fnv1a_table(&table), 779_277_497_589_458_277, "jobs {jobs}");
             let critical_cycles = if jobs == 1 {
-                6_282_818_844
+                6_249_540_036
             } else {
-                3_161_502_952
+                3_124_985_784
             };
             assert_eq!(
                 stats,
                 ProbeStats {
                     pairs: 780,
-                    probes: 11_955,
-                    pilot_probes: 11_700,
-                    refined_pairs: 5,
-                    retries: 0,
-                    sample_cycles: 2_818_844,
-                    overhead_cycles: 6_280_000_000,
+                    probes: 40_698,
+                    retries: 18,
+                    sample_cycles: 9_540_036,
+                    overhead_cycles: 6_240_000_000,
                     critical_cycles,
                     fallbacks: 0,
                 },
@@ -1819,52 +1559,6 @@ mod tests {
             let (median, sd) = median_stdev(&mut s.clone());
             assert_eq!(median, want_median, "slice {i}");
             assert_eq!(sd.to_bits(), want_sd.to_bits(), "slice {i}");
-        }
-    }
-
-    #[test]
-    fn adaptive_noiseless_matches_full_and_skips_refinement() {
-        let spec = presets::ivy();
-        let cfg_full = ProbeConfig {
-            reps: 5,
-            ..ProbeConfig::fast()
-        };
-        let cfg_adaptive = ProbeConfig {
-            adaptive: Some(AdaptiveCfg {
-                pilot_reps: 5,
-                ..AdaptiveCfg::default()
-            }),
-            ..cfg_full.clone()
-        };
-        let (t_full, _) = collect(&mut SimProber::noiseless(&spec), &cfg_full).unwrap();
-        let (t_ad, s_ad) = collect(&mut SimProber::noiseless(&spec), &cfg_adaptive).unwrap();
-        // Noiseless pilot medians are exact and the latency bands are
-        // far apart, so nothing needs refinement.
-        assert_eq!(t_full, t_ad);
-        assert_eq!(s_ad.refined_pairs, 0);
-        assert_eq!(s_ad.pilot_probes, s_ad.probes);
-    }
-
-    #[test]
-    fn adaptive_noisy_refines_some_and_stays_deterministic() {
-        let spec = presets::ivy();
-        let cfg = ProbeConfig {
-            adaptive: Some(AdaptiveCfg::default()),
-            ..ProbeConfig::fast()
-        };
-        let (t1, s1) = collect(&mut SimProber::new(&spec, 11), &cfg).unwrap();
-        let (t2, s2) = collect_parallel(&mut SimProber::new(&spec, 11), &cfg, 4).unwrap();
-        assert_eq!(t1, t2);
-        assert_eq!(s1.pairs, s2.pairs);
-        assert_eq!(s1.probes, s2.probes);
-        assert_eq!(s1.refined_pairs, s2.refined_pairs);
-        // The pilot pass did save work: not every pair was refined.
-        assert!(s1.refined_pairs < s1.pairs, "{s1:?}");
-        // And the result still tracks the truth.
-        for &(a, b) in &[(0usize, 1usize), (0, 10), (0, 20)] {
-            let truth = spec.true_latency(a, b) as f64;
-            let got = t1.get(a, b) as f64;
-            assert!((got - truth).abs() / truth < 0.12, "({a},{b})");
         }
     }
 
@@ -2333,13 +2027,11 @@ mod tests {
         };
         let cfg_pr = ProbeConfig {
             pairs: PairSelection::Pruned(pc),
-            adaptive: Some(AdaptiveCfg::default()), // must be forced off
             ..cfg_ex.clone()
         };
         let (t_ex, _) = collect(&mut SimProber::noiseless(&spec), &cfg_ex).unwrap();
-        let (t_pr, s_pr) = collect(&mut SimProber::noiseless(&spec), &cfg_pr).unwrap();
+        let (t_pr, _) = collect(&mut SimProber::noiseless(&spec), &cfg_pr).unwrap();
         assert_eq!(t_ex, t_pr);
-        assert_eq!(s_pr.pilot_probes, 0, "pruning disables the pilot pass");
     }
 
     fn with_pairs(pairs: PairSelection) -> ProbeConfig {
@@ -2391,7 +2083,6 @@ mod tests {
     fn hierarchy_is_deterministic_in_the_worker_count() {
         let cfg = ProbeConfig {
             pairs: PairSelection::Hierarchy,
-            adaptive: Some(AdaptiveCfg::default()), // must be forced off
             ..ProbeConfig::fast()
         };
         for spec in [presets::ivy(), presets::westmere()] {
@@ -2413,7 +2104,6 @@ mod tests {
                 assert_eq!(runs[0], runs[1], "{} seed {seed:?}", spec.name);
                 assert_eq!(runs[0], runs[2], "{} seed {seed:?}", spec.name);
                 let stats = runs[0].1;
-                assert_eq!(stats.pilot_probes, 0, "the pilot pass is off");
                 assert_eq!(stats.fallbacks, 0, "{} seed {seed:?}", spec.name);
                 assert!(stats.pairs < (spec.total_hwcs() * (spec.total_hwcs() - 1) / 2) as u64);
             }

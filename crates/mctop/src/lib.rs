@@ -71,7 +71,6 @@ pub mod sync;
 pub mod view;
 
 pub use alg::probe::{
-    AdaptiveCfg,
     PairSelection,
     ProbeConfig,
     Prober,

@@ -20,7 +20,6 @@ use mctop::view::{
     naive,
     TopoView, //
 };
-use mctop::AdaptiveCfg;
 use mctop::McTopError;
 use mctop::Mctop;
 use mctop::ProbeConfig;
@@ -67,23 +66,13 @@ fn arb_spec() -> impl Strategy<Value = MachineSpec> {
 fn assert_parallel_equals_sequential(
     spec: &MachineSpec,
     seed: Option<u64>,
-    adaptive: bool,
     jobs_list: &[usize],
 ) -> Result<(), String> {
     let cfg = ProbeConfig {
         reps: 5,
-        adaptive: adaptive.then(|| AdaptiveCfg {
-            pilot_reps: 3,
-            ..AdaptiveCfg::default()
-        }),
         ..ProbeConfig::fast()
     };
-    let label = |jobs: usize| {
-        format!(
-            "{} seed={seed:?} adaptive={adaptive} jobs={jobs}",
-            spec.name
-        )
-    };
+    let label = |jobs: usize| format!("{} seed={seed:?} jobs={jobs}", spec.name);
     let mk = || match seed {
         Some(s) => SimProber::new(spec, s),
         None => SimProber::noiseless(spec),
@@ -100,8 +89,6 @@ fn assert_parallel_equals_sequential(
                     (
                         s.pairs,
                         s.probes,
-                        s.pilot_probes,
-                        s.refined_pairs,
                         s.retries,
                         s.sample_cycles,
                         s.overhead_cycles,
@@ -156,8 +143,8 @@ fn parallel_collection_equals_sequential_big_presets() {
         if spec.total_hwcs() <= 64 {
             continue; // covered by the proptest
         }
-        for (seed, adaptive) in [(None, false), (Some(17), false), (Some(17), true)] {
-            assert_parallel_equals_sequential(&spec, seed, adaptive, &[8]).unwrap();
+        for seed in [None, Some(17)] {
+            assert_parallel_equals_sequential(&spec, seed, &[8]).unwrap();
         }
     }
 }
@@ -334,9 +321,8 @@ proptest! {
     }
 
     /// `collect_parallel` is byte-identical to the sequential `collect`
-    /// for every worker count, with and without measurement noise, with
-    /// and without adaptive two-phase repetitions — on the small preset
-    /// machines and on arbitrary machine shapes (odd context counts
+    /// for every worker count, with and without measurement noise — on
+    /// the small preset machines and on arbitrary machine shapes (odd context counts
     /// exercise the schedule's bye slot). The big platforms get the
     /// same check in `parallel_collection_equals_sequential_big_presets`
     /// below. This is the determinism contract that makes `--jobs` a
@@ -351,11 +337,8 @@ proptest! {
         specs.push(spec);
         for spec in &specs {
             for noisy in [false, true] {
-                for adaptive in [false, true] {
-                    assert_parallel_equals_sequential(
-                        spec, noisy.then_some(seed), adaptive, &[1, 2, 8],
-                    ).map_err(TestCaseError::fail)?;
-                }
+                assert_parallel_equals_sequential(spec, noisy.then_some(seed), &[1, 2, 8])
+                    .map_err(TestCaseError::fail)?;
             }
         }
     }
