@@ -9,14 +9,15 @@
 //! nodes at page granularity, plus the per-socket bandwidth-saturation
 //! thread counts that the RR_SCALE-style policies need.
 //!
-//! A backend realizes a plan behind the one [`MemoryBackend`] trait:
-//! [`ModelBackend`] charges the plan's costs through
+//! [`ModelBackend`] charges a plan's costs through
 //! [`mcsim::MemoryOracle`] — deterministic, noiseless, comparable
 //! across policies, which is what the tests and
-//! `examples/alloc_compare.rs` use. The host backend, which provisions
-//! real buffers whose stripes are zero-initialized (*first-touched*) by
-//! a pinned [`mctop_runtime::Executor`] worker on the stripe's node, has
-//! no caller outside this crate's tests and is compiled only for them.
+//! `examples/alloc_compare.rs` use. A plan names, for every stripe, the
+//! worker pinned on the stripe's node that would first-touch it
+//! ([`NodeStripe::touch_worker`]). That field is plan data only:
+//! realizing a plan on a host — real buffers first-touched by those
+//! workers — is out of scope until the workspace runs on a real machine
+//! (ROADMAP item 11).
 //!
 //! # Example
 //!
@@ -49,12 +50,10 @@
 #![deny(missing_docs)]
 
 pub mod backend;
-pub mod model;
 pub mod plan;
 pub mod policy;
 
 pub use backend::{
-    MemoryBackend,
     ModelBackend,
     ModeledArena, //
 };

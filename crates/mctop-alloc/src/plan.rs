@@ -450,6 +450,22 @@ mod tests {
     }
 
     #[test]
+    fn unenriched_topology_reports_missing_bandwidth() {
+        let spec = mcsim::presets::synthetic_small();
+        let mut prober = mctop::backend::SimProber::noiseless(&spec);
+        let cfg = mctop::ProbeConfig {
+            reps: 3,
+            ..mctop::ProbeConfig::fast()
+        };
+        let v = TopoView::from(mctop::infer(&mut prober, &cfg).unwrap()); // Not enriched.
+        let p = place(&v, 2);
+        assert_eq!(
+            AllocPlan::resolve(&v, &p, &AllocPolicy::BwProportional, &AllocCfg::default()),
+            Err(AllocError::BandwidthUnavailable { socket: 0 })
+        );
+    }
+
+    #[test]
     fn remote_stripes_are_touched_by_remote_workers() {
         let v = view("ivy");
         // RR over both sockets: every node has a placed worker.

@@ -126,7 +126,7 @@ impl std::str::FromStr for AllocPolicy {
     }
 }
 
-/// Why a plan could not be resolved or provisioned.
+/// Why a plan could not be resolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocError {
     /// The socket's local memory node is unknown (topology not enriched
@@ -152,13 +152,6 @@ pub enum AllocError {
     },
     /// A zero-byte arena was requested.
     ZeroArena,
-    /// The worker pool and the plan disagree on the worker count.
-    PoolMismatch {
-        /// Workers in the pool.
-        pool: usize,
-        /// Arenas in the plan.
-        plan: usize,
-    },
 }
 
 impl std::fmt::Display for AllocError {
@@ -175,9 +168,6 @@ impl std::fmt::Display for AllocError {
                 write!(f, "node {node} out of range (machine has {nodes})")
             }
             AllocError::ZeroArena => f.write_str("arena size must be at least one byte"),
-            AllocError::PoolMismatch { pool, plan } => {
-                write!(f, "pool has {pool} workers but the plan has {plan} arenas")
-            }
         }
     }
 }

@@ -3,12 +3,12 @@
 //! Reproduction of the Metis study (Section 7.3 of the MCTOP paper):
 //! a multi-core MapReduce engine whose worker threads are placed by the
 //! high-level policies of MCTOP-PLACE instead of Metis's default
-//! sequential pinning. Four of the workloads shipped with Metis are
-//! implemented (the four of Fig. 10): K-Means, Mean, Word Count and
-//! Matrix Multiply.
+//! sequential pinning. Word Count runs as a real job; the model prices
+//! all four workloads of Fig. 10 (K-Means, Mean, Word Count and Matrix
+//! Multiply) from their cost profiles.
 //!
 //! - [`engine`]: the map/partition/reduce engine (real threads);
-//! - [`workloads`]: the four workloads plus input generators;
+//! - [`workloads`]: Word Count and its input generator;
 //! - [`energy`]: energy accounting over the topology's power model;
 //! - [`model`]: the per-platform performance/energy model that
 //!   regenerates Figs. 10 and 11 over the simulated machines.

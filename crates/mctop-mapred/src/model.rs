@@ -24,7 +24,6 @@ use std::sync::Arc;
 use mcsim::MachineSpec;
 use mctop::view::TopoView;
 use mctop::Mctop;
-use mctop_alloc::AllocPolicy;
 use mctop_place::{
     PlaceOpts,
     Placement,
@@ -97,23 +96,6 @@ pub(crate) fn fig10_profiles() -> Vec<Profile> {
 /// with every worker's tables and buffers on its local node (Metis's
 /// allocation behaviour, and what the paper's study measures).
 pub(crate) fn exec_time(spec: &MachineSpec, topo: &Mctop, place: &Placement, p: &Profile) -> f64 {
-    exec_time_alloc(spec, topo, place, p, &AllocPolicy::Local)
-        .expect("the LOCAL policy always resolves")
-}
-
-/// [`exec_time`] with the workers' buffers routed through an explicit
-/// [`AllocPolicy`]: the bandwidth-supply term charges the policy's
-/// stripe mix through `mctop_alloc::model` instead of assuming
-/// local-node buffers. `AllocPolicy::Local` reproduces [`exec_time`]
-/// bit-exactly; any other policy that cannot be evaluated on this
-/// topology is an error — never silently priced like `Local`.
-pub(crate) fn exec_time_alloc(
-    spec: &MachineSpec,
-    topo: &Mctop,
-    place: &Placement,
-    p: &Profile,
-    alloc: &AllocPolicy,
-) -> Result<f64, mctop_alloc::AllocError> {
     let hwcs = place.order();
     assert!(!hwcs.is_empty());
     let f_hz = spec.freq_ghz * 1e9;
@@ -132,8 +114,7 @@ pub(crate) fn exec_time_alloc(
 
     // Bandwidth supply: per used socket, its threads can pull at most
     // threads x single-core bandwidth, capped by what the socket can
-    // stream against buffers striped per the allocation policy (LOCAL
-    // = the socket's local bandwidth, the legacy ad-hoc node math).
+    // stream from its local node (the spec's figure where unmeasured).
     let mut threads_on = vec![0usize; topo.num_sockets()];
     for &h in hwcs {
         threads_on[topo.hwcs[h].socket] += 1;
@@ -144,14 +125,10 @@ pub(crate) fn exec_time_alloc(
         let one = topo.sockets[s]
             .single_core_bw
             .unwrap_or(spec.mem.per_core_stream_bw);
-        // Only LOCAL keeps the legacy fallback for an unmeasured local
-        // bandwidth; policy errors propagate instead of pricing as
-        // LOCAL.
-        let cap = match mctop_alloc::model::socket_policy_bandwidth(topo, s, alloc) {
-            Ok(bw) => bw,
-            Err(_) if matches!(alloc, AllocPolicy::Local) => spec.mem.local_bandwidth,
-            Err(e) => return Err(e),
-        };
+        let cap = topo.sockets[s]
+            .local_bandwidth()
+            .filter(|&b| b > 0.0)
+            .unwrap_or(spec.mem.local_bandwidth);
         bw_supply += (threads * one).min(cap) * 1e9;
     }
     let t_mem = p.mem_bytes / bw_supply;
@@ -163,7 +140,7 @@ pub(crate) fn exec_time_alloc(
     let amplification = 1.0 + 0.04 * hwcs.len() as f64;
     let t_sync = p.sync_rounds * mean_lat * amplification / f_hz;
 
-    Ok(t_comp.max(t_mem) + t_sync)
+    t_comp.max(t_mem) + t_sync
 }
 
 fn mean_pairwise_latency(topo: &Mctop, hwcs: &[usize]) -> f64 {
@@ -398,31 +375,6 @@ mod tests {
             let has_energy = bars.iter().all(|b| b.rel_energy.is_some());
             assert_eq!(has_energy, spec.power.has_rapl, "{}", spec.name);
         }
-    }
-
-    #[test]
-    fn alloc_policy_moves_the_bandwidth_bound_workload() {
-        // Word Count is bandwidth-bound: interleaving its buffers over
-        // all nodes cuts the per-socket supply and slows it down, while
-        // LOCAL reproduces the default path bit-exactly.
-        let spec = mcsim::presets::ivy();
-        let topo = enriched(&spec);
-        let view = TopoView::new(Arc::new(topo.clone()));
-        let p = fig10_profiles()
-            .into_iter()
-            .find(|p| p.name == "Word Count")
-            .unwrap();
-        let place = Placement::with_view(&view, p.policy, PlaceOpts::threads(16)).unwrap();
-        let base = exec_time(&spec, &topo, &place, &p);
-        let local = exec_time_alloc(&spec, &topo, &place, &p, &AllocPolicy::Local).unwrap();
-        assert_eq!(base, local);
-        let inter = exec_time_alloc(&spec, &topo, &place, &p, &AllocPolicy::Interleave).unwrap();
-        assert!(
-            inter > local,
-            "interleave {inter} should be slower than local {local}"
-        );
-        // An unevaluable policy is an error, never priced like LOCAL.
-        assert!(exec_time_alloc(&spec, &topo, &place, &p, &AllocPolicy::OnNodes(vec![9])).is_err());
     }
 
     #[test]

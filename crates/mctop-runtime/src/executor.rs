@@ -2,10 +2,10 @@
 //!
 //! MCTOP's thesis is that one topology abstraction should drive every
 //! policy — yet for a long time each parallel workload in this
-//! repository (sort, MapReduce, OpenMP regions, the alloc first-touch
-//! path) opened its own `std::thread::scope`, re-pinned workers and
-//! tore everything down again per call. [`Executor`] consolidates
-//! them: workers are spawned **once**, pinned to the slots of an
+//! repository (sort, MapReduce, OpenMP regions) opened its own
+//! `std::thread::scope`, re-pinned workers and tore everything down
+//! again per call. [`Executor`] consolidates them: workers are
+//! spawned **once**, pinned to the slots of an
 //! [`mctop_place::Placement`], and kept alive across calls; work
 //! arrives through per-socket [`Injector`]s and flows into per-worker
 //! deques, with idle workers stealing in the `TopoView` min-latency
@@ -14,7 +14,7 @@
 //! # Lifecycle
 //!
 //! `arm` (construction) → any number of [`Executor::scope`] /
-//! [`Executor::run_each`] calls → [`Executor::rearm`] on placement
+//! [`Executor::run`] calls → [`Executor::rearm`] on placement
 //! change (graceful: outstanding tasks drain first) →
 //! [`Executor::shutdown`] (also run on drop).
 //!
@@ -23,8 +23,8 @@
 //! Each worker looks for work in this order:
 //!
 //! 1. its **mailbox** — targeted tasks from [`Scope::spawn_on`] /
-//!    [`Executor::run_each`]; never stolen by anyone else (this is
-//!    what first-touch allocation and per-worker arenas rely on);
+//!    [`Executor::run`]; never stolen by anyone else (this is what
+//!    per-worker chunks, OpenMP threads and lock contenders rely on);
 //! 2. its **local deque**, then the other workers' deques in the
 //!    min-latency victim order ([`crate::steal::StealPool::next`]);
 //! 3. its own socket's injector — drained in batches
@@ -498,8 +498,8 @@ impl<'scope> Scope<'scope> {
 
     /// Spawns a task targeted at one worker: it goes into that
     /// worker's mailbox and is never stolen. This is how per-worker
-    /// resources (arenas, first-touch windows, placement-ordered
-    /// chunks) reach the thread pinned where the resource lives.
+    /// work (placement-ordered chunks, one OpenMP thread's share)
+    /// reaches the thread pinned where its data lives.
     ///
     /// # Panics
     ///
@@ -846,33 +846,13 @@ impl Executor {
         F: Fn(WorkerCtx) -> R + Sync,
         R: Send,
     {
-        self.run_each(vec![(); self.len()], |ctx, ()| f(ctx))
-    }
-
-    /// Like [`Executor::run`], but moves one owned input into each
-    /// worker: `inputs[i]` is processed by worker `i` on the thread
-    /// pinned to placement slot `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the worker count.
-    pub fn run_each<T, F, R>(&self, inputs: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        F: Fn(WorkerCtx, T) -> R + Sync,
-        R: Send,
-    {
-        let n = self.len();
-        assert_eq!(inputs.len(), n, "one input per worker required");
-        let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
+        let mut results: Vec<Option<R>> = Vec::with_capacity(self.len());
+        results.resize_with(self.len(), || None);
         self.scope(|s| {
-            for ((w, slot), input) in results.iter_mut().enumerate().zip(inputs) {
+            for (w, slot) in results.iter_mut().enumerate() {
                 let f = &f;
                 let ctx = self.shared.ctxs[w];
-                s.spawn_on(w, move || {
-                    *slot = Some(f(ctx, input));
-                });
+                s.spawn_on(w, move || *slot = Some(f(ctx)));
             }
         });
         results
@@ -1016,24 +996,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn run_each_moves_inputs_and_keeps_order() {
-        let (exec, _v) = executor(4, Policy::ConHwc);
-        let inputs: Vec<Vec<u64>> = (0..4).map(|i| vec![i as u64; i + 1]).collect();
-        let out = exec.run_each(inputs, |ctx, v| {
-            assert_eq!(v.len(), ctx.id + 1);
-            v.iter().sum::<u64>()
-        });
-        assert_eq!(out, vec![0, 2, 6, 12]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one input per worker")]
-    fn run_each_rejects_wrong_input_count() {
-        let (exec, _v) = executor(2, Policy::ConHwc);
-        let _ = exec.run_each(vec![1u8], |_, _| ());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   deques, idle workers stealing in the min-latency victim order,
 //!   a `scope`/`join` API plus targeted per-worker dispatch, and
 //!   graceful shutdown/re-arm on placement change. Every parallel
-//!   workload in this workspace runs on it (`run`/`run_each` hand
-//!   one task, or one owned input, to each pinned worker);
+//!   workload in this workspace runs on it (`run` hands one task to
+//!   each pinned worker);
 //! - [`steal`]: topology-aware work stealing (Section 5): idle workers
 //!   steal from the victim that is closest in communication latency
 //!   first;

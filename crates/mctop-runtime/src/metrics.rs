@@ -233,15 +233,14 @@ counter_group! {
     arms: Counter,
     /// Graceful placement changes ([`crate::Executor::rearm`]).
     rearms: Counter,
-    /// Fork-join scopes opened (`run`/`run_each` count one per call).
+    /// Fork-join scopes opened (`run` counts one per call).
     scopes: Counter,
     /// Tasks submitted (targeted + stealable).
     tasks: Counter,
     /// Tasks whose closure panicked (the panic is captured and
     /// re-thrown at the scope).
     panics: Counter,
-    /// Tasks pushed to a specific worker's mailbox (`spawn_on`,
-    /// `run_each`).
+    /// Tasks pushed to a specific worker's mailbox (`spawn_on`, `run`).
     targeted_pushes: Counter,
     /// Tasks pushed to a socket injector (`spawn`, `join`).
     stealable_pushes: Counter,
@@ -437,7 +436,7 @@ impl Metrics {
     }
 
     /// Records one resolved allocation plan: `arenas` per-worker arenas
-    /// whose first-touch stripes put `pages_per_node[n]` pages on node
+    /// whose stripes put `pages_per_node[n]` pages on node
     /// `n`. Nodes beyond `MAX_NODES` are folded into the last bucket.
     pub fn record_alloc_plan(&self, arenas: u64, pages_per_node: &[u64]) {
         let a = &self.alloc;

@@ -12,7 +12,6 @@
 
 use mcsim::MachineSpec;
 use mctop::view::TopoView;
-use mctop_alloc::AllocPolicy;
 
 use crate::tree::MergeTree;
 
@@ -71,45 +70,6 @@ impl Default for SortModelCfg {
     }
 }
 
-impl SortModelCfg {
-    /// Replaces the SIMD cycles-per-element constant with one measured
-    /// from the kernels the sort actually runs: the scalar constant
-    /// (which calibrates the Ivy column of Fig. 9) is kept, and the
-    /// SIMD constant is rescaled by the host-measured
-    /// `simd_ns / scalar_ns` ratio of the two kernel tables. The ratio
-    /// transfers across modeled platforms (it is a property of the
-    /// kernels, not of the clock), so the `mctop_sse` prediction tracks
-    /// whatever kernel [`crate::simd::auto`] dispatched — including a
-    /// host where no vector unit exists, in which case the ratio is
-    /// ~1 and the sse variant correctly predicts no kernel win.
-    #[cfg(test)]
-    pub(crate) fn calibrate_kernels(
-        mut self,
-        scalar: &crate::simd::KernelTable,
-        simd: &crate::simd::KernelTable,
-    ) -> SortModelCfg {
-        // Big enough to leave L1/L2, small enough to stay fast.
-        const ELEMS: usize = 1 << 20;
-        const REPS: usize = 5;
-        let scalar_ns = crate::simd::measure_merge_ns(scalar, ELEMS, REPS);
-        let simd_ns = crate::simd::measure_merge_ns(simd, ELEMS, REPS);
-        if scalar_ns > 0.0 && simd_ns.is_finite() {
-            // The SIMD kernel never models slower than scalar: the
-            // dispatch contract falls back to scalar when vectors lose.
-            self.simd_merge_cycles =
-                (self.scalar_merge_cycles * simd_ns / scalar_ns).min(self.scalar_merge_cycles);
-        }
-        self
-    }
-
-    /// [`SortModelCfg::calibrate_kernels`] over the dispatch pair the
-    /// sorts use: [`crate::simd::scalar`] vs [`crate::simd::auto`].
-    #[cfg(test)]
-    pub(crate) fn calibrated() -> SortModelCfg {
-        SortModelCfg::default().calibrate_kernels(crate::simd::scalar(), crate::simd::auto())
-    }
-}
-
 /// Predicted time breakdown, seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SortTime {
@@ -130,30 +90,11 @@ impl SortTime {
 /// thread's local node (the paper's placement).
 pub fn predict_with_view(
     spec: &MachineSpec,
-    topo: &TopoView,
-    algo: SortAlgo,
-    n_threads: usize,
-    cfg: &SortModelCfg,
-) -> SortTime {
-    predict_alloc(spec, topo, algo, n_threads, cfg, &AllocPolicy::Local)
-        .expect("the LOCAL policy always resolves")
-}
-
-/// [`predict_with_view`] with the merge buffers routed through an
-/// explicit [`AllocPolicy`]: every bandwidth term charges the policy's
-/// stripe mix (via `mctop_alloc::model`) instead of assuming
-/// local-node buffers. `AllocPolicy::Local` reproduces
-/// [`predict_with_view`] bit-exactly; any other policy that cannot be
-/// evaluated on this topology (unenriched, bad node set) is an error —
-/// never silently priced like `Local`.
-pub(crate) fn predict_alloc(
-    spec: &MachineSpec,
     view: &TopoView,
     algo: SortAlgo,
     n_threads: usize,
     cfg: &SortModelCfg,
-    alloc: &AllocPolicy,
-) -> Result<SortTime, mctop_alloc::AllocError> {
+) -> SortTime {
     let p = n_threads.max(1) as f64;
     let f_hz = spec.freq_ghz * 1e9;
     let e = cfg.elements as f64;
@@ -175,21 +116,20 @@ pub(crate) fn predict_alloc(
 
     let sockets_used = view.num_sockets().min(n_threads).max(1);
     let threads_per_socket = (n_threads as f64 / sockets_used as f64).max(1.0);
-    // What each socket can stream against buffers striped per the
-    // allocation policy (LOCAL = the socket's local bandwidth, i.e. the
-    // legacy ad-hoc node math; other policies mix in remote routes).
-    // Precomputed once: topology and policy are fixed for the call.
-    // Only LOCAL keeps the legacy fallback for an unmeasured local
-    // bandwidth; policy errors propagate instead of pricing as LOCAL.
-    let socket_bw: Vec<f64> = (0..view.num_sockets())
-        .map(
-            |s| match mctop_alloc::model::socket_policy_bandwidth(view.topo(), s, alloc) {
-                Ok(bw) => Ok(bw * 1e9),
-                Err(_) if matches!(alloc, AllocPolicy::Local) => Ok(spec.mem.local_bandwidth * 1e9),
-                Err(e) => Err(e),
-            },
-        )
-        .collect::<Result<_, _>>()?;
+    // What each socket can stream against its local node: the
+    // measured local bandwidth, or the spec's where none was measured.
+    // Precomputed once: the topology is fixed for the call.
+    let socket_bw: Vec<f64> = view
+        .topo()
+        .sockets
+        .iter()
+        .map(|s| {
+            s.local_bandwidth()
+                .filter(|&b| b > 0.0)
+                .unwrap_or(spec.mem.local_bandwidth)
+                * 1e9
+        })
+        .collect();
     let local_bw = |s: usize| -> f64 { socket_bw[s] };
 
     let mut merge_s = 0.0;
@@ -264,7 +204,7 @@ pub(crate) fn predict_alloc(
             }
         }
     }
-    Ok(SortTime { seq_s, merge_s })
+    SortTime { seq_s, merge_s }
 }
 
 /// One Fig. 9 column: all three algorithms (SSE skipped on SPARC, which
@@ -370,68 +310,6 @@ mod tests {
             let tfull = predict_with_view(&spec, &topo, SortAlgo::Mctop, spec.total_hwcs(), &cfg);
             assert!(tfull.total() < t16.total(), "{}", spec.name);
         }
-    }
-
-    #[test]
-    fn alloc_policy_routes_merge_bandwidth() {
-        // LOCAL reproduces the default model bit-exactly; INTERLEAVE
-        // mixes remote routes into every merge stream, so merging can
-        // only get slower, while the CPU-bound first phase is unmoved.
-        let cfg = SortModelCfg::default();
-        for spec in [mcsim::presets::ivy(), mcsim::presets::westmere()] {
-            let view = enriched(&spec);
-            let base = predict_with_view(&spec, &view, SortAlgo::Mctop, 16, &cfg);
-            let local = predict_alloc(&spec, &view, SortAlgo::Mctop, 16, &cfg, &AllocPolicy::Local)
-                .unwrap();
-            assert_eq!(base, local, "{}", spec.name);
-            let inter = predict_alloc(
-                &spec,
-                &view,
-                SortAlgo::Mctop,
-                16,
-                &cfg,
-                &AllocPolicy::Interleave,
-            )
-            .unwrap();
-            assert!((inter.seq_s - local.seq_s).abs() < 1e-12, "{}", spec.name);
-            assert!(
-                inter.merge_s > local.merge_s,
-                "{}: interleave {} vs local {}",
-                spec.name,
-                inter.merge_s,
-                local.merge_s
-            );
-        }
-        // An unevaluable policy is an error, never priced like LOCAL.
-        let spec = mcsim::presets::ivy();
-        let view = enriched(&spec);
-        let bad = predict_alloc(
-            &spec,
-            &view,
-            SortAlgo::Mctop,
-            16,
-            &cfg,
-            &AllocPolicy::OnNodes(vec![99]),
-        );
-        assert!(bad.is_err());
-    }
-
-    #[test]
-    fn calibrated_cfg_tracks_measured_kernels() {
-        let cfg = SortModelCfg::calibrated();
-        assert!(cfg.simd_merge_cycles > 0.0 && cfg.simd_merge_cycles.is_finite());
-        // The dispatch contract never models SIMD slower than scalar.
-        assert!(cfg.simd_merge_cycles <= cfg.scalar_merge_cycles);
-        // Scalar-side constants are untouched by calibration.
-        let default = SortModelCfg::default();
-        assert_eq!(cfg.scalar_merge_cycles, default.scalar_merge_cycles);
-        assert_eq!(cfg.sort_cycles, default.sort_cycles);
-        // The calibrated sse prediction stays ordered on a real column.
-        let spec = mcsim::presets::ivy();
-        let topo = enriched(&spec);
-        let mc = predict_with_view(&spec, &topo, SortAlgo::Mctop, 16, &cfg);
-        let sse = predict_with_view(&spec, &topo, SortAlgo::MctopSse, 16, &cfg);
-        assert!(sse.total() <= mc.total() + 1e-9);
     }
 
     #[test]

@@ -129,42 +129,6 @@ fn detect() -> &'static KernelTable {
     &SCALAR
 }
 
-/// Measures one kernel on this host: nanoseconds per element merging
-/// two sorted `elements / 2`-sized runs, best of `reps` passes (the
-/// calibration probe behind
-/// [`crate::model::SortModelCfg::calibrate_kernels`]). Deterministic
-/// inputs — a fixed LCG stream — so repeated calls measure the same
-/// workload.
-#[cfg(test)]
-pub(crate) fn measure_merge_ns(table: &KernelTable, elements: usize, reps: usize) -> f64 {
-    let half = (elements / 2).max(1);
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut run = |n: usize| -> Vec<u32> {
-        let mut v: Vec<u32> = (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) as u32
-            })
-            .collect();
-        v.sort_unstable();
-        v
-    };
-    let a = run(half);
-    let b = run(half);
-    let mut out = vec![0u32; a.len() + b.len()];
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = std::time::Instant::now();
-        (table.merge)(&a, &b, &mut out);
-        let ns = start.elapsed().as_secs_f64() * 1e9 / out.len() as f64;
-        best = best.min(ns);
-    }
-    std::hint::black_box(&out);
-    best
-}
-
 /// The x86-64 vector networks. Every `unsafe` here is the raw
 /// intrinsic layer; the public surface stays safe because the tables
 /// are only reachable after `is_x86_feature_detected!` succeeded.
@@ -432,13 +396,5 @@ mod tests {
         assert!(supported().iter().any(|t| t.name == auto1.name));
         // The fallback is always available.
         assert_eq!(scalar().name, "scalar");
-    }
-
-    #[test]
-    fn measure_merge_ns_is_positive_and_finite() {
-        for table in [scalar(), auto()] {
-            let ns = measure_merge_ns(table, 10_000, 3);
-            assert!(ns.is_finite() && ns > 0.0, "{}: {ns}", table.name);
-        }
     }
 }

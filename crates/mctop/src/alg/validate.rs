@@ -201,29 +201,55 @@ fn same_hops(
     ))
 }
 
-/// Everything but the latency table: each index the table's derivation
-/// reads is in range, cores and sockets partition the contexts, and
-/// every group and link latency is a level's median.
-fn structure(topo: &Mctop) -> Result<(), McTopError> {
+/// Every index a description names points where its field says: each
+/// group's id, members, level, parent and children; each context's id,
+/// core and successor; each socket's cores, local node and per-node
+/// measurement lists; each node's id and home socket. Cores partition
+/// the contexts, all with the same cardinality. O(N + groups), and run
+/// before anything is derived from a description, so that no later
+/// reader indexes out of range.
+pub(crate) fn indices(topo: &Mctop) -> Result<(), McTopError> {
     let n = topo.num_hwcs();
     let err = irregular;
     if n == 0 || topo.num_sockets() == 0 {
         return err("the topology has no contexts or no sockets".into());
     }
 
-    // Group members name contexts (descriptions are untrusted input).
+    // Group members name contexts, and groups name levels and groups.
+    let (n_groups, n_levels) = (topo.groups.len(), topo.levels.len());
     for (g, group) in topo.groups.iter().enumerate() {
+        if group.id != g {
+            return err(format!("group record {g} has id {}", group.id));
+        }
         if let Some(&h) = group.hwcs.iter().find(|&&h| h >= n) {
             return err(format!(
                 "group {g} holds context {h}, but the topology has {n} contexts"
             ));
         }
+        if group.level >= n_levels {
+            return err(format!(
+                "group {g} has level {}, but the topology has {n_levels} latency levels",
+                group.level
+            ));
+        }
+        if let Some(p) = group.parent.filter(|&p| p >= n_groups) {
+            return err(format!(
+                "group {g} has parent {p}, but the topology has {n_groups} groups"
+            ));
+        }
+        if let Some(&c) = group.children.iter().find(|&&c| c >= n_groups) {
+            return err(format!(
+                "group {g} has child {c}, but the topology has {n_groups} groups"
+            ));
+        }
     }
 
-    // Cores partition the contexts, all with the same cardinality.
-    let mut seen = vec![false; n];
+    // Cores partition the contexts, all with the same cardinality;
+    // `core_of[h]` is the index in `topo.cores` of the core holding h.
+    let mut core_of = vec![usize::MAX; n];
+    let mut core_index = vec![None; n_groups];
     let smt = topo.smt;
-    for &cg in &topo.cores {
+    for (ci, &cg) in topo.cores.iter().enumerate() {
         let Some(g) = topo.groups.get(cg) else {
             return err(format!("core group id {cg} out of range"));
         };
@@ -234,15 +260,94 @@ fn structure(topo: &Mctop) -> Result<(), McTopError> {
             ));
         }
         for &h in &g.hwcs {
-            if seen[h] {
+            if core_of[h] != usize::MAX {
                 return err(format!("context {h} is in two cores"));
             }
-            seen[h] = true;
+            core_of[h] = ci;
         }
+        core_index[cg] = Some(ci);
     }
-    if !seen.iter().all(|&s| s) {
+    if core_of.contains(&usize::MAX) {
         return err("a context belongs to no core".into());
     }
+
+    for (h, c) in topo.hwcs.iter().enumerate() {
+        if c.id != h {
+            return err(format!("context record {h} has id {}", c.id));
+        }
+        if c.core != core_of[h] {
+            return err(format!(
+                "context {h} names core {}, but it is in core {}",
+                c.core, core_of[h]
+            ));
+        }
+        if c.next_closest >= n || c.next_closest == h {
+            return err(format!(
+                "context {h} has next_closest {}, which is not another context",
+                c.next_closest
+            ));
+        }
+    }
+
+    // A socket's cores are distinct core groups of its own contexts,
+    // and its memory fields name the topology's nodes.
+    let n_nodes = topo.num_nodes();
+    let mut listed = vec![false; topo.num_cores()];
+    for (si, s) in topo.sockets.iter().enumerate() {
+        for &cg in &s.cores {
+            let own = core_index.get(cg).copied().flatten().filter(|_| {
+                topo.groups[cg]
+                    .hwcs
+                    .iter()
+                    .all(|&h| topo.hwcs[h].socket == si)
+            });
+            let Some(ci) = own else {
+                return err(format!(
+                    "socket {si} lists group {cg} as a core, but it is not a core group of socket {si}"
+                ));
+            };
+            if std::mem::replace(&mut listed[ci], true) {
+                return err(format!("socket {si} lists core group {cg} twice"));
+            }
+        }
+        if let Some(node) = s.local_node.filter(|&node| node >= n_nodes) {
+            return err(format!(
+                "socket {si} has local node {node}, but the topology has {n_nodes} nodes"
+            ));
+        }
+        for (what, len) in [
+            ("memory latencies", s.mem_latencies.len()),
+            ("memory bandwidths", s.mem_bandwidths.len()),
+        ] {
+            if len != 0 && len != n_nodes {
+                return err(format!(
+                    "socket {si} has {len} {what}, but the topology has {n_nodes} nodes"
+                ));
+            }
+        }
+    }
+    let n_sockets = topo.num_sockets();
+    for (i, node) in topo.nodes.iter().enumerate() {
+        if node.id != i {
+            return err(format!("node record {i} has id {}", node.id));
+        }
+        if let Some(s) = node.home_socket.filter(|&s| s >= n_sockets) {
+            return err(format!(
+                "node {i} has home socket {s}, but the topology has {n_sockets} sockets"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Everything but the latency table: each index the table's derivation
+/// reads is in range ([`indices`]), sockets partition the contexts, and
+/// every group and link latency is a level's median.
+fn structure(topo: &Mctop) -> Result<(), McTopError> {
+    indices(topo)?;
+    let n = topo.num_hwcs();
+    let err = irregular;
+    let smt = topo.smt;
 
     // Sockets partition the contexts with equal cardinality, each
     // socket's group holding exactly its contexts.

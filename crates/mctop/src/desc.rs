@@ -398,6 +398,7 @@ pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
         )));
     }
     within_limits(&topo)?;
+    validate::indices(&topo)?;
     match version {
         VERSION => {
             validate::derive_links(&mut topo)?;

@@ -20,7 +20,6 @@ use mctop_alloc::{
     AllocCfg,
     AllocPlan,
     AllocPolicy,
-    MemoryBackend,
     ModelBackend, //
 };
 use mctop_place::{
@@ -38,9 +37,7 @@ fn row(
 ) -> (f64, f64) {
     let plan = AllocPlan::resolve(view, place, policy, &AllocCfg::default())
         .expect("enriched descriptions resolve every policy");
-    let arenas = ModelBackend::new(spec)
-        .provision(&plan)
-        .expect("modeled provisioning");
+    let arenas = ModelBackend::new(spec).provision(&plan);
     let mean_latency =
         arenas.iter().map(|a| a.latency_cycles).sum::<f64>() / arenas.len().max(1) as f64;
     let aggregate_bw: f64 = arenas.iter().map(|a| a.share_gbs).sum();

@@ -5,8 +5,12 @@ Fails on each `pub` item of the non-test part of `crates/*/src` that no
 non-test code outside its crate names (the other crates' `src/`, `src/`,
 `examples/`, `bench/src`) and that `pub_callers_allow.txt`, beside this
 script, does not list as `crate::path::Name  # reason`; also on an entry
-without a reason, or whose item is gone or has found a caller. Run from
-the repository root with no arguments.
+without a reason, or whose item is gone or has found a caller.
+
+Also fails on each `#[cfg(test)]` item, field or statement of
+`crates/*/src` that is not a module of tests, unless the allowlist lists
+it after its `[compiled for tests only]` line, and on such an entry
+whose item is gone. Run from the repository root with no arguments.
 """
 
 import glob
@@ -15,6 +19,7 @@ import re
 import sys
 
 ALLOWLIST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pub_callers_allow.txt")
+TESTS_ONLY = "[compiled for tests only]"  # the allowlist line that starts that section
 CALLERS = ["src", "examples", "bench/src"]  # besides the other crates' `src/`
 
 # Comments, string literals and char literals (a lifetime is neither).
@@ -30,6 +35,17 @@ ITEM = re.compile(
 )
 TOKEN = re.compile(ITEM.pattern + r"|\bmod\s+(\w+)\s*\{|\bimpl\b|\btrait\b|\bfn\b|[{};]")
 IDENT = re.compile(r"[A-Za-z_]\w*")
+CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
+# What a `#[cfg(test)]` target is named by: its owner frames come from
+# `impl` blocks and type declarations, its name from what it declares.
+OWNER_TOKEN = re.compile(
+    CFG_TEST.pattern + r"|\bimpl\b|\b(?:struct|enum|union|trait)\s+(\w+)|[{};]"
+)
+DECLARES = re.compile(
+    r"(?:pub(?:\([^)]*\))?\s+)?(?:(?:const|async|unsafe|extern)\s+)*"
+    r"(?:fn|struct|enum|union|trait|type|const|static|macro_rules!)\s+(\w+)"
+)
+NOT_A_NAME = {"if", "let", "else", "match", "return", "self", "Self", "mut", "ref", "pub", "crate"}
 
 
 def blank(text):
@@ -127,12 +143,65 @@ def scan_items(text, module):
             pending = ("mod", name) if kind == "mod" else ("other", None)
 
 
+def attrs_end(text, i):
+    """Where the attributes starting at `i` end (nested `[..]` allowed)."""
+    while m := re.match(r"\s*#!?\[", text[i:]):
+        depth, j = 0, i + m.end() - 1
+        for j in range(j, len(text)):
+            depth += {"[": 1, "]": -1}.get(text[j], 0)
+            if depth == 0:
+                break
+        i = j + 1
+    return i
+
+
+def test_only_items(text, module):
+    """Yields (path, line) of each `#[cfg(test)]` target in `text` that
+    is not a `mod`: an item, a field or a statement, named by the owner
+    (`impl` or type) it sits in and the name it declares — an `impl`
+    block its type, a `use` the last name it imports, anything else
+    its first identifier that is not a keyword."""
+    stack, pending = [], None
+    for m in OWNER_TOKEN.finditer(text):
+        tok = m.group(0)
+        if tok == "{":
+            stack.append(pending)
+            pending = None
+        elif tok in "};":
+            if tok == "}" and stack:
+                stack.pop()
+            pending = None
+        elif tok == "impl":
+            prev = text[: m.start()].rstrip()
+            if not prev or prev[-1] in ";{}]" or prev.endswith("unsafe"):
+                pending = impl_type(text[m.end():text.find("{", m.end())])
+        elif m.group(1):
+            pending = m.group(1)
+        else:
+            start = attrs_end(text, m.end())
+            target = text[start:item_end(text, start)].lstrip()
+            if re.match(r"(?:pub(?:\([^)]*\))?\s+)?mod\s", target):
+                continue
+            owner = [name for name in stack if name]
+            if d := DECLARES.match(target):
+                name = [d.group(1)]
+            elif target.startswith("impl"):
+                owner, name = [], [impl_type(target[4:target.find("{")])]
+            elif target.startswith("use"):
+                name = IDENT.findall(target)[-1:]
+            else:
+                name = [w for w in IDENT.findall(target) if w not in NOT_A_NAME][:1]
+            line = text.count("\n", 0, m.start()) + 1
+            yield module + owner[-1:] + name, line
+
+
 def rust_files(root):
     return sorted(glob.glob(os.path.join(root, "**", "*.rs"), recursive=True))
 
 
 def main():
     crates = {}  # crate -> (names, names in plain `use`s, items)
+    test_only = {}  # path of a `#[cfg(test)]` target -> where it first is
     for src in sorted(glob.glob("crates/*/src")):
         with open(os.path.join(src, "..", "Cargo.toml")) as f:
             crate = re.search(r'(?m)^name\s*=\s*"([^"]+)"', f.read()).group(1)
@@ -154,24 +223,32 @@ def main():
             imported |= used
             module = os.path.relpath(path, src)[:-3].split(os.sep)
             module = module[:-1] if module[-1] in ("lib", "main", "mod") else module
+            with open(path, encoding="utf-8") as f:
+                raw = LITERAL.sub(lambda m: blank(m.group(0)), f.read())
+            for item_path, line in test_only_items(raw, module):
+                test_only.setdefault("::".join([crate] + item_path), f"{path}:{line}")
             for item_path, kind, line in scan_items(text, module):
                 path_name = "::".join([crate] + item_path)
                 items.append((path_name, kind, item_path[-1], f"{path}:{line}"))
         crates[crate] = (names, imported, items)
     external = [names_in(load(path)[0]) for root in CALLERS for path in rust_files(root)]
 
-    errors, allowed = [], {}
+    errors, allowed, tests_only = [], {}, {}
+    section = allowed
     with open(ALLOWLIST, encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
             path, _, reason = line.partition("#")
             path, where = path.strip(), f"{os.path.relpath(ALLOWLIST)}:{number}"
+            if path == TESTS_ONLY:
+                section = tests_only
+                continue
             if not path:
                 continue
             if not reason.strip():
                 errors.append(f"{where}: {path}: an allowlist entry names its reason after `#`")
-            if path in allowed:
+            if path in section:
                 errors.append(f"{where}: {path}: listed twice")
-            allowed[path] = where
+            section[path] = where
 
     results = {}  # path -> [passes, kind, where]
     for crate, (_, _, items) in crates.items():
@@ -201,11 +278,18 @@ def main():
             errors.append(f"{where}: {path}: stale allowlist entry, no such pub item")
         elif results[path][0]:
             errors.append(f"{where}: {path}: stale allowlist entry, the item has a caller")
+    for path, where in sorted(test_only.items(), key=lambda kv: kv[1]):
+        if path not in tests_only:
+            errors.append(f"{where}: #[cfg(test)] {path}: not listed under {TESTS_ONLY}")
+    for path, where in tests_only.items():
+        if path not in test_only:
+            errors.append(f"{where}: {path}: stale allowlist entry, no such #[cfg(test)] item")
     for error in errors:
         print(error)
     print(
         f"{len(results)} pub items, {len(flagged)} without an outside caller, "
-        f"{len(allowed)} allowlisted; {len(errors)} error(s)"
+        f"{len(allowed)} allowlisted; {len(test_only)} compiled for tests only; "
+        f"{len(errors)} error(s)"
     )
     return 1 if errors else 0
 

@@ -220,6 +220,115 @@ fn a_description_whose_links_contradict_their_rules_is_named_not_loaded() {
 }
 
 #[test]
+fn a_description_whose_indices_point_nowhere_is_named_not_loaded() {
+    // Each mutation of ivy names a context, core, group, level or node
+    // that is not where the field says. Each parses, and the loader
+    // refuses it before a reader can index out of range with it.
+    let text = committed("ivy");
+    let topo = desc::from_str(&text).unwrap();
+    let (n, nodes) = (topo.num_hwcs(), topo.num_nodes());
+    let (groups, levels) = (topo.groups.len(), topo.levels.len());
+    let core = topo.cores[0];
+    let other_core = topo.sockets[1].cores[0];
+    let socket_group = topo.sockets[0].group;
+    type Edit = Box<dyn Fn(&mut Value)>;
+    let cases: Vec<(Edit, String)> = vec![
+        (
+            Box::new(|t| t["sockets"][0]["cores"][0] = serde_json::json!(999)),
+            "socket 0 lists group 999 as a core, but it is not a core group of socket 0".into(),
+        ),
+        (
+            Box::new(move |t| t["sockets"][0]["cores"][0] = serde_json::json!(other_core)),
+            format!(
+                "socket 0 lists group {other_core} as a core, but it is not a core group of socket 0"
+            ),
+        ),
+        (
+            Box::new(move |t| t["sockets"][0]["cores"][0] = serde_json::json!(socket_group)),
+            format!(
+                "socket 0 lists group {socket_group} as a core, but it is not a core group of socket 0"
+            ),
+        ),
+        (
+            Box::new(move |t| t["sockets"][0]["cores"][1] = serde_json::json!(core)),
+            format!("socket 0 lists core group {core} twice"),
+        ),
+        (
+            Box::new(|t| t["hwcs"][1]["id"] = serde_json::json!(0)),
+            "context record 1 has id 0".into(),
+        ),
+        (
+            Box::new(|t| t["hwcs"][0]["core"] = serde_json::json!(999)),
+            "context 0 names core 999, but it is in core 0".into(),
+        ),
+        (
+            Box::new(|t| t["hwcs"][0]["core"] = serde_json::json!(1)),
+            "context 0 names core 1, but it is in core 0".into(),
+        ),
+        (
+            Box::new(move |t| t["hwcs"][3]["next_closest"] = serde_json::json!(n)),
+            format!("context 3 has next_closest {n}, which is not another context"),
+        ),
+        (
+            Box::new(|t| t["hwcs"][3]["next_closest"] = serde_json::json!(3)),
+            "context 3 has next_closest 3, which is not another context".into(),
+        ),
+        (
+            Box::new(|t| t["sockets"][0]["local_node"] = serde_json::json!(7)),
+            format!("socket 0 has local node 7, but the topology has {nodes} nodes"),
+        ),
+        (
+            Box::new(|t| {
+                t["nodes"] = serde_json::to_value(&Vec::<mctop::model::Node>::new());
+            }),
+            "socket 0 has local node 0, but the topology has 0 nodes".into(),
+        ),
+        (
+            Box::new(|t| t["nodes"][1]["id"] = serde_json::json!(0)),
+            "node record 1 has id 0".into(),
+        ),
+        (
+            Box::new(|t| t["nodes"][1]["home_socket"] = serde_json::json!(9)),
+            "node 1 has home socket 9, but the topology has 2 sockets".into(),
+        ),
+        (
+            Box::new(|t| t["sockets"][1]["mem_latencies"] = serde_json::json!(vec![280u32; 3])),
+            format!("socket 1 has 3 memory latencies, but the topology has {nodes} nodes"),
+        ),
+        (
+            Box::new(|t| t["sockets"][1]["mem_bandwidths"] = serde_json::json!(vec![24.3f64])),
+            format!("socket 1 has 1 memory bandwidths, but the topology has {nodes} nodes"),
+        ),
+        (
+            Box::new(move |t| t["groups"][core]["id"] = serde_json::json!(groups)),
+            format!("group record {core} has id {groups}"),
+        ),
+        (
+            Box::new(move |t| t["groups"][core]["level"] = serde_json::json!(levels)),
+            format!("group {core} has level {levels}, but the topology has {levels} latency levels"),
+        ),
+        (
+            Box::new(move |t| t["groups"][core]["parent"] = serde_json::json!(groups)),
+            format!("group {core} has parent {groups}, but the topology has {groups} groups"),
+        ),
+        (
+            Box::new(move |t| t["groups"][socket_group]["children"][2] = serde_json::json!(groups)),
+            format!("group {socket_group} has child {groups}, but the topology has {groups} groups"),
+        ),
+    ];
+    for (edit, want) in cases {
+        let mut file: Value = serde_json::from_str(&text).unwrap();
+        edit(&mut file["topology"]);
+        let text = file.to_string();
+        assert_eq!(read_both(&text), (true, false), "{want}");
+        match desc::from_str(&text).unwrap_err() {
+            mctop::McTopError::IrregularTopology(msg) => assert_eq!(msg, want),
+            other => panic!("{want}: {other}"),
+        }
+    }
+}
+
+#[test]
 fn a_description_over_a_limit_is_refused_before_anything_is_derived() {
     // One file per limit, generated here: a committed description with
     // the array the limit counts grown to one entry past it.
