@@ -5,6 +5,10 @@
 //! `all`). DOT files are written next to the textual output under
 //! `target/figures/`.
 
+use std::fmt::{
+    self,
+    Write as _, //
+};
 use std::path::PathBuf;
 use std::sync::{
     Arc,
@@ -37,40 +41,44 @@ fn enriched_view(spec: &MachineSpec) -> Arc<TopoView> {
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    let mut out = String::new();
+    render(&which, &mut out).expect("writing to a String cannot fail");
+    print!("{out}");
+}
+
+/// One section of the output, appended to the buffer.
+type Section = fn(&mut String) -> fmt::Result;
+
+/// Appends the section `which` names (or every section, for `all`) to
+/// `out`; an unknown name appends nothing. `tests/golden_figures.rs`
+/// pins its output.
+pub(crate) fn render(which: &str, out: &mut String) -> fmt::Result {
     let all = which == "all";
     if all || which == "fig1" {
-        topology_figure(&mcsim::presets::opteron(), "fig1");
+        topology_figure(out, &mcsim::presets::opteron(), "fig1")?;
     }
     if all || which == "fig2" {
-        topology_figure(&mcsim::presets::westmere(), "fig2");
+        topology_figure(out, &mcsim::presets::westmere(), "fig2")?;
     }
     if all || which == "fig3" {
-        topology_figure(&mcsim::presets::sparc(), "fig3");
+        topology_figure(out, &mcsim::presets::sparc(), "fig3")?;
     }
-    if all || which == "fig6" {
-        fig6();
+    let sections: [(&str, Section); 8] = [
+        ("fig6", fig6),
+        ("fig7", fig7),
+        ("fig8", fig8),
+        ("fig9", fig9),
+        ("fig10", fig10),
+        ("fig11", fig11),
+        ("fig12", fig12),
+        ("alg-cost", alg_cost),
+    ];
+    for (name, section) in sections {
+        if all || which == name {
+            section(out)?;
+        }
     }
-    if all || which == "fig7" {
-        fig7();
-    }
-    if all || which == "fig8" {
-        fig8();
-    }
-    if all || which == "fig9" {
-        fig9();
-    }
-    if all || which == "fig10" {
-        fig10();
-    }
-    if all || which == "fig11" {
-        fig11();
-    }
-    if all || which == "fig12" {
-        fig12();
-    }
-    if all || which == "alg-cost" {
-        alg_cost();
-    }
+    Ok(())
 }
 
 fn out_dir() -> PathBuf {
@@ -80,55 +88,56 @@ fn out_dir() -> PathBuf {
 }
 
 /// Figs. 1-3: inferred topology + enrichment, rendered as text and DOT.
-fn topology_figure(spec: &MachineSpec, tag: &str) {
-    println!("==== {tag}: MCTOP of {} ====", spec.name);
+fn topology_figure(out: &mut String, spec: &MachineSpec, tag: &str) -> fmt::Result {
+    writeln!(out, "==== {tag}: MCTOP of {} ====", spec.name)?;
     let topo = enriched_topology(spec);
-    print!("{}", mctop::fmt::text::render(&topo));
+    out.push_str(&mctop::fmt::text::render(&topo));
     let dot = mctop::fmt::dot::full(&topo);
     let path = out_dir().join(format!("{tag}-{}.dot", spec.name));
     std::fs::write(&path, &dot).expect("write dot file");
-    println!("# DOT graph written to {}\n", path.display());
+    writeln!(out, "# DOT graph written to {}\n", path.display())
 }
 
 /// Fig. 6: the four steps of MCTOP-ALG on Ivy.
-fn fig6() {
-    println!("==== fig6: the four steps of MCTOP-ALG on Ivy ====");
+fn fig6(out: &mut String) -> fmt::Result {
+    writeln!(out, "==== fig6: the four steps of MCTOP-ALG on Ivy ====")?;
     let spec = mcsim::presets::ivy();
     let mut prober = mctop::backend::SimProber::new(&spec, 42);
     let cfg = mctop::ProbeConfig::fast();
     let inference = mctop::alg::run_full(&mut prober, &cfg, 1).expect("inference");
 
-    println!("-- step 1: latency table (corner, cycles) --");
+    writeln!(out, "-- step 1: latency table (corner, cycles) --")?;
     let n = inference.raw_table.n();
     for a in 0..8.min(n) {
         let row: Vec<String> = (0..8.min(n))
             .map(|b| format!("{:>4}", inference.raw_table.get(a, b)))
             .collect();
-        println!("  {}", row.join(" "));
+        writeln!(out, "  {}", row.join(" "))?;
     }
-    println!("-- step 2a: latency clusters from the CDF --");
+    writeln!(out, "-- step 2a: latency clusters from the CDF --")?;
     for (i, c) in inference.clusters.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "  cluster {i}: min {:>4}  median {:>4}  max {:>4}",
             c.min, c.median, c.max
-        );
+        )?;
     }
-    println!("-- step 2b: normalized table (corner) --");
+    writeln!(out, "-- step 2b: normalized table (corner) --")?;
     let topo = &inference.topology;
     for a in 0..8.min(n) {
         let row: Vec<String> = (0..8.min(n))
             .map(|b| format!("{:>4}", topo.get_latency(a, b)))
             .collect();
-        println!("  {}", row.join(" "));
+        writeln!(out, "  {}", row.join(" "))?;
     }
-    println!("-- steps 3-4: components and roles --");
-    print!("{}", mctop::fmt::text::render(topo));
-    println!();
+    writeln!(out, "-- steps 3-4: components and roles --")?;
+    out.push_str(&mctop::fmt::text::render(topo));
+    writeln!(out)
 }
 
 /// Fig. 7: MCTOP-PLACE output for CON_HWC with 30 threads on Ivy.
-fn fig7() {
-    println!("==== fig7: MCTOP-PLACE CON_HWC, 30 threads, Ivy ====");
+fn fig7(out: &mut String) -> fmt::Result {
+    writeln!(out, "==== fig7: MCTOP-PLACE CON_HWC, 30 threads, Ivy ====")?;
     let spec = mcsim::presets::ivy();
     let view = enriched_view(&spec);
     let place = mctop_place::Placement::with_view(
@@ -137,13 +146,16 @@ fn fig7() {
         mctop_place::PlaceOpts::threads(30),
     )
     .expect("placement");
-    print!("{}", place.print());
-    println!();
+    out.push_str(&place.print());
+    writeln!(out)
 }
 
 /// Fig. 8: lock throughput with educated backoffs (coherence model).
-fn fig8() {
-    println!("==== fig8: relative lock throughput with educated backoffs ====");
+fn fig8(out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "==== fig8: relative lock throughput with educated backoffs ===="
+    )?;
     use mctop_locks::sim::{
         default_thread_counts,
         fig8_series,
@@ -151,7 +163,7 @@ fn fig8() {
     };
     let params = SimParams::default();
     for spec in mcsim::presets::all_paper_platforms() {
-        println!("-- {} --", spec.name);
+        writeln!(out, "-- {} --", spec.name)?;
         let counts = default_thread_counts(&spec);
         for algo in mctop_locks::LockAlgo::ALL {
             let series = fig8_series(&spec, algo, &counts, &params);
@@ -160,22 +172,31 @@ fn fig8() {
                 .map(|p| format!("{}:{:.2}", p.threads, p.relative))
                 .collect();
             let avg: f64 = series.iter().map(|p| p.relative).sum::<f64>() / series.len() as f64;
-            println!("  {:<7} avg {:.2}  [{}]", algo.name(), avg, pts.join(" "));
+            writeln!(
+                out,
+                "  {:<7} avg {:.2}  [{}]",
+                algo.name(),
+                avg,
+                pts.join(" ")
+            )?;
         }
     }
-    println!();
+    writeln!(out)
 }
 
 /// Fig. 9: sorting time breakdown for 1 GB of integers.
-fn fig9() {
-    println!("==== fig9: sort time breakdown, 1 GB of integers (model) ====");
+fn fig9(out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "==== fig9: sort time breakdown, 1 GB of integers (model) ===="
+    )?;
     use mctop_sort::model::{
         fig9_column,
         SortModelCfg, //
     };
     let cfg = SortModelCfg::default();
     for threads_label in ["16 threads", "full machine"] {
-        println!("-- {threads_label} --");
+        writeln!(out, "-- {threads_label} --")?;
         for spec in mcsim::presets::all_paper_platforms() {
             let view = enriched_view(&spec);
             let threads = if threads_label == "16 threads" {
@@ -196,15 +217,18 @@ fn fig9() {
                     )
                 })
                 .collect();
-            println!("  {:<9} {}", spec.name, cells.join("  "));
+            writeln!(out, "  {:<9} {}", spec.name, cells.join("  "))?;
         }
     }
-    println!();
+    writeln!(out)
 }
 
 /// Fig. 10: Metis with MCTOP-PLACE vs default Metis.
-fn fig10() {
-    println!("==== fig10: Metis relative time (and energy) with libmctop ====");
+fn fig10(out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "==== fig10: Metis relative time (and energy) with libmctop ===="
+    )?;
     for spec in mcsim::presets::all_paper_platforms() {
         let topo = enriched_topology(&spec);
         let bars = mctop_mapred::model::fig10_platform(&spec, &topo);
@@ -218,32 +242,40 @@ fn fig10() {
                 format!("{} ({}): {:.2}{e}", b.workload, b.policy.name(), b.rel_time)
             })
             .collect();
-        println!("  {:<9} {}", spec.name, cells.join("  "));
+        writeln!(out, "  {:<9} {}", spec.name, cells.join("  "))?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// Fig. 11: energy-oriented vs performance-oriented placement on Ivy.
-fn fig11() {
-    println!("==== fig11: POWER placement vs performance placement (Ivy) ====");
+fn fig11(out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "==== fig11: POWER placement vs performance placement (Ivy) ===="
+    )?;
     let spec = mcsim::presets::ivy();
     let topo = enriched_topology(&spec);
-    println!(
+    writeln!(
+        out,
         "  {:<10} {:>6} {:>7} {:>11}",
         "Workload", "Time", "Energy", "Efficiency"
-    );
+    )?;
     for row in mctop_mapred::model::fig11(&spec, &topo) {
-        println!(
+        writeln!(
+            out,
             "  {:<10} {:>6.3} {:>7.3} {:>11.3}",
             row.workload, row.time, row.energy, row.efficiency
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// Fig. 12: MCTOP MP vs default OpenMP on graph workloads.
-fn fig12() {
-    println!("==== fig12: MCTOP MP relative time vs OpenMP (x86 platforms) ====");
+fn fig12(out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "==== fig12: MCTOP MP relative time vs OpenMP (x86 platforms) ===="
+    )?;
     for spec in mctop_omp::model::fig12_platforms() {
         let topo = enriched_topology(&spec);
         let bars = mctop_omp::model::fig12_platform(&spec, &topo);
@@ -251,14 +283,17 @@ fn fig12() {
             .iter()
             .map(|b| format!("{} ({}): {:.2}", b.workload, b.policy.name(), b.rel_time))
             .collect();
-        println!("  {:<9} {}", spec.name, cells.join("  "));
+        writeln!(out, "  {:<9} {}", spec.name, cells.join("  "))?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// Section 3.5: inference cost (~3 s on Ivy, 96 s on Westmere).
-fn alg_cost() {
-    println!("==== alg-cost: modelled MCTOP-ALG inference time (2000 reps) ====");
+fn alg_cost(out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "==== alg-cost: modelled MCTOP-ALG inference time (2000 reps) ===="
+    )?;
     for spec in mcsim::presets::all_paper_platforms() {
         let mut prober = mctop::backend::SimProber::noiseless(&spec);
         let cfg = mctop::ProbeConfig {
@@ -267,14 +302,15 @@ fn alg_cost() {
         };
         let (_, stats) = mctop::alg::probe::collect(&mut prober, &cfg).expect("collection");
         let full = stats.scaled_to_reps(25, 2000);
-        println!(
+        writeln!(
+            out,
             "  {:<9} {:>4} contexts  {:>9} pairs  {:>6.1} s @ {} GHz",
             spec.name,
             spec.total_hwcs(),
             full.pairs,
             full.modeled_seconds(spec.freq_ghz),
             spec.freq_ghz
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
