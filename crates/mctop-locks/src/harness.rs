@@ -121,20 +121,6 @@ pub fn run(
     }
 }
 
-/// Runs the with/without-backoff comparison (one Fig. 8 bar pair) on
-/// the host.
-#[cfg(test)]
-pub(crate) fn compare(
-    exec: &Executor,
-    algo: LockAlgo,
-    quantum_cycles: u32,
-    cfg: &HarnessCfg,
-) -> (HarnessResult, HarnessResult) {
-    let base = run(exec, algo, BackoffCfg::none(), cfg);
-    let educated = run(exec, algo, BackoffCfg { quantum_cycles }, cfg);
-    (base, educated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +180,19 @@ mod tests {
             );
             assert!(r.ops > 50, "{}: only {} ops", algo.name(), r.ops);
         }
+    }
+
+    /// Runs the with/without-backoff comparison (one Fig. 8 bar pair)
+    /// on the host.
+    fn compare(
+        exec: &Executor,
+        algo: LockAlgo,
+        quantum_cycles: u32,
+        cfg: &HarnessCfg,
+    ) -> (HarnessResult, HarnessResult) {
+        let base = run(exec, algo, BackoffCfg::none(), cfg);
+        let educated = run(exec, algo, BackoffCfg { quantum_cycles }, cfg);
+        (base, educated)
     }
 
     #[test]

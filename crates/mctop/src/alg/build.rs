@@ -36,6 +36,19 @@ pub fn assemble(
     clusters: &[LatTriplet],
     n_nodes: usize,
 ) -> Result<Mctop, McTopError> {
+    assemble_owned(name, smt_detected, hier, norm.clone(), clusters, n_nodes)
+}
+
+/// [`assemble`], keeping `norm` as the topology's latency table rather
+/// than a copy of it.
+pub(crate) fn assemble_owned(
+    name: String,
+    smt_detected: bool,
+    hier: &Hierarchy,
+    norm: LatencyTable,
+    clusters: &[LatTriplet],
+    n_nodes: usize,
+) -> Result<Mctop, McTopError> {
     let n = norm.n();
     let n_nodes = n_nodes.max(1);
 
@@ -337,7 +350,7 @@ pub fn assemble(
         sockets,
         nodes,
         links,
-        lat_table: norm.clone().into_vec(),
+        lat_table: norm.into_vec(),
         node_assignment: NodeAssignment::Provisional,
         caches: None,
         power: None,

@@ -9,8 +9,20 @@
 //! latency). Each cluster is summarized as a (min, median, max) triplet
 //! and the table is normalized by replacing every value with the median
 //! of its cluster.
+//!
+//! Both work on the block form of the table (`BlockTable`): the
+//! sorted values are (value, count) runs, where each socket's pairs
+//! count one by one and a pair of sockets' value counts for every pair
+//! it stands for, so the clusters and their medians are exactly those
+//! of the N x N table. Normalization maps each block's pairs, each
+//! pair-of-sockets value and each exception once; `build::assemble`,
+//! the topology's latency table and `validate` then read the dense
+//! table the block form writes out.
 
-use crate::alg::table::LatencyTable;
+use crate::alg::table::{
+    BlockTable,
+    LatencyTable, //
+};
 use crate::error::McTopError;
 use crate::model::LatTriplet;
 
@@ -40,8 +52,216 @@ impl Default for ClusterCfg {
     }
 }
 
-/// Finds the latency clusters of the (non-diagonal) values, ascending.
+/// Finds the latency clusters of the (non-diagonal) values, ascending:
+/// the one-part case of `cluster_runs`.
 pub fn cluster(values: &[u32], cfg: &ClusterCfg) -> Result<Vec<LatTriplet>, McTopError> {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    cluster_runs(&runs(&sorted), cfg)
+}
+
+/// The runs of equal values of an ascending slice, as (value, count).
+pub(crate) fn runs(sorted: &[u32]) -> Vec<(u32, usize)> {
+    let mut out: Vec<(u32, usize)> = Vec::new();
+    for &v in sorted {
+        match out.last_mut() {
+            Some((last, count)) if *last == v => *count += 1,
+            _ => out.push((v, 1)),
+        }
+    }
+    out
+}
+
+/// Finds the latency clusters of a multiset given as (value, count)
+/// runs, ascending by value (equal values may repeat; a count of zero
+/// stands for nothing). The clusters are exactly those of the values
+/// written out one by one: splits fall only between two distinct
+/// values, and each median is the value at index `len / 2` of its
+/// cluster's expanded list.
+pub(crate) fn cluster_runs(
+    runs: &[(u32, usize)],
+    cfg: &ClusterCfg,
+) -> Result<Vec<LatTriplet>, McTopError> {
+    let runs: Vec<(u32, usize)> = runs.iter().copied().filter(|r| r.1 > 0).collect();
+    if runs.is_empty() {
+        return Err(McTopError::ClusteringFailed("no latency values".into()));
+    }
+    let mut clusters = Vec::new();
+    let mut start = 0usize;
+    for i in 1..=runs.len() {
+        let split = if i == runs.len() {
+            true
+        } else {
+            let prev = runs[i - 1].0;
+            let gap = runs[i].0 - prev;
+            gap > cfg.abs_gap.max((cfg.rel_gap * prev as f64) as u32)
+        };
+        if split {
+            let cluster = &runs[start..i];
+            let half = cluster.iter().map(|r| r.1).sum::<usize>() / 2;
+            let mut below = 0;
+            let median = cluster
+                .iter()
+                .find(|&&(_, count)| {
+                    below += count;
+                    below > half
+                })
+                .expect("the half lies inside the cluster")
+                .0;
+            clusters.push(LatTriplet {
+                min: cluster[0].0,
+                median,
+                max: cluster[cluster.len() - 1].0,
+            });
+            start = i;
+        }
+    }
+    if clusters.len() > cfg.max_levels {
+        return Err(McTopError::ClusteringFailed(format!(
+            "{} latency clusters (max {}): measurements too noisy, retry with different settings",
+            clusters.len(),
+            cfg.max_levels
+        )));
+    }
+    Ok(clusters)
+}
+
+/// The clusters of a block-form table's pairs: the runs of the blocks'
+/// sorted upper triangles, one run per pair of parts counting every
+/// pair it stands for, and one per exception.
+pub(crate) fn cluster_blocks(
+    table: &BlockTable,
+    cfg: &ClusterCfg,
+) -> Result<Vec<LatTriplet>, McTopError> {
+    let mut inside: Vec<u32> = Vec::with_capacity(
+        table
+            .parts
+            .iter()
+            .map(|m| m.len() * (m.len() - 1) / 2)
+            .sum(),
+    );
+    for (members, block) in table.parts.iter().zip(&table.blocks) {
+        let k = members.len();
+        for i in 0..k {
+            inside.extend_from_slice(&block[i * k + i + 1..(i + 1) * k]);
+        }
+    }
+    inside.sort_unstable();
+    let mut all = runs(&inside);
+    let p = table.parts.len();
+    if p > 1 {
+        // Every pair between parts `u < v`, less those the exceptions
+        // hold.
+        let mut counts = vec![0usize; p * p];
+        for u in 0..p {
+            for v in (u + 1)..p {
+                counts[u * p + v] = table.parts[u].len() * table.parts[v].len();
+            }
+        }
+        for &(a, b, value) in &table.exceptions {
+            let (u, v) = (table.of[a].min(table.of[b]), table.of[a].max(table.of[b]));
+            counts[u * p + v] -= 1;
+            all.push((value, 1));
+        }
+        for u in 0..p {
+            for v in (u + 1)..p {
+                all.push((table.between[u * p + v], counts[u * p + v]));
+            }
+        }
+        all.sort_by_key(|r| r.0);
+    }
+    cluster_runs(&all, cfg)
+}
+
+/// Index of the cluster whose median is nearest to `value` (ties toward
+/// the lower cluster).
+pub(crate) fn assign(value: u32, clusters: &[LatTriplet]) -> usize {
+    assert!(!clusters.is_empty());
+    let mut best = 0usize;
+    let mut best_d = u32::MAX;
+    for (i, c) in clusters.iter().enumerate() {
+        let d = value.abs_diff(c.median);
+        if d < best_d {
+            best_d = d;
+            best = i;
+        }
+    }
+    best
+}
+
+/// Normalizes a raw table: every off-diagonal value is replaced by the
+/// median of its cluster (Fig. 6 (2b)). The diagonal stays zero. The
+/// one-part case of `normalize_blocks`.
+pub fn normalize(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
+    normalize_blocks(&BlockTable::whole(raw.clone()), clusters).into_dense()
+}
+
+/// Normalizes a block-form table: each block's pairs, each pair of
+/// parts' value and each exception are mapped once, and an exception
+/// that lands on its pair of parts' median is one no more.
+///
+/// Each value's cluster is `assign`'s: on strictly ascending medians
+/// (what [`cluster`] returns) it is found by binary search, on any
+/// other slice by `assign` itself.
+pub(crate) fn normalize_blocks(raw: &BlockTable, clusters: &[LatTriplet]) -> BlockTable {
+    let medians: Vec<u32> = clusters.iter().map(|c| c.median).collect();
+    let ascending = !medians.is_empty() && medians.windows(2).all(|w| w[0] < w[1]);
+    let nearest = |value: u32| {
+        if !ascending {
+            return medians[assign(value, clusters)];
+        }
+        // The nearest median is the first one not below `value` or the
+        // one before it; a tie goes to the lower.
+        match medians.partition_point(|&m| m < value) {
+            0 => medians[0],
+            i if i == medians.len() => medians[i - 1],
+            i if medians[i] - value < value - medians[i - 1] => medians[i],
+            i => medians[i - 1],
+        }
+    };
+    let blocks = raw
+        .parts
+        .iter()
+        .zip(&raw.blocks)
+        .map(|(members, block)| {
+            let k = members.len();
+            let mut out = vec![0u32; k * k];
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    let v = nearest(block[i * k + j]);
+                    out[i * k + j] = v;
+                    out[j * k + i] = v;
+                }
+            }
+            out
+        })
+        .collect();
+    let p = raw.parts.len();
+    let between: Vec<u32> = (0..p * p)
+        .map(|at| {
+            if at / p == at % p {
+                0
+            } else {
+                nearest(raw.between[at])
+            }
+        })
+        .collect();
+    let exceptions = raw
+        .exceptions
+        .iter()
+        .map(|&(a, b, value)| (a, b, nearest(value)))
+        .filter(|&(a, b, value)| value != between[raw.of[a] * p + raw.of[b]])
+        .collect();
+    raw.with_values(blocks, between, exceptions)
+}
+
+/// `cluster` as it was: the values copied, sorted and walked one by
+/// one.
+#[cfg(test)]
+pub(crate) fn cluster_reference(
+    values: &[u32],
+    cfg: &ClusterCfg,
+) -> Result<Vec<LatTriplet>, McTopError> {
     if values.is_empty() {
         return Err(McTopError::ClusteringFailed("no latency values".into()));
     }
@@ -77,29 +297,10 @@ pub fn cluster(values: &[u32], cfg: &ClusterCfg) -> Result<Vec<LatTriplet>, McTo
     Ok(clusters)
 }
 
-/// Index of the cluster whose median is nearest to `value` (ties toward
-/// the lower cluster).
-pub(crate) fn assign(value: u32, clusters: &[LatTriplet]) -> usize {
-    assert!(!clusters.is_empty());
-    let mut best = 0usize;
-    let mut best_d = u32::MAX;
-    for (i, c) in clusters.iter().enumerate() {
-        let d = value.abs_diff(c.median);
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
-    }
-    best
-}
-
-/// Normalizes a raw table: every off-diagonal value is replaced by the
-/// median of its cluster (Fig. 6 (2b)). The diagonal stays zero.
-///
-/// Each value's cluster is `assign`'s: on strictly ascending medians
-/// (what [`cluster`] returns) it is found by binary search, on any
-/// other slice by `assign` itself.
-pub fn normalize(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
+/// `normalize` as it was: every upper-triangle entry of the dense table
+/// mapped by binary search (or `assign`) and mirrored.
+#[cfg(test)]
+pub(crate) fn normalize_reference(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
     let medians: Vec<u32> = clusters.iter().map(|c| c.median).collect();
     let ascending = !medians.is_empty() && medians.windows(2).all(|w| w[0] < w[1]);
     LatencyTable::from_fn(raw.n(), |a, b| {
@@ -107,8 +308,6 @@ pub fn normalize(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
         if !ascending {
             return medians[assign(value, clusters)];
         }
-        // The nearest median is the first one not below `value` or the
-        // one before it; a tie goes to the lower.
         match medians.partition_point(|&m| m < value) {
             0 => medians[0],
             i if i == medians.len() => medians[i - 1],
@@ -213,8 +412,8 @@ mod tests {
         assert_eq!(assign(400, &clusters), 2);
     }
 
-    /// `normalize` as it was: [`assign`]'s linear scan per entry.
-    fn normalize_reference(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
+    /// `normalize` as it was first: [`assign`]'s linear scan per entry.
+    fn normalize_linear_scan(raw: &LatencyTable, clusters: &[LatTriplet]) -> LatencyTable {
         LatencyTable::from_fn(raw.n(), |a, b| {
             clusters[assign(raw.get(a, b), clusters)].median
         })
@@ -239,7 +438,7 @@ mod tests {
             let clusters = cluster(&raw.upper_triangle(), &cfg.cluster).unwrap();
             assert_eq!(
                 normalize(&raw, &clusters),
-                normalize_reference(&raw, &clusters),
+                normalize_linear_scan(&raw, &clusters),
                 "{}",
                 spec.name
             );
@@ -295,13 +494,45 @@ mod tests {
             let clusters = triplets(&medians);
             assert_eq!(
                 normalize(&raw, &clusters),
-                normalize_reference(&raw, &clusters),
+                normalize_linear_scan(&raw, &clusters),
                 "medians {medians:?}"
             );
         }
         // A value halfway between two medians goes to the lower one.
         let raw = LatencyTable::from_fn(2, |_, _| 50);
         assert_eq!(normalize(&raw, &triplets(&[40, 60])).get(0, 1), 40);
+    }
+
+    #[test]
+    fn cluster_runs_equal_the_values_written_out() {
+        let mut next = crate::alg::splitmix(46);
+        let cfg = ClusterCfg::default();
+        for case in 0..2000 {
+            // Runs over a few bands, a value repeated across runs or
+            // counted zero times now and then.
+            let mut runs: Vec<(u32, usize)> = Vec::new();
+            let mut v = 10 + (next() % 30) as u32;
+            for _ in 0..1 + next() % 12 {
+                v += match next() % 4 {
+                    0 => 0,
+                    1 => 1 + (next() % 4) as u32,
+                    _ => 1 + (next() % 200) as u32,
+                };
+                runs.push((v, (next() % 6) as usize));
+            }
+            let values: Vec<u32> = runs
+                .iter()
+                .flat_map(|&(v, count)| std::iter::repeat_n(v, count))
+                .collect();
+            let got = cluster_runs(&runs, &cfg).map_err(|e| e.to_string());
+            let want = cluster_reference(&values, &cfg).map_err(|e| e.to_string());
+            assert_eq!(got, want, "case {case}: {runs:?}");
+            assert_eq!(
+                cluster(&values, &cfg).map_err(|e| e.to_string()),
+                want,
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! is handled by interconnect inference instead).
 
 use crate::alg::find_root;
-use crate::alg::table::LatencyTable;
+use crate::alg::table::{
+    BlockTable,
+    LatencyTable, //
+};
 use crate::error::McTopError;
 use crate::model::LatTriplet;
 
@@ -46,8 +49,278 @@ pub struct Hierarchy {
     pub stopped_at_cluster: Option<usize>,
 }
 
-/// Builds the component hierarchy from a normalized table.
+/// Builds the component hierarchy from a normalized table: the one-part
+/// case of `build_blocks`.
 pub fn build(norm: &LatencyTable, clusters: &[LatTriplet]) -> Result<Hierarchy, McTopError> {
+    let n = norm.n();
+    let whole = Part {
+        ids: (0..n).collect(),
+        m: norm.clone().into_vec(),
+    };
+    group_levels(n, vec![whole], vec![0], clusters)
+}
+
+/// Builds the component hierarchy from a normalized block-form table:
+/// each level groups inside each part, where the pairs to other parts
+/// are one value per pair of parts and so the same for every member. A
+/// level whose latency is also a pair-of-parts value joins components
+/// of two parts: it and every level after it group over all components
+/// at once, as do all levels of a table with exceptions.
+pub(crate) fn build_blocks(
+    norm: &BlockTable,
+    clusters: &[LatTriplet],
+) -> Result<Hierarchy, McTopError> {
+    if !norm.exceptions.is_empty() {
+        return build(&norm.clone().into_dense(), clusters);
+    }
+    let parts = norm
+        .parts
+        .iter()
+        .zip(&norm.blocks)
+        .map(|(members, block)| Part {
+            ids: members.clone(),
+            m: block.clone(),
+        })
+        .collect();
+    group_levels(norm.of.len(), parts, norm.between.clone(), clusters)
+}
+
+/// The components of one part at the current level.
+struct Part {
+    /// `ids[i]`: the index of the part's `i`-th component in the level's
+    /// order over all parts (by smallest member; a context's own index
+    /// before the first level). Ascending.
+    ids: Vec<usize>,
+    /// Reduced latency matrix between the part's components
+    /// (row-major).
+    m: Vec<u32>,
+}
+
+/// The level loop of [`build_blocks`] over the `n` contexts split into
+/// `parts`, with `between` the matrix of pair-of-parts values.
+fn group_levels(
+    n: usize,
+    mut parts: Vec<Part>,
+    mut between: Vec<u32>,
+    clusters: &[LatTriplet],
+) -> Result<Hierarchy, McTopError> {
+    let mut levels: Vec<LevelComps> = Vec::new();
+    let mut stopped = None;
+
+    for (ci, cl) in clusters.iter().enumerate() {
+        if parts.iter().map(|part| part.ids.len()).sum::<usize>() == 1 {
+            break;
+        }
+        let lat = cl.median;
+        let p = parts.len();
+        let across = (0..p * p).any(|at| at / p != at % p && between[at] == lat);
+        if !across && !parts.iter().any(|part| part.m.contains(&lat)) {
+            return Err(McTopError::IrregularTopology(format!(
+                "latency level {lat} vanished from the reduced table; \
+                 a spurious measurement was likely clustered incorrectly"
+            )));
+        }
+        if across {
+            parts = vec![merge(parts, &between)];
+            between = vec![0];
+        }
+        // Every group of every part must have one size (condition 0:
+        // `try_group` checks it inside each part, so across the parts
+        // their first groups tell).
+        let grouped: Option<Vec<Vec<Vec<usize>>>> = parts
+            .iter()
+            .map(|part| try_group(&part.m, part.ids.len(), lat))
+            .collect();
+        let Some(grouped) = grouped.filter(|grouped| {
+            let size = grouped[0][0].len();
+            grouped.iter().all(|groups| groups[0].len() == size)
+        }) else {
+            // The level does not form valid components: the remaining
+            // structure is cross-socket (role assignment verifies this
+            // is a legitimate stopping point).
+            stopped = Some(ci);
+            break;
+        };
+        // Each new component: its members, its children (as the
+        // previous level numbers them), its part and its index there.
+        let previous = levels.last().map(|level| &level.comps);
+        let mut found: Vec<(Vec<usize>, Vec<usize>, usize, usize)> = Vec::new();
+        for (u, (part, groups)) in parts.iter_mut().zip(&grouped).enumerate() {
+            let reps = reduce(part, groups);
+            for (i, &(group, _)) in reps.iter().enumerate() {
+                let mut kids: Vec<usize> = group.iter().map(|&c| part.ids[c]).collect();
+                kids.sort_unstable();
+                let mut members: Vec<usize> = match previous {
+                    Some(comps) => kids
+                        .iter()
+                        .flat_map(|&c| comps[c].iter().copied())
+                        .collect(),
+                    None => kids.clone(),
+                };
+                members.sort_unstable();
+                found.push((members, kids, u, i));
+            }
+            part.ids = vec![usize::MAX; reps.len()];
+        }
+        found.sort_unstable_by_key(|f| f.0[0]);
+        for (id, &(_, _, u, i)) in found.iter().enumerate() {
+            parts[u].ids[i] = id;
+        }
+        let (comps, children) = found.into_iter().map(|(m, k, _, _)| (m, k)).unzip();
+        levels.push(LevelComps {
+            latency: *cl,
+            comps,
+            children,
+        });
+    }
+
+    let top = merge(parts, &between);
+    let top_comps = match levels.last() {
+        Some(level) => level.comps.clone(),
+        None => (0..n).map(|h| vec![h]).collect(),
+    };
+    Ok(Hierarchy {
+        levels,
+        top_comps,
+        top_matrix: top.m,
+        stopped_at_cluster: stopped,
+    })
+}
+
+/// Reduces `part` to the components `groups` (of its components, as
+/// [`try_group`] returns them) form: its matrix becomes theirs, and the
+/// groups come back ordered by smallest member, each with its
+/// representative. The caller numbers the new components.
+fn reduce<'g>(part: &mut Part, groups: &'g [Vec<usize>]) -> Vec<(&'g [usize], usize)> {
+    let k = part.ids.len();
+    // `ids` ascend with the smallest members, so a group's smallest
+    // member is its first component's, and that component its
+    // representative: any pair of representatives works, as the
+    // identical-external-rows condition guarantees uniformity.
+    let mut reps: Vec<(&[usize], usize)> = groups
+        .iter()
+        .map(|g| (g.as_slice(), *g.iter().min().expect("non-empty group")))
+        .collect();
+    reps.sort_unstable_by_key(|r| r.1);
+    let g = reps.len();
+    let mut m = vec![0u32; g * g];
+    for (i, &(_, ri)) in reps.iter().enumerate() {
+        for (j, &(_, rj)) in reps.iter().enumerate() {
+            if i != j {
+                m[i * g + j] = part.m[ri * k + rj];
+            }
+        }
+    }
+    part.m = m;
+    reps
+}
+
+/// All of `parts` as one part: its components in the level's order, the
+/// matrix between two of them from their part's matrix or, across
+/// parts, from `between`.
+fn merge(mut parts: Vec<Part>, between: &[u32]) -> Part {
+    if parts.len() == 1 {
+        let only = parts.pop().expect("one part");
+        let ids = (0..only.ids.len()).collect();
+        return Part { ids, ..only };
+    }
+    let p = parts.len();
+    let k: usize = parts.iter().map(|part| part.ids.len()).sum();
+    // `at[id]`: the part and index of the component numbered `id`.
+    let mut at = vec![(0usize, 0usize); k];
+    for (u, part) in parts.iter().enumerate() {
+        for (i, &id) in part.ids.iter().enumerate() {
+            at[id] = (u, i);
+        }
+    }
+    let mut m = vec![0u32; k * k];
+    for (x, &(u, i)) in at.iter().enumerate() {
+        let ku = parts[u].ids.len();
+        for (y, &(v, j)) in at.iter().enumerate() {
+            m[x * k + y] = if u == v {
+                parts[u].m[i * ku + j]
+            } else {
+                between[u * p + v]
+            };
+        }
+    }
+    Part {
+        ids: (0..k).collect(),
+        m,
+    }
+}
+
+/// Attempts to group the current components at latency `lat`.
+///
+/// Returns `None` when the grouping violates the component conditions
+/// (non-clique groups, differing external rows, or unequal cardinality),
+/// which is the natural stop at the cross-socket boundary.
+fn try_group(m: &[u32], k: usize, lat: u32) -> Option<Vec<Vec<usize>>> {
+    // Union-find over components joined by `lat`.
+    let mut parent: Vec<usize> = (0..k).collect();
+    for i in 0..k {
+        for j in (i + 1)..k {
+            if m[i * k + j] == lat {
+                let (ri, rj) = (find_root(&mut parent, i), find_root(&mut parent, j));
+                if ri != rj {
+                    parent[ri] = rj;
+                }
+            }
+        }
+    }
+    let mut groups_map: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+    for i in 0..k {
+        let r = find_root(&mut parent, i);
+        groups_map.entry(r).or_default().push(i);
+    }
+    let groups: Vec<Vec<usize>> = groups_map.into_values().collect();
+
+    // Condition 0: the level must actually merge something, and every
+    // group must have the same cardinality ("each component contains the
+    // same number of C_{l-1} components as any other").
+    let size = groups[0].len();
+    if size == 1 || groups.iter().any(|g| g.len() != size) {
+        return None;
+    }
+    for g in &groups {
+        // Condition 1: clique — any two members communicate at `lat`.
+        for (ai, &a) in g.iter().enumerate() {
+            for &b in g.iter().skip(ai + 1) {
+                if m[a * k + b] != lat {
+                    return None;
+                }
+            }
+        }
+        // Condition 2: identical external rows.
+        if !same_external_rows(m, k, g) {
+            return None;
+        }
+    }
+    Some(groups)
+}
+
+/// Whether every member of `g` has the same row as its first member
+/// outside the group's own columns. The rows are compared whole, and
+/// only a column where they differ is looked up in `g`.
+fn same_external_rows(m: &[u32], k: usize, g: &[usize]) -> bool {
+    let first = &m[g[0] * k..][..k];
+    g[1..].iter().all(|&member| {
+        let row = &m[member * k..][..k];
+        first
+            .iter()
+            .zip(row)
+            .enumerate()
+            .all(|(z, (a, b))| a == b || g.contains(&z))
+    })
+}
+
+/// `build` as it was: the levels grouped over the whole normalized
+/// table, reduced one matrix at a time.
+#[cfg(test)]
+pub(crate) fn build_reference(
+    norm: &LatencyTable,
+    clusters: &[LatTriplet],
+) -> Result<Hierarchy, McTopError> {
     let n = norm.n();
     let mut comps: Vec<Vec<usize>> = (0..n).map(|h| vec![h]).collect();
     let mut m: Vec<u32> = norm.clone().into_vec();
@@ -127,70 +400,6 @@ pub fn build(norm: &LatencyTable, clusters: &[LatTriplet]) -> Result<Hierarchy, 
         top_comps: comps,
         top_matrix: m,
         stopped_at_cluster: stopped,
-    })
-}
-
-/// Attempts to group the current components at latency `lat`.
-///
-/// Returns `None` when the grouping violates the component conditions
-/// (non-clique groups, differing external rows, or unequal cardinality),
-/// which is the natural stop at the cross-socket boundary.
-fn try_group(m: &[u32], k: usize, lat: u32) -> Option<Vec<Vec<usize>>> {
-    // Union-find over components joined by `lat`.
-    let mut parent: Vec<usize> = (0..k).collect();
-    for i in 0..k {
-        for j in (i + 1)..k {
-            if m[i * k + j] == lat {
-                let (ri, rj) = (find_root(&mut parent, i), find_root(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
-                }
-            }
-        }
-    }
-    let mut groups_map: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-    for i in 0..k {
-        let r = find_root(&mut parent, i);
-        groups_map.entry(r).or_default().push(i);
-    }
-    let groups: Vec<Vec<usize>> = groups_map.into_values().collect();
-
-    // Condition 0: the level must actually merge something, and every
-    // group must have the same cardinality ("each component contains the
-    // same number of C_{l-1} components as any other").
-    let size = groups[0].len();
-    if size == 1 || groups.iter().any(|g| g.len() != size) {
-        return None;
-    }
-    for g in &groups {
-        // Condition 1: clique — any two members communicate at `lat`.
-        for (ai, &a) in g.iter().enumerate() {
-            for &b in g.iter().skip(ai + 1) {
-                if m[a * k + b] != lat {
-                    return None;
-                }
-            }
-        }
-        // Condition 2: identical external rows.
-        if !same_external_rows(m, k, g) {
-            return None;
-        }
-    }
-    Some(groups)
-}
-
-/// Whether every member of `g` has the same row as its first member
-/// outside the group's own columns. The rows are compared whole, and
-/// only a column where they differ is looked up in `g`.
-fn same_external_rows(m: &[u32], k: usize, g: &[usize]) -> bool {
-    let first = &m[g[0] * k..][..k];
-    g[1..].iter().all(|&member| {
-        let row = &m[member * k..][..k];
-        first
-            .iter()
-            .zip(row)
-            .enumerate()
-            .all(|(z, (a, b))| a == b || g.contains(&z))
     })
 }
 

@@ -41,7 +41,10 @@ use crate::alg::cluster::{
 };
 use crate::alg::find_root;
 use crate::alg::schedule;
-use crate::alg::table::LatencyTable;
+use crate::alg::table::{
+    BlockTable,
+    LatencyTable, //
+};
 use crate::error::McTopError;
 use crate::sync::Mutex;
 
@@ -495,6 +498,19 @@ pub fn collect_parallel<P: Prober>(
     cfg: &ProbeConfig,
     jobs: usize,
 ) -> Result<(LatencyTable, ProbeStats), McTopError> {
+    let (table, stats) = collect_blocks(prober, cfg, jobs)?;
+    Ok((table.into_dense(), stats))
+}
+
+/// [`collect_parallel`] in block form: a hierarchy-first run that
+/// predicted the pairs between sockets returns a part per socket, one
+/// value per socket pair (its representative) and the measured pairs
+/// off it; every other run returns the one-part form of its table.
+pub(crate) fn collect_blocks<P: Prober>(
+    prober: &mut P,
+    cfg: &ProbeConfig,
+    jobs: usize,
+) -> Result<(BlockTable, ProbeStats), McTopError> {
     let mut ctx = begin_collection(prober, cfg)?;
     let nodes = prober.num_nodes();
     let hierarchy = cfg.pairs == PairSelection::Hierarchy;
@@ -526,14 +542,17 @@ pub fn collect_parallel<P: Prober>(
         _ => &mut forks[..],
     };
     if hierarchy {
-        collect_hierarchy(&mut ctx, cfg, nodes, &mut stats, team)?;
+        if let Some((sockets, cross)) = collect_hierarchy(&mut ctx, cfg, nodes, &mut stats, team)? {
+            let table = BlockTable::from_parts(&ctx.table, sockets.of, sockets.members, &cross);
+            return Ok((table, stats));
+        }
     } else {
         run_phase(team, cfg, &slices(&rounds), &mut ctx, &mut stats)?;
         if let Some((pairs, pc)) = &pruned {
             reconstruct_pruned(&mut ctx.table, pairs, pc);
         }
     }
-    Ok((ctx.table, stats))
+    Ok((BlockTable::whole(ctx.table), stats))
 }
 
 /// The measured pairs of a hierarchy-first run, and the team that
@@ -599,18 +618,24 @@ impl Sockets {
     }
 }
 
+/// The sockets a hierarchy-first run found, and the measured pairs
+/// between two of them (`a < b`).
+type SocketsFound = (Sockets, Vec<(usize, usize)>);
+
 /// Splitmix seed of the hold-out sample (mixed with the shape).
 const HOLDOUT_SEED: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// Hierarchy-first collection ([`PairSelection::Hierarchy`]; the steps
-/// are described at [`collect_parallel`]).
+/// are described at [`collect_parallel`]). Returns the sockets and the
+/// measured pairs between two of them when the checks held; `None` when
+/// the run fell back and measured every pair.
 fn collect_hierarchy<P: Prober>(
     ctx: &mut Collection,
     cfg: &ProbeConfig,
     nodes: usize,
     stats: &mut ProbeStats,
     team: &mut [P],
-) -> Result<(), McTopError> {
+) -> Result<Option<SocketsFound>, McTopError> {
     let n = ctx.n;
     let mut done = vec![false; n * n];
     for c in 0..n {
@@ -618,7 +643,7 @@ fn collect_hierarchy<P: Prober>(
     }
     let mut m = Measured { n, done, team };
     match hierarchy_steps(ctx, cfg, nodes, stats, &mut m)? {
-        Some(sockets) => predict(&mut ctx.table, &m.done, &sockets),
+        Some(found) => return Ok(Some(found)),
         None => {
             stats.fallbacks += 1;
             let rest = schedule::round_robin(n)
@@ -634,18 +659,20 @@ fn collect_hierarchy<P: Prober>(
             m.run(ctx, cfg, &slices(&rest), stats)?;
         }
     }
-    Ok(())
+    Ok(None)
 }
 
-/// Runs the three measuring steps and their checks. `Ok(None)` means a
-/// check missed and the run must measure every remaining pair.
+/// Runs the three measuring steps and their checks: the sockets and the
+/// measured pairs between two of them (anchor rows and hold-outs).
+/// `Ok(None)` means a check missed and the run must measure every
+/// remaining pair.
 fn hierarchy_steps<P: Prober>(
     ctx: &mut Collection,
     cfg: &ProbeConfig,
     nodes: usize,
     stats: &mut ProbeStats,
     m: &mut Measured<P>,
-) -> Result<Option<Sockets>, McTopError> {
+) -> Result<Option<SocketsFound>, McTopError> {
     let n = ctx.n;
     let nodes = nodes.max(1);
     let quota = if n.is_multiple_of(nodes) {
@@ -717,7 +744,19 @@ fn hierarchy_steps<P: Prober>(
     let on_level = holdouts
         .iter()
         .all(|&(a, b)| sockets.on_level(&ctx.table, a, b, &cfg.cluster));
-    Ok(on_level.then_some(sockets))
+    if !on_level {
+        return Ok(None);
+    }
+    let mut cross = holdouts;
+    for socket in &sockets.members {
+        let anchor = socket[0];
+        cross.extend(
+            (0..n)
+                .filter(|&c| sockets.of[c] != sockets.of[anchor])
+                .map(|c| (anchor.min(c), anchor.max(c))),
+        );
+    }
+    Ok(Some((sockets, cross)))
 }
 
 /// The socket of `anchor`, read off its measured row: the anchor plus
@@ -736,7 +775,7 @@ fn cut_row(
     let n = row.len();
     let mut sorted: Vec<u32> = (0..n).filter(|&b| b != anchor).map(|b| row[b]).collect();
     sorted.sort_unstable();
-    let clusters = cluster::cluster(&sorted, cfg).ok()?;
+    let clusters = cluster::cluster_runs(&cluster::runs(&sorted), cfg).ok()?;
     // `holding[k]`: the anchor plus every context below cluster `k`,
     // with `ceiling[k]` the largest latency among them.
     let mut holding = vec![1usize];
@@ -819,31 +858,6 @@ fn holdout_pairs(n: usize, sockets: &Sockets, done: &mut [bool]) -> Vec<(usize, 
     }
     picked.sort_unstable();
     picked
-}
-
-/// Fills every unmeasured pair of a hierarchy-first table with its
-/// socket pair's representative (all of them cross-socket: step 2
-/// measures every pair inside a socket).
-fn predict(table: &mut LatencyTable, done: &[bool], sockets: &Sockets) {
-    let n = table.n();
-    // `filled[u]`: the row a context of socket `u` has where nothing is
-    // measured, each entry its socket pair's representative.
-    let filled: Vec<Vec<u32>> = (0..sockets.members.len())
-        .map(|u| {
-            (0..n)
-                .map(|b| sockets.rep(table, u, sockets.of[b]))
-                .collect()
-        })
-        .collect();
-    // Row by row over both triangles: `done` is symmetric, so every
-    // write is sequential and the table stays symmetric.
-    for a in 0..n {
-        let done = &done[a * n..][..n];
-        let filled = &filled[sockets.of[a]];
-        for ((value, &done), &rep) in table.row_mut(a).iter_mut().zip(done).zip(filled) {
-            *value = if done { *value } else { rep };
-        }
-    }
 }
 
 /// Resolves the measurement plan of a run: the schedule rounds plus,
@@ -1240,10 +1254,29 @@ fn run_phase<P: Prober>(
 }
 
 /// SMT detection (Section 3.5): spin solo on one context, then spin
-/// simultaneously on the two minimum-latency contexts. If they share a
-/// core, SMT resource sharing slows the loop down markedly.
+/// simultaneously on the two minimum-latency contexts (the first
+/// strictly smallest pair in row-major order). If they share a core, SMT
+/// resource sharing slows the loop down markedly.
 pub fn detect_smt<P: Prober>(prober: &mut P, norm: &LatencyTable) -> bool {
+    detect_smt_at(prober, norm.min_pair())
+}
+
+/// [`detect_smt`] on the pair its table picked (`BlockTable::min_pair`
+/// finds it without a pass over the pairs between parts): whether the
+/// two contexts share a core.
+pub(crate) fn detect_smt_at<P: Prober>(prober: &mut P, pair: Option<(usize, usize)>) -> bool {
     prober.begin_stream(ProbeStream::SmtCheck);
+    let Some((a, b)) = pair else { return false };
+    const ITERS: u64 = 50_000;
+    let solo = prober.spin_duration(&[a], ITERS);
+    let paired = prober.spin_duration(&[a, b], ITERS);
+    paired as f64 > solo as f64 * 1.4
+}
+
+/// The pair [`detect_smt`] picked as it was: a scan of the dense table's
+/// upper triangle for the first strictly smallest value.
+#[cfg(test)]
+pub(crate) fn smt_pair_reference(norm: &LatencyTable) -> Option<(usize, usize)> {
     let n = norm.n();
     let mut best: Option<(u32, usize, usize)> = None;
     for a in 0..n {
@@ -1254,11 +1287,7 @@ pub fn detect_smt<P: Prober>(prober: &mut P, norm: &LatencyTable) -> bool {
             }
         }
     }
-    let Some((_, a, b)) = best else { return false };
-    const ITERS: u64 = 50_000;
-    let solo = prober.spin_duration(&[a], ITERS);
-    let paired = prober.spin_duration(&[a, b], ITERS);
-    paired as f64 > solo as f64 * 1.4
+    best.map(|(_, a, b)| (a, b))
 }
 
 #[cfg(test)]
@@ -1559,6 +1588,83 @@ mod tests {
             let (median, sd) = median_stdev(&mut s.clone());
             assert_eq!(median, want_median, "slice {i}");
             assert_eq!(sd.to_bits(), want_sd.to_bits(), "slice {i}");
+        }
+    }
+
+    /// `predict` as it was: every unmeasured pair of a hierarchy-first
+    /// table set to its socket pair's representative.
+    fn predict_reference(table: &mut LatencyTable, done: &[bool], sockets: &Sockets) {
+        let n = table.n();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if !done[a * n + b] {
+                    let rep = sockets.rep(table, sockets.of[a], sockets.of[b]);
+                    table.set(a, b, rep);
+                }
+            }
+        }
+    }
+
+    /// The block form a hierarchy-first run returns is the table the
+    /// representatives predicted, exceptions and all, under noise.
+    #[test]
+    fn block_form_equals_the_predicted_table() {
+        let cfg = ProbeConfig {
+            pairs: PairSelection::Hierarchy,
+            ..ProbeConfig::fast()
+        };
+        let mut exceptions = 0;
+        for spec in presets::all_paper_platforms() {
+            for seed in 1..=4 {
+                let mut prober = SimProber::new(&spec, seed);
+                let mut ctx = begin_collection(&mut prober, &cfg).unwrap();
+                let mut stats = ProbeStats::default();
+                let team = std::slice::from_mut(&mut prober);
+                let found = collect_hierarchy(&mut ctx, &cfg, spec.nodes, &mut stats, team);
+                let Some((sockets, cross)) = found.unwrap() else {
+                    continue;
+                };
+                let n = ctx.n;
+                let mut done: Vec<bool> = (0..n * n)
+                    .map(|i| sockets.of[i / n] == sockets.of[i % n])
+                    .collect();
+                for &(a, b) in &cross {
+                    done[a * n + b] = true;
+                    done[b * n + a] = true;
+                }
+                let mut want = ctx.table.clone();
+                predict_reference(&mut want, &done, &sockets);
+                let of = sockets.of.clone();
+                let blocks = BlockTable::from_parts(&ctx.table, of, sockets.members, &cross);
+                exceptions += blocks.exceptions.len();
+                assert_eq!(blocks.into_dense(), want, "{} seed {seed}", spec.name);
+            }
+        }
+        assert!(exceptions > 0, "no run measured off its representative");
+    }
+
+    /// The SMT pair comes from the block form: the first strictly
+    /// smallest normalized pair in row-major order, as the scan of the
+    /// dense table found it, on every committed machine.
+    #[test]
+    fn smt_pair_of_the_blocks_is_the_scans() {
+        let specs = presets::all_paper_platforms()
+            .into_iter()
+            .chain(presets::all_synthetic())
+            .chain(presets::all_mesh_scale());
+        for spec in specs {
+            let cfg = crate::desc::canonical_probe_config_for(&spec);
+            let (raw, _) = collect_blocks(&mut SimProber::noiseless(&spec), &cfg, 1).unwrap();
+            let clusters = cluster::cluster_blocks(&raw, &cfg.cluster).unwrap();
+            let norm = cluster::normalize_blocks(&raw, &clusters);
+            let pair = norm.min_pair();
+            assert_eq!(
+                pair,
+                smt_pair_reference(&norm.into_dense()),
+                "{}",
+                spec.name
+            );
+            assert!(pair.is_some(), "{}", spec.name);
         }
     }
 
@@ -2174,8 +2280,14 @@ mod tests {
     /// Hierarchy-first collection on a perturbed machine either falls
     /// back, says so, and returns the exhaustive table, or refuses,
     /// naming the pair; it never returns a table the exhaustive run
-    /// would not. Returns whether it fell back.
+    /// would not. Returns whether it fell back. The block-form passes
+    /// on its table (SMT pair included) must equal the dense oracles.
     fn loud_or_exact(mk: impl Fn() -> Perturbed<'static>, what: &str) -> bool {
+        let mut p = mk();
+        if let Ok((raw, _)) = collect_blocks(&mut p, &with_pairs(PairSelection::Hierarchy), 1) {
+            let cfg = ClusterCfg::default();
+            crate::alg::check_blocks_against_oracles(what, &raw, &cfg, p.num_nodes());
+        }
         let (t_ex, s_ex) = collect(&mut mk(), &with_pairs(PairSelection::Exhaustive)).unwrap();
         for jobs in [1, 2] {
             match collect_parallel(&mut mk(), &with_pairs(PairSelection::Hierarchy), jobs) {

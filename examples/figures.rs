@@ -107,10 +107,11 @@ fn fig6(out: &mut String) -> fmt::Result {
     let inference = mctop::alg::run_full(&mut prober, &cfg, 1).expect("inference");
 
     writeln!(out, "-- step 1: latency table (corner, cycles) --")?;
-    let n = inference.raw_table.n();
+    let raw = inference.raw_table();
+    let n = raw.n();
     for a in 0..8.min(n) {
         let row: Vec<String> = (0..8.min(n))
-            .map(|b| format!("{:>4}", inference.raw_table.get(a, b)))
+            .map(|b| format!("{:>4}", raw.get(a, b)))
             .collect();
         writeln!(out, "  {}", row.join(" "))?;
     }
