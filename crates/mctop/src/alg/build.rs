@@ -320,23 +320,11 @@ pub(crate) fn assemble_owned(
         .collect();
 
     let hwcs: Vec<HwContext> = (0..n)
-        .map(|h| {
-            let mut best = (u32::MAX, usize::MAX);
-            for other in 0..n {
-                if other == h {
-                    continue;
-                }
-                let v = norm.get(h, other);
-                if (v, other) < best {
-                    best = (v, other);
-                }
-            }
-            HwContext {
-                id: h,
-                core: core_of[h],
-                socket: socket_of[h],
-                next_closest: best.1,
-            }
+        .map(|h| HwContext {
+            id: h,
+            core: core_of[h],
+            socket: socket_of[h],
+            next_closest: nearest_other(norm.row(h), h),
         })
         .collect();
 
@@ -356,6 +344,27 @@ pub(crate) fn assemble_owned(
         power: None,
         freq_ghz: None,
     })
+}
+
+/// The context nearest to `h` by `h`'s table row: the smallest latency,
+/// ties to the lowest index (`usize::MAX` when `h` is alone). Each side
+/// of the diagonal is searched for its minimum first, and only then for
+/// the minimum's first position.
+fn nearest_other(row: &[u32], h: usize) -> usize {
+    let (left, right) = (&row[..h], &row[h + 1..]);
+    let Some(min) = left
+        .iter()
+        .min()
+        .into_iter()
+        .chain(right.iter().min())
+        .min()
+    else {
+        return usize::MAX;
+    };
+    match left.iter().position(|v| v == min) {
+        Some(other) => other,
+        None => h + 1 + right.iter().position(|v| v == min).expect("the minimum"),
+    }
 }
 
 /// Which hierarchy level plays the socket role.
@@ -659,5 +668,36 @@ mod tests {
             find_socket_level(&hier, 4, 1).unwrap(),
             SocketLevel::Singletons
         );
+    }
+
+    #[test]
+    fn nearest_other_equals_the_scan_of_the_row() {
+        // The scan `assemble` ran per context: the least (latency,
+        // index) over the row but the diagonal.
+        let scan = |row: &[u32], h: usize| {
+            let mut best = (u32::MAX, usize::MAX);
+            for (other, &v) in row.iter().enumerate() {
+                if other != h && (v, other) < best {
+                    best = (v, other);
+                }
+            }
+            best.1
+        };
+        let mut next = crate::alg::splitmix(46);
+        for case in 0..2000 {
+            let n = 1 + (next() % 12) as usize;
+            let row: Vec<u32> = (0..n)
+                .map(|_| match next() % 4 {
+                    0 => u32::MAX,
+                    _ => (next() % 4) as u32,
+                })
+                .collect();
+            let h = (next() % n as u64) as usize;
+            assert_eq!(
+                nearest_other(&row, h),
+                scan(&row, h),
+                "case {case}: {row:?} at {h}"
+            );
+        }
     }
 }
