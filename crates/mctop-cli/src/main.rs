@@ -53,7 +53,7 @@ mct — MCTOP description tooling (infer once, store, load everywhere)
 
 USAGE:
     mct list
-    mct infer <machine> [--seed N] [--reps N] [--jobs N] [--exhaustive]
+    mct infer <machine> [--seed N] [--reps N] [--exhaustive]
                         [--no-enrich] [--out PATH] [--stdout]
     mct validate <desc>...
     mct show <desc> [--format text|dot|summary] [--stats]
@@ -62,12 +62,9 @@ USAGE:
     mct regen-descs [--dir DIR] [--check]
     mct serve --socket PATH [--descs DIR]
 
-Collection is deterministic in the worker count: `infer --jobs`
-(default 1) never changes a single output byte (disjoint context pairs
-are measured concurrently). More jobs pay only at high --reps: at the
-canonical 3 repetitions forking the probers costs more than it saves,
-and 2 jobs collect about twice as slowly as 1 (sparc at --reps 2000:
-4.3 s with 1 job, 2.2 s with 2, on a 2-CPU host).
+Collection runs on one prober, which moves from context pair to
+context pair as the paper's two measuring threads do: pairs measured
+at once would share the coherence fabric they measure.
 
 By default `infer` measures a planned subset of the context pairs and
 derives the rest: below 32 sockets, each socket's inside, one anchor
@@ -195,19 +192,12 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
     let reps = take_flag(&mut args, "--reps")?
         .map(|s| parse::<usize>(&s, "reps"))
         .transpose()?;
-    let jobs = take_flag(&mut args, "--jobs")?
-        .map(|s| parse::<usize>(&s, "jobs"))
-        .transpose()?
-        .unwrap_or(1);
     let out = take_flag(&mut args, "--out")?.map(PathBuf::from);
     let no_enrich = take_switch(&mut args, "--no-enrich");
     let exhaustive = take_switch(&mut args, "--exhaustive");
     let to_stdout = take_switch(&mut args, "--stdout");
     if reps == Some(0) {
         return Err(CliError::Usage("--reps must be at least 1".into()));
-    }
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".into()));
     }
     if to_stdout && out.is_some() {
         return Err(CliError::Usage(
@@ -251,10 +241,7 @@ fn cmd_infer(args: &[String]) -> Result<(), CliError> {
         Some(seed) => mctop::backend::SimProber::new(&spec, seed),
         None => mctop::backend::SimProber::noiseless(&spec),
     };
-    // The worker count never changes a byte of output (the determinism
-    // contract of `collect_parallel`), so it is not recorded in the
-    // provenance.
-    let mut topo = mctop::alg::run_full(&mut prober, &cfg, jobs)?.topology;
+    let mut topo = mctop::alg::run_full(&mut prober, &cfg)?.topology;
     if !no_enrich {
         let mut mem = mctop::enrich::SimEnricher::new(&spec);
         let mut pow = mctop::enrich::SimEnricher::new(&spec);

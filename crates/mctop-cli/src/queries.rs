@@ -116,7 +116,7 @@ fn query_metrics(view: &TopoView) -> Result<(), CliError> {
     // file has no prober to run).
     if let Some(spec) = mcsim::presets::by_name(&view.topo().name) {
         let mut prober = mctop::backend::SimProber::noiseless(&spec);
-        let inf = mctop::alg::run_full(&mut prober, &mctop::ProbeConfig::fast(), 1)?;
+        let inf = mctop::alg::run_full(&mut prober, &mctop::ProbeConfig::fast())?;
         handle.record_probe_stats(&inf.stats);
     }
 

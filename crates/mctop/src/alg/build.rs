@@ -12,7 +12,10 @@
 use std::collections::BTreeSet;
 
 use crate::alg::components::Hierarchy;
-use crate::alg::table::LatencyTable;
+use crate::alg::table::{
+    BlockTable,
+    LatencyTable, //
+};
 use crate::error::McTopError;
 use crate::model::{
     HwContext,
@@ -36,16 +39,30 @@ pub fn assemble(
     clusters: &[LatTriplet],
     n_nodes: usize,
 ) -> Result<Mctop, McTopError> {
-    assemble_owned(name, smt_detected, hier, norm.clone(), clusters, n_nodes)
+    let next_closest = (0..norm.n())
+        .map(|h| nearest_other(norm.row(h), h))
+        .collect();
+    let table = norm.clone();
+    assemble_owned(
+        name,
+        smt_detected,
+        hier,
+        table,
+        next_closest,
+        clusters,
+        n_nodes,
+    )
 }
 
 /// [`assemble`], keeping `norm` as the topology's latency table rather
-/// than a copy of it.
+/// than a copy of it, with each context's `next_closest` given
+/// ([`next_closest`] reads it off the block form).
 pub(crate) fn assemble_owned(
     name: String,
     smt_detected: bool,
     hier: &Hierarchy,
     norm: LatencyTable,
+    next_closest: Vec<usize>,
     clusters: &[LatTriplet],
     n_nodes: usize,
 ) -> Result<Mctop, McTopError> {
@@ -152,25 +169,7 @@ pub(crate) fn assemble_owned(
         }
     }
     let links = infer_links(&s_lat, n_sockets)?;
-    // One CrossSocket latency level per distinct cross value, with the
-    // most hops any link of that value takes (one pass over the links).
-    let mut cross_vals: Vec<u32> = links.iter().map(|l| l.latency).collect();
-    cross_vals.sort_unstable();
-    cross_vals.dedup();
-    let mut cross_hops = vec![0usize; cross_vals.len()];
-    for l in &links {
-        let i = cross_vals
-            .binary_search(&l.latency)
-            .expect("value came from links");
-        cross_hops[i] = cross_hops[i].max(l.hops);
-    }
-    for (v, hops) in cross_vals.into_iter().zip(cross_hops) {
-        // Reuse the cluster triplet when one matches this median.
-        let triplet = clusters
-            .iter()
-            .find(|c| c.median == v)
-            .copied()
-            .unwrap_or_else(|| LatTriplet::exact(v));
+    for (triplet, hops) in cross_levels(&links, clusters) {
         levels.push(LatencyLevel {
             index: levels.len(),
             latency: triplet,
@@ -319,12 +318,14 @@ pub(crate) fn assemble_owned(
         })
         .collect();
 
-    let hwcs: Vec<HwContext> = (0..n)
-        .map(|h| HwContext {
+    let hwcs: Vec<HwContext> = next_closest
+        .into_iter()
+        .enumerate()
+        .map(|(h, next_closest)| HwContext {
             id: h,
             core: core_of[h],
             socket: socket_of[h],
-            next_closest: nearest_other(norm.row(h), h),
+            next_closest,
         })
         .collect();
 
@@ -346,24 +347,140 @@ pub(crate) fn assemble_owned(
     })
 }
 
+/// One CrossSocket latency level per distinct link latency, ascending:
+/// the cluster triplet whose median it is (the first such; an exact
+/// triplet when none is), and the most hops any link of that latency
+/// takes. Each latency is found among the clusters' medians by a binary
+/// search; only when one is no median (or the medians do not ascend)
+/// are the latencies sorted instead.
+fn cross_levels(links: &[InterconnectLink], clusters: &[LatTriplet]) -> Vec<(LatTriplet, usize)> {
+    if clusters.windows(2).all(|w| w[0].median < w[1].median) {
+        let mut hops: Vec<Option<usize>> = vec![None; clusters.len()];
+        let bucketed = links.iter().all(|l| {
+            let Ok(i) = clusters.binary_search_by_key(&l.latency, |c| c.median) else {
+                return false;
+            };
+            hops[i] = Some(hops[i].map_or(l.hops, |h| h.max(l.hops)));
+            true
+        });
+        if bucketed {
+            return clusters
+                .iter()
+                .zip(hops)
+                .filter_map(|(&c, hops)| Some((c, hops?)))
+                .collect();
+        }
+    }
+    let mut vals: Vec<u32> = links.iter().map(|l| l.latency).collect();
+    vals.sort_unstable();
+    vals.dedup();
+    let mut hops = vec![0usize; vals.len()];
+    for l in links {
+        let i = vals
+            .binary_search(&l.latency)
+            .expect("value came from links");
+        hops[i] = hops[i].max(l.hops);
+    }
+    vals.into_iter()
+        .zip(hops)
+        .map(|(v, hops)| {
+            let triplet = clusters
+                .iter()
+                .find(|c| c.median == v)
+                .copied()
+                .unwrap_or_else(|| LatTriplet::exact(v));
+            (triplet, hops)
+        })
+        .collect()
+}
+
+/// Each context's `next_closest`, read off the normalized block form:
+/// the least (latency, index) over its block row, the value of each
+/// other part at that part's lowest member it has no exception with,
+/// and its exceptions. That is [`nearest_other`] on its dense row, which
+/// is what a one-part table holds.
+pub(crate) fn next_closest(norm: &BlockTable) -> Vec<usize> {
+    let n = norm.of.len();
+    if let [block] = &norm.blocks[..] {
+        return (0..n)
+            .map(|h| nearest_other(&block[h * n..][..n], h))
+            .collect();
+    }
+    // `off[start[h]..start[h + 1]]`: the (other context, value) of each
+    // exception of `h`. The exceptions are sorted, so each context's
+    // come by ascending other context: first those where it is the
+    // larger, then those where it is the smaller.
+    let mut start = vec![0usize; n + 1];
+    for &(a, b, _) in &norm.exceptions {
+        start[a + 1] += 1;
+        start[b + 1] += 1;
+    }
+    for h in 0..n {
+        start[h + 1] += start[h];
+    }
+    let mut at = start.clone();
+    let mut off = vec![(0usize, 0u32); start[n]];
+    for &(a, b, value) in &norm.exceptions {
+        off[at[a]] = (b, value);
+        at[a] += 1;
+        off[at[b]] = (a, value);
+        at[b] += 1;
+    }
+    let p = norm.parts.len();
+    let mut next = vec![usize::MAX; n];
+    for (u, (members, block)) in norm.parts.iter().zip(&norm.blocks).enumerate() {
+        let k = members.len();
+        for (i, &h) in members.iter().enumerate() {
+            let own = &off[start[h]..start[h + 1]];
+            let row = &block[i * k..][..k];
+            let mut best = match nearest_other(row, i) {
+                usize::MAX => None,
+                j => Some((row[j], members[j])),
+            };
+            let mut offer = |candidate: (u32, usize)| {
+                if best.is_none_or(|b| candidate < b) {
+                    best = Some(candidate);
+                }
+            };
+            for (v, others) in norm.parts.iter().enumerate() {
+                if v == u {
+                    continue;
+                }
+                let plain = others
+                    .iter()
+                    .find(|&&b| own.binary_search_by_key(&b, |&(other, _)| other).is_err());
+                if let Some(&b) = plain {
+                    offer((norm.between[u * p + v], b));
+                }
+            }
+            for &(other, value) in own {
+                offer((value, other));
+            }
+            next[h] = best.map_or(usize::MAX, |(_, b)| b);
+        }
+    }
+    next
+}
+
 /// The context nearest to `h` by `h`'s table row: the smallest latency,
 /// ties to the lowest index (`usize::MAX` when `h` is alone). Each side
-/// of the diagonal is searched for its minimum first, and only then for
-/// the minimum's first position.
-fn nearest_other(row: &[u32], h: usize) -> usize {
+/// of the diagonal is searched for its minimum by value first, and only
+/// then for the minimum's first position.
+pub(crate) fn nearest_other(row: &[u32], h: usize) -> usize {
     let (left, right) = (&row[..h], &row[h + 1..]);
     let Some(min) = left
         .iter()
+        .copied()
         .min()
         .into_iter()
-        .chain(right.iter().min())
+        .chain(right.iter().copied().min())
         .min()
     else {
         return usize::MAX;
     };
-    match left.iter().position(|v| v == min) {
+    match left.iter().position(|&v| v == min) {
         Some(other) => other,
-        None => h + 1 + right.iter().position(|v| v == min).expect("the minimum"),
+        None => h + 1 + right.iter().position(|&v| v == min).expect("the minimum"),
     }
 }
 
@@ -668,6 +785,96 @@ mod tests {
             find_socket_level(&hier, 4, 1).unwrap(),
             SocketLevel::Singletons
         );
+    }
+
+    /// `cross_levels` as it was: the link latencies sorted and
+    /// deduplicated, each with its most hops and the first cluster whose
+    /// median it is.
+    fn cross_levels_reference(
+        links: &[InterconnectLink],
+        clusters: &[LatTriplet],
+    ) -> Vec<(LatTriplet, usize)> {
+        let mut vals: Vec<u32> = links.iter().map(|l| l.latency).collect();
+        vals.sort_unstable();
+        vals.dedup();
+        vals.into_iter()
+            .map(|v| {
+                let hops = links.iter().filter(|l| l.latency == v).map(|l| l.hops);
+                let triplet = clusters
+                    .iter()
+                    .find(|c| c.median == v)
+                    .copied()
+                    .unwrap_or_else(|| LatTriplet::exact(v));
+                (triplet, hops.max().expect("a link"))
+            })
+            .collect()
+    }
+
+    /// The clusters as given, every other one left out (so some link
+    /// latencies are no median), and reversed (so the medians do not
+    /// ascend).
+    fn assert_cross_levels_match_reference(
+        links: &[InterconnectLink],
+        clusters: &[LatTriplet],
+        what: &str,
+    ) {
+        let halved: Vec<LatTriplet> = clusters.iter().step_by(2).copied().collect();
+        let reversed: Vec<LatTriplet> = clusters.iter().rev().copied().collect();
+        for clusters in [clusters, &halved, &reversed] {
+            assert_eq!(
+                cross_levels(links, clusters),
+                cross_levels_reference(links, clusters),
+                "{what}: {clusters:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cross_levels_equal_the_sort() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../descs");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let topo = crate::desc::load(&path).unwrap();
+            let clusters: Vec<LatTriplet> = topo.levels.iter().map(|l| l.latency).collect();
+            assert_cross_levels_match_reference(
+                &topo.links,
+                &clusters,
+                &path.display().to_string(),
+            );
+            seen += 1;
+        }
+        assert_eq!(seen, 16);
+        let mut next = crate::alg::splitmix(48);
+        for case in 0..300 {
+            let s = 2 + (next() % 12) as usize;
+            let values: Vec<u32> = (0..1 + next() % 5).map(|i| 200 + 40 * i as u32).collect();
+            let mut links = Vec::new();
+            for a in 0..s {
+                for b in (a + 1)..s {
+                    let at = (next() % values.len() as u64) as usize;
+                    links.push(InterconnectLink {
+                        a,
+                        b,
+                        latency: values[at],
+                        hops: 1 + at + (next() % 2) as usize,
+                        bandwidth: None,
+                    });
+                }
+            }
+            // Clusters around the values, and one below and above them.
+            let clusters: Vec<LatTriplet> = [100]
+                .into_iter()
+                .chain(values.iter().copied())
+                .chain([900])
+                .map(|median| LatTriplet {
+                    min: median - 5,
+                    median,
+                    max: median + 5,
+                })
+                .collect();
+            assert_cross_levels_match_reference(&links, &clusters, &format!("case {case}"));
+        }
     }
 
     #[test]

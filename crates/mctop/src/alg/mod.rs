@@ -3,18 +3,18 @@
 //!
 //! The four steps, mirrored by the submodules:
 //!
-//! 1. [`probe`] — collect an N x N latency table with lock-step
+//! 1. [`probe`] — collect the latency table with lock-step
 //!    measurement pairs (Fig. 5), median-of-n repetitions, stdev
 //!    thresholds with retry escalation, DVFS warm-up, and rdtsc-cost
-//!    subtraction. [`schedule`] partitions the upper triangle into
-//!    rounds of disjoint pairs so [`probe::collect_parallel`] can
-//!    measure up to ⌊N/2⌋ pairs at a time — deterministically: the
-//!    parallel path is byte-identical to the sequential one.
-//!    [`run_full`] keeps the table in the block form collection gives
-//!    it (`table::BlockTable`): a hierarchy-first run has a part per
-//!    socket with a dense block of its pairs, one value per pair of
-//!    sockets (the representative it measured) and the few measured
-//!    pairs that differ from it; every other run is the one-part case.
+//!    subtraction, on one prober that moves from pair to pair as the
+//!    paper's two threads do. [`schedule`] gives the order of the
+//!    pairs, round by round of the circle method. Collection writes
+//!    each value where the block form keeps it (`table::BlockTable`),
+//!    and [`run_full`] keeps that form: a hierarchy-first run has a
+//!    part per socket with a dense block of its pairs, one value per
+//!    pair of sockets (the representative it measured) and the few
+//!    measured pairs that differ from it; every other run is the
+//!    one-part case.
 //! 2. [`cluster`] — extract latency clusters from the CDF of the values
 //!    and normalize the table to cluster medians. A pair-of-sockets
 //!    value counts once for every pair it stands for, and is mapped
@@ -25,12 +25,14 @@
 //!    its pair from the same form.
 //! 4. [`build`] — assign roles (SMT/core, group, socket, cross-socket),
 //!    infer the interconnect (direct links vs multi-hop), and assemble
-//!    the [`crate::model::Mctop`]. This step, the topology's latency
-//!    table and [`validate`] still read the dense normalized table,
-//!    which the block form writes out once, a row and a block at a
-//!    time.
+//!    the [`crate::model::Mctop`]. Each context's `next_closest` comes
+//!    from its block row, the values between parts and its exceptions;
+//!    the dense table is written once, as the topology's own.
 //!
-//! [`validate`] implements the output-validation checks of Section 3.6.
+//! [`validate`] implements the output-validation checks of Section 3.6;
+//! after inference it checks the facts of the block form (each block,
+//! each value between parts, each exception) against the groups and
+//! links, and scans the dense table only where one disagrees.
 //!
 //! The table-form entry points ([`cluster::cluster`],
 //! [`cluster::normalize`], [`components::build`], [`probe::collect`],
@@ -41,7 +43,7 @@ pub mod build;
 pub mod cluster;
 pub mod components;
 pub mod probe;
-pub mod schedule;
+mod schedule;
 pub mod table;
 pub mod validate;
 
@@ -78,17 +80,10 @@ impl Inference {
 }
 
 /// Runs all four steps, keeping the intermediate artifacts (raw table,
-/// clusters, statistics; the Fig. 6 harness prints these stages). The
-/// collection phase is spread over `jobs` forked probers measuring
-/// disjoint pairs ([`probe::collect_parallel`]): the output is
-/// byte-identical for every `jobs`, and `jobs <= 1` measures on the
-/// calling thread.
-pub fn run_full<P: Prober>(
-    prober: &mut P,
-    cfg: &ProbeConfig,
-    jobs: usize,
-) -> Result<Inference, McTopError> {
-    let (raw, stats) = probe::collect_blocks(prober, cfg, jobs)?;
+/// clusters, statistics; the Fig. 6 harness prints these stages), on
+/// the calling thread.
+pub fn run_full<P: Prober>(prober: &mut P, cfg: &ProbeConfig) -> Result<Inference, McTopError> {
+    let (raw, stats) = probe::collect_blocks(prober, cfg)?;
     // Step 2: clusters + normalized table.
     let clusters = cluster::cluster_blocks(&raw, &cfg.cluster)?;
     let norm = cluster::normalize_blocks(&raw, &clusters);
@@ -96,17 +91,20 @@ pub fn run_full<P: Prober>(
     let smt = probe::detect_smt_at(prober, norm.min_pair());
     // Step 3: components.
     let hier = components::build_blocks(&norm, &clusters)?;
-    // Step 4: roles and assembly, on the dense table, which becomes the
-    // topology's.
+    // Step 4: roles and assembly. The dense table is written once, as
+    // the topology's; validation reads the parts.
+    let next_closest = build::next_closest(&norm);
+    let (table, parts) = norm.into_dense_and_parts();
     let topology = build::assemble_owned(
         prober.machine_name(),
         smt,
         &hier,
-        norm.into_dense(),
+        table,
+        next_closest,
         &clusters,
         prober.num_nodes(),
     )?;
-    validate::validate(&topology)?;
+    validate::validate_blocks(&topology, parts.as_ref())?;
     Ok(Inference {
         topology,
         stats,
@@ -148,11 +146,12 @@ pub(crate) fn find_root(parent: &mut [usize], x: usize) -> usize {
 
 /// Runs the block-form passes on `raw` and the dense passes as they were
 /// (`cluster::cluster_reference`, `cluster::normalize_reference`,
-/// `probe::smt_pair_reference`, `components::build_reference`) on its
-/// dense table, and panics, naming `what`, where the clusters, the
-/// normalized table, the SMT pair, the hierarchy or the assembled
-/// topology (with and without SMT) differ. An error must be the same
-/// error on both sides.
+/// `probe::smt_pair_reference`, `components::build_reference`, the row
+/// scans of `build::assemble` and `validate::validate`) on its dense
+/// table, and panics, naming `what`, where the clusters, the normalized
+/// table, the SMT pair, the hierarchy, each context's `next_closest`,
+/// the assembled topology or its validation (with and without SMT)
+/// differ. An error must be the same error on both sides.
 #[cfg(test)]
 pub(crate) fn check_blocks_against_oracles(
     what: &str,
@@ -188,13 +187,20 @@ pub(crate) fn check_blocks_against_oracles(
     let (Ok(hier), Ok(want_hier)) = (hier, want_hier) else {
         return;
     };
+    let next_closest = build::next_closest(&norm);
+    let want_next: Vec<usize> = (0..want.n())
+        .map(|h| build::nearest_other(want.row(h), h))
+        .collect();
+    assert_eq!(next_closest, want_next, "{what}: next_closest");
     for smt in [false, true] {
         let name = || what.to_string();
+        let (table, parts) = norm.clone().into_dense_and_parts();
         let topo = build::assemble_owned(
             name(),
             smt,
             &hier,
-            norm.clone().into_dense(),
+            table,
+            next_closest.clone(),
             &clusters,
             nodes,
         );
@@ -204,6 +210,13 @@ pub(crate) fn check_blocks_against_oracles(
             old.as_ref().map_err(text),
             "{what}: topology, smt {smt}"
         );
+        if let Ok(topo) = topo {
+            assert_eq!(
+                validate::validate_blocks(&topo, parts.as_ref()).map_err(|e| text(&e)),
+                validate::validate(&topo).map_err(|e| text(&e)),
+                "{what}: validation, smt {smt}"
+            );
+        }
     }
 }
 
@@ -226,7 +239,7 @@ mod tests {
         for spec in specs {
             let cfg = crate::desc::canonical_probe_config_for(&spec);
             let mut prober = SimProber::noiseless(&spec);
-            let (raw, _) = probe::collect_blocks(&mut prober, &cfg, 1).unwrap();
+            let (raw, _) = probe::collect_blocks(&mut prober, &cfg).unwrap();
             parted += usize::from(raw.parts.len() > 1);
             check_blocks_against_oracles(&spec.name, &raw, &cfg.cluster, prober.num_nodes());
         }
@@ -258,7 +271,7 @@ mod tests {
                             ..crate::desc::canonical_probe_config_for(&spec)
                         };
                         let mut prober = SimProber::with_noise(&spec, seed, noise);
-                        let Ok((raw, _)) = probe::collect_blocks(&mut prober, &cfg, 1) else {
+                        let Ok((raw, _)) = probe::collect_blocks(&mut prober, &cfg) else {
                             continue;
                         };
                         exceptions += raw.exceptions.len();
@@ -380,6 +393,119 @@ mod tests {
             level_across > 100,
             "{level_across} cases with a cross value inside"
         );
+    }
+
+    /// Validation by the facts of the block form gives what the dense
+    /// row scan gives when a value is planted in a block, in a value
+    /// between parts, in an exception, or at the first pair in
+    /// row-major order: the topology's table is the planted one, and
+    /// the first entry that differs is named.
+    /// `run_full`'s steps on a noiseless run of `spec`: the topology
+    /// and the normalized block form it was assembled from.
+    fn assembled(spec: &mcsim::MachineSpec) -> (crate::model::Mctop, BlockTable) {
+        let cfg = crate::desc::canonical_probe_config_for(spec);
+        let mut prober = SimProber::noiseless(spec);
+        let (raw, _) = probe::collect_blocks(&mut prober, &cfg).unwrap();
+        let clusters = cluster::cluster_blocks(&raw, &cfg.cluster).unwrap();
+        let norm = cluster::normalize_blocks(&raw, &clusters);
+        let smt = probe::detect_smt_at(&mut prober, norm.min_pair());
+        let hier = components::build_blocks(&norm, &clusters).unwrap();
+        let topo = build::assemble_owned(
+            spec.name.clone(),
+            smt,
+            &hier,
+            norm.clone().into_dense(),
+            build::next_closest(&norm),
+            &clusters,
+            prober.num_nodes(),
+        )
+        .unwrap();
+        (topo, norm)
+    }
+
+    /// On every committed machine collected in parts, the facts hold,
+    /// so validation scans no row.
+    #[test]
+    fn the_facts_hold_on_the_committed_machines() {
+        let specs = mcsim::presets::all_paper_platforms()
+            .into_iter()
+            .chain(mcsim::presets::all_synthetic());
+        let mut parted = 0;
+        for spec in specs {
+            let (topo, norm) = assembled(&spec);
+            if norm.parts.len() > 1 {
+                assert!(validate::facts_hold(&topo, &norm), "{}", spec.name);
+                parted += 1;
+            }
+        }
+        assert!(parted >= 9, "{parted} machines in parts");
+    }
+
+    #[test]
+    fn validate_blocks_names_what_the_row_scan_names() {
+        let text = |e: McTopError| e.to_string();
+        for spec in [
+            mcsim::presets::ivy(),
+            mcsim::presets::westmere(),
+            mcsim::presets::sparc(),
+        ] {
+            let (topo, norm) = assembled(&spec);
+            assert!(validate::validate_blocks(&topo, Some(&norm)).is_ok());
+            let p = norm.parts.len();
+            assert!(p > 1, "{}", spec.name);
+            let k = norm.parts[0].len();
+            let (between, exceptions) = (norm.between.clone(), norm.exceptions.clone());
+            let off = |v: u32| v + 1;
+            // A pair inside the last part.
+            let mut blocks = norm.blocks.clone();
+            blocks[p - 1][1] = off(blocks[p - 1][1]);
+            blocks[p - 1][k] = off(blocks[p - 1][k]);
+            let block = norm.with_values(blocks, between.clone(), exceptions.clone());
+            // The value between the first two parts.
+            let mut moved = between.clone();
+            moved[1] = off(moved[1]);
+            moved[p] = off(moved[p]);
+            let pair_of_parts = norm.with_values(norm.blocks.clone(), moved, exceptions.clone());
+            // A pair between the first two parts, off their value.
+            let (x, y) = (norm.parts[0][1], norm.parts[1][1]);
+            let mut added = exceptions.clone();
+            added.push((x.min(y), x.max(y), off(between[1])));
+            added.sort_unstable();
+            let exception = norm.with_values(norm.blocks.clone(), between.clone(), added);
+            // The pair (0, 1), in its part's block or an exception.
+            let first = if norm.of[0] == norm.of[1] {
+                let (u, i, j) = (norm.of[0], 0, 1);
+                let mut blocks = norm.blocks.clone();
+                let k = norm.parts[u].len();
+                let i = norm.parts[u].iter().position(|&c| c == i).unwrap();
+                let j = norm.parts[u].iter().position(|&c| c == j).unwrap();
+                blocks[u][i * k + j] = off(blocks[u][i * k + j]);
+                blocks[u][j * k + i] = off(blocks[u][j * k + i]);
+                norm.with_values(blocks, between.clone(), exceptions.clone())
+            } else {
+                let mut added = exceptions.clone();
+                added.push((0, 1, off(between[norm.of[0] * p + norm.of[1]])));
+                added.sort_unstable();
+                norm.with_values(norm.blocks.clone(), between.clone(), added)
+            };
+            for (what, planted) in [
+                ("block", block),
+                ("between", pair_of_parts),
+                ("exception", exception),
+                ("first pair", first),
+            ] {
+                let mut bad = topo.clone();
+                bad.lat_table = planted.clone().into_dense().into_vec();
+                let want = validate::validate(&bad).map_err(text);
+                assert!(want.is_err(), "{} {what}: planted value passes", spec.name);
+                if what == "first pair" {
+                    let named = want.as_ref().unwrap_err();
+                    assert!(named.contains("entry (0, 1)"), "{named}");
+                }
+                let got = validate::validate_blocks(&bad, Some(&planted)).map_err(text);
+                assert_eq!(got, want, "{} {what}", spec.name);
+            }
+        }
     }
 
     #[test]

@@ -9,29 +9,26 @@
 //! subtracted from every value; DVFS is defeated by spinning until the
 //! cores reach maximum frequency.
 //!
-//! Measurements between disjoint context pairs are independent, so
-//! [`collect_parallel`] drives the rounds of the circle-method schedule
-//! ([`crate::alg::schedule`]) across a pool of forked probers, up to
-//! ⌊N/2⌋ pairs at a time. The parallel path is *deterministic*: every
-//! measurement draws its randomness from a stream derived from the run
-//! seed and a [`ProbeStream`] identity (calibration, warm-up of one
-//! context, one pair), never from a position in a global sample
-//! sequence — so `collect_parallel` with any worker count
-//! produces byte-for-byte the same table and statistics as the
-//! sequential [`collect`].
+//! Collection runs on one prober, which moves from pair to pair as the
+//! paper's two threads do: pairs measured at once would share the
+//! coherence fabric they measure. Every measurement draws its
+//! randomness from a stream derived from the run seed and a
+//! [`ProbeStream`] identity (calibration, warm-up of one context, one
+//! pair), never from a position in a global sample sequence, so a
+//! pair's value does not depend on when it is measured. The order of
+//! the pairs ([`crate::alg::schedule`]) decides only which pair a
+//! failing run names.
 //!
 //! [`PairSelection`] decides which pairs are measured at all: every one
 //! (the paper's collection), a pruned plan for mesh-scale machines, or
 //! the hierarchy-first plan that predicts the pairs between two sockets
-//! from one representative (see [`collect_parallel`]). Every measured
-//! pair gets the full repetitions; the cost is modeled in
-//! [`ProbeStats`], keeping the Section 3.5 accounting honest.
-
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering, //
-};
-use std::sync::Barrier;
+//! from one representative (see [`collect`]). Each value is written
+//! where the table's block form keeps it (`table::BlockTable`): a
+//! hierarchy-first run keeps an anchor's row, a block per socket and
+//! the few measured pairs off their socket pair's representative, and
+//! no N x N table. Every measured pair gets the full repetitions; the
+//! cost is modeled in [`ProbeStats`], keeping the Section 3.5
+//! accounting honest.
 
 use mcsim::stats;
 
@@ -46,7 +43,6 @@ use crate::alg::table::{
     LatencyTable, //
 };
 use crate::error::McTopError;
-use crate::sync::Mutex;
 
 /// The three OS dependencies of Section 3 ("A way to read the number of
 /// available hardware contexts and the number of memory nodes, and a way
@@ -55,9 +51,8 @@ use crate::sync::Mutex;
 ///
 /// Implementations: [`crate::backend::SimProber`] over a simulated
 /// machine, and [`crate::host::HostProber`] over the real machine the
-/// process runs on (Linux only). Probers are [`Send`]:
-/// [`collect_parallel`] moves forks onto measurement threads.
-pub trait Prober: Send {
+/// process runs on (Linux only).
+pub trait Prober {
     /// Number of schedulable hardware contexts.
     fn num_hwcs(&self) -> usize;
 
@@ -95,31 +90,11 @@ pub trait Prober: Send {
     ///
     /// Simulated backends reseed their noise generator from
     /// `(run seed, stream)` so that every sample is a pure function of
-    /// the stream identity and its index within the stream — the
-    /// determinism contract of [`collect_parallel`]. Hardware backends
-    /// have no seedable randomness and keep the default no-op.
+    /// the stream identity and its index within the stream: a pair's
+    /// value does not depend on the order of the pairs ([`collect`]).
+    /// Hardware backends have no seedable randomness and keep the
+    /// default no-op.
     fn begin_stream(&mut self, _stream: ProbeStream) {}
-
-    /// An independent prober that can measure pairs concurrently with
-    /// `self` (and with other forks), or `None` if the backend cannot
-    /// be driven from more than one thread. Forks inherit the machine
-    /// shape and any warm-up state accumulated so far.
-    fn fork(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
-        None
-    }
-
-    /// Whether concurrently measured pairs disturb each other's
-    /// timings. When `true` (hardware backends), `collect_parallel`
-    /// barriers between schedule rounds so only mutually disjoint pairs
-    /// are ever in flight. Simulated backends return `false`: their
-    /// samples are pure functions of the stream, so workers may run
-    /// ahead without a round barrier.
-    fn concurrent_pairs_interfere(&self) -> bool {
-        true
-    }
 
     /// A name for the machine (used in reports and description files).
     fn machine_name(&self) -> String {
@@ -129,10 +104,10 @@ pub trait Prober: Send {
     /// Cumulative count of transient backend failures this prober has
     /// absorbed by retrying internally (measurement-thread spawn
     /// failures, short sample batches — see
-    /// `crate::host::HostProber::measure_pair`). The phase runners
-    /// fold per-phase deltas into [`ProbeStats::retries`], so absorbed
-    /// failures still show up in the cost accounting. Deterministic
-    /// backends never retry and keep the default.
+    /// `crate::host::HostProber::measure_pair`). Collection folds the
+    /// run's delta into [`ProbeStats::retries`], so absorbed failures
+    /// still show up in the cost accounting. Deterministic backends
+    /// never retry and keep the default.
     fn backend_retries(&self) -> u64 {
         0
     }
@@ -141,9 +116,9 @@ pub trait Prober: Send {
 /// Identity of an independent randomness stream of the collection
 /// phase. Backends with simulated noise derive a fresh generator per
 /// stream (see [`Prober::begin_stream`]), which makes measurement
-/// results independent of the global order pairs are visited in — the
-/// property that lets sequential and parallel collection agree
-/// byte-for-byte.
+/// results independent of the global order pairs are visited in: a
+/// plan's order, and whether a pair is measured in a plan's first step
+/// or in a fallback, never change its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeStream {
     /// The rdtsc-cost calibration loop (run once, before any pair).
@@ -185,7 +160,7 @@ impl ProbeStream {
 /// [`PairSelection::Hierarchy`] needs no hint at all: it finds the
 /// sockets from the measurements themselves, measures every pair inside
 /// them, and predicts the pairs between two sockets from one
-/// representative, checked against a sample (see [`collect_parallel`]).
+/// representative, checked against a sample (see [`collect`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairSelection {
     /// Measure every unordered pair (the paper's collection).
@@ -366,20 +341,14 @@ pub struct ProbeStats {
     /// Raw probes issued.
     pub probes: u64,
     /// Pair-level retries due to unstable stdev, plus transient
-    /// backend failures absorbed by retry ([`Prober::backend_retries`]
-    /// deltas, folded in per phase).
+    /// backend failures absorbed by retry (the run's
+    /// [`Prober::backend_retries`] delta).
     pub retries: u64,
     /// Cycles spent inside probes (sum of all raw samples).
     pub sample_cycles: u64,
     /// Cycles of fixed per-pair overhead (thread migration, barriers,
     /// DVFS re-checks).
     pub overhead_cycles: u64,
-    /// Modelled critical-path cycles: with the disjoint-round schedule,
-    /// each round costs the maximum over the workers measuring it, not
-    /// the sum. Equals `sample_cycles + overhead_cycles` for a
-    /// sequential run; under `collect_parallel(jobs=K)` it shrinks
-    /// toward `modeled_cycles() / K`.
-    pub critical_cycles: u64,
     /// Hierarchy-first runs that gave up predicting and measured every
     /// remaining pair: a socket cut that did not hold, or an anchor-row
     /// or hold-out value off its predicted level.
@@ -399,24 +368,21 @@ impl ProbeStats {
     }
 
     /// Folds another run's statistics into this one (all counters are
-    /// additive; critical-path cycles add because sequential phases
-    /// concatenate — per-round maxima across workers are computed by
-    /// the collector before merging).
+    /// additive).
     pub fn merge(&mut self, other: &ProbeStats) {
         self.pairs += other.pairs;
         self.probes += other.probes;
         self.retries += other.retries;
         self.sample_cycles += other.sample_cycles;
         self.overhead_cycles += other.overhead_cycles;
-        self.critical_cycles += other.critical_cycles;
         self.fallbacks += other.fallbacks;
     }
 
     /// Stats as they would look with `target` repetitions per pair
     /// instead of the `actual` used: probe time scales linearly, the
     /// per-pair overhead does not. Lets fast runs report the cost of the
-    /// paper's 2000-rep configuration. Sample and critical-path cycles
-    /// scale by the resulting probe ratio.
+    /// paper's 2000-rep configuration. Sample cycles scale by the
+    /// resulting probe ratio.
     pub fn scaled_to_reps(&self, actual: usize, target: usize) -> ProbeStats {
         assert!(actual > 0);
         let f = target as f64 / actual as f64;
@@ -432,44 +398,27 @@ impl ProbeStats {
             retries: self.retries,
             sample_cycles: (self.sample_cycles as f64 * cf) as u64,
             overhead_cycles: self.overhead_cycles,
-            critical_cycles: (self.critical_cycles as f64 * cf) as u64,
             fallbacks: self.fallbacks,
         }
     }
 }
 
-/// Collects the full latency table (upper triangle measured, mirrored),
-/// sequentially. Identical in output to [`collect_parallel`] with any
-/// worker count.
-pub fn collect<P: Prober>(
-    prober: &mut P,
-    cfg: &ProbeConfig,
-) -> Result<(LatencyTable, ProbeStats), McTopError> {
-    collect_parallel(prober, cfg, 1)
-}
-
-/// Collects the full latency table with up to `jobs` forked probers
-/// measuring the disjoint pairs of each schedule round concurrently.
+/// Collects the full latency table (upper triangle measured, mirrored)
+/// on one prober, in the plan `cfg.pairs` names.
 ///
-/// # Determinism contract
+/// # Determinism
 ///
-/// The output (table, statistics, and any error) is byte-for-byte the
-/// output of the sequential [`collect`], for every `jobs` value: each
-/// pair's samples come from an independent stream derived from the run
-/// seed and the pair identity ([`ProbeStream`]), and warm-up runs to
-/// completion before any pair is measured, so no measurement depends on
-/// global ordering. For backends with order-dependent state the
-/// contract requires `cfg.warmup` (or frequency scaling disabled) —
-/// the simulated backend's DVFS factor is saturated by warm-up and
-/// inherited by every fork. Backends whose [`Prober::fork`] returns
-/// `None` (and `jobs <= 1`) run the same loop with one prober, on the
-/// calling thread. Only [`ProbeStats::critical_cycles`], the modelled
-/// critical path, depends on `jobs`.
+/// Each pair's samples come from an independent stream derived from
+/// the run seed and the pair identity ([`ProbeStream`]), and warm-up
+/// runs to completion before any pair is measured, so a value depends
+/// on its pair alone, never on the order pairs are measured in. The
+/// order decides only which pair a failing run names: the first that
+/// fails in the plan's order, with its best relative stdev.
 ///
 /// # Hierarchy-first collection
 ///
 /// Under [`PairSelection::Hierarchy`] the run measures in the order of
-/// the hierarchy, each step a phase of its own:
+/// the hierarchy:
 ///
 /// 1. *Anchor rows.* The lowest context not yet placed is the anchor of
 ///    a new socket and is measured against every context. Its row is
@@ -478,285 +427,372 @@ pub fn collect<P: Prober>(
 ///    rule), and every later socket must cut at the first one's size.
 ///    Every context then has a value against every socket's anchor.
 /// 2. *Intra-socket pairs.* Every pair inside each socket, so groups
-///    and SMT stay fully measured.
+///    and SMT stay fully measured: round by round of each socket's
+///    round-robin schedule, the sockets side by side.
 /// 3. *Representatives and hold-outs.* The two anchors' pair is the
 ///    representative of a socket pair (the pair `assemble` reads the
 ///    socket latency from). A splitmix sample, seeded by the shape
 ///    only, adds two more pairs per socket pair and `N` more anywhere
-///    across sockets.
+///    across sockets, measured in first-fit round order.
 ///
 /// Every anchor-row value and every hold-out must land on its socket
 /// pair's representative level: within the gap at which
 /// [`cluster::cluster`] would split the two. Then each unmeasured pair
 /// takes its representative's value. A socket cut that does not hold or
-/// any value off its level instead measures every remaining pair; the
-/// table is then exactly the exhaustive one (each pair's samples come
-/// from its own stream, whenever it is measured), and
+/// any value off its level instead measures every remaining pair, in
+/// round-robin order; the table is then exactly the exhaustive one, and
 /// [`ProbeStats::fallbacks`] says so.
-pub fn collect_parallel<P: Prober>(
+pub fn collect<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
-    jobs: usize,
 ) -> Result<(LatencyTable, ProbeStats), McTopError> {
-    let (table, stats) = collect_blocks(prober, cfg, jobs)?;
+    let (table, stats) = collect_blocks(prober, cfg)?;
     Ok((table.into_dense(), stats))
 }
 
-/// [`collect_parallel`] in block form: a hierarchy-first run that
-/// predicted the pairs between sockets returns a part per socket, one
-/// value per socket pair (its representative) and the measured pairs
-/// off it; every other run returns the one-part form of its table.
+/// [`collect`] under the name `mctbench` times it by
+/// (`alg.probe.collect_parallel2`). Collection runs on one prober, so
+/// the worker count is ignored.
+pub fn collect_parallel<P: Prober>(
+    prober: &mut P,
+    cfg: &ProbeConfig,
+    _jobs: usize,
+) -> Result<(LatencyTable, ProbeStats), McTopError> {
+    collect(prober, cfg)
+}
+
+/// [`collect`] in block form: a hierarchy-first run that predicted the
+/// pairs between sockets returns a part per socket, one value per socket
+/// pair (its representative) and the measured pairs off it, each value
+/// written there as it is measured; every other run returns the
+/// one-part form of its table.
 pub(crate) fn collect_blocks<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
-    jobs: usize,
 ) -> Result<(BlockTable, ProbeStats), McTopError> {
-    let mut ctx = begin_collection(prober, cfg)?;
-    let nodes = prober.num_nodes();
-    let hierarchy = cfg.pairs == PairSelection::Hierarchy;
-    let (rounds, pruned) = if hierarchy {
-        (Vec::new(), None)
-    } else {
-        plan_rounds(ctx.n, cfg)
+    let mut run = Run::begin(prober, cfg);
+    let table = match cfg.pairs {
+        PairSelection::Hierarchy => collect_hierarchy(&mut run)?,
+        PairSelection::Pruned(pc) => match pruned_pairs(run.n, &pc) {
+            Some(pairs) => BlockTable::whole(collect_pruned(&mut run, &pairs, &pc)?),
+            None => BlockTable::whole(collect_exhaustive(&mut run)?),
+        },
+        PairSelection::Exhaustive => BlockTable::whole(collect_exhaustive(&mut run)?),
     };
-    let mut stats = ProbeStats::default();
+    Ok((table, run.finish()))
+}
 
-    // Fork the worker pool after warm-up, so every fork inherits the
-    // saturated DVFS state. A backend that cannot fork, like a run with
-    // one job, is a team of one: `prober` itself, and no thread.
-    let mut forks: Vec<P> = Vec::new();
-    if jobs > 1 {
-        for _ in 0..jobs.min(ctx.n / 2) {
-            match prober.fork() {
-                Some(f) => forks.push(f),
-                None => {
-                    forks.clear();
-                    break;
+/// One collection run on one prober: the rdtsc estimate every value is
+/// corrected by, the statistics so far, and the sample buffer.
+struct Run<'a, P> {
+    prober: &'a mut P,
+    cfg: &'a ProbeConfig,
+    n: usize,
+    rdtsc_est: u32,
+    stats: ProbeStats,
+    buf: Vec<u32>,
+    /// [`Prober::backend_retries`] when measuring began.
+    backend_before: u64,
+}
+
+impl<'a, P: Prober> Run<'a, P> {
+    /// Calibration and warm-up, before any pair, so that measurement
+    /// streams never interleave with warm-up randomness.
+    fn begin(prober: &'a mut P, cfg: &'a ProbeConfig) -> Self {
+        let n = prober.num_hwcs();
+        assert!(n >= 2, "need at least two hardware contexts");
+        assert!(cfg.reps >= 1, "need at least one repetition per pair");
+        // Estimate the rdtsc read cost once, as the median of a
+        // calibration loop (Fig. 5 subtracts `rdtsc_latency` from every
+        // measurement).
+        prober.begin_stream(ProbeStream::Calibration);
+        let mut rdtsc_samples: Vec<u32> = (0..101).map(|_| prober.rdtsc_cost()).collect();
+        let rdtsc_est = stats::median_u32(&mut rdtsc_samples);
+        // The paper warms both cores before every lock-step phase;
+        // warming everything up-front is equivalent (frequency only ramps
+        // up) and keeps measurements independent of pair order.
+        if cfg.warmup {
+            for ctx in 0..n {
+                prober.begin_stream(ProbeStream::Warmup(ctx));
+                prober.warmup(ctx);
+            }
+        }
+        let backend_before = prober.backend_retries();
+        Run {
+            prober,
+            cfg,
+            n,
+            rdtsc_est,
+            stats: ProbeStats::default(),
+            buf: Vec::new(),
+            backend_before,
+        }
+    }
+
+    /// The rdtsc-corrected value of the pair `a < b`, or the error that
+    /// names it when its samples never settled.
+    fn measure(&mut self, a: usize, b: usize) -> Result<u32, McTopError> {
+        match measure_one(self.prober, self.cfg, a, b, &mut self.stats, &mut self.buf) {
+            Ok(median) => Ok(median.saturating_sub(self.rdtsc_est)),
+            Err(stdev_frac) => Err(McTopError::UnstableMeasurements {
+                pair: (a, b),
+                stdev_frac,
+            }),
+        }
+    }
+
+    /// The run's statistics, with the transient failures the backend
+    /// absorbed while measuring.
+    fn finish(mut self) -> ProbeStats {
+        let absorbed = self.prober.backend_retries();
+        self.stats.retries += absorbed.saturating_sub(self.backend_before);
+        self.stats
+    }
+}
+
+/// Every pair, round after round of the round-robin schedule, into a
+/// dense table.
+fn collect_exhaustive<P: Prober>(run: &mut Run<P>) -> Result<LatencyTable, McTopError> {
+    let mut table = LatencyTable::new(run.n);
+    for (a, b) in schedule::round_robin_pairs(run.n) {
+        table.set(a, b, run.measure(a, b)?);
+    }
+    Ok(table)
+}
+
+/// The pairs of a pruned plan, in the plan's (sorted) order, and the
+/// rest of the table from the socket-graph closure.
+fn collect_pruned<P: Prober>(
+    run: &mut Run<P>,
+    pairs: &[(usize, usize)],
+    pc: &PruneCfg,
+) -> Result<LatencyTable, McTopError> {
+    let values = pairs
+        .iter()
+        .map(|&(a, b)| run.measure(a, b))
+        .collect::<Result<Vec<u32>, _>>()?;
+    Ok(reconstruct_pruned(run.n, pairs, &values, pc))
+}
+
+/// What a hierarchy-first run has measured, each value where the block
+/// form keeps it: a row per anchor, a block per socket, the hold-outs.
+struct Measured {
+    n: usize,
+    /// The contexts whose rows are measured, ascending: `anchors[t]`'s
+    /// row is `rows[t]` (0 at the anchor itself), and `row_of[c]` is
+    /// `t` for `c == anchors[t]`, else `usize::MAX`.
+    anchors: Vec<usize>,
+    rows: Vec<Vec<u32>>,
+    row_of: Vec<usize>,
+    /// `of[c]`: the socket of context `c` (`usize::MAX` while it has
+    /// none); `members[s]` ascending, so `members[s][0] == anchors[s]`.
+    of: Vec<usize>,
+    members: Vec<Vec<usize>>,
+    /// Each socket's `k x k` block, once every pair inside the sockets
+    /// is measured (empty before).
+    blocks: Vec<Vec<u32>>,
+    /// The hold-outs (`a < b`, ascending) and their values.
+    holdouts: Vec<(usize, usize)>,
+    holdout_values: Vec<u32>,
+}
+
+impl Measured {
+    fn new(n: usize) -> Self {
+        Measured {
+            n,
+            anchors: Vec::new(),
+            rows: Vec::new(),
+            row_of: vec![usize::MAX; n],
+            of: vec![usize::MAX; n],
+            members: Vec::new(),
+            blocks: Vec::new(),
+            holdouts: Vec::new(),
+            holdout_values: Vec::new(),
+        }
+    }
+
+    /// The representative latency of the socket pair `(u, v)`: its two
+    /// anchors' pair, read off `v`'s row.
+    fn rep(&self, u: usize, v: usize) -> u32 {
+        self.rows[v][self.members[u][0]]
+    }
+
+    /// Whether `value`, measured between two sockets `u` and `v`, lies
+    /// on their representative level.
+    fn on_level(&self, value: u32, u: usize, v: usize, cfg: &ClusterCfg) -> bool {
+        same_level(value, self.rep(u, v), cfg)
+    }
+
+    /// Whether the pair `a < b` has been measured.
+    fn has(&self, a: usize, b: usize) -> bool {
+        self.row_of[a] != usize::MAX
+            || self.row_of[b] != usize::MAX
+            || (!self.blocks.is_empty() && self.of[a] == self.of[b])
+            || self.holdouts.binary_search(&(a, b)).is_ok()
+    }
+
+    /// The measured values in a dense table, the rest zero: where a run
+    /// that fell back goes on measuring.
+    fn dense(&self) -> LatencyTable {
+        let mut table = LatencyTable::new(self.n);
+        for (&anchor, row) in self.anchors.iter().zip(&self.rows) {
+            for (b, &value) in row.iter().enumerate() {
+                if b != anchor {
+                    table.set(anchor, b, value);
                 }
             }
         }
-    }
-
-    let team = match forks.len() {
-        0 | 1 => std::slice::from_mut(prober),
-        _ => &mut forks[..],
-    };
-    if hierarchy {
-        if let Some((sockets, cross)) = collect_hierarchy(&mut ctx, cfg, nodes, &mut stats, team)? {
-            let table = BlockTable::from_parts(&ctx.table, sockets.of, sockets.members, &cross);
-            return Ok((table, stats));
+        for (members, block) in self.members.iter().zip(&self.blocks) {
+            let k = members.len();
+            for (i, &a) in members.iter().enumerate() {
+                for (j, &b) in members.iter().enumerate().skip(i + 1) {
+                    table.set(a, b, block[i * k + j]);
+                }
+            }
         }
-    } else {
-        run_phase(team, cfg, &slices(&rounds), &mut ctx, &mut stats)?;
-        if let Some((pairs, pc)) = &pruned {
-            reconstruct_pruned(&mut ctx.table, pairs, pc);
+        for (&(a, b), &value) in self.holdouts.iter().zip(&self.holdout_values) {
+            table.set(a, b, value);
         }
-    }
-    Ok((BlockTable::whole(ctx.table), stats))
-}
-
-/// The measured pairs of a hierarchy-first run, and the team that
-/// measures more.
-struct Measured<'t, P> {
-    n: usize,
-    /// `done[a * n + b]`: the pair has been measured (or is the
-    /// diagonal), both ways round.
-    done: Vec<bool>,
-    team: &'t mut [P],
-}
-
-impl<P: Prober> Measured<'_, P> {
-    fn has(&self, a: usize, b: usize) -> bool {
-        self.done[a * self.n + b]
+        table
     }
 
-    /// Measures the pairs of `rounds` (each `a < b`) as one phase and
-    /// writes them into the table, surfacing the first failure.
-    fn run(
-        &mut self,
-        ctx: &mut Collection,
-        cfg: &ProbeConfig,
-        rounds: &[&[(usize, usize)]],
-        stats: &mut ProbeStats,
-    ) -> Result<(), McTopError> {
-        for &(a, b) in rounds.iter().copied().flatten() {
-            self.done[a * self.n + b] = true;
-            self.done[b * self.n + a] = true;
+    /// The block form of a run whose checks held: a part per socket,
+    /// the representatives between them, and every anchor-row value and
+    /// hold-out off its representative as an exception.
+    fn into_blocks(self) -> BlockTable {
+        let p = self.members.len();
+        let mut between = vec![0u32; p * p];
+        for u in 0..p {
+            for v in 0..p {
+                if u != v {
+                    between[u * p + v] = self.rep(u, v);
+                }
+            }
         }
-        run_phase(self.team, cfg, rounds, ctx, stats)
+        let mut exceptions = Vec::new();
+        for (t, (&anchor, row)) in self.anchors.iter().zip(&self.rows).enumerate() {
+            for (c, &value) in row.iter().enumerate() {
+                let u = self.of[c];
+                if u != t && value != between[t * p + u] {
+                    exceptions.push((anchor.min(c), anchor.max(c), value));
+                }
+            }
+        }
+        for (&(a, b), &value) in self.holdouts.iter().zip(&self.holdout_values) {
+            if value != between[self.of[a] * p + self.of[b]] {
+                exceptions.push((a, b, value));
+            }
+        }
+        exceptions.sort_unstable();
+        BlockTable::from_blocks(self.of, self.members, self.blocks, between, exceptions)
     }
 }
-
-/// Rounds as slices, the one form [`run_phase`] takes: the anchor rows
-/// are one-pair chunks of one vector, with no allocation per pair. (A
-/// `run_phase` generic over the round type instead measured about 25 %
-/// slower per pair on exhaustive collection.)
-fn slices(rounds: &[Vec<(usize, usize)>]) -> Vec<&[(usize, usize)]> {
-    rounds.iter().map(Vec::as_slice).collect()
-}
-
-/// The sockets a hierarchy-first run found: `members[s]` ascending, so
-/// `members[s][0]` is the socket's anchor, and `of[c]` the socket of
-/// context `c`.
-struct Sockets {
-    of: Vec<usize>,
-    members: Vec<Vec<usize>>,
-}
-
-impl Sockets {
-    /// The representative latency of the socket pair `(u, v)`: its two
-    /// anchors' pair.
-    fn rep(&self, table: &LatencyTable, u: usize, v: usize) -> u32 {
-        table.get(self.members[u][0], self.members[v][0])
-    }
-
-    /// Whether the measured pair `(a, b)` of two sockets lies on its
-    /// socket pair's representative level.
-    fn on_level(&self, table: &LatencyTable, a: usize, b: usize, cfg: &ClusterCfg) -> bool {
-        let rep = self.rep(table, self.of[a], self.of[b]);
-        same_level(table.get(a, b), rep, cfg)
-    }
-}
-
-/// The sockets a hierarchy-first run found, and the measured pairs
-/// between two of them (`a < b`).
-type SocketsFound = (Sockets, Vec<(usize, usize)>);
 
 /// Splitmix seed of the hold-out sample (mixed with the shape).
 const HOLDOUT_SEED: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// Hierarchy-first collection ([`PairSelection::Hierarchy`]; the steps
-/// are described at [`collect_parallel`]). Returns the sockets and the
-/// measured pairs between two of them when the checks held; `None` when
-/// the run fell back and measured every pair.
-fn collect_hierarchy<P: Prober>(
-    ctx: &mut Collection,
-    cfg: &ProbeConfig,
-    nodes: usize,
-    stats: &mut ProbeStats,
-    team: &mut [P],
-) -> Result<Option<SocketsFound>, McTopError> {
-    let n = ctx.n;
-    let mut done = vec![false; n * n];
-    for c in 0..n {
-        done[c * n + c] = true;
+/// are described at [`collect`]): the block form when the checks held,
+/// else the dense table of a run that measured every pair.
+fn collect_hierarchy<P: Prober>(run: &mut Run<P>) -> Result<BlockTable, McTopError> {
+    let mut m = Measured::new(run.n);
+    if hierarchy_steps(run, &mut m)? {
+        return Ok(m.into_blocks());
     }
-    let mut m = Measured { n, done, team };
-    match hierarchy_steps(ctx, cfg, nodes, stats, &mut m)? {
-        Some(found) => return Ok(Some(found)),
-        None => {
-            stats.fallbacks += 1;
-            let rest = schedule::round_robin(n)
-                .into_iter()
-                .map(|round| {
-                    round
-                        .into_iter()
-                        .filter(|&(a, b)| !m.has(a, b))
-                        .collect::<Vec<_>>()
-                })
-                .filter(|round| !round.is_empty())
-                .collect::<Vec<_>>();
-            m.run(ctx, cfg, &slices(&rest), stats)?;
+    run.stats.fallbacks += 1;
+    let mut table = m.dense();
+    for (a, b) in schedule::round_robin_pairs(run.n) {
+        if !m.has(a, b) {
+            table.set(a, b, run.measure(a, b)?);
         }
     }
-    Ok(None)
+    Ok(BlockTable::whole(table))
 }
 
-/// Runs the three measuring steps and their checks: the sockets and the
-/// measured pairs between two of them (anchor rows and hold-outs).
-/// `Ok(None)` means a check missed and the run must measure every
-/// remaining pair.
-fn hierarchy_steps<P: Prober>(
-    ctx: &mut Collection,
-    cfg: &ProbeConfig,
-    nodes: usize,
-    stats: &mut ProbeStats,
-    m: &mut Measured<P>,
-) -> Result<Option<SocketsFound>, McTopError> {
-    let n = ctx.n;
-    let nodes = nodes.max(1);
+/// Runs the three measuring steps and their checks into `m`. `Ok(false)`
+/// means a check missed and the run must measure every remaining pair.
+fn hierarchy_steps<P: Prober>(run: &mut Run<P>, m: &mut Measured) -> Result<bool, McTopError> {
+    let n = run.n;
+    let cfg = &run.cfg.cluster;
+    let nodes = run.prober.num_nodes().max(1);
     let quota = if n.is_multiple_of(nodes) {
         n / nodes
     } else {
         0
     };
-    // Step 1: anchor rows. Every pair of a row shares the anchor, so
-    // each is a round of its own.
-    let mut of = vec![usize::MAX; n];
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    while let Some(anchor) = of.iter().position(|&s| s == usize::MAX) {
-        let row: Vec<(usize, usize)> = (0..n)
-            .filter(|&b| !m.has(anchor, b))
-            .map(|b| (anchor.min(b), anchor.max(b)))
-            .collect();
-        m.run(ctx, cfg, &row.chunks(1).collect::<Vec<_>>(), stats)?;
-        let size = members.first().map(Vec::len);
-        let Some(socket) = cut_row(ctx.table.row(anchor), anchor, quota, size, &cfg.cluster) else {
-            return Ok(None);
+    // Step 1: anchor rows. A pair with an earlier anchor is on that
+    // anchor's row already.
+    while let Some(anchor) = m.of.iter().position(|&s| s == usize::MAX) {
+        let mut row = vec![0u32; n];
+        for (b, value) in row.iter_mut().enumerate() {
+            *value = match m.row_of[b] {
+                _ if b == anchor => 0,
+                usize::MAX => run.measure(anchor.min(b), anchor.max(b))?,
+                t => m.rows[t][anchor],
+            };
+        }
+        let size = m.members.first().map(Vec::len);
+        let socket = cut_row(&row, anchor, quota, size, cfg);
+        m.row_of[anchor] = m.rows.len();
+        m.anchors.push(anchor);
+        m.rows.push(row);
+        let Some(socket) = socket else {
+            return Ok(false);
         };
-        if socket.iter().any(|&c| of[c] != usize::MAX) {
-            return Ok(None);
+        if socket.iter().any(|&c| m.of[c] != usize::MAX) {
+            return Ok(false);
         }
         for &c in &socket {
-            of[c] = members.len();
+            m.of[c] = m.members.len();
         }
-        members.push(socket);
+        m.members.push(socket);
     }
-    let sockets = Sockets { of, members };
-    let off_level = sockets.members.iter().any(|socket| {
-        let anchor = socket[0];
-        (0..n).any(|c| {
-            sockets.of[c] != sockets.of[anchor]
-                && !sockets.on_level(&ctx.table, c, anchor, &cfg.cluster)
-        })
-    });
+    let sockets = m.members.len();
+    let off_level = (0..sockets)
+        .any(|t| (0..n).any(|c| m.of[c] != t && !m.on_level(m.rows[t][c], m.of[c], t, cfg)));
     if off_level {
-        return Ok(None);
+        return Ok(false);
     }
 
     // Step 2: every pair inside each socket, the sockets' round-robin
-    // schedules side by side (all sockets have one size).
-    let mut intra = Vec::new();
-    for round in schedule::round_robin(sockets.members[0].len()) {
-        let mut pairs = Vec::with_capacity(round.len() * sockets.members.len());
-        for s in &sockets.members {
-            pairs.extend(
-                round
-                    .iter()
-                    .map(|&(i, j)| (s[i], s[j]))
-                    .filter(|&(a, b)| !m.has(a, b)),
-            );
-        }
-        if !pairs.is_empty() {
-            intra.push(pairs);
+    // schedules side by side (all sockets have one size). The pairs of
+    // a socket's anchor are on its row.
+    let k = m.members[0].len();
+    let mut blocks: Vec<Vec<u32>> = (0..sockets)
+        .map(|t| {
+            let mut block = vec![0u32; k * k];
+            for (j, &c) in m.members[t].iter().enumerate() {
+                block[j] = m.rows[t][c];
+                block[j * k] = m.rows[t][c];
+            }
+            block
+        })
+        .collect();
+    let mut round = Vec::with_capacity(k / 2);
+    for r in 0..schedule::rounds(k) {
+        round.clear();
+        round.extend(schedule::round(k, r).filter(|&(i, _)| i != 0));
+        for (members, block) in m.members.iter().zip(&mut blocks) {
+            for &(i, j) in &round {
+                let value = run.measure(members[i], members[j])?;
+                block[i * k + j] = value;
+                block[j * k + i] = value;
+            }
         }
     }
-    m.run(ctx, cfg, &slices(&intra), stats)?;
+    m.blocks = blocks;
 
     // Step 3: the hold-out sample.
-    let holdouts = holdout_pairs(n, &sockets, &mut m.done);
-    m.run(
-        ctx,
-        cfg,
-        &slices(&schedule::rounds_for(n, &holdouts)),
-        stats,
-    )?;
-    let on_level = holdouts
+    m.holdouts = holdout_pairs(m);
+    m.holdout_values = vec![0; m.holdouts.len()];
+    for i in schedule::first_fit_order(n, &m.holdouts) {
+        let (a, b) = m.holdouts[i];
+        m.holdout_values[i] = run.measure(a, b)?;
+    }
+    Ok(m.holdouts
         .iter()
-        .all(|&(a, b)| sockets.on_level(&ctx.table, a, b, &cfg.cluster));
-    if !on_level {
-        return Ok(None);
-    }
-    let mut cross = holdouts;
-    for socket in &sockets.members {
-        let anchor = socket[0];
-        cross.extend(
-            (0..n)
-                .filter(|&c| sockets.of[c] != sockets.of[anchor])
-                .map(|c| (anchor.min(c), anchor.max(c))),
-        );
-    }
-    Ok(Some((sockets, cross)))
+        .zip(&m.holdout_values)
+        .all(|(&(a, b), &value)| m.on_level(value, m.of[a], m.of[b], cfg)))
 }
 
 /// The socket of `anchor`, read off its measured row: the anchor plus
@@ -807,24 +843,30 @@ fn same_level(x: u32, y: u32, cfg: &ClusterCfg) -> bool {
     x.abs_diff(y) <= cfg.abs_gap.max((cfg.rel_gap * x.min(y) as f64) as u32)
 }
 
-/// The hold-out sample of a hierarchy-first run, sorted: for each
+/// The hold-out sample of a hierarchy-first run, ascending: for each
 /// socket pair, the first two unmeasured pairs of its grid scanned from
 /// a seeded start, then `n` more unmeasured cross-socket pairs drawn at
-/// random (a bounded number of draws). Each pick is marked in `done`
-/// at once, so none is drawn twice; the caller measures them next.
-fn holdout_pairs(n: usize, sockets: &Sockets, done: &mut [bool]) -> Vec<(usize, usize)> {
-    let s = sockets.members.len();
-    let c = sockets.members[0].len();
+/// random (a bounded number of draws), none drawn twice. A cross-socket
+/// pair is measured already when it is on an anchor's row.
+fn holdout_pairs(m: &Measured) -> Vec<(usize, usize)> {
+    let n = m.n;
+    let s = m.members.len();
+    let c = m.members[0].len();
     let mut next = super::splitmix(HOLDOUT_SEED ^ ((n as u64) << 32 | s as u64));
-    let mut picked = Vec::new();
-    let mut pick = |a: usize, b: usize, picked: &mut Vec<(usize, usize)>| {
-        let free = sockets.of[a] != sockets.of[b] && !done[a * n + b];
-        if free {
-            done[a * n + b] = true;
-            done[b * n + a] = true;
-            picked.push((a.min(b), a.max(b)));
+    // The picks as `a * n + b` (`a < b`), kept ascending.
+    let mut picked: Vec<u64> = Vec::new();
+    let pick = |a: usize, b: usize, picked: &mut Vec<u64>| {
+        if m.of[a] == m.of[b] || m.row_of[a] != usize::MAX || m.row_of[b] != usize::MAX {
+            return false;
         }
-        free
+        let key = (a.min(b) * n + a.max(b)) as u64;
+        match picked.binary_search(&key) {
+            Ok(_) => false,
+            Err(at) => {
+                picked.insert(at, key);
+                true
+            }
+        }
     };
     for u in 0..s {
         for v in (u + 1)..s {
@@ -835,11 +877,7 @@ fn holdout_pairs(n: usize, sockets: &Sockets, done: &mut [bool]) -> Vec<(usize, 
                     break;
                 }
                 let at = (start + k) % (c * c);
-                if pick(
-                    sockets.members[u][at / c],
-                    sockets.members[v][at % c],
-                    &mut picked,
-                ) {
+                if pick(m.members[u][at / c], m.members[v][at % c], &mut picked) {
                     found += 1;
                 }
             }
@@ -856,33 +894,16 @@ fn holdout_pairs(n: usize, sockets: &Sockets, done: &mut [bool]) -> Vec<(usize, 
             found += 1;
         }
     }
-    picked.sort_unstable();
+    let n = n as u64;
     picked
+        .into_iter()
+        .map(|key| ((key / n) as usize, (key % n) as usize))
+        .collect()
 }
 
-/// Resolves the measurement plan of a run: the schedule rounds plus,
-/// when pruning is active, the measured pair list the closure
-/// reconstruction needs afterwards. A pruning config that does not fit
-/// the machine falls back to the exhaustive round-robin schedule.
-#[allow(clippy::type_complexity)]
-fn plan_rounds(
-    n: usize,
-    cfg: &ProbeConfig,
-) -> (
-    Vec<Vec<(usize, usize)>>,
-    Option<(Vec<(usize, usize)>, PruneCfg)>,
-) {
-    if let PairSelection::Pruned(pc) = cfg.pairs {
-        if let Some(pairs) = pruned_pairs(n, &pc) {
-            let rounds = schedule::rounds_for(n, &pairs);
-            return (rounds, Some((pairs, pc)));
-        }
-    }
-    (schedule::round_robin(n), None)
-}
-
-/// Fills the unmeasured entries of a pruned table by shortest-path
-/// closure over the measured socket graph.
+/// The table of a pruned run over `n` contexts: each pair of `pairs`
+/// holds its measured value from `values`, and every other pair is
+/// filled by shortest-path closure over the measured socket graph.
 ///
 /// The model (matching [`crate::build`]'s link inference in reverse):
 /// every cross-socket latency is a fixed per-transfer overhead `h` plus
@@ -896,16 +917,15 @@ fn plan_rounds(
 /// where the model is exact (the mesh-scale presets) a noiseless pruned
 /// table equals the exhaustive one byte for byte, and on machines where
 /// it is not, validation sees the genuine measurements.
-fn reconstruct_pruned(table: &mut LatencyTable, pairs: &[(usize, usize)], pc: &PruneCfg) {
-    let n = table.n();
+fn reconstruct_pruned(
+    n: usize,
+    pairs: &[(usize, usize)],
+    values: &[u32],
+    pc: &PruneCfg,
+) -> LatencyTable {
     let c = pc.ctxs_per_socket;
     let m = pc.sockets;
     debug_assert_eq!(c * m, n);
-    let mut measured = vec![false; n * n];
-    for &(a, b) in pairs {
-        measured[a * n + b] = true;
-        measured[b * n + a] = true;
-    }
     // Socket-level edge weights: the minimum measured latency between
     // any context of u and any context of v (noise, if present, is
     // damped by taking the min over c^2-ish samples per socket pair).
@@ -913,9 +933,8 @@ fn reconstruct_pruned(table: &mut LatencyTable, pairs: &[(usize, usize)], pc: &P
     // Intra-socket fallback (the ball radius >= c guarantees every
     // intra pair is measured, so this is belt and braces).
     let mut intra: Vec<u32> = vec![u32::MAX; m];
-    for &(a, b) in pairs {
+    for (&(a, b), &lat) in pairs.iter().zip(values) {
         let (u, v) = (a / c, b / c);
-        let lat = table.get(a, b);
         if u == v {
             intra[u] = intra[u].min(lat);
         } else if lat < w[u * m + v] {
@@ -963,24 +982,41 @@ fn reconstruct_pruned(table: &mut LatencyTable, pairs: &[(usize, usize)], pc: &P
     for u in 0..m {
         root[u] = find_root(&mut root, u);
     }
-    // Fill every unmeasured entry; disconnected or intra-unmeasured
-    // pairs stay zero (validation rejects such tables loudly rather
-    // than inventing a number).
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if measured[a * n + b] {
-                continue;
-            }
-            let (u, v) = (a / c, b / c);
-            if u == v {
-                if intra[u] != u32::MAX {
-                    table.set(a, b, intra[u]);
+    // The value of every unmeasured pair of each socket pair, in `w`'s
+    // place: disconnected or intra-unmeasured pairs stay zero
+    // (validation rejects such tables loudly rather than inventing a
+    // number).
+    for u in 0..m {
+        for v in u..m {
+            let fill = if u == v {
+                if intra[u] == u32::MAX {
+                    0
+                } else {
+                    intra[u]
                 }
             } else if root[u] == root[v] {
-                table.set(a, b, h.saturating_add(dist[u * m + v]));
-            }
+                h.saturating_add(dist[u * m + v])
+            } else {
+                0
+            };
+            w[u * m + v] = fill;
+            w[v * m + u] = fill;
         }
     }
+    // Fill by socket-pair blocks, then write the measured values back.
+    let mut vals = vec![0u32; n * n];
+    for (a, row) in vals.chunks_exact_mut(n).enumerate() {
+        let fill = &w[a / c * m..][..m];
+        for (block, &value) in row.chunks_exact_mut(c).zip(fill) {
+            block.fill(value);
+        }
+        row[a] = 0;
+    }
+    for (&(a, b), &value) in pairs.iter().zip(values) {
+        vals[a * n + b] = value;
+        vals[b * n + a] = value;
+    }
+    LatencyTable::from_vec(n, vals)
 }
 
 /// The min-plus closure of [`reconstruct_pruned`] over the upper
@@ -1036,52 +1072,11 @@ fn close_triangle_portable(dist: &mut [u32], m: usize) {
     }
 }
 
-/// Shared state of one collection run.
-struct Collection {
-    n: usize,
-    rdtsc_est: u32,
-    table: LatencyTable,
-}
-
-/// Calibration + warm-up, shared by the sequential and parallel entry
-/// points. Runs before any pair so that measurement streams never
-/// interleave with warm-up randomness and forked probers inherit fully
-/// warmed cores.
-fn begin_collection<P: Prober>(
-    prober: &mut P,
-    cfg: &ProbeConfig,
-) -> Result<Collection, McTopError> {
-    let n = prober.num_hwcs();
-    assert!(n >= 2, "need at least two hardware contexts");
-    assert!(cfg.reps >= 1, "need at least one repetition per pair");
-    // Estimate the rdtsc read cost once, as the median of a calibration
-    // loop (Fig. 5 subtracts `rdtsc_latency` from every measurement).
-    prober.begin_stream(ProbeStream::Calibration);
-    let mut rdtsc_samples: Vec<u32> = (0..101).map(|_| prober.rdtsc_cost()).collect();
-    let rdtsc_est = stats::median_u32(&mut rdtsc_samples);
-    // The paper warms both cores before every lock-step phase; warming
-    // everything up-front is equivalent (frequency only ramps up) and
-    // keeps measurements independent of pair order.
-    if cfg.warmup {
-        for ctx in 0..n {
-            prober.begin_stream(ProbeStream::Warmup(ctx));
-            prober.warmup(ctx);
-        }
-    }
-    Ok(Collection {
-        n,
-        rdtsc_est,
-        table: LatencyTable::new(n),
-    })
-}
-
 /// Measures one pair with full repetitions and the stdev retry gate
 /// ([`ProbeStream::Pair`]), accumulating statistics and reusing `buf`
 /// for the samples. Returns the median of the accepted samples (rdtsc
 /// cost still included) or, when the retry escalation never
-/// stabilized, the best relative stdev; and the modelled cycles this
-/// pair occupied its measurement slot for (samples + migration
-/// overhead) — the unit of the critical-path accounting.
+/// stabilized, the best relative stdev.
 fn measure_one<P: Prober>(
     prober: &mut P,
     cfg: &ProbeConfig,
@@ -1089,8 +1084,7 @@ fn measure_one<P: Prober>(
     b: usize,
     stats: &mut ProbeStats,
     buf: &mut Vec<u32>,
-) -> (Result<u32, f64>, u64) {
-    let mut cycles = cfg.pair_overhead_cycles;
+) -> Result<u32, f64> {
     stats.overhead_cycles += cfg.pair_overhead_cycles;
     prober.begin_stream(ProbeStream::Pair(a, b));
     stats.pairs += 1;
@@ -1098,9 +1092,7 @@ fn measure_one<P: Prober>(
     for attempt in 0..=cfg.max_retries {
         prober.probe_batch(a, b, buf, cfg.reps);
         stats.probes += buf.len() as u64;
-        let sample_cycles: u64 = buf.iter().map(|&s| s as u64).sum();
-        stats.sample_cycles += sample_cycles;
-        cycles += sample_cycles;
+        stats.sample_cycles += buf.iter().map(|&s| s as u64).sum::<u64>();
         let (median, sd) = median_stdev(buf);
         let frac = if median == 0 { 0.0 } else { sd / median as f64 };
         // Threshold escalates linearly from stdev_frac to
@@ -1112,12 +1104,12 @@ fn measure_one<P: Prober>(
                 + (cfg.stdev_frac_max - cfg.stdev_frac) * (attempt as f64 / cfg.max_retries as f64)
         };
         if frac <= threshold {
-            return (Ok(median), cycles);
+            return Ok(median);
         }
         best_frac = best_frac.min(frac);
         stats.retries += 1;
     }
-    (Err(best_frac), cycles)
+    Err(best_frac)
 }
 
 /// Median and standard deviation of one attempt's samples. The stdev
@@ -1136,121 +1128,6 @@ fn median_stdev(samples: &mut [u32]) -> (u32, f64) {
     }
     let sd = stats::stdev(samples);
     (stats::median_u32(samples), sd)
-}
-
-/// Runs one phase over `probers` and writes each measured value
-/// (rdtsc-corrected) straight into the table: the pairs of each schedule
-/// round are dealt out across the probers, one worker thread each — or,
-/// for a single prober, the calling thread and nothing spawned. A run
-/// measures each pair at most once, so the order of the writes does not
-/// matter. Per-round worker maxima feed the critical-path accounting. A
-/// failing pair stops the phase, and the error is the first failure in
-/// schedule order, for any number of probers.
-fn run_phase<P: Prober>(
-    probers: &mut [P],
-    cfg: &ProbeConfig,
-    rounds: &[&[(usize, usize)]],
-    ctx: &mut Collection,
-    stats: &mut ProbeStats,
-) -> Result<(), McTopError> {
-    let jobs = probers.len();
-    let rdtsc_est = ctx.rdtsc_est;
-    // Disjointness within an in-flight set only matters when pairs
-    // disturb each other (real hardware): then a barrier holds workers
-    // to one schedule round at a time, so pairs in flight never share a
-    // context (the measurement-isolation property the schedule exists
-    // for). Order-independent backends skip the sync and stream through
-    // their share of every round.
-    let isolate_rounds = jobs > 1 && probers.iter().all(|f| f.concurrent_pairs_interfere());
-    let barrier = Barrier::new(jobs);
-    // Earliest round with a failed pair (`u64::MAX` while none): every
-    // worker keeps measuring until it has completed that round or
-    // failed in it itself, so the earliest of the workers' own first
-    // failures is the first failing pair in schedule order — the one a
-    // lone prober stops at.
-    let abort_round = AtomicU64::new(u64::MAX);
-    let worker = |w: usize, prober: &mut P, store: &mut dyn FnMut(usize, usize, u32)| {
-        let mut local = ProbeStats::default();
-        let mut buf = Vec::new();
-        let mut round_cycles = vec![0u64; rounds.len()];
-        let mut failure = None;
-        let backend_before = prober.backend_retries();
-        for (r, round) in rounds.iter().enumerate() {
-            for (i, &(a, b)) in round.iter().enumerate().skip(w).step_by(jobs) {
-                let (outcome, cycles) = measure_one(prober, cfg, a, b, &mut local, &mut buf);
-                round_cycles[r] += cycles;
-                match outcome {
-                    Ok(median) => store(a, b, median.saturating_sub(rdtsc_est)),
-                    Err(stdev_frac) => {
-                        let err = McTopError::UnstableMeasurements {
-                            pair: (a, b),
-                            stdev_frac,
-                        };
-                        failure = Some(((r, i), err));
-                        // The rest of this worker's share comes later in
-                        // the schedule than its own failure.
-                        abort_round.fetch_min(r as u64, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            if isolate_rounds {
-                // Lockstep rounds stop collectively: between the two
-                // waits nobody measures (so nobody stores), hence every
-                // worker reads the same abort state and takes the same
-                // branch — a divergent break would strand the others
-                // at the next barrier.
-                barrier.wait();
-                let stop = abort_round.load(Ordering::Relaxed) != u64::MAX;
-                barrier.wait();
-                if stop {
-                    break;
-                }
-            } else if r as u64 >= abort_round.load(Ordering::Relaxed) {
-                // Free-running workers stop once they are through the
-                // earliest failing round, so every pair scheduled
-                // before the failure is still measured.
-                break;
-            }
-        }
-        local.retries += prober.backend_retries().saturating_sub(backend_before);
-        (local, round_cycles, failure)
-    };
-    let worker_outs = match probers {
-        [only] => vec![worker(0, only, &mut |a, b, v| ctx.table.set(a, b, v))],
-        _ => {
-            let table = Mutex::new(&mut ctx.table);
-            std::thread::scope(|scope| {
-                let (worker, table) = (&worker, &table);
-                let handles: Vec<_> = probers
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, prober)| {
-                        scope.spawn(move || {
-                            worker(w, prober, &mut |a, b, v| table.lock().set(a, b, v))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-        }
-    };
-
-    let mut round_maxima = vec![0u64; rounds.len()];
-    let mut first_failure: Option<((usize, usize), McTopError)> = None;
-    for (worker_stats, round_cycles, failure) in worker_outs {
-        stats.merge(&worker_stats);
-        for (r, &c) in round_cycles.iter().enumerate() {
-            round_maxima[r] = round_maxima[r].max(c);
-        }
-        if let Some((at, err)) = failure {
-            if first_failure.as_ref().is_none_or(|(first, _)| at < *first) {
-                first_failure = Some((at, err));
-            }
-        }
-    }
-    stats.critical_cycles += round_maxima.iter().sum::<u64>();
-    first_failure.map_or(Ok(()), |(_, err)| Err(err))
 }
 
 /// SMT detection (Section 3.5): spin solo on one context, then spin
@@ -1296,6 +1173,402 @@ mod tests {
     use crate::backend::SimProber;
     use mcsim::presets;
 
+    /// The collection as it was before it measured into the block form: a
+    /// dense table and an N x N `done` map, filled phase by phase through
+    /// lists of schedule rounds, then cut into blocks. The oracle for
+    /// [`collect_blocks`]: the same table, statistics and first failure,
+    /// except that the pruned plan measured its pairs in first-fit round
+    /// order, where [`collect_blocks`] takes them in the plan's order.
+    mod reference {
+        use super::*;
+
+        /// Shared state of one collection run.
+        pub(super) struct Collection {
+            pub(super) n: usize,
+            rdtsc_est: u32,
+            pub(super) table: LatencyTable,
+        }
+
+        /// Calibration + warm-up, before any pair.
+        pub(super) fn begin_collection<P: Prober>(prober: &mut P, cfg: &ProbeConfig) -> Collection {
+            let n = prober.num_hwcs();
+            prober.begin_stream(ProbeStream::Calibration);
+            let mut rdtsc_samples: Vec<u32> = (0..101).map(|_| prober.rdtsc_cost()).collect();
+            let rdtsc_est = stats::median_u32(&mut rdtsc_samples);
+            if cfg.warmup {
+                for ctx in 0..n {
+                    prober.begin_stream(ProbeStream::Warmup(ctx));
+                    prober.warmup(ctx);
+                }
+            }
+            Collection {
+                n,
+                rdtsc_est,
+                table: LatencyTable::new(n),
+            }
+        }
+
+        /// The collection's block form, as `collect_blocks` returned it.
+        pub(super) fn collect_blocks<P: Prober>(
+            prober: &mut P,
+            cfg: &ProbeConfig,
+        ) -> Result<(BlockTable, ProbeStats), McTopError> {
+            let mut ctx = begin_collection(prober, cfg);
+            let mut stats = ProbeStats::default();
+            if cfg.pairs == PairSelection::Hierarchy {
+                if let Some((sockets, cross)) =
+                    collect_hierarchy(&mut ctx, cfg, &mut stats, prober)?
+                {
+                    let table =
+                        BlockTable::from_parts(&ctx.table, sockets.of, sockets.members, &cross);
+                    return Ok((table, stats));
+                }
+                return Ok((BlockTable::whole(ctx.table), stats));
+            }
+            let (rounds, pruned) = plan_rounds(ctx.n, cfg);
+            run_phase(prober, cfg, &slices(&rounds), &mut ctx, &mut stats)?;
+            if let Some((pairs, pc)) = &pruned {
+                super::reconstruct_reference(&mut ctx.table, pairs, pc);
+            }
+            Ok((BlockTable::whole(ctx.table), stats))
+        }
+
+        /// Measures the pairs of `rounds`, round after round, straight into
+        /// the table, stopping at the first failure.
+        fn run_phase<P: Prober>(
+            prober: &mut P,
+            cfg: &ProbeConfig,
+            rounds: &[&[(usize, usize)]],
+            ctx: &mut Collection,
+            stats: &mut ProbeStats,
+        ) -> Result<(), McTopError> {
+            let backend_before = prober.backend_retries();
+            let mut buf = Vec::new();
+            let mut outcome = Ok(());
+            for &(a, b) in rounds.iter().copied().flatten() {
+                match measure_one(prober, cfg, a, b, stats, &mut buf) {
+                    Ok(median) => ctx.table.set(a, b, median.saturating_sub(ctx.rdtsc_est)),
+                    Err(stdev_frac) => {
+                        outcome = Err(McTopError::UnstableMeasurements {
+                            pair: (a, b),
+                            stdev_frac,
+                        });
+                        break;
+                    }
+                }
+            }
+            stats.retries += prober.backend_retries().saturating_sub(backend_before);
+            outcome
+        }
+
+        fn slices(rounds: &[Vec<(usize, usize)>]) -> Vec<&[(usize, usize)]> {
+            rounds.iter().map(Vec::as_slice).collect()
+        }
+
+        /// The measured pairs of a hierarchy-first run.
+        struct Measured<'p, P> {
+            n: usize,
+            /// `done[a * n + b]`: the pair has been measured (or is the
+            /// diagonal), both ways round.
+            done: Vec<bool>,
+            prober: &'p mut P,
+        }
+
+        impl<P: Prober> Measured<'_, P> {
+            fn has(&self, a: usize, b: usize) -> bool {
+                self.done[a * self.n + b]
+            }
+
+            fn run(
+                &mut self,
+                ctx: &mut Collection,
+                cfg: &ProbeConfig,
+                rounds: &[&[(usize, usize)]],
+                stats: &mut ProbeStats,
+            ) -> Result<(), McTopError> {
+                for &(a, b) in rounds.iter().copied().flatten() {
+                    self.done[a * self.n + b] = true;
+                    self.done[b * self.n + a] = true;
+                }
+                run_phase(self.prober, cfg, rounds, ctx, stats)
+            }
+        }
+
+        /// The sockets a hierarchy-first run found.
+        pub(super) struct Sockets {
+            pub(super) of: Vec<usize>,
+            pub(super) members: Vec<Vec<usize>>,
+        }
+
+        impl Sockets {
+            pub(super) fn rep(&self, table: &LatencyTable, u: usize, v: usize) -> u32 {
+                table.get(self.members[u][0], self.members[v][0])
+            }
+
+            fn on_level(&self, table: &LatencyTable, a: usize, b: usize, cfg: &ClusterCfg) -> bool {
+                let rep = self.rep(table, self.of[a], self.of[b]);
+                same_level(table.get(a, b), rep, cfg)
+            }
+        }
+
+        type SocketsFound = (Sockets, Vec<(usize, usize)>);
+
+        /// The sockets and the measured pairs between two of them when the
+        /// checks held; `None` when the run fell back and measured every
+        /// pair.
+        pub(super) fn collect_hierarchy<P: Prober>(
+            ctx: &mut Collection,
+            cfg: &ProbeConfig,
+            stats: &mut ProbeStats,
+            prober: &mut P,
+        ) -> Result<Option<SocketsFound>, McTopError> {
+            let n = ctx.n;
+            let nodes = prober.num_nodes();
+            let mut done = vec![false; n * n];
+            for c in 0..n {
+                done[c * n + c] = true;
+            }
+            let mut m = Measured { n, done, prober };
+            if let Some(found) = hierarchy_steps(ctx, cfg, nodes, stats, &mut m)? {
+                return Ok(Some(found));
+            }
+            stats.fallbacks += 1;
+            let rest = schedule::round_robin(n)
+                .into_iter()
+                .map(|round| {
+                    round
+                        .into_iter()
+                        .filter(|&(a, b)| !m.has(a, b))
+                        .collect::<Vec<_>>()
+                })
+                .filter(|round| !round.is_empty())
+                .collect::<Vec<_>>();
+            m.run(ctx, cfg, &slices(&rest), stats)?;
+            Ok(None)
+        }
+
+        fn hierarchy_steps<P: Prober>(
+            ctx: &mut Collection,
+            cfg: &ProbeConfig,
+            nodes: usize,
+            stats: &mut ProbeStats,
+            m: &mut Measured<P>,
+        ) -> Result<Option<SocketsFound>, McTopError> {
+            let n = ctx.n;
+            let nodes = nodes.max(1);
+            let quota = if n.is_multiple_of(nodes) {
+                n / nodes
+            } else {
+                0
+            };
+            let mut of = vec![usize::MAX; n];
+            let mut members: Vec<Vec<usize>> = Vec::new();
+            while let Some(anchor) = of.iter().position(|&s| s == usize::MAX) {
+                let row: Vec<(usize, usize)> = (0..n)
+                    .filter(|&b| !m.has(anchor, b))
+                    .map(|b| (anchor.min(b), anchor.max(b)))
+                    .collect();
+                m.run(ctx, cfg, &row.chunks(1).collect::<Vec<_>>(), stats)?;
+                let size = members.first().map(Vec::len);
+                let Some(socket) =
+                    cut_row(ctx.table.row(anchor), anchor, quota, size, &cfg.cluster)
+                else {
+                    return Ok(None);
+                };
+                if socket.iter().any(|&c| of[c] != usize::MAX) {
+                    return Ok(None);
+                }
+                for &c in &socket {
+                    of[c] = members.len();
+                }
+                members.push(socket);
+            }
+            let sockets = Sockets { of, members };
+            let off_level = sockets.members.iter().any(|socket| {
+                let anchor = socket[0];
+                (0..n).any(|c| {
+                    sockets.of[c] != sockets.of[anchor]
+                        && !sockets.on_level(&ctx.table, c, anchor, &cfg.cluster)
+                })
+            });
+            if off_level {
+                return Ok(None);
+            }
+            let mut intra = Vec::new();
+            for round in schedule::round_robin(sockets.members[0].len()) {
+                let mut pairs = Vec::with_capacity(round.len() * sockets.members.len());
+                for s in &sockets.members {
+                    pairs.extend(
+                        round
+                            .iter()
+                            .map(|&(i, j)| (s[i], s[j]))
+                            .filter(|&(a, b)| !m.has(a, b)),
+                    );
+                }
+                if !pairs.is_empty() {
+                    intra.push(pairs);
+                }
+            }
+            m.run(ctx, cfg, &slices(&intra), stats)?;
+            let holdouts = holdout_pairs(n, &sockets, &mut m.done);
+            m.run(
+                ctx,
+                cfg,
+                &slices(&schedule::rounds_for(n, &holdouts)),
+                stats,
+            )?;
+            let on_level = holdouts
+                .iter()
+                .all(|&(a, b)| sockets.on_level(&ctx.table, a, b, &cfg.cluster));
+            if !on_level {
+                return Ok(None);
+            }
+            let mut cross = holdouts;
+            for socket in &sockets.members {
+                let anchor = socket[0];
+                cross.extend(
+                    (0..n)
+                        .filter(|&c| sockets.of[c] != sockets.of[anchor])
+                        .map(|c| (anchor.min(c), anchor.max(c))),
+                );
+            }
+            Ok(Some((sockets, cross)))
+        }
+
+        fn holdout_pairs(n: usize, sockets: &Sockets, done: &mut [bool]) -> Vec<(usize, usize)> {
+            let s = sockets.members.len();
+            let c = sockets.members[0].len();
+            let mut next = crate::alg::splitmix(HOLDOUT_SEED ^ ((n as u64) << 32 | s as u64));
+            let mut picked = Vec::new();
+            let mut pick = |a: usize, b: usize, picked: &mut Vec<(usize, usize)>| {
+                let free = sockets.of[a] != sockets.of[b] && !done[a * n + b];
+                if free {
+                    done[a * n + b] = true;
+                    done[b * n + a] = true;
+                    picked.push((a.min(b), a.max(b)));
+                }
+                free
+            };
+            for u in 0..s {
+                for v in (u + 1)..s {
+                    let start = (next() % (c * c) as u64) as usize;
+                    let mut found = 0;
+                    for k in 0..c * c {
+                        if found == 2 {
+                            break;
+                        }
+                        let at = (start + k) % (c * c);
+                        if pick(
+                            sockets.members[u][at / c],
+                            sockets.members[v][at % c],
+                            &mut picked,
+                        ) {
+                            found += 1;
+                        }
+                    }
+                }
+            }
+            let mut found = 0;
+            for _ in 0..16 * n {
+                if found == n {
+                    break;
+                }
+                let a = (next() % n as u64) as usize;
+                let b = (next() % n as u64) as usize;
+                if pick(a, b, &mut picked) {
+                    found += 1;
+                }
+            }
+            picked.sort_unstable();
+            picked
+        }
+
+        #[allow(clippy::type_complexity)]
+        fn plan_rounds(
+            n: usize,
+            cfg: &ProbeConfig,
+        ) -> (
+            Vec<Vec<(usize, usize)>>,
+            Option<(Vec<(usize, usize)>, PruneCfg)>,
+        ) {
+            if let PairSelection::Pruned(pc) = cfg.pairs {
+                if let Some(pairs) = pruned_pairs(n, &pc) {
+                    let rounds = schedule::rounds_for(n, &pairs);
+                    return (rounds, Some((pairs, pc)));
+                }
+            }
+            (schedule::round_robin(n), None)
+        }
+    }
+
+    /// The one-prober block collection and the dense engine of
+    /// `reference`, each on a fresh prober of one machine: the same
+    /// block table and statistics, or the same error, its text and its
+    /// stdev to the bit. Returns the statistics or the error.
+    fn assert_equals_reference<P: Prober>(
+        p: &mut P,
+        q: &mut P,
+        cfg: &ProbeConfig,
+        what: &str,
+    ) -> Result<ProbeStats, String> {
+        let text = |e: McTopError| format!("{e} ({e:?})");
+        let got = collect_blocks(p, cfg).map_err(text);
+        let want = reference::collect_blocks(q, cfg).map_err(text);
+        assert_eq!(got, want, "{what}");
+        got.map(|(_, stats)| stats)
+    }
+
+    #[test]
+    fn block_collection_equals_the_reference() {
+        // The committed machines, noiseless, in their canonical plans.
+        let specs = presets::all_paper_platforms()
+            .into_iter()
+            .chain(presets::all_synthetic())
+            .chain(presets::all_mesh_scale());
+        for spec in specs {
+            let cfg = crate::desc::canonical_probe_config_for(&spec);
+            let mk = || SimProber::noiseless(&spec);
+            assert_equals_reference(&mut mk(), &mut mk(), &cfg, &spec.name).unwrap();
+        }
+        // The runs of `tests/noise_sweep.rs`: default noise and outliers
+        // ten times as frequent, seeds 1-8, both plans; then hostile
+        // noise. (None falls back: the perturbed machines of
+        // `loud_or_exact` compare the fallbacks.)
+        let settings = [
+            mcsim::NoiseCfg::default(),
+            mcsim::NoiseCfg {
+                outlier_prob: 2e-3,
+                ..mcsim::NoiseCfg::default()
+            },
+        ];
+        let mut failed = 0;
+        for spec in presets::all_paper_platforms() {
+            for pairs in [PairSelection::Hierarchy, PairSelection::Exhaustive] {
+                let cfg = ProbeConfig {
+                    reps: ProbeConfig::fast().reps,
+                    pairs,
+                    ..crate::desc::canonical_probe_config_for(&spec)
+                };
+                for (s, noise) in settings.into_iter().enumerate() {
+                    for seed in 1..=8 {
+                        let mk = || SimProber::with_noise(&spec, seed, noise);
+                        let what = format!("{} noise {s} seed {seed} {pairs:?}", spec.name);
+                        let outcome = assert_equals_reference(&mut mk(), &mut mk(), &cfg, &what);
+                        failed += usize::from(outcome.is_err());
+                    }
+                }
+                let hostile = ProbeConfig { reps: 31, ..cfg };
+                for seed in 3..=5 {
+                    let mk = || SimProber::with_noise(&spec, seed, mcsim::NoiseCfg::hostile());
+                    let what = format!("{} hostile seed {seed} {pairs:?}", spec.name);
+                    let outcome = assert_equals_reference(&mut mk(), &mut mk(), &hostile, &what);
+                    assert!(outcome.is_err(), "{what}: hostile noise passed");
+                }
+            }
+        }
+        assert!(failed > 0, "no noisy run failed");
+    }
+
     #[test]
     fn noiseless_collection_recovers_exact_latencies() {
         let spec = presets::synthetic_small();
@@ -1315,7 +1588,6 @@ mod tests {
         assert_eq!(stats.pairs, n * (n - 1) / 2);
         assert_eq!(stats.probes, stats.pairs * 5);
         assert_eq!(stats.retries, 0);
-        assert_eq!(stats.critical_cycles, stats.modeled_cycles());
     }
 
     /// A backend that reports one absorbed transient failure per sample
@@ -1352,14 +1624,6 @@ mod tests {
         fn begin_stream(&mut self, stream: ProbeStream) {
             self.inner.begin_stream(stream)
         }
-        fn fork(&self) -> Option<Self> {
-            self.inner
-                .fork()
-                .map(|inner| FlakyBackend { inner, absorbed: 0 })
-        }
-        fn concurrent_pairs_interfere(&self) -> bool {
-            self.inner.concurrent_pairs_interfere()
-        }
         fn backend_retries(&self) -> u64 {
             self.absorbed
         }
@@ -1372,11 +1636,10 @@ mod tests {
             reps: 5,
             ..ProbeConfig::fast()
         };
-        let mk = || FlakyBackend {
+        let mut p = FlakyBackend {
             inner: SimProber::noiseless(&spec),
             absorbed: 0,
         };
-        let mut p = mk();
         let (_, stats) = collect(&mut p, &cfg).unwrap();
         assert_eq!(
             stats.retries,
@@ -1387,9 +1650,6 @@ mod tests {
             stats.retries, stats.pairs,
             "noiseless: exactly one batch (one absorbed failure) per pair"
         );
-        // Threaded collection sums per-fork deltas into the same bucket.
-        let (_, par_stats) = collect_parallel(&mut mk(), &cfg, 3).unwrap();
-        assert_eq!(par_stats.retries, stats.retries);
     }
 
     #[test]
@@ -1420,67 +1680,6 @@ mod tests {
         assert!(matches!(res, Err(McTopError::UnstableMeasurements { .. })));
     }
 
-    #[test]
-    fn parallel_equals_sequential_noiseless_and_noisy() {
-        let spec = presets::ivy();
-        let cfg = ProbeConfig {
-            reps: 15,
-            ..ProbeConfig::fast()
-        };
-        for seed in [None, Some(7u64), Some(42)] {
-            let mk = || match seed {
-                None => SimProber::noiseless(&spec),
-                Some(s) => SimProber::new(&spec, s),
-            };
-            let (seq_table, seq_stats) = collect(&mut mk(), &cfg).unwrap();
-            for jobs in [1usize, 2, 5] {
-                let (par_table, par_stats) = collect_parallel(&mut mk(), &cfg, jobs).unwrap();
-                assert_eq!(seq_table, par_table, "seed {seed:?} jobs {jobs}");
-                assert_eq!(seq_stats.pairs, par_stats.pairs);
-                assert_eq!(seq_stats.probes, par_stats.probes);
-                assert_eq!(seq_stats.retries, par_stats.retries);
-                assert_eq!(seq_stats.sample_cycles, par_stats.sample_cycles);
-                assert_eq!(seq_stats.overhead_cycles, par_stats.overhead_cycles);
-                assert!(par_stats.critical_cycles <= seq_stats.critical_cycles);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_error_matches_sequential_error() {
-        let spec = presets::synthetic_small();
-        let cfg = ProbeConfig {
-            reps: 31,
-            max_retries: 1,
-            ..ProbeConfig::fast()
-        };
-        let seq = collect(
-            &mut SimProber::with_noise(&spec, 3, mcsim::NoiseCfg::hostile()),
-            &cfg,
-        );
-        let par = collect_parallel(
-            &mut SimProber::with_noise(&spec, 3, mcsim::NoiseCfg::hostile()),
-            &cfg,
-            4,
-        );
-        match (seq, par) {
-            (
-                Err(McTopError::UnstableMeasurements {
-                    pair: ps,
-                    stdev_frac: fs,
-                }),
-                Err(McTopError::UnstableMeasurements {
-                    pair: pp,
-                    stdev_frac: fp,
-                }),
-            ) => {
-                assert_eq!(ps, pp);
-                assert_eq!(fs, fp);
-            }
-            other => panic!("expected matching unstable errors, got {other:?}"),
-        }
-    }
-
     /// FNV-1a over a table's values, row-major, little-endian.
     fn fnv1a_table(t: &LatencyTable) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -1496,34 +1695,26 @@ mod tests {
     /// The committed descriptions are noiseless, so they cannot see a
     /// change in RNG consumption order or in the stdev's summation
     /// order; these pins can. The values are the collection's output
-    /// from before its phases wrote straight into the table.
+    /// from before its phases wrote straight into the table; the last is
+    /// the modelled cost, which the one-job critical path equalled.
     #[test]
     fn noisy_collection_is_pinned() {
         let ivy = presets::ivy();
         let cfg = ProbeConfig::fast();
-        for jobs in [1, 2] {
-            let (table, stats) =
-                collect_parallel(&mut SimProber::new(&ivy, 7), &cfg, jobs).unwrap();
-            assert_eq!(fnv1a_table(&table), 779_277_497_589_458_277, "jobs {jobs}");
-            let critical_cycles = if jobs == 1 {
-                6_249_540_036
-            } else {
-                3_124_985_784
-            };
-            assert_eq!(
-                stats,
-                ProbeStats {
-                    pairs: 780,
-                    probes: 40_698,
-                    retries: 18,
-                    sample_cycles: 9_540_036,
-                    overhead_cycles: 6_240_000_000,
-                    critical_cycles,
-                    fallbacks: 0,
-                },
-                "jobs {jobs}"
-            );
-        }
+        let (table, stats) = collect(&mut SimProber::new(&ivy, 7), &cfg).unwrap();
+        assert_eq!(fnv1a_table(&table), 779_277_497_589_458_277);
+        assert_eq!(
+            stats,
+            ProbeStats {
+                pairs: 780,
+                probes: 40_698,
+                retries: 18,
+                sample_cycles: 9_540_036,
+                overhead_cycles: 6_240_000_000,
+                fallbacks: 0,
+            }
+        );
+        assert_eq!(stats.modeled_cycles(), 6_249_540_036);
         // Hostile noise fails on the first pair in schedule order, and
         // the error carries that pair's best stdev to the last bit. A
         // stdev summed in another order differs in its last bits about
@@ -1541,17 +1732,13 @@ mod tests {
             (7, 0x3FE3_A22B_A1C5_DE31),
             (8, 0x3FCD_5440_9FE0_B449),
         ] {
-            for jobs in [1, 2] {
-                let mut p = SimProber::with_noise(&west, seed, mcsim::NoiseCfg::hostile());
-                match collect_parallel(&mut p, &cfg, jobs) {
-                    Err(McTopError::UnstableMeasurements { pair, stdev_frac }) => {
-                        assert_eq!(pair, (0, 159), "seed {seed} jobs {jobs}");
-                        assert_eq!(stdev_frac.to_bits(), bits, "seed {seed} jobs {jobs}");
-                    }
-                    other => {
-                        panic!("seed {seed} jobs {jobs}: expected an unstable pair, got {other:?}")
-                    }
+            let mut p = SimProber::with_noise(&west, seed, mcsim::NoiseCfg::hostile());
+            match collect(&mut p, &cfg) {
+                Err(McTopError::UnstableMeasurements { pair, stdev_frac }) => {
+                    assert_eq!(pair, (0, 159), "seed {seed}");
+                    assert_eq!(stdev_frac.to_bits(), bits, "seed {seed}");
                 }
+                other => panic!("seed {seed}: expected an unstable pair, got {other:?}"),
             }
         }
     }
@@ -1593,7 +1780,7 @@ mod tests {
 
     /// `predict` as it was: every unmeasured pair of a hierarchy-first
     /// table set to its socket pair's representative.
-    fn predict_reference(table: &mut LatencyTable, done: &[bool], sockets: &Sockets) {
+    fn predict_reference(table: &mut LatencyTable, done: &[bool], sockets: &reference::Sockets) {
         let n = table.n();
         for a in 0..n {
             for b in (a + 1)..n {
@@ -1605,8 +1792,10 @@ mod tests {
         }
     }
 
-    /// The block form a hierarchy-first run returns is the table the
-    /// representatives predicted, exceptions and all, under noise.
+    /// The block form a hierarchy-first run returned is the table the
+    /// representatives predicted, exceptions and all, under noise (on
+    /// the dense engine of `reference`, which the block collection
+    /// equals).
     #[test]
     fn block_form_equals_the_predicted_table() {
         let cfg = ProbeConfig {
@@ -1617,10 +1806,9 @@ mod tests {
         for spec in presets::all_paper_platforms() {
             for seed in 1..=4 {
                 let mut prober = SimProber::new(&spec, seed);
-                let mut ctx = begin_collection(&mut prober, &cfg).unwrap();
+                let mut ctx = reference::begin_collection(&mut prober, &cfg);
                 let mut stats = ProbeStats::default();
-                let team = std::slice::from_mut(&mut prober);
-                let found = collect_hierarchy(&mut ctx, &cfg, spec.nodes, &mut stats, team);
+                let found = reference::collect_hierarchy(&mut ctx, &cfg, &mut stats, &mut prober);
                 let Some((sockets, cross)) = found.unwrap() else {
                     continue;
                 };
@@ -1654,7 +1842,7 @@ mod tests {
             .chain(presets::all_mesh_scale());
         for spec in specs {
             let cfg = crate::desc::canonical_probe_config_for(&spec);
-            let (raw, _) = collect_blocks(&mut SimProber::noiseless(&spec), &cfg, 1).unwrap();
+            let (raw, _) = collect_blocks(&mut SimProber::noiseless(&spec), &cfg).unwrap();
             let clusters = cluster::cluster_blocks(&raw, &cfg.cluster).unwrap();
             let norm = cluster::normalize_blocks(&raw, &clusters);
             let pair = norm.min_pair();
@@ -1707,31 +1895,6 @@ mod tests {
         assert!(t_ivy > 1.0 && t_ivy < 10.0, "ivy {t_ivy}");
         assert!(t_west > 40.0 && t_west < 200.0, "westmere {t_west}");
         assert!(t_west / t_ivy > 10.0);
-    }
-
-    #[test]
-    fn parallel_critical_path_shrinks_with_jobs() {
-        let cfg = ProbeConfig {
-            reps: 9,
-            ..ProbeConfig::fast()
-        };
-        // Ivy, plus every paper platform with at least 64 contexts.
-        for spec in [
-            presets::ivy(),
-            presets::haswell(),
-            presets::westmere(),
-            presets::sparc(),
-        ] {
-            let (_, seq) = collect(&mut SimProber::noiseless(&spec), &cfg).unwrap();
-            let (_, par) = collect_parallel(&mut SimProber::noiseless(&spec), &cfg, 8).unwrap();
-            assert_eq!(seq.modeled_cycles(), par.modeled_cycles());
-            let speedup = seq.critical_cycles as f64 / par.critical_cycles as f64;
-            // Ivy: 20 disjoint pairs per round over 8 workers is
-            // ceil(20/8) = 3 slots per round vs 20 sequentially; the
-            // larger machines have longer rounds — ≥ 4x on the critical
-            // path everywhere.
-            assert!(speedup >= 4.0, "{}: modeled speedup {speedup}", spec.name);
-        }
     }
 
     #[test]
@@ -1961,6 +2124,11 @@ mod tests {
         }
     }
 
+    /// The values `table` holds for `pairs`, in their order.
+    fn values(table: &LatencyTable, pairs: &[(usize, usize)]) -> Vec<u32> {
+        pairs.iter().map(|&(a, b)| table.get(a, b)).collect()
+    }
+
     /// A pruned table of `spec`: every planned pair measured at its
     /// true latency, jittered by up to `jitter` per mille, the rest 0.
     fn pruned_table(
@@ -1986,9 +2154,8 @@ mod tests {
             let pc = PruneCfg::for_machine(n / spec.sockets, spec.sockets);
             let pairs = pruned_pairs(n, &pc).unwrap();
             for (jitter, seed) in [(0, 0), (30, 37), (120, 38)] {
-                let table = pruned_table(&spec, &pairs, jitter, seed);
-                let (mut fast, mut slow) = (table.clone(), table);
-                reconstruct_pruned(&mut fast, &pairs, &pc);
+                let mut slow = pruned_table(&spec, &pairs, jitter, seed);
+                let fast = reconstruct_pruned(n, &pairs, &values(&slow, &pairs), &pc);
                 reconstruct_reference(&mut slow, &pairs, &pc);
                 assert_eq!(fast, slow, "{} jitter {jitter}", spec.name);
                 if jitter == 0 {
@@ -2023,8 +2190,8 @@ mod tests {
                 table.set(a, b, lat);
             }
         }
-        let (mut fast, mut slow) = (table.clone(), table);
-        reconstruct_pruned(&mut fast, &pairs, &pc);
+        let fast = reconstruct_pruned(16, &pairs, &values(&table, &pairs), &pc);
+        let mut slow = table;
         reconstruct_reference(&mut slow, &pairs, &pc);
         assert_eq!(fast, slow);
         assert_eq!(fast.get(0, 15), 0, "a disconnected pair stays unfilled");
@@ -2045,8 +2212,8 @@ mod tests {
         for (&(a, b), lat) in pairs.iter().zip([heavy, heavy, heavy, 1000, 1500]) {
             table.set(a, b, lat);
         }
-        let (mut fast, mut slow) = (table.clone(), table);
-        reconstruct_pruned(&mut fast, &pairs, &pc);
+        let fast = reconstruct_pruned(7, &pairs, &values(&table, &pairs), &pc);
+        let mut slow = table;
         reconstruct_reference(&mut slow, &pairs, &pc);
         assert_eq!(fast, slow);
         assert_eq!(fast.get(4, 6), 500 + 500 + 1000);
@@ -2114,12 +2281,6 @@ mod tests {
             s_pr.pairs,
             s_ex.pairs
         );
-        // Parallel pruned collection keeps the determinism contract.
-        let (t_par, s_par) =
-            collect_parallel(&mut SimProber::noiseless(&spec), &cfg_pr, 6).unwrap();
-        assert_eq!(t_pr, t_par);
-        assert_eq!(s_pr.pairs, s_par.pairs);
-        assert_eq!(s_pr.probes, s_par.probes);
     }
 
     #[test]
@@ -2182,34 +2343,21 @@ mod tests {
         }
     }
 
-    /// Table and statistics, all but the critical path (the one figure
-    /// that is about the worker count), for jobs 1, 2 and 3: noiseless
-    /// and under noise seed 7.
+    /// Noiseless and under noise seed 7, the prediction holds: no
+    /// fallback, and fewer pairs than the exhaustive plan.
     #[test]
-    fn hierarchy_is_deterministic_in_the_worker_count() {
+    fn hierarchy_predicts_under_noise() {
         let cfg = ProbeConfig {
             pairs: PairSelection::Hierarchy,
             ..ProbeConfig::fast()
         };
         for spec in [presets::ivy(), presets::westmere()] {
             for seed in [None, Some(7u64)] {
-                let mk = || match seed {
+                let mut prober = match seed {
                     None => SimProber::noiseless(&spec),
                     Some(s) => SimProber::new(&spec, s),
                 };
-                let runs: Vec<_> = [1, 2, 3]
-                    .map(|jobs| {
-                        let (table, stats) = collect_parallel(&mut mk(), &cfg, jobs).unwrap();
-                        let stats = ProbeStats {
-                            critical_cycles: 0,
-                            ..stats
-                        };
-                        (table, stats)
-                    })
-                    .into();
-                assert_eq!(runs[0], runs[1], "{} seed {seed:?}", spec.name);
-                assert_eq!(runs[0], runs[2], "{} seed {seed:?}", spec.name);
-                let stats = runs[0].1;
+                let (_, stats) = collect(&mut prober, &cfg).unwrap();
                 assert_eq!(stats.fallbacks, 0, "{} seed {seed:?}", spec.name);
                 assert!(stats.pairs < (spec.total_hwcs() * (spec.total_hwcs() - 1) / 2) as u64);
             }
@@ -2219,7 +2367,6 @@ mod tests {
     /// A simulated machine whose chosen pairs read `extra` cycles slower
     /// than the model says: a structure the model's own rules do not
     /// describe.
-    #[derive(Clone)]
     struct Perturbed<'a> {
         inner: SimProber<'a>,
         /// `extra[a * n + b]`, symmetric.
@@ -2269,54 +2416,46 @@ mod tests {
         fn begin_stream(&mut self, stream: ProbeStream) {
             self.inner.begin_stream(stream)
         }
-        fn fork(&self) -> Option<Self> {
-            Some(self.clone())
-        }
-        fn concurrent_pairs_interfere(&self) -> bool {
-            false
-        }
     }
 
     /// Hierarchy-first collection on a perturbed machine either falls
     /// back, says so, and returns the exhaustive table, or refuses,
     /// naming the pair; it never returns a table the exhaustive run
-    /// would not. Returns whether it fell back. The block-form passes
-    /// on its table (SMT pair included) must equal the dense oracles.
+    /// would not. Returns whether it fell back. The block collection
+    /// must equal the dense engine's, and the block-form passes on its
+    /// table (SMT pair included) the dense oracles.
     fn loud_or_exact(mk: impl Fn() -> Perturbed<'static>, what: &str) -> bool {
+        let hierarchy = with_pairs(PairSelection::Hierarchy);
+        let _ = assert_equals_reference(&mut mk(), &mut mk(), &hierarchy, what);
         let mut p = mk();
-        if let Ok((raw, _)) = collect_blocks(&mut p, &with_pairs(PairSelection::Hierarchy), 1) {
+        if let Ok((raw, _)) = collect_blocks(&mut p, &hierarchy) {
             let cfg = ClusterCfg::default();
             crate::alg::check_blocks_against_oracles(what, &raw, &cfg, p.num_nodes());
         }
         let (t_ex, s_ex) = collect(&mut mk(), &with_pairs(PairSelection::Exhaustive)).unwrap();
-        for jobs in [1, 2] {
-            match collect_parallel(&mut mk(), &with_pairs(PairSelection::Hierarchy), jobs) {
-                Ok((t_hi, s_hi)) => {
+        match collect(&mut mk(), &hierarchy) {
+            Ok((t_hi, s_hi)) => {
+                assert_eq!(
+                    t_hi, t_ex,
+                    "{what}: a table exhaustive collection would not give"
+                );
+                if s_hi.fallbacks == 1 {
                     assert_eq!(
-                        t_hi, t_ex,
-                        "{what}: a table exhaustive collection would not give"
+                        s_hi.pairs, s_ex.pairs,
+                        "{what}: a fallback measures every pair"
                     );
-                    if s_hi.fallbacks == 1 {
-                        assert_eq!(
-                            s_hi.pairs, s_ex.pairs,
-                            "{what}: a fallback measures every pair"
-                        );
-                        assert_eq!(s_hi.probes, s_ex.probes, "{what}");
-                    } else {
-                        assert_eq!(s_hi.fallbacks, 0, "{what}");
-                    }
-                    if jobs == 2 {
-                        return s_hi.fallbacks == 1;
-                    }
+                    assert_eq!(s_hi.probes, s_ex.probes, "{what}");
+                } else {
+                    assert_eq!(s_hi.fallbacks, 0, "{what}");
                 }
-                Err(McTopError::UnstableMeasurements { pair, .. }) => {
-                    assert!(pair.0 < pair.1, "{what}: refused, naming {pair:?}");
-                    return true;
-                }
-                Err(other) => panic!("{what}: {other}"),
+                s_hi.fallbacks == 1
             }
+            Err(McTopError::UnstableMeasurements { pair, .. }) => {
+                assert!(pair.0 < pair.1, "{what}: refused, naming {pair:?}");
+                true
+            }
+            Err(other) => panic!("{what}: {other}"),
         }
-        unreachable!()
     }
 
     fn leak(spec: mcsim::MachineSpec) -> &'static mcsim::MachineSpec {

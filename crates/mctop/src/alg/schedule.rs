@@ -1,23 +1,59 @@
-//! Disjoint-pair probe scheduling (Section 3.5).
+//! The order collection measures pairs in (Section 3.5).
 //!
-//! Latency measurements between disjoint context pairs are independent,
-//! so the N×N table can be collected up to ⌊N/2⌋ pairs at a time. The
-//! classic round-robin tournament ("circle method") partitions the
+//! Latency measurements between disjoint context pairs are independent.
+//! The classic round-robin tournament ("circle method") partitions the
 //! strict upper triangle of an N-context machine into rounds of
 //! mutually disjoint pairs: fix context 0 (or a bye slot when N is
 //! odd), rotate the rest one position per round, and pair opposite
 //! positions. Every round is a perfect matching (no context appears
 //! twice), every unordered pair appears in exactly one round, and there
 //! are N-1 rounds for even N (N rounds with one idle context each for
-//! odd N) — the minimum possible, so a K-worker pool finishes the table
-//! in ⌈pairs-per-round / K⌉ · rounds pair-measurement slots.
+//! odd N).
+//!
+//! Collection runs on one prober, so only the order of the rounds is
+//! left of them: it decides which pair a failing run names first. The
+//! pairs of a round are generated when they are measured
+//! ([`round`], [`round_robin_pairs`]), and a given pair set is put in
+//! first-fit round order ([`first_fit_order`]), without a list per
+//! round.
 
-/// The round-robin (circle method) schedule over `n` contexts: a list
-/// of rounds, each a list of disjoint `(a, b)` pairs with `a < b`.
+/// Number of rounds of the circle-method schedule over `n` contexts.
+pub(crate) fn rounds(n: usize) -> usize {
+    match n {
+        0 | 1 => 0,
+        _ => n + n % 2 - 1,
+    }
+}
+
+/// The pairs `(a, b)`, `a < b`, of round `r` (below [`rounds`]) of the
+/// circle-method schedule over `n` contexts, in schedule order.
 ///
-/// Every unordered context pair occurs in exactly one round; within a
-/// round no context occurs twice. For `n < 2` the schedule is empty.
-pub fn round_robin(n: usize) -> Vec<Vec<(usize, usize)>> {
+/// Slot 0 is pinned and the ring `1, 2, ..` (with a bye slot `n` when
+/// `n` is odd) has turned right `r` times: its position `i` holds
+/// `(i - r) mod (slots - 1) + 1`. Slot 0 pairs with the ring's last
+/// position, and position `i` with position `slots - 3 - i`; a pair
+/// with the bye sits out.
+pub(crate) fn round(n: usize, r: usize) -> impl Iterator<Item = (usize, usize)> {
+    let slots = n + n % 2;
+    let ring = slots - 1;
+    let at = move |i: usize| (i + ring - r % ring) % ring + 1;
+    std::iter::once((0, at(slots - 2)))
+        .chain((0..slots / 2 - 1).map(move |i| (at(i), at(slots - 3 - i))))
+        .filter(move |&(x, y)| x < n && y < n)
+        .map(|(x, y)| (x.min(y), x.max(y)))
+}
+
+/// Every pair over `n` contexts, round after round of the circle-method
+/// schedule.
+pub(crate) fn round_robin_pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..rounds(n)).flat_map(move |r| round(n, r))
+}
+
+/// The round-robin (circle method) schedule over `n` contexts as a list
+/// of rounds, each a list of disjoint `(a, b)` pairs with `a < b`: the
+/// oracle for [`round`].
+#[cfg(test)]
+pub(crate) fn round_robin(n: usize) -> Vec<Vec<(usize, usize)>> {
     if n < 2 {
         return Vec::new();
     }
@@ -51,16 +87,46 @@ pub(crate) fn num_pairs(n: usize) -> usize {
     n * (n - 1) / 2
 }
 
-/// Partitions an arbitrary pair set over `n` contexts into rounds of
-/// mutually disjoint pairs — the pruned-collection counterpart of
-/// [`round_robin`], which only handles the full upper triangle.
+/// The indices of `pairs` (each `a < b < n`) in first-fit round order:
+/// each pair, in the given order, takes the earliest round where
+/// neither of its contexts is taken yet, and the rounds are read out
+/// one after another, each in the order its pairs came.
 ///
-/// Deterministic greedy first-fit: pairs are visited in the given
-/// order and each lands in the earliest round where neither context is
-/// taken. Not guaranteed minimal (that is edge colouring), but within
-/// one round of optimal on the regular meshes this exists for, and the
-/// schedule invariant the collectors rely on — no context twice per
-/// round — holds by construction.
+/// A pair's round is below the number of earlier pairs that share a
+/// context with it, so one bitmap row of twice the largest degree per
+/// context holds every round a context can be taken in.
+pub(crate) fn first_fit_order(n: usize, pairs: &[(usize, usize)]) -> Vec<usize> {
+    let mut degree = vec![0usize; n];
+    for &(a, b) in pairs {
+        debug_assert!(a < b && b < n, "pair ({a},{b}) malformed for n={n}");
+        degree[a] += 1;
+        degree[b] += 1;
+    }
+    let words = (2 * degree.iter().max().copied().unwrap_or(0))
+        .div_ceil(64)
+        .max(1);
+    // `busy[c * words + w]`: bit `r % 64` of word `r / 64` is set once
+    // context `c` is taken in round `r`.
+    let mut busy = vec![0u64; n * words];
+    let mut order: Vec<(usize, usize)> = Vec::with_capacity(pairs.len());
+    for (i, &(a, b)) in pairs.iter().enumerate() {
+        let (w, taken) = (0..words)
+            .map(|w| (w, busy[a * words + w] | busy[b * words + w]))
+            .find(|&(_, taken)| taken != u64::MAX)
+            .expect("a free round within the bound");
+        let bit = (!taken).trailing_zeros() as usize;
+        busy[a * words + w] |= 1 << bit;
+        busy[b * words + w] |= 1 << bit;
+        order.push((w * 64 + bit, i));
+    }
+    order.sort_unstable();
+    order.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Partitions an arbitrary pair set over `n` contexts into rounds of
+/// mutually disjoint pairs, first fit: the oracle for
+/// [`first_fit_order`].
+#[cfg(test)]
 pub(crate) fn rounds_for(n: usize, pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
     let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
     // `busy[c]`: bit `r` is set once context `c` is taken in round `r`
@@ -100,8 +166,8 @@ mod tests {
 
     /// Every round is a perfect disjoint matching (⌊n/2⌋ pairs, no
     /// context twice), and the rounds together cover every unordered
-    /// pair exactly once — the schedule invariant `collect_parallel`
-    /// relies on for both correctness and measurement isolation.
+    /// pair exactly once: exhaustive collection, which measures the
+    /// rounds one after another, measures every pair once.
     #[test]
     fn rounds_are_perfect_matchings_covering_all_pairs_once() {
         for n in 2..=33 {
@@ -218,6 +284,55 @@ mod tests {
         let star: Vec<(usize, usize)> = (1..150).map(|b| (0, b)).collect();
         assert_eq!(rounds_for(150, &star).len(), 149);
         assert_eq!(rounds_for(150, &star), rounds_for_reference(150, &star));
+    }
+
+    /// `first_fit_order`'s pairs, and the rounds of `rounds_for` read
+    /// out one after another.
+    fn assert_first_fit_is_the_rounds(n: usize, pairs: &[(usize, usize)]) {
+        let order: Vec<(usize, usize)> = first_fit_order(n, pairs)
+            .into_iter()
+            .map(|i| pairs[i])
+            .collect();
+        assert_eq!(order, rounds_for(n, pairs).concat(), "n={n}");
+    }
+
+    #[test]
+    fn round_equals_the_listed_rounds() {
+        for n in (0..=33).chain([255, 256, 512]) {
+            let listed = round_robin(n);
+            assert_eq!(rounds(n), listed.len(), "n={n}");
+            for (r, want) in listed.iter().enumerate() {
+                assert_eq!(round(n, r).collect::<Vec<_>>(), *want, "n={n} round {r}");
+            }
+            let pairs: Vec<(usize, usize)> = round_robin_pairs(n).collect();
+            assert_eq!(pairs, listed.concat(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn first_fit_order_is_the_rounds_read_out() {
+        for spec in mcsim::presets::all_mesh_scale() {
+            let n = spec.total_hwcs();
+            let pc = crate::alg::probe::PruneCfg::for_machine(n / spec.sockets, spec.sockets);
+            assert_first_fit_is_the_rounds(n, &crate::alg::probe::pruned_pairs(n, &pc).unwrap());
+        }
+        let mut next = crate::alg::splitmix(47);
+        for _ in 0..300 {
+            let n = 2 + (next() % 40) as usize;
+            let count = (next() % (4 * n as u64)) as usize;
+            let pairs: Vec<(usize, usize)> = (0..count)
+                .filter_map(|_| {
+                    let (a, b) = ((next() % n as u64) as usize, (next() % n as u64) as usize);
+                    (a != b).then(|| (a.min(b), a.max(b)))
+                })
+                .collect();
+            assert_first_fit_is_the_rounds(n, &pairs);
+        }
+        // A star takes a round per pair, past the first word; no pairs
+        // take none.
+        let star: Vec<(usize, usize)> = (1..150).map(|b| (0, b)).collect();
+        assert_first_fit_is_the_rounds(150, &star);
+        assert!(first_fit_order(5, &[]).is_empty());
     }
 
     #[test]

@@ -22,6 +22,13 @@ impl LatencyTable {
         }
     }
 
+    /// The table whose row-major entries are `vals` (`n * n` of them,
+    /// symmetric, with a zero diagonal).
+    pub(crate) fn from_vec(n: usize, vals: Vec<u32>) -> Self {
+        debug_assert_eq!(vals.len(), n * n);
+        LatencyTable { n, vals }
+    }
+
     /// Builds a table from a closure over the upper triangle; the lower
     /// triangle is mirrored (the paper measures only one triangle
     /// because the topology is symmetric).
@@ -103,11 +110,12 @@ impl LatencyTable {
 /// Hierarchy-first collection knows the sockets and measures only a few
 /// pairs between two of them, so its table has a part per socket and
 /// one representative value per socket pair. Every other table is the
-/// one-part case: a single block that is the whole table. Clustering,
-/// normalization, SMT detection and component grouping read this form,
-/// so their work grows with the blocks, not with N². Only the consumers
-/// of the finished normalized table (`build::assemble`, the topology's
-/// latency table, `validate`) read it dense ([`BlockTable::into_dense`]).
+/// one-part case: a single block that is the whole table. Collection
+/// writes each value where this form keeps it; clustering,
+/// normalization, SMT detection, component grouping, each context's
+/// `next_closest` and the validation of the topology read it, so their
+/// work grows with the blocks, not with N². The dense table is written
+/// once ([`BlockTable::into_dense_and_parts`]), as the topology's own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockTable {
     n: usize,
@@ -141,13 +149,35 @@ impl BlockTable {
         }
     }
 
+    /// The table of the given fields (each in the form the field's
+    /// documentation gives; `of` the inverse of `parts`).
+    pub(crate) fn from_blocks(
+        of: Vec<usize>,
+        parts: Vec<Vec<usize>>,
+        blocks: Vec<Vec<u32>>,
+        between: Vec<u32>,
+        exceptions: Vec<(usize, usize, u32)>,
+    ) -> Self {
+        BlockTable {
+            n: of.len(),
+            of,
+            parts,
+            blocks,
+            between,
+            exceptions,
+        }
+    }
+
     /// The block form of `table` over the parts `parts` (each
     /// ascending, together every context once; `of` their inverse). The
     /// value of a pair of parts is the pair of their first members, and
     /// `cross` lists every other pair between two parts whose value the
     /// table holds (`a < b`, any order, repeats allowed); every pair
     /// between two parts that `cross` does not list takes its pair of
-    /// parts' value.
+    /// parts' value. How collection cut its dense table before it
+    /// measured into blocks: the oracle of the tests that build block
+    /// tables from dense ones.
+    #[cfg(test)]
     pub(crate) fn from_parts(
         table: &LatencyTable,
         of: Vec<usize>,
@@ -280,15 +310,29 @@ impl BlockTable {
         best.map(|(_, a, b)| (a, b))
     }
 
-    /// The dense table. A part's row is its pair-of-parts values copied
-    /// whole, then its block's entries and the exceptions written over
-    /// it; the one-part form gives its block back without a copy.
+    /// The dense table; the one-part form gives its block back without
+    /// a copy.
     pub(crate) fn into_dense(self) -> LatencyTable {
-        let n = self.n;
+        self.into_dense_and_parts().0
+    }
+
+    /// The dense table, and the block form itself when it has more than
+    /// one part: a one-part table's block becomes the dense table
+    /// without a copy, and leaves nothing else to keep.
+    pub(crate) fn into_dense_and_parts(self) -> (LatencyTable, Option<BlockTable>) {
         if self.parts.len() == 1 {
+            let n = self.n;
             let vals = self.blocks.into_iter().next().expect("one block");
-            return LatencyTable { n, vals };
+            return (LatencyTable { n, vals }, None);
         }
+        (self.write_dense(), Some(self))
+    }
+
+    /// The dense table of a table of parts. A part's row is its
+    /// pair-of-parts values copied whole, then its block's entries and
+    /// the exceptions written over it.
+    fn write_dense(&self) -> LatencyTable {
+        let n = self.n;
         let p = self.parts.len();
         // `filled[u]`: the row of a context of part `u` outside its part.
         let filled: Vec<Vec<u32>> = (0..p)

@@ -11,9 +11,11 @@
 //! paper's Opteron the *OS* was wrong about the node mapping; the
 //! divergence report is how that was noticed).
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 
+use crate::alg::table::BlockTable;
 use crate::error::McTopError;
 use crate::model::{
     InterconnectLink,
@@ -45,6 +47,123 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
             )),
         }
     })
+}
+
+/// [`validate`] on a topology that inference assembled from a
+/// normalized table of parts (`Some(norm)`; the topology's latency
+/// table is `norm` written out dense), reading the facts the parts hold
+/// rather than N² entries: the structural checks; each part's block
+/// against the smallest socket group holding each of its pairs; each
+/// value between two parts, and each exception, against the link record
+/// of their sockets. A one-part table (`None`) is the dense table,
+/// which [`validate`] reads. Where a fact disagrees, or the parts are
+/// not the sockets, [`validate`]'s row scan runs and names the first
+/// entry that differs, as it always does.
+pub(crate) fn validate_blocks(topo: &Mctop, parts: Option<&BlockTable>) -> Result<(), McTopError> {
+    let Some(norm) = parts else {
+        return validate(topo);
+    };
+    structure(topo)?;
+    if facts_hold(topo, norm) {
+        return Ok(());
+    }
+    validate(topo)
+}
+
+/// Whether the table of parts `norm` equals the one the groups and links
+/// of the structurally valid `topo` define, read fact by fact: each part
+/// is a socket, each block is what the socket's groups give its pairs,
+/// and each value between parts and each exception is the link latency
+/// of the two sockets.
+pub(crate) fn facts_hold(topo: &Mctop, norm: &BlockTable) -> bool {
+    let (n, s) = (topo.num_hwcs(), topo.num_sockets());
+    if norm.of.len() != n || topo.lat_table.len() != n * n || norm.parts.len() != s {
+        return false;
+    }
+    // The socket of each part, each socket holding one part: then each
+    // part is all of its socket.
+    let mut socket_of = Vec::with_capacity(s);
+    let mut taken = vec![false; s];
+    for members in &norm.parts {
+        let socket = topo.hwcs[members[0]].socket;
+        if members.iter().any(|&c| topo.hwcs[c].socket != socket)
+            || std::mem::replace(&mut taken[socket], true)
+        {
+            return false;
+        }
+        socket_of.push(socket);
+    }
+    let mut cross = vec![0u32; s * s];
+    for l in &topo.links {
+        cross[l.a * s + l.b] = l.latency;
+        cross[l.b * s + l.a] = l.latency;
+    }
+    let link = |u: usize, v: usize| cross[socket_of[u] * s + socket_of[v]];
+    let between_holds = (0..s * s).all(|at| {
+        let (u, v) = (at / s, at % s);
+        u == v || norm.between[at] == link(u, v)
+    });
+    let exceptions_hold = norm
+        .exceptions
+        .iter()
+        .all(|&(a, b, value)| value == link(norm.of[a], norm.of[b]));
+    if !between_holds || !exceptions_hold {
+        return false;
+    }
+    // Each block as the derivation writes a socket's rows: its groups,
+    // largest first, so that each pair ends on the smallest group that
+    // holds it (`Mctop::derived_latency_rows` orders them alike).
+    let mut order: Vec<usize> = (0..topo.groups.len())
+        .filter(|&g| topo.groups[g].socket.is_some())
+        .collect();
+    order.sort_unstable_by_key(|&g| {
+        let group = &topo.groups[g];
+        (group.socket, Reverse((group.hwcs.len(), group.latency)), g)
+    });
+    let mut pos = vec![0usize; n];
+    for members in &norm.parts {
+        for (i, &c) in members.iter().enumerate() {
+            pos[c] = i;
+        }
+    }
+    let mut derived = Vec::new();
+    norm.parts
+        .iter()
+        .zip(&norm.blocks)
+        .enumerate()
+        .all(|(u, (members, block))| {
+            let k = members.len();
+            let socket = Some(socket_of[u]);
+            let lo = order.partition_point(|&g| topo.groups[g].socket < socket);
+            let hi = order.partition_point(|&g| topo.groups[g].socket <= socket);
+            derived.clear();
+            derived.resize(k * k, 0);
+            for group in order[lo..hi].iter().map(|&g| &topo.groups[g]) {
+                let hwcs = &group.hwcs;
+                let (Some(&first), Some(&last)) = (hwcs.first(), hwcs.last()) else {
+                    continue;
+                };
+                let (first, last) = (pos[first], pos[last]);
+                if last + 1 - first == hwcs.len() && hwcs.windows(2).all(|w| w[0] < w[1]) {
+                    // Consecutive members (as a socket's are): each of
+                    // their rows takes the latency over their run.
+                    for row in derived[first * k..(last + 1) * k].chunks_exact_mut(k) {
+                        row[first..=last].fill(group.latency);
+                    }
+                    continue;
+                }
+                for &a in hwcs {
+                    let row = &mut derived[pos[a] * k..][..k];
+                    for &b in hwcs {
+                        row[pos[b]] = group.latency;
+                    }
+                }
+            }
+            for i in 0..k {
+                derived[i * k + i] = 0;
+            }
+            derived == *block
+        })
 }
 
 /// Structural self-validation of a topology read without its latency

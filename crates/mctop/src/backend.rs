@@ -89,21 +89,6 @@ impl Prober for SimProber<'_> {
         self.oracle.reseed_stream(stream.tag());
     }
 
-    /// Simulated samples are pure functions of their stream, so
-    /// concurrent measurement needs no round isolation.
-    fn concurrent_pairs_interfere(&self) -> bool {
-        false
-    }
-
-    /// Forks share the machine spec, the noise configuration, and the
-    /// DVFS warm-up state accumulated so far; with the per-stream
-    /// reseeding of [`Prober::begin_stream`] their samples for a given
-    /// stream are identical to the parent's, so disjoint pairs can be
-    /// measured concurrently without changing any result.
-    fn fork(&self) -> Option<Self> {
-        Some(self.clone())
-    }
-
     fn machine_name(&self) -> String {
         self.spec.name.clone()
     }

@@ -218,24 +218,6 @@ impl Prober for HostProber {
         out.extend(samples);
     }
 
-    /// The host backend is stateless apart from its sample cache: a
-    /// fork is a fresh prober over the same machine, able to pin its
-    /// own measurement thread pair to a disjoint context pair. Retry
-    /// accounting starts at zero — the phase runners fold each fork's
-    /// delta separately.
-    fn fork(&self) -> Option<Self> {
-        Some(HostProber {
-            n_hwcs: self.n_hwcs,
-            n_nodes: self.n_nodes,
-            cache: Vec::new(),
-            cache_pair: (usize::MAX, usize::MAX),
-            batch: self.batch,
-            backend_retries: 0,
-            #[cfg(test)]
-            fail_next: 0,
-        })
-    }
-
     fn backend_retries(&self) -> u64 {
         self.backend_retries
     }

@@ -89,5 +89,5 @@ pub use view::TopoView;
 /// enrich the result with [`enrich`] plugins and persist it with
 /// [`desc::save`].
 pub fn infer<P: Prober>(prober: &mut P, cfg: &ProbeConfig) -> Result<Mctop, McTopError> {
-    Ok(alg::run_full(prober, cfg, 1)?.topology)
+    Ok(alg::run_full(prober, cfg)?.topology)
 }

@@ -104,7 +104,7 @@ fn fig6(out: &mut String) -> fmt::Result {
     let spec = mcsim::presets::ivy();
     let mut prober = mctop::backend::SimProber::new(&spec, 42);
     let cfg = mctop::ProbeConfig::fast();
-    let inference = mctop::alg::run_full(&mut prober, &cfg, 1).expect("inference");
+    let inference = mctop::alg::run_full(&mut prober, &cfg).expect("inference");
 
     writeln!(out, "-- step 1: latency table (corner, cycles) --")?;
     let raw = inference.raw_table();

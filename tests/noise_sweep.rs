@@ -66,7 +66,7 @@ fn infer(
         pairs,
         ..desc::canonical_probe_config_for(spec)
     };
-    let inference = mctop::alg::run_full(&mut SimProber::with_noise(spec, seed, noise), &cfg, 1)?;
+    let inference = mctop::alg::run_full(&mut SimProber::with_noise(spec, seed, noise), &cfg)?;
     let mut topo = inference.topology;
     enrich_all(
         &mut topo,

@@ -10,17 +10,11 @@ use mcsim::{
     Interconnect,
     MachineSpec, //
 };
-use mctop::alg::probe::{
-    collect,
-    collect_parallel,
-    ProbeStats, //
-};
 use mctop::backend::SimProber;
 use mctop::view::{
     naive,
     TopoView, //
 };
-use mctop::McTopError;
 use mctop::Mctop;
 use mctop::ProbeConfig;
 use mctop_place::{
@@ -56,97 +50,6 @@ fn arb_spec() -> impl Strategy<Value = MachineSpec> {
             m
         },
     )
-}
-
-/// Checks the `collect_parallel` determinism contract on one machine:
-/// for every worker count, the table, the additive statistics, and any
-/// failure are identical to the sequential `collect`, and the modelled
-/// critical path is bounded by the sequential one (equal at `jobs=1`,
-/// at least total/jobs otherwise).
-fn assert_parallel_equals_sequential(
-    spec: &MachineSpec,
-    seed: Option<u64>,
-    jobs_list: &[usize],
-) -> Result<(), String> {
-    let cfg = ProbeConfig {
-        reps: 5,
-        ..ProbeConfig::fast()
-    };
-    let label = |jobs: usize| format!("{} seed={seed:?} jobs={jobs}", spec.name);
-    let mk = || match seed {
-        Some(s) => SimProber::new(spec, s),
-        None => SimProber::noiseless(spec),
-    };
-    let seq = collect(&mut mk(), &cfg);
-    for &jobs in jobs_list {
-        let par = collect_parallel(&mut mk(), &cfg, jobs);
-        match (&seq, &par) {
-            (Ok((st, ss)), Ok((pt, ps))) => {
-                if st != pt {
-                    return Err(format!("{}: tables diverge", label(jobs)));
-                }
-                let additive = |s: &ProbeStats| {
-                    (
-                        s.pairs,
-                        s.probes,
-                        s.retries,
-                        s.sample_cycles,
-                        s.overhead_cycles,
-                    )
-                };
-                if additive(ss) != additive(ps) {
-                    return Err(format!("{}: stats diverge ({ss:?} vs {ps:?})", label(jobs)));
-                }
-                if ps.critical_cycles > ss.critical_cycles
-                    || ps.critical_cycles < ss.critical_cycles / jobs.max(1) as u64
-                    || (jobs <= 1 && ps.critical_cycles != ss.critical_cycles)
-                {
-                    return Err(format!(
-                        "{}: critical path out of bounds ({} vs sequential {})",
-                        label(jobs),
-                        ps.critical_cycles,
-                        ss.critical_cycles
-                    ));
-                }
-            }
-            (
-                Err(McTopError::UnstableMeasurements {
-                    pair: sp,
-                    stdev_frac: sf,
-                }),
-                Err(McTopError::UnstableMeasurements {
-                    pair: pp,
-                    stdev_frac: pf,
-                }),
-            ) => {
-                if sp != pp || sf != pf {
-                    return Err(format!("{}: failures diverge", label(jobs)));
-                }
-            }
-            (s, p) => {
-                return Err(format!(
-                    "{}: outcomes diverge ({s:?} vs {p:?})",
-                    label(jobs)
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The determinism contract on the big paper platforms (Westmere's 160
-/// and SPARC's 256 contexts — the machines the parallel schedule exists
-/// for), one fixed seed per platform to keep the runtime bounded.
-#[test]
-fn parallel_collection_equals_sequential_big_presets() {
-    for spec in mcsim::presets::all_paper_platforms() {
-        if spec.total_hwcs() <= 64 {
-            continue; // covered by the proptest
-        }
-        for seed in [None, Some(17)] {
-            assert_parallel_equals_sequential(&spec, seed, &[8]).unwrap();
-        }
-    }
 }
 
 proptest! {
@@ -316,29 +219,6 @@ proptest! {
                         prop_assert_eq!(view.get_latency(h, g), topo.lat_table[h * n + g]);
                     }
                 }
-            }
-        }
-    }
-
-    /// `collect_parallel` is byte-identical to the sequential `collect`
-    /// for every worker count, with and without measurement noise — on
-    /// the small preset machines and on arbitrary machine shapes (odd context counts
-    /// exercise the schedule's bye slot). The big platforms get the
-    /// same check in `parallel_collection_equals_sequential_big_presets`
-    /// below. This is the determinism contract that makes `--jobs` a
-    /// knob that never moves an output byte.
-    #[test]
-    fn parallel_collection_equals_sequential(seed in any::<u64>(), spec in arb_spec()) {
-        let mut specs: Vec<MachineSpec> = mcsim::presets::all_paper_platforms()
-            .into_iter()
-            .chain(mcsim::presets::all_synthetic())
-            .filter(|s| s.total_hwcs() <= 64)
-            .collect();
-        specs.push(spec);
-        for spec in &specs {
-            for noisy in [false, true] {
-                assert_parallel_equals_sequential(spec, noisy.then_some(seed), &[1, 2, 8])
-                    .map_err(TestCaseError::fail)?;
             }
         }
     }
