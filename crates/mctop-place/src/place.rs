@@ -399,7 +399,8 @@ fn build_stats(
 
 /// Computes the full hand-out order of a policy (before truncation to
 /// the requested thread count). Every per-socket order and the socket
-/// walk itself are borrowed from the view's caches.
+/// walk itself are borrowed from the view's caches; only the policies
+/// that read the walk build it.
 fn policy_order(
     view: &TopoView,
     policy: Policy,
@@ -407,10 +408,16 @@ fn policy_order(
 ) -> Result<Vec<usize>, PlaceError> {
     let topo = view.topo();
     let all = || (0..view.num_hwcs()).collect::<Vec<usize>>();
-    let mut socket_order: &[usize] = view.socket_order_bandwidth_proximity();
-    if let Some(k) = n_sockets {
-        socket_order = &socket_order[..k.max(1).min(socket_order.len())];
-    }
+    // NONE, SEQUENTIAL and POWER never read the walk, and building it
+    // costs a latency row per socket (the whole S×S latency matrix on
+    // the dense backend).
+    let socket_order: &[usize] = match policy {
+        Policy::None | Policy::Sequential | Policy::Power => &[],
+        _ => {
+            let walk = view.socket_order_bandwidth_proximity();
+            &walk[..n_sockets.map_or(walk.len(), |k| k.max(1).min(walk.len()))]
+        }
+    };
     let order = match policy {
         Policy::None | Policy::Sequential => all(),
         Policy::ConHwc => socket_order
@@ -761,6 +768,26 @@ mod tests {
         assert!(p.pins());
         let none = Placement::with_view(&t, Policy::None, PlaceOpts::threads(5)).unwrap();
         assert!(!none.pins());
+    }
+
+    /// NONE and SEQUENTIAL hand out `0..N`: a placement on a fresh mesh
+    /// view, on either backend, builds no socket walk and pins no
+    /// latency row or matrix.
+    #[test]
+    fn os_order_placements_leave_the_view_fresh() {
+        use mctop::view::ViewBackend;
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../descs");
+        let registry = mctop::registry::Registry::with_dir(dir);
+        let topo = std::sync::Arc::clone(registry.view("synth-mesh-144").unwrap().topo());
+        for backend in [ViewBackend::Sparse, ViewBackend::Dense] {
+            let view = TopoView::with_backend(std::sync::Arc::clone(&topo), backend);
+            let fresh = view.resident_bytes();
+            for policy in [Policy::None, Policy::Sequential] {
+                let p = Placement::with_view(&view, policy, PlaceOpts::default()).unwrap();
+                assert!(p.order().iter().copied().eq(0..view.num_hwcs()));
+            }
+            assert_eq!(view.resident_bytes(), fresh, "{backend:?}");
+        }
     }
 
     /// `build_stats` before it counted in one pass (a sort and dedup for

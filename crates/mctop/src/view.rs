@@ -16,11 +16,16 @@
 //!   backends — dense matrices (small machines) or a sparse
 //!   CSR-adjacency + level-bucket + on-demand-BFS form (mesh-scale
 //!   machines, where S² matrices stop fitting the cache budget),
-//! - per-socket neighbor lists sorted by proximity,
+//! - per-socket neighbor lists sorted by proximity, each built and
+//!   pinned on its first query (one BFS and one sort of S − 1 keys on
+//!   the sparse backend),
 //! - per-context → (core, socket, node) lookup tables,
 //! - per-socket context hand-out orders (compact and cores-first),
-//! - the min-latency / max-latency / max-bandwidth socket-pair caches
-//!   and the bandwidth-then-proximity socket walk of the CON policies.
+//! - the min-latency / max-latency / max-bandwidth socket-pair caches,
+//! - the bandwidth-then-proximity socket walk of the CON policies,
+//!   built on first use: each step takes the nearest unvisited socket
+//!   from one latency row (one BFS on the sparse backend), so the walk
+//!   sorts nothing and keeps only its S-entry order.
 //!
 //! Every answer is then an O(1) or O(k) lookup (amortized, for the
 //! sparse backend). The [`naive`] module keeps the reference
@@ -77,10 +82,12 @@ const ROW_CACHE_ROWS: usize = 32;
 pub mod naive {
     use crate::model::{LevelRole, Mctop};
 
-    /// Sockets sorted by latency from `socket`, closest first.
+    /// Sockets sorted by latency from `socket`, closest first. Each
+    /// key is one scan of the link arena, so it is looked up once per
+    /// socket, not once per comparison.
     pub fn closest_sockets(topo: &Mctop, socket: usize) -> Vec<usize> {
         let mut others: Vec<usize> = (0..topo.num_sockets()).filter(|&s| s != socket).collect();
-        others.sort_by_key(|&s| (socket_latency(topo, socket, s), s));
+        others.sort_by_cached_key(|&s| (socket_latency(topo, socket, s), s));
         others
     }
 
@@ -661,16 +668,33 @@ impl SparseStore {
 
     fn closest(&self, a: usize) -> &[usize] {
         self.neighbor_rows[a].get_or_init(|| {
-            // One BFS from `a` holds every key's hop count: the graph
-            // is undirected, so `row[b]` is the hop count of (a, b).
-            let row = bfs_row(&self.adj_off, &self.adj, self.n, a);
+            // One BFS from `a` holds every key: the graph is undirected,
+            // so `row[b]` is the latency of (a, b).
+            let mut scratch = RowScratch::default();
+            let row = self.latency_row(a, &mut scratch);
             let mut keyed: Vec<(u32, usize)> = (0..self.n)
                 .filter(|&b| b != a)
-                .map(|b| (self.pair_latency(a, b, || row[b]), b))
+                .map(|b| (row[b], b))
                 .collect();
             keyed.sort_unstable();
             keyed.iter().map(|&(_, b)| b).collect()
         })
+    }
+
+    /// Socket `a`'s latency row from one BFS into `scratch`: every
+    /// other socket under the exception-then-level rule of `latency`,
+    /// `a` itself at the intra-socket latency.
+    fn latency_row<'r>(&self, a: usize, scratch: &'r mut RowScratch) -> &'r [u32] {
+        bfs_into(&self.adj_off, &self.adj, self.n, a, scratch);
+        for (b, v) in scratch.row.iter_mut().enumerate() {
+            let hops = *v;
+            *v = if b == a {
+                self.intra
+            } else {
+                self.pair_latency(a, b, || hops)
+            };
+        }
+        &scratch.row
     }
 
     fn resident_bytes(&self) -> usize {
@@ -696,17 +720,40 @@ impl SparseStore {
     }
 }
 
+/// The buffers one BFS writes into: the hop row and its two
+/// frontiers. The socket walk keeps one for all its rows.
+#[derive(Debug, Default)]
+struct RowScratch {
+    row: Vec<u32>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+}
+
 /// BFS hop distances from `src` over the CSR direct-link graph
 /// (`u32::MAX` = unreachable).
 fn bfs_row(adj_off: &[u32], adj: &[u32], n: usize, src: usize) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; n];
+    let mut scratch = RowScratch::default();
+    bfs_into(adj_off, adj, n, src, &mut scratch);
+    scratch.row
+}
+
+/// [`bfs_row`] into `scratch.row`, reusing the scratch buffers.
+fn bfs_into(adj_off: &[u32], adj: &[u32], n: usize, src: usize, scratch: &mut RowScratch) {
+    let RowScratch {
+        row: dist,
+        frontier,
+        next,
+    } = scratch;
+    dist.clear();
+    dist.resize(n, u32::MAX);
     dist[src] = 0;
-    let mut frontier = vec![src as u32];
-    let mut next = Vec::new();
+    frontier.clear();
+    frontier.push(src as u32);
+    next.clear();
     let mut d = 0u32;
     while !frontier.is_empty() {
         d += 1;
-        for &u in &frontier {
+        for &u in frontier.iter() {
             let u = u as usize;
             for &v in &adj[adj_off[u] as usize..adj_off[u + 1] as usize] {
                 if dist[v as usize] == u32::MAX {
@@ -715,10 +762,9 @@ fn bfs_row(adj_off: &[u32], adj: &[u32], n: usize, src: usize) -> Vec<u32> {
                 }
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
+        std::mem::swap(frontier, next);
         next.clear();
     }
-    dist
 }
 
 impl DistanceStore {
@@ -747,6 +793,21 @@ impl DistanceStore {
         match self {
             DistanceStore::Dense(d) => d.closest(topo, a),
             DistanceStore::Sparse(s) => s.closest(a),
+        }
+    }
+
+    /// Socket `a`'s latency to every socket, indexed by socket: a row
+    /// of the dense latency matrix, or one BFS into `scratch` on the
+    /// sparse backend (which pins nothing).
+    fn latency_row<'r>(
+        &'r self,
+        topo: &'r Mctop,
+        a: usize,
+        scratch: &'r mut RowScratch,
+    ) -> &'r [u32] {
+        match self {
+            DistanceStore::Dense(d) => &d.lat(topo)[a * d.n..(a + 1) * d.n],
+            DistanceStore::Sparse(s) => s.latency_row(a, scratch),
         }
     }
 
@@ -802,8 +863,8 @@ pub struct TopoView {
     /// Sockets sorted by local bandwidth, descending.
     by_bandwidth: Vec<usize>,
     /// The CON-policy socket walk (max-bandwidth start, then
-    /// proximity), built on first use: it needs a full neighbor row per
-    /// hop, which the sparse backend materializes lazily.
+    /// proximity), built on first use from one latency row per step;
+    /// only the S-entry order stays resident.
     order_bw_proximity: OnceLock<Vec<usize>>,
     min_latency_pair: Option<(usize, usize)>,
     max_latency_pair: Option<(usize, usize)>,
@@ -1014,19 +1075,21 @@ impl TopoView {
             let mut order = Vec::with_capacity(s);
             if s > 0 {
                 let mut visited = vec![false; s];
+                let mut scratch = RowScratch::default();
                 let mut cur = self.by_bandwidth[0];
                 visited[cur] = true;
                 order.push(cur);
                 while order.len() < s {
-                    let next = self
-                        .closest_sockets(cur)
-                        .iter()
-                        .copied()
-                        .find(|&b| !visited[b])
+                    // The unvisited socket with the least (latency, id)
+                    // from `cur`: the first unvisited entry of its
+                    // proximity-sorted neighbor list, without the sort.
+                    let row = self.store.latency_row(&self.topo, cur, &mut scratch);
+                    cur = (0..s)
+                        .filter(|&b| !visited[b])
+                        .min_by_key(|&b| (row[b], b))
                         .expect("unvisited socket exists");
-                    visited[next] = true;
-                    order.push(next);
-                    cur = next;
+                    visited[cur] = true;
+                    order.push(cur);
                 }
             }
             order
@@ -1287,6 +1350,48 @@ mod tests {
         assert_eq!(
             sparse.resident_bytes(),
             fresh + s * (s - 1) * size_of::<usize>()
+        );
+    }
+
+    /// The walk takes the nearest unvisited socket from one latency row
+    /// per step: the same order as the reference's sorted neighbor
+    /// lists, on both backends of every committed machine.
+    #[test]
+    fn socket_walk_matches_naive_on_every_committed_machine() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../descs");
+        let registry = crate::Registry::with_dir(dir);
+        let names = registry.names().unwrap();
+        assert_eq!(names.len(), 16, "{names:?}");
+        for name in names {
+            let t = Arc::clone(registry.view(&name).unwrap().topo());
+            let want = naive::socket_order_bandwidth_proximity(&t);
+            for backend in [ViewBackend::Dense, ViewBackend::Sparse] {
+                let v = TopoView::with_backend(Arc::clone(&t), backend);
+                assert_eq!(
+                    v.socket_order_bandwidth_proximity(),
+                    &want[..],
+                    "{name} {backend:?}"
+                );
+            }
+        }
+    }
+
+    /// On the sparse backend the walk keeps its order and nothing else:
+    /// no neighbor row is pinned and no BFS row goes into the row cache.
+    #[test]
+    fn sparse_socket_walk_pins_only_its_order() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../descs/synth-mesh-144.mct.json"
+        );
+        let t = Arc::new(crate::desc::load(std::path::Path::new(path)).unwrap());
+        let v = TopoView::new(Arc::clone(&t));
+        assert_eq!(v.backend(), ViewBackend::Sparse);
+        let fresh = v.resident_bytes();
+        assert_eq!(v.socket_order_bandwidth_proximity().len(), t.num_sockets());
+        assert_eq!(
+            v.resident_bytes(),
+            fresh + t.num_sockets() * size_of::<usize>()
         );
     }
 
