@@ -166,20 +166,19 @@ pub(crate) fn facts_hold(topo: &Mctop, norm: &BlockTable) -> bool {
         })
 }
 
-/// Structural self-validation of a topology read without its latency
-/// table (description format 3), then the table filled from the
-/// groups and links.
+/// Structural self-validation of a topology read from a description,
+/// which stores no latency table, then the table filled from the groups
+/// and links.
 pub fn fill_table(topo: &mut Mctop) -> Result<(), McTopError> {
     structure(topo)?;
     if !topo.lat_table.is_empty() {
-        return irregular("a description of this format carries no latency table".into());
+        return irregular("a description carries no latency table".into());
     }
-    // The table grows through the powers of two, as the one the
-    // format-2 reader pushes entry by entry does, rather than being
-    // reserved at N² up front. A fresh N² block is carved out of
-    // whatever free chunk fits it; under `mctbench`'s `sort-exec` that
-    // was the space of a freed 8 MB buffer the next op wanted back, and
-    // peak RSS rose by 8 MB.
+    // The table grows through the powers of two, row by row, rather
+    // than being reserved at N² up front. A fresh N² block is carved
+    // out of whatever free chunk fits it; under `mctbench`'s `sort-exec`
+    // that was the space of a freed 8 MB buffer the next op wanted
+    // back, and peak RSS rose by 8 MB.
     let mut table: Vec<u32> = Vec::new();
     let filled = topo.derived_latency_rows(|_, row| {
         let len = table.len();
@@ -198,71 +197,22 @@ fn irregular(msg: String) -> Result<(), McTopError> {
     Err(McTopError::IrregularTopology(msg))
 }
 
-/// Rule 3 on a topology that has every socket pair's link record
-/// (description formats 2 and 3, or a format-4 file that stores them
-/// all), in any order: each record's `hops` is the BFS distance over the
-/// direct (`hops == 1`) records. The records are first checked as
-/// [`validate`] checks them, so that the distances read no bad index.
-pub fn hops(topo: &Mctop) -> Result<(), McTopError> {
-    let s = topo.num_sockets();
-    if s == 0 {
-        // Refused by the structural checks, which say why.
-        return Ok(());
-    }
-    check_links(&topo.links, s)?;
-    let sorted;
-    let mut links = &topo.links[..];
-    if !links
-        .windows(2)
-        .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b))
-    {
-        let mut copy = links.to_vec();
-        copy.sort_unstable_by_key(|l| (l.a, l.b));
-        sorted = copy;
-        links = &sorted;
-    }
-    topo.derived_links(links, |_, stored, derived| match stored {
-        Some(l) if l.hops != 1 => same_hops(l, &derived),
-        _ => Ok(()),
-    })
-}
-
-/// The link records of a format-4 description completed. The stored
-/// records must be normalized, name known sockets and come in strictly
-/// ascending triangle order; each that is not direct must pass rule 3;
-/// the record of every pair the file leaves out is derived
+/// The link records of a description completed into the arena's one
+/// shape (`Mctop::links`). The stored records must pass
+/// [`check_links`]' ascending pass; each that is not direct must pass
+/// rule 3; the record of every pair the file leaves out is derived
 /// ([`Mctop::derived_links`]), and the pair is named if the rules give
-/// none. A file that stores every pair's record needs no order and
-/// derives nothing: it is checked as [`hops`] checks it.
+/// none.
 pub(crate) fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
     let s = topo.num_sockets();
-    let pairs = s * s.saturating_sub(1) / 2;
-    if topo.links.len() == pairs {
-        return hops(topo);
-    }
     if s > topo.num_hwcs() {
         // Every socket holds a context, or the structural checks refuse
         // the file; deriving nothing here keeps the S² records this
         // would allocate within the N² table's bound.
         return Ok(());
     }
-    let mut last = None;
-    for l in &topo.links {
-        check_record(l, s)?;
-        let pair = Some((l.a, l.b));
-        if pair <= last {
-            let (a, b) = last.unwrap_or_default();
-            return irregular(match pair == last {
-                true => format!("duplicate interconnect record ({a}, {b})"),
-                false => format!(
-                    "interconnect record ({}, {}) is out of triangle order: it follows ({a}, {b})",
-                    l.a, l.b
-                ),
-            });
-        }
-        last = pair;
-    }
-    let mut links = Vec::with_capacity(pairs);
+    ascending(&topo.links, s)?;
+    let mut links = Vec::with_capacity(s * s.saturating_sub(1) / 2);
     topo.derived_links(&topo.links, |(a, b), stored, derived| {
         match (stored, derived) {
             (Some(l), derived) => {
@@ -556,9 +506,8 @@ fn structure(topo: &Mctop) -> Result<(), McTopError> {
         }
     }
 
-    // Every socket pair has exactly one link record, stored normalized
-    // (a < b) — the query engine and the `TopoView` matrices both rely
-    // on this canonical orientation.
+    // The link arena in its one shape, which `Mctop::link` and every
+    // `TopoView` backend index by position.
     check_links(&topo.links, topo.num_sockets())
 }
 
@@ -582,22 +531,38 @@ fn off_levels(levels: &[LatencyLevel], latency: u32) -> Option<String> {
     })
 }
 
-/// The interconnect records of an `s`-socket topology: exactly one per
-/// socket pair, each normalized and naming known sockets. Duplicates
-/// are found in an `s x s` bitmap, allocated only once the record count
-/// has matched `s (s - 1) / 2`, which bounds its size by the input's.
-fn check_links(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
-    if links.len() != s * (s - 1) / 2 {
+/// The interconnect records of an `s`-socket topology in the one shape
+/// a link arena has (`Mctop::links`): exactly one per socket pair, in
+/// strictly ascending triangle order. The first record out of that
+/// order is named; a list in order that is still short is missing
+/// records.
+pub(crate) fn check_links(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
+    ascending(links, s)?;
+    if links.len() != s * s.saturating_sub(1) / 2 {
         return irregular("missing interconnect records".into());
     }
-    let mut seen = vec![0u64; (s * s).div_ceil(64)];
+    Ok(())
+}
+
+/// The ascending pass of [`check_links`], which a description's stored
+/// records, a subset of the pairs, pass too: each record normalized,
+/// naming known sockets, and after the one before it in triangle order.
+fn ascending(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
+    let mut last = None;
     for l in links {
         check_record(l, s)?;
-        let (word, bit) = ((l.a * s + l.b) / 64, (l.a * s + l.b) % 64);
-        if seen[word] & 1 << bit != 0 {
-            return irregular(format!("duplicate interconnect record ({}, {})", l.a, l.b));
+        let pair = Some((l.a, l.b));
+        if pair <= last {
+            let (a, b) = last.unwrap_or_default();
+            return irregular(match pair == last {
+                true => format!("duplicate interconnect record ({a}, {b})"),
+                false => format!(
+                    "interconnect record ({}, {}) is out of triangle order: it follows ({a}, {b})",
+                    l.a, l.b
+                ),
+            });
         }
-        seen[word] |= 1 << bit;
+        last = pair;
     }
     Ok(())
 }
@@ -774,32 +739,44 @@ mod tests {
         ));
     }
 
-    /// The link check as it was before the bitmap: a set of the pairs
-    /// seen so far, the oracle the bitmap is compared against.
+    /// The link check written against the one arena an `s`-socket
+    /// topology may have, every pair in triangle order: a list equal to
+    /// it passes; any other is refused at its first record that is not
+    /// normalized, names an unknown socket, or does not come after the
+    /// record before it, and a list with none of those misses a pair.
     fn check_links_reference(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
         let err = |msg: String| Err(McTopError::IrregularTopology(msg));
-        if links.len() != s * (s - 1) / 2 {
-            return err("missing interconnect records".into());
+        let pairs: Vec<(usize, usize)> = links.iter().map(|l| (l.a, l.b)).collect();
+        let triangle: Vec<(usize, usize)> = (0..s)
+            .flat_map(|a| (a + 1..s).map(move |b| (a, b)))
+            .collect();
+        if pairs == triangle {
+            return Ok(());
         }
-        let mut pairs = BTreeSet::new();
-        for l in links {
-            if l.a >= l.b {
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            if a >= b {
                 return err(format!(
-                    "interconnect record ({}, {}) is not normalized (need a < b)",
-                    l.a, l.b
+                    "interconnect record ({a}, {b}) is not normalized (need a < b)"
                 ));
             }
-            if l.b >= s {
+            if b >= s {
                 return err(format!(
-                    "interconnect record ({}, {}) names an unknown socket",
-                    l.a, l.b
+                    "interconnect record ({a}, {b}) names an unknown socket"
                 ));
             }
-            if !pairs.insert((l.a, l.b)) {
-                return err(format!("duplicate interconnect record ({}, {})", l.a, l.b));
+            let Some(&(pa, pb)) = i.checked_sub(1).map(|j| &pairs[j]) else {
+                continue;
+            };
+            if (pa, pb) == (a, b) {
+                return err(format!("duplicate interconnect record ({a}, {b})"));
+            }
+            if (pa, pb) > (a, b) {
+                return err(format!(
+                    "interconnect record ({a}, {b}) is out of triangle order: it follows ({pa}, {pb})"
+                ));
             }
         }
-        Ok(())
+        err("missing interconnect records".into())
     }
 
     fn records(pairs: &[(usize, usize)]) -> Vec<InterconnectLink> {
@@ -819,17 +796,39 @@ mod tests {
         r.map_err(|e| e.to_string())
     }
 
+    /// One seeded edit of a list of link records: two records swapped,
+    /// or one duplicated over another, flipped, pushed out of range,
+    /// collapsed or removed.
+    fn edit(pairs: &mut Vec<(usize, usize)>, s: usize, next: &mut impl FnMut() -> u64) {
+        if pairs.is_empty() {
+            return;
+        }
+        let i = (next() % pairs.len() as u64) as usize;
+        let j = (next() % pairs.len() as u64) as usize;
+        let (a, b) = pairs[i];
+        match next() % 6 {
+            0 => pairs.swap(i, j),
+            1 => pairs[i] = pairs[j],
+            2 => pairs[i] = (b, a),
+            3 => pairs[i] = (a, s + (next() % 3) as usize),
+            4 => pairs[i] = (a, a),
+            _ => {
+                pairs.remove(i);
+            }
+        }
+    }
+
     #[test]
-    fn link_check_equals_the_set_reference() {
-        // (0, 6) of a 4-socket machine lands on the bit of (1, 2): the
-        // range check must come before the bitmap is read.
-        let aliased = records(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 6)]);
+    fn link_check_equals_the_triangle_order_reference() {
+        // (0, 6) of a 4-socket machine also comes before the (1, 3) it
+        // follows: the range check must come before the order check.
+        let far = records(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 6)]);
         assert_eq!(
-            outcome(check_links(&aliased, 4)),
+            outcome(check_links(&far, 4)),
             Err("irregular topology: interconnect record (0, 6) names an unknown socket".into())
         );
-        // Seeded record sets: every pair once, shuffled, then a few
-        // duplicated, flipped, pushed out of range or collapsed.
+        // Seeded record lists: every pair once, in triangle order, then
+        // up to three edits.
         let mut next = crate::alg::splitmix(33);
         let mut errors = 0;
         for _ in 0..3000 {
@@ -837,29 +836,15 @@ mod tests {
             let mut pairs: Vec<(usize, usize)> = (0..s)
                 .flat_map(|a| (a + 1..s).map(move |b| (a, b)))
                 .collect();
-            for i in (1..pairs.len()).rev() {
-                pairs.swap(i, (next() % (i as u64 + 1)) as usize);
-            }
-            for _ in 0..next() % 3 {
-                if pairs.is_empty() {
-                    break;
-                }
-                let i = (next() % pairs.len() as u64) as usize;
-                let j = (next() % pairs.len() as u64) as usize;
-                let (a, b) = pairs[i];
-                pairs[i] = match next() % 4 {
-                    0 => pairs[j],
-                    1 => (b, a),
-                    2 => (a, s + (next() % 3) as usize),
-                    _ => (a, a),
-                };
+            for _ in 0..next() % 4 {
+                edit(&mut pairs, s, &mut next);
             }
             let links = records(&pairs);
             let want = outcome(check_links_reference(&links, s));
             errors += usize::from(want.is_err());
             assert_eq!(outcome(check_links(&links, s)), want, "s={s} {pairs:?}");
         }
-        assert!(errors > 1000, "only {errors} of the cases are errors");
+        assert!(errors > 1500, "only {errors} of the cases are errors");
     }
 
     #[test]
@@ -893,19 +878,16 @@ mod tests {
         assert_eq!(s, 16);
         let mut next = crate::alg::splitmix(34);
         for _ in 0..200 {
+            let mut pairs: Vec<(usize, usize)> = t.links.iter().map(|l| (l.a, l.b)).collect();
+            edit(&mut pairs, s, &mut next);
             let mut bad = t.clone();
-            let n = bad.links.len();
-            for i in (1..n).rev() {
-                bad.links.swap(i, (next() % (i as u64 + 1)) as usize);
-            }
-            let i = (next() % n as u64) as usize;
-            let j = (next() % n as u64) as usize;
-            let l = &mut bad.links[i];
-            match next() % 3 {
-                0 => (l.a, l.b) = (t.links[j].a, t.links[j].b),
-                1 => (l.a, l.b) = (l.b, l.a),
-                _ => l.b = s + (next() % 3) as usize,
-            }
+            bad.links = pairs
+                .iter()
+                .map(|&(a, b)| {
+                    let l = t.link(a, b).unwrap_or(&t.links[0]);
+                    InterconnectLink { a, b, ..l.clone() }
+                })
+                .collect();
             let want = outcome(check_links_reference(&bad.links, s));
             assert_eq!(outcome(validate(&bad)), want);
         }

@@ -25,14 +25,13 @@
 //!   local node `n`.
 //!
 //! The reader checks the stored records (normalized, naming known
-//! sockets, in triangle order, and each one that is not direct at the
-//! distance the direct ones give), derives every missing pair's record,
-//! and refuses the file, naming the pair, where the rules give none. A
-//! file that stores every record may list them in any order. It then
-//! runs the structural checks of [`validate`] and derives the N×N
-//! latency table from the groups and links
-//! (`Mctop::derived_latency_rows`): two contexts of one socket are as
-//! far apart as the smallest group that holds both, two of different
+//! sockets, in strictly ascending triangle order, and each one that is
+//! not direct at the distance the direct ones give), derives every
+//! missing pair's record, and refuses the file, naming the pair, where
+//! the rules give none. It then runs the structural checks of
+//! [`validate`] and derives the N×N latency table from the groups and
+//! links (`Mctop::derived_latency_rows`): two contexts of one socket are
+//! as far apart as the smallest group that holds both, two of different
 //! sockets as their socket pair's link record, and a context is 0 from
 //! itself. The loaded [`Mctop`] holds every pair's record, in triangle
 //! order, whatever the file stored.
@@ -43,12 +42,9 @@
 //! grows with the square of the context and socket counts, not with
 //! the bytes of the file.
 //!
-//! Older files still load, checked by the same rules. A format-3 file
-//! stores every link record: each one's `hops` must be its distance over
-//! the direct records, and the table is derived as above. A format-2
-//! file also stores the table: its hops are checked the same way, and
-//! its table is compared with the derivation row by row and refused at
-//! the first entry that differs, naming both values.
+//! This is the one read path. A file of any other version, older ones
+//! included, is refused by the version gate, which names its version and
+//! this one.
 //!
 //! Both directions are one pass over the text with no value tree in
 //! between: [`to_string`] writes a borrowed envelope into one buffer,
@@ -94,20 +90,12 @@ use crate::enrich::{
 use crate::error::McTopError;
 use crate::model::Mctop;
 
-/// Current description-file format version. Version 2 added the
-/// mandatory provenance header; version 3 dropped the latency table,
-/// which the reader derives from the groups and links; version 4 drops
-/// the link records the reader derives from the direct ones.
+/// Current description-file format version, and the only one read.
+/// Version 2 added the mandatory provenance header; version 3 dropped
+/// the latency table, which the reader derives from the groups and
+/// links; version 4 drops the link records the reader derives from the
+/// direct ones.
 pub(crate) const VERSION: u32 = 4;
-
-/// The last version that stored every socket pair's link record. Such
-/// a file still loads, once each record's hops equal the distance over
-/// the direct ones.
-const LINKS_VERSION: u32 = 3;
-
-/// The last version that stored the latency table. Such a file still
-/// loads, once its hops and its table equal the derived ones.
-const TABLE_VERSION: u32 = 2;
 
 /// The most hardware contexts a description may have: 8× the largest
 /// committed machine (512) and above any current multi-socket server.
@@ -187,8 +175,8 @@ struct Loaded(u32, Mctop, Provenance);
 impl Deserialize for Loaded {
     /// Reads the envelope in the pass that reads its entries, in gate
     /// order whatever the key order: `provenance` is read in place once
-    /// the version is known to be [`VERSION`], [`LINKS_VERSION`] or
-    /// [`TABLE_VERSION`], `topology` once the header is read. An entry
+    /// the version is known to be [`VERSION`], `topology` once the
+    /// header is read. An entry
     /// that arrives before the gates ahead of it are settled is only
     /// checked, and its text (a slice of the input, no copy) read after
     /// the object closes — so a file of another version fails on its
@@ -203,13 +191,9 @@ impl Deserialize for Loaded {
             "version" => {
                 r.field("version", &mut version)?;
                 match version {
-                    Some(v) if ![VERSION, LINKS_VERSION, TABLE_VERSION].contains(&v) => {
-                        Err(DeError::new(format!(
-                            "unsupported description version {v} (expected {VERSION}, \
-                             {LINKS_VERSION} with every link record, \
-                             or {TABLE_VERSION} with its latency table)"
-                        )))
-                    }
+                    Some(v) if v != VERSION => Err(DeError::new(format!(
+                        "unsupported description version {v} (expected {VERSION})"
+                    ))),
                     _ => Ok(()),
                 }
             }
@@ -376,9 +360,7 @@ pub fn from_str(s: &str) -> Result<Mctop, McTopError> {
 /// Parses and validates a description string, returning the provenance
 /// header alongside the topology. The link records the file leaves out
 /// are derived from the direct ones, and the latency table from the
-/// groups and links; a version-2 file's stored table is checked against
-/// the derived one instead, and rejected at the first entry that
-/// differs.
+/// groups and links.
 pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
     let Loaded(version, mut topo, prov) =
         serde::from_json(s).map_err(|e| McTopError::InvalidDescription(e.to_string()))?;
@@ -399,20 +381,8 @@ pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
     }
     within_limits(&topo)?;
     validate::indices(&topo)?;
-    match version {
-        VERSION => {
-            validate::derive_links(&mut topo)?;
-            validate::fill_table(&mut topo)?;
-        }
-        LINKS_VERSION => {
-            validate::hops(&topo)?;
-            validate::fill_table(&mut topo)?;
-        }
-        _ => {
-            validate::hops(&topo)?;
-            validate::validate(&topo)?;
-        }
-    }
+    validate::derive_links(&mut topo)?;
+    validate::fill_table(&mut topo)?;
     Ok((topo, prov))
 }
 
@@ -493,11 +463,30 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let (topo, prov) = infer_with_header(&presets::synthetic_small());
-        let s = to_string(&topo, &prov)
-            .unwrap()
-            .replace(&format!("\"version\": {VERSION}"), "\"version\": 99");
-        let err = from_str(&s).unwrap_err();
-        assert!(matches!(err, McTopError::InvalidDescription(_)));
+        let text = to_string(&topo, &prov).unwrap();
+        // A later version, and the two older ones this reader no longer
+        // reads (format 3 stored every link record, format 2 the table
+        // too), with the header agreeing: the gate names both versions.
+        for version in [99, 3, 2] {
+            let s = text
+                .replace(
+                    &format!("\"version\": {VERSION}"),
+                    &format!("\"version\": {version}"),
+                )
+                .replace(
+                    &format!("\"format_version\": {VERSION}"),
+                    &format!("\"format_version\": {version}"),
+                );
+            match from_str(&s).unwrap_err() {
+                McTopError::InvalidDescription(msg) => assert!(
+                    msg.contains(&format!(
+                        "unsupported description version {version} (expected {VERSION})"
+                    )),
+                    "{msg}"
+                ),
+                other => panic!("expected InvalidDescription, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -557,27 +546,6 @@ mod tests {
         }
     }
 
-    /// `text` (version 4) as an older `version` wrote it: every link
-    /// record of `topo` back in `links`, both version fields set to
-    /// `version`, and `table`, if any, stored after `links`.
-    fn as_old(text: &str, topo: &Mctop, version: u32, table: Option<&[u32]>) -> String {
-        let mut v: serde_json::Value = serde_json::from_str(text).unwrap();
-        v["version"] = serde_json::json!(version);
-        v["provenance"]["format_version"] = serde_json::json!(version);
-        v["topology"]["links"] = serde_json::to_value(&topo.links);
-        let serde_json::InnerValue::Object(fields) = &mut v["topology"].0 else {
-            panic!("the topology is an object");
-        };
-        if let Some(table) = table {
-            let at = fields.iter().position(|(k, _)| k == "links").unwrap() + 1;
-            fields.insert(
-                at,
-                ("lat_table".into(), serde_json::json!(table.to_vec()).0),
-            );
-        }
-        v.to_string()
-    }
-
     fn irregular(text: &str) -> String {
         match from_str(text).unwrap_err() {
             McTopError::IrregularTopology(msg) => msg,
@@ -589,40 +557,30 @@ mod tests {
     fn corrupt_payload_rejected_by_validation() {
         let (topo, prov) = infer_with_header(&presets::synthetic_small());
         let s = to_string(&topo, &prov).unwrap();
-        // Surgical corruption of a version-2 text, the one that stores a
-        // table: make the latency table asymmetric.
-        let mut table = topo.lat_table.clone();
-        table[1] = 9999;
-        let res = from_str(&as_old(&s, &topo, 2, Some(&table)));
+        // Surgical corruption: a core's latency off every level.
+        let mut v: serde_json::Value = serde_json::from_str(&s).unwrap();
+        let core = topo.cores[0];
+        let latency = topo.groups[core].latency + 1;
+        v["topology"]["groups"][core]["latency"] = serde_json::json!(latency);
+        let res = from_str(&v.to_string());
         assert!(matches!(res, Err(McTopError::IrregularTopology(_))));
     }
 
     #[test]
-    fn only_a_version_2_text_stores_the_table() {
+    fn a_text_that_stores_the_table_is_refused() {
         let (topo, prov) = infer_with_header(&presets::synthetic_small());
         let s = to_string(&topo, &prov).unwrap();
         assert!(!s.contains("lat_table"), "{s}");
-        let v2 = as_old(&s, &topo, 2, Some(&topo.lat_table));
-        let (back, back_prov) = from_str_full(&v2).unwrap();
-        assert_eq!(back, topo);
-        assert_eq!(back_prov.format_version, 2);
-        // A version-3 or version-4 text with a table, or a version-2 one
-        // without.
-        for version in [3, 4] {
-            let with_table = v2
-                .replacen("\"version\":2", &format!("\"version\":{version}"), 1)
-                .replacen(
-                    "\"format_version\":2",
-                    &format!("\"format_version\":{version}"),
-                    1,
-                );
-            assert_eq!(
-                irregular(&with_table),
-                "a description of this format carries no latency table"
-            );
-        }
-        let v2_without_table = as_old(&s, &topo, 2, None);
-        assert_eq!(irregular(&v2_without_table), "latency table is not N x N");
+        let mut v: serde_json::Value = serde_json::from_str(&s).unwrap();
+        let serde_json::InnerValue::Object(fields) = &mut v["topology"].0 else {
+            panic!("the topology is an object");
+        };
+        let table = serde_json::json!(topo.lat_table.clone()).0;
+        fields.push(("lat_table".into(), table));
+        assert_eq!(
+            irregular(&v.to_string()),
+            "a description carries no latency table"
+        );
     }
 
     /// Each way a description can contradict its link rules is refused,
@@ -644,21 +602,17 @@ mod tests {
             v.to_string()
         };
 
-        // (a) A version-3 text with link (0, 3) one hop further than the
-        // direct links put it ...
-        let mut far = opteron.clone();
-        let l = far.links.iter_mut().find(|l| (l.a, l.b) == (0, 3)).unwrap();
-        assert_eq!(l.hops, 2);
-        l.hops = 3;
-        let want = "interconnect record (0, 3) has hops 3, but the direct links join the pair in 2";
-        assert_eq!(irregular(&as_old(text, &far, 3, None)), want);
-        // ... and the same record stored in a version-4 text.
+        // (a) Link (0, 3) stored one hop further than the direct links
+        // put it.
+        let mut far = opteron.link(0, 3).unwrap().clone();
+        assert_eq!(far.hops, 2);
+        far.hops = 3;
         let mut links = stored.clone();
         let at = links.partition_point(|r| (r.a, r.b) < (0, 3));
-        links.insert(at, far.link(0, 3).unwrap().clone());
+        links.insert(at, far);
         assert_eq!(
             irregular(&with("links", serde_json::to_value(&links))),
-            want
+            "interconnect record (0, 3) has hops 3, but the direct links join the pair in 2"
         );
 
         // (b) Ivy's one direct record removed: socket 1 is unreachable.
@@ -689,16 +643,21 @@ mod tests {
             )
         );
 
-        // (d) Two stored records swapped.
+        // (d) Two stored records swapped, and (e) every record stored,
+        // last first: each is refused at its first record out of place.
         let mut swapped = stored.clone();
         swapped.swap(0, 1);
-        assert_eq!(
-            irregular(&with("links", serde_json::to_value(&swapped))),
-            format!(
-                "interconnect record ({}, {}) is out of triangle order: it follows ({}, {})",
-                stored[0].a, stored[0].b, stored[1].a, stored[1].b
-            )
-        );
+        let mut every = opteron.links.clone();
+        every.reverse();
+        for records in [swapped, every] {
+            assert_eq!(
+                irregular(&with("links", serde_json::to_value(&records))),
+                format!(
+                    "interconnect record ({}, {}) is out of triangle order: it follows ({}, {})",
+                    records[1].a, records[1].b, records[0].a, records[0].b
+                )
+            );
+        }
     }
 
     #[test]

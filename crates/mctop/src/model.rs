@@ -286,9 +286,14 @@ pub struct Mctop {
     pub sockets: Vec<Socket>,
     /// Memory nodes.
     pub nodes: Vec<Node>,
-    /// Socket-to-socket connections (every pair, with hop counts). A
-    /// description stores only [`Mctop::stored_links`] (format 4): the
-    /// loader derives the rest (`Mctop::derived_links`).
+    /// Socket-to-socket connections, in the one shape a link arena has:
+    /// exactly one record per socket pair, normalized (`a < b`), in
+    /// strictly ascending triangle order — (0, 1), (0, 2), …, (1, 2), …
+    /// — so that pair `(a, b)` sits at a fixed position ([`Mctop::link`]).
+    /// Inference builds it so, the loader completes a description's
+    /// records into it, and `alg::validate` refuses any other. A
+    /// description stores only [`Mctop::stored_links`]: the loader
+    /// derives the rest (`Mctop::derived_links`).
     #[serde(getter = "Mctop::stored_links")]
     pub links: Vec<InterconnectLink>,
     /// Normalized context-to-context latency table (row-major, N x N).
@@ -540,20 +545,16 @@ impl Mctop {
 
     /// The link records a description stores: the direct (`hops == 1`)
     /// ones, and every other one that differs from what
-    /// `Mctop::derived_links` makes of its pair, in triangle order. If
-    /// `links` is not every socket pair in triangle order, all of it, in
-    /// its own order, so that a round trip keeps it.
+    /// `Mctop::derived_links` makes of its pair, in triangle order.
+    ///
+    /// # Panics
+    ///
+    /// If `links` is not in its one shape (every socket pair once, in
+    /// triangle order): such a topology has no description.
     pub fn stored_links(&self) -> Vec<&InterconnectLink> {
-        let s = self.num_sockets();
-        let mut pairs = (0..s).flat_map(|a| (a + 1..s).map(move |b| (a, b)));
-        let in_order = self.links.len() == s * s.saturating_sub(1) / 2
-            && self.links.iter().all(|l| pairs.next() == Some((l.a, l.b)));
-        if !in_order {
-            return self.links.iter().collect();
-        }
         let mut out = Vec::new();
         let Ok(()) = self.derived_links(&self.links, |_, stored, derived| {
-            let l = stored.expect("every pair has a record");
+            let l = stored.expect("every socket pair has a link record");
             if l.hops == 1 || derived.as_ref() != Ok(l) {
                 out.push(l);
             }
@@ -568,10 +569,18 @@ impl Mctop {
         self.sockets[self.hwcs[hwc].socket].local_node
     }
 
-    /// The interconnect link record for a socket pair.
+    /// The interconnect link record for a socket pair: the record at the
+    /// pair's triangle position in `links`, if it names that pair. `None`
+    /// for a socket with itself, a socket out of range, or an arena out
+    /// of its shape.
     pub fn link(&self, a: usize, b: usize) -> Option<&InterconnectLink> {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.links.iter().find(|l| l.a == lo && l.b == hi)
+        let (a, b, s) = (a.min(b), a.max(b), self.num_sockets());
+        if a == b || b >= s {
+            return None;
+        }
+        // Rows 0..a hold (s - 1) + … + (s - a) records.
+        let at = a * (2 * s - a - 1) / 2 + (b - a - 1);
+        self.links.get(at).filter(|l| (l.a, l.b) == (a, b))
     }
 
     /// Cross-socket bandwidth between two sockets, if measured.
@@ -587,8 +596,8 @@ impl Mctop {
     }
 
     /// Context-to-context latency between two sockets (via their link
-    /// record; `u32::MAX` if unknown). A scan of the link records:
-    /// [`crate::view::TopoView::socket_latency`] is the indexed form.
+    /// record; `u32::MAX` if unknown). The oracle of
+    /// [`crate::view::TopoView::socket_latency`].
     pub fn socket_latency(&self, a: usize, b: usize) -> u32 {
         naive::socket_latency(self, a, b)
     }
@@ -809,5 +818,6 @@ mod tests {
         assert_eq!(t.max_latency(), 100);
         assert!(t.summary().contains("tiny"));
         assert!(t.link(0, 0).is_none());
+        assert!(t.link(0, 1).is_none());
     }
 }

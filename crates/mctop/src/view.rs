@@ -27,12 +27,14 @@
 //!   from one latency row (one BFS on the sparse backend), so the walk
 //!   sorts nothing and keeps only its S-entry order.
 //!
-//! Every answer is then an O(1) or O(k) lookup (amortized, for the
-//! sparse backend). The [`naive`] module keeps the reference
-//! implementations; `tests/proptest_invariants.rs` asserts view answers
-//! are identical to the naive ones on every simulated machine, and
-//! `tests/proptest_scale.rs` asserts the two backends are identical to
-//! each other.
+//! The view reads the model's link arena in its one shape, every socket
+//! pair's record once in triangle order (`Mctop::links`), and refuses
+//! any other at construction. Every answer is then an O(1) or O(k)
+//! lookup (amortized, for the sparse backend). The [`naive`] module
+//! keeps the reference implementations; `tests/proptest_invariants.rs`
+//! asserts view answers are identical to the naive ones on every
+//! simulated machine, and `tests/proptest_scale.rs` asserts the two
+//! backends are identical to each other.
 //!
 //! # Examples
 //!
@@ -82,9 +84,8 @@ const ROW_CACHE_ROWS: usize = 32;
 pub mod naive {
     use crate::model::{LevelRole, Mctop};
 
-    /// Sockets sorted by latency from `socket`, closest first. Each
-    /// key is one scan of the link arena, so it is looked up once per
-    /// socket, not once per comparison.
+    /// Sockets sorted by latency from `socket`, closest first, each
+    /// key looked up once per socket (`Mctop::link`).
     pub fn closest_sockets(topo: &Mctop, socket: usize) -> Vec<usize> {
         let mut others: Vec<usize> = (0..topo.num_sockets()).filter(|&s| s != socket).collect();
         others.sort_by_cached_key(|&s| (socket_latency(topo, socket, s), s));
@@ -287,25 +288,6 @@ impl DenseStore {
         }
     }
 
-    /// One scan over the link arena per matrix, mirroring the naive
-    /// query exactly: only normalized records are visible, and the
-    /// first record for a pair wins (`Mctop::link` is a first-match
-    /// scan). `validate` rejects unnormalized/duplicate records in
-    /// loaded topologies, so this only matters for hand-built ones.
-    fn visible_links(
-        topo: &Mctop,
-        n: usize,
-    ) -> impl Iterator<Item = &crate::model::InterconnectLink> {
-        let mut seen = vec![false; n * n];
-        topo.links.iter().filter(move |l| {
-            if l.a >= l.b || l.b >= n || seen[l.a * n + l.b] {
-                return false;
-            }
-            seen[l.a * n + l.b] = true;
-            true
-        })
-    }
-
     fn lat(&self, topo: &Mctop) -> &[u32] {
         self.lat.get_or_init(|| {
             let n = self.n;
@@ -313,7 +295,7 @@ impl DenseStore {
             for i in 0..n {
                 m[i * n + i] = self.intra;
             }
-            for l in Self::visible_links(topo, n) {
+            for l in &topo.links {
                 m[l.a * n + l.b] = l.latency;
                 m[l.b * n + l.a] = l.latency;
             }
@@ -328,7 +310,7 @@ impl DenseStore {
             for i in 0..n {
                 m[i * n + i] = 0;
             }
-            for l in Self::visible_links(topo, n) {
+            for l in &topo.links {
                 m[l.a * n + l.b] = l.hops;
                 m[l.b * n + l.a] = l.hops;
             }
@@ -340,7 +322,7 @@ impl DenseStore {
         self.bw.get_or_init(|| {
             let n = self.n;
             let mut m: Vec<Option<f64>> = vec![None; n * n];
-            for l in Self::visible_links(topo, n) {
+            for l in &topo.links {
                 m[l.a * n + l.b] = l.bandwidth;
                 m[l.b * n + l.a] = l.bandwidth;
             }
@@ -400,8 +382,8 @@ struct RowCache {
 /// exception list holding verbatim every pair the model does *not*
 /// explain — empty on regular meshes, never wrong on anything else.
 /// Bandwidth is irregular per pair (measured, jittered) and cannot be
-/// reconstructed; it is answered by binary search over the model's own
-/// link arena, costing the view no memory.
+/// reconstructed; it is answered from the model's own link arena
+/// ([`Mctop::link`]), costing the view no memory.
 #[derive(Debug)]
 struct SparseStore {
     n: usize,
@@ -409,18 +391,12 @@ struct SparseStore {
     /// CSR over direct links: `adj[adj_off[s]..adj_off[s + 1]]`.
     adj_off: Vec<u32>,
     adj: Vec<u32>,
-    /// Latency per BFS hop count; `None` = no uniform value at that
-    /// level (every such pair is then in `exceptions`).
+    /// Latency per hop count; `None` = no uniform value at that level
+    /// (every such pair is then in `exceptions`).
     level_lat: Vec<Option<u32>>,
     /// `(a, b, latency, hops)` for pairs deviating from the hop model,
-    /// sorted by `(a, b)` with `a < b`; `u32::MAX` encodes "unknown".
+    /// sorted by `(a, b)` with `a < b`.
     exceptions: Vec<(u32, u32, u32, u32)>,
-    /// Whether `topo.links` is strictly sorted by normalized `(a, b)` —
-    /// lets bandwidth lookups binary-search the arena directly.
-    links_sorted: bool,
-    /// Fallback bandwidth index when the arena is not sorted: visible
-    /// link indices ordered by `(a, b)`.
-    link_index: Vec<u32>,
     /// LRU of recent BFS hop rows, for single-pair `latency` / `hops`.
     rows: Mutex<RowCache>,
     /// Proximity-sorted neighbor rows, pinned once queried (the row is
@@ -439,8 +415,6 @@ impl Clone for SparseStore {
             adj: self.adj.clone(),
             level_lat: self.level_lat.clone(),
             exceptions: self.exceptions.clone(),
-            links_sorted: self.links_sorted,
-            link_index: self.link_index.clone(),
             // The clone starts with a cold row cache (derived state).
             rows: Mutex::new(RowCache::default()),
             neighbor_rows: self.neighbor_rows.clone(),
@@ -449,26 +423,19 @@ impl Clone for SparseStore {
 }
 
 impl SparseStore {
+    /// One pass over the link arena, which [`TopoView::with_backend`]
+    /// has checked is in its one shape: the direct records into the CSR
+    /// adjacency, and each record's latency into the bucket of its own
+    /// `hops`. Rule 3 (`alg::validate`, on every load) makes a record's
+    /// `hops` its BFS distance over the direct records, so a bucket holds
+    /// the pairs a BFS puts at that level.
     fn build(topo: &Mctop, intra: u32) -> SparseStore {
         let n = topo.num_sockets();
-        // Visible links under the first-match rule (see DenseStore).
-        let mut first: Vec<bool> = vec![false; n * n];
-        let mut order: Vec<u32> = Vec::new();
-        for (i, l) in topo.links.iter().enumerate() {
-            if l.a >= l.b || l.b >= n || first[l.a * n + l.b] {
-                continue;
-            }
-            first[l.a * n + l.b] = true;
-            order.push(i as u32);
-        }
         // CSR over the direct (1-hop) links.
         let mut deg = vec![0u32; n];
-        for &i in &order {
-            let l = &topo.links[i as usize];
-            if l.hops == 1 {
-                deg[l.a] += 1;
-                deg[l.b] += 1;
-            }
+        for l in topo.links.iter().filter(|l| l.hops == 1) {
+            deg[l.a] += 1;
+            deg[l.b] += 1;
         }
         let mut adj_off = vec![0u32; n + 1];
         for s in 0..n {
@@ -476,28 +443,18 @@ impl SparseStore {
         }
         let mut adj = vec![0u32; adj_off[n] as usize];
         let mut cursor: Vec<u32> = adj_off[..n].to_vec();
-        for &i in &order {
-            let l = &topo.links[i as usize];
-            if l.hops == 1 {
-                adj[cursor[l.a] as usize] = l.b as u32;
-                cursor[l.a] += 1;
-                adj[cursor[l.b] as usize] = l.a as u32;
-                cursor[l.b] += 1;
-            }
+        for l in topo.links.iter().filter(|l| l.hops == 1) {
+            adj[cursor[l.a] as usize] = l.b as u32;
+            cursor[l.a] += 1;
+            adj[cursor[l.b] as usize] = l.a as u32;
+            cursor[l.b] += 1;
         }
-        // All-pairs BFS (build-time only; the rows are dropped) to
-        // bucket every visible link by its BFS hop count and to find
-        // the pairs the buckets do not explain.
-        let rows: Vec<Vec<u32>> = (0..n).map(|s| bfs_row(&adj_off, &adj, n, s)).collect();
+        // A hop count of `n` or more is no BFS distance among `n`
+        // sockets: such a record stays out of the buckets.
         let mut buckets: Vec<Option<u32>> = Vec::new();
         let mut mixed: Vec<bool> = Vec::new();
-        for &i in &order {
-            let l = &topo.links[i as usize];
-            let k = rows[l.a][l.b];
-            if k == u32::MAX {
-                continue;
-            }
-            let k = k as usize;
+        for l in topo.links.iter().filter(|l| l.hops < n) {
+            let k = l.hops;
             if buckets.len() <= k {
                 buckets.resize(k + 1, None);
                 mixed.resize(k + 1, false);
@@ -513,48 +470,16 @@ impl SparseStore {
             .zip(&mixed)
             .map(|(b, &m)| if m { None } else { *b })
             .collect();
-        let mut exceptions: Vec<(u32, u32, u32, u32)> = Vec::new();
-        for &i in &order {
-            let l = &topo.links[i as usize];
-            let k = rows[l.a][l.b];
-            let explained = k != u32::MAX
-                && l.hops == k as usize
-                && level_lat.get(k as usize).copied().flatten() == Some(l.latency);
-            if !explained {
+        // In arena order, which is `(a, b)` order.
+        let exceptions = topo
+            .links
+            .iter()
+            .filter(|l| level_lat.get(l.hops).copied().flatten() != Some(l.latency))
+            .map(|l| {
                 let hops = u32::try_from(l.hops).unwrap_or(u32::MAX);
-                exceptions.push((l.a as u32, l.b as u32, l.latency, hops));
-            }
-        }
-        // Incomplete topologies (hand-built; validation requires every
-        // pair): pin missing pairs to "unknown" so BFS cannot fabricate
-        // an answer the dense backend would not give.
-        if order.len() < n * (n - 1) / 2 {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if !first[a * n + b] {
-                        exceptions.push((a as u32, b as u32, u32::MAX, u32::MAX));
-                    }
-                }
-            }
-        }
-        exceptions.sort_unstable();
-        // Bandwidth lookup path: binary search the arena when it is
-        // strictly sorted by normalized pair (every generated topology
-        // is); otherwise keep a sorted index of the visible links.
-        let links_sorted = !topo.links.is_empty()
-            && topo.links.iter().all(|l| l.a < l.b)
-            && topo
-                .links
-                .windows(2)
-                .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b));
-        let mut link_index = Vec::new();
-        if !links_sorted {
-            link_index = order.clone();
-            link_index.sort_unstable_by_key(|&i| {
-                let l = &topo.links[i as usize];
-                (l.a, l.b)
-            });
-        }
+                (l.a as u32, l.b as u32, l.latency, hops)
+            })
+            .collect();
         SparseStore {
             n,
             intra,
@@ -562,8 +487,6 @@ impl SparseStore {
             adj,
             level_lat,
             exceptions,
-            links_sorted,
-            link_index,
             rows: Mutex::new(RowCache::default()),
             neighbor_rows: (0..n).map(|_| OnceLock::new()).collect(),
         }
@@ -646,24 +569,7 @@ impl SparseStore {
     }
 
     fn cross_bw(&self, topo: &Mctop, a: usize, b: usize) -> Option<f64> {
-        if a == b {
-            return None;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if self.links_sorted {
-            topo.links
-                .binary_search_by(|l| (l.a, l.b).cmp(&key))
-                .ok()
-                .and_then(|i| topo.links[i].bandwidth)
-        } else {
-            self.link_index
-                .binary_search_by(|&i| {
-                    let l = &topo.links[i as usize];
-                    (l.a, l.b).cmp(&key)
-                })
-                .ok()
-                .and_then(|pos| topo.links[self.link_index[pos] as usize].bandwidth)
-        }
+        topo.link(a, b).and_then(|l| l.bandwidth)
     }
 
     fn closest(&self, a: usize) -> &[usize] {
@@ -701,8 +607,7 @@ impl SparseStore {
         let mut total = self.adj_off.len() * size_of::<u32>()
             + self.adj.len() * size_of::<u32>()
             + self.level_lat.len() * size_of::<Option<u32>>()
-            + self.exceptions.len() * size_of::<(u32, u32, u32, u32)>()
-            + self.link_index.len() * size_of::<u32>();
+            + self.exceptions.len() * size_of::<(u32, u32, u32, u32)>();
         total += self
             .rows
             .lock()
@@ -828,10 +733,10 @@ impl DistanceStore {
 
 /// A precomputed, shareable index over an immutable [`Mctop`].
 ///
-/// Construction is O(N + E + S log S) on the dense backend, whose S×S
-/// matrices (and the S² bitmap of their link scan) are built on first
-/// touch, and O(N + S·(S + E)) on the sparse one (a BFS per socket).
-/// Every query afterwards is an O(1) table lookup or a borrowed slice
+/// Construction is O(N + S²) on either backend: one pass over the
+/// S(S−1)/2 link records checks their shape, and the sparse backend
+/// buckets each by its hop count; the dense backend's S×S matrices are
+/// built on first touch. Every query afterwards is an O(1) table lookup or a borrowed slice
 /// (amortized, for the sparse backend). The view holds the topology
 /// behind an [`Arc`], so it is cheap to hand to worker pools and
 /// placement caches; [`TopoView::topo`] hands out the model itself.
@@ -880,6 +785,10 @@ impl TopoView {
     /// Builds the view, taking shared ownership of the topology. The
     /// distance backend is chosen by socket count
     /// (`SPARSE_THRESHOLD_SOCKETS`).
+    ///
+    /// # Panics
+    ///
+    /// As [`TopoView::with_backend`].
     pub fn new(topo: Arc<Mctop>) -> TopoView {
         let backend = if topo.num_sockets() >= SPARSE_THRESHOLD_SOCKETS {
             ViewBackend::Sparse
@@ -891,9 +800,22 @@ impl TopoView {
 
     /// [`TopoView::new`] with an explicit distance backend — the
     /// equivalence tests and the scale bench force both on the same
-    /// topology.
+    /// topology. The sparse backend takes each record's `hops` to be its
+    /// distance over the direct records (rule 3, which the loader
+    /// checks); on a hand-edited topology that breaks it, the two
+    /// backends' `socket_hops` differ.
+    ///
+    /// # Panics
+    ///
+    /// If `topo.links` is not in its one shape, every socket pair's
+    /// record once in triangle order (`Mctop::links`), as every loaded
+    /// or inferred topology has it: the view reads a pair's record at
+    /// its position. The message names the first record out of place.
     pub fn with_backend(topo: Arc<Mctop>, backend: ViewBackend) -> TopoView {
         let s = topo.num_sockets();
+        if let Err(e) = crate::alg::validate::check_links(&topo.links, s) {
+            panic!("a view needs the link arena in its one shape: {e}");
+        }
         let socket_level = naive::socket_level_index(&topo);
         let intra = naive::intra_socket_latency(&topo);
 
@@ -1227,6 +1149,17 @@ mod tests {
             v.socket_order_bandwidth_proximity(),
             &naive::socket_order_bandwidth_proximity(&t)[..]
         );
+        // `Mctop::link` finds no record for a socket with itself or out
+        // of range, nor one out of its triangle place.
+        let s = t.num_sockets();
+        assert_eq!(t.link(2, 2), None);
+        assert_eq!(t.link(0, s), None);
+        assert_eq!(t.link(s + 1, 1), None);
+        let mut swapped = Mctop::clone(&t);
+        swapped.links.swap(0, 1);
+        assert_eq!(swapped.link(0, 1), None);
+        assert_eq!(swapped.link(1, 0), None);
+        assert_eq!(swapped.link(0, 3), t.link(0, 3));
     }
 
     #[test]
@@ -1397,16 +1330,12 @@ mod tests {
 
     #[test]
     fn sparse_neighbor_rows_honor_exceptions_and_missing_pairs() {
-        let mut t = Mctop::clone(&enriched(&mcsim::presets::opteron()));
-        let two_hop: Vec<usize> = (0..t.links.len())
-            .filter(|&i| t.links[i].hops == 2)
-            .collect();
-        assert!(two_hop.len() >= 2);
+        let opteron = enriched(&mcsim::presets::opteron());
+        let mut t = Mctop::clone(&opteron);
+        let two_hop = t.links.iter().position(|l| l.hops == 2).unwrap();
         // A far pair that answers faster than any neighbor (off the hop
-        // model, so the sparse store keeps it as an exception) ...
-        t.links[two_hop[0]].latency = 1;
-        // ... and a pair with no record at all (unknown, sorts last).
-        t.links.remove(two_hop[two_hop.len() - 1]);
+        // model, so the sparse store keeps it as an exception).
+        t.links[two_hop].latency = 1;
         let t = Arc::new(t);
         let dense = TopoView::with_backend(Arc::clone(&t), ViewBackend::Dense);
         let sparse = TopoView::with_backend(Arc::clone(&t), ViewBackend::Sparse);
@@ -1416,6 +1345,35 @@ mod tests {
                 dense.closest_sockets(a),
                 "row {a}"
             );
+        }
+        // A pair with no record, or records out of their triangle order,
+        // is refused by either backend, naming the first record out of
+        // place.
+        let mut missing = Mctop::clone(&opteron);
+        missing.links.remove(two_hop);
+        let mut shuffled = Mctop::clone(&opteron);
+        shuffled.links.swap(0, 1);
+        let (first, second) = (&opteron.links[0], &opteron.links[1]);
+        for (t, want) in [
+            (missing, "missing interconnect records".to_string()),
+            (
+                shuffled,
+                format!(
+                    "interconnect record ({}, {}) is out of triangle order: it follows ({}, {})",
+                    first.a, first.b, second.a, second.b
+                ),
+            ),
+        ] {
+            let t = Arc::new(t);
+            for backend in [ViewBackend::Dense, ViewBackend::Sparse] {
+                let built = std::panic::catch_unwind(|| {
+                    TopoView::with_backend(Arc::clone(&t), backend);
+                });
+                let msg = built.expect_err("the view refuses the arena");
+                let msg = msg.downcast_ref::<String>().unwrap();
+                assert!(msg.ends_with(&want), "{backend:?} {msg}");
+            }
+            assert!(std::panic::catch_unwind(|| TopoView::new(Arc::clone(&t))).is_err());
         }
     }
 

@@ -9,8 +9,6 @@ use mctop::enrich::{
 };
 use mctop::ProbeConfig;
 
-mod support;
-
 fn cfg() -> ProbeConfig {
     ProbeConfig {
         reps: 3,
@@ -64,44 +62,6 @@ fn description_is_human_inspectable_json() {
     assert!(!s.contains("\"lat_table\""), "{s}");
 }
 
-/// A format-2 text of each committed description (every link record and
-/// the table stored) loads to the same topology as the format-4 file,
-/// with its header's `format_version` 2; with one table entry raised it
-/// is refused, and the error names that entry.
-#[test]
-fn every_committed_file_still_loads_as_format_2() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("descs");
-    let mut files = 0;
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (topo, prov) = mctop::desc::from_str_full(&text).unwrap();
-        let (topo2, prov2) = mctop::desc::from_str_full(&support::v2_text(&text, None))
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(topo2, topo, "{}", path.display());
-        let v2 = Provenance {
-            format_version: 2,
-            ..prov
-        };
-        assert_eq!(prov2, v2, "{}", path.display());
-
-        let (a, b) = (topo.num_hwcs() - 1, 0);
-        let was = topo.get_latency(a, b);
-        match mctop::desc::from_str(&support::v2_text(&text, Some((a, b)))) {
-            Err(mctop::McTopError::IrregularTopology(msg)) => assert_eq!(
-                msg,
-                format!(
-                    "latency table entry ({a}, {b}) is {}, but the groups and links give {was}",
-                    was + 1
-                )
-            ),
-            other => panic!("{}: {other:?}", path.display()),
-        }
-        files += 1;
-    }
-    assert_eq!(files, 16);
-}
-
 /// The committed descriptions, by path: (path, text, loaded).
 fn committed() -> Vec<(std::path::PathBuf, String, mctop::Mctop)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("descs");
@@ -119,19 +79,6 @@ fn committed() -> Vec<(std::path::PathBuf, String, mctop::Mctop)> {
     files
 }
 
-/// A format-3 text of each committed description (every link record
-/// stored) loads to the same topology as the format-4 file, with its
-/// header's `format_version` 3.
-#[test]
-fn every_committed_file_still_loads_as_format_3() {
-    for (path, text, topo) in committed() {
-        let (topo3, prov3) = mctop::desc::from_str_full(&support::v3_text(&text))
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(topo3, topo, "{}", path.display());
-        assert_eq!(prov3.format_version, 3, "{}", path.display());
-    }
-}
-
 /// On every committed description the rules derive each record that is
 /// not direct: the file stores exactly the `hops == 1` ones.
 #[test]
@@ -145,8 +92,7 @@ fn every_committed_file_stores_exactly_its_direct_links() {
 /// A record the rules would not reproduce is stored, and only such a
 /// record: after one seeded mutation of a committed topology, a write
 /// and a read give it back equal, and the file stores the direct
-/// records plus exactly the mutated ones — or every record, in their
-/// own order, once the list is shuffled.
+/// records plus exactly the mutated ones.
 #[test]
 fn records_the_rules_miss_are_stored_and_round_trip() {
     use rand::rngs::SmallRng;
@@ -161,7 +107,7 @@ fn records_the_rules_miss_are_stored_and_round_trip() {
     assert!(files.len() >= 6);
     let mut rng = SmallRng::seed_from_u64(39);
     let prov = |topo: &mctop::Mctop| Provenance::new(&topo.name, &cfg(), None, true);
-    let mut seen = [0; 4];
+    let mut seen = [0; 3];
     for case in 0..200 {
         let (path, _, base) = &files[rng.gen_range(0..files.len())];
         let mut topo = base.clone();
@@ -171,7 +117,7 @@ fn records_the_rules_miss_are_stored_and_round_trip() {
                 |l: &&mctop::model::InterconnectLink| l.hops == 1 || extra.contains(&(l.a, l.b));
             topo.links.iter().filter(keep).cloned().collect()
         };
-        let kind = rng.gen_range(0..4);
+        let kind = rng.gen_range(0..3);
         seen[kind] += 1;
         let want = match kind {
             // A multi-hop record's latency moved onto another cross level.
@@ -199,7 +145,7 @@ fn records_the_rules_miss_are_stored_and_round_trip() {
             }
             // One socket's local node forgotten: each record towards it
             // that carries a bandwidth no longer follows from the rules.
-            2 => {
+            _ => {
                 let b = rng.gen_range(1..topo.num_sockets());
                 topo.sockets[b].local_node = None;
                 let towards: Vec<_> = topo
@@ -209,13 +155,6 @@ fn records_the_rules_miss_are_stored_and_round_trip() {
                     .map(|l| (l.a, l.b))
                     .collect();
                 direct(&topo, &towards)
-            }
-            // The records shuffled.
-            _ => {
-                for i in (1..topo.links.len()).rev() {
-                    topo.links.swap(i, rng.gen_range(0..=i));
-                }
-                topo.links.clone()
             }
         };
         let what = format!("case {case}, {}, mutation {kind}", path.display());
@@ -315,8 +254,8 @@ fn envelope_gates_come_before_payload_errors_in_any_order() {
     }
     // Then the missing header, then the payloads in envelope order.
     for entries in [
-        vec![("version", "2"), ("topology", bad_topo.as_str())],
-        vec![("topology", bad_topo.as_str()), ("version", "2")],
+        vec![("version", "4"), ("topology", bad_topo.as_str())],
+        vec![("topology", bad_topo.as_str()), ("version", "4")],
     ] {
         let msg = invalid(&envelope(&entries));
         assert!(msg.contains("missing provenance header"), "{msg}");
@@ -348,12 +287,12 @@ fn envelope_gates_come_before_payload_errors_in_any_order() {
     let msg = invalid(&envelope(&[
         ("topology", &bad_topo),
         ("provenance", &prov),
-        ("version", "2"),
+        ("version", &version),
     ]));
     assert!(msg.contains("field `topology`: field `smt`: "), "{msg}");
     let msg = invalid(&envelope(&[("provenance", &prov), ("topology", &topo)]));
     assert!(msg.contains("missing field `version`"), "{msg}");
-    let msg = invalid(&envelope(&[("version", "2"), ("provenance", &prov)]));
+    let msg = invalid(&envelope(&[("version", &version), ("provenance", &prov)]));
     assert!(msg.contains("missing field `topology`"), "{msg}");
 }
 
@@ -389,6 +328,6 @@ fn first_duplicate_wins_and_unknown_keys_are_skipped() {
     ]);
     assert_eq!(mctop::desc::from_str_full(&text).unwrap(), expected);
     // A duplicate that is not JSON is still a syntax error.
-    let broken = envelope(&[("version", "2"), ("version", "{")]);
+    let broken = envelope(&[("version", &version), ("version", "{")]);
     assert!(mctop::desc::from_str_full(&broken).is_err());
 }

@@ -20,8 +20,6 @@ use rand::{
 };
 use serde_json::Value;
 
-mod support;
-
 fn committed(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("descs")
@@ -130,9 +128,8 @@ fn a_description_without_sockets_is_an_error_not_a_panic() {
 
 #[test]
 fn a_description_that_disagrees_with_itself_is_named_not_loaded() {
-    // A format-2 table entry raised inside a socket and across sockets,
-    // and a group member out of range: each parses, and validation
-    // names the entry and both values.
+    // A group member out of range: it parses, and validation names the
+    // group and the context.
     let text = committed("synth-nosmt");
     let topo = desc::from_str(&text).unwrap();
     let irregular = |text: &str| {
@@ -142,17 +139,6 @@ fn a_description_that_disagrees_with_itself_is_named_not_loaded() {
             other => panic!("{other}"),
         }
     };
-    let (s0, s1) = (&topo.sockets[0].hwcs, &topo.sockets[1].hwcs);
-    for (a, b) in [(s0[0], s0[1]), (s0[2], s1[1])] {
-        let was = topo.get_latency(a, b);
-        assert_eq!(
-            irregular(&support::v2_text(&text, Some((a, b)))),
-            format!(
-                "latency table entry ({a}, {b}) is {}, but the groups and links give {was}",
-                was + 1
-            )
-        );
-    }
     let mut file: Value = serde_json::from_str(&text).unwrap();
     file["topology"]["groups"][3]["hwcs"][0] = serde_json::json!(99);
     assert_eq!(
@@ -166,11 +152,11 @@ fn a_description_that_disagrees_with_itself_is_named_not_loaded() {
 
 #[test]
 fn a_description_whose_links_contradict_their_rules_is_named_not_loaded() {
-    // (a) A format-3 text with link (0, 3) one hop further than the
-    // direct links put it; (b) a format-4 text whose one direct record
-    // is gone, so socket 1 is unreachable; (c) a format-4 text with a
-    // second level for two hops, which a derived pair needs. Each
-    // parses, and the loader names the pair and both values.
+    // (a) A text that stores link (0, 3) one hop further than the direct
+    // links put it; (b) one whose one direct record is gone, so socket 1
+    // is unreachable; (c) one with a second level for two hops, which a
+    // derived pair needs. Each parses, and the loader names the pair and
+    // both values.
     let irregular = |text: &str| {
         assert_eq!(read_both(text), (true, false));
         match desc::from_str(text).unwrap_err() {
@@ -179,14 +165,15 @@ fn a_description_whose_links_contradict_their_rules_is_named_not_loaded() {
         }
     };
     let opteron = committed("opteron");
-    let mut file: Value = serde_json::from_str(&support::v3_text(&opteron)).unwrap();
-    let record = &mut file["topology"]["links"][2];
-    assert_eq!(
-        (record["a"].to_string(), record["b"].to_string()),
-        ("0".into(), "3".into())
-    );
-    assert_eq!(record["hops"].to_string(), "2");
-    record["hops"] = serde_json::json!(3);
+    let topo = desc::from_str(&opteron).unwrap();
+    let mut far = topo.link(0, 3).unwrap().clone();
+    assert_eq!(far.hops, 2);
+    far.hops = 3;
+    let mut links: Vec<_> = topo.stored_links().into_iter().cloned().collect();
+    let at = links.partition_point(|l| (l.a, l.b) < (0, 3));
+    links.insert(at, far);
+    let mut file: Value = serde_json::from_str(&opteron).unwrap();
+    file["topology"]["links"] = serde_json::to_value(&links);
     assert_eq!(
         irregular(&file.to_string()),
         "interconnect record (0, 3) has hops 3, but the direct links join the pair in 2"
@@ -199,7 +186,6 @@ fn a_description_whose_links_contradict_their_rules_is_named_not_loaded() {
         "socket pair (0, 1) has no interconnect record, and no path of direct links joins it"
     );
 
-    let topo = desc::from_str(&opteron).unwrap();
     let mut levels = topo.levels.clone();
     levels.push(mctop::model::LatencyLevel {
         index: levels.len(),
@@ -382,7 +368,7 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         assert!(serde_json::from_str::<Value>(&deep).is_err(), "{unit}");
         assert!(desc::from_str(&deep).is_err(), "{unit}");
         // The same nest under a key the envelope ignores.
-        let skipped = format!("{{\"version\": 2, \"junk\": {deep}");
+        let skipped = format!("{{\"version\": 4, \"junk\": {deep}");
         assert!(desc::from_str(&skipped).is_err(), "{unit}");
         assert!(serde_json::from_str::<Vec<u32>>(&deep).is_err(), "{unit}");
     }
