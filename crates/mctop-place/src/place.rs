@@ -409,8 +409,8 @@ fn policy_order(
     let topo = view.topo();
     let all = || (0..view.num_hwcs()).collect::<Vec<usize>>();
     // NONE, SEQUENTIAL and POWER never read the walk, and building it
-    // costs a latency row per socket (the whole S×S latency matrix on
-    // the dense backend).
+    // reads about S²/2 link latencies from the arena and pins an
+    // S-entry order.
     let socket_order: &[usize] = match policy {
         Policy::None | Policy::Sequential | Policy::Power => &[],
         _ => {

@@ -25,11 +25,41 @@ use crate::model::{
     Underived, //
 };
 
-/// Structural self-validation, then the latency table against the one
-/// the groups and links define (`Mctop::derived_latency_rows`): the
-/// first entry that differs is named, with both values.
+/// Structural self-validation, rule 3 on every link record
+/// (`hops_hold`), then the latency table against the one the groups
+/// and links define (`table_holds`).
 pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
     structure(topo)?;
+    hops_hold(topo)?;
+    table_holds(topo)
+}
+
+/// [`validate`] on a topology that inference assembled from a
+/// normalized table of parts (`Some(norm)`; the topology's latency
+/// table is `norm` written out dense), reading the facts the parts hold
+/// rather than N² entries: the structural checks; each part's block
+/// against the smallest socket group holding each of its pairs; each
+/// value between two parts, and each exception, against the link record
+/// of their sockets. A one-part table (`None`) is the dense table,
+/// which `table_holds` reads. Where a fact disagrees, or the parts are
+/// not the sockets, its row scan runs and names the first entry that
+/// differs, as it always does.
+///
+/// It skips [`validate`]'s rule 3 check: `build::infer_links` gives
+/// each record its BFS distance over the direct records as its `hops`,
+/// so on inference's output rule 3 holds by construction.
+pub(crate) fn validate_blocks(topo: &Mctop, parts: Option<&BlockTable>) -> Result<(), McTopError> {
+    structure(topo)?;
+    match parts {
+        Some(norm) if facts_hold(topo, norm) => Ok(()),
+        _ => table_holds(topo),
+    }
+}
+
+/// The latency table of a structurally valid `topo` against the one the
+/// groups and links define (`Mctop::derived_latency_rows`): the first
+/// entry that differs is named, with both values.
+fn table_holds(topo: &Mctop) -> Result<(), McTopError> {
     let n = topo.num_hwcs();
     if topo.lat_table.len() != n * n {
         return irregular("latency table is not N x N".into());
@@ -47,27 +77,6 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
             )),
         }
     })
-}
-
-/// [`validate`] on a topology that inference assembled from a
-/// normalized table of parts (`Some(norm)`; the topology's latency
-/// table is `norm` written out dense), reading the facts the parts hold
-/// rather than N² entries: the structural checks; each part's block
-/// against the smallest socket group holding each of its pairs; each
-/// value between two parts, and each exception, against the link record
-/// of their sockets. A one-part table (`None`) is the dense table,
-/// which [`validate`] reads. Where a fact disagrees, or the parts are
-/// not the sockets, [`validate`]'s row scan runs and names the first
-/// entry that differs, as it always does.
-pub(crate) fn validate_blocks(topo: &Mctop, parts: Option<&BlockTable>) -> Result<(), McTopError> {
-    let Some(norm) = parts else {
-        return validate(topo);
-    };
-    structure(topo)?;
-    if facts_hold(topo, norm) {
-        return Ok(());
-    }
-    validate(topo)
 }
 
 /// Whether the table of parts `norm` equals the one the groups and links
@@ -93,12 +102,10 @@ pub(crate) fn facts_hold(topo: &Mctop, norm: &BlockTable) -> bool {
         }
         socket_of.push(socket);
     }
-    let mut cross = vec![0u32; s * s];
-    for l in &topo.links {
-        cross[l.a * s + l.b] = l.latency;
-        cross[l.b * s + l.a] = l.latency;
-    }
-    let link = |u: usize, v: usize| cross[socket_of[u] * s + socket_of[v]];
+    let link = |u: usize, v: usize| {
+        topo.link(socket_of[u], socket_of[v])
+            .map_or(0, |l| l.latency)
+    };
     let between_holds = (0..s * s).all(|at| {
         let (u, v) = (at / s, at % s);
         u == v || norm.between[at] == link(u, v)
@@ -243,6 +250,16 @@ pub(crate) fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
     })?;
     topo.links = links;
     Ok(())
+}
+
+/// Rule 3 on every record of a structurally valid topology: its `hops`
+/// is its distance over the direct records (`Mctop::derived_links`).
+/// The first record in triangle order that breaks it is named.
+fn hops_hold(topo: &Mctop) -> Result<(), McTopError> {
+    topo.derived_links(&topo.links, |_, stored, derived| match stored {
+        Some(l) if l.hops != 1 => same_hops(l, &derived),
+        _ => Ok(()),
+    })
 }
 
 /// Rule 3 on one record: its `hops` is the distance `derived` found.
@@ -1002,6 +1019,27 @@ mod tests {
                 ivy.groups[g].latency
             )
         );
+    }
+
+    /// Rule 3: a record's `hops` is its distance over the direct
+    /// records. A hand-edited arena that breaks it would split the two
+    /// view backends' `socket_hops`, so it does not validate.
+    #[test]
+    fn a_record_off_its_direct_distance_is_named() {
+        let opteron =
+            crate::desc::from_str(crate::registry::shipped_source("opteron").unwrap()).unwrap();
+        validate(&opteron).unwrap();
+        let at = opteron
+            .links
+            .iter()
+            .position(|l| (l.a, l.b) == (0, 3))
+            .unwrap();
+        assert_eq!(opteron.links[at].hops, 2);
+        let mut t = opteron.clone();
+        t.links[at].hops = 3;
+        let want = "irregular topology: interconnect record (0, 3) has hops 3, \
+                    but the direct links join the pair in 2";
+        assert_eq!(outcome(validate(&t)), Err(want.into()));
     }
 
     #[test]

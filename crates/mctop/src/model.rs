@@ -365,25 +365,23 @@ impl Mctop {
     /// - A context is 0 from itself.
     ///
     /// Costs N² plus the sum of the squared group sizes. It holds one
-    /// row, an S×S matrix of the link latencies and each context's list
-    /// of groups, never a table.
+    /// row, one socket's link latencies and each context's list of
+    /// groups, never a table; the latencies are read from the link
+    /// arena ([`Mctop::link`]).
     ///
     /// # Panics
     ///
     /// If an index it reads is out of range: run it only on a topology
     /// that passed `alg::validate`'s structural checks, which also make
     /// each socket's group a socket-tagged group of exactly its
-    /// contexts, so that every in-socket pair has a group.
+    /// contexts, so that every in-socket pair has a group, and put the
+    /// link arena in its one shape, so that every cross-socket pair has
+    /// a record.
     pub(crate) fn derived_latency_rows<E>(
         &self,
         mut each: impl FnMut(usize, &[u32]) -> Result<(), E>,
     ) -> Result<(), E> {
         let (n, s) = (self.num_hwcs(), self.num_sockets());
-        let mut cross = vec![0u32; s * s];
-        for l in &self.links {
-            cross[l.a * s + l.b] = l.latency;
-            cross[l.b * s + l.a] = l.latency;
-        }
         // The socket-tagged groups holding each context, largest first,
         // so that a row writes the smallest group holding a pair last:
         // `holding[start[h]..start[h + 1]]` for context `h`.
@@ -413,13 +411,17 @@ impl Mctop {
         }
         // A row's cross-socket entries depend on its socket alone, and
         // its socket's group rewrites every in-socket entry: the cross
-        // part is written again only when the socket changes.
+        // part, and the socket's link latencies it is read from, are
+        // written again only when the socket changes.
         let mut row = vec![0u32; n];
+        let mut cross = vec![0u32; s];
         let mut row_socket = None;
         for (a, ctx) in self.hwcs.iter().enumerate() {
             if row_socket != Some(ctx.socket) {
                 row_socket = Some(ctx.socket);
-                let cross = &cross[ctx.socket * s..][..s];
+                for (b, v) in cross.iter_mut().enumerate() {
+                    *v = self.link(ctx.socket, b).map_or(0, |l| l.latency);
+                }
                 for (v, other) in row.iter_mut().zip(&self.hwcs) {
                     *v = cross[other.socket];
                 }

@@ -11,30 +11,28 @@
 //!
 //! - the socket-level index (validated, not guessed — see
 //!   [`TopoView::try_new`]),
-//! - a `DistanceStore`: the socket×socket latency / hop / bandwidth
-//!   index behind every distance query, with two interchangeable
-//!   backends — dense matrices (small machines) or a sparse
-//!   CSR-adjacency + level-bucket + on-demand-BFS form (mesh-scale
-//!   machines, where S² matrices stop fitting the cache budget),
-//! - per-socket neighbor lists sorted by proximity, each built and
-//!   pinned on its first query (one BFS and one sort of S − 1 keys on
-//!   the sparse backend),
+//! - per-socket neighbor lists sorted by proximity, each built from the
+//!   link arena and pinned on its first query (one sort of S − 1 keys),
 //! - per-context → (core, socket, node) lookup tables,
 //! - per-socket context hand-out orders (compact and cores-first),
 //! - the min-latency / max-latency / max-bandwidth socket-pair caches,
 //! - the bandwidth-then-proximity socket walk of the CON policies,
 //!   built on first use: each step takes the nearest unvisited socket
-//!   from one latency row (one BFS on the sparse backend), so the walk
-//!   sorts nothing and keeps only its S-entry order.
+//!   by the arena's latencies, so the walk sorts nothing and keeps only
+//!   its S-entry order.
 //!
 //! The view reads the model's link arena in its one shape, every socket
 //! pair's record once in triangle order (`Mctop::links`), and refuses
-//! any other at construction. Every answer is then an O(1) or O(k)
-//! lookup (amortized, for the sparse backend). The [`naive`] module
-//! keeps the reference implementations; `tests/proptest_invariants.rs`
-//! asserts view answers are identical to the naive ones on every
-//! simulated machine, and `tests/proptest_scale.rs` asserts the two
-//! backends are identical to each other.
+//! any other at construction. A socket pair's latency, hops and
+//! bandwidth are then read in place, through [`Mctop::link`]'s O(1)
+//! triangle index, and the view copies no link field. One exception is
+//! left: on mesh-scale machines ([`ViewBackend::Sparse`]) single-pair
+//! latency and hops go through a sparse store of their own. The
+//! [`naive`] module keeps the reference implementations;
+//! `tests/proptest_invariants.rs` asserts view answers are identical to
+//! the naive ones on every simulated machine, and
+//! `tests/proptest_scale.rs` asserts the two backends are identical to
+//! each other.
 //!
 //! # Examples
 //!
@@ -60,9 +58,9 @@ use crate::model::Mctop;
 use crate::sync::Mutex;
 
 /// Socket count at and above which [`TopoView::new`] picks the sparse
-/// distance backend. Below it the dense matrices are at most a few
-/// dozen kilobytes and strictly faster; above it they grow with S² while
-/// the sparse form grows with the link degree.
+/// backend. Below it single-pair `socket_latency` / `socket_hops` read
+/// the link arena in place, as every other answer does on both
+/// backends; at and above it they go through the sparse store.
 pub(crate) const SPARSE_THRESHOLD_SOCKETS: usize = 32;
 
 /// BFS hop rows the sparse backend keeps resident (LRU). Policy loops
@@ -74,13 +72,15 @@ const ROW_CACHE_ROWS: usize = 32;
 /// the oracle of the equivalence tests, not a second way to query (each
 /// call rescans, and most sort).
 ///
-/// [`TopoView`] derives its latency/hop/bandwidth answers,
-/// neighbor lists, bandwidth ranking and socket walk independently
-/// (via its `DistanceStore`) — for those the naive-vs-view
-/// equivalence proptest is a genuine cross-check. The remaining caches
-/// (hand-out orders, socket level, latency pairs) intentionally share
-/// these reference implementations, so for them the proptest guards
-/// cache staleness and indexing, not derivation.
+/// [`TopoView`] derives its bandwidth ranking, its socket walk (a row
+/// minimum per step, not a walk down sorted lists) and, on the sparse
+/// backend, its single-pair latency and hops (BFS hop levels and
+/// exceptions) independently — for those the naive-vs-view equivalence
+/// proptest is a genuine cross-check. The remaining answers share the
+/// model's link records (`Mctop::link`) or these reference
+/// implementations (neighbor lists, hand-out orders, socket level,
+/// latency pairs), so for them the proptest guards cache staleness and
+/// indexing, not derivation.
 pub mod naive {
     use crate::model::{LevelRole, Mctop};
 
@@ -228,17 +228,20 @@ impl CsrLists {
     }
 }
 
-/// Which distance backend a view runs on.
+/// Which distance backend a view runs on: how it answers single-pair
+/// `socket_latency` and `socket_hops`. Every other socket-pair answer
+/// reads the link arena on both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewBackend {
-    /// Dense S×S matrices, built lazily per matrix. The right answer
-    /// for cache-coherent boxes (S ≤ 8 on every committed platform).
+    /// The pair's record in the model's link arena ([`Mctop::link`]),
+    /// read in place: nothing resident. The right answer for
+    /// cache-coherent boxes (S ≤ 8 on every committed platform).
     Dense,
     /// CSR adjacency over the direct links, per-hop-level latency
     /// buckets, on-demand BFS hop rows behind a small LRU, and a sorted
     /// exception list for pairs that deviate from the hop model. O(S +
-    /// E + exceptions) resident instead of O(S²); exact on every
-    /// topology (deviating pairs are stored verbatim).
+    /// E + exceptions) resident; exact on every topology that keeps
+    /// rule 3 (deviating pairs are stored verbatim).
     Sparse,
 }
 
@@ -252,138 +255,27 @@ impl ViewBackend {
     }
 }
 
-/// The socket-distance index of a view: latency, hops, bandwidth and
-/// proximity-sorted neighbor rows, behind one of two backends.
-#[derive(Debug, Clone)]
-enum DistanceStore {
-    Dense(DenseStore),
-    Sparse(SparseStore),
-}
-
-/// Dense matrices, each built on first use (a policy loop that only
-/// ever asks for latency never pays for the bandwidth matrix).
-#[derive(Debug, Clone)]
-struct DenseStore {
-    n: usize,
-    intra: u32,
-    /// S×S context-to-context latency (diagonal = intra-socket).
-    lat: OnceLock<Vec<u32>>,
-    /// S×S interconnect hops (0 on the diagonal, `usize::MAX` unknown).
-    hops: OnceLock<Vec<usize>>,
-    /// S×S cross-socket memory bandwidth (`None` on the diagonal).
-    bw: OnceLock<Vec<Option<f64>>>,
-    /// S rows: the other sockets sorted by latency (ties by id).
-    neighbors: OnceLock<Vec<Vec<usize>>>,
-}
-
-impl DenseStore {
-    fn new(n: usize, intra: u32) -> DenseStore {
-        DenseStore {
-            n,
-            intra,
-            lat: OnceLock::new(),
-            hops: OnceLock::new(),
-            bw: OnceLock::new(),
-            neighbors: OnceLock::new(),
-        }
-    }
-
-    fn lat(&self, topo: &Mctop) -> &[u32] {
-        self.lat.get_or_init(|| {
-            let n = self.n;
-            let mut m = vec![u32::MAX; n * n];
-            for i in 0..n {
-                m[i * n + i] = self.intra;
-            }
-            for l in &topo.links {
-                m[l.a * n + l.b] = l.latency;
-                m[l.b * n + l.a] = l.latency;
-            }
-            m
-        })
-    }
-
-    fn hops(&self, topo: &Mctop) -> &[usize] {
-        self.hops.get_or_init(|| {
-            let n = self.n;
-            let mut m = vec![usize::MAX; n * n];
-            for i in 0..n {
-                m[i * n + i] = 0;
-            }
-            for l in &topo.links {
-                m[l.a * n + l.b] = l.hops;
-                m[l.b * n + l.a] = l.hops;
-            }
-            m
-        })
-    }
-
-    fn bw(&self, topo: &Mctop) -> &[Option<f64>] {
-        self.bw.get_or_init(|| {
-            let n = self.n;
-            let mut m: Vec<Option<f64>> = vec![None; n * n];
-            for l in &topo.links {
-                m[l.a * n + l.b] = l.bandwidth;
-                m[l.b * n + l.a] = l.bandwidth;
-            }
-            m
-        })
-    }
-
-    fn closest(&self, topo: &Mctop, a: usize) -> &[usize] {
-        &self.neighbors.get_or_init(|| {
-            let n = self.n;
-            let lat = self.lat(topo);
-            (0..n)
-                .map(|x| {
-                    let mut others: Vec<usize> = (0..n).filter(|&b| b != x).collect();
-                    others.sort_by_key(|&b| (lat[x * n + b], b));
-                    others
-                })
-                .collect()
-        })[a]
-    }
-
-    fn resident_bytes(&self) -> usize {
-        let mut total = 0;
-        if let Some(m) = self.lat.get() {
-            total += m.len() * size_of::<u32>();
-        }
-        if let Some(m) = self.hops.get() {
-            total += m.len() * size_of::<usize>();
-        }
-        if let Some(m) = self.bw.get() {
-            total += m.len() * size_of::<Option<f64>>();
-        }
-        if let Some(rows) = self.neighbors.get() {
-            total += rows
-                .iter()
-                .map(|r| r.len() * size_of::<usize>())
-                .sum::<usize>();
-        }
-        total
-    }
-}
-
 /// LRU of BFS hop rows, most recently used last.
 #[derive(Debug, Default)]
 struct RowCache {
     entries: Vec<(usize, Vec<u32>)>,
 }
 
-/// The sparse distance backend.
+/// The sparse backend's single-pair `latency` / `hops`: the one answer
+/// the view does not read from the link arena in place.
 ///
-/// A validated [`Mctop`] records one link per socket pair, so the model
-/// itself is quadratic — but the *view* need not be: direct (1-hop)
-/// links form a sparse graph whose BFS distance reproduces every hop
-/// count, and on hop-derived interconnects (the mesh-scale presets) the
-/// latency of a pair is a pure function of its hop count. The store
-/// keeps the CSR adjacency, one latency per hop level, and a sorted
-/// exception list holding verbatim every pair the model does *not*
-/// explain — empty on regular meshes, never wrong on anything else.
-/// Bandwidth is irregular per pair (measured, jittered) and cannot be
-/// reconstructed; it is answered from the model's own link arena
-/// ([`Mctop::link`]), costing the view no memory.
+/// Direct (1-hop) links form a sparse graph whose BFS distance
+/// reproduces every hop count, and on hop-derived interconnects (the
+/// mesh-scale presets) the latency of a pair is a pure function of its
+/// hop count. The store keeps the CSR adjacency, one latency per hop
+/// level, and a sorted exception list holding verbatim every pair the
+/// model does *not* explain — empty on regular meshes, never wrong on
+/// anything else.
+///
+/// It stays only until these two answers move onto the arena too
+/// (ROADMAP item 2). That step changes `query-mesh`'s throughput
+/// several-fold, and waits on a benchmark reference that can tell such
+/// a gain from noise (ROADMAP item 1(e)).
 #[derive(Debug)]
 struct SparseStore {
     n: usize,
@@ -397,13 +289,8 @@ struct SparseStore {
     /// `(a, b, latency, hops)` for pairs deviating from the hop model,
     /// sorted by `(a, b)` with `a < b`.
     exceptions: Vec<(u32, u32, u32, u32)>,
-    /// LRU of recent BFS hop rows, for single-pair `latency` / `hops`.
+    /// LRU of recent BFS hop rows.
     rows: Mutex<RowCache>,
-    /// Proximity-sorted neighbor rows, pinned once queried (the row is
-    /// handed out by reference, so it cannot be evicted like the hop
-    /// rows; only queried sockets ever materialize). Each costs one BFS
-    /// of its own and never touches `rows`.
-    neighbor_rows: Vec<OnceLock<Vec<usize>>>,
 }
 
 impl Clone for SparseStore {
@@ -417,7 +304,6 @@ impl Clone for SparseStore {
             exceptions: self.exceptions.clone(),
             // The clone starts with a cold row cache (derived state).
             rows: Mutex::new(RowCache::default()),
-            neighbor_rows: self.neighbor_rows.clone(),
         }
     }
 }
@@ -488,7 +374,6 @@ impl SparseStore {
             level_lat,
             exceptions,
             rows: Mutex::new(RowCache::default()),
-            neighbor_rows: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -523,22 +408,16 @@ impl SparseStore {
         f(&cache.entries.last().unwrap().1)
     }
 
+    /// The exception entry if the pair deviates from the hop model,
+    /// otherwise the latency of its BFS hop level.
     fn latency(&self, a: usize, b: usize) -> u32 {
         if a == b {
             return self.intra;
         }
-        self.pair_latency(a, b, || self.with_row(a.min(b), |row| row[a.max(b)]))
-    }
-
-    /// The latency rule of two distinct sockets: the exception entry if
-    /// the pair deviates from the hop model, otherwise the latency of
-    /// its BFS hop level. `hop_count` runs only when there is no
-    /// exception.
-    fn pair_latency(&self, a: usize, b: usize, hop_count: impl FnOnce() -> u32) -> u32 {
         if let Some((lat, _)) = self.exception(a, b) {
             return lat;
         }
-        match hop_count() {
+        match self.with_row(a.min(b), |row| row[a.max(b)]) {
             u32::MAX => u32::MAX,
             k => self
                 .level_lat
@@ -568,93 +447,29 @@ impl SparseStore {
         }
     }
 
-    fn cross_bw(&self, topo: &Mctop, a: usize, b: usize) -> Option<f64> {
-        topo.link(a, b).and_then(|l| l.bandwidth)
-    }
-
-    fn closest(&self, a: usize) -> &[usize] {
-        self.neighbor_rows[a].get_or_init(|| {
-            // One BFS from `a` holds every key: the graph is undirected,
-            // so `row[b]` is the latency of (a, b).
-            let mut scratch = RowScratch::default();
-            let row = self.latency_row(a, &mut scratch);
-            let mut keyed: Vec<(u32, usize)> = (0..self.n)
-                .filter(|&b| b != a)
-                .map(|b| (row[b], b))
-                .collect();
-            keyed.sort_unstable();
-            keyed.iter().map(|&(_, b)| b).collect()
-        })
-    }
-
-    /// Socket `a`'s latency row from one BFS into `scratch`: every
-    /// other socket under the exception-then-level rule of `latency`,
-    /// `a` itself at the intra-socket latency.
-    fn latency_row<'r>(&self, a: usize, scratch: &'r mut RowScratch) -> &'r [u32] {
-        bfs_into(&self.adj_off, &self.adj, self.n, a, scratch);
-        for (b, v) in scratch.row.iter_mut().enumerate() {
-            let hops = *v;
-            *v = if b == a {
-                self.intra
-            } else {
-                self.pair_latency(a, b, || hops)
-            };
-        }
-        &scratch.row
-    }
-
     fn resident_bytes(&self) -> usize {
-        let mut total = self.adj_off.len() * size_of::<u32>()
+        self.adj_off.len() * size_of::<u32>()
             + self.adj.len() * size_of::<u32>()
             + self.level_lat.len() * size_of::<Option<u32>>()
-            + self.exceptions.len() * size_of::<(u32, u32, u32, u32)>();
-        total += self
-            .rows
-            .lock()
-            .entries
-            .iter()
-            .map(|(_, r)| r.len() * size_of::<u32>())
-            .sum::<usize>();
-        total += self
-            .neighbor_rows
-            .iter()
-            .filter_map(|r| r.get())
-            .map(|r| r.len() * size_of::<usize>())
-            .sum::<usize>();
-        total
+            + self.exceptions.len() * size_of::<(u32, u32, u32, u32)>()
+            + self
+                .rows
+                .lock()
+                .entries
+                .iter()
+                .map(|(_, r)| r.len() * size_of::<u32>())
+                .sum::<usize>()
     }
-}
-
-/// The buffers one BFS writes into: the hop row and its two
-/// frontiers. The socket walk keeps one for all its rows.
-#[derive(Debug, Default)]
-struct RowScratch {
-    row: Vec<u32>,
-    frontier: Vec<u32>,
-    next: Vec<u32>,
 }
 
 /// BFS hop distances from `src` over the CSR direct-link graph
 /// (`u32::MAX` = unreachable).
 fn bfs_row(adj_off: &[u32], adj: &[u32], n: usize, src: usize) -> Vec<u32> {
-    let mut scratch = RowScratch::default();
-    bfs_into(adj_off, adj, n, src, &mut scratch);
-    scratch.row
-}
-
-/// [`bfs_row`] into `scratch.row`, reusing the scratch buffers.
-fn bfs_into(adj_off: &[u32], adj: &[u32], n: usize, src: usize, scratch: &mut RowScratch) {
-    let RowScratch {
-        row: dist,
-        frontier,
-        next,
-    } = scratch;
-    dist.clear();
-    dist.resize(n, u32::MAX);
+    let mut dist = vec![u32::MAX; n];
     dist[src] = 0;
-    frontier.clear();
+    let mut frontier = Vec::new();
     frontier.push(src as u32);
-    next.clear();
+    let mut next = Vec::new();
     let mut d = 0u32;
     while !frontier.is_empty() {
         d += 1;
@@ -667,79 +482,22 @@ fn bfs_into(adj_off: &[u32], adj: &[u32], n: usize, src: usize, scratch: &mut Ro
                 }
             }
         }
-        std::mem::swap(frontier, next);
+        std::mem::swap(&mut frontier, &mut next);
         next.clear();
     }
-}
-
-impl DistanceStore {
-    fn latency(&self, topo: &Mctop, a: usize, b: usize) -> u32 {
-        match self {
-            DistanceStore::Dense(d) => d.lat(topo)[a * d.n + b],
-            DistanceStore::Sparse(s) => s.latency(a, b),
-        }
-    }
-
-    fn hops(&self, topo: &Mctop, a: usize, b: usize) -> usize {
-        match self {
-            DistanceStore::Dense(d) => d.hops(topo)[a * d.n + b],
-            DistanceStore::Sparse(s) => s.hops(a, b),
-        }
-    }
-
-    fn cross_bw(&self, topo: &Mctop, a: usize, b: usize) -> Option<f64> {
-        match self {
-            DistanceStore::Dense(d) => d.bw(topo)[a * d.n + b],
-            DistanceStore::Sparse(s) => s.cross_bw(topo, a, b),
-        }
-    }
-
-    fn closest(&self, topo: &Mctop, a: usize) -> &[usize] {
-        match self {
-            DistanceStore::Dense(d) => d.closest(topo, a),
-            DistanceStore::Sparse(s) => s.closest(a),
-        }
-    }
-
-    /// Socket `a`'s latency to every socket, indexed by socket: a row
-    /// of the dense latency matrix, or one BFS into `scratch` on the
-    /// sparse backend (which pins nothing).
-    fn latency_row<'r>(
-        &'r self,
-        topo: &'r Mctop,
-        a: usize,
-        scratch: &'r mut RowScratch,
-    ) -> &'r [u32] {
-        match self {
-            DistanceStore::Dense(d) => &d.lat(topo)[a * d.n..(a + 1) * d.n],
-            DistanceStore::Sparse(s) => s.latency_row(a, scratch),
-        }
-    }
-
-    fn backend(&self) -> ViewBackend {
-        match self {
-            DistanceStore::Dense(_) => ViewBackend::Dense,
-            DistanceStore::Sparse(_) => ViewBackend::Sparse,
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        match self {
-            DistanceStore::Dense(d) => d.resident_bytes(),
-            DistanceStore::Sparse(s) => s.resident_bytes(),
-        }
-    }
+    dist
 }
 
 /// A precomputed, shareable index over an immutable [`Mctop`].
 ///
 /// Construction is O(N + S²) on either backend: one pass over the
 /// S(S−1)/2 link records checks their shape, and the sparse backend
-/// buckets each by its hop count; the dense backend's S×S matrices are
-/// built on first touch. Every query afterwards is an O(1) table lookup or a borrowed slice
-/// (amortized, for the sparse backend). The view holds the topology
-/// behind an [`Arc`], so it is cheap to hand to worker pools and
-/// placement caches; [`TopoView::topo`] hands out the model itself.
+/// buckets each by its hop count. Every query afterwards is an O(1)
+/// lookup in the view or the model's arenas, or a borrowed slice
+/// (amortized, for the sparse backend's single-pair answers). The view
+/// holds the topology behind an [`Arc`], so it is cheap to hand to
+/// worker pools and placement caches; [`TopoView::topo`] hands out the
+/// model itself.
 ///
 /// No query names a concrete machine, which is what makes a policy
 /// written against the view portable.
@@ -760,7 +518,12 @@ pub struct TopoView {
     socket_level: Option<usize>,
     intra_socket_latency: u32,
     n_sockets: usize,
-    store: DistanceStore,
+    /// The sparse backend's single-pair latency and hops; `None` on the
+    /// dense backend, which reads them from the link arena.
+    sparse: Option<SparseStore>,
+    /// Per socket: the other sockets by `(latency, id)`, built from the
+    /// link arena and pinned on the socket's first `closest_sockets`.
+    closest: Vec<OnceLock<Box<[usize]>>>,
     /// Hand-out lists in one CSR arena, two row groups of S rows each:
     /// rows `[0, S)` contexts in cores-first order, rows `[S, 2S)`
     /// contexts in compact order.
@@ -768,9 +531,9 @@ pub struct TopoView {
     /// Sockets sorted by local bandwidth, descending.
     by_bandwidth: Vec<usize>,
     /// The CON-policy socket walk (max-bandwidth start, then
-    /// proximity), built on first use from one latency row per step;
-    /// only the S-entry order stays resident.
-    order_bw_proximity: OnceLock<Vec<usize>>,
+    /// proximity), built on first use; only the S-entry order stays
+    /// resident.
+    order_bw_proximity: OnceLock<Box<[usize]>>,
     min_latency_pair: Option<(usize, usize)>,
     max_latency_pair: Option<(usize, usize)>,
     /// Per context: owning socket.
@@ -801,9 +564,9 @@ impl TopoView {
     /// [`TopoView::new`] with an explicit distance backend — the
     /// equivalence tests and the scale bench force both on the same
     /// topology. The sparse backend takes each record's `hops` to be its
-    /// distance over the direct records (rule 3, which the loader
-    /// checks); on a hand-edited topology that breaks it, the two
-    /// backends' `socket_hops` differ.
+    /// distance over the direct records (rule 3, which the loader and
+    /// `alg::validate::validate` check); on a hand-edited topology that
+    /// breaks it, the two backends' `socket_hops` differ.
     ///
     /// # Panics
     ///
@@ -819,9 +582,9 @@ impl TopoView {
         let socket_level = naive::socket_level_index(&topo);
         let intra = naive::intra_socket_latency(&topo);
 
-        let store = match backend {
-            ViewBackend::Dense => DistanceStore::Dense(DenseStore::new(s, intra)),
-            ViewBackend::Sparse => DistanceStore::Sparse(SparseStore::build(&topo, intra)),
+        let sparse = match backend {
+            ViewBackend::Dense => None,
+            ViewBackend::Sparse => Some(SparseStore::build(&topo, intra)),
         };
 
         // One CSR arena for the hand-out lists: S cores-first rows,
@@ -835,8 +598,6 @@ impl TopoView {
             handout.push_row(naive::socket_hwcs_compact(&topo, sk));
         }
 
-        // Straight from the model, not via the store: going through the
-        // dense backend here would force its bandwidth matrix eagerly.
         let mut by_bandwidth: Vec<usize> = (0..s).collect();
         by_bandwidth.sort_by(|&a, &b| {
             let ba = topo.sockets[a].local_bandwidth().unwrap_or(0.0);
@@ -862,7 +623,8 @@ impl TopoView {
             socket_level,
             intra_socket_latency: intra,
             n_sockets: s,
-            store,
+            sparse,
+            closest: (0..s).map(|_| OnceLock::new()).collect(),
             handout,
             by_bandwidth,
             order_bw_proximity: OnceLock::new(),
@@ -904,16 +666,25 @@ impl TopoView {
 
     /// The distance backend this view runs on.
     pub fn backend(&self) -> ViewBackend {
-        self.store.backend()
+        match self.sparse {
+            Some(_) => ViewBackend::Sparse,
+            None => ViewBackend::Dense,
+        }
     }
 
     /// Estimated heap bytes currently resident in the view's own
-    /// indexes (distance store + hand-out lists + per-context tables +
+    /// indexes (sparse store + hand-out lists + per-context tables +
     /// materialized caches; the shared [`Mctop`] is not counted). Lazy
     /// structures only count once touched, so the number grows with
     /// use — `mct show --stats` and the scale bench report it.
     pub fn resident_bytes(&self) -> usize {
-        self.store.resident_bytes()
+        self.sparse.as_ref().map_or(0, SparseStore::resident_bytes)
+            + self
+                .closest
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|row| row.len() * size_of::<usize>())
+                .sum::<usize>()
             + self.handout.heap_bytes()
             + self.by_bandwidth.len() * size_of::<usize>()
             + self
@@ -935,24 +706,41 @@ impl TopoView {
         self.intra_socket_latency
     }
 
-    /// Sockets sorted by latency from `socket`, closest first.
+    /// Sockets sorted by latency from `socket`, closest first (ties
+    /// toward lower ids).
     pub fn closest_sockets(&self, socket: usize) -> &[usize] {
-        assert!(socket < self.n_sockets);
-        self.store.closest(&self.topo, socket)
+        self.closest[socket]
+            .get_or_init(|| naive::closest_sockets(&self.topo, socket).into_boxed_slice())
     }
 
     /// Context-to-context latency between two sockets (`u32::MAX` if
     /// unknown).
     pub fn socket_latency(&self, a: usize, b: usize) -> u32 {
         assert!(a < self.n_sockets && b < self.n_sockets);
-        self.store.latency(&self.topo, a, b)
+        match &self.sparse {
+            Some(store) => store.latency(a, b),
+            None => self.arena_latency(a, b),
+        }
+    }
+
+    /// A socket pair's latency from its link record, the socket level's
+    /// for a socket with itself.
+    fn arena_latency(&self, a: usize, b: usize) -> u32 {
+        if a == b {
+            return self.intra_socket_latency;
+        }
+        self.topo.link(a, b).map_or(u32::MAX, |l| l.latency)
     }
 
     /// Interconnect hops between two sockets (0 for a socket with
     /// itself, `usize::MAX` if unknown).
     pub fn socket_hops(&self, a: usize, b: usize) -> usize {
         assert!(a < self.n_sockets && b < self.n_sockets);
-        self.store.hops(&self.topo, a, b)
+        match &self.sparse {
+            Some(store) => store.hops(a, b),
+            None if a == b => 0,
+            None => self.topo.link(a, b).map_or(usize::MAX, |l| l.hops),
+        }
     }
 
     /// Cross-socket memory bandwidth, if measured. Like the naive
@@ -960,7 +748,7 @@ impl TopoView {
     /// [`TopoView::local_bandwidth`] for the diagonal.
     pub fn cross_bandwidth(&self, a: usize, b: usize) -> Option<f64> {
         assert!(a < self.n_sockets && b < self.n_sockets);
-        self.store.cross_bw(&self.topo, a, b)
+        self.topo.cross_bandwidth(a, b)
     }
 
     /// A socket's bandwidth to its local node, if measured.
@@ -995,26 +783,19 @@ impl TopoView {
         self.order_bw_proximity.get_or_init(|| {
             let s = self.n_sockets;
             let mut order = Vec::with_capacity(s);
-            if s > 0 {
-                let mut visited = vec![false; s];
-                let mut scratch = RowScratch::default();
-                let mut cur = self.by_bandwidth[0];
+            let mut visited = vec![false; s];
+            let mut next = self.by_bandwidth.first().copied();
+            while let Some(cur) = next {
                 visited[cur] = true;
                 order.push(cur);
-                while order.len() < s {
-                    // The unvisited socket with the least (latency, id)
-                    // from `cur`: the first unvisited entry of its
-                    // proximity-sorted neighbor list, without the sort.
-                    let row = self.store.latency_row(&self.topo, cur, &mut scratch);
-                    cur = (0..s)
-                        .filter(|&b| !visited[b])
-                        .min_by_key(|&b| (row[b], b))
-                        .expect("unvisited socket exists");
-                    visited[cur] = true;
-                    order.push(cur);
-                }
+                // The unvisited socket with the least (latency, id) from
+                // `cur`: the first unvisited entry of its proximity-sorted
+                // neighbor list, without the sort.
+                next = (0..s)
+                    .filter(|&b| !visited[b])
+                    .min_by_key(|&b| (self.arena_latency(cur, b), b));
             }
-            order
+            order.into_boxed_slice()
         })
     }
 
@@ -1212,24 +993,26 @@ mod tests {
         assert!(v.intra_socket_latency() > 0);
     }
 
+    /// The dense backend reads every socket pair from the link arena in
+    /// place: no answer over any pair makes the view keep a byte more.
     #[test]
-    fn dense_matrices_build_lazily() {
+    fn dense_pair_answers_pin_nothing() {
         let t = enriched(&mcsim::presets::opteron());
         let v = TopoView::new(Arc::clone(&t));
         assert_eq!(v.backend(), ViewBackend::Dense);
         let fresh = v.resident_bytes();
-        // The diagonal comes from the model, not from an S×S matrix.
         assert_eq!(v.local_bandwidth(0), t.sockets[0].local_bandwidth());
         assert!(v.min_bandwidth_of(&[0, 47]).is_some());
+        let s = t.num_sockets();
+        for a in 0..s {
+            for b in 0..s {
+                assert_eq!(v.socket_latency(a, b), t.socket_latency(a, b));
+                let hops = t.link(a, b).map_or(0, |l| l.hops);
+                assert_eq!(v.socket_hops(a, b), hops);
+                assert_eq!(v.cross_bandwidth(a, b), t.cross_bandwidth(a, b));
+            }
+        }
         assert_eq!(v.resident_bytes(), fresh);
-        let _ = v.socket_latency(0, 1);
-        let after_lat = v.resident_bytes();
-        assert!(after_lat > fresh, "latency matrix materialized on demand");
-        let _ = v.cross_bandwidth(0, 1);
-        assert!(
-            v.resident_bytes() > after_lat,
-            "bandwidth matrix only materialized when touched"
-        );
     }
 
     #[test]
@@ -1271,19 +1054,30 @@ mod tests {
         let dense = TopoView::with_backend(Arc::clone(&t), ViewBackend::Dense);
         let sparse = TopoView::new(Arc::clone(&t));
         assert_eq!(sparse.backend(), ViewBackend::Sparse);
-        let fresh = sparse.resident_bytes();
-        for a in 0..s {
+        let fresh = [dense.resident_bytes(), sparse.resident_bytes()];
+        // Out of order, and each socket twice: a queried row pins its
+        // S − 1 entries once, on either backend, and no BFS row goes
+        // into the sparse store's row cache.
+        let queried: Vec<usize> = (0..s).rev().step_by(2).chain(0..s).collect();
+        let mut pinned = vec![false; s];
+        for a in queried {
             assert_eq!(
                 sparse.closest_sockets(a),
                 dense.closest_sockets(a),
                 "row {a}"
             );
+            assert_eq!(dense.closest_sockets(a), &naive::closest_sockets(&t, a)[..]);
+            pinned[a] = true;
+            let rows = pinned.iter().filter(|&&p| p).count();
+            for (view, fresh) in [&dense, &sparse].into_iter().zip(fresh) {
+                assert_eq!(
+                    view.resident_bytes(),
+                    fresh + rows * (s - 1) * size_of::<usize>(),
+                    "{:?} after row {a}",
+                    view.backend()
+                );
+            }
         }
-        // The neighbor rows alone: no BFS row went into the row cache.
-        assert_eq!(
-            sparse.resident_bytes(),
-            fresh + s * (s - 1) * size_of::<usize>()
-        );
     }
 
     /// The walk takes the nearest unvisited socket from one latency row
@@ -1309,8 +1103,9 @@ mod tests {
         }
     }
 
-    /// On the sparse backend the walk keeps its order and nothing else:
-    /// no neighbor row is pinned and no BFS row goes into the row cache.
+    /// The walk keeps its order and nothing else: no neighbor row is
+    /// pinned and, on the sparse backend, no BFS row goes into the row
+    /// cache.
     #[test]
     fn sparse_socket_walk_pins_only_its_order() {
         let path = concat!(
@@ -1318,14 +1113,16 @@ mod tests {
             "/../../descs/synth-mesh-144.mct.json"
         );
         let t = Arc::new(crate::desc::load(std::path::Path::new(path)).unwrap());
-        let v = TopoView::new(Arc::clone(&t));
-        assert_eq!(v.backend(), ViewBackend::Sparse);
-        let fresh = v.resident_bytes();
-        assert_eq!(v.socket_order_bandwidth_proximity().len(), t.num_sockets());
-        assert_eq!(
-            v.resident_bytes(),
-            fresh + t.num_sockets() * size_of::<usize>()
-        );
+        for backend in [ViewBackend::Dense, ViewBackend::Sparse] {
+            let v = TopoView::with_backend(Arc::clone(&t), backend);
+            let fresh = v.resident_bytes();
+            assert_eq!(v.socket_order_bandwidth_proximity().len(), t.num_sockets());
+            assert_eq!(
+                v.resident_bytes(),
+                fresh + t.num_sockets() * size_of::<usize>(),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]
