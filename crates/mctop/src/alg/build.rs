@@ -541,25 +541,35 @@ fn socket_comp_index(comps: &[Vec<usize>], comp: &[usize]) -> usize {
 /// Builds the link records for every socket pair and classifies direct
 /// vs multi-hop connections.
 fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>, McTopError> {
-    let lat = |i: usize, j: usize| s_lat[i * n_sockets + j];
-    let mut direct: Vec<Vec<usize>> = vec![Vec::new(); n_sockets];
-    // Row `i` as `lat(i, k) << 32 | k`, ascending, so the sockets nearer
-    // to `i` than a bound are a prefix of it.
-    let mut near: Vec<u64> = Vec::with_capacity(n_sockets);
-    for i in 0..n_sockets {
-        near.clear();
-        near.extend((0..n_sockets).map(|k| u64::from(lat(i, k)) << 32 | k as u64));
-        near.sort_unstable();
-        for j in (i + 1)..n_sockets {
-            let v = lat(i, j);
-            // Multi-hop when some intermediate reaches both ends with
-            // strictly smaller latency: only the sockets nearer to `i`
-            // than `v` can, nearest first.
-            let multi = near
-                .iter()
-                .take_while(|&&key| key >> 32 < u64::from(v))
-                .map(|&key| key as u32 as usize)
-                .any(|k| k != i && k != j && lat(k, j) < v);
+    let s = n_sockets;
+    let lat = |i: usize, j: usize| s_lat[i * s + j];
+    // `into[j * s + k]` is `lat(k, j)`: the latencies into `j` as a row,
+    // so that a pair's test reads two rows side by side.
+    let mut into = vec![0u32; s * s];
+    for k in 0..s {
+        for j in 0..s {
+            into[j * s + k] = lat(k, j);
+        }
+    }
+    let mut direct: Vec<Vec<usize>> = vec![Vec::new(); s];
+    for i in 0..s {
+        let from = &s_lat[i * s..][..s];
+        // Sockets numbered near `i` are the likeliest to lie between `i`
+        // and a farther socket (its row on a mesh, its arc on a ring), so
+        // the scan starts at `i`'s chunk and wraps around.
+        let first = i / 8 * 8;
+        for j in (i + 1)..s {
+            let (v, to) = (from[j], &into[j * s..][..s]);
+            let rows = |lo: usize, hi: usize| from[lo..hi].chunks(8).zip(to[lo..hi].chunks(8));
+            // Multi-hop when some intermediate `k` reaches both ends with
+            // strictly smaller latency. `k = i` and `k = j` never pass,
+            // since one of their two latencies is `v` itself, so each
+            // chunk of the two rows is tested whole, without a branch.
+            let multi = rows(first, s).chain(rows(0, first)).any(|(x, y)| {
+                x.iter()
+                    .zip(y)
+                    .fold(false, |m, (&x, &y)| m | (x.max(y) < v))
+            });
             if !multi {
                 direct[i].push(j);
                 direct[j].push(i);
@@ -567,17 +577,17 @@ fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>,
         }
     }
     // Hops: one BFS over the direct edges per source socket.
-    let mut links = Vec::with_capacity(n_sockets * n_sockets.saturating_sub(1) / 2);
-    let mut dist = vec![usize::MAX; n_sockets];
-    let mut queue = std::collections::VecDeque::with_capacity(n_sockets);
-    for i in 0..n_sockets {
+    let mut links = Vec::with_capacity(s * s.saturating_sub(1) / 2);
+    let mut dist = vec![usize::MAX; s];
+    let mut queue = std::collections::VecDeque::with_capacity(s);
+    for i in 0..s {
         dist.fill(usize::MAX);
         dist[i] = 0;
         queue.push_back(i);
-        while let Some(s) = queue.pop_front() {
-            for &t in &direct[s] {
+        while let Some(u) = queue.pop_front() {
+            for &t in &direct[u] {
                 if dist[t] == usize::MAX {
-                    dist[t] = dist[s] + 1;
+                    dist[t] = dist[u] + 1;
                     queue.push_back(t);
                 }
             }

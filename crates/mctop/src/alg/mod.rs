@@ -7,7 +7,7 @@
 //!    measurement pairs (Fig. 5), median-of-n repetitions, stdev
 //!    thresholds with retry escalation, DVFS warm-up, and rdtsc-cost
 //!    subtraction, on one prober that moves from pair to pair as the
-//!    paper's two threads do. [`schedule`] gives the order of the
+//!    paper's two threads do. `schedule` gives the order of the
 //!    pairs, round by round of the circle method. Collection writes
 //!    each value where the block form keeps it (`table::BlockTable`),
 //!    and [`run_full`] keeps that form: a hierarchy-first run has a

@@ -16,7 +16,7 @@
 //! [`ProbeStream`] identity (calibration, warm-up of one context, one
 //! pair), never from a position in a global sample sequence, so a
 //! pair's value does not depend on when it is measured. The order of
-//! the pairs ([`crate::alg::schedule`]) decides only which pair a
+//! the pairs (`crate::alg::schedule`) decides only which pair a
 //! failing run names.
 //!
 //! [`PairSelection`] decides which pairs are measured at all: every one

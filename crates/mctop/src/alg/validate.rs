@@ -29,7 +29,7 @@ use crate::model::{
 /// (`hops_hold`), then the latency table against the one the groups
 /// and links define (`table_holds`).
 pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
-    structure(topo)?;
+    structure(topo, LinksRead::Unchecked)?;
     hops_hold(topo)?;
     table_holds(topo)
 }
@@ -49,7 +49,7 @@ pub fn validate(topo: &Mctop) -> Result<(), McTopError> {
 /// each record its BFS distance over the direct records as its `hops`,
 /// so on inference's output rule 3 holds by construction.
 pub(crate) fn validate_blocks(topo: &Mctop, parts: Option<&BlockTable>) -> Result<(), McTopError> {
-    structure(topo)?;
+    structure(topo, LinksRead::Unchecked)?;
     match parts {
         Some(norm) if facts_hold(topo, norm) => Ok(()),
         _ => table_holds(topo),
@@ -177,7 +177,15 @@ pub(crate) fn facts_hold(topo: &Mctop, norm: &BlockTable) -> bool {
 /// which stores no latency table, then the table filled from the groups
 /// and links.
 pub fn fill_table(topo: &mut Mctop) -> Result<(), McTopError> {
-    structure(topo)?;
+    fill_read_table(topo, LinksRead::Unchecked)
+}
+
+/// [`fill_table`] on the topology [`derive_links`] completed, with what
+/// that pass found of its records' latencies: where every one is a
+/// level's median above every intra-socket level, the structural checks
+/// do not read the records again and count them only.
+pub(crate) fn fill_read_table(topo: &mut Mctop, links: LinksRead) -> Result<(), McTopError> {
+    structure(topo, links)?;
     if !topo.lat_table.is_empty() {
         return irregular("a description carries no latency table".into());
     }
@@ -204,21 +212,41 @@ fn irregular(msg: String) -> Result<(), McTopError> {
     Err(McTopError::IrregularTopology(msg))
 }
 
+/// What [`derive_links`] found of the link records' latencies, for the
+/// structural checks that follow it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinksRead {
+    /// Every record is in the arena's one shape, and its latency is a
+    /// level's median above every intra-socket level, if the levels
+    /// ascend: each stored record was checked once, and of the derived
+    /// ones, whose latencies are `CrossSocket` medians, the least.
+    LatenciesHold,
+    /// Not known: the structural checks read every record.
+    Unchecked,
+}
+
 /// The link records of a description completed into the arena's one
 /// shape (`Mctop::links`). The stored records must pass
 /// [`check_links`]' ascending pass; each that is not direct must pass
 /// rule 3; the record of every pair the file leaves out is derived
 /// ([`Mctop::derived_links`]), and the pair is named if the rules give
-/// none.
-pub(crate) fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
+/// none. It checks the latency of each stored record once, and of the
+/// derived ones the least, which is a level's median, and says whether
+/// all hold.
+pub(crate) fn derive_links(topo: &mut Mctop) -> Result<LinksRead, McTopError> {
     let s = topo.num_sockets();
     if s > topo.num_hwcs() {
         // Every socket holds a context, or the structural checks refuse
         // the file; deriving nothing here keeps the S² records this
         // would allocate within the N² table's bound.
-        return Ok(());
+        return Ok(LinksRead::Unchecked);
     }
     ascending(&topo.links, s)?;
+    let max_intra = max_intra(&topo.levels);
+    let mut stored_hold = true;
+    // The least latency a derived record took, a `CrossSocket` level's
+    // median: the only check such a record needs.
+    let mut least_derived = u32::MAX;
     let mut links = Vec::with_capacity(s * s.saturating_sub(1) / 2);
     topo.derived_links(&topo.links, |(a, b), stored, derived| {
         match (stored, derived) {
@@ -226,9 +254,14 @@ pub(crate) fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
                 if l.hops != 1 {
                     same_hops(l, &derived)?;
                 }
+                stored_hold &=
+                    l.latency > max_intra && off_levels(&topo.levels, l.latency).is_none();
                 links.push(l.clone());
             }
-            (None, Ok(l)) => links.push(l),
+            (None, Ok(l)) => {
+                least_derived = least_derived.min(l.latency);
+                links.push(l);
+            }
             (None, Err(Underived::Unreachable)) => {
                 return irregular(format!(
                     "socket pair ({a}, {b}) has no interconnect record, \
@@ -249,13 +282,22 @@ pub(crate) fn derive_links(topo: &mut Mctop) -> Result<(), McTopError> {
         Ok(())
     })?;
     topo.links = links;
-    Ok(())
+    if stored_hold && least_derived > max_intra {
+        Ok(LinksRead::LatenciesHold)
+    } else {
+        Ok(LinksRead::Unchecked)
+    }
 }
 
 /// Rule 3 on every record of a structurally valid topology: its `hops`
-/// is its distance over the direct records (`Mctop::derived_links`).
-/// The first record in triangle order that breaks it is named.
+/// is its distance over the direct records. The certificate
+/// (`Mctop::hops_certified`) settles it without a BFS; only where it
+/// fails does `Mctop::derived_links` run, to name the first record in
+/// triangle order that breaks the rule.
 fn hops_hold(topo: &Mctop) -> Result<(), McTopError> {
+    if topo.hops_certified() {
+        return Ok(());
+    }
     topo.derived_links(&topo.links, |_, stored, derived| match stored {
         Some(l) if l.hops != 1 => same_hops(l, &derived),
         _ => Ok(()),
@@ -428,8 +470,10 @@ pub(crate) fn indices(topo: &Mctop) -> Result<(), McTopError> {
 
 /// Everything but the latency table: each index the table's derivation
 /// reads is in range ([`indices`]), sockets partition the contexts, and
-/// every group and link latency is a level's median.
-fn structure(topo: &Mctop) -> Result<(), McTopError> {
+/// every group and link latency is a level's median. Where `links` says
+/// the link latencies hold, the records are only counted; otherwise each
+/// is read, so the first one in triangle order that fails is named.
+fn structure(topo: &Mctop, links: LinksRead) -> Result<(), McTopError> {
     indices(topo)?;
     let n = topo.num_hwcs();
     let err = irregular;
@@ -504,13 +548,10 @@ fn structure(topo: &Mctop) -> Result<(), McTopError> {
     }
 
     // Cross-socket latencies are levels above every intra-socket level.
-    let max_intra = topo
-        .levels
-        .iter()
-        .filter(|l| !matches!(l.role, LevelRole::CrossSocket { .. }))
-        .map(|l| l.latency.median)
-        .max()
-        .unwrap_or(0);
+    if links == LinksRead::LatenciesHold {
+        return count_links(&topo.links, topo.num_sockets());
+    }
+    let max_intra = max_intra(&topo.levels);
     for l in &topo.links {
         if l.latency <= max_intra {
             return err(format!(
@@ -526,6 +567,16 @@ fn structure(topo: &Mctop) -> Result<(), McTopError> {
     // The link arena in its one shape, which `Mctop::link` and every
     // `TopoView` backend index by position.
     check_links(&topo.links, topo.num_sockets())
+}
+
+/// The highest median of a level that is not `CrossSocket`, 0 if none.
+fn max_intra(levels: &[LatencyLevel]) -> u32 {
+    levels
+        .iter()
+        .filter(|l| !matches!(l.role, LevelRole::CrossSocket { .. }))
+        .map(|l| l.latency.median)
+        .max()
+        .unwrap_or(0)
 }
 
 /// `None` if `latency` is the median of one of `levels` (ascending),
@@ -555,6 +606,12 @@ fn off_levels(levels: &[LatencyLevel], latency: u32) -> Option<String> {
 /// records.
 pub(crate) fn check_links(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
     ascending(links, s)?;
+    count_links(links, s)
+}
+
+/// The count half of [`check_links`]: a list in order that is short is
+/// missing records.
+fn count_links(links: &[InterconnectLink], s: usize) -> Result<(), McTopError> {
     if links.len() != s * s.saturating_sub(1) / 2 {
         return irregular("missing interconnect records".into());
     }
@@ -1040,6 +1097,192 @@ mod tests {
         let want = "irregular topology: interconnect record (0, 3) has hops 3, \
                     but the direct links join the pair in 2";
         assert_eq!(outcome(validate(&t)), Err(want.into()));
+    }
+
+    /// What `stored_links` keeps, as the derivation decides it: one BFS
+    /// per socket over the direct records, every record that is direct
+    /// or differs from its derived self.
+    fn stored_by_derivation(topo: &Mctop) -> Vec<&InterconnectLink> {
+        let mut out = Vec::new();
+        let Ok(()) = topo.derived_links(&topo.links, |_, stored, derived| {
+            let l = stored.expect("every socket pair has a link record");
+            if l.hops == 1 || derived.as_ref() != Ok(l) {
+                out.push(l);
+            }
+            Ok::<(), Infallible>(())
+        });
+        out
+    }
+
+    /// Rule 3 decided by the derivation alone.
+    fn hops_by_derivation(topo: &Mctop) -> Result<(), McTopError> {
+        topo.derived_links(&topo.links, |_, stored, derived| match stored {
+            Some(l) if l.hops != 1 => same_hops(l, &derived),
+            _ => Ok(()),
+        })
+    }
+
+    /// [`validate`] with rule 3 decided by the derivation alone.
+    fn validate_by_derivation(topo: &Mctop) -> Result<(), McTopError> {
+        structure(topo, LinksRead::Unchecked)?;
+        hops_by_derivation(topo)?;
+        table_holds(topo)
+    }
+
+    fn committed(name: &str) -> Mctop {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../descs")
+            .join(crate::desc::default_filename(name));
+        crate::desc::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"))
+    }
+
+    /// On every committed machine, loaded and freshly inferred, the arena
+    /// certifies rule 3, so the writer and `validate` run no BFS, and the
+    /// certified stored list is the derivation's.
+    #[test]
+    fn the_certificate_holds_and_stores_what_the_derivation_stores() {
+        let specs: Vec<_> = mcsim::presets::all_paper_platforms()
+            .into_iter()
+            .chain(mcsim::presets::all_synthetic())
+            .chain(mcsim::presets::all_mesh_scale())
+            .collect();
+        assert_eq!(specs.len(), 16);
+        for spec in &specs {
+            let (fresh, _) = crate::desc::canonical(spec).unwrap();
+            for (topo, what) in [(committed(&spec.name), "loaded"), (fresh, "fresh")] {
+                let name = &spec.name;
+                assert!(topo.hops_certified(), "{name}, {what}");
+                assert_eq!(
+                    topo.stored_links(),
+                    stored_by_derivation(&topo),
+                    "{name}, {what}"
+                );
+                validate(&topo).unwrap_or_else(|e| panic!("{name}, {what}: {e}"));
+                // What the file stores, read back: the loader checks each
+                // stored record's latency once and trusts the derived ones.
+                let mut read = topo.clone();
+                read.links = topo.stored_links().into_iter().cloned().collect();
+                read.lat_table.clear();
+                assert_eq!(derive_links(&mut read).unwrap(), LinksRead::LatenciesHold);
+                assert_eq!(read.links, topo.links, "{name}, {what}");
+            }
+        }
+    }
+
+    /// Seeded edits of the mesh-scale arenas and of opteron's, each of
+    /// which rule 3, the link rules or the levels may no longer hold:
+    /// the stored list, the written text and `validate`'s outcome are
+    /// the derivation's whichever way the certificate goes.
+    #[test]
+    fn the_certificate_agrees_with_the_derivation_on_edited_arenas() {
+        let names = mcsim::presets::all_mesh_scale()
+            .into_iter()
+            .map(|spec| spec.name)
+            .chain(["opteron".to_string()]);
+        let mut next = crate::alg::splitmix(51);
+        let mut certified = [0usize; 8];
+        for name in names {
+            let base = committed(&name);
+            let prov = crate::desc::Provenance::new(
+                &name,
+                &crate::alg::probe::ProbeConfig::fast(),
+                None,
+                true,
+            );
+            let s = base.num_sockets();
+            let pick = |next: &mut dyn FnMut() -> u64, direct: bool| loop {
+                let at = (next() % base.links.len() as u64) as usize;
+                if (base.links[at].hops == 1) == direct {
+                    break at;
+                }
+            };
+            for (kind, certified) in certified.iter_mut().enumerate() {
+                for _ in 0..3 {
+                    let mut t = base.clone();
+                    match kind {
+                        // A record that is not direct one hop off.
+                        0 => {
+                            let at = pick(&mut next, false);
+                            let l = &mut t.links[at];
+                            l.hops = if next().is_multiple_of(2) {
+                                l.hops + 1
+                            } else {
+                                l.hops - 1
+                            };
+                        }
+                        // A direct record made two hops.
+                        1 => t.links[pick(&mut next, true)].hops = 2,
+                        // Any record at 0 hops.
+                        2 => {
+                            let at = (next() % t.links.len() as u64) as usize;
+                            t.links[at].hops = 0;
+                        }
+                        // A hop count past the certificate's `u16`, with
+                        // the true one in its low bits.
+                        3 => t.links[pick(&mut next, false)].hops += 1 << 16,
+                        // Every direct record of one socket made two
+                        // hops: its pairs are unreachable.
+                        4 => {
+                            let cut = (next() % s as u64) as usize;
+                            for l in &mut t.links {
+                                if l.hops == 1 && (l.a == cut || l.b == cut) {
+                                    l.hops = 2;
+                                }
+                            }
+                        }
+                        // A second level for the hop count of a record.
+                        5 => {
+                            let hops = t.links[(next() % t.links.len() as u64) as usize].hops;
+                            t.levels.push(LatencyLevel {
+                                index: t.levels.len(),
+                                latency: crate::model::LatTriplet::exact(t.max_latency() + 10),
+                                role: LevelRole::CrossSocket { hops },
+                            });
+                        }
+                        // A cross level's median moved.
+                        6 => {
+                            let cross: Vec<usize> = (0..t.levels.len())
+                                .filter(|&i| {
+                                    matches!(t.levels[i].role, LevelRole::CrossSocket { .. })
+                                })
+                                .collect();
+                            let at = cross[(next() % cross.len() as u64) as usize];
+                            t.levels[at].latency.median += 1 + (next() % 3) as u32;
+                        }
+                        // One bandwidth changed.
+                        _ => {
+                            let at = (next() % t.links.len() as u64) as usize;
+                            let l = &mut t.links[at];
+                            l.bandwidth = Some(l.bandwidth.unwrap_or(0.0) + 0.25);
+                        }
+                    }
+                    let what = format!("{name}, edit {kind}");
+                    let holds = t.hops_certified();
+                    assert_eq!(holds, hops_by_derivation(&t).is_ok(), "{what}");
+                    *certified += usize::from(holds);
+                    let want = stored_by_derivation(&t);
+                    assert_eq!(t.stored_links(), want, "{what}");
+                    let text = crate::desc::to_string(&t, &prov).unwrap();
+                    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+                    assert_eq!(
+                        v["topology"]["links"],
+                        serde_json::to_value(&want),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        outcome(validate(&t)),
+                        outcome(validate_by_derivation(&t)),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        // Edits 2-4 always break rule 3, and 5-7 keep every hop count.
+        // A hop count one off, or a direct record made two hops, may
+        // leave a consistent arena (a record made direct that shortens
+        // no other pair): most do not.
+        assert_eq!(certified[2..], [0, 0, 0, 18, 18, 18]);
+        assert!(certified[..2].iter().all(|&k| k < 9), "{certified:?}");
     }
 
     #[test]

@@ -24,17 +24,29 @@
 //! - its `bandwidth` is `sockets[a].mem_bandwidths[n]` for socket `b`'s
 //!   local node `n`.
 //!
-//! The reader checks the stored records (normalized, naming known
-//! sockets, in strictly ascending triangle order, and each one that is
-//! not direct at the distance the direct ones give), derives every
-//! missing pair's record, and refuses the file, naming the pair, where
-//! the rules give none. It then runs the structural checks of
-//! [`validate`] and derives the N×N latency table from the groups and
-//! links (`Mctop::derived_latency_rows`): two contexts of one socket are
-//! as far apart as the smallest group that holds both, two of different
-//! sockets as their socket pair's link record, and a context is 0 from
-//! itself. The loaded [`Mctop`] holds every pair's record, in triangle
-//! order, whatever the file stored.
+//! The reader checks each stored record once (normalized, naming known
+//! sockets, in strictly ascending triangle order, its latency a level's
+//! median above every intra-socket level, and, if it is not direct, at
+//! the distance the direct ones give), derives every missing pair's
+//! record, and refuses the file, naming the pair, where the rules give
+//! none. A derived record's latency is a level's median, so of those it
+//! checks only the least once. It then runs the structural checks of
+//! [`validate`], which count the completed records rather than read
+//! them again (they read each one only where a check above failed, to
+//! name the first that fails), and derives the N×N latency table from
+//! the groups and links (`Mctop::derived_latency_rows`): two contexts of
+//! one socket are as far apart as the smallest group that holds both,
+//! two of different sockets as their socket pair's link record, and a
+//! context is 0 from itself. The loaded [`Mctop`] holds every pair's
+//! record, in triangle order, whatever the file stored.
+//!
+//! The writer decides what to leave out without a BFS where it can: a
+//! topology whose records all carry their distance over the direct ones
+//! (rule 3, which every loaded or inferred topology meets) proves so
+//! from the hops it carries, and each record is then compared with the
+//! latency and bandwidth rules alone (`Mctop::stored_links`). A
+//! topology whose link arena is out of its one shape is refused by
+//! [`to_string`] and [`save`], naming the first record out of place.
 //!
 //! Before it derives anything, the reader refuses a description larger
 //! than its limits ([`MAX_CONTEXTS`], [`MAX_SOCKETS`], [`MAX_LEVELS`],
@@ -332,8 +344,11 @@ pub fn canonical_string(spec: &mcsim::MachineSpec) -> Result<String, McTopError>
 }
 
 /// Serializes a topology and its provenance header to a description
-/// string.
+/// string. A topology whose link arena is out of its one shape has no
+/// description: it is refused with the error `validate::check_links`
+/// gives, naming the first record out of place.
 pub fn to_string(topo: &Mctop, prov: &Provenance) -> Result<String, McTopError> {
+    validate::check_links(&topo.links, topo.num_sockets())?;
     let file = DescFileRef {
         provenance: prov,
         topology: topo,
@@ -381,8 +396,8 @@ pub fn from_str_full(s: &str) -> Result<(Mctop, Provenance), McTopError> {
     }
     within_limits(&topo)?;
     validate::indices(&topo)?;
-    validate::derive_links(&mut topo)?;
-    validate::fill_table(&mut topo)?;
+    let links = validate::derive_links(&mut topo)?;
+    validate::fill_read_table(&mut topo, links)?;
     Ok((topo, prov))
 }
 
@@ -657,6 +672,117 @@ mod tests {
                     records[1].a, records[1].b, records[0].a, records[0].b
                 )
             );
+        }
+    }
+
+    /// A derived record's latency is its level's median, and the reader
+    /// checks that level once rather than every record that takes it:
+    /// a level at or below the highest intra-socket one is still
+    /// refused, naming the first record in triangle order that takes
+    /// it, as it is when a stored record is the first one below.
+    #[test]
+    fn a_cross_level_below_an_intra_level_is_refused_at_its_first_record() {
+        use crate::model::{
+            LatTriplet,
+            LatencyLevel,
+            LevelRole, //
+        };
+        let text = crate::registry::shipped_source("opteron").unwrap();
+        let opteron = from_str(text).unwrap();
+        let with_levels = |levels: &[(u32, LevelRole)]| {
+            let levels: Vec<LatencyLevel> = levels
+                .iter()
+                .enumerate()
+                .map(|(index, &(median, role))| LatencyLevel {
+                    index,
+                    latency: LatTriplet::exact(median),
+                    role,
+                })
+                .collect();
+            let mut v: serde_json::Value = serde_json::from_str(text).unwrap();
+            v["topology"]["levels"] = serde_json::to_value(&levels);
+            v.to_string()
+        };
+        let roles: Vec<_> = opteron.levels.iter().map(|l| l.role).collect();
+        assert_eq!(
+            roles,
+            [
+                LevelRole::SelfLevel,
+                LevelRole::Socket,
+                LevelRole::CrossSocket { hops: 1 },
+                LevelRole::CrossSocket { hops: 1 },
+                LevelRole::CrossSocket { hops: 2 },
+            ]
+        );
+        // The records a file leaves out are opteron's 2-hop ones: their
+        // level moved below an intra-socket level, the direct ones above.
+        let two = opteron.links.iter().find(|l| l.hops == 2).unwrap();
+        let below = with_levels(&[
+            (0, LevelRole::SelfLevel),
+            (117, LevelRole::Socket),
+            (150, LevelRole::CrossSocket { hops: 2 }),
+            (180, LevelRole::IntraGroup),
+            (197, LevelRole::CrossSocket { hops: 1 }),
+            (217, LevelRole::CrossSocket { hops: 1 }),
+        ]);
+        assert_eq!(
+            irregular(&below),
+            format!(
+                "cross-socket latency 150 (sockets {},{}) does not exceed intra-socket 180",
+                two.a, two.b
+            )
+        );
+        // An intra-socket level above the lower direct one only: the
+        // first stored record, (0, 1), is named.
+        let between = with_levels(&[
+            (0, LevelRole::SelfLevel),
+            (117, LevelRole::Socket),
+            (197, LevelRole::CrossSocket { hops: 1 }),
+            (200, LevelRole::IntraGroup),
+            (217, LevelRole::CrossSocket { hops: 1 }),
+            (300, LevelRole::CrossSocket { hops: 2 }),
+        ]);
+        assert_eq!(
+            irregular(&between),
+            "cross-socket latency 197 (sockets 0,1) does not exceed intra-socket 200"
+        );
+        // A stored record off every level.
+        let mut v: serde_json::Value = serde_json::from_str(text).unwrap();
+        assert_eq!(v["topology"]["links"][0]["latency"], serde_json::json!(197));
+        v["topology"]["links"][0]["latency"] = serde_json::json!(198);
+        assert_eq!(
+            irregular(&v.to_string()),
+            "interconnect record (0, 1) has latency 198, which is no level's median \
+             (the nearest is 197)"
+        );
+    }
+
+    /// A topology whose link arena is out of its one shape has no
+    /// description: writing or saving it is refused with the error the
+    /// shape check gives, not a panic.
+    #[test]
+    fn an_arena_out_of_its_shape_is_refused_by_the_writer() {
+        let ivy = from_str(crate::registry::shipped_source("ivy").unwrap()).unwrap();
+        let prov = Provenance::new("ivy", &canonical_probe_config(), None, true);
+        let mut emptied = ivy.clone();
+        emptied.links.clear();
+        let mut doubled = ivy.clone();
+        doubled.links.push(ivy.links[0].clone());
+        let path = std::env::temp_dir().join("mctop-arena-out-of-shape.mct.json");
+        for (topo, want) in [
+            (emptied, "missing interconnect records"),
+            (doubled, "duplicate interconnect record (0, 1)"),
+        ] {
+            let shape = validate::check_links(&topo.links, topo.num_sockets()).unwrap_err();
+            assert_eq!(shape.to_string(), format!("irregular topology: {want}"));
+            for err in [
+                to_string(&topo, &prov).unwrap_err(),
+                save(&topo, &prov, &path).unwrap_err(),
+            ] {
+                assert!(matches!(err, McTopError::IrregularTopology(_)), "{err}");
+                assert_eq!(err.to_string(), shape.to_string());
+            }
+            assert!(!path.exists());
         }
     }
 

@@ -454,7 +454,9 @@ impl Mctop {
     ///   (what `enrich::memory::bandwidth_plugin` writes).
     ///
     /// Costs one BFS per socket over the direct records, plus one step
-    /// per pair.
+    /// per pair: the loader pays it to derive the records a file leaves
+    /// out, and the writer and `alg::validate` only where the arena
+    /// fails [`Mctop::hops_certified`].
     ///
     /// # Panics
     ///
@@ -490,16 +492,7 @@ impl Mctop {
             start[l.b] -= 1;
             adjacent[start[l.b]] = l.a;
         }
-        // (levels, median) of the `CrossSocket` levels of each hop count
-        // a BFS can reach.
-        let mut by_hops = vec![(0usize, 0u32); s];
-        for level in &self.levels {
-            if let LevelRole::CrossSocket { hops } = level.role {
-                if let Some(slot) = by_hops.get_mut(hops) {
-                    *slot = (slot.0 + 1, level.latency.median);
-                }
-            }
-        }
+        let by_hops = self.cross_levels_by_hops();
         let mut dist = vec![usize::MAX; s];
         let mut queue = Vec::with_capacity(s);
         let mut stored = links.iter().peekable();
@@ -528,9 +521,7 @@ impl Mctop {
                             b,
                             latency,
                             hops,
-                            bandwidth: self.sockets[b]
-                                .local_node
-                                .and_then(|n| self.sockets[a].mem_bandwidths.get(n).copied()),
+                            bandwidth: self.derived_bandwidth(a, b),
                         }),
                         (levels, _) => Err(Underived::Levels { hops, levels }),
                     },
@@ -545,24 +536,130 @@ impl Mctop {
         Ok(())
     }
 
+    /// `(levels, median)` of the `CrossSocket { hops }` levels for each
+    /// hop count below the socket count, the ones a BFS can reach: the
+    /// rule `derived_links` takes a record's latency by.
+    fn cross_levels_by_hops(&self) -> Vec<(usize, u32)> {
+        let mut by_hops = vec![(0usize, 0u32); self.num_sockets()];
+        for level in &self.levels {
+            if let LevelRole::CrossSocket { hops } = level.role {
+                if let Some(slot) = by_hops.get_mut(hops) {
+                    *slot = (slot.0 + 1, level.latency.median);
+                }
+            }
+        }
+        by_hops
+    }
+
+    /// The bandwidth rule of `derived_links`: `sockets[a]`'s bandwidth to
+    /// `b`'s local node, `None` without one or out of range.
+    fn derived_bandwidth(&self, a: usize, b: usize) -> Option<f64> {
+        self.sockets[b]
+            .local_node
+            .and_then(|n| self.sockets[a].mem_bandwidths.get(n).copied())
+    }
+
+    /// Rule 3 read off the hops the arena carries: whether `links` is in
+    /// its one shape and every record's `hops` is the BFS distance of its
+    /// pair over the `hops == 1` records, which also makes the socket
+    /// graph connected.
+    ///
+    /// With `H` the S×S hop matrix of the records (0 on the diagonal),
+    /// that holds exactly when `H(a, b) = 1 + min H(c, b)` over the
+    /// direct neighbours `c` of `a`, for every pair `a ≠ b`: a finite
+    /// `H` that meets this equation is the BFS distance, since following
+    /// the minimum walks a path of `H(a, b)` direct records from `a` to
+    /// `b`, and no shorter path can beat it step by step. Each socket's
+    /// row is checked against the minimum of its neighbours' rows.
+    ///
+    /// Costs S² `u16`s and one row minimum per direct record per end,
+    /// with no BFS. `false` for an arena out of its shape, a hop count
+    /// of S or more (no distance is), or more sockets than a `u16`
+    /// counts; the callers then run `derived_links`, which decides
+    /// those as it always has.
+    pub(crate) fn hops_certified(&self) -> bool {
+        let s = self.num_sockets();
+        if s >= usize::from(u16::MAX) || self.links.len() != s * s.saturating_sub(1) / 2 {
+            return false;
+        }
+        let mut h = vec![0u16; s * s];
+        let (mut a, mut b) = (0, 1);
+        for l in &self.links {
+            if (l.a, l.b) != (a, b) || l.hops >= s {
+                return false;
+            }
+            // `hops < s < u16::MAX`: the cast keeps it.
+            h[a * s + b] = l.hops as u16;
+            h[b * s + a] = l.hops as u16;
+            b += 1;
+            if b == s {
+                a += 1;
+                b = a + 1;
+            }
+        }
+        let mut least = vec![0u16; s];
+        (0..s).all(|a| {
+            let row = &h[a * s..][..s];
+            least.fill(u16::MAX);
+            for (c, _) in row.iter().enumerate().filter(|&(_, &hops)| hops == 1) {
+                for (m, &hops) in least.iter_mut().zip(&h[c * s..][..s]) {
+                    *m = (*m).min(hops);
+                }
+            }
+            // `hops < u16::MAX`, so a socket with no neighbour (every
+            // minimum `u16::MAX`) fails every pair.
+            let holds = |row: &[u16], least: &[u16]| {
+                row.iter()
+                    .zip(least)
+                    .fold(true, |ok, (&hops, &m)| ok & (hops == m.saturating_add(1)))
+            };
+            holds(&row[..a], &least[..a]) && holds(&row[a + 1..], &least[a + 1..])
+        })
+    }
+
     /// The link records a description stores: the direct (`hops == 1`)
     /// ones, and every other one that differs from what
     /// `Mctop::derived_links` makes of its pair, in triangle order.
     ///
+    /// Where the arena certifies rule 3 (`Mctop::hops_certified`),
+    /// every record's `hops` is what the derivation would find, so it
+    /// costs that certificate plus one pass over the records: a record
+    /// that is not direct is left out iff exactly one level has the role
+    /// `CrossSocket` with its hop count, that level's median is its
+    /// latency, and its bandwidth is its socket's to the other's local
+    /// node. Otherwise it runs `derived_links`, one BFS per socket, and
+    /// keeps what differs.
+    ///
     /// # Panics
     ///
     /// If `links` is not in its one shape (every socket pair once, in
-    /// triangle order): such a topology has no description.
+    /// triangle order): such a topology has no description, and
+    /// [`crate::desc::to_string`] refuses it before it gets here.
     pub fn stored_links(&self) -> Vec<&InterconnectLink> {
-        let mut out = Vec::new();
-        let Ok(()) = self.derived_links(&self.links, |_, stored, derived| {
-            let l = stored.expect("every socket pair has a link record");
-            if l.hops == 1 || derived.as_ref() != Ok(l) {
-                out.push(l);
-            }
-            Ok::<(), std::convert::Infallible>(())
-        });
-        out
+        if self.hops_certified() {
+            let by_hops = self.cross_levels_by_hops();
+            self.links
+                .iter()
+                .filter(|l| {
+                    l.hops == 1
+                        || by_hops[l.hops] != (1, l.latency)
+                        || l.bandwidth != self.derived_bandwidth(l.a, l.b)
+                })
+                .collect()
+        } else {
+            // Some record is off its distance, the graph is not
+            // connected, or the arena is out of its shape: the
+            // derivation decides (and panics on the last).
+            let mut out = Vec::new();
+            let Ok(()) = self.derived_links(&self.links, |_, stored, derived| {
+                let l = stored.expect("every socket pair has a link record");
+                if l.hops == 1 || derived.as_ref() != Ok(l) {
+                    out.push(l);
+                }
+                Ok::<(), std::convert::Infallible>(())
+            });
+            out
+        }
     }
 
     /// The local memory node of a context
