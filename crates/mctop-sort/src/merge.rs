@@ -3,25 +3,27 @@
 //! parallel merge itself.
 
 /// Merges two sorted slices into `out` (must have the exact combined
-/// length).
+/// length), stably: on ties the element of `a` comes first, so the
+/// result is the stable sort of `a ++ b` for any `T: Ord + Copy`.
+///
+/// While both sides have elements, each step selects its output with
+/// `<=` and advances one side by the comparison's value, without a
+/// branch on it (the data-dependent branch of a two-way merge
+/// mispredicts about every other element on random keys); then the one
+/// tail left is copied in a block.
 pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
     assert_eq!(out.len(), a.len() + b.len(), "output size mismatch");
     let (mut i, mut j) = (0usize, 0usize);
-    for slot in out.iter_mut() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => x <= y,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("output exactly fits"),
-        };
-        if take_a {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let take_a = x <= y;
+        out[i + j] = if take_a { x } else { y };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
     }
+    let (rest_a, rest_b) = out[i + j..].split_at_mut(a.len() - i);
+    rest_a.copy_from_slice(&a[i..]);
+    rest_b.copy_from_slice(&b[j..]);
 }
 
 /// Merges three sorted slices into `out` (must have the exact combined
@@ -213,6 +215,58 @@ mod tests {
         let mut out2 = vec![0; 2];
         merge_into(&b, &a, &mut out2);
         assert_eq!(out2, vec![1, 2]);
+    }
+
+    /// A key with a tag the order ignores.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged {
+        key: u8,
+        tag: u32,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl Eq for Tagged {}
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    #[test]
+    fn merge_into_takes_ties_from_a_first() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        for (na, nb) in [(0usize, 5usize), (5, 0), (1, 1), (100, 137), (1000, 1000)] {
+            let mut tagged = |tags: std::ops::Range<usize>| {
+                let mut v: Vec<Tagged> = tags
+                    .map(|tag| Tagged {
+                        key: rng.gen_range(0..8),
+                        tag: tag as u32,
+                    })
+                    .collect();
+                v.sort();
+                v
+            };
+            let (a, b) = (tagged(0..na), tagged(na..na + nb));
+            let mut expected = a.clone();
+            expected.extend_from_slice(&b);
+            expected.sort();
+            let mut out = vec![Tagged { key: 0, tag: 0 }; na + nb];
+            merge_into(&a, &b, &mut out);
+            let pairs = |v: &[Tagged]| v.iter().map(|t| (t.key, t.tag)).collect::<Vec<_>>();
+            assert_eq!(pairs(&out), pairs(&expected), "na={na} nb={nb}");
+        }
     }
 
     #[test]

@@ -108,6 +108,10 @@ pub fn predict_with_view(
         SortAlgo::MctopSse => {
             // Half the workers run the SIMD kernel with a 3:1 data
             // split (Section 7.2): effective cost is the weighted mean.
+            // Fig. 9 runs every context of the machine, so each core
+            // has one vector and one scalar merger; the model keeps
+            // that full-machine split, whereas `parallel::bitonic_jobs`
+            // counts the cores of the workers each merge is given.
             (3.0 * cfg.simd_merge_cycles + cfg.scalar_merge_cycles) / 4.0
         }
         _ => cfg.scalar_merge_cycles,

@@ -45,6 +45,40 @@ enum Kernel {
 /// One tagged merge segment: `(use_vector_kernel, a, b, out_window)`.
 type TaggedJob<'a> = (bool, &'a [u32], &'a [u32], &'a mut [u32]);
 
+/// How many segments one cooperative merge is cut into, by kind: one
+/// vector segment per distinct core among the workers the merge is
+/// given, and one scalar segment per further worker — an SMT sibling,
+/// which shares the vector unit of a core already counted.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    vector: usize,
+    scalar: usize,
+}
+
+impl Split {
+    /// The split of a merge given the workers on contexts `hwcs`.
+    fn of(view: &TopoView, hwcs: impl IntoIterator<Item = usize>) -> Split {
+        let mut cores: Vec<usize> = Vec::new();
+        let mut scalar = 0;
+        for hwc in hwcs {
+            let core = view.core_of(hwc);
+            if cores.contains(&core) {
+                scalar += 1;
+            } else {
+                cores.push(core);
+            }
+        }
+        Split {
+            vector: cores.len(),
+            scalar,
+        }
+    }
+
+    fn workers(self) -> usize {
+        self.vector + self.scalar
+    }
+}
+
 /// Reusable run and merge scratch for the persistent-sort entry points
 /// ([`mctop_sort_on`] / [`mctop_sort_sse_on`]): a pool of `Vec<u32>`
 /// buffers recycled across phases, merge rounds **and sorts**, so a
@@ -62,16 +96,18 @@ impl SortScratch {
         SortScratch::default()
     }
 
-    /// An empty buffer, recycled when possible, for its user to size.
-    fn take_empty(&mut self) -> Vec<u32> {
-        let mut v = self.pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// A zeroed buffer of exactly `len`, recycled when possible.
+    /// A buffer of exactly `len` elements, recycled when possible: the
+    /// shortest pooled buffer that holds `len`, else the longest. A
+    /// recycled buffer keeps what it held; only growth past its old
+    /// length is zero-filled. Every user overwrites every element (a
+    /// chunk sort writes all of its run, a merge all of its window), so
+    /// a steady stream of equal sorts fills nothing.
     fn take(&mut self, len: usize) -> Vec<u32> {
-        let mut v = self.take_empty();
+        let best = (0..self.pool.len()).min_by_key(|&i| {
+            let have = self.pool[i].len();
+            (have < len, have.abs_diff(len))
+        });
+        let mut v = best.map_or_else(Vec::new, |i| self.pool.swap_remove(i));
         v.resize(len, 0);
         v
     }
@@ -156,23 +192,20 @@ fn sort_on_impl(
     }
     let ctxs = exec.worker_ctxs();
     let n_threads = ctxs.len();
-    let threads_of_socket =
-        |s: usize| -> usize { ctxs.iter().filter(|c| c.socket() == s).count().max(1) };
+    // The contexts of each socket's workers, in worker order.
+    let mut socket_hwcs: Vec<Vec<usize>> = vec![Vec::new(); view.num_sockets()];
+    for c in ctxs {
+        socket_hwcs[c.socket()].push(c.hwc());
+    }
 
     // --- Phase 1: parallel chunk sort -----------------------------------
     // Each chunk is sorted straight into its phase-2 run, with the chunk
-    // itself as the kernel's scratch. The task sizes its run, so the
-    // zero-fill runs in parallel too.
+    // itself as the kernel's scratch.
     let chunk = n.div_ceil(n_threads);
-    let mut runs: Vec<Vec<u32>> = (0..n.div_ceil(chunk))
-        .map(|_| scratch.take_empty())
-        .collect();
+    let mut runs: Vec<Vec<u32>> = data.chunks(chunk).map(|p| scratch.take(p.len())).collect();
     exec.scope(|sc| {
         for (piece, run) in data.chunks_mut(chunk).zip(&mut runs) {
-            sc.spawn(move || {
-                run.resize(piece.len(), 0);
-                sort_into(piece, run);
-            });
+            sc.spawn(move || sort_into(piece, run));
         }
     });
 
@@ -191,7 +224,7 @@ fn sort_on_impl(
         a: Vec<u32>,
         b: Vec<u32>,
         out: Vec<u32>,
-        threads: usize,
+        split: Split,
     }
     while socket_runs.iter().any(|runs| runs.len() > 1) {
         let mut round: Vec<PairMerge> = Vec::new();
@@ -199,7 +232,8 @@ fn sort_on_impl(
             if runs.len() <= 1 {
                 continue;
             }
-            let k = threads_of_socket(s);
+            let hwcs = &socket_hwcs[s];
+            let k = hwcs.len();
             let taken = std::mem::take(runs);
             let mut iter = taken.into_iter();
             let mut pairs = Vec::new();
@@ -209,21 +243,24 @@ fn sort_on_impl(
                     None => runs.push(a),
                 }
             }
+            // Pair `p` is given the next `threads` of the socket's
+            // workers, wrapping around when pairs outnumber them.
             let threads = (k / pairs.len().max(1)).max(1);
-            for (a, b) in pairs {
+            for (p, (a, b)) in pairs.into_iter().enumerate() {
                 let out = scratch.take(a.len() + b.len());
+                let split = Split::of(view, (0..threads).map(|i| hwcs[(p * threads + i) % k]));
                 round.push(PairMerge {
                     socket: s,
                     a,
                     b,
                     out,
-                    threads,
+                    split,
                 });
             }
         }
         let mut jobs: Vec<TaggedJob<'_>> = Vec::new();
         for pm in round.iter_mut() {
-            jobs.extend(kernel_jobs(&pm.a, &pm.b, &mut pm.out, pm.threads, kernel));
+            jobs.extend(kernel_jobs(&pm.a, &pm.b, &mut pm.out, pm.split, kernel));
         }
         run_jobs(exec, kernel, jobs);
         for pm in round {
@@ -252,7 +289,7 @@ fn sort_on_impl(
         a: Vec<u32>,
         b: Vec<u32>,
         out: Vec<u32>,
-        threads: usize,
+        split: Split,
     }
     for level in &tree.levels {
         // Steps in a level are independent; all their segments go into
@@ -261,19 +298,20 @@ fn sort_on_impl(
         for step in level {
             let a = run_of.remove(&step.dst).expect("dst run exists");
             let b = run_of.remove(&step.src).expect("src run exists");
-            let threads = threads_of_socket(step.dst) + threads_of_socket(step.src);
+            let given = socket_hwcs[step.dst].iter().chain(&socket_hwcs[step.src]);
+            let split = Split::of(view, given.copied());
             let out = scratch.take(a.len() + b.len());
             steps.push(StepMerge {
                 dst: step.dst,
                 a,
                 b,
                 out,
-                threads,
+                split,
             });
         }
         let mut jobs: Vec<TaggedJob<'_>> = Vec::new();
         for sm in steps.iter_mut() {
-            jobs.extend(kernel_jobs(&sm.a, &sm.b, &mut sm.out, sm.threads, kernel));
+            jobs.extend(kernel_jobs(&sm.a, &sm.b, &mut sm.out, sm.split, kernel));
         }
         run_jobs(exec, kernel, jobs);
         for sm in steps {
@@ -293,15 +331,15 @@ fn kernel_jobs<'a>(
     a: &'a [u32],
     b: &'a [u32],
     out: &'a mut [u32],
-    k: usize,
+    split: Split,
     kernel: Kernel,
 ) -> Vec<TaggedJob<'a>> {
     match kernel {
-        Kernel::Scalar => merge_jobs(a, b, out, k)
+        Kernel::Scalar => merge_jobs(a, b, out, split.workers())
             .into_iter()
             .map(|(sa, sb, window)| (false, sa, sb, window))
             .collect(),
-        Kernel::Vector(_) => bitonic_jobs(a, b, out, k),
+        Kernel::Vector(_) => bitonic_jobs(a, b, out, split),
     }
 }
 
@@ -327,28 +365,30 @@ fn run_jobs(exec: &Executor, kernel: Kernel, jobs: Vec<TaggedJob<'_>>) {
     });
 }
 
-/// SSE-style cooperative merge split: the first context of each core
-/// uses the bitonic kernel and is given three times more data than the
-/// scalar threads (Section 7.2) — `k` merge-path segments with a 3:1
-/// weight for the bitonic half.
+/// SSE-style cooperative merge split (Section 7.2): the first context
+/// of each core merges with the vector kernel, and an SMT sibling that
+/// shares that core's vector unit merges with the scalar one. `split`
+/// comes from the cores of the workers the merge is given, so a team
+/// with one worker per core merges all of its segments on vector units,
+/// at equal sizes. Only where both kinds share a merge does a vector
+/// segment get three times the data of a scalar one.
 fn bitonic_jobs<'a>(
     a: &'a [u32],
     b: &'a [u32],
     out: &'a mut [u32],
-    k: usize,
+    split: Split,
 ) -> Vec<TaggedJob<'a>> {
+    let k = split.workers();
     if k <= 1 || out.len() < 4096 {
         return vec![(true, a, b, out)];
     }
-    // Half the workers use the bitonic kernel with weight 3.
-    let simd_workers = k.div_ceil(2);
-    let scalar_workers = k - simd_workers;
-    let total_weight = simd_workers * 3 + scalar_workers;
+    let vector_weight = if split.scalar > 0 { 3 } else { 1 };
+    let total_weight = split.vector * vector_weight + split.scalar;
     let total = a.len() + b.len();
     let mut boundaries = vec![0usize];
     let mut acc = 0usize;
     for w in 0..k {
-        acc += if w < simd_workers { 3 } else { 1 };
+        acc += if w < split.vector { vector_weight } else { 1 };
         boundaries.push(total * acc / total_weight);
     }
     let cuts: Vec<(usize, usize)> = boundaries
@@ -363,7 +403,7 @@ fn bitonic_jobs<'a>(
         let len = (i1 - i0) + (j1 - j0);
         let (window, tail) = rest.split_at_mut(len);
         rest = tail;
-        jobs.push((w < simd_workers, &a[i0..i1], &b[j0..j1], window));
+        jobs.push((w < split.vector, &a[i0..i1], &b[j0..j1], window));
     }
     debug_assert!(rest.is_empty());
     jobs
@@ -591,6 +631,87 @@ mod tests {
             .collect();
         assert_eq!(pooled[1], pooled[9], "{pooled:?}");
         assert!(pooled[9] <= 5 * n / 2, "{pooled:?}");
+    }
+
+    /// A recycled buffer keeps what it held. After sorts of
+    /// all-`u32::MAX` keys every pooled buffer is full of them, so any
+    /// element a later sort failed to write would show in its output.
+    #[test]
+    fn a_poisoned_pool_leaks_nothing_into_the_output() {
+        let n = 1usize << 17;
+        let view = view();
+        for threads in [2, 6] {
+            let exec = team(&view, threads);
+            let mut scratch = SortScratch::new();
+            let mut poison = vec![u32::MAX; n];
+            mctop_sort_sse_on(&exec, &mut poison, &view, 0, &mut scratch);
+            mctop_sort_on(&exec, &mut poison, &view, 0, &mut scratch);
+            for (seed, len) in [(1u64, n), (2, n - 999), (3, n / 3)] {
+                let data = random(len, seed);
+                let mut expected = data.clone();
+                expected.sort_unstable();
+                let mut v = data.clone();
+                mctop_sort_sse_on(&exec, &mut v, &view, 0, &mut scratch);
+                assert_eq!(v, expected, "sse, threads={threads}, len={len}");
+                let mut v = data;
+                mctop_sort_on(&exec, &mut v, &view, 0, &mut scratch);
+                assert_eq!(v, expected, "scalar, threads={threads}, len={len}");
+            }
+        }
+    }
+
+    /// The contexts of a placement's slots, in order.
+    fn slot_hwcs(view: &TopoView, threads: usize) -> Vec<usize> {
+        Placement::with_view(view, Policy::RrCore, PlaceOpts::threads(threads))
+            .unwrap()
+            .slots()
+            .iter()
+            .map(|pin| pin.hwc)
+            .collect()
+    }
+
+    /// The kind and length of each segment `bitonic_jobs` cuts a
+    /// 2^16-element merge into.
+    fn segments(split: Split) -> Vec<(bool, usize)> {
+        let a = (0..1u32 << 15).map(|i| 2 * i).collect::<Vec<_>>();
+        let b = (0..1u32 << 15).map(|i| 2 * i + 1).collect::<Vec<_>>();
+        let mut out = vec![0; 1 << 16];
+        bitonic_jobs(&a, &b, &mut out, split)
+            .into_iter()
+            .map(|(vector, _, _, window)| (vector, window.len()))
+            .collect()
+    }
+
+    #[test]
+    fn merges_split_by_the_cores_of_their_workers() {
+        let shipped = mctop::Registry::shipped();
+        let ivy = shipped.view("ivy").unwrap();
+        // RR_CORE's first two workers sit on two cores (of two sockets):
+        // both merge on their own vector unit, at equal sizes.
+        let rr2 = Split::of(&ivy, slot_hwcs(&ivy, 2));
+        assert_eq!((rr2.vector, rr2.scalar), (2, 0));
+        assert_eq!(segments(rr2), [(true, 1 << 15), (true, 1 << 15)]);
+        // Both contexts of one core share its vector unit: 3:1.
+        let core: Vec<usize> = (0..ivy.num_hwcs())
+            .filter(|&h| ivy.core_of(h) == ivy.core_of(0))
+            .collect();
+        assert_eq!(core.len(), 2);
+        let smt = Split::of(&ivy, core);
+        assert_eq!((smt.vector, smt.scalar), (1, 1));
+        assert_eq!(segments(smt), [(true, 3 << 14), (false, 1 << 14)]);
+        // No SMT: every worker merges on a vector unit.
+        let opteron = shipped.view("opteron").unwrap();
+        let rr4 = Split::of(&opteron, slot_hwcs(&opteron, 4));
+        assert_eq!((rr4.vector, rr4.scalar), (4, 0));
+        assert_eq!(segments(rr4), [(true, 1 << 14); 4]);
+        // The whole machine: one vector and one scalar segment per core.
+        let all = Split::of(&ivy, 0..ivy.num_hwcs());
+        assert_eq!((all.vector, all.scalar), (20, 20));
+        let cut = segments(all);
+        let kind = |vector: bool| cut.iter().filter(move |&&(v, _)| v == vector);
+        assert_eq!(kind(true).count(), 20);
+        assert_eq!(kind(true).map(|&(_, len)| len).sum::<usize>(), 3 << 14);
+        assert_eq!(kind(false).map(|&(_, len)| len).sum::<usize>(), 1 << 14);
     }
 
     #[test]

@@ -356,15 +356,100 @@ pub fn to_string(topo: &Mctop, prov: &Provenance) -> Result<String, McTopError> 
     Ok(serde::to_json(&file, true, text_size_estimate(topo)))
 }
 
-/// Bytes to reserve for the text of `topo`: within a factor of two of
-/// the real size, so the buffer grows at most once. The link records
-/// counted are the direct ones, which are what a description stores
-/// where the rules of [`Mctop::derived_links`] hold; counting them
-/// exactly would cost a second derivation.
+/// Bytes to reserve for the text of `topo`: an upper bound taken from
+/// the topology's own list lengths, so the buffer never grows. Every
+/// line of the two-space-indented text is charged at its widest value:
+/// an index (or `null`) at the width of the largest count, a latency at
+/// a `u32`'s ten digits, a float at 24 characters (the longest a
+/// measured bandwidth, capacity or power prints); the envelope, the
+/// provenance and the topology's scalars fit in the fixed 4 KiB. The
+/// link records counted are the direct ones, which are what a
+/// description stores where the rules of [`Mctop::derived_links`]
+/// hold; counting them exactly would cost a second derivation.
 fn text_size_estimate(topo: &Mctop) -> usize {
-    let (n, s) = (topo.num_hwcs(), topo.num_sockets());
+    const LATENCY: usize = 10;
+    const FLOAT: usize = 24;
+    const USIZE: usize = 20;
+    let (n, s, nodes) = (topo.num_hwcs(), topo.num_sockets(), topo.nodes.len());
+    let counts = [
+        n,
+        s,
+        nodes,
+        topo.groups.len(),
+        topo.levels.len(),
+        topo.cores.len(),
+    ];
+    let index = (counts.into_iter().max().unwrap_or(0).max(1).ilog10() as usize + 1).max(4);
+    // A line: indentation, the quoted key, `": "`, the value and `,\n`.
+    let field = |indent: usize, key: &str, value: usize| indent + key.len() + value + 6;
+    // A list element, or a bracket or brace on a line of its own.
+    let elem = |indent: usize, value: usize| indent + value + 2;
+    // A record's braces in a topology list, and a list field's header
+    // and closing bracket inside such a record.
+    let record = 2 * elem(6, 1);
+    let list = |key: &str| field(8, key, 1) + elem(8, 1);
+    let at = |key: &str, value: usize| field(8, key, value);
+    let indices = |keys: &[&str]| keys.iter().map(|k| at(k, index)).sum::<usize>();
+
+    let level = record
+        + at("index", index)
+        + at("latency", 1)
+        + 3 * field(10, "median", LATENCY)
+        + elem(8, 1)
+        + at("role", 1)
+        + field(10, "CrossSocket", 1)
+        + field(12, "hops", index)
+        + elem(10, 1)
+        + elem(8, 1);
+    let hwc = record + indices(&["id", "core", "socket", "next_closest"]);
+    let group = record
+        + indices(&["id", "level", "parent", "socket"])
+        + at("latency", LATENCY)
+        + list("hwcs")
+        + list("children");
+    let group_members: usize = topo
+        .groups
+        .iter()
+        .map(|g| g.hwcs.len() + g.children.len())
+        .sum();
+    let socket = record
+        + indices(&["id", "group", "local_node"])
+        + list("hwcs")
+        + list("cores")
+        + list("mem_latencies")
+        + list("mem_bandwidths")
+        + at("single_core_bw", FLOAT);
+    let socket_members: usize = topo
+        .sockets
+        .iter()
+        .map(|s| s.hwcs.len() + s.cores.len())
+        .sum();
+    let per_node = elem(10, LATENCY) + elem(10, FLOAT);
+    let node = record + indices(&["id", "home_socket"]) + at("capacity_gb", FLOAT);
+    let link = record + indices(&["a", "b", "hops"]) + at("latency", LATENCY);
+    let link = link + at("bandwidth", FLOAT);
     let links = topo.links.iter().filter(|l| l.hops == 1).count();
-    4096 + 128 * (n + links) + 256 * topo.groups.len() + 64 * s * topo.nodes.len()
+    let cache = record
+        + at("name", 2)
+        + at("size_estimate", USIZE)
+        + at("os_size", USIZE)
+        + at("latency", LATENCY);
+    let caches: usize = topo
+        .caches
+        .iter()
+        .flatten()
+        .map(|c| cache + c.name.len())
+        .sum();
+    4096 + topo.levels.len() * level
+        + n * hwc
+        + topo.groups.len() * group
+        + group_members * elem(10, index)
+        + topo.cores.len() * elem(6, index)
+        + s * (socket + nodes * per_node)
+        + socket_members * elem(10, index)
+        + nodes * node
+        + links * link
+        + caches
 }
 
 /// Parses and validates a description string.
@@ -787,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn to_string_grows_its_buffer_at_most_once_on_every_committed_file() {
+    fn to_string_never_grows_its_buffer_on_every_committed_file() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../descs");
         let mut files = 0;
         for entry in std::fs::read_dir(dir).unwrap() {
@@ -797,10 +882,10 @@ mod tests {
                 to_string(&topo, &prov).unwrap().len(),
                 text_size_estimate(&topo),
             );
-            // A full buffer at least doubles, so one growth covers twice
-            // the reservation; nor is the reservation twice too large.
+            // The reservation holds the whole text, and overshoots it
+            // by at most half besides the fixed 4 KiB.
             assert!(
-                len <= 2 * reserved && reserved <= 2 * len,
+                len <= reserved && reserved <= len * 3 / 2 + 4096,
                 "{}: {len} bytes, {reserved} reserved",
                 path.display()
             );
