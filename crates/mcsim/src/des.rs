@@ -92,21 +92,6 @@ impl<T> EventQueue<T> {
         self.now = e.time;
         Some((e.time, e.payload))
     }
-
-    /// Current simulated time (time of the last popped event).
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -129,23 +114,20 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(10, ());
         q.push(20, ());
-        q.pop();
-        assert_eq!(q.now(), 10);
+        assert_eq!(q.pop().map(|(t, _)| t), Some(10));
         // Scheduling in the past clamps to now.
         q.push(5, ());
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, 10);
-        q.pop();
-        assert_eq!(q.now(), 20);
+        assert_eq!(q.pop().map(|(t, _)| t), Some(20));
     }
 
     #[test]
     fn len_and_empty() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
         q.push(1, ());
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+        assert!(q.pop().is_some());
+        assert!(q.pop().is_none());
     }
 }

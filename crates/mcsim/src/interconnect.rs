@@ -98,7 +98,7 @@ impl Deserialize for Interconnect {
 impl Interconnect {
     /// Builds an interconnect. Routing queries fill an all-pairs table
     /// on first use.
-    pub fn new(sockets: usize, overhead: u32, links: Vec<Link>) -> Self {
+    pub(crate) fn new(sockets: usize, overhead: u32, links: Vec<Link>) -> Self {
         let ic = Interconnect {
             sockets,
             overhead,
@@ -222,7 +222,7 @@ impl Interconnect {
     }
 
     /// End-to-end context-to-context latency across sockets, cycles.
-    pub fn latency(&self, src: usize, dst: usize) -> u32 {
+    pub(crate) fn latency(&self, src: usize, dst: usize) -> u32 {
         if src == dst {
             return 0;
         }
@@ -231,14 +231,14 @@ impl Interconnect {
 
     /// Number of hops on the cheapest path (0 for `src == dst`, 1 for a
     /// direct link). Ties in wire latency are broken toward fewer hops.
-    pub fn hops(&self, src: usize, dst: usize) -> usize {
+    pub(crate) fn hops(&self, src: usize, dst: usize) -> usize {
         self.route(src, dst).hops as usize
     }
 
     /// Effective bandwidth between two sockets: the weakest link on the
     /// cheapest path, halved per extra hop (the forwarded traffic shares
     /// the intermediate socket's links).
-    pub fn bandwidth(&self, src: usize, dst: usize) -> f64 {
+    pub(crate) fn bandwidth(&self, src: usize, dst: usize) -> f64 {
         if src == dst {
             return f64::INFINITY;
         }

@@ -49,15 +49,12 @@ pub struct LatencyOracle<'m> {
     pending_stream: Option<u64>,
     /// Per-core busy units, drives the DVFS factor.
     warmth: Vec<u32>,
-    /// Total raw probes issued (for the inference-cost accounting of
-    /// Section 3.5).
-    probes: u64,
 }
 
 /// Derives the seed of an independent randomness stream from the run
 /// seed and a stream tag (a strong 128-bit-ish mix, so `(seed, tag)`
 /// pairs land far apart even for adjacent tags).
-pub fn stream_seed(seed: u64, tag: u64) -> u64 {
+pub(crate) fn stream_seed(seed: u64, tag: u64) -> u64 {
     // splitmix64 finalizer over both words, chained.
     let mut z = seed ^ tag.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -85,13 +82,12 @@ impl<'m> LatencyOracle<'m> {
             rng: SmallRng::seed_from_u64(seed),
             pending_stream: None,
             warmth: vec![0; spec.total_cores()],
-            probes: 0,
         }
     }
 
     /// Rebinds the oracle's randomness to the stream identified by
     /// `tag`: from here on, samples are drawn from a generator seeded
-    /// with [`stream_seed`]`(seed, tag)` regardless of how many samples
+    /// with `stream_seed``(seed, tag)` regardless of how many samples
     /// any other stream consumed. This is what makes measurement
     /// results a pure function of `(seed, stream, sample index)` — the
     /// foundation of the deterministic parallel collection contract
@@ -118,31 +114,10 @@ impl<'m> LatencyOracle<'m> {
         Self::with_cfg(spec, 0, NoiseCfg::none(), DvfsCfg::disabled())
     }
 
-    /// The machine being probed.
-    pub fn spec(&self) -> &MachineSpec {
-        self.spec
-    }
-
-    /// Number of raw probes issued so far.
-    pub fn probe_count(&self) -> u64 {
-        self.probes
-    }
-
-    /// Number of hardware contexts (OS dependency #1 of Section 3).
-    pub fn num_hwcs(&self) -> usize {
-        self.spec.total_hwcs()
-    }
-
-    /// Number of memory nodes (OS dependency #2 of Section 3).
-    pub fn num_nodes(&self) -> usize {
-        self.spec.nodes
-    }
-
     /// One raw lock-step measurement between contexts `a` and `b`:
     /// true RFO latency, inflated by the DVFS factor of the colder core,
     /// plus rdtsc cost, jitter, outliers, and quantization.
     pub fn probe_raw(&mut self, a: usize, b: usize) -> u32 {
-        self.probes += 1;
         let pair = self.pair(a, b);
         self.sample(pair)
     }
@@ -156,7 +131,6 @@ impl<'m> LatencyOracle<'m> {
     /// [`probe_raw`]: LatencyOracle::probe_raw
     pub fn probe_raw_batch(&mut self, a: usize, b: usize, out: &mut Vec<u32>, count: usize) {
         out.clear();
-        self.probes += count as u64;
         let pair = self.pair(a, b);
         let (true_lat, ca, cb) = pair;
         if self.settled(ca, cb) {
@@ -339,16 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_counter_counts() {
-        let ivy = presets::ivy();
-        let mut o = LatencyOracle::noiseless(&ivy);
-        for _ in 0..10 {
-            o.probe_raw(0, 1);
-        }
-        assert_eq!(o.probe_count(), 10);
-    }
-
-    #[test]
     fn stored_locations_give_the_true_latency() {
         for spec in [presets::ivy(), presets::scrambled(), presets::opteron()] {
             let mut o = LatencyOracle::noiseless(&spec);
@@ -363,7 +327,7 @@ mod tests {
 
     /// Runs `batches` through `probe_raw_batch` on `batched` and through
     /// one `probe_raw` per sample on a clone. After every batch the
-    /// samples, the next probe, the warmth and the probe count agree.
+    /// samples, the next probe and the warmth agree.
     fn assert_batches_equal_loop(mut batched: LatencyOracle, batches: &[(usize, usize, usize)]) {
         let mut looped = batched.clone();
         let mut out = Vec::new();
@@ -373,7 +337,6 @@ mod tests {
             assert_eq!(out, want, "batch {i}");
             assert_eq!(batched.probe_raw(a, b), looped.probe_raw(a, b), "batch {i}");
             assert_eq!(batched.warmth, looped.warmth, "batch {i}");
-            assert_eq!(batched.probe_count(), looped.probe_count(), "batch {i}");
         }
     }
 

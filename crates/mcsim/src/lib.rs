@@ -9,7 +9,7 @@
 //! bandwidths, and an Intel-RAPL-like power model.
 //!
 //! The central type is [`machine::MachineSpec`]. The oracles in
-//! [`latency`], [`memory`] and [`power`] answer the same questions the
+//! `latency`, `memory` and `power` answer the same questions the
 //! paper's measurement threads ask real hardware, including the noise
 //! phenomena the paper has to fight (rdtsc overhead, DVFS ramp-up,
 //! spurious outliers, SMT slowdown of co-located spin loops).
@@ -21,12 +21,12 @@
 //! memory nodes, scrambled context numbering).
 
 pub mod des;
-pub mod interconnect;
-pub mod latency;
-pub mod machine;
-pub mod memory;
-pub mod noise;
-pub mod power;
+pub(crate) mod interconnect;
+pub(crate) mod latency;
+pub(crate) mod machine;
+pub(crate) mod memory;
+pub(crate) mod noise;
+pub(crate) mod power;
 pub mod presets;
 pub mod stats;
 
@@ -37,6 +37,7 @@ pub use interconnect::{
 pub use latency::LatencyOracle;
 pub use machine::{
     CacheLevel,
+    IntraLevel,
     Loc,
     MachineSpec,
     MemSpec,

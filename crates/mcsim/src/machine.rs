@@ -163,11 +163,6 @@ impl MachineSpec {
         self.sockets * self.cores_per_socket
     }
 
-    /// Whether the machine has SMT.
-    pub fn has_smt(&self) -> bool {
-        self.smt_per_core > 1
-    }
-
     /// Decodes an OS context id into its physical location.
     ///
     /// # Panics
@@ -211,7 +206,8 @@ impl MachineSpec {
 
     /// Encodes a physical location into the OS context id (inverse of
     /// [`MachineSpec::loc`]).
-    pub fn hwc_of(&self, core: usize, smt: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn hwc_of(&self, core: usize, smt: usize) -> usize {
         assert!(core < self.total_cores() && smt < self.smt_per_core);
         match self.numbering {
             Numbering::CoresFirst => smt * self.total_cores() + core,
@@ -221,10 +217,7 @@ impl MachineSpec {
                 let core_in_socket = core % self.cores_per_socket;
                 smt * self.total_cores() + core_in_socket * self.sockets + socket
             }
-            Numbering::Scrambled(seed) => {
-                let canonical = core * self.smt_per_core + smt;
-                self.scramble(canonical, seed)
-            }
+            Numbering::Scrambled(seed) => self.permutation(seed)[core * self.smt_per_core + smt],
         }
     }
 
@@ -247,10 +240,6 @@ impl MachineSpec {
             perm.swap(i, j);
         }
         perm
-    }
-
-    fn scramble(&self, canonical: usize, seed: u64) -> usize {
-        self.permutation(seed)[canonical]
     }
 
     fn unscramble(&self, hwc: usize, seed: u64) -> usize {
@@ -375,7 +364,11 @@ impl MachineSpec {
             ));
         }
         let mut prev_cores = 0usize;
-        let mut prev_lat = if self.has_smt() { self.smt_latency } else { 0 };
+        let mut prev_lat = if self.smt_per_core > 1 {
+            self.smt_latency
+        } else {
+            0
+        };
         for level in &self.intra_levels {
             if level.group_cores <= prev_cores {
                 return Err("intra levels must strictly grow".into());

@@ -5,10 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::machine::{
-    CacheLevel,
-    MachineSpec, //
-};
+use crate::machine::MachineSpec;
 use crate::noise::NoiseCfg;
 
 /// Answers the microbenchmark questions of the paper's memory plugins:
@@ -22,19 +19,6 @@ pub struct MemoryOracle<'m> {
 }
 
 impl<'m> MemoryOracle<'m> {
-    /// Oracle with light measurement noise.
-    pub fn new(spec: &'m MachineSpec, seed: u64) -> Self {
-        MemoryOracle {
-            spec,
-            noise: NoiseCfg {
-                rdtsc_cost: 0,
-                sigma_frac: 0.01,
-                ..NoiseCfg::default()
-            },
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
     /// Noise-free oracle for deterministic tests.
     pub fn noiseless(spec: &'m MachineSpec) -> Self {
         MemoryOracle {
@@ -95,21 +79,6 @@ impl<'m> MemoryOracle<'m> {
         let per_core = self.spec.mem.per_core_stream_bw;
         (threads as f64 * per_core).min(cap)
     }
-
-    /// How many threads on a socket are needed to saturate the local
-    /// memory bandwidth (used by the RR_SCALE policy).
-    pub fn threads_to_saturate(&self, socket: usize) -> usize {
-        let node = self.spec.local_node_of_socket[socket];
-        let cap = self.spec.mem_bandwidth(socket, node);
-        (cap / self.spec.mem.per_core_stream_bw).ceil().max(1.0) as usize
-    }
-
-    /// Cache information as the operating system would report it
-    /// (the cache plugin "additionally loads and includes the cache
-    /// sizes from the operating system").
-    pub fn os_cache_info(&self) -> Vec<CacheLevel> {
-        self.spec.caches.clone()
-    }
 }
 
 #[cfg(test)]
@@ -159,12 +128,11 @@ mod tests {
     #[test]
     fn saturation_thread_count_is_consistent() {
         for spec in presets::all_paper_platforms() {
-            let o = MemoryOracle::noiseless(&spec);
             for s in 0..spec.sockets {
-                let k = o.threads_to_saturate(s);
-                assert!(k >= 1);
-                let mut om = MemoryOracle::noiseless(&spec);
                 let node = spec.local_node_of_socket[s];
+                let cap = spec.mem_bandwidth(s, node);
+                let k = (cap / spec.mem.per_core_stream_bw).ceil().max(1.0) as usize;
+                let mut om = MemoryOracle::noiseless(&spec);
                 let bw_k = om.stream_bandwidth(s, node, k);
                 assert!((bw_k - spec.mem_bandwidth(s, node)).abs() < 1e-9);
             }

@@ -46,7 +46,7 @@ impl Default for NoiseCfg {
 impl NoiseCfg {
     /// No noise at all: probes return the true latency plus the exact
     /// rdtsc cost. Used by determinism tests.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         NoiseCfg {
             sigma_frac: 0.0,
             outlier_prob: 0.0,

@@ -49,12 +49,6 @@ impl<'m> PowerModel<'m> {
         self.spec.power.has_rapl
     }
 
-    /// Idle power of the whole processor (all sockets powered, nothing
-    /// running).
-    pub fn idle(&self) -> f64 {
-        self.spec.sockets as f64 * self.spec.power.socket_base_w
-    }
-
     /// Power of an execution with the given active hardware contexts.
     pub fn estimate(&self, active_hwcs: &[usize]) -> PowerBreakdown {
         let p = &self.spec.power;
@@ -88,12 +82,6 @@ impl<'m> PowerModel<'m> {
         }
     }
 
-    /// Full power: every context active, with DRAM loaded.
-    pub fn full(&self) -> f64 {
-        let all: Vec<usize> = (0..self.spec.total_hwcs()).collect();
-        self.estimate(&all).total_with_dram()
-    }
-
     /// Marginal power of activating `hwc` given the already-active set.
     #[cfg(test)]
     pub(crate) fn marginal(&self, active: &[usize], hwc: usize) -> f64 {
@@ -101,17 +89,6 @@ impl<'m> PowerModel<'m> {
         let mut with: Vec<usize> = active.to_vec();
         with.push(hwc);
         self.estimate(&with).total_with_dram() - before
-    }
-
-    /// Energy (joules) of running `active_hwcs` for `seconds`.
-    pub fn energy(&self, active_hwcs: &[usize], seconds: f64, with_dram: bool) -> f64 {
-        let b = self.estimate(active_hwcs);
-        let w = if with_dram {
-            b.total_with_dram()
-        } else {
-            b.total()
-        };
-        w * seconds
     }
 }
 
@@ -171,7 +148,9 @@ mod tests {
     fn idle_below_full() {
         for spec in presets::all_paper_platforms() {
             let pm = PowerModel::new(&spec);
-            assert!(pm.idle() < pm.full(), "{}", spec.name);
+            let all: Vec<usize> = (0..spec.total_hwcs()).collect();
+            let (idle, full) = (pm.estimate(&[]), pm.estimate(&all));
+            assert!(idle.total() < full.total_with_dram(), "{}", spec.name);
         }
     }
 
@@ -191,15 +170,5 @@ mod tests {
         assert!(presets::haswell().power.has_rapl);
         assert!(!presets::opteron().power.has_rapl);
         assert!(!presets::sparc().power.has_rapl);
-    }
-
-    #[test]
-    fn energy_scales_with_time() {
-        let ivy = presets::ivy();
-        let pm = PowerModel::new(&ivy);
-        let active = vec![0, 1, 2];
-        let e1 = pm.energy(&active, 1.0, true);
-        let e2 = pm.energy(&active, 2.0, true);
-        assert!((e2 - 2.0 * e1).abs() < 1e-9);
     }
 }

@@ -515,7 +515,7 @@ pub fn clustered_l2() -> MachineSpec {
 }
 
 /// A single-socket machine: no cross-socket level at all.
-pub fn single_socket() -> MachineSpec {
+pub(crate) fn single_socket() -> MachineSpec {
     MachineSpec {
         name: "synth-single".into(),
         freq_ghz: 3.2,
@@ -582,7 +582,7 @@ pub fn no_smt_small() -> MachineSpec {
 
 /// Four sockets sharing two memory nodes (footnote 2 of the paper:
 /// "it is possible to have fewer memory nodes than sockets").
-pub fn shared_node() -> MachineSpec {
+pub(crate) fn shared_node() -> MachineSpec {
     MachineSpec {
         name: "synth-shared-node".into(),
         freq_ghz: 2.2,
@@ -639,7 +639,7 @@ pub fn shared_node() -> MachineSpec {
 
 /// `synthetic_small` with a scrambled context numbering: inference must
 /// not depend on the OS id order.
-pub fn scrambled() -> MachineSpec {
+pub(crate) fn scrambled() -> MachineSpec {
     let mut m = synthetic_small();
     m.name = "synth-scrambled".into();
     m.numbering = Numbering::Scrambled(0xC0FFEE);

@@ -35,7 +35,7 @@ pub fn median_f64(values: &[f64]) -> f64 {
 }
 
 /// Arithmetic mean.
-pub fn mean(values: &[u32]) -> f64 {
+pub(crate) fn mean(values: &[u32]) -> f64 {
     assert!(!values.is_empty());
     values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64
 }

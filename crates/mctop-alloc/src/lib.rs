@@ -49,9 +49,9 @@
 
 #![deny(missing_docs)]
 
-pub mod backend;
-pub mod plan;
-pub mod policy;
+pub(crate) mod backend;
+pub(crate) mod plan;
+pub(crate) mod policy;
 
 pub use backend::{
     ModelBackend,

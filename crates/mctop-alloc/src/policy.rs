@@ -29,7 +29,7 @@ pub enum AllocPolicy {
 
 impl AllocPolicy {
     /// Policy name, styled like the placement policy names of Table 2.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AllocPolicy::Local => "LOCAL",
             AllocPolicy::Interleave => "INTERLEAVE",

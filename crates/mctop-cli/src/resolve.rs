@@ -21,7 +21,7 @@ use crate::CliError;
 /// separator) are read from disk; a stray file in the working
 /// directory that happens to be named `ivy` cannot shadow the shipped
 /// `ivy` description.
-pub fn load(arg: &str) -> Result<(Mctop, Provenance), CliError> {
+pub(crate) fn load(arg: &str) -> Result<(Mctop, Provenance), CliError> {
     let looks_like_path = arg.ends_with(".json") || arg.contains('/');
     if looks_like_path {
         return Ok(desc::load_full(Path::new(arg))?);

@@ -20,7 +20,7 @@
 
 #![deny(missing_docs)]
 
-pub mod client;
+pub(crate) mod client;
 pub mod wire;
 
 pub use client::{

@@ -199,7 +199,7 @@ impl ErrorCode {
     }
 
     /// Stable lower-case name (used in rendered transcripts).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ErrorCode::VersionMismatch => "version-mismatch",
             ErrorCode::MalformedFrame => "malformed-frame",

@@ -32,7 +32,7 @@ impl BackoffCfg {
     }
 
     /// Whether backoff is enabled.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.quantum_cycles > 0
     }
 

@@ -115,7 +115,7 @@ pub fn run(
         algo.name()
     );
     HarnessResult {
-        threads: exec.len(),
+        threads: exec.worker_ctxs().len(),
         ops: total,
         ops_per_sec: total as f64 / cfg.duration.as_secs_f64(),
     }

@@ -52,7 +52,7 @@ pub(crate) struct TasLock {
 
 impl TasLock {
     /// A TAS lock with the given backoff.
-    pub fn new(backoff: BackoffCfg) -> Self {
+    pub(crate) fn new(backoff: BackoffCfg) -> Self {
         TasLock {
             state: AtomicBool::new(false),
             backoff,
@@ -85,7 +85,7 @@ pub(crate) struct TtasLock {
 
 impl TtasLock {
     /// A TTAS lock with the given backoff.
-    pub fn new(backoff: BackoffCfg) -> Self {
+    pub(crate) fn new(backoff: BackoffCfg) -> Self {
         TtasLock {
             state: AtomicBool::new(false),
             backoff,
@@ -126,7 +126,7 @@ pub(crate) struct TicketLock {
 
 impl TicketLock {
     /// A ticket lock with the given backoff.
-    pub fn new(backoff: BackoffCfg) -> Self {
+    pub(crate) fn new(backoff: BackoffCfg) -> Self {
         TicketLock {
             next: AtomicU32::new(0),
             serving: AtomicU32::new(0),

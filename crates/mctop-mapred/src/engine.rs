@@ -85,7 +85,7 @@ pub fn run_job_on<J: MapReduce>(
     items: &[J::Item],
     cfg: &EngineCfg,
 ) -> Vec<(J::K, J::Out)> {
-    let workers = exec.len().max(1);
+    let workers = exec.worker_ctxs().len().max(1);
     let partitions = cfg.partitions.unwrap_or(workers * 4).max(1);
 
     // --- Map phase: one partitioned table per worker -------------------

@@ -9,11 +9,11 @@
 //!
 //! - [`engine`]: the map/partition/reduce engine (real threads);
 //! - [`workloads`]: Word Count and its input generator;
-//! - [`energy`]: energy accounting over the topology's power model;
+//! - `energy`: energy accounting over the topology's power model;
 //! - [`model`]: the per-platform performance/energy model that
 //!   regenerates Figs. 10 and 11 over the simulated machines.
 
-pub mod energy;
+pub(crate) mod energy;
 pub mod engine;
 pub mod model;
 pub mod workloads;

@@ -10,7 +10,7 @@ use mctop_place::Policy;
 use crate::runtime::OmpRuntime;
 
 /// Candidate policies probed by the selector.
-pub fn candidates() -> Vec<Policy> {
+pub(crate) fn candidates() -> Vec<Policy> {
     vec![
         Policy::ConHwc,
         Policy::ConCoreHwc,

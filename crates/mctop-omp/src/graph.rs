@@ -29,7 +29,7 @@ impl Graph {
     }
 
     /// Out-neighbors of `v`.
-    pub fn neighbors(&self, v: usize) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: usize) -> &[u32] {
         &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 

@@ -7,7 +7,7 @@
 //! them *between parallel regions*, and (iii) express them portably as
 //! MCTOP-PLACE policies.
 //!
-//! - [`runtime`]: the parallel-for runtime with a placement pool and
+//! - `runtime`: the parallel-for runtime with a placement pool and
 //!   per-region binding policies;
 //! - [`graph`]: CSR graphs and a synthetic generator (the Green-Marl
 //!   workloads of Fig. 12 run over graphs);
@@ -22,7 +22,7 @@
 pub mod autoselect;
 pub mod graph;
 pub mod model;
-pub mod runtime;
+pub(crate) mod runtime;
 pub mod workloads;
 
 pub use runtime::OmpRuntime;

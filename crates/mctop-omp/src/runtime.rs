@@ -13,18 +13,8 @@
 //! lives in [`mctop_runtime::host`] now, applied by the executor
 //! itself.
 
-use std::cell::RefCell;
-use std::sync::atomic::{
-    AtomicU64,
-    Ordering, //
-};
-use std::sync::Arc;
-
 use mctop::sync::{Mutex, RwLock};
-use mctop::{
-    Mctop,
-    TopoView, //
-};
+use mctop::TopoView;
 use mctop_place::{
     PlaceError,
     PlaceOpts,
@@ -34,6 +24,11 @@ use mctop_place::{
 use mctop_runtime::{
     ExecCfg,
     Executor, //
+};
+use std::cell::RefCell;
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering, //
 };
 
 /// Distinguishes runtimes so nesting detection is per-runtime: a
@@ -156,11 +151,6 @@ impl OmpRuntime {
         self.pool.current_policy()
     }
 
-    /// The topology.
-    pub fn topology(&self) -> &Arc<Mctop> {
-        self.pool.topology()
-    }
-
     /// A parallel-for over `0..n`: `body(i)` runs exactly once per
     /// index, statically chunked over the team.
     pub fn parallel_for<F>(&self, n: usize, body: F)
@@ -271,7 +261,7 @@ pub(crate) mod tests {
             reps: 3,
             ..mctop::ProbeConfig::fast()
         };
-        TopoView::new(Arc::new(mctop::infer(&mut p, &cfg).unwrap()))
+        TopoView::new(std::sync::Arc::new(mctop::infer(&mut p, &cfg).unwrap()))
     }
 
     #[test]

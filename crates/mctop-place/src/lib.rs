@@ -24,9 +24,9 @@
 //! assert_eq!(pin.hwc, 0);
 //! ```
 
-pub mod place;
-pub mod policy;
-pub mod pool;
+pub(crate) mod place;
+pub(crate) mod policy;
+pub(crate) mod pool;
 
 pub use place::{
     pin_os_thread,

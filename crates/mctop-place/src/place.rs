@@ -188,11 +188,6 @@ impl Placement {
         })
     }
 
-    /// The policy of this placement.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// The hand-out order of hardware contexts.
     pub fn order(&self) -> &[usize] {
         &self.order
@@ -256,7 +251,7 @@ impl Placement {
 
 impl PlaceStats {
     /// Renders the `mctop_place_print` block of Fig. 7.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         // Every field is written once, straight into a buffer sized from
         // the block's counts (bytes per item, separator included).
         let ints = self.hwcs.len()

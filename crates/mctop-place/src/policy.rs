@@ -86,7 +86,7 @@ impl Policy {
     }
 
     /// Whether the policy pins threads at all.
-    pub fn pins(self) -> bool {
+    pub(crate) fn pins(self) -> bool {
         self != Policy::None
     }
 }

@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use mctop::sync::RwLock;
 use mctop::view::TopoView;
-use mctop::Mctop;
 
 use crate::place::{
     PlaceError,
@@ -21,9 +20,8 @@ use crate::policy::Policy;
 ///
 /// The pool builds one [`TopoView`] up front; every placement (and
 /// every policy switch) is then computed from the view's precomputed
-/// indexes. Placements are built lazily and cached;
-/// [`PlacePool::select`] makes a policy current, and
-/// [`PlacePool::current`] hands the active placement to workers.
+/// indexes. Placements are built lazily and cached, and
+/// [`PlacePool::select`] makes a policy current.
 pub struct PlacePool {
     view: TopoView,
     opts: PlaceOpts,
@@ -40,11 +38,6 @@ impl PlacePool {
             cache: RwLock::new(BTreeMap::new()),
             current: RwLock::new(Policy::None),
         }
-    }
-
-    /// The topology the pool was built over.
-    pub fn topology(&self) -> &Arc<Mctop> {
-        self.view.topo()
     }
 
     /// The precomputed view the pool places over.
@@ -72,11 +65,6 @@ impl PlacePool {
     /// The currently selected policy.
     pub fn current_policy(&self) -> Policy {
         *self.current.read()
-    }
-
-    /// The placement of the currently selected policy.
-    pub fn current(&self) -> Result<Arc<Placement>, PlaceError> {
-        self.get(self.current_policy())
     }
 }
 
@@ -110,7 +98,6 @@ mod tests {
         assert_eq!(pool.current_policy(), Policy::None);
         pool.select(Policy::RrCore).unwrap();
         assert_eq!(pool.current_policy(), Policy::RrCore);
-        assert_eq!(pool.current().unwrap().policy(), Policy::RrCore);
         pool.select(Policy::BalanceHwc).unwrap();
         assert_eq!(pool.current_policy(), Policy::BalanceHwc);
     }

@@ -707,14 +707,8 @@ impl Executor {
     }
 
     /// Number of workers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shared.ctxs.len()
-    }
-
-    /// Whether the executor has no workers (never after arming; kept
-    /// for idiom).
-    pub fn is_empty(&self) -> bool {
-        self.shared.ctxs.is_empty()
     }
 
     /// Per-worker contexts, in worker order.
@@ -817,28 +811,6 @@ impl Executor {
         }
     }
 
-    /// Runs two closures in parallel and returns both results.
-    pub fn join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let mut ra = None;
-        let mut rb = None;
-        self.scope(|s| {
-            s.spawn(|| ra = Some(a()));
-            s.spawn(|| rb = Some(b()));
-        });
-        (
-            ra.expect("join arm completed"),
-            rb.expect("join arm completed"),
-        )
-    }
-
     /// Runs `f` once on every worker (targeted, in parallel) and
     /// collects the results in worker order.
     pub fn run<F, R>(&self, f: F) -> Vec<R>
@@ -873,11 +845,6 @@ impl Executor {
         self.shutdown();
         metrics.exec.rearms.add(1);
         *self = Executor::with_metrics(view, placement, cfg, metrics);
-    }
-
-    /// The metrics handle this executor records into.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.shared.metrics
     }
 
     /// Graceful shutdown: workers finish everything already queued —
@@ -1001,7 +968,11 @@ mod tests {
     #[test]
     fn join_runs_both_sides() {
         let (exec, _v) = executor(2, Policy::RrCore);
-        let (a, b) = exec.join(|| 1 + 1, || "two");
+        let (mut a, mut b) = (0, "");
+        exec.scope(|s| {
+            s.spawn(|| a = 1 + 1);
+            s.spawn(|| b = "two");
+        });
         assert_eq!(a, 2);
         assert_eq!(b, "two");
     }

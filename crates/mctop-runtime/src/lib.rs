@@ -18,15 +18,15 @@
 //! - [`metrics`]: lock-free runtime observability — relaxed-ordering
 //!   counter buckets for executor traffic (dispatch sources, steals by
 //!   victim distance, park/unpark churn), prober activity and alloc
-//!   plans, with `snapshot()`/`reset()`/`delta()` and a stable serde
+//!   plans, with `snapshot()`/`reset()` and a stable serde
 //!   serialization (see `docs/OBSERVABILITY.md`);
-//! - [`host`]: the shared host-CPU clamp (bind only when the context
+//! - `host`: the shared host-CPU clamp (bind only when the context
 //!   exists on the host).
 
 #![deny(missing_docs)]
 
 pub mod executor;
-pub mod host;
+pub(crate) mod host;
 pub mod metrics;
 pub mod steal;
 pub use mctop::sync;

@@ -32,21 +32,19 @@
 //! Writers are relaxed too, so a snapshot taken while workers run is
 //! exact per counter, but cross-counter invariants ("dispatch-source
 //! hits sum to tasks") only hold once the executor is quiescent.
-//! Snapshots are plain serde data: [`MetricsSnapshot::delta`] subtracts
-//! an earlier one to get a per-window view, [`Metrics::reset`] zeroes
-//! the buckets (racy against concurrent writers by design — reset while
+//! Snapshots are plain serde data; [`Metrics::reset`] zeroes the
+//! buckets (racy against concurrent writers by design — reset while
 //! quiescent, as `mct query metrics` does).
 //!
 //! ```
 //! use mctop_runtime::metrics::{Metrics, MetricsSnapshot};
 //!
 //! let m = Metrics::handle();
-//! let before = m.snapshot();
 //! m.record_alloc_plan(2, &[16, 16]); // a 2-arena plan striped 16+16 pages
-//! let window = m.snapshot().delta(&before);
+//! let snap = m.snapshot();
 //! // Recording is a no-op with the `metrics` feature off.
 //! #[cfg(feature = "metrics")]
-//! assert_eq!((window.alloc.plans_resolved, window.alloc.pages_planned), (1, 32));
+//! assert_eq!((snap.alloc.plans_resolved, snap.alloc.pages_planned), (1, 32));
 //! m.reset();
 //! assert_eq!(m.snapshot(), MetricsSnapshot::default());
 //! ```
@@ -148,32 +146,12 @@ fn trimmed(values: impl Iterator<Item = u64>) -> Vec<u64> {
     v
 }
 
-/// What a snapshot value accumulated since an earlier one: saturating,
-/// so a reset between the two clamps to zero instead of wrapping.
-trait Since {
-    fn since(&self, earlier: &Self) -> Self;
-}
-
-impl Since for u64 {
-    fn since(&self, earlier: &u64) -> u64 {
-        self.saturating_sub(*earlier)
-    }
-}
-
-impl Since for Vec<u64> {
-    fn since(&self, earlier: &Vec<u64>) -> Vec<u64> {
-        let earlier = earlier.iter().chain(std::iter::repeat(&0));
-        trimmed(self.iter().zip(earlier).map(|(now, then)| now.since(then)))
-    }
-}
-
 /// Declares one counter group **once**: each field (name, doc comment,
 /// cell kind, in JSON order) becomes a live cell of the `live` struct
-/// and a plain value of the serialisable `snapshot` struct; `load`,
-/// `reset` and the field-wise [`Since`] come from the same list, so a
-/// counter cannot be left out of one of them. A cell kind is a
-/// `Default` type with `load`/`reset` and a `@value` line naming the
-/// [`Since`] type its snapshot holds.
+/// and a plain value of the serialisable `snapshot` struct; `load` and
+/// `reset` come from the same list, so a counter cannot be left out of
+/// one of them. A cell kind is a `Default` type with `load`/`reset` and
+/// a `@value` line naming the type its snapshot holds.
 macro_rules! counter_group {
     (@value Counter) => { u64 };
     (@value PerNode) => { Vec<u64> };
@@ -211,12 +189,6 @@ macro_rules! counter_group {
             /// The declared field names, in declaration order.
             #[cfg(test)]
             const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
-        }
-
-        impl Since for $Snap {
-            fn since(&self, earlier: &$Snap) -> $Snap {
-                $Snap { $($field: self.$field.since(&earlier.$field),)* }
-            }
         }
     };
 }
@@ -265,8 +237,8 @@ counter_group! {
     /// Steals whose distance could not be classified (executor armed
     /// without a topology view).
     steals_unclassified: Counter,
-    /// Sum of the four steal buckets (filled in by `snapshot()` and
-    /// `delta()`, so the histogram always sums to the total).
+    /// Sum of the four steal buckets (filled in by `snapshot()`, so the
+    /// histogram always sums to the total).
     steals_total: Derived,
     /// Times a worker went to sleep after an empty scan. Timing-
     /// dependent: two identical runs may park differently.
@@ -522,17 +494,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The counters accumulated since `earlier`: field-wise saturating
-    /// subtraction (a reset in between clamps to zero instead of
-    /// wrapping), `steals_total` re-derived from the clamped buckets.
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            executor: self.executor.since(&earlier.executor).with_steals_total(),
-            prober: self.prober.since(&earlier.prober),
-            alloc: self.alloc.since(&earlier.alloc),
-        }
-    }
-
     /// This snapshot with the timing-dependent counters (`parks`,
     /// `unparks`) zeroed — the view `mct query metrics` prints, so its
     /// deterministic workload golden-tests byte-for-byte.
@@ -608,15 +569,13 @@ mod tests {
         let m = Metrics::handle();
         m.exec.tasks.add(1);
         m.exec.mailbox_hits.add(1);
-        let first = m.snapshot();
         m.exec.tasks.add(1);
         m.steal(StealClass::OneHop);
-        let second = m.snapshot();
-        let d = second.delta(&first);
-        assert_eq!(d.executor.tasks, 1);
-        assert_eq!(d.executor.mailbox_hits, 0);
-        assert_eq!(d.executor.steals_one_hop, 1);
-        assert_eq!(d.executor.steals_total, 1);
+        let s = m.snapshot();
+        assert_eq!(s.executor.tasks, 2);
+        assert_eq!(s.executor.mailbox_hits, 1);
+        assert_eq!(s.executor.steals_one_hop, 1);
+        assert_eq!(s.executor.steals_total, 1);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }

@@ -65,13 +65,8 @@ impl StealOrder {
     }
 
     /// Number of workers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.orders.len()
-    }
-
-    /// Whether the order is empty.
-    pub fn is_empty(&self) -> bool {
-        self.orders.is_empty()
     }
 }
 
@@ -107,7 +102,6 @@ pub fn steal_classes_with_view(view: &TopoView, hwcs: &[usize]) -> Vec<Vec<Steal
 /// into) its worker thread; the stealers inside reference every other
 /// worker's queue.
 pub struct StealPool<T> {
-    id: usize,
     local: Deque<T>,
     stealers: Vec<Stealer<T>>,
     victims: Vec<usize>,
@@ -129,11 +123,6 @@ pub enum Source {
 }
 
 impl<T> StealPool<T> {
-    /// This worker's index.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Attaches a metrics handle: from here on, local pops, batch
     /// refills and steals through this pool are recorded (steals into
     /// the distance bucket `classes[victim]` — one class per worker,
@@ -215,7 +204,6 @@ pub fn steal_queues_with_order<T>(order: StealOrder) -> Vec<StealPool<T>> {
         .into_iter()
         .enumerate()
         .map(|(id, local)| StealPool {
-            id,
             local,
             stealers: stealers.clone(),
             victims: order.victims(id).to_vec(),

@@ -143,9 +143,9 @@ fn rearm_keeps_the_metrics_handle_and_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `reset()` returns the handle to the zero snapshot, and `delta()`
-    /// isolates exactly the window between two snapshots — including
-    /// across a reset, where it saturates instead of wrapping.
+    /// A snapshot holds every plan recorded so far, `reset()` returns
+    /// the handle to the zero snapshot, and counting starts over from
+    /// there, `steals_total` the sum of the buckets throughout.
     #[test]
     fn reset_then_delta_round_trips(
         arenas_a in 1u64..64,
@@ -164,34 +164,30 @@ proptest! {
         };
         m.record_alloc_plan(arenas_a, &pages_a);
         record_steals(&steals_a);
-        let first = m.snapshot();
         m.record_alloc_plan(arenas_b, &pages_b);
-        let second = m.snapshot();
-
-        let window = second.delta(&first);
-        prop_assert_eq!(window.alloc.plans_resolved, 1);
-        prop_assert_eq!(window.alloc.arenas_planned, arenas_b);
-        prop_assert_eq!(window.alloc.pages_planned, pages_b.iter().sum::<u64>());
-
-        // A snapshot against itself is the zero window.
-        prop_assert_eq!(second.delta(&second), MetricsSnapshot::default());
+        let both = m.snapshot();
+        prop_assert_eq!(both.alloc.plans_resolved, 2);
+        prop_assert_eq!(both.alloc.arenas_planned, arenas_a + arenas_b);
+        prop_assert_eq!(
+            both.alloc.pages_planned,
+            pages_a.iter().sum::<u64>() + pages_b.iter().sum::<u64>()
+        );
 
         // Reset returns to the zero snapshot...
         m.reset();
         prop_assert_eq!(m.snapshot(), MetricsSnapshot::default());
 
-        // ...and a delta taken across the reset saturates to zero
-        // instead of wrapping around.
+        // ...and counting starts over from there.
         m.record_alloc_plan(1, &[1]);
         record_steals(&steals_b);
-        let across = m.snapshot().delta(&first);
-        prop_assert_eq!(across.alloc.plans_resolved, 0);
-        prop_assert!(across.alloc.pages_planned <= 1);
+        let after = m.snapshot();
+        prop_assert_eq!(after.alloc.plans_resolved, 1);
+        prop_assert_eq!(after.alloc.pages_planned, 1);
 
-        // Each steal bucket clamps on its own, and the total is the sum
-        // of the clamped buckets — not a fifth, separately clamped field.
-        let e = across.executor;
-        prop_assert_eq!(e.steals_one_hop, steals_b[1].saturating_sub(steals_a[1]));
+        // The total is the sum of the buckets, not a fifth field that
+        // counts on its own.
+        let e = after.executor;
+        prop_assert_eq!(e.steals_one_hop, steals_b[1]);
         prop_assert_eq!(
             e.steals_total,
             e.steals_same_socket + e.steals_one_hop + e.steals_multi_hop + e.steals_unclassified

@@ -69,7 +69,12 @@ fn assert_alive_after_panic(exec: &Executor, metrics: &Metrics) {
         assert_eq!(metrics.snapshot().executor.panics, 1, "one panic recorded");
     }
     let doubled = exec.run(|ctx| ctx.id * 2);
-    assert_eq!(doubled, (0..exec.len()).map(|i| i * 2).collect::<Vec<_>>());
+    assert_eq!(
+        doubled,
+        (0..exec.worker_ctxs().len())
+            .map(|i| i * 2)
+            .collect::<Vec<_>>()
+    );
 }
 
 #[test]

@@ -23,8 +23,8 @@
 //!   networks plus the kernel table that dispatches one merge kernel
 //!   per sort (byte-identical output to the scalar merge; scalar-only
 //!   under `--no-default-features`);
-//! - [`tree`]: the bandwidth-maximizing cross-socket merge tree;
-//! - [`parallel`]: `mctop_sort`, `mctop_sort_sse`, and the
+//! - `tree`: the bandwidth-maximizing cross-socket merge tree;
+//! - `parallel`: `mctop_sort`, `mctop_sort_sse`, and the
 //!   topology-agnostic `gnu_parallel`-like baseline — all real,
 //!   multi-threaded, runnable on the host;
 //! - [`model`]: the Fig. 9 cost model that regenerates the paper's
@@ -35,10 +35,10 @@
 pub(crate) mod bitonic;
 pub mod merge;
 pub mod model;
-pub mod parallel;
+pub(crate) mod parallel;
 pub mod seq;
 pub mod simd;
-pub mod tree;
+pub(crate) mod tree;
 
 pub use parallel::{
     baseline_sort,

@@ -40,7 +40,7 @@ impl MergeTree {
     /// # Panics
     ///
     /// Panics if `dest` is not among `sockets` or `sockets` is empty.
-    pub fn build(view: &TopoView, sockets: &[usize], dest: usize) -> MergeTree {
+    pub(crate) fn build(view: &TopoView, sockets: &[usize], dest: usize) -> MergeTree {
         assert!(!sockets.is_empty(), "no sockets to merge");
         assert!(sockets.contains(&dest), "destination must participate");
         let bw = |a: usize, b: usize| -> f64 {

@@ -753,7 +753,7 @@ mod tests {
         let mut seen = 0;
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
-            let topo = crate::desc::load(&path).unwrap();
+            let (topo, _) = crate::desc::load_full(&path).unwrap();
             let n = topo.sockets.len();
             let mut m = vec![0u32; n * n];
             for l in &topo.links {
@@ -845,7 +845,7 @@ mod tests {
         let mut seen = 0;
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
-            let topo = crate::desc::load(&path).unwrap();
+            let (topo, _) = crate::desc::load_full(&path).unwrap();
             let clusters: Vec<LatTriplet> = topo.levels.iter().map(|l| l.latency).collect();
             assert_cross_levels_match_reference(
                 &topo.links,

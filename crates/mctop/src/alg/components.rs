@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn scrambled_numbering_still_groups() {
-        let h = hierarchy_of(&presets::scrambled());
+        let h = hierarchy_of(&presets::by_name("synth-scrambled").unwrap());
         assert_eq!(h.levels[0].comps.len(), 8); // Cores.
         assert_eq!(h.levels[1].comps.len(), 2); // Sockets.
     }

@@ -44,7 +44,7 @@ pub mod cluster;
 pub mod components;
 pub mod probe;
 mod schedule;
-pub mod table;
+pub(crate) mod table;
 pub mod validate;
 
 use crate::error::McTopError;

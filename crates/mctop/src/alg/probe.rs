@@ -134,7 +134,7 @@ pub enum ProbeStream {
 impl ProbeStream {
     /// A collision-free 64-bit tag for this stream (contexts are far
     /// below 2^30 on every machine the paper or the simulator models).
-    pub fn tag(self) -> u64 {
+    pub(crate) fn tag(self) -> u64 {
         match self {
             ProbeStream::Calibration => 0,
             ProbeStream::SmtCheck => 1,
@@ -365,17 +365,6 @@ impl ProbeStats {
     /// Modelled wall-clock seconds at the given core frequency.
     pub fn modeled_seconds(&self, freq_ghz: f64) -> f64 {
         self.modeled_cycles() as f64 / (freq_ghz * 1e9)
-    }
-
-    /// Folds another run's statistics into this one (all counters are
-    /// additive).
-    pub fn merge(&mut self, other: &ProbeStats) {
-        self.pairs += other.pairs;
-        self.probes += other.probes;
-        self.retries += other.retries;
-        self.sample_cycles += other.sample_cycles;
-        self.overhead_cycles += other.overhead_cycles;
-        self.fallbacks += other.fallbacks;
     }
 
     /// Stats as they would look with `target` repetitions per pair
@@ -1747,9 +1736,10 @@ mod tests {
     /// bit, on all-equal and mixed slices.
     #[test]
     fn median_stdev_equals_median_and_stdev() {
+        // Spread values: a multiplicative hash of (seed, index).
         let seeded = |seed: u64, len: usize| -> Vec<u32> {
-            (0..len)
-                .map(|i| mcsim::latency::stream_seed(seed, i as u64) as u32)
+            (0..len as u64)
+                .map(|i| ((seed ^ i << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32)
                 .collect()
         };
         let mut slices: Vec<Vec<u32>> = Vec::new();

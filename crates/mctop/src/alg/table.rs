@@ -15,7 +15,7 @@ pub struct LatencyTable {
 
 impl LatencyTable {
     /// An all-zero table over `n` contexts.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         LatencyTable {
             n,
             vals: vec![0; n * n],
@@ -32,7 +32,8 @@ impl LatencyTable {
     /// Builds a table from a closure over the upper triangle; the lower
     /// triangle is mirrored (the paper measures only one triangle
     /// because the topology is symmetric).
-    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> u32) -> Self {
         let mut t = LatencyTable::new(n);
         for a in 0..n {
             for b in (a + 1)..n {
@@ -54,7 +55,7 @@ impl LatencyTable {
     }
 
     /// Sets both `(a, b)` and `(b, a)`.
-    pub fn set(&mut self, a: usize, b: usize, v: u32) {
+    pub(crate) fn set(&mut self, a: usize, b: usize, v: u32) {
         self.vals[a * self.n + b] = v;
         self.vals[b * self.n + a] = v;
     }
@@ -71,7 +72,7 @@ impl LatencyTable {
     }
 
     /// The row of a context (including the zero diagonal entry).
-    pub fn row(&self, a: usize) -> &[u32] {
+    pub(crate) fn row(&self, a: usize) -> &[u32] {
         &self.vals[a * self.n..(a + 1) * self.n]
     }
 

@@ -175,13 +175,8 @@ pub(crate) fn facts_hold(topo: &Mctop, norm: &BlockTable) -> bool {
 
 /// Structural self-validation of a topology read from a description,
 /// which stores no latency table, then the table filled from the groups
-/// and links.
-pub fn fill_table(topo: &mut Mctop) -> Result<(), McTopError> {
-    fill_read_table(topo, LinksRead::Unchecked)
-}
-
-/// [`fill_table`] on the topology [`derive_links`] completed, with what
-/// that pass found of its records' latencies: where every one is a
+/// and links: on the topology [`derive_links`] completed, with what
+/// that pass found of its records' latencies. Where every one is a
 /// level's median above every intra-socket level, the structural checks
 /// do not read the records again and count them only.
 pub(crate) fn fill_read_table(topo: &mut Mctop, links: LinksRead) -> Result<(), McTopError> {
@@ -785,7 +780,7 @@ mod tests {
         for spec in [
             presets::synthetic_small(),
             presets::no_smt_small(),
-            presets::single_socket(),
+            presets::by_name("synth-single").unwrap(),
         ] {
             let t = infer(&spec);
             validate(&t).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
@@ -940,7 +935,7 @@ mod tests {
         derive_links(&mut t).unwrap();
         assert!(t.links.is_empty());
         assert!(matches!(
-            fill_table(&mut t),
+            fill_read_table(&mut t, LinksRead::Unchecked),
             Err(McTopError::IrregularTopology(_))
         ));
     }
@@ -1133,7 +1128,9 @@ mod tests {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../descs")
             .join(crate::desc::default_filename(name));
-        crate::desc::load(&path).unwrap_or_else(|e| panic!("{name}: {e}"))
+        crate::desc::load_full(&path)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .0
     }
 
     /// On every committed machine, loaded and freshly inferred, the arena
@@ -1291,7 +1288,7 @@ mod tests {
         // as a CoresFirst machine of the same shape; comparing the
         // scrambled inference against the *correct* scrambled OS view is
         // clean.
-        let spec = presets::scrambled();
+        let spec = presets::by_name("synth-scrambled").unwrap();
         let t = infer(&spec);
         let os = OsTopology::from_spec(&spec);
         assert!(compare_with_os(&t, &os).is_empty());

@@ -49,11 +49,6 @@ impl<'m> SimProber<'m> {
             spec,
         }
     }
-
-    /// The underlying machine spec (ground truth for tests).
-    pub fn spec(&self) -> &MachineSpec {
-        self.spec
-    }
 }
 
 impl Prober for SimProber<'_> {
@@ -110,11 +105,16 @@ mod tests {
 
     #[test]
     fn batched_probes_equal_looped_probes() {
-        for spec in [presets::ivy(), presets::westmere(), presets::scrambled()] {
+        for spec in [
+            presets::ivy(),
+            presets::westmere(),
+            presets::by_name("synth-scrambled").unwrap(),
+        ] {
             let n = spec.total_hwcs();
             // A cross-socket pair, a far pair, and SMT siblings (one
             // core, warmed once per sample).
-            let sibling = spec.hwc_of(spec.loc(0).core, spec.smt_per_core - 1);
+            let core = spec.loc(0).core;
+            let sibling = (0..n).rev().find(|&h| spec.loc(h).core == core).unwrap();
             let pairs = [(0, 1), (0, n - 1), (0, sibling)];
             for noise in [NoiseCfg::default(), NoiseCfg::hostile()] {
                 // DVFS on and no warm-up: core 0's warmth crosses
@@ -128,21 +128,11 @@ mod tests {
                             batched.probe_batch(a, b, &mut out, k);
                             let want: Vec<u32> = (0..k).map(|_| looped.probe(a, b)).collect();
                             assert_eq!(out, want, "{} k={k} ({a},{b})", spec.name);
-                            assert_eq!(batched.oracle.probe_count(), looped.oracle.probe_count());
                         }
                     }
                 }
                 assert_eq!(batched.probe(0, 1), looped.probe(0, 1), "{}", spec.name);
             }
         }
-    }
-
-    #[test]
-    fn probe_counts_accumulate() {
-        let spec = presets::synthetic_small();
-        let mut p = SimProber::noiseless(&spec);
-        p.probe(0, 1);
-        p.probe(0, 2);
-        assert_eq!(p.oracle.probe_count(), 2);
     }
 }

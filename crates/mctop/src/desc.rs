@@ -65,7 +65,7 @@
 //! holds little more than the result while it does (DESIGN.md,
 //! "Description I/O").
 //!
-//! [`canonical`] is the single source of truth for the committed
+//! `canonical` is the single source of truth for the committed
 //! `descs/` library: a deterministic (noiseless, fixed-config)
 //! inference plus full enrichment. `mct regen-descs`, the shipped
 //! registry and the golden tests all go through it.
@@ -325,7 +325,7 @@ pub fn canonical_probe_config_for(spec: &mcsim::MachineSpec) -> ProbeConfig {
 /// `descs/<name>.mct.json`. Noiseless probing,
 /// [`canonical_probe_config_for`], all enrichment plugins, nominal
 /// frequency attached.
-pub fn canonical(spec: &mcsim::MachineSpec) -> Result<(Mctop, Provenance), McTopError> {
+pub(crate) fn canonical(spec: &mcsim::MachineSpec) -> Result<(Mctop, Provenance), McTopError> {
     let cfg = canonical_probe_config_for(spec);
     let mut prober = SimProber::noiseless(spec);
     let mut topo = crate::infer(&mut prober, &cfg)?;
@@ -337,7 +337,7 @@ pub fn canonical(spec: &mcsim::MachineSpec) -> Result<(Mctop, Provenance), McTop
     Ok((topo, prov))
 }
 
-/// [`canonical`] rendered as description-file text.
+/// `canonical` rendered as description-file text.
 pub fn canonical_string(spec: &mcsim::MachineSpec) -> Result<String, McTopError> {
     let (topo, prov) = canonical(spec)?;
     to_string(&topo, &prov)
@@ -511,12 +511,7 @@ pub fn save(topo: &Mctop, prov: &Provenance, path: &Path) -> Result<(), McTopErr
 }
 
 /// Loads a previously saved topology ("created once, then used to load
-/// the topology").
-pub fn load(path: &Path) -> Result<Mctop, McTopError> {
-    load_full(path).map(|(topo, _)| topo)
-}
-
-/// Loads a previously saved topology together with its provenance.
+/// the topology") together with its provenance.
 pub fn load_full(path: &Path) -> Result<(Mctop, Provenance), McTopError> {
     let s = std::fs::read_to_string(path)?;
     from_str_full(&s)
@@ -555,7 +550,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(default_filename(&topo.name));
         save(&topo, &prov, &path).unwrap();
-        let back = load(&path).unwrap();
+        let (back, _) = load_full(&path).unwrap();
         assert_eq!(topo, back);
         let _ = std::fs::remove_file(&path);
     }
@@ -902,7 +897,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_io_error() {
-        let err = load(Path::new("/nonexistent/mctop.json")).unwrap_err();
+        let err = load_full(Path::new("/nonexistent/mctop.json")).unwrap_err();
         assert!(matches!(err, McTopError::Io(_)));
     }
 

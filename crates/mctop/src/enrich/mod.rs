@@ -6,9 +6,9 @@
 //! machine through narrow probe traits, so they run unchanged over the
 //! simulator ([`SimEnricher`]) or a real backend.
 
-pub mod cache;
-pub mod memory;
-pub mod power;
+pub(crate) mod cache;
+pub(crate) mod memory;
+pub(crate) mod power;
 
 use crate::error::McTopError;
 use crate::model::Mctop;

@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn full_output_is_valid_dotish() {
-        for spec in [presets::ivy(), presets::single_socket()] {
+        for spec in [presets::ivy(), presets::by_name("synth-single").unwrap()] {
             let topo = enriched(&spec);
             let dot = full(&topo);
             assert_eq!(dot.matches("digraph").count(), 1);

@@ -61,7 +61,7 @@ pub mod alg;
 pub mod backend;
 pub mod desc;
 pub mod enrich;
-pub mod error;
+pub(crate) mod error;
 pub mod fmt;
 #[cfg(target_os = "linux")]
 pub mod host;

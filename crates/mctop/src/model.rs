@@ -133,7 +133,7 @@ impl Socket {
     }
 
     /// Latency to the local node, if measured.
-    pub fn local_latency(&self) -> Option<u32> {
+    pub(crate) fn local_latency(&self) -> Option<u32> {
         let node = self.local_node?;
         self.mem_latencies.get(node).copied()
     }
@@ -289,7 +289,7 @@ pub struct Mctop {
     /// Socket-to-socket connections, in the one shape a link arena has:
     /// exactly one record per socket pair, normalized (`a < b`), in
     /// strictly ascending triangle order — (0, 1), (0, 2), …, (1, 2), …
-    /// — so that pair `(a, b)` sits at a fixed position ([`Mctop::link`]).
+    /// — so that pair `(a, b)` sits at a fixed position (`Mctop::link`).
     /// Inference builds it so, the loader completes a description's
     /// records into it, and `alg::validate` refuses any other. A
     /// description stores only [`Mctop::stored_links`]: the loader
@@ -340,11 +340,6 @@ impl Mctop {
         self.smt
     }
 
-    /// Whether the machine has SMT.
-    pub fn has_smt(&self) -> bool {
-        self.smt > 1
-    }
-
     /// Normalized communication latency between two contexts
     /// (`mctop_get_latency` of Section 2).
     pub fn get_latency(&self, a: usize, b: usize) -> u32 {
@@ -367,7 +362,7 @@ impl Mctop {
     /// Costs N² plus the sum of the squared group sizes. It holds one
     /// row, one socket's link latencies and each context's list of
     /// groups, never a table; the latencies are read from the link
-    /// arena ([`Mctop::link`]).
+    /// arena (`Mctop::link`).
     ///
     /// # Panics
     ///
@@ -672,7 +667,7 @@ impl Mctop {
     /// pair's triangle position in `links`, if it names that pair. `None`
     /// for a socket with itself, a socket out of range, or an arena out
     /// of its shape.
-    pub fn link(&self, a: usize, b: usize) -> Option<&InterconnectLink> {
+    pub(crate) fn link(&self, a: usize, b: usize) -> Option<&InterconnectLink> {
         let (a, b, s) = (a.min(b), a.max(b), self.num_sockets());
         if a == b || b >= s {
             return None;

@@ -312,11 +312,6 @@ impl Registry {
         Ok(Arc::clone(self.view(name)?.topo()))
     }
 
-    /// Number of memoized topologies.
-    pub fn cached(&self) -> usize {
-        self.cache.read().len()
-    }
-
     /// Drops the memoized views whose source no longer holds the text
     /// they were parsed from, keeps every other one, and returns how
     /// many it dropped. A dropped name loads afresh on its next lookup
@@ -402,7 +397,7 @@ mod tests {
         let b = reg.view("synth-small").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(a.topo(), b.topo()));
-        assert_eq!(reg.cached(), 1);
+        assert_eq!(reg.cache.read().len(), 1);
     }
 
     #[test]
@@ -420,7 +415,7 @@ mod tests {
         for view in &views[1..] {
             assert!(Arc::ptr_eq(&views[0], view));
         }
-        assert_eq!(reg.cached(), 1);
+        assert_eq!(reg.cache.read().len(), 1);
     }
 
     #[test]
@@ -430,7 +425,7 @@ mod tests {
             reg.view("nonexistent"),
             Err(McTopError::InvalidDescription(_))
         ));
-        assert_eq!(reg.cached(), 0);
+        assert_eq!(reg.cache.read().len(), 0);
     }
 
     #[test]
@@ -493,7 +488,7 @@ mod tests {
         for asked in ["", ".", "..", "a/b", "a\\b", "a\0b", "/"] {
             assert_eq!(refusal(asked), with_target[0]);
         }
-        assert_eq!(reg.cached(), 0);
+        assert_eq!(reg.cache.read().len(), 0);
 
         // A plain name still resolves inside the directory.
         std::fs::write(served.join(desc::default_filename(&name)), &text).unwrap();
@@ -505,7 +500,7 @@ mod tests {
         let reg = Registry::shipped();
         let a = reg.view("synth-small").unwrap();
         reg.clear();
-        assert_eq!(reg.cached(), 0);
+        assert_eq!(reg.cache.read().len(), 0);
         let b = reg.view("synth-small").unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         // Both came from the same shipped text, so they agree.
@@ -565,7 +560,7 @@ mod tests {
 
         std::fs::write(dir.file(&name), &text_b).unwrap();
         assert_eq!(reg.reload(), 1);
-        assert_eq!(reg.cached(), 0);
+        assert_eq!(reg.cache.read().len(), 0);
         let second = reg.view(&name).unwrap();
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(**second.topo(), topo_b);
@@ -605,7 +600,7 @@ mod tests {
         }
         std::fs::write(dir.file(&name), &bytes).unwrap();
         assert_eq!(reg.reload(), 1);
-        assert_eq!(reg.cached(), 0);
+        assert_eq!(reg.cache.read().len(), 0);
     }
 
     #[test]
@@ -618,14 +613,14 @@ mod tests {
         // A name that never loaded is not cached; `reload` has nothing
         // to say about it.
         assert!(matches!(reg.view("missing"), Err(McTopError::Io(_))));
-        assert_eq!(reg.cached(), 1);
+        assert_eq!(reg.cache.read().len(), 1);
         assert_eq!(reg.reload(), 0);
-        assert_eq!(reg.cached(), 1);
+        assert_eq!(reg.cache.read().len(), 1);
 
         std::fs::remove_file(dir.file(&name)).unwrap();
         assert_eq!(reg.reload(), 1);
         assert!(matches!(reg.view(&name), Err(McTopError::Io(_))));
-        assert_eq!(reg.cached(), 0);
+        assert_eq!(reg.cache.read().len(), 0);
         assert_eq!(reg.reload(), 0);
 
         std::fs::write(dir.file(&name), &text).unwrap();
@@ -640,7 +635,7 @@ mod tests {
             .map(|name| reg.view(name).unwrap())
             .collect();
         assert_eq!(reg.reload(), 0);
-        assert_eq!(reg.cached(), before.len());
+        assert_eq!(reg.cache.read().len(), before.len());
         for (name, view) in shipped_names().iter().zip(&before) {
             assert!(Arc::ptr_eq(view, &reg.view(name).unwrap()), "{name}");
         }
@@ -674,6 +669,6 @@ mod tests {
         let view = reg.view("synth-small").unwrap();
         assert_eq!(view.num_sockets(), 2);
         assert_eq!(view.closest_sockets(0), &[1]);
-        assert!(view.intra_socket_latency() > 0);
+        assert!(view.socket_latency(0, 0) > 0);
     }
 }

@@ -221,7 +221,6 @@ mod tests {
         assert_eq!(rw.read().len(), 2);
         rw.write().push(3);
         assert_eq!(*rw.read(), vec![1, 2, 3]);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

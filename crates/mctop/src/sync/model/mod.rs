@@ -42,10 +42,10 @@
 //! wakeups, lost tasks, double execution, ordering races between
 //! protocol steps. Weak-memory reorderings are out of scope. Spin
 //! loops are handled by deprioritizing a thread that executes a
-//! [`shim::spin_loop`] hint until every other runnable thread has had
+//! `shim::spin_loop` hint until every other runnable thread has had
 //! the token.
 
-pub mod shim;
+pub(crate) mod shim;
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -432,6 +432,7 @@ impl Ctx {
 
     /// A spin hint: like [`Ctx::yield_point`], but the thread is
     /// deprioritized until other runnable threads have had the token.
+    #[cfg(test)]
     pub(crate) fn spin_yield(&self) {
         self.model.transfer(self.tid, Run::Runnable, true);
     }

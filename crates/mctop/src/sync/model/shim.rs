@@ -18,7 +18,7 @@
 //! Two deliberate modeling choices (also documented in
 //! `docs/CONCURRENCY.md`): [`Condvar::wait_timeout`] on a model thread
 //! never times out, so a lost wakeup that a defensive timeout would
-//! paper over surfaces as a deadlock; and [`spin_loop`] deprioritizes
+//! paper over surfaces as a deadlock; and `spin_loop` deprioritizes
 //! the calling thread instead of burning schedules re-running a spin
 //! iteration that cannot make progress.
 
@@ -133,7 +133,8 @@ fn point() {
 /// Spin-loop hint: deprioritizes a model thread (it will not be
 /// rescheduled until every other runnable thread has held the token);
 /// `std::hint::spin_loop` otherwise.
-pub fn spin_loop() {
+#[cfg(test)]
+pub(crate) fn spin_loop() {
     match Ctx::current() {
         Some(ctx) => ctx.spin_yield(),
         None => std::hint::spin_loop(),
@@ -204,11 +205,6 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let real = acquire(self.key(), || self.inner.lock(), || self.inner.try_lock());
         self.wrap(real)
-    }
-
-    /// Consumes the mutex, returning its value.
-    pub fn into_inner(self) -> T {
-        unpoison(self.inner.into_inner())
     }
 
     fn wrap<'a>(&'a self, real: StdMutexGuard<'a, T>) -> MutexGuard<'a, T> {

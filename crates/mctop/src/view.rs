@@ -24,7 +24,7 @@
 //! The view reads the model's link arena in its one shape, every socket
 //! pair's record once in triangle order (`Mctop::links`), and refuses
 //! any other at construction. A socket pair's latency, hops and
-//! bandwidth are then read in place, through [`Mctop::link`]'s O(1)
+//! bandwidth are then read in place, through `Mctop::link`'s O(1)
 //! triangle index, and the view copies no link field. One exception is
 //! left: on mesh-scale machines ([`ViewBackend::Sparse`]) single-pair
 //! latency and hops go through a sparse store of their own. The
@@ -110,7 +110,7 @@ pub mod naive {
     /// Median latency of the socket level; on topologies without one
     /// (never produced by MCTOP-ALG, but loadable from hand-written
     /// descriptions), the highest intra-socket level stands in.
-    pub fn intra_socket_latency(topo: &Mctop) -> u32 {
+    pub(crate) fn intra_socket_latency(topo: &Mctop) -> u32 {
         match socket_level_index(topo) {
             Some(i) => topo.levels[i].latency.median,
             None => topo
@@ -233,7 +233,7 @@ impl CsrLists {
 /// reads the link arena on both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewBackend {
-    /// The pair's record in the model's link arena ([`Mctop::link`]),
+    /// The pair's record in the model's link arena (`Mctop::link`),
     /// read in place: nothing resident. The right answer for
     /// cache-coherent boxes (S ≤ 8 on every committed platform).
     Dense,
@@ -701,11 +701,6 @@ impl TopoView {
         self.socket_level
     }
 
-    /// Median intra-socket communication latency.
-    pub fn intra_socket_latency(&self) -> u32 {
-        self.intra_socket_latency
-    }
-
     /// Sockets sorted by latency from `socket`, closest first (ties
     /// toward lower ids).
     pub fn closest_sockets(&self, socket: usize) -> &[usize] {
@@ -964,7 +959,7 @@ mod tests {
 
     #[test]
     fn view_answers_model_counts_and_latency() {
-        let t = enriched(&mcsim::presets::single_socket());
+        let t = enriched(&mcsim::presets::by_name("synth-single").unwrap());
         let v = TopoView::new(Arc::clone(&t));
         assert_eq!(v.num_sockets(), 1);
         assert!(v.closest_sockets(0).is_empty());
@@ -974,7 +969,7 @@ mod tests {
 
     #[test]
     fn missing_socket_level_is_an_error() {
-        let mut t = Mctop::clone(&enriched(&mcsim::presets::single_socket()));
+        let mut t = Mctop::clone(&enriched(&mcsim::presets::by_name("synth-single").unwrap()));
         t.levels = t
             .levels
             .iter()
@@ -990,7 +985,7 @@ mod tests {
         // The infallible constructor degrades to the best intra level.
         let v = TopoView::new(t);
         assert!(v.socket_level().is_none());
-        assert!(v.intra_socket_latency() > 0);
+        assert!(v.socket_latency(0, 0) > 0);
     }
 
     /// The dense backend reads every socket pair from the link arena in
@@ -1049,7 +1044,11 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../descs/synth-mesh-144.mct.json"
         );
-        let t = Arc::new(crate::desc::load(std::path::Path::new(path)).unwrap());
+        let t = Arc::new(
+            crate::desc::load_full(std::path::Path::new(path))
+                .unwrap()
+                .0,
+        );
         let s = t.num_sockets();
         let dense = TopoView::with_backend(Arc::clone(&t), ViewBackend::Dense);
         let sparse = TopoView::new(Arc::clone(&t));
@@ -1112,7 +1111,11 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../descs/synth-mesh-144.mct.json"
         );
-        let t = Arc::new(crate::desc::load(std::path::Path::new(path)).unwrap());
+        let t = Arc::new(
+            crate::desc::load_full(std::path::Path::new(path))
+                .unwrap()
+                .0,
+        );
         for backend in [ViewBackend::Dense, ViewBackend::Sparse] {
             let v = TopoView::with_backend(Arc::clone(&t), backend);
             let fresh = v.resident_bytes();

@@ -13,7 +13,7 @@
 //! - [`eval`]: request evaluation shared with the `mct` CLI — the
 //!   single source of the exact output text, which is what makes the
 //!   byte-identity guarantee hold by construction.
-//! - [`server`]: socket handling, the version handshake, request
+//! - `server`: socket handling, the version handshake, request
 //!   batching (every batch answered on the connection thread it
 //!   arrived on), and the graceful-degradation paths (version
 //!   mismatch, malformed frames, client disconnects, reloads,
@@ -24,7 +24,7 @@
 #![deny(missing_docs)]
 
 pub mod eval;
-pub mod server;
+pub(crate) mod server;
 
 pub use server::{
     DescSource,

@@ -205,7 +205,7 @@ pub struct Server {
     state: Arc<State>,
 }
 
-/// A running server. Stop it with [`ServerHandle::shutdown`] (or a
+/// A running server. Stop it with `ServerHandle::shutdown` (or a
 /// client `Shutdown` request), then [`ServerHandle::join`].
 pub struct ServerHandle {
     state: Arc<State>,
@@ -287,7 +287,7 @@ impl Server {
 impl ServerHandle {
     /// Asks the server to stop: equivalent to a client `Shutdown`
     /// request. Does not wait; pair with [`ServerHandle::join`].
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.state.initiate_shutdown();
     }
 

@@ -704,7 +704,10 @@ fn reload_drops_only_the_machine_whose_file_changed() {
         topo.groups[g].latency += 1;
     }
     mctop::desc::save(&topo, &prov, &file("ivy")).unwrap();
-    let slower = mctop::desc::load(&file("ivy")).unwrap().get_latency(0, 20);
+    let slower = mctop::desc::load_full(&file("ivy"))
+        .unwrap()
+        .0
+        .get_latency(0, 20);
     assert_eq!(slower, topo.get_latency(0, 20) + 1);
     client.reload().unwrap();
     let (server, exec) = counters(&handle);

@@ -1,26 +1,51 @@
 #!/usr/bin/env python3
-"""Every public item has a caller (DESIGN.md, "Public surface").
+"""Every public item needs to be public (DESIGN.md, "Public surface").
 
-Fails on each `pub` item of the non-test part of `crates/*/src` that no
-non-test code outside its crate names (the other crates' `src/`, `src/`,
-`examples/`, `bench/src`) and that `pub_callers_allow.txt`, beside this
-script, does not list as `crate::path::Name  # reason`; also on an entry
-without a reason, or whose item is gone or has found a caller.
+The compiler decides. On a copy of the tree (the checkout is never
+edited), every `pub` item of the non-test part of `crates/*/src` is made
+`pub(crate)`, and the targets CI builds (`BUILDS`) are checked with
+`-D private_interfaces -D private_bounds`. Each item an error names is
+made `pub` again — a private item used, a private item re-exported, a
+private type in a public interface — and the builds run again until all
+of them pass. Fails on each item that is still `pub` in the tree but was
+never put back, unless `pub_callers_allow.txt`, beside this script,
+lists it as a hook (`crate::path::Name  # reason`, the reason naming
+the test file under `tests/` or `crates/*/tests` that reaches it); also
+on a hook entry without such a reason, or whose item is gone or was put
+back. Items a `macro_rules!` body declares are left as they are.
 
 Also fails on each `#[cfg(test)]` item, field or statement of
 `crates/*/src` that is not a module of tests, unless the allowlist lists
 it after its `[compiled for tests only]` line, and on such an entry
-whose item is gone. Run from the repository root with no arguments.
+whose item is gone. Run from the repository root with no arguments; the
+copy and its build cache live in `target/pub-fixpoint` (or in
+`$PUB_FIXPOINT_DIR`), so a second run builds incrementally.
 """
 
 import glob
+import json
 import os
 import re
+import shutil
+import subprocess
 import sys
+import time
 
 ALLOWLIST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pub_callers_allow.txt")
 TESTS_ONLY = "[compiled for tests only]"  # the allowlist line that starts that section
-CALLERS = ["src", "examples", "bench/src"]  # besides the other crates' `src/`
+# The non-test targets CI builds, and `bench/` with its tests (which
+# reach the library from outside, as a separate package).
+BUILDS = [
+    ["--workspace", "--lib", "--bins", "--examples"],
+    ["-p", "mctop", "--features", "model-check"],
+    ["-p", "mctop-runtime", "--features", "model-check"],
+    ["-p", "mctop-runtime", "--no-default-features"],
+    ["-p", "mctop-sort", "--no-default-features"],
+    ["--manifest-path", "bench/Cargo.toml", "--all-targets"],
+]
+RUSTFLAGS = "-D private_interfaces -D private_bounds"
+NOT_COPIED = {".git", "target", os.path.join("bench", "target"), os.path.join("bench", "out")}
+TEST_FILE = re.compile(r"(?<![\w/.-])(?:crates/[\w-]+/)?tests/[\w/.-]*\w\.rs\b")
 
 # Comments, string literals and char literals (a lifetime is neither).
 LITERAL = re.compile(
@@ -28,12 +53,11 @@ LITERAL = re.compile(
     r"|b?'(?:\\(?:u\{\w*\}|.)|[^\\'])'",
     re.S,
 )
-USE = re.compile(r"(?m)^[ \t]*(pub(?:\([^)]*\))?\s+)?use\s[^;]*;")
 ITEM = re.compile(
-    r'\bpub\s+(?:(?:const|async|unsafe|extern)\s+)*(fn)\s+(\w+)'
-    r"|\bpub\s+(struct|enum|trait|type|const|static|mod|union)\s+(?:mut\s+)?(\w+)"
+    r"\bpub\s+(?:(?:const|async|unsafe|extern)\s+)*"
+    r"(fn|struct|enum|trait|type|const|static|mod|union)\s+(?:mut\s+)?(\w+)"
 )
-TOKEN = re.compile(ITEM.pattern + r"|\bmod\s+(\w+)\s*\{|\bimpl\b|\btrait\b|\bfn\b|[{};]")
+FRAME = re.compile(ITEM.pattern + r"|\bpub\s+use\s[^;]*;|\bmod\s+(\w+)\s*\{|\bimpl\b|\bfn\b|\btrait\b|[{};]")
 IDENT = re.compile(r"[A-Za-z_]\w*")
 CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
 # What a `#[cfg(test)]` target is named by: its owner frames come from
@@ -95,14 +119,6 @@ def load(path):
     return text, test_mods
 
 
-def names_in(text):
-    """The identifiers `text` names outside `use` statements, and those
-    its plain (not `pub`) `use` statements name."""
-    uses = " ".join(m.group(0) for m in USE.finditer(text) if not m.group(1))
-    rest = USE.sub(lambda m: blank(m.group(0)), text)
-    return set(IDENT.findall(rest)), set(IDENT.findall(uses))
-
-
 def impl_type(header):
     """`Foo` for `impl<T> Foo<T> where ..` (trait impls hold no `pub fn`)."""
     while re.search(r"<[^<>]*>", header):
@@ -112,11 +128,12 @@ def impl_type(header):
     return names[-1] if names else "?"
 
 
-def scan_items(text, module):
-    """Yields (path, kind, line) of each `pub` item at module level or
-    in an inherent impl block."""
+def pub_items(text, module):
+    """Yields (kind, path, offset of `pub`) of each `pub` item at module
+    level or in an inherent impl block, and ("use", module, match) of
+    each `pub use` there."""
     stack, pending = [], None  # frames: ("mod" | "impl" | "other", name)
-    for m in TOKEN.finditer(text):
+    for m in FRAME.finditer(text):
         tok = m.group(0)
         at_item_level = all(kind != "other" for kind, _ in stack)
         if tok == "{":
@@ -133,14 +150,44 @@ def scan_items(text, module):
         elif tok in ("fn", "trait"):
             if not pending or pending[0] != "impl":
                 pending = ("other", None)
-        elif m.group(5):
-            pending = ("mod", m.group(5))
-        else:
-            kind, name = (m.group(1), m.group(2)) if m.group(1) else (m.group(3), m.group(4))
+        elif m.group(3):
+            pending = ("mod", m.group(3))
+        elif m.group(1):
             if at_item_level:
-                line = text.count("\n", 0, m.start()) + 1
-                yield module + [n for _, n in stack] + [name], kind, line
-            pending = ("mod", name) if kind == "mod" else ("other", None)
+                yield m.group(1), module + [n for _, n in stack] + [m.group(2)], m.start()
+            pending = ("mod", m.group(2)) if m.group(1) == "mod" else ("other", None)
+        elif at_item_level:
+            yield "use", module + [n for _, n in stack], m
+
+
+def use_paths(tree, prefix=()):
+    """The paths a use tree names, each with the name it binds:
+    `a::{b, c::d as e, *}` gives (a::b, b), (a::c::d, e), (a::*, *)."""
+    head, brace, rest = tree.partition("{")
+    if not brace:
+        path, _, alias = tree.partition(" as ")
+        segs = list(prefix) + [s.strip() for s in path.split("::") if s.strip()]
+        return [(segs, alias.strip() or segs[-1])] if segs else []
+    base = list(prefix) + [s.strip() for s in head.split("::") if s.strip()]
+    body, parts, depth, start = rest[: rest.rindex("}")], [], 0, 0
+    for i, c in enumerate(body):
+        depth += {"{": 1, "}": -1}.get(c, 0)
+        if c == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return [p for part in parts for p in use_paths(" ".join(part.split()), base)]
+
+
+def resolve(module, segs):
+    """`segs`, a path written in `module`, as a path from its crate root."""
+    if segs[0] == "crate":
+        return segs[1:]
+    if segs[0] == "self":
+        segs = segs[1:]
+    while segs and segs[0] == "super":
+        module, segs = module[:-1], segs[1:]
+    return list(module) + segs
 
 
 def attrs_end(text, i):
@@ -199,8 +246,131 @@ def rust_files(root):
     return sorted(glob.glob(os.path.join(root, "**", "*.rs"), recursive=True))
 
 
+class Fixpoint:
+    """The copy of the tree, its `pub` items and the builds over it."""
+
+    def __init__(self, items, uses):
+        self.items, self.uses = items, uses
+        self.work = os.path.abspath(os.environ.get("PUB_FIXPOINT_DIR", "target/pub-fixpoint"))
+        self.tree = os.path.join(self.work, "tree")
+        shutil.rmtree(self.tree, ignore_errors=True)
+        shutil.copytree(
+            ".",
+            self.tree,
+            symlinks=True,
+            ignore=lambda d, names: [n for n in names if os.path.relpath(os.path.join(d, n)) in NOT_COPIED],
+        )
+        self.at_line = {}  # (file, line) -> indices of the items declared there
+        for i, item in enumerate(items):
+            self.at_line.setdefault((item["file"], item["line"]), []).append(i)
+        self.original, self.written = {}, {}
+        for item in items:
+            if item["file"] not in self.original:
+                with open(item["file"], encoding="utf-8") as f:
+                    self.original[item["file"]] = f.read()
+        self.restored, self.builds = set(), 0
+
+    def write(self):
+        """Writes each file with every item not put back `pub(crate)`."""
+        for path, text in self.original.items():
+            offsets = sorted(
+                (item["offset"] for i, item in enumerate(self.items) if item["file"] == path and i not in self.restored),
+                reverse=True,
+            )
+            for at in offsets:
+                text = text[:at] + "pub(crate)" + text[at + 3:]
+            if self.written.get(path) != text:
+                with open(os.path.join(self.tree, path), "w", encoding="utf-8") as f:
+                    f.write(text)
+                self.written[path] = text
+
+    def run(self):
+        """Builds until every build passes; returns the items put back."""
+        self.write()
+        changed = True
+        while changed:
+            changed = False
+            for build in BUILDS:
+                while named := self.check(build) - self.restored:
+                    self.restored |= named
+                    changed = True
+                    self.write()
+        return self.restored
+
+    def check(self, build):
+        """Runs one build; returns the items its errors name, and exits
+        on an error that names none."""
+        self.builds += 1
+        env = dict(os.environ, RUSTFLAGS=RUSTFLAGS, CARGO_TARGET_DIR=os.path.join(self.work, "target"))
+        proc = subprocess.run(
+            ["cargo", "check", "--quiet", "--message-format=json", *build],
+            cwd=self.tree, env=env, capture_output=True, text=True,
+        )
+        root = os.path.join(self.tree, "bench") if "bench/Cargo.toml" in build else self.tree
+        named, unknown = set(), []
+        for line in proc.stdout.splitlines():
+            msg = json.loads(line) if line.startswith("{") else {}
+            diag = msg.get("message") if msg.get("reason") == "compiler-message" else None
+            if not diag or diag["level"] != "error" or not diag["spans"]:
+                continue
+            found = set()
+            for span, text in self.definitions(diag):
+                found |= self.named_at(root, span, text)
+            named |= found
+            if not found:
+                unknown.append(diag["rendered"])
+        if proc.returncode and not named:
+            print(f"cargo check {' '.join(build)} fails on something no `pub` puts right:", file=sys.stderr)
+            print("".join(unknown) or proc.stderr, file=sys.stderr)
+            sys.exit(2)
+        return named
+
+    @staticmethod
+    def definitions(diag):
+        """(span, message) of each place an error says an item is
+        declared: where a private item is defined (E0603, E0624), the
+        re-export of one (E0364, E0365), or a private type in a public
+        interface (`private_interfaces`, `private_bounds`)."""
+        code = (diag.get("code") or {}).get("code")
+        for span in diag["spans"]:
+            if code in ("E0364", "E0365") and span["is_primary"] or "defined here" in (span["label"] or ""):
+                yield span, diag["message"]
+        for child in diag["children"]:
+            if re.search(r"defined here|only usable at visibility", child["message"]):
+                for span in child["spans"]:
+                    yield span, child["message"]
+
+    def named_at(self, root, span, text):
+        """The items declared at `span`, or re-exported there under the
+        first name `text` quotes."""
+        while span:
+            path = os.path.relpath(os.path.join(root, span["file_name"]), self.tree)
+            if hits := self.at_line.get((path, span["line_start"])):
+                return set(hits)
+            for use in self.uses:
+                if use["file"] == path and use["first"] <= span["line_start"] <= use["last"]:
+                    return self.reexported(use, re.search(r"`(?:\w+::)*(\w+)", text).group(1))
+            span = (span.get("expansion") or {}).get("span")
+        return set()
+
+    def reexported(self, use, name):
+        """The items `use` re-exports as `name`: the one its path leads
+        to, else each item of that name in its crate, else anywhere."""
+        for segs, alias in use_paths(use["tree"]):
+            if segs[-1] == "*":
+                segs = segs[:-1] + [name]
+            elif alias != name:
+                continue
+            target = resolve(use["module"], segs)
+            hits = {i for i, it in enumerate(self.items) if it["crate"] == use["crate"] and it["path"] == target}
+            if hits:
+                return hits
+        same = [i for i, it in enumerate(self.items) if it["path"][-1] == name]
+        return {i for i in same if self.items[i]["crate"] == use["crate"]} or set(same)
+
+
 def main():
-    crates = {}  # crate -> (names, names in plain `use`s, items)
+    items, uses = [], []  # every `pub` item and `pub use` outside test code
     test_only = {}  # path of a `#[cfg(test)]` target -> where it first is
     for src in sorted(glob.glob("crates/*/src")):
         with open(os.path.join(src, "..", "Cargo.toml")) as f:
@@ -214,27 +384,26 @@ def main():
             for name in test_mods:
                 test_files.add(os.path.join(base, name + ".rs"))
                 test_files.update(rust_files(os.path.join(base, name)))
-        names, imported, items = set(), set(), []
         for path, (text, _) in loaded.items():
             if path in test_files:
                 continue
-            found, used = names_in(text)
-            names |= found
-            imported |= used
             module = os.path.relpath(path, src)[:-3].split(os.sep)
             module = module[:-1] if module[-1] in ("lib", "main", "mod") else module
             with open(path, encoding="utf-8") as f:
                 raw = LITERAL.sub(lambda m: blank(m.group(0)), f.read())
             for item_path, line in test_only_items(raw, module):
                 test_only.setdefault("::".join([crate] + item_path), f"{path}:{line}")
-            for item_path, kind, line in scan_items(text, module):
-                path_name = "::".join([crate] + item_path)
-                items.append((path_name, kind, item_path[-1], f"{path}:{line}"))
-        crates[crate] = (names, imported, items)
-    external = [names_in(load(path)[0]) for root in CALLERS for path in rust_files(root)]
+            for kind, item_path, at in pub_items(text, module):
+                line = text.count("\n", 0, at if kind != "use" else at.start()) + 1
+                if kind == "use":
+                    tree = " ".join(at.group(0).split())[len("pub use "):-1]
+                    last = line + at.group(0).count("\n")
+                    uses.append(dict(crate=crate, file=path, first=line, last=last, module=item_path, tree=tree))
+                else:
+                    items.append(dict(crate=crate, path=item_path, kind=kind, file=path, line=line, offset=at))
 
-    errors, allowed, tests_only = [], {}, {}
-    section = allowed
+    errors, hooks, tests_only = [], {}, {}
+    section = hooks
     with open(ALLOWLIST, encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
             path, _, reason = line.partition("#")
@@ -249,35 +418,33 @@ def main():
             if path in section:
                 errors.append(f"{where}: {path}: listed twice")
             section[path] = where
+            named = TEST_FILE.findall(reason)
+            if section is hooks and (not named or not all(os.path.isfile(n) for n in named)):
+                errors.append(f"{where}: {path}: a hook's reason names the test file under tests/ or crates/*/tests that reaches it")
 
-    results = {}  # path -> [passes, kind, where]
-    for crate, (_, _, items) in crates.items():
-        outside = [(n, u) for other, (n, u, _) in crates.items() if other != crate] + external
-        names = set().union(*(n for n, _ in outside))
-        imported = set().union(*(u for _, u in outside))
-        for path, kind, name, where in items:
-            passes = name in names or (kind in ("mod", "trait") and name in imported)
-            results[path] = [passes, kind, where]
-    for path, (passes, _, _) in list(results.items()):
-        if passes or path in allowed:
-            parts = path.split("::")
-            for k in range(2, len(parts)):
-                parent = results.get("::".join(parts[:k]))
-                if parent and parent[1] == "mod":
-                    parent[0] = parent[0] or "inside"
-
-    flagged = sorted(
-        (where, kind, path)
-        for path, (passes, kind, where) in results.items()
-        if not passes and path not in allowed
+    started = time.monotonic()
+    fixpoint = Fixpoint(items, uses)
+    restored = fixpoint.run()
+    full = {i: "::".join([it["crate"]] + it["path"]) for i, it in enumerate(items)}
+    # The modules a free hook sits in stay `pub` with it, or the tests
+    # could not name it (a method is named through its type).
+    kinds, kept = {full[i]: it["kind"] for i, it in enumerate(items)}, set(hooks)
+    for path in hooks:
+        while kinds.get(path := path.rpartition("::")[0]) == "mod":
+            kept.add(path)
+    survivors = sorted(
+        (f"{it['file']}:{it['line']}", it["kind"], full[i])
+        for i, it in enumerate(items)
+        if i not in restored and full[i] not in kept
     )
-    for where, kind, path in flagged:
-        errors.append(f"{where}: pub {kind} {path}: no non-test code outside its crate names it")
-    for path, where in allowed.items():
-        if path not in results:
+    for where, kind, path in survivors:
+        errors.append(f"{where}: pub {kind} {path}: everything builds with it pub(crate)")
+    for path, where in hooks.items():
+        mine = [i for i, p in full.items() if p == path]
+        if not mine:
             errors.append(f"{where}: {path}: stale allowlist entry, no such pub item")
-        elif results[path][0]:
-            errors.append(f"{where}: {path}: stale allowlist entry, the item has a caller")
+        elif any(i in restored for i in mine):
+            errors.append(f"{where}: {path}: stale allowlist entry, a non-test build needs it pub")
     for path, where in sorted(test_only.items(), key=lambda kv: kv[1]):
         if path not in tests_only:
             errors.append(f"{where}: #[cfg(test)] {path}: not listed under {TESTS_ONLY}")
@@ -287,9 +454,9 @@ def main():
     for error in errors:
         print(error)
     print(
-        f"{len(results)} pub items, {len(flagged)} without an outside caller, "
-        f"{len(allowed)} allowlisted; {len(test_only)} compiled for tests only; "
-        f"{len(errors)} error(s)"
+        f"{len(items)} pub items, {len(restored)} needed pub by a build, {len(hooks)} hooks; "
+        f"{len(test_only)} compiled for tests only; {fixpoint.builds} builds in "
+        f"{time.monotonic() - started:.0f} s; {len(errors)} error(s)"
     )
     return 1 if errors else 0
 

@@ -73,7 +73,7 @@ fn spawn_run_rearm_shutdown() {
             os_pin: false,
         },
     );
-    assert_eq!(exec.len(), 8);
+    assert_eq!(exec.worker_ctxs().len(), 8);
     drive(&exec, &ivy);
 
     // Re-arm over a different machine and policy: the same executor

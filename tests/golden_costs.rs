@@ -48,7 +48,10 @@ fn ledger() -> String {
         let total = n * (n - 1) / 2;
         line(&mut out, &spec.name, &stats, total);
         if paper.contains(&spec.name) {
-            sum.merge(&stats);
+            sum.pairs += stats.pairs;
+            sum.probes += stats.probes;
+            sum.retries += stats.retries;
+            sum.fallbacks += stats.fallbacks;
             sum_total += total;
         }
     }

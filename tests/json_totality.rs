@@ -70,7 +70,7 @@ fn single_byte_mutations_never_panic() {
         let mut bytes = text.clone().into_bytes();
         let at = rng.gen_range(0..bytes.len());
         bytes[at] = rng.gen_range(0..=u8::MAX);
-        // `desc::load` reads files with `read_to_string`: bytes that are
+        // `desc::load_full` reads files with `read_to_string`: bytes that are
         // not UTF-8 never reach the parser (see `invalid_utf8_*` below).
         match String::from_utf8(bytes) {
             Err(_) => not_utf8 += 1,
@@ -166,7 +166,12 @@ fn a_description_whose_links_contradict_their_rules_is_named_not_loaded() {
     };
     let opteron = committed("opteron");
     let topo = desc::from_str(&opteron).unwrap();
-    let mut far = topo.link(0, 3).unwrap().clone();
+    let mut far = topo
+        .links
+        .iter()
+        .find(|l| (l.a, l.b) == (0, 3))
+        .unwrap()
+        .clone();
     assert_eq!(far.hops, 2);
     far.hops = 3;
     let mut links: Vec<_> = topo.stored_links().into_iter().cloned().collect();
@@ -355,7 +360,7 @@ fn invalid_utf8_inside_and_outside_strings_is_an_io_error() {
         bytes[at] = 0xFF;
         let path = std::env::temp_dir().join(format!("json-totality-{tag}.mct.json"));
         std::fs::write(&path, &bytes).unwrap();
-        let err = desc::load(&path).unwrap_err();
+        let err = desc::load_full(&path).unwrap_err();
         let _ = std::fs::remove_file(&path);
         assert!(matches!(err, mctop::McTopError::Io(_)), "{tag}: {err}");
     }

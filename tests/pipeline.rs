@@ -172,7 +172,7 @@ fn single_core_per_socket_machine() {
     spec.sockets = 4;
     spec.cores_per_socket = 1;
     spec.nodes = 4;
-    spec.intra_levels = vec![mcsim::machine::IntraLevel {
+    spec.intra_levels = vec![mcsim::IntraLevel {
         group_cores: 1,
         latency: 50,
     }];

@@ -5,9 +5,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mcsim::machine::IntraLevel;
 use mcsim::{
     Interconnect,
+    IntraLevel,
     MachineSpec, //
 };
 use mctop::backend::SimProber;
@@ -163,7 +163,6 @@ proptest! {
                 prop_assert_eq!(view.num_hwcs(), topo.hwcs.len());
                 prop_assert_eq!(view.num_sockets(), topo.sockets.len());
                 prop_assert_eq!(view.socket_level(), naive::socket_level_index(topo));
-                prop_assert_eq!(view.intra_socket_latency(), naive::intra_socket_latency(topo));
                 for a in 0..s {
                     prop_assert_eq!(view.closest_sockets(a), &naive::closest_sockets(topo, a)[..]);
                     prop_assert_eq!(
@@ -178,7 +177,7 @@ proptest! {
                         prop_assert_eq!(view.socket_latency(a, b), naive::socket_latency(topo, a, b));
                         prop_assert_eq!(
                             view.cross_bandwidth(a, b),
-                            topo.link(a, b).and_then(|l| l.bandwidth)
+                            topo.cross_bandwidth(a, b)
                         );
                     }
                 }

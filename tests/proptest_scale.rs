@@ -94,8 +94,8 @@ fn assert_backends_agree(topo: &Mctop) -> Result<(), TestCaseError> {
         );
     }
     prop_assert_eq!(
-        dense.intra_socket_latency(),
-        sparse.intra_socket_latency(),
+        dense.socket_latency(0, 0),
+        sparse.socket_latency(0, 0),
         "{}: intra",
         &name
     );
@@ -138,7 +138,7 @@ fn backends_agree_on_every_committed_desc() {
     entries.sort();
     assert!(entries.len() >= 16, "committed desc library went missing?");
     for path in entries {
-        let topo = desc::load(&path).unwrap_or_else(|e| {
+        let (topo, _) = desc::load_full(&path).unwrap_or_else(|e| {
             panic!("{}: cannot load: {e}", path.display());
         });
         assert_backends_agree(&topo).unwrap_or_else(|e| {
@@ -167,7 +167,8 @@ proptest! {
     #[test]
     fn backends_agree_on_generated_noc_shapes(spec in arb_noc_spec()) {
         spec.check().expect("generated spec is valid");
-        let (topo, _) = desc::canonical(&spec).expect("canonical inference");
+        let text = desc::canonical_string(&spec).expect("canonical inference");
+        let (topo, _) = desc::from_str_full(&text).expect("canonical description");
         assert_backends_agree(&topo)?;
     }
 }
@@ -222,7 +223,8 @@ fn inferred_hops_match_the_interconnect_distance() {
         ));
     }
     for (spec, distance) in cases {
-        let (topo, _) = desc::canonical(&spec).expect("canonical inference");
+        let text = desc::canonical_string(&spec).expect("canonical inference");
+        let (topo, _) = desc::from_str_full(&text).expect("canonical description");
         let s = spec.sockets;
         assert_eq!(topo.links.len(), s * (s - 1) / 2, "{}", spec.name);
         for l in &topo.links {

@@ -40,7 +40,7 @@ impl Drop for StopOnDrop<'_> {
 fn lookups_see_whole_descriptions_while_reload_races_them() {
     let spec = mcsim::presets::no_smt_small();
     let name = spec.name.as_str();
-    let (topo_a, prov) = desc::canonical(&spec).unwrap();
+    let (topo_a, prov) = desc::from_str_full(&desc::canonical_string(&spec).unwrap()).unwrap();
     let cfg = desc::canonical_probe_config_for(&spec);
     let topo_b = mctop::infer(&mut SimProber::new(&spec, 7), &cfg).unwrap();
     assert_ne!(topo_a, topo_b);
@@ -97,7 +97,7 @@ fn lookups_see_whole_descriptions_while_reload_races_them() {
     });
 
     assert_eq!(reg.reload(), 0);
-    let on_disk = desc::load(&file).unwrap();
+    let (on_disk, _) = desc::load_full(&file).unwrap();
     assert_eq!(**reg.view(name).unwrap().topo(), on_disk);
     assert_eq!(on_disk, topos[SWAPS % 2]);
     let _ = std::fs::remove_dir_all(&dir);
