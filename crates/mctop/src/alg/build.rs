@@ -18,6 +18,7 @@ use crate::alg::table::{
 };
 use crate::error::McTopError;
 use crate::model::{
+    hop_rows,
     HwContext,
     HwcGroup,
     InterconnectLink,
@@ -551,7 +552,7 @@ fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>,
             into[j * s + k] = lat(k, j);
         }
     }
-    let mut direct: Vec<Vec<usize>> = vec![Vec::new(); s];
+    let mut direct = Vec::new();
     for i in 0..s {
         let from = &s_lat[i * s..][..s];
         // Sockets numbered near `i` are the likeliest to lie between `i`
@@ -571,27 +572,13 @@ fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>,
                     .fold(false, |m, (&x, &y)| m | (x.max(y) < v))
             });
             if !multi {
-                direct[i].push(j);
-                direct[j].push(i);
+                direct.push((i, j));
             }
         }
     }
     // Hops: one BFS over the direct edges per source socket.
     let mut links = Vec::with_capacity(s * s.saturating_sub(1) / 2);
-    let mut dist = vec![usize::MAX; s];
-    let mut queue = std::collections::VecDeque::with_capacity(s);
-    for i in 0..s {
-        dist.fill(usize::MAX);
-        dist[i] = 0;
-        queue.push_back(i);
-        while let Some(u) = queue.pop_front() {
-            for &t in &direct[u] {
-                if dist[t] == usize::MAX {
-                    dist[t] = dist[u] + 1;
-                    queue.push_back(t);
-                }
-            }
-        }
+    hop_rows(s, direct.iter().copied(), |i, dist| {
         for (j, &hops) in dist.iter().enumerate().skip(i + 1) {
             if hops == usize::MAX {
                 return Err(McTopError::IrregularTopology(
@@ -606,7 +593,8 @@ fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>,
                 bandwidth: None,
             });
         }
-    }
+        Ok(())
+    })?;
     Ok(links)
 }
 

@@ -466,46 +466,10 @@ impl Mctop {
             Result<InterconnectLink, Underived>,
         ) -> Result<(), E>,
     ) -> Result<(), E> {
-        let s = self.num_sockets();
-        // The direct records as adjacency lists:
-        // `adjacent[start[a]..start[a + 1]]` for socket `a`.
-        let direct = || links.iter().filter(|l| l.hops == 1);
-        let mut start = vec![0usize; s + 1];
-        for l in direct() {
-            start[l.a] += 1;
-            start[l.b] += 1;
-        }
-        let mut total = 0;
-        for count in &mut start {
-            total += *count;
-            *count = total;
-        }
-        let mut adjacent = vec![0usize; total];
-        for l in direct() {
-            start[l.a] -= 1;
-            adjacent[start[l.a]] = l.b;
-            start[l.b] -= 1;
-            adjacent[start[l.b]] = l.a;
-        }
         let by_hops = self.cross_levels_by_hops();
-        let mut dist = vec![usize::MAX; s];
-        let mut queue = Vec::with_capacity(s);
         let mut stored = links.iter().peekable();
-        for a in 0..s {
-            dist.fill(usize::MAX);
-            dist[a] = 0;
-            queue.clear();
-            queue.push(a);
-            let mut next = 0;
-            while let Some(&u) = queue.get(next) {
-                next += 1;
-                for &v in &adjacent[start[u]..start[u + 1]] {
-                    if dist[v] == usize::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push(v);
-                    }
-                }
-            }
+        let direct = links.iter().filter(|l| l.hops == 1).map(|l| (l.a, l.b));
+        hop_rows(self.num_sockets(), direct, |a, dist| {
             for (b, &hops) in dist.iter().enumerate().skip(a + 1) {
                 let record = stored.next_if(|l| (l.a, l.b) == (a, b));
                 let derived = match hops {
@@ -523,7 +487,8 @@ impl Mctop {
                 };
                 each((a, b), record, derived)?;
             }
-        }
+            Ok(())
+        })?;
         assert!(
             stored.next().is_none(),
             "link records out of triangle order"
@@ -722,6 +687,58 @@ impl Mctop {
             self.levels.len()
         )
     }
+}
+
+/// Hop counts over the undirected socket graph whose edges are
+/// `edges`, one BFS per source socket: calls `row(a, dist)` for each
+/// socket `a` of the `s` in order, with `dist[b]` the fewest edges from
+/// `a` to `b` (`usize::MAX` where none leads). Shared by inference
+/// (`alg::build`, over the pairs it found direct) and the link arena
+/// (`Mctop::derived_links`, over the direct records).
+pub(crate) fn hop_rows<E>(
+    s: usize,
+    edges: impl Iterator<Item = (usize, usize)> + Clone,
+    mut row: impl FnMut(usize, &[usize]) -> Result<(), E>,
+) -> Result<(), E> {
+    // The edges as adjacency lists: `adjacent[start[a]..start[a + 1]]`
+    // for socket `a`.
+    let mut start = vec![0usize; s + 1];
+    for (a, b) in edges.clone() {
+        start[a] += 1;
+        start[b] += 1;
+    }
+    let mut total = 0;
+    for count in &mut start {
+        total += *count;
+        *count = total;
+    }
+    let mut adjacent = vec![0usize; total];
+    for (a, b) in edges {
+        start[a] -= 1;
+        adjacent[start[a]] = b;
+        start[b] -= 1;
+        adjacent[start[b]] = a;
+    }
+    let mut dist = vec![usize::MAX; s];
+    let mut queue = Vec::with_capacity(s);
+    for a in 0..s {
+        dist.fill(usize::MAX);
+        dist[a] = 0;
+        queue.clear();
+        queue.push(a);
+        let mut next = 0;
+        while let Some(&u) = queue.get(next) {
+            next += 1;
+            for &v in &adjacent[start[u]..start[u + 1]] {
+                if dist[v] == usize::MAX {
+                    dist[v] = dist[u] + 1;
+                    queue.push(v);
+                }
+            }
+        }
+        row(a, &dist)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
