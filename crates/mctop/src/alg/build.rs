@@ -552,7 +552,10 @@ fn infer_links(s_lat: &[u32], n_sockets: usize) -> Result<Vec<InterconnectLink>,
             into[j * s + k] = lat(k, j);
         }
     }
-    let mut direct = Vec::new();
+    // Sized for four direct links per socket, a mesh tile's count:
+    // growing the list through its doublings moved where the heap's peak
+    // falls, 0.3 MB higher on `mctbench`'s `cold-mesh`.
+    let mut direct = Vec::with_capacity(s * 4);
     for i in 0..s {
         let from = &s_lat[i * s..][..s];
         // Sockets numbered near `i` are the likeliest to lie between `i`
