@@ -349,7 +349,8 @@ class Fixpoint:
                 return set(hits)
             for use in self.uses:
                 if use["file"] == path and use["first"] <= span["line_start"] <= use["last"]:
-                    return self.reexported(use, re.search(r"`(?:\w+::)*(\w+)", text).group(1))
+                    name = re.search(r"`(?:\w+::)*(\w+)", text)
+                    return self.reexported(use, name.group(1)) if name else set()
             span = (span.get("expansion") or {}).get("span")
         return set()
 
