@@ -36,13 +36,9 @@ pub use interconnect::{
 };
 pub use latency::LatencyOracle;
 pub use machine::{
-    CacheLevel,
     IntraLevel,
-    Loc,
     MachineSpec,
-    MemSpec,
-    Numbering,
-    PowerSpec, //
+    Numbering, //
 };
 pub use memory::MemoryOracle;
 pub use noise::{

@@ -14,7 +14,7 @@
 //! across policies, which is what the tests and
 //! `examples/alloc_compare.rs` use. A plan names, for every stripe, the
 //! worker pinned on the stripe's node that would first-touch it
-//! ([`NodeStripe::touch_worker`]). That field is plan data only:
+//! (`NodeStripe::touch_worker`). That field is plan data only:
 //! realizing a plan on a host — real buffers first-touched by those
 //! workers — is out of scope until the workspace runs on a real machine
 //! (ROADMAP item 11).
@@ -53,18 +53,9 @@ pub(crate) mod backend;
 pub(crate) mod plan;
 pub(crate) mod policy;
 
-pub use backend::{
-    ModelBackend,
-    ModeledArena, //
-};
+pub use backend::ModelBackend;
 pub use plan::{
     AllocCfg,
-    AllocPlan,
-    NodeStripe,
-    SocketSaturation,
-    WorkerArena, //
+    AllocPlan, //
 };
-pub use policy::{
-    AllocError,
-    AllocPolicy, //
-};
+pub use policy::AllocPolicy;

@@ -20,11 +20,11 @@ use mctop_client::wire::{
     self,
     Request, //
 };
-use mctop_client::{
-    Client,
+use mctop_client::wire::{
     Response,
     PROTO_VERSION, //
 };
+use mctop_client::Client;
 use mctopd::{
     Server,
     ServerCfg, //

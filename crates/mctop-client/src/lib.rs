@@ -27,10 +27,3 @@ pub use client::{
     Client,
     ClientError, //
 };
-pub use wire::{
-    ErrorCode,
-    Request,
-    Response,
-    WireError,
-    PROTO_VERSION, //
-};

@@ -9,6 +9,7 @@ use std::io::{
     Read, //
 };
 
+use mctop_client::wire::ErrorCode;
 use mctop_client::wire::{
     decode_request,
     decode_response,
@@ -21,7 +22,6 @@ use mctop_client::wire::{
     WireError,
     MAX_FRAME_LEN, //
 };
-use mctop_client::ErrorCode;
 use proptest::prelude::*;
 
 /// Deterministically derives a small string from a seed: a mix of

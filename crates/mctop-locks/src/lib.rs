@@ -23,8 +23,4 @@ pub mod harness;
 pub mod raw;
 pub mod sim;
 
-pub use backoff::BackoffCfg;
-pub use raw::{
-    LockAlgo,
-    RawLock, //
-};
+pub use raw::LockAlgo;

@@ -17,10 +17,3 @@ pub(crate) mod energy;
 pub mod engine;
 pub mod model;
 pub mod workloads;
-
-pub use engine::{
-    run_job,
-    run_job_on,
-    EngineCfg,
-    MapReduce, //
-};

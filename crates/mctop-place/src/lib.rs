@@ -33,7 +33,6 @@ pub use place::{
     PinHandle,
     PlaceError,
     PlaceOpts,
-    PlaceStats,
     Placement, //
 };
 pub use policy::Policy;

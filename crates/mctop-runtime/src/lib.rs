@@ -29,21 +29,18 @@ pub mod executor;
 pub(crate) mod host;
 pub mod metrics;
 pub mod steal;
-pub use mctop::sync;
+pub(crate) use mctop::sync;
 
 pub use executor::{
     ExecCfg,
     Executor,
-    ExecutorShutdown,
-    Scope,
-    WorkerCtx, //
+    ExecutorShutdown, //
 };
 pub use metrics::{
     Metrics,
     MetricsSnapshot,
     ServerRequestKind,
-    ServerSnapshot,
-    StealClass, //
+    ServerSnapshot, //
 };
 pub use steal::{
     steal_queues_with_order,

@@ -1,5 +1,5 @@
 //! Exhaustive interleaving exploration of the executor's three core
-//! protocols, via the `model-check` facade (`mctop_runtime::sync`):
+//! protocols, via the `model-check` facade (`mctop::sync`):
 //!
 //! - **park/unpark**: a targeted (mailbox) or stealable (injector)
 //!   push can never be missed by a worker that is about to park — the
@@ -24,12 +24,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use mctop::sync::model::{self, Coverage, ModelCfg};
+use mctop::sync::thread;
 use mctop::view::TopoView;
 use mctop_place::{PlaceOpts, Placement, Policy};
 use mctop_runtime::executor::faults;
 use mctop_runtime::metrics::Metrics;
-use mctop_runtime::sync::model::{self, Coverage, ModelCfg};
-use mctop_runtime::sync::thread;
 use mctop_runtime::{ExecCfg, Executor, ExecutorShutdown};
 
 /// One placement shared by every execution (built outside the model:

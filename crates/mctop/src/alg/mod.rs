@@ -49,11 +49,10 @@ pub mod validate;
 
 use crate::error::McTopError;
 use crate::model::Mctop;
-pub use probe::{
+pub use probe::Prober;
+pub(crate) use probe::{
     PairSelection,
     ProbeConfig,
-    ProbeStream,
-    Prober,
     PruneCfg, //
 };
 

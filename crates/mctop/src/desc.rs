@@ -65,7 +65,7 @@
 //! holds little more than the result while it does (DESIGN.md,
 //! "Description I/O").
 //!
-//! `canonical` is the single source of truth for the committed
+//! [`canonical`] is the single source of truth for the committed
 //! `descs/` library: a deterministic (noiseless, fixed-config)
 //! inference plus full enrichment. `mct regen-descs`, the shipped
 //! registry and the golden tests all go through it.
@@ -325,7 +325,7 @@ pub fn canonical_probe_config_for(spec: &mcsim::MachineSpec) -> ProbeConfig {
 /// `descs/<name>.mct.json`. Noiseless probing,
 /// [`canonical_probe_config_for`], all enrichment plugins, nominal
 /// frequency attached.
-pub(crate) fn canonical(spec: &mcsim::MachineSpec) -> Result<(Mctop, Provenance), McTopError> {
+pub fn canonical(spec: &mcsim::MachineSpec) -> Result<(Mctop, Provenance), McTopError> {
     let cfg = canonical_probe_config_for(spec);
     let mut prober = SimProber::noiseless(spec);
     let mut topo = crate::infer(&mut prober, &cfg)?;
@@ -337,7 +337,7 @@ pub(crate) fn canonical(spec: &mcsim::MachineSpec) -> Result<(Mctop, Provenance)
     Ok((topo, prov))
 }
 
-/// `canonical` rendered as description-file text.
+/// [`canonical`] rendered as description-file text.
 pub fn canonical_string(spec: &mcsim::MachineSpec) -> Result<String, McTopError> {
     let (topo, prov) = canonical(spec)?;
     to_string(&topo, &prov)

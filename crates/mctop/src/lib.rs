@@ -40,7 +40,7 @@
 //! Infer the topology of the paper's Ivy Bridge machine and query it:
 //!
 //! ```
-//! use mctop::alg::ProbeConfig;
+//! use mctop::ProbeConfig;
 //! use mctop::backend::SimProber;
 //!
 //! let spec = mcsim::presets::ivy();
@@ -72,10 +72,9 @@ pub mod view;
 
 pub use alg::probe::{
     PairSelection,
-    ProbeConfig,
-    Prober,
-    PruneCfg, //
+    ProbeConfig, //
 };
+use alg::Prober;
 pub use error::McTopError;
 pub use model::Mctop;
 pub use registry::Registry;

@@ -4,8 +4,8 @@
 //! Every lock, condvar, tracked atomic, thread spawn and work queue of
 //! the library crates — the [`crate::registry`] and [`crate::view`]
 //! caches, the placement pool, the OpenMP runtime, the daemon and the
-//! executor substrate of `mctop-runtime` (which re-exports this module
-//! as `mctop_runtime::sync`) — is imported from *this* module instead
+//! executor substrate of `mctop-runtime` (which imports this module
+//! as its `crate::sync`) — is imported from *this* module instead
 //! of `std::sync` / `crossbeam_deque` directly. The module has two
 //! personalities:
 //!
@@ -21,7 +21,9 @@
 //!   `model::explore_random` drives seed-replayable random walks for
 //!   larger state spaces. Outside an active exploration the shim types
 //!   pass straight through to the `std` originals, so the rest of the
-//!   test suite behaves identically under either feature set.
+//!   test suite behaves identically under either feature set. This
+//!   personality also names its `MutexGuard`, which the executor's
+//!   fault hooks (compiled under `model-check` only) return.
 //!
 //! The facade is the pattern of `rust_atomics_and_locks`' `cfg(loom)`
 //! re-export module; the contract of each protocol built on top of it
@@ -79,10 +81,7 @@ pub use model::shim::{
     Condvar,
     Mutex,
     MutexGuard,
-    RwLock,
-    RwLockReadGuard,
-    RwLockWriteGuard,
-    WaitTimeoutResult, //
+    RwLock, //
 };
 #[cfg(not(feature = "model-check"))]
 pub use plain::*;
@@ -90,7 +89,7 @@ pub use plain::*;
 /// The default personality's locks: `std`, behind the poisoning policy.
 #[cfg(not(feature = "model-check"))]
 mod plain {
-    pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult};
+    use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult};
     use std::time::Duration;
 
     use super::unpoison;
@@ -221,6 +220,7 @@ mod tests {
         assert_eq!(rw.read().len(), 2);
         rw.write().push(3);
         assert_eq!(*rw.read(), vec![1, 2, 3]);
+        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

@@ -207,6 +207,11 @@ impl<T> Mutex<T> {
         self.wrap(real)
     }
 
+    /// Consumes the mutex, returning its value.
+    pub fn into_inner(self) -> T {
+        unpoison(self.inner.into_inner())
+    }
+
     fn wrap<'a>(&'a self, real: StdMutexGuard<'a, T>) -> MutexGuard<'a, T> {
         MutexGuard {
             real: Some(real),

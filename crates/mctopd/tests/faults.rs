@@ -23,12 +23,14 @@ use mctop_client::wire::{
     FrameReader,
     Request, //
 };
-use mctop_client::{
-    Client,
-    ClientError,
+use mctop_client::wire::{
     ErrorCode,
     Response,
     PROTO_VERSION, //
+};
+use mctop_client::{
+    Client,
+    ClientError, //
 };
 use mctop_runtime::metrics::ExecutorSnapshot;
 use mctop_runtime::ServerSnapshot;

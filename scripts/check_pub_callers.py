@@ -3,23 +3,30 @@
 
 The compiler decides. On a copy of the tree (the checkout is never
 edited), every `pub` item of the non-test part of `crates/*/src` is made
-`pub(crate)`, and the targets CI builds (`BUILDS`) are checked with
-`-D private_interfaces -D private_bounds`. Each item an error names is
-made `pub` again — a private item used, a private item re-exported, a
-private type in a public interface — and the builds run again until all
-of them pass. Fails on each item that is still `pub` in the tree but was
-never put back, unless `pub_callers_allow.txt`, beside this script,
-lists it as a hook (`crate::path::Name  # reason`, the reason naming
-the test file under `tests/` or `crates/*/tests` that reaches it); also
-on a hook entry without such a reason, or whose item is gone or was put
-back. Items a `macro_rules!` body declares are left as they are.
+`pub(crate)`, and so is every `pub use`, split into one `use` per name
+it binds (a leaf). The targets CI builds (`BUILDS`) are checked with
+`-D private_interfaces -D private_bounds`. Each item or leaf an error
+names is made `pub` again — a private item or import used, an item a
+`pub use` re-exports that is not `pub`, a private type in a public
+interface — and the builds run again until all of them pass. A
+re-export an error names that is `pub` already is followed to the item
+it names; the check stops if that is no item of the workspace. Fails on
+each item or leaf that is still `pub` in the tree but was never put
+back, unless `pub_callers_allow.txt`, beside this script, lists it as a
+hook (`crate::path::Name  # reason`, the reason naming the test file
+under `tests/` or `crates/*/tests` that reaches it; a leaf that
+re-exports a hook is kept with it); the builds then run once more with
+the hooks `pub`, so the types their signatures name are kept. Also
+fails on a hook entry without such a reason, or whose item is gone or
+was put back before that last round. Items a `macro_rules!` body
+declares are left as they are.
 
 Also fails on each `#[cfg(test)]` item, field or statement of
 `crates/*/src` that is not a module of tests, unless the allowlist lists
 it after its `[compiled for tests only]` line, and on such an entry
 whose item is gone. Run from the repository root with no arguments; the
-copy and its build cache live in `target/pub-fixpoint` (or in
-`$PUB_FIXPOINT_DIR`), so a second run builds incrementally.
+copy and its build cache live in `target/pub-fixpoint`, so a second run
+builds incrementally.
 """
 
 import glob
@@ -39,11 +46,13 @@ BUILDS = [
     ["--workspace", "--lib", "--bins", "--examples"],
     ["-p", "mctop", "--features", "model-check"],
     ["-p", "mctop-runtime", "--features", "model-check"],
+    ["-p", "mctop-omp", "--features", "mctop/model-check"],
     ["-p", "mctop-runtime", "--no-default-features"],
     ["-p", "mctop-sort", "--no-default-features"],
     ["--manifest-path", "bench/Cargo.toml", "--all-targets"],
 ]
 RUSTFLAGS = "-D private_interfaces -D private_bounds"
+WORK = os.path.join("target", "pub-fixpoint")  # the copy and its build cache
 NOT_COPIED = {".git", "target", os.path.join("bench", "target"), os.path.join("bench", "out")}
 TEST_FILE = re.compile(r"(?<![\w/.-])(?:crates/[\w-]+/)?tests/[\w/.-]*\w\.rs\b")
 
@@ -57,7 +66,7 @@ ITEM = re.compile(
     r"\bpub\s+(?:(?:const|async|unsafe|extern)\s+)*"
     r"(fn|struct|enum|trait|type|const|static|mod|union)\s+(?:mut\s+)?(\w+)"
 )
-FRAME = re.compile(ITEM.pattern + r"|\bpub\s+use\s[^;]*;|\bmod\s+(\w+)\s*\{|\bimpl\b|\bfn\b|\btrait\b|[{};]")
+FRAME = re.compile(ITEM.pattern + r"|\bpub\s+use\s[^;]*;|\bmod\s+(\w+)\s*(?=\{)|\bimpl\b|\bfn\b|\btrait\b|[{};]")
 IDENT = re.compile(r"[A-Za-z_]\w*")
 CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
 # What a `#[cfg(test)]` target is named by: its owner frames come from
@@ -176,7 +185,7 @@ def use_paths(tree, prefix=()):
             parts.append(body[start:i])
             start = i + 1
     parts.append(body[start:])
-    return [p for part in parts for p in use_paths(" ".join(part.split()), base)]
+    return [p for part in parts if part.strip() for p in use_paths(" ".join(part.split()), base)]
 
 
 def resolve(module, segs):
@@ -246,12 +255,27 @@ def rust_files(root):
     return sorted(glob.glob(os.path.join(root, "**", "*.rs"), recursive=True))
 
 
-class Fixpoint:
-    """The copy of the tree, its `pub` items and the builds over it."""
+def attrs_start(text, i):
+    """Where the outer attributes just before offset `i` start."""
+    while (j := len(text[:i].rstrip())) and text[j - 1] == "]":
+        depth, k = 0, j - 1
+        for k in range(j - 1, -1, -1):
+            depth += {"]": 1, "[": -1}.get(text[k], 0)
+            if depth == 0:
+                break
+        if k == 0 or text[k - 1] != "#":
+            break
+        i = k - 1
+    return i
 
-    def __init__(self, items, uses):
-        self.items, self.uses = items, uses
-        self.work = os.path.abspath(os.environ.get("PUB_FIXPOINT_DIR", "target/pub-fixpoint"))
+
+class Fixpoint:
+    """The copy of the tree, its `pub` items and `pub use` leaves (one
+    per name a `pub use` binds) and the builds over it."""
+
+    def __init__(self, items, statements, crates):
+        self.items, self.statements, self.crates = items, statements, crates
+        self.work = os.path.realpath(WORK)
         self.tree = os.path.join(self.work, "tree")
         shutil.rmtree(self.tree, ignore_errors=True)
         shutil.copytree(
@@ -262,44 +286,68 @@ class Fixpoint:
         )
         self.at_line = {}  # (file, line) -> indices of the items declared there
         for i, item in enumerate(items):
-            self.at_line.setdefault((item["file"], item["line"]), []).append(i)
-        self.original, self.written = {}, {}
+            if item["kind"] != "use":
+                self.at_line.setdefault((item["file"], item["line"]), []).append(i)
+        self.original, self.written, self.leaf_bytes = {}, {}, {}
         for item in items:
             if item["file"] not in self.original:
                 with open(item["file"], encoding="utf-8") as f:
                     self.original[item["file"]] = f.read()
         self.restored, self.builds = set(), 0
 
+    def vis(self, i):
+        return "pub" if i in self.restored else "pub(crate)"
+
     def write(self):
-        """Writes each file with every item not put back `pub(crate)`."""
+        """Writes each file with every item and leaf not put back
+        `pub(crate)`. A `pub use` becomes one `use` per leaf, each with
+        the statement's attributes, on the statement's first line (the
+        lines after it are kept empty, so every line stays put); where
+        each leaf is written is kept, in bytes, to match error spans."""
         for path, text in self.original.items():
-            offsets = sorted(
-                (item["offset"] for i, item in enumerate(self.items) if item["file"] == path and i not in self.restored),
-                reverse=True,
-            )
-            for at in offsets:
-                text = text[:at] + "pub(crate)" + text[at + 3:]
+            edits = [(it["offset"], it["offset"] + 3, i) for i, it in enumerate(self.items) if it["file"] == path and it["kind"] != "use"]
+            edits += [(st["start"], st["end"], st) for st in self.statements if st["file"] == path]
+            out, size, last, leaves = [], 0, 0, []
+            for start, end, edit in sorted(edits, key=lambda e: e[0]):
+                pieces = [text[last:start]]
+                if isinstance(edit, int):
+                    pieces.append(self.vis(edit))
+                else:
+                    for n, j in enumerate(edit["leaves"]):
+                        leaf = self.items[j]
+                        alias = "" if leaf["segs"][-1] in ("*", leaf["path"][-1]) else f" as {leaf['path'][-1]}"
+                        pieces.append(" " + edit["attrs"] + " " if n else "")
+                        at = size + sum(len(x.encode()) for x in pieces)
+                        pieces.append(f"{self.vis(j)} use {'::'.join(leaf['segs'])}{alias};")
+                        leaves.append((at, at + len(pieces[-1].encode()), j))
+                    pieces.append("\n" * text.count("\n", start, end))
+                out += pieces
+                size += sum(len(x.encode()) for x in pieces)
+                last = end
+            out.append(text[last:])
+            text = "".join(out)
+            self.leaf_bytes[path] = leaves
             if self.written.get(path) != text:
                 with open(os.path.join(self.tree, path), "w", encoding="utf-8") as f:
                     f.write(text)
                 self.written[path] = text
 
     def run(self):
-        """Builds until every build passes; returns the items put back."""
+        """Builds until every build passes; returns what was put back."""
         self.write()
         changed = True
         while changed:
             changed = False
             for build in BUILDS:
-                while named := self.check(build) - self.restored:
+                while named := self.check(build):
                     self.restored |= named
                     changed = True
                     self.write()
         return self.restored
 
     def check(self, build):
-        """Runs one build; returns the items its errors name, and exits
-        on an error that names none."""
+        """Runs one build; returns what its errors name that is not `pub`
+        yet, and exits on a failed build that names nothing new."""
         self.builds += 1
         env = dict(os.environ, RUSTFLAGS=RUSTFLAGS, CARGO_TARGET_DIR=os.path.join(self.work, "target"))
         proc = subprocess.run(
@@ -307,30 +355,29 @@ class Fixpoint:
             cwd=self.tree, env=env, capture_output=True, text=True,
         )
         root = os.path.join(self.tree, "bench") if "bench/Cargo.toml" in build else self.tree
-        named, unknown = set(), []
+        named, rendered = set(), []
         for line in proc.stdout.splitlines():
             msg = json.loads(line) if line.startswith("{") else {}
             diag = msg.get("message") if msg.get("reason") == "compiler-message" else None
             if not diag or diag["level"] != "error" or not diag["spans"]:
                 continue
-            found = set()
+            rendered.append(diag["rendered"])
             for span, text in self.definitions(diag):
-                found |= self.named_at(root, span, text)
-            named |= found
-            if not found:
-                unknown.append(diag["rendered"])
+                named |= self.named_at(root, span, text)
+        named -= self.restored
         if proc.returncode and not named:
             print(f"cargo check {' '.join(build)} fails on something no `pub` puts right:", file=sys.stderr)
-            print("".join(unknown) or proc.stderr, file=sys.stderr)
+            print("".join(rendered) or proc.stderr, file=sys.stderr)
             sys.exit(2)
         return named
 
     @staticmethod
     def definitions(diag):
         """(span, message) of each place an error says an item is
-        declared: where a private item is defined (E0603, E0624), the
-        re-export of one (E0364, E0365), or a private type in a public
-        interface (`private_interfaces`, `private_bounds`)."""
+        declared: where a private item or import is defined (E0603,
+        E0624), the re-export of an item that is not `pub` (E0364,
+        E0365), or a private type in a public interface
+        (`private_interfaces`, `private_bounds`)."""
         code = (diag.get("code") or {}).get("code")
         for span in diag["spans"]:
             if code in ("E0364", "E0365") and span["is_primary"] or "defined here" in (span["label"] or ""):
@@ -341,42 +388,57 @@ class Fixpoint:
                     yield span, child["message"]
 
     def named_at(self, root, span, text):
-        """The items declared at `span`, or re-exported there under the
-        first name `text` quotes."""
+        """What is declared at `span`: the leaf written there, or what a
+        leaf that is `pub` already refers to, else the items declared on
+        its line."""
         while span:
             path = os.path.relpath(os.path.join(root, span["file_name"]), self.tree)
+            for start, end, j in self.leaf_bytes.get(path, []):
+                if start <= span["byte_start"] < end:
+                    return {self.target(j, text)} if j in self.restored else {j}
             if hits := self.at_line.get((path, span["line_start"])):
                 return set(hits)
-            for use in self.uses:
-                if use["file"] == path and use["first"] <= span["line_start"] <= use["last"]:
-                    name = re.search(r"`(?:\w+::)*(\w+)", text)
-                    return self.reexported(use, name.group(1)) if name else set()
             span = (span.get("expansion") or {}).get("span")
         return set()
 
-    def reexported(self, use, name):
-        """The items `use` re-exports as `name`: the one its path leads
-        to, else each item of that name in its crate, else anywhere."""
-        for segs, alias in use_paths(use["tree"]):
-            if segs[-1] == "*":
-                segs = segs[:-1] + [name]
-            elif alias != name:
-                continue
-            target = resolve(use["module"], segs)
-            hits = {i for i, it in enumerate(self.items) if it["crate"] == use["crate"] and it["path"] == target}
-            if hits:
-                return hits
-        same = [i for i, it in enumerate(self.items) if it["path"][-1] == name]
-        return {i for i in same if self.items[i]["crate"] == use["crate"]} or set(same)
+    def resolve(self, leaf, segs):
+        """`segs`, a path in `leaf`'s `use`, from the root of its crate,
+        its first segment the crate's name."""
+        if segs[0] in self.crates and segs[0] != leaf["crate"]:
+            return segs
+        return [leaf["crate"]] + resolve(leaf["module"], segs)
+
+    def target(self, j, text):
+        """What leaf `j` re-exports (through a glob, the name `text`
+        quotes), followed through leaves that are `pub` already; exits
+        if it is no item or leaf of the workspace."""
+        leaf = self.items[j]
+        segs = leaf["segs"]
+        shown = f"{leaf['file']}:{leaf['line']}: `pub use {'::'.join(segs)}`"
+        if segs[-1] == "*":
+            if not (name := re.search(r"`(?:\w+::)*(\w+)`", text)):
+                sys.exit(f"{shown}: cannot tell which name of the glob an error means")
+            segs = segs[:-1] + [name.group(1)]
+        crate, *path = self.resolve(leaf, segs)
+        hits = [i for i, it in enumerate(self.items) if it["crate"] == crate and it["path"] == path]
+        if not hits:  # through a glob of the module the path names
+            hits = [i for i, it in enumerate(self.items) if it["crate"] == crate and it["path"] == path[:-1] + ["*"]]
+        if len(hits) != 1:
+            sys.exit(f"{shown}: cannot tell what `{'::'.join(segs)}` is in the workspace")
+        i = hits[0]
+        if self.items[i]["kind"] == "use" and i in self.restored:
+            return self.target(i, f"`{path[-1]}`")
+        return i
 
 
 def main():
-    items, uses = [], []  # every `pub` item and `pub use` outside test code
+    items, statements = [], []  # every `pub` item and `pub use` leaf outside test code; every `pub use`
     test_only = {}  # path of a `#[cfg(test)]` target -> where it first is
+    crates = {}
     for src in sorted(glob.glob("crates/*/src")):
         with open(os.path.join(src, "..", "Cargo.toml")) as f:
-            crate = re.search(r'(?m)^name\s*=\s*"([^"]+)"', f.read()).group(1)
-        crate = crate.replace("-", "_")
+            crates[src] = re.search(r'(?m)^name\s*=\s*"([^"]+)"', f.read()).group(1).replace("-", "_")
+    for src, crate in crates.items():
         loaded = {path: load(path) for path in rust_files(src)}
         test_files = set()
         for path, (_, test_mods) in loaded.items():
@@ -391,17 +453,25 @@ def main():
             module = os.path.relpath(path, src)[:-3].split(os.sep)
             module = module[:-1] if module[-1] in ("lib", "main", "mod") else module
             with open(path, encoding="utf-8") as f:
-                raw = LITERAL.sub(lambda m: blank(m.group(0)), f.read())
+                original = f.read()
+            raw = LITERAL.sub(lambda m: blank(m.group(0)), original)
             for item_path, line in test_only_items(raw, module):
                 test_only.setdefault("::".join([crate] + item_path), f"{path}:{line}")
             for kind, item_path, at in pub_items(text, module):
                 line = text.count("\n", 0, at if kind != "use" else at.start()) + 1
-                if kind == "use":
-                    tree = " ".join(at.group(0).split())[len("pub use "):-1]
-                    last = line + at.group(0).count("\n")
-                    uses.append(dict(crate=crate, file=path, first=line, last=last, module=item_path, tree=tree))
-                else:
+                if kind != "use":
                     items.append(dict(crate=crate, path=item_path, kind=kind, file=path, line=line, offset=at))
+                    continue
+                # The attributes go with each leaf, comments left out.
+                attrs = original[attrs_start(text, at.start()):at.start()]
+                attrs = " ".join(LITERAL.sub(lambda m: " " if m.group(0)[0] == "/" else m.group(0), attrs).split())
+                statement = dict(file=path, start=at.start(), end=at.end(), attrs=attrs, leaves=[])
+                statements.append(statement)
+                for segs, alias in use_paths(" ".join(at.group(0).split())[len("pub use "):-1]):
+                    if segs[-1] == "self":
+                        segs, alias = segs[:-1], segs[-2] if alias == "self" else alias
+                    statement["leaves"].append(len(items))
+                    items.append(dict(crate=crate, path=item_path + [alias], kind="use", file=path, line=line, module=item_path, segs=segs))
 
     errors, hooks, tests_only = [], {}, {}
     section = hooks
@@ -424,27 +494,35 @@ def main():
                 errors.append(f"{where}: {path}: a hook's reason names the test file under tests/ or crates/*/tests that reaches it")
 
     started = time.monotonic()
-    fixpoint = Fixpoint(items, uses)
-    restored = fixpoint.run()
+    fixpoint = Fixpoint(items, statements, set(crates.values()))
+    needed = set(fixpoint.run())
     full = {i: "::".join([it["crate"]] + it["path"]) for i, it in enumerate(items)}
-    # The modules a free hook sits in stay `pub` with it, or the tests
-    # could not name it (a method is named through its type).
-    kinds, kept = {full[i]: it["kind"] for i, it in enumerate(items)}, set(hooks)
-    for path in hooks:
-        while kinds.get(path := path.rpartition("::")[0]) == "mod":
-            kept.add(path)
-    survivors = sorted(
-        (f"{it['file']}:{it['line']}", it["kind"], full[i])
-        for i, it in enumerate(items)
-        if i not in restored and full[i] not in kept
-    )
+    mods = {full[i]: i for i, it in enumerate(items) if it["kind"] == "mod"}
+    # What stays `pub` for the hooks: the hook (an item or a leaf), each
+    # leaf that re-exports a hook, and, when none does, the modules a
+    # free hook sits in, or the tests could not name it (a method is
+    # named through its type).
+    kept, reexported = {i for i, path in full.items() if path in hooks}, set()
+    for j, leaf in enumerate(items):
+        if leaf["kind"] == "use" and leaf["segs"][-1] != "*":
+            if (target := "::".join(fixpoint.resolve(leaf, leaf["segs"]))) in hooks:
+                kept.add(j)
+                reexported.add(target)
+    for path in set(hooks) - reexported:
+        while (path := path.rpartition("::")[0]) in mods:
+            kept.add(mods[path])
+    # The hooks are `pub` in the tree, so the types their signatures
+    # name must be too: the builds run again with the hooks `pub`.
+    fixpoint.restored |= kept
+    restored = fixpoint.run()
+    survivors = sorted((f"{it['file']}:{it['line']}", it["kind"], full[i]) for i, it in enumerate(items) if i not in restored)
     for where, kind, path in survivors:
         errors.append(f"{where}: pub {kind} {path}: everything builds with it pub(crate)")
     for path, where in hooks.items():
         mine = [i for i, p in full.items() if p == path]
         if not mine:
-            errors.append(f"{where}: {path}: stale allowlist entry, no such pub item")
-        elif any(i in restored for i in mine):
+            errors.append(f"{where}: {path}: stale allowlist entry, no such pub item or re-export")
+        elif any(i in needed for i in mine):
             errors.append(f"{where}: {path}: stale allowlist entry, a non-test build needs it pub")
     for path, where in sorted(test_only.items(), key=lambda kv: kv[1]):
         if path not in tests_only:
@@ -454,8 +532,10 @@ def main():
             errors.append(f"{where}: {path}: stale allowlist entry, no such #[cfg(test)] item")
     for error in errors:
         print(error)
+    leaves = sum(len(st["leaves"]) for st in statements)
     print(
-        f"{len(items)} pub items, {len(restored)} needed pub by a build, {len(hooks)} hooks; "
+        f"{len(items) - leaves} pub items and {leaves} pub use leaves: {len(needed)} needed pub by a build, "
+        f"{len(kept)} kept for {len(hooks)} hooks, {len(restored - needed - kept)} more by the hooks' signatures; "
         f"{len(test_only)} compiled for tests only; {fixpoint.builds} builds in "
         f"{time.monotonic() - started:.0f} s; {len(errors)} error(s)"
     )

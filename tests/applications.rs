@@ -28,7 +28,7 @@ fn locks_use_topology_quanta_and_stay_correct() {
     let view = enriched(&mcsim::presets::synthetic_small());
     // The educated quantum for the whole machine.
     let hwcs: Vec<usize> = (0..view.num_hwcs()).collect();
-    let backoff = mctop_locks::BackoffCfg::from_view(&view, &hwcs);
+    let backoff = mctop_locks::backoff::BackoffCfg::from_view(&view, &hwcs);
     assert_eq!(backoff.quantum_cycles, 290);
     for algo in mctop_locks::LockAlgo::ALL {
         let lock = algo.build(backoff);

@@ -119,6 +119,7 @@ fn records_the_rules_miss_are_stored_and_round_trip() {
         };
         let kind = rng.gen_range(0..3);
         seen[kind] += 1;
+        let mut moved = None;
         let want = match kind {
             // A multi-hop record's latency moved onto another cross level.
             0 => {
@@ -134,6 +135,7 @@ fn records_the_rules_miss_are_stored_and_round_trip() {
                     .filter(|&m| m != topo.links[i].latency)
                     .collect();
                 topo.links[i].latency = others[rng.gen_range(0..others.len())];
+                moved = Some(topo.links[i].clone());
                 direct(&topo, &[(topo.links[i].a, topo.links[i].b)])
             }
             // One record's bandwidth changed.
@@ -167,8 +169,20 @@ fn records_the_rules_miss_are_stored_and_round_trip() {
         );
         let text = mctop::desc::to_string(&topo, &prov(&topo)).unwrap();
         let back = mctop::desc::from_str(&text).unwrap_or_else(|e| panic!("{what}: {e}"));
-        // The table follows the moved latency, as the load derived it.
-        topo.lat_table = back.lat_table.clone();
+        // The table follows the moved latency: every pair of contexts
+        // across the moved record's two sockets reads it, every other
+        // pair what it read before.
+        if let Some(l) = moved {
+            let n = topo.num_hwcs();
+            for x in 0..n {
+                for y in 0..n {
+                    let pair = (topo.hwcs[x].socket, topo.hwcs[y].socket);
+                    if pair == (l.a, l.b) || pair == (l.b, l.a) {
+                        topo.lat_table[x * n + y] = l.latency;
+                    }
+                }
+            }
+        }
         assert!(back == topo, "{what}: the round trip changed the topology");
     }
     assert!(seen.iter().all(|&k| k > 20), "{seen:?}");

@@ -90,7 +90,7 @@ fn random_data(n: usize, seed: u64) -> Vec<u32> {
 /// order, so any shuffle/ordering change in the engine is visible.
 struct KeyedCollect;
 
-impl mctop_mapred::MapReduce for KeyedCollect {
+impl mctop_mapred::engine::MapReduce for KeyedCollect {
     type Item = u32;
     type K = u32;
     type V = u32;
@@ -164,14 +164,14 @@ proptest! {
         let items = random_data(4_000, seed ^ 0x9e37);
         let reference = mapred_reference(&items);
         for partitions in [None, Some(1), Some(64)] {
-            let cfg = mctop_mapred::EngineCfg { partitions };
-            let out = mctop_mapred::run_job_on(&exec, &KeyedCollect, &items, &cfg);
+            let cfg = mctop_mapred::engine::EngineCfg { partitions };
+            let out = mctop_mapred::engine::run_job_on(&exec, &KeyedCollect, &items, &cfg);
             prop_assert_eq!(&out, &reference, "partitions={:?}", partitions);
         }
         // And the placement-based entry point (transient executor).
         let policy = if rr { Policy::RrCore } else { Policy::ConHwc };
         let place = Placement::with_view(&view, policy, PlaceOpts::threads(workers)).unwrap();
-        let out = mctop_mapred::run_job(&KeyedCollect, &items, &place, &Default::default());
+        let out = mctop_mapred::engine::run_job(&KeyedCollect, &items, &place, &Default::default());
         prop_assert_eq!(&out, &reference, "run_job path diverged");
     }
 

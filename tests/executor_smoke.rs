@@ -16,7 +16,7 @@ use mctop_runtime::{
 
 struct WordLen;
 
-impl mctop_mapred::MapReduce for WordLen {
+impl mctop_mapred::engine::MapReduce for WordLen {
     type Item = u32;
     type K = u32;
     type V = u32;
@@ -50,7 +50,7 @@ fn drive(exec: &Executor, view: &mctop::TopoView) {
     assert_eq!(v, expected);
     // MapReduce on the same executor.
     let items: Vec<u32> = (0..9_000).collect();
-    let out = mctop_mapred::run_job_on(exec, &WordLen, &items, &Default::default());
+    let out = mctop_mapred::engine::run_job_on(exec, &WordLen, &items, &Default::default());
     assert_eq!(out.len(), 10);
     for (k, c) in out {
         assert_eq!(c, 900, "key {k}");

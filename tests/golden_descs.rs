@@ -45,22 +45,15 @@ fn committed_descs_match_fresh_canonical_inference() {
     for spec in committed_specs() {
         let path = descs_dir().join(desc::default_filename(&spec.name));
         let on_disk = std::fs::read_to_string(&path).expect("committed desc exists");
-        let rendered = desc::canonical_string(&spec).expect("canonical inference");
+        let (fresh, fresh_prov) = desc::canonical(&spec).expect("canonical inference");
+        let rendered = desc::to_string(&fresh, &fresh_prov).expect("render");
         assert_eq!(on_disk, rendered, "{}: descs/ file is stale", spec.name);
-        // And the artifact loads back to the inference result it was
-        // written from: noiseless probing under the canonical
-        // configuration, every enrichment plugin, the nominal frequency.
-        let (loaded, _) = desc::from_str_full(&on_disk).unwrap_or_else(|e| {
+        // And the artifact loads back to that same inference result.
+        let (loaded, prov) = desc::from_str_full(&on_disk).unwrap_or_else(|e| {
             panic!("{}: cannot load {}: {e}", spec.name, path.display());
         });
-        let cfg = desc::canonical_probe_config_for(&spec);
-        let mut prober = mctop::backend::SimProber::noiseless(&spec);
-        let mut fresh = mctop::infer(&mut prober, &cfg).expect("canonical inference");
-        let mut mem = mctop::enrich::SimEnricher::new(&spec);
-        let mut pow = mctop::enrich::SimEnricher::new(&spec);
-        mctop::enrich::enrich_all(&mut fresh, &mut mem, &mut pow).expect("enrichment");
-        fresh.freq_ghz = Some(spec.freq_ghz);
         assert_eq!(loaded, fresh, "{}: loaded desc diverges", spec.name);
+        assert_eq!(prov, fresh_prov, "{}: provenance drifted", spec.name);
     }
 }
 

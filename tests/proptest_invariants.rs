@@ -116,7 +116,7 @@ proptest! {
         let cfg = ProbeConfig { reps: 3, ..ProbeConfig::fast() };
         let topo = TopoView::from(mctop::infer(&mut p, &cfg).expect("inference"));
         let hwcs: Vec<usize> = pick.iter().map(|&x| x as usize % topo.num_hwcs()).collect();
-        let q = mctop_locks::BackoffCfg::from_view(&topo, &hwcs).quantum_cycles;
+        let q = mctop_locks::backoff::BackoffCfg::from_view(&topo, &hwcs).quantum_cycles;
         let topo_ref = &topo;
         let max = hwcs
             .iter()

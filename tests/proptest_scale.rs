@@ -24,8 +24,7 @@ use mctop::alg::{
     build,
     cluster,
     components,
-    probe,
-    PairSelection, //
+    probe, //
 };
 use mctop::backend::SimProber;
 use mctop::desc;
@@ -34,6 +33,7 @@ use mctop::view::{
     ViewBackend, //
 };
 use mctop::Mctop;
+use mctop::PairSelection;
 
 fn descs_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("descs")
@@ -167,8 +167,7 @@ proptest! {
     #[test]
     fn backends_agree_on_generated_noc_shapes(spec in arb_noc_spec()) {
         spec.check().expect("generated spec is valid");
-        let text = desc::canonical_string(&spec).expect("canonical inference");
-        let (topo, _) = desc::from_str_full(&text).expect("canonical description");
+        let (topo, _) = desc::canonical(&spec).expect("canonical inference");
         assert_backends_agree(&topo)?;
     }
 }
@@ -223,8 +222,7 @@ fn inferred_hops_match_the_interconnect_distance() {
         ));
     }
     for (spec, distance) in cases {
-        let text = desc::canonical_string(&spec).expect("canonical inference");
-        let (topo, _) = desc::from_str_full(&text).expect("canonical description");
+        let (topo, _) = desc::canonical(&spec).expect("canonical inference");
         let s = spec.sockets;
         assert_eq!(topo.links.len(), s * (s - 1) / 2, "{}", spec.name);
         for l in &topo.links {

@@ -40,7 +40,7 @@ impl Drop for StopOnDrop<'_> {
 fn lookups_see_whole_descriptions_while_reload_races_them() {
     let spec = mcsim::presets::no_smt_small();
     let name = spec.name.as_str();
-    let (topo_a, prov) = desc::from_str_full(&desc::canonical_string(&spec).unwrap()).unwrap();
+    let (topo_a, prov) = desc::canonical(&spec).unwrap();
     let cfg = desc::canonical_probe_config_for(&spec);
     let topo_b = mctop::infer(&mut SimProber::new(&spec, 7), &cfg).unwrap();
     assert_ne!(topo_a, topo_b);

@@ -11,11 +11,11 @@ use std::sync::atomic::{
 use std::sync::Arc;
 
 use mctop::registry::Registry;
-use mctop_client::{
-    Client,
+use mctop_client::wire::{
     Request,
     Response, //
 };
+use mctop_client::Client;
 use mctopd::{
     eval,
     Server,
